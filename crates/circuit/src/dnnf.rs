@@ -9,6 +9,7 @@
 //! bounded-treewidth instances have linear-size d-DNNFs.
 
 use crate::circuit::{Circuit, Gate, GateDeps, GateId, VarId};
+use crate::semiring::{eval_gate, Count, Probability, Semiring, Wmc};
 use std::collections::{BTreeMap, BTreeSet};
 use treelineage_num::{BigUint, ErrorInterval, Rational};
 
@@ -126,41 +127,26 @@ impl Dnnf {
         self.circuit.variables()
     }
 
-    /// Probability that the represented function is true when variable `v`
-    /// is independently true with probability `prob(v)`. Linear in the
-    /// circuit size (\[20\]): OR children are mutually exclusive so their
-    /// probabilities add; AND children are independent so they multiply.
-    pub fn probability(&self, prob: &dyn Fn(VarId) -> Rational) -> Rational {
-        let mut values: Vec<Rational> = Vec::with_capacity(self.circuit.size());
+    /// Evaluates the d-DNNF bottom-up over `semiring` in one pass, linear in
+    /// the circuit size: every gate runs the shared [`eval_gate`] step on the
+    /// values of its (lower-numbered) inputs. The result is meaningful when
+    /// the semiring's sum is sound for this circuit's OR gates — determinism
+    /// for probabilities, determinism plus smoothness for (weighted) model
+    /// counts.
+    pub fn evaluate<S: Semiring>(&self, semiring: &S) -> S::Value {
+        let mut values: Vec<S::Value> = Vec::with_capacity(self.circuit.size());
         for id in self.circuit.gate_ids() {
-            let p = match self.circuit.gate(id) {
-                Gate::Var(v) => prob(*v),
-                Gate::Const(b) => {
-                    if *b {
-                        Rational::one()
-                    } else {
-                        Rational::zero()
-                    }
-                }
-                Gate::Not(i) => values[i.0].complement(),
-                Gate::And(inputs) => {
-                    let mut acc = Rational::one();
-                    for &i in inputs {
-                        acc *= &values[i.0];
-                    }
-                    acc
-                }
-                Gate::Or(inputs) => {
-                    let mut acc = Rational::zero();
-                    for &i in inputs {
-                        acc += &values[i.0];
-                    }
-                    acc
-                }
-            };
-            values.push(p);
+            let value = eval_gate(semiring, &self.circuit, id, |i| &values[i.0]);
+            values.push(value);
         }
-        values[self.circuit.output().0].clone()
+        values.swap_remove(self.circuit.output().0)
+    }
+
+    /// Probability that the represented function is true when variable `v`
+    /// is independently true with probability `prob(v)`: the [`Probability`]
+    /// instance of [`Dnnf::evaluate`] (\[20\]).
+    pub fn probability(&self, prob: &dyn Fn(VarId) -> Rational) -> Rational {
+        self.evaluate(&Probability(prob))
     }
 
     /// Number of satisfying assignments over `universe` (which must contain
@@ -294,10 +280,8 @@ impl Dnnf {
     }
 
     /// Model count of a *smooth* d-DNNF whose output mentions its whole
-    /// universe (as produced by [`Dnnf::smooth`]): a single bottom-up integer
-    /// pass — Var and negated Var count one model, OR children add (they are
-    /// mutually exclusive over a common scope), AND children multiply (they
-    /// are independent). Linear in the circuit size, no rational arithmetic.
+    /// universe (as produced by [`Dnnf::smooth`]): the [`Count`] instance of
+    /// [`Dnnf::evaluate`], one integer pass with no rational arithmetic.
     pub fn count_models_smooth(&self) -> BigUint {
         // A full assert, not a debug_assert: on a non-smooth circuit the
         // pass silently under-counts, and the bitset-based check is cheap
@@ -306,54 +290,16 @@ impl Dnnf {
             self.is_smooth(),
             "count_models_smooth needs a smooth d-DNNF"
         );
-        let mut values: Vec<BigUint> = Vec::with_capacity(self.circuit.size());
-        for id in self.circuit.gate_ids() {
-            let count = match self.circuit.gate(id) {
-                Gate::Var(_) => BigUint::one(),
-                Gate::Const(b) => {
-                    if *b {
-                        BigUint::one()
-                    } else {
-                        BigUint::zero()
-                    }
-                }
-                Gate::Not(i) => match self.circuit.gate(*i) {
-                    Gate::Var(_) => BigUint::one(),
-                    Gate::Const(b) => {
-                        if *b {
-                            BigUint::zero()
-                        } else {
-                            BigUint::one()
-                        }
-                    }
-                    _ => unreachable!("negations on inputs only"),
-                },
-                Gate::And(inputs) => {
-                    let mut acc = BigUint::one();
-                    for &i in inputs {
-                        acc = &acc * &values[i.0];
-                    }
-                    acc
-                }
-                Gate::Or(inputs) => {
-                    let mut acc = BigUint::zero();
-                    for &i in inputs {
-                        acc = &acc + &values[i.0];
-                    }
-                    acc
-                }
-            };
-            values.push(count);
-        }
-        values[self.circuit.output().0].clone()
+        self.evaluate(&Count)
     }
 
     /// One-pass *weighted* model count with independent per-literal weights:
     /// `Σ_models Π_v (pos(v) if v true else neg(v))`, over the variables the
-    /// output mentions. Unlike [`Dnnf::probability`], the weights need not
-    /// sum to one per variable, so the d-DNNF must be smooth (smooth it over
-    /// the intended universe first — a variable absent from a model's scope
-    /// would silently contribute factor 1 instead of `pos(v) + neg(v)`).
+    /// output mentions (the [`Wmc`] instance of [`Dnnf::evaluate`]). Unlike
+    /// [`Dnnf::probability`], the weights need not sum to one per variable,
+    /// so the d-DNNF must be smooth (smooth it over the intended universe
+    /// first — a variable absent from a model's scope would silently
+    /// contribute factor 1 instead of `pos(v) + neg(v)`).
     pub fn wmc(
         &self,
         pos: &dyn Fn(VarId) -> Rational,
@@ -363,87 +309,17 @@ impl Dnnf {
         // missing variable silently contributes factor 1 instead of
         // `pos(v) + neg(v)`.
         assert!(self.is_smooth(), "wmc needs a smooth d-DNNF");
-        let mut values: Vec<Rational> = Vec::with_capacity(self.circuit.size());
-        for id in self.circuit.gate_ids() {
-            let w = match self.circuit.gate(id) {
-                Gate::Var(v) => pos(*v),
-                Gate::Const(b) => {
-                    if *b {
-                        Rational::one()
-                    } else {
-                        Rational::zero()
-                    }
-                }
-                Gate::Not(i) => match self.circuit.gate(*i) {
-                    Gate::Var(v) => neg(*v),
-                    Gate::Const(b) => {
-                        if *b {
-                            Rational::zero()
-                        } else {
-                            Rational::one()
-                        }
-                    }
-                    _ => unreachable!("negations on inputs only"),
-                },
-                Gate::And(inputs) => {
-                    let mut acc = Rational::one();
-                    for &i in inputs {
-                        acc *= &values[i.0];
-                    }
-                    acc
-                }
-                Gate::Or(inputs) => {
-                    let mut acc = Rational::zero();
-                    for &i in inputs {
-                        acc += &values[i.0];
-                    }
-                    acc
-                }
-            };
-            values.push(w);
-        }
-        values[self.circuit.output().0].clone()
+        self.evaluate(&Wmc { pos, neg })
     }
 
-    /// Float fast-path of [`Dnnf::probability`]: the same linear pass in
-    /// certified `f64` interval arithmetic. Returns an [`ErrorInterval`]
-    /// guaranteed to contain the exact rational answer — each gate combines
-    /// its children's enclosures with outward-rounded `add`/`mul`, so the
-    /// containment invariant is preserved inductively from the leaves (which
-    /// get the optimal bracket of the exact input probability). One pass
-    /// costs `O(size)` f64 operations instead of `O(size)` big-rational
-    /// operations, which is where the fast-path speedup comes from.
+    /// Float fast-path of [`Dnnf::probability`]: the same pass over
+    /// certified `f64` [`ErrorInterval`]s, guaranteed to contain the exact
+    /// rational answer — the leaves get the optimal bracket of the exact
+    /// input probability and every gate rounds outward, so containment holds
+    /// inductively. `O(size)` f64 operations instead of `O(size)`
+    /// big-rational ones.
     pub fn probability_interval(&self, prob: &dyn Fn(VarId) -> ErrorInterval) -> ErrorInterval {
-        let mut values: Vec<ErrorInterval> = Vec::with_capacity(self.circuit.size());
-        for id in self.circuit.gate_ids() {
-            let p = match self.circuit.gate(id) {
-                Gate::Var(v) => prob(*v),
-                Gate::Const(b) => {
-                    if *b {
-                        ErrorInterval::one()
-                    } else {
-                        ErrorInterval::zero()
-                    }
-                }
-                Gate::Not(i) => values[i.0].complement(),
-                Gate::And(inputs) => {
-                    let mut acc = ErrorInterval::one();
-                    for &i in inputs {
-                        acc = acc.mul(&values[i.0]);
-                    }
-                    acc
-                }
-                Gate::Or(inputs) => {
-                    let mut acc = ErrorInterval::zero();
-                    for &i in inputs {
-                        acc = acc.add(&values[i.0]);
-                    }
-                    acc
-                }
-            };
-            values.push(p);
-        }
-        values[self.circuit.output().0]
+        self.evaluate(&Probability(prob))
     }
 
     /// Float fast-path of [`Dnnf::wmc`] with the same smoothness requirement
@@ -456,46 +332,7 @@ impl Dnnf {
         neg: &dyn Fn(VarId) -> ErrorInterval,
     ) -> ErrorInterval {
         assert!(self.is_smooth(), "wmc needs a smooth d-DNNF");
-        let mut values: Vec<ErrorInterval> = Vec::with_capacity(self.circuit.size());
-        for id in self.circuit.gate_ids() {
-            let w = match self.circuit.gate(id) {
-                Gate::Var(v) => pos(*v),
-                Gate::Const(b) => {
-                    if *b {
-                        ErrorInterval::one()
-                    } else {
-                        ErrorInterval::zero()
-                    }
-                }
-                Gate::Not(i) => match self.circuit.gate(*i) {
-                    Gate::Var(v) => neg(*v),
-                    Gate::Const(b) => {
-                        if *b {
-                            ErrorInterval::zero()
-                        } else {
-                            ErrorInterval::one()
-                        }
-                    }
-                    _ => unreachable!("negations on inputs only"),
-                },
-                Gate::And(inputs) => {
-                    let mut acc = ErrorInterval::one();
-                    for &i in inputs {
-                        acc = acc.mul(&values[i.0]);
-                    }
-                    acc
-                }
-                Gate::Or(inputs) => {
-                    let mut acc = ErrorInterval::zero();
-                    for &i in inputs {
-                        acc = acc.add(&values[i.0]);
-                    }
-                    acc
-                }
-            };
-            values.push(w);
-        }
-        values[self.circuit.output().0]
+        self.evaluate(&Wmc { pos, neg })
     }
 
     /// Conditions the d-DNNF on `var = value` (the substitution used by

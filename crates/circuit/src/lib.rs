@@ -12,7 +12,8 @@
 //!   with width/size measurement, probability and model counting;
 //! * [`Dnnf`] — deterministic decomposable circuits (Definition 6.10) with
 //!   linear-time probability evaluation, smoothing, one-pass weighted model
-//!   counting and conditioning;
+//!   counting and conditioning, all evaluation running one [`Semiring`]
+//!   kernel ([`eval_gate`]);
 //! * [`Vtree`] — variable trees witnessing *structured* decomposability
 //!   (the "structured" in d-SDNNF: OBDDs are the right-linear special case,
 //!   and the automaton provenance construction is structured by a vtree read
@@ -29,6 +30,7 @@ mod dnnf;
 mod formula;
 mod obdd;
 mod probability;
+mod semiring;
 mod vtree;
 
 pub use circuit::{Circuit, Gate, GateId, VarId};
@@ -39,6 +41,7 @@ pub use formula::{
 };
 pub use obdd::{Obdd, Ref};
 pub use probability::{probability_bruteforce, probability_message_passing, MessagePassingError};
+pub use semiring::{eval_gate, Count, Probability, Semiring, Weight, Wmc};
 pub use vtree::{Vtree, VtreeId, VtreeNode};
 
 #[cfg(test)]

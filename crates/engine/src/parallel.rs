@@ -25,12 +25,15 @@
 //! does). `tests` and the umbrella `tests/parallel_differential.rs` pin
 //! this gate-by-gate against [`treelineage_automata::compile_structured_dnnf`].
 //!
-//! The evaluation passes ([`ParallelDnnf::probability`] /
-//! [`ParallelDnnf::wmc`] / [`ParallelDnnf::model_count`]) reuse the same
-//! partition: each fragment's gate range is self-contained, so workers
-//! evaluate ranges concurrently and the spine finishes on the caller's
-//! thread. All arithmetic is exact (`Rational` / `BigUint`), so the values
-//! are identical to the sequential pass, not merely close.
+//! Evaluation reuses the same partition: each fragment's gate range is
+//! self-contained, so [`ParallelDnnf::evaluate`] runs the circuit crate's
+//! one gate step ([`eval_gate`]) over any [`Semiring`] on the ranges
+//! concurrently and finishes the spine on the caller's thread. Every pass —
+//! probability, WMC and model counting, exact or in certified intervals —
+//! is an instance of that runner ([`Probability`], [`Wmc`], [`Count`]). A
+//! gate's value depends only on its inputs' values and the fixed operand
+//! order, so the result equals the sequential [`Dnnf::evaluate`] bit for
+//! bit at every thread count, floating-point intervals included.
 
 use crate::pool::run_tasks;
 use crate::EngineConfig;
@@ -40,7 +43,10 @@ use treelineage_automata::{
     compile_structured_dnnf_traced, BinaryTree, NodeAnnotation, NodeId, State, StructuredDnnf,
     StructuredDnnfError, TreeAutomaton, UncertainTree,
 };
-use treelineage_circuit::{Circuit, Dnnf, Gate, GateId, VarId, Vtree, VtreeId, VtreeNode};
+use treelineage_circuit::{
+    eval_gate, Circuit, Count, Dnnf, Gate, GateId, Probability, Semiring, Vtree, VtreeId,
+    VtreeNode, Wmc,
+};
 use treelineage_num::{BigUint, ErrorInterval, Rational};
 use treelineage_telemetry::Telemetry;
 
@@ -144,8 +150,8 @@ impl CircuitPartition {
 /// the artifact of [`compile_structured_dnnf_parallel`]. Dereference to the
 /// wrapped [`StructuredDnnf`] for the circuit/vtree accessors; the
 /// evaluation methods here take a thread count and run the bottom-up pass
-/// fragment-parallel (exact arithmetic, so results equal the sequential
-/// pass at every thread count).
+/// fragment-parallel (results equal the sequential pass bit for bit at
+/// every thread count).
 #[derive(Clone, Debug)]
 pub struct ParallelDnnf {
     structured: StructuredDnnf,
@@ -188,70 +194,104 @@ impl ParallelDnnf {
         self.structured.size()
     }
 
-    /// Acceptance probability under independent event probabilities;
-    /// fragment-parallel over `threads` workers.
+    /// Evaluates the circuit bottom-up over `semiring`, running the shared
+    /// [`eval_gate`] step: self-contained fragment ranges on up to
+    /// `threads` pool workers first, then one sweep on the caller's thread
+    /// over the spine gates outside every fragment. With one thread or no
+    /// partition this is [`Dnnf::evaluate`]. Each gate's value depends only
+    /// on its inputs' values and the fixed operand order, so the result is
+    /// the same bit for bit at every thread count.
+    pub(crate) fn evaluate<S>(&self, semiring: &S, threads: usize) -> S::Value
+    where
+        S: Semiring + Sync,
+        S::Value: Send,
+    {
+        let dnnf = self.structured.dnnf();
+        let fragments = &self.partition.fragments;
+        if threads <= 1 || fragments.len() <= 1 {
+            return dnnf.evaluate(semiring);
+        }
+        let circuit = dnnf.circuit();
+        let telemetry = &self.telemetry;
+        let chunks = run_tasks(threads, fragments.len(), telemetry, |fi| {
+            let mut chunk_span = telemetry.span("eval_fragment");
+            chunk_span.label("fragment", fi);
+            let (start, end) = fragments[fi];
+            // A fragment references only its own range plus the two global
+            // constant gates.
+            let constants = [semiring.zero(), semiring.one()];
+            let mut buf: Vec<S::Value> = Vec::with_capacity(end - start);
+            for id in start..end {
+                let value = eval_gate(semiring, circuit, GateId(id), |i| {
+                    if i.0 >= start {
+                        &buf[i.0 - start]
+                    } else if let Gate::Const(b) = circuit.gate(i) {
+                        &constants[usize::from(*b)]
+                    } else {
+                        unreachable!("fragment ranges are self-contained")
+                    }
+                });
+                buf.push(value);
+            }
+            buf
+        });
+        let mut values: Vec<Option<S::Value>> = vec![None; circuit.size()];
+        for (&(start, _), chunk) in fragments.iter().zip(chunks) {
+            for (offset, value) in chunk.into_iter().enumerate() {
+                values[start + offset] = Some(value);
+            }
+        }
+        for id in circuit.gate_ids() {
+            if values[id.0].is_none() {
+                let value = eval_gate(semiring, circuit, id, |i| {
+                    values[i.0].as_ref().expect("ids are topological")
+                });
+                values[id.0] = Some(value);
+            }
+        }
+        values[circuit.output().0]
+            .take()
+            .expect("output gate was evaluated")
+    }
+
+    /// Acceptance probability under independent event probabilities: the
+    /// [`Probability`] instance of the fragment-parallel kernel runner.
     pub fn probability(
         &self,
         prob: &(dyn Fn(usize) -> Rational + Sync),
         threads: usize,
     ) -> Rational {
-        run_pass(
-            self.structured.dnnf().circuit(),
-            &self.partition,
-            threads,
-            &self.telemetry,
-            &ProbabilityPass { prob },
-        )
+        self.evaluate(&Probability(prob), threads)
     }
 
     /// Weighted model count with general per-literal weights (the circuit
-    /// is smooth by construction, so one pass suffices); fragment-parallel.
+    /// is smooth by construction, so one pass suffices): the [`Wmc`]
+    /// instance of the fragment-parallel kernel runner.
     pub fn wmc(
         &self,
         pos: &(dyn Fn(usize) -> Rational + Sync),
         neg: &(dyn Fn(usize) -> Rational + Sync),
         threads: usize,
     ) -> Rational {
-        run_pass(
-            self.structured.dnnf().circuit(),
-            &self.partition,
-            threads,
-            &self.telemetry,
-            &WmcPass { pos, neg },
-        )
+        self.evaluate(&Wmc { pos, neg }, threads)
     }
 
     /// Number of accepting event valuations (one integer pass thanks to
-    /// smoothness-by-construction); fragment-parallel.
+    /// smoothness-by-construction): the [`Count`] instance of the
+    /// fragment-parallel kernel runner.
     pub fn model_count(&self, threads: usize) -> BigUint {
-        run_pass(
-            self.structured.dnnf().circuit(),
-            &self.partition,
-            threads,
-            &self.telemetry,
-            &CountPass,
-        )
+        self.evaluate(&Count, threads)
     }
 
-    /// The float fast-path of [`ParallelDnnf::probability`]: the same
-    /// fragment-parallel pass in certified [`ErrorInterval`] arithmetic.
-    /// The returned interval is guaranteed to contain the exact rational
-    /// answer, and — like every pass here — it is *identical at every
-    /// thread count*: each gate's interval depends only on its input gates'
-    /// intervals and the fixed operand order, and parallelism only changes
-    /// which thread computes a gate, never the gate's inputs.
+    /// The float fast-path of [`ParallelDnnf::probability`]: the same pass
+    /// over certified [`ErrorInterval`]s, guaranteed to contain the exact
+    /// rational answer and identical at every thread count.
     pub fn probability_interval(
         &self,
         prob: &(dyn Fn(usize) -> ErrorInterval + Sync),
         threads: usize,
     ) -> ErrorInterval {
-        run_pass(
-            self.structured.dnnf().circuit(),
-            &self.partition,
-            threads,
-            &self.telemetry,
-            &IntervalProbabilityPass { prob },
-        )
+        self.evaluate(&Probability(prob), threads)
     }
 
     /// The float fast-path of [`ParallelDnnf::wmc`], with the same
@@ -263,13 +303,7 @@ impl ParallelDnnf {
         neg: &(dyn Fn(usize) -> ErrorInterval + Sync),
         threads: usize,
     ) -> ErrorInterval {
-        run_pass(
-            self.structured.dnnf().circuit(),
-            &self.partition,
-            threads,
-            &self.telemetry,
-            &IntervalWmcPass { pos, neg },
-        )
+        self.evaluate(&Wmc { pos, neg }, threads)
     }
 }
 
@@ -892,304 +926,6 @@ pub fn parallel_reachable_states(
     states
 }
 
-// ---------------------------------------------------------------------------
-// Fragment-parallel evaluation passes
-// ---------------------------------------------------------------------------
-
-/// One bottom-up evaluation semantics over d-SDNNF gates; implementors
-/// mirror the corresponding `Dnnf` pass exactly (same per-gate operations,
-/// and exact arithmetic makes grouping irrelevant), so the parallel result
-/// equals the sequential one.
-trait GatePass: Sync {
-    type Value: Clone + Send;
-    fn constant(&self, value: bool) -> Self::Value;
-    fn var(&self, v: VarId) -> Self::Value;
-    /// Value of `Not(inner)` given the inner gate and its value.
-    fn not(&self, circuit: &Circuit, inner: GateId, inner_value: &Self::Value) -> Self::Value;
-    fn one(&self) -> Self::Value;
-    fn zero(&self) -> Self::Value;
-    fn mul_assign(&self, acc: &mut Self::Value, x: &Self::Value);
-    fn add_assign(&self, acc: &mut Self::Value, x: &Self::Value);
-}
-
-struct ProbabilityPass<'a> {
-    prob: &'a (dyn Fn(VarId) -> Rational + Sync),
-}
-
-impl GatePass for ProbabilityPass<'_> {
-    type Value = Rational;
-    fn constant(&self, value: bool) -> Rational {
-        if value {
-            Rational::one()
-        } else {
-            Rational::zero()
-        }
-    }
-    fn var(&self, v: VarId) -> Rational {
-        (self.prob)(v)
-    }
-    fn not(&self, _circuit: &Circuit, _inner: GateId, inner_value: &Rational) -> Rational {
-        inner_value.complement()
-    }
-    fn one(&self) -> Rational {
-        Rational::one()
-    }
-    fn zero(&self) -> Rational {
-        Rational::zero()
-    }
-    fn mul_assign(&self, acc: &mut Rational, x: &Rational) {
-        *acc *= x;
-    }
-    fn add_assign(&self, acc: &mut Rational, x: &Rational) {
-        *acc += x;
-    }
-}
-
-struct WmcPass<'a> {
-    pos: &'a (dyn Fn(VarId) -> Rational + Sync),
-    neg: &'a (dyn Fn(VarId) -> Rational + Sync),
-}
-
-impl GatePass for WmcPass<'_> {
-    type Value = Rational;
-    fn constant(&self, value: bool) -> Rational {
-        if value {
-            Rational::one()
-        } else {
-            Rational::zero()
-        }
-    }
-    fn var(&self, v: VarId) -> Rational {
-        (self.pos)(v)
-    }
-    fn not(&self, circuit: &Circuit, inner: GateId, _inner_value: &Rational) -> Rational {
-        match circuit.gate(inner) {
-            Gate::Var(v) => (self.neg)(*v),
-            Gate::Const(b) => self.constant(!b),
-            _ => unreachable!("d-SDNNFs negate inputs only"),
-        }
-    }
-    fn one(&self) -> Rational {
-        Rational::one()
-    }
-    fn zero(&self) -> Rational {
-        Rational::zero()
-    }
-    fn mul_assign(&self, acc: &mut Rational, x: &Rational) {
-        *acc *= x;
-    }
-    fn add_assign(&self, acc: &mut Rational, x: &Rational) {
-        *acc += x;
-    }
-}
-
-struct IntervalProbabilityPass<'a> {
-    prob: &'a (dyn Fn(VarId) -> ErrorInterval + Sync),
-}
-
-impl GatePass for IntervalProbabilityPass<'_> {
-    type Value = ErrorInterval;
-    fn constant(&self, value: bool) -> ErrorInterval {
-        if value {
-            ErrorInterval::one()
-        } else {
-            ErrorInterval::zero()
-        }
-    }
-    fn var(&self, v: VarId) -> ErrorInterval {
-        (self.prob)(v)
-    }
-    fn not(
-        &self,
-        _circuit: &Circuit,
-        _inner: GateId,
-        inner_value: &ErrorInterval,
-    ) -> ErrorInterval {
-        inner_value.complement()
-    }
-    fn one(&self) -> ErrorInterval {
-        ErrorInterval::one()
-    }
-    fn zero(&self) -> ErrorInterval {
-        ErrorInterval::zero()
-    }
-    fn mul_assign(&self, acc: &mut ErrorInterval, x: &ErrorInterval) {
-        *acc = acc.mul(x);
-    }
-    fn add_assign(&self, acc: &mut ErrorInterval, x: &ErrorInterval) {
-        *acc = acc.add(x);
-    }
-}
-
-struct IntervalWmcPass<'a> {
-    pos: &'a (dyn Fn(VarId) -> ErrorInterval + Sync),
-    neg: &'a (dyn Fn(VarId) -> ErrorInterval + Sync),
-}
-
-impl GatePass for IntervalWmcPass<'_> {
-    type Value = ErrorInterval;
-    fn constant(&self, value: bool) -> ErrorInterval {
-        if value {
-            ErrorInterval::one()
-        } else {
-            ErrorInterval::zero()
-        }
-    }
-    fn var(&self, v: VarId) -> ErrorInterval {
-        (self.pos)(v)
-    }
-    fn not(&self, circuit: &Circuit, inner: GateId, _inner_value: &ErrorInterval) -> ErrorInterval {
-        match circuit.gate(inner) {
-            Gate::Var(v) => (self.neg)(*v),
-            Gate::Const(b) => self.constant(!b),
-            _ => unreachable!("d-SDNNFs negate inputs only"),
-        }
-    }
-    fn one(&self) -> ErrorInterval {
-        ErrorInterval::one()
-    }
-    fn zero(&self) -> ErrorInterval {
-        ErrorInterval::zero()
-    }
-    fn mul_assign(&self, acc: &mut ErrorInterval, x: &ErrorInterval) {
-        *acc = acc.mul(x);
-    }
-    fn add_assign(&self, acc: &mut ErrorInterval, x: &ErrorInterval) {
-        *acc = acc.add(x);
-    }
-}
-
-struct CountPass;
-
-impl GatePass for CountPass {
-    type Value = BigUint;
-    fn constant(&self, value: bool) -> BigUint {
-        if value {
-            BigUint::one()
-        } else {
-            BigUint::zero()
-        }
-    }
-    fn var(&self, _v: VarId) -> BigUint {
-        BigUint::one()
-    }
-    fn not(&self, circuit: &Circuit, inner: GateId, _inner_value: &BigUint) -> BigUint {
-        match circuit.gate(inner) {
-            Gate::Var(_) => BigUint::one(),
-            Gate::Const(b) => self.constant(!b),
-            _ => unreachable!("d-SDNNFs negate inputs only"),
-        }
-    }
-    fn one(&self) -> BigUint {
-        BigUint::one()
-    }
-    fn zero(&self) -> BigUint {
-        BigUint::zero()
-    }
-    fn mul_assign(&self, acc: &mut BigUint, x: &BigUint) {
-        *acc = &*acc * x;
-    }
-    fn add_assign(&self, acc: &mut BigUint, x: &BigUint) {
-        *acc = &*acc + x;
-    }
-}
-
-/// Evaluates the circuit bottom-up under `pass`: self-contained fragment
-/// ranges on worker threads first, then one sweep on the caller's thread
-/// for everything outside a fragment (spine gates and, when the partition
-/// is empty, the whole circuit).
-fn run_pass<P: GatePass>(
-    circuit: &Circuit,
-    partition: &CircuitPartition,
-    threads: usize,
-    telemetry: &Telemetry,
-    pass: &P,
-) -> P::Value {
-    let n = circuit.size();
-    let mut values: Vec<Option<P::Value>> = vec![None; n];
-    if threads > 1 && partition.fragments.len() > 1 {
-        let chunks = run_tasks(threads, partition.fragments.len(), telemetry, |fi| {
-            let mut chunk_span = telemetry.span("eval_fragment");
-            chunk_span.label("fragment", fi);
-            let (start, end) = partition.fragments[fi];
-            let cfalse = pass.constant(false);
-            let ctrue = pass.constant(true);
-            let mut buf: Vec<P::Value> = Vec::with_capacity(end - start);
-            for id in start..end {
-                let get = |i: GateId| -> &P::Value {
-                    if i.0 >= start {
-                        &buf[i.0 - start]
-                    } else {
-                        match circuit.gate(i) {
-                            Gate::Const(true) => &ctrue,
-                            Gate::Const(false) => &cfalse,
-                            _ => unreachable!("fragment ranges are self-contained"),
-                        }
-                    }
-                };
-                let value = match circuit.gate(GateId(id)) {
-                    Gate::Var(v) => pass.var(*v),
-                    Gate::Const(b) => pass.constant(*b),
-                    Gate::Not(i) => pass.not(circuit, *i, get(*i)),
-                    Gate::And(inputs) => {
-                        let mut acc = pass.one();
-                        for &i in inputs {
-                            pass.mul_assign(&mut acc, get(i));
-                        }
-                        acc
-                    }
-                    Gate::Or(inputs) => {
-                        let mut acc = pass.zero();
-                        for &i in inputs {
-                            pass.add_assign(&mut acc, get(i));
-                        }
-                        acc
-                    }
-                };
-                buf.push(value);
-            }
-            buf
-        });
-        for (fi, chunk) in chunks.into_iter().enumerate() {
-            let (start, _) = partition.fragments[fi];
-            for (offset, value) in chunk.into_iter().enumerate() {
-                values[start + offset] = Some(value);
-            }
-        }
-    }
-    for id in 0..n {
-        if values[id].is_some() {
-            continue;
-        }
-        let value = match circuit.gate(GateId(id)) {
-            Gate::Var(v) => pass.var(*v),
-            Gate::Const(b) => pass.constant(*b),
-            Gate::Not(i) => {
-                let inner = values[i.0].as_ref().expect("ids are topological");
-                pass.not(circuit, *i, inner)
-            }
-            Gate::And(inputs) => {
-                let mut acc = pass.one();
-                for &i in inputs {
-                    pass.mul_assign(&mut acc, values[i.0].as_ref().expect("ids are topological"));
-                }
-                acc
-            }
-            Gate::Or(inputs) => {
-                let mut acc = pass.zero();
-                for &i in inputs {
-                    pass.add_assign(&mut acc, values[i.0].as_ref().expect("ids are topological"));
-                }
-                acc
-            }
-        };
-        values[id] = Some(value);
-    }
-    values[circuit.output().0]
-        .take()
-        .expect("output gate was evaluated")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1309,15 +1045,81 @@ mod tests {
         let base_w = parallel.wmc_interval(&|e| iv(&prob, e), &|e| iv(&neg, e), 1);
         assert!(base_p.contains(&exact_p));
         assert!(base_w.contains(&exact_w));
-        for threads in [2usize, 8] {
-            // Bit-identical endpoints at every thread count: the pass is
-            // per-gate deterministic, so parallelism cannot move a bound.
+        let bits = |i: ErrorInterval| (i.lo().to_bits(), i.hi().to_bits());
+        // Golden endpoints: any change to the per-gate interval arithmetic
+        // or its operand order moves these bits.
+        assert_eq!(
+            (bits(base_p), bits(base_w)),
+            (GOLDEN_PROBABILITY_BITS, GOLDEN_WMC_BITS)
+        );
+        let dnnf = parallel.structured().dnnf();
+        let seq_p = dnnf.probability_interval(&|e| iv(&prob, e));
+        let seq_w = dnnf.wmc_interval(&|e| iv(&prob, e), &|e| iv(&neg, e));
+        for threads in [1usize, 2, 8] {
+            // Bit-identical endpoints at every thread count and against the
+            // sequential runner: each gate's interval depends only on its
+            // inputs and the operand order, never on the executing thread.
             let p = parallel.probability_interval(&|e| iv(&prob, e), threads);
             let w = parallel.wmc_interval(&|e| iv(&prob, e), &|e| iv(&neg, e), threads);
-            assert_eq!(p, base_p, "threads={threads}");
-            assert_eq!(w, base_w, "threads={threads}");
+            assert_eq!(bits(p), bits(seq_p), "threads={threads}");
+            assert_eq!(bits(w), bits(seq_w), "threads={threads}");
+        }
+
+        // `Not(Const)`: probability instances complement the constant's
+        // value (`1 ⊖ [1, 1]` rounds outward, so it is not `zero()`), while
+        // the WMC and count instances read `constant(!b)`.
+        let mut c = Circuit::new();
+        let x = c.var(0);
+        let t = c.constant(true);
+        let f = c.constant(false);
+        let nx = c.not(x);
+        let nt = c.not(t);
+        let nf = c.not(f);
+        let left = c.and(vec![x, nf]);
+        let right = c.and(vec![nx, nt]);
+        let out = c.or(vec![left, right]);
+        c.set_output(out);
+        let dnnf = Dnnf::from_trusted_circuit(c).unwrap();
+        let lineage = ParallelDnnf::sequential(StructuredDnnf::from_trusted_parts(
+            dnnf.clone(),
+            Vtree::new(),
+            vec![0],
+        ));
+        let p = Rational::from_ratio_u64(1, 3);
+        let q = Rational::from_ratio_u64(3, 5);
+        let (pi, qi) = (
+            ErrorInterval::from_rational(&p),
+            ErrorInterval::from_rational(&q),
+        );
+        let one = ErrorInterval::one;
+        let zero = ErrorInterval::zero;
+        let want_p = zero()
+            .add(&one().mul(&pi).mul(&zero().complement()))
+            .add(&one().mul(&pi.complement()).mul(&one().complement()));
+        let want_w = zero()
+            .add(&one().mul(&pi).mul(&one()))
+            .add(&one().mul(&qi).mul(&zero()));
+        assert_ne!(bits(want_p), bits(want_w));
+        assert_eq!(dnnf.probability(&|_| p.clone()), p);
+        assert_eq!(dnnf.wmc(&|_| p.clone(), &|_| q.clone()), p);
+        assert_eq!(dnnf.count_models_smooth(), BigUint::one());
+        assert_eq!(bits(dnnf.probability_interval(&|_| pi)), bits(want_p));
+        assert_eq!(bits(dnnf.wmc_interval(&|_| pi, &|_| qi)), bits(want_w));
+        for threads in [1usize, 2, 8] {
+            assert_eq!(lineage.probability(&|_| p.clone(), threads), p);
+            assert_eq!(lineage.wmc(&|_| p.clone(), &|_| q.clone(), threads), p);
+            assert_eq!(lineage.model_count(threads), BigUint::one());
+            let got_p = lineage.probability_interval(&|_| pi, threads);
+            let got_w = lineage.wmc_interval(&|_| pi, &|_| qi, threads);
+            assert_eq!(bits(got_p), bits(want_p), "threads={threads}");
+            assert_eq!(bits(got_w), bits(want_w), "threads={threads}");
         }
     }
+
+    /// `(lo, hi)` bit patterns of the interval passes on the parity comb of
+    /// [`interval_pass_contains_exact_and_is_thread_count_invariant`].
+    const GOLDEN_PROBABILITY_BITS: (u64, u64) = (4602678819172644415, 4602678819172648856);
+    const GOLDEN_WMC_BITS: (u64, u64) = (3156044929159401120, 3156044929159405897);
 
     #[test]
     fn validation_errors_match_sequential() {

@@ -129,9 +129,10 @@ pub enum EngineError {
     /// the batch and the session itself stay fully usable.
     WorkerPanicked(String),
     /// The request itself is malformed (unknown query/instance handle, or a
-    /// valuation that does not cover the instance). Reported by entry
-    /// points that validate on the caller's thread, such as
-    /// [`EvalSession::explain`], instead of panicking a worker.
+    /// valuation or weight vector that does not cover the instance). Every
+    /// batch method and [`EvalSession::explain`] validate each request on
+    /// the caller's thread before any work is scheduled, so a malformed
+    /// request fails alone with this error instead of panicking a worker.
     InvalidRequest(String),
 }
 
@@ -1298,10 +1299,11 @@ impl EvalSession {
     /// [`EvalSession::batch_probability_f64`]; a caller asking for the
     /// exact rational gets the exact rational.
     ///
-    /// A panic inside one request's evaluation (e.g. a valuation that does
-    /// not cover the instance) is contained to that request as
-    /// [`EngineError::WorkerPanicked`]; the rest of the batch and the
-    /// session itself stay usable.
+    /// A malformed request (unknown handle, short valuation) is that
+    /// request's [`EngineError::InvalidRequest`]; a panic inside one
+    /// request's evaluation is contained to that request as
+    /// [`EngineError::WorkerPanicked`]. Either way the rest of the batch and
+    /// the session itself stay usable.
     pub fn batch_probability(
         &self,
         requests: &[ProbabilityRequest],
@@ -1309,21 +1311,22 @@ impl EvalSession {
         self.counters
             .requests
             .fetch_add(requests.len(), Ordering::Relaxed);
+        let checked =
+            self.check_valuations(requests.iter().map(|r| (r.query, r.instance, &r.valuation)));
         match self.backend {
             SessionBackend::Automaton | SessionBackend::FloatFirst => {
-                let artifacts =
-                    self.compile_pairs(requests.iter().map(|r| (r.query.0, r.instance.0)));
+                let artifacts = self.compile_pairs(checked.iter().flatten().copied());
                 let eval_threads = self.eval_threads(requests.len());
                 self.flatten_caught(run_tasks_catching(
                     self.config.threads,
                     requests.len(),
                     &self.config.telemetry,
                     |i| {
+                        let pair = checked[i].clone()?;
                         let started = self.timer();
                         let span = self.request_span("probability");
                         let r = &requests[i];
-                        self.check_valuation(r.instance, &r.valuation);
-                        let lineage = artifacts[&(r.query.0, r.instance.0)].clone()?;
+                        let lineage = artifacts[&pair].clone()?;
                         let p = lineage.probability(
                             &|v| r.valuation.probability(FactId(v)).clone(),
                             eval_threads,
@@ -1338,11 +1341,11 @@ impl EvalSession {
                 requests.len(),
                 &self.config.telemetry,
                 |i| {
+                    let (q, instance) = checked[i].clone()?;
                     let started = self.timer();
                     let span = self.request_span("probability");
                     let r = &requests[i];
-                    self.check_valuation(r.instance, &r.valuation);
-                    let p = self.dd_evaluate(r.query.0, r.instance.0, |manager, root| {
+                    let p = self.dd_evaluate(q, instance, |manager, root| {
                         manager.probability(root, &|v| r.valuation.probability(FactId(v)).clone())
                     })?;
                     self.record_request("probability", DecisionTier::Exact, started, span);
@@ -1352,15 +1355,49 @@ impl EvalSession {
         }
     }
 
-    /// Asserts that a request's valuation covers its instance. Runs inside
-    /// the worker job, so a violation becomes that request's
-    /// [`EngineError::WorkerPanicked`] instead of tearing down the batch.
-    fn check_valuation(&self, instance: InstanceId, valuation: &ProbabilityValuation) {
-        assert_eq!(
-            valuation.len(),
-            self.instances[instance.0].instance.fact_count(),
-            "valuation must cover every fact of the instance"
-        );
+    /// Validates one request before any work is scheduled: both handles
+    /// must name entries registered with this session, and every per-fact
+    /// vector — given as `(name, length)` — must cover the instance.
+    /// Returns the `(query, instance)` indices. The one check behind every
+    /// batch method, [`EvalSession::explain`],
+    /// [`EvalSession::lineage_artifact`] and [`EvalSession::cold_lineage`].
+    fn check_request(
+        &self,
+        query: QueryId,
+        instance: InstanceId,
+        per_fact: &[(&str, usize)],
+    ) -> Result<(usize, usize), EngineError> {
+        let (q, i) = (query.0, instance.0);
+        if q >= self.queries.len() {
+            return Err(EngineError::InvalidRequest(format!(
+                "unknown query handle {q} ({} registered)",
+                self.queries.len()
+            )));
+        }
+        let Some(entry) = self.instances.get(i) else {
+            return Err(EngineError::InvalidRequest(format!(
+                "unknown instance handle {i} ({} registered)",
+                self.instances.len()
+            )));
+        };
+        let facts = entry.instance.fact_count();
+        if let Some((name, len)) = per_fact.iter().find(|(_, len)| *len != facts) {
+            return Err(EngineError::InvalidRequest(format!(
+                "{name} covers {len} facts but instance {i} has {facts}"
+            )));
+        }
+        Ok((q, i))
+    }
+
+    /// [`EvalSession::check_request`] for each request of a
+    /// valuation-carrying batch.
+    fn check_valuations<'a>(
+        &self,
+        requests: impl Iterator<Item = (QueryId, InstanceId, &'a ProbabilityValuation)>,
+    ) -> Vec<Result<(usize, usize), EngineError>> {
+        requests
+            .map(|(q, i, valuation)| self.check_request(q, i, &[("valuation", valuation.len())]))
+            .collect()
     }
 
     /// Converts caught worker panics into per-request typed errors, counting
@@ -1485,34 +1522,32 @@ impl EvalSession {
 
     /// Evaluates a batch of general weighted-model-count requests. Always
     /// served from the automaton backend's smooth d-SDNNF (one pass per
-    /// request), mirroring how the core evaluator routes WMC. Panics are
-    /// contained per request as in [`EvalSession::batch_probability`].
+    /// request), mirroring how the core evaluator routes WMC. Malformed
+    /// requests and panics fail per request as in
+    /// [`EvalSession::batch_probability`].
     pub fn batch_wmc(&self, requests: &[WmcRequest]) -> Vec<Result<Rational, EngineError>> {
         self.counters
             .requests
             .fetch_add(requests.len(), Ordering::Relaxed);
-        let artifacts = self.compile_pairs(requests.iter().map(|r| (r.query.0, r.instance.0)));
+        let checked: Vec<_> = requests
+            .iter()
+            .map(|r| {
+                let per_fact = [("pos weights", r.pos.len()), ("neg weights", r.neg.len())];
+                self.check_request(r.query, r.instance, &per_fact)
+            })
+            .collect();
+        let artifacts = self.compile_pairs(checked.iter().flatten().copied());
         let eval_threads = self.eval_threads(requests.len());
         self.flatten_caught(run_tasks_catching(
             self.config.threads,
             requests.len(),
             &self.config.telemetry,
             |i| {
+                let pair = checked[i].clone()?;
                 let started = self.timer();
                 let span = self.request_span("wmc");
                 let r = &requests[i];
-                let facts = self.instances[r.instance.0].instance.fact_count();
-                assert_eq!(
-                    r.pos.len(),
-                    facts,
-                    "pos weights must cover every fact of the instance"
-                );
-                assert_eq!(
-                    r.neg.len(),
-                    facts,
-                    "neg weights must cover every fact of the instance"
-                );
-                let lineage = artifacts[&(r.query.0, r.instance.0)].clone()?;
+                let lineage = artifacts[&pair].clone()?;
                 let w = lineage.wmc(&|v| r.pos[v].clone(), &|v| r.neg[v].clone(), eval_threads);
                 self.record_request("wmc", DecisionTier::Exact, started, span);
                 Ok(w)
@@ -1539,18 +1574,20 @@ impl EvalSession {
         self.counters
             .requests
             .fetch_add(requests.len(), Ordering::Relaxed);
-        let artifacts = self.compile_pairs(requests.iter().map(|r| (r.query.0, r.instance.0)));
+        let checked =
+            self.check_valuations(requests.iter().map(|r| (r.query, r.instance, &r.valuation)));
+        let artifacts = self.compile_pairs(checked.iter().flatten().copied());
         let eval_threads = self.eval_threads(requests.len());
         self.flatten_caught(run_tasks_catching(
             self.config.threads,
             requests.len(),
             &self.config.telemetry,
             |i| {
+                let pair = checked[i].clone()?;
                 let started = self.timer();
                 let span = self.request_span("probability_f64");
                 let r = &requests[i];
-                self.check_valuation(r.instance, &r.valuation);
-                match &artifacts[&(r.query.0, r.instance.0)] {
+                match &artifacts[&pair] {
                     Ok(lineage) => {
                         let interval = lineage.probability_interval(
                             &|v| ErrorInterval::from_rational(r.valuation.probability(FactId(v))),
@@ -1596,17 +1633,19 @@ impl EvalSession {
         self.counters
             .requests
             .fetch_add(requests.len(), Ordering::Relaxed);
+        let checked =
+            self.check_valuations(requests.iter().map(|r| (r.query, r.instance, &r.valuation)));
         if self.backend == SessionBackend::SharedDd {
             return self.flatten_caught(run_tasks_catching(
                 self.config.threads,
                 requests.len(),
                 &self.config.telemetry,
                 |i| {
+                    let (q, instance) = checked[i].clone()?;
                     let started = self.timer();
                     let span = self.request_span("threshold");
                     let r = &requests[i];
-                    self.check_valuation(r.instance, &r.valuation);
-                    let exact = self.dd_evaluate(r.query.0, r.instance.0, |manager, root| {
+                    let exact = self.dd_evaluate(q, instance, |manager, root| {
                         manager.probability(root, &|v| r.valuation.probability(FactId(v)).clone())
                     })?;
                     self.counters
@@ -1618,18 +1657,18 @@ impl EvalSession {
             ));
         }
         let float_first = self.backend == SessionBackend::FloatFirst;
-        let artifacts = self.compile_pairs(requests.iter().map(|r| (r.query.0, r.instance.0)));
+        let artifacts = self.compile_pairs(checked.iter().flatten().copied());
         let eval_threads = self.eval_threads(requests.len());
         self.flatten_caught(run_tasks_catching(
             self.config.threads,
             requests.len(),
             &self.config.telemetry,
             |i| {
+                let pair = checked[i].clone()?;
                 let started = self.timer();
                 let span = self.request_span("threshold");
                 let r = &requests[i];
-                self.check_valuation(r.instance, &r.valuation);
-                let lineage = match &artifacts[&(r.query.0, r.instance.0)] {
+                let lineage = match &artifacts[&pair] {
                     Ok(lineage) => lineage,
                     Err(e) => {
                         let as_probability = ProbabilityRequest {
@@ -1729,7 +1768,8 @@ impl EvalSession {
 
     /// Evaluates a batch of model-count requests (number of satisfying
     /// subinstances over the full fact universe). Duplicated pairs are
-    /// computed once.
+    /// computed once; a request with an unknown handle is that request's
+    /// [`EngineError::InvalidRequest`].
     pub fn batch_model_count(
         &self,
         requests: &[(QueryId, InstanceId)],
@@ -1737,9 +1777,14 @@ impl EvalSession {
         self.counters
             .requests
             .fetch_add(requests.len(), Ordering::Relaxed);
-        match self.backend {
+        let checked: Vec<_> = requests
+            .iter()
+            .map(|&(q, i)| self.check_request(q, i, &[]))
+            .collect();
+        let valid = checked.iter().flatten().copied();
+        let by_pair: BTreeMap<(usize, usize), Result<BigUint, EngineError>> = match self.backend {
             SessionBackend::Automaton | SessionBackend::FloatFirst => {
-                let artifacts = self.compile_pairs(requests.iter().map(|&(q, i)| (q.0, i.0)));
+                let artifacts = self.compile_pairs(valid);
                 let unique: Vec<(usize, usize)> = artifacts.keys().copied().collect();
                 let eval_threads = self.eval_threads(unique.len());
                 let counts = run_tasks(
@@ -1758,24 +1803,13 @@ impl EvalSession {
                         count
                     },
                 );
-                let by_pair: BTreeMap<(usize, usize), Result<BigUint, EngineError>> =
-                    unique.into_iter().zip(counts).collect();
-                let out: Vec<Result<BigUint, EngineError>> = requests
-                    .iter()
-                    .map(|&(q, i)| by_pair[&(q.0, i.0)].clone())
-                    .collect();
-                self.count_errors(&out);
-                out
+                unique.into_iter().zip(counts).collect()
             }
             SessionBackend::SharedDd => {
                 // Dedup here too: identical pairs would otherwise re-run
                 // the count serialized on the same shard lock.
-                let unique: Vec<(usize, usize)> = requests
-                    .iter()
-                    .map(|&(q, i)| (q.0, i.0))
-                    .collect::<BTreeSet<_>>()
-                    .into_iter()
-                    .collect();
+                let unique: Vec<(usize, usize)> =
+                    valid.collect::<BTreeSet<_>>().into_iter().collect();
                 let counts = run_tasks(
                     self.config.threads,
                     unique.len(),
@@ -1792,24 +1826,23 @@ impl EvalSession {
                         count
                     },
                 );
-                let by_pair: BTreeMap<(usize, usize), Result<BigUint, EngineError>> =
-                    unique.into_iter().zip(counts).collect();
-                let out: Vec<Result<BigUint, EngineError>> = requests
-                    .iter()
-                    .map(|&(q, i)| by_pair[&(q.0, i.0)].clone())
-                    .collect();
-                self.count_errors(&out);
-                out
+                unique.into_iter().zip(counts).collect()
             }
-        }
+        };
+        let out: Vec<Result<BigUint, EngineError>> = checked
+            .into_iter()
+            .map(|pair| pair.and_then(|pair| by_pair[&pair].clone()))
+            .collect();
+        self.count_errors(&out);
+        out
     }
 
     /// Serves one probability request on the caller's thread and reports
     /// *how*: backend and tier, what each cache layer contributed, compiled
     /// artifact sizes, and per-stage durations aggregated from the
-    /// request's own trace (empty when telemetry is disabled). Unlike the
+    /// request's own trace (empty when telemetry is disabled). As in the
     /// batch methods, a malformed request (unknown handle, short valuation)
-    /// is a typed [`EngineError::InvalidRequest`], not a worker panic.
+    /// is a typed [`EngineError::InvalidRequest`], not a panic.
     ///
     /// The request is a real one — it counts into [`SessionStats`] and the
     /// `requests_total{kind="explain"}` series, warms the same caches, and
@@ -1818,27 +1851,12 @@ impl EvalSession {
     /// from the certified interval pass; exact backends exactly). The
     /// cache-state fields report residency *before* this request ran.
     pub fn explain(&self, request: &ProbabilityRequest) -> Result<ExplainReport, EngineError> {
-        let q = request.query.0;
-        let i = request.instance.0;
-        if q >= self.queries.len() {
-            return Err(EngineError::InvalidRequest(format!(
-                "unknown query handle {q} ({} registered)",
-                self.queries.len()
-            )));
-        }
-        let Some(entry) = self.instances.get(i) else {
-            return Err(EngineError::InvalidRequest(format!(
-                "unknown instance handle {i} ({} registered)",
-                self.instances.len()
-            )));
-        };
-        if request.valuation.len() != entry.instance.fact_count() {
-            return Err(EngineError::InvalidRequest(format!(
-                "valuation covers {} facts but instance {i} has {}",
-                request.valuation.len(),
-                entry.instance.fact_count()
-            )));
-        }
+        let (q, i) = self.check_request(
+            request.query,
+            request.instance,
+            &[("valuation", request.valuation.len())],
+        )?;
+        let entry = &self.instances[i];
         // Probe cache residency non-mutatingly, before serving warms the
         // layers — the report explains what the request *found*.
         let encoding_cached = lock_recovering(&entry.encoding).is_some();
@@ -2100,21 +2118,8 @@ impl EvalSession {
         query: QueryId,
         instance: InstanceId,
     ) -> Result<Arc<ParallelDnnf>, EngineError> {
-        if query.0 >= self.queries.len() {
-            return Err(EngineError::InvalidRequest(format!(
-                "unknown query handle {} ({} registered)",
-                query.0,
-                self.queries.len()
-            )));
-        }
-        if instance.0 >= self.instances.len() {
-            return Err(EngineError::InvalidRequest(format!(
-                "unknown instance handle {} ({} registered)",
-                instance.0,
-                self.instances.len()
-            )));
-        }
-        self.lineage(query.0, instance.0, self.config.threads)
+        let (q, i) = self.check_request(query, instance, &[])?;
+        self.lineage(q, i, self.config.threads)
     }
 
     /// The byte-identity oracle behind the update differential suite (and
@@ -2130,19 +2135,15 @@ impl EvalSession {
         query: QueryId,
         instance: InstanceId,
     ) -> Result<ParallelDnnf, EngineError> {
-        if query.0 >= self.queries.len() || instance.0 >= self.instances.len() {
-            return Err(EngineError::InvalidRequest(
-                "unknown query or instance handle".to_string(),
-            ));
-        }
-        let entry = &self.instances[instance.0];
+        let (q, i) = self.check_request(query, instance, &[])?;
+        let entry = &self.instances[i];
         let encoding = treelineage_encoding::encode_traced(
             &entry.instance,
             &entry.decomposition,
             &self.config.telemetry,
         )
         .map_err(EngineError::Encoding)?;
-        let machine = self.machine(query.0, encoding.alphabet().width())?;
+        let machine = self.machine(q, encoding.alphabet().width())?;
         let automaton = lock_recovering(&machine)
             .automaton_for(encoding.tree())
             .map_err(EngineError::QueryCompile)?;
@@ -2430,38 +2431,83 @@ mod tests {
     }
 
     #[test]
-    fn panicking_request_leaves_session_usable() {
-        let (session, q, i) = session_with(SessionBackend::Automaton);
-        let good = ProbabilityValuation::uniform(session.instance(i), Rational::one_half());
-        // A valuation over the wrong instance: too short, so the worker
-        // task serving this request panics on the coverage assertion.
-        let bad = ProbabilityValuation::uniform(&chain(1), Rational::one_half());
-        let mut requests: Vec<ProbabilityRequest> = (0..4)
-            .map(|_| ProbabilityRequest {
-                query: q,
-                instance: i,
-                valuation: good.clone(),
-            })
-            .collect();
-        requests[2].valuation = bad;
-        let results = session.batch_probability(&requests);
-        assert!(matches!(results[2], Err(EngineError::WorkerPanicked(_))));
-        for (k, r) in results.iter().enumerate() {
-            if k != 2 {
-                assert!(r.is_ok(), "request {k} should have survived");
-            }
+    fn malformed_requests_fail_alone_with_typed_errors() {
+        // Handles minted by a session with more registrations are out of
+        // range here; a valuation over a smaller instance is too short.
+        let mut other = EvalSession::new(EngineConfig::default());
+        other.register_query(parse_query(&rst(), "R(x)").unwrap());
+        let foreign_query = other.register_query(parse_query(&rst(), "T(x)").unwrap());
+        other.register_instance(chain(1));
+        let foreign_instance = other.register_instance(chain(2));
+        // Per request: served, or rejected as malformed.
+        fn outcomes<T>(results: &[Result<T, EngineError>]) -> Vec<&'static str> {
+            results
+                .iter()
+                .map(|r| match r {
+                    Ok(_) => "ok",
+                    Err(EngineError::InvalidRequest(_)) => "invalid",
+                    Err(_) => "other error",
+                })
+                .collect()
         }
-        // The panic is visible in the stats: one panicked request, one
-        // errored request (previously it counted as served, invisibly).
-        assert_eq!(session.stats().worker_panics, 1);
-        assert_eq!(session.stats().errors, 1);
-        // The session (its caches, locks, and pool) stays fully usable.
-        let clean = session.batch_probability(&requests[..2]);
-        assert_eq!(clean[0], results[0]);
-        assert_eq!(clean[1], results[1]);
-        // The clean batch adds no panics and no errors.
-        assert_eq!(session.stats().worker_panics, 1);
-        assert_eq!(session.stats().errors, 1);
+        let expected = ["ok", "invalid", "invalid"];
+        for backend in [
+            SessionBackend::Automaton,
+            SessionBackend::SharedDd,
+            SessionBackend::FloatFirst,
+        ] {
+            let (session, q, i) = session_with(backend);
+            let good = ProbabilityValuation::uniform(session.instance(i), Rational::one_half());
+            let short = ProbabilityValuation::uniform(&chain(1), Rational::one_half());
+            let request = |instance, valuation: &ProbabilityValuation| ProbabilityRequest {
+                query: q,
+                instance,
+                valuation: valuation.clone(),
+            };
+            let requests = [
+                request(i, &good),
+                request(foreign_instance, &good),
+                request(i, &short),
+            ];
+            let results = session.batch_probability(&requests);
+            assert_eq!(results[0], session.batch_probability(&requests[..1])[0]);
+            assert_eq!(outcomes(&results), expected, "{backend:?}");
+            let floats = session.batch_probability_f64(&requests);
+            assert_eq!(outcomes(&floats), expected, "{backend:?}");
+            let thresholds: Vec<ThresholdRequest> = requests
+                .iter()
+                .map(|r| ThresholdRequest {
+                    query: r.query,
+                    instance: r.instance,
+                    valuation: r.valuation.clone(),
+                    threshold: Rational::one_half(),
+                })
+                .collect();
+            let decisions = session.batch_threshold(&thresholds);
+            assert_eq!(outcomes(&decisions), expected, "{backend:?}");
+            let counts =
+                session.batch_model_count(&[(q, i), (foreign_query, i), (q, foreign_instance)]);
+            assert_eq!(outcomes(&counts), expected, "{backend:?}");
+            let stats = session.stats();
+            assert_eq!(stats.worker_panics, 0, "{backend:?}");
+            assert_eq!(stats.errors, 8, "{backend:?}");
+        }
+        let (session, q, i) = session_with(SessionBackend::Automaton);
+        let facts = session.instance(i).fact_count();
+        let weights = |n: usize| vec![Rational::one_half(); n];
+        let wmc = |instance, pos: usize, neg: usize| WmcRequest {
+            query: q,
+            instance,
+            pos: weights(pos),
+            neg: weights(neg),
+        };
+        let results = session.batch_wmc(&[
+            wmc(i, facts, facts),
+            wmc(foreign_instance, facts, facts),
+            wmc(i, facts, 1),
+        ]);
+        assert_eq!(outcomes(&results), expected);
+        assert_eq!(session.stats().worker_panics, 0);
     }
 
     #[test]

@@ -6,17 +6,23 @@
 //! site.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use treelineage_telemetry::Telemetry;
 
-/// A pass-through allocator that counts allocation calls.
+/// A pass-through allocator that counts allocation calls per thread.
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Per thread, so the test harness running the sibling test on another
+    // thread cannot leak its allocations into this thread's count. `const`
+    // initialisation and a `Drop`-free `Cell` keep the slot itself from
+    // allocating (no lazy init, no destructor registration).
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        ALLOCATIONS.with(|count| count.set(count.get() + 1));
         unsafe { System.alloc(layout) }
     }
 
@@ -28,8 +34,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::SeqCst)
+    ALLOCATIONS.with(Cell::get)
 }
 
 #[test]
