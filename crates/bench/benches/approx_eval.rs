@@ -79,11 +79,7 @@ fn benches(c: &mut Criterion) {
         b.iter(|| exact.batch_probability(&requests))
     });
 
-    let float_config = EngineConfig {
-        float_first: true,
-        ..EngineConfig::default()
-    };
-    let mut float = EvalSession::new(float_config);
+    let mut float = EvalSession::with_backend(EngineConfig::default(), SessionBackend::FloatFirst);
     let fqid = float.register_query(q.clone());
     let fiid = float.register_instance(inst.clone());
     let float_requests: Vec<ProbabilityRequest> = (0..BATCH)

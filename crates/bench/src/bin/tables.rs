@@ -521,13 +521,12 @@ fn engine_section() {
 
 /// E-9: the unified telemetry layer. One instrumented FloatFirst session
 /// serves a mixed batch (exact probabilities, certified-float thresholds,
-/// model counts), one instrumented SharedDd session seeds a dd shard, and
-/// the merged `EvalSession::metrics()` snapshot is printed three ways:
-/// stage spans, per-(kind, tier) request counters with cache occupancy,
-/// and excerpts of the JSON-lines / Prometheus exports. The byte-identity
-/// guarantee (telemetry on == telemetry off, gate for gate) is pinned by
-/// `tests/telemetry_differential.rs`; this section is the human-readable
-/// view CI logs.
+/// model counts), and the merged `EvalSession::metrics()` snapshot is
+/// printed three ways: stage spans, per-(kind, tier) request counters with
+/// cache occupancy, and excerpts of the JSON-lines / Prometheus exports.
+/// The byte-identity guarantee (telemetry on == telemetry off, gate for
+/// gate) is pinned by `tests/telemetry_differential.rs`; this section is
+/// the human-readable view CI logs.
 fn telemetry_section() {
     use treelineage::{ProbabilityRequest, ThresholdRequest};
 
@@ -554,8 +553,8 @@ fn telemetry_section() {
         inst.add_fact_by_name("T", &[i + 1]);
     }
 
-    let mut session = EvalSession::with_backend(config.clone(), SessionBackend::FloatFirst);
-    let qid = session.register_query(q.clone());
+    let mut session = EvalSession::with_backend(config, SessionBackend::FloatFirst);
+    let qid = session.register_query(q);
     let iid = session.register_instance(inst.clone());
     let valuation = ProbabilityValuation::from_probabilities(
         &inst,
@@ -592,16 +591,6 @@ fn telemetry_section() {
         .all(|r| r.is_ok()));
     assert!(session
         .batch_model_count(&[(qid, iid)])
-        .iter()
-        .all(|r| r.is_ok()));
-
-    // A second instrumented session on the shared-dd backend, so the
-    // snapshot below also demonstrates the per-shard dd gauges.
-    let mut dd_session = EvalSession::with_backend(config, SessionBackend::SharedDd);
-    let dq = dd_session.register_query(q);
-    let di = dd_session.register_instance(inst);
-    assert!(dd_session
-        .batch_model_count(&[(dq, di)])
         .iter()
         .all(|r| r.is_ok()));
 
@@ -674,25 +663,13 @@ fn telemetry_section() {
 
     let occupancy = session.cache_occupancy();
     println!(
-        "  caches: lineage {}/{}, query machines {}/{}, encodings {}, dd shards {}",
+        "  caches: lineage {}/{}, query machines {}/{}, encodings {}",
         occupancy.lineage_entries,
         occupancy.lineage_capacity,
         occupancy.machine_entries,
         occupancy.machine_capacity,
-        occupancy.encodings,
-        occupancy.dd_shards
+        occupancy.encodings
     );
-    for (instance, stats) in dd_session.dd_shard_stats() {
-        println!(
-            "  dd shard {}: {} nodes, unique table {}, op-cache {} ({} hits / {} misses)",
-            instance.index(),
-            stats.node_count,
-            stats.unique_table_len,
-            stats.op_cache_len,
-            stats.op_cache_hits,
-            stats.op_cache_misses
-        );
-    }
 
     let json = snap.to_json_lines();
     let prometheus = snap.to_prometheus();

@@ -16,12 +16,11 @@
 //!   partition so probability / WMC / model-counting passes parallelize the
 //!   same way.
 //! * [`EvalSession`] — a long-lived session holding the persistent compiled
-//!   query machines, per-instance tree encodings, and a sharded
-//!   [`treelineage_dd::Manager`] pool, exposing
-//!   [`EvalSession::batch_probability`] / [`EvalSession::batch_wmc`] /
-//!   [`EvalSession::batch_model_count`] that evaluate many (query,
-//!   instance, weights) requests concurrently and deduplicate shared
-//!   compile work.
+//!   query machines, per-instance tree encodings and compiled lineages,
+//!   exposing [`EvalSession::batch_probability`] /
+//!   [`EvalSession::batch_wmc`] / [`EvalSession::batch_model_count`] that
+//!   evaluate many (query, instance, weights) requests concurrently and
+//!   deduplicate shared compile work.
 //! * [`EngineConfig`] — the knob set (`threads`, `state_budget`, cache
 //!   caps) that `treelineage-core`'s `ProbabilityEvaluator` and the bench
 //!   harness route through, so every existing entry point can opt into
@@ -55,10 +54,11 @@ use treelineage_graph::TreeDecomposition;
 use treelineage_instance::Instance;
 
 /// Configuration of the parallel engine: thread count, the query compiler's
-/// state budget, the [`EvalSession`] cache caps, and the approximate
-/// evaluation knobs. The default is fully sequential, exact-only, with the
-/// compiler's default budget — existing entry points behave exactly as
-/// before until they opt in.
+/// state budget, the [`EvalSession`] cache caps, and the Karp–Luby knobs.
+/// The default is fully sequential with the compiler's default budget —
+/// existing entry points behave exactly as before until they opt in.
+/// Float-first serving is a session backend, not a config knob: select it
+/// with [`EvalSession::with_backend`] and [`SessionBackend::FloatFirst`].
 ///
 /// (No `Eq`: the `(ε, δ)` knobs are `f64`. `PartialEq` is still derived and
 /// the engine never stores `NaN` in them; [`Telemetry`] compares by
@@ -84,13 +84,6 @@ pub struct EngineConfig {
     /// Maximum number of compiled lineages an [`EvalSession`] keeps (per
     /// (query, instance); least recently used evicted first).
     pub lineage_cache_cap: usize,
-    /// Serve probability requests float-first: [`EvalSession::new`] picks
-    /// [`SessionBackend::FloatFirst`], threshold requests are answered from
-    /// the certified f64 interval pass (falling back to exact rationals
-    /// only when the threshold lands inside the interval), and instances
-    /// whose query compilation blows the state budget degrade to the
-    /// Karp–Luby estimator instead of failing. Default `false`.
-    pub float_first: bool,
     /// Relative error bound ε of the Karp–Luby fallback estimator
     /// (`|estimate − exact| ≤ ε·exact` with probability `1 − δ`). Default
     /// `0.01`.
@@ -123,7 +116,6 @@ impl Default for EngineConfig {
             fragment_grain: 0,
             query_cache_cap: 64,
             lineage_cache_cap: 256,
-            float_first: false,
             epsilon: 0.01,
             delta: 0.01,
             telemetry: Telemetry::disabled(),
@@ -154,8 +146,7 @@ impl EngineConfig {
 /// instance's Gaifman graph: the \[35\]-style depth-first bag layout with
 /// every fact placed at its first covering bag (the layout itself lives in
 /// [`treelineage_dd::order`]). This is the order every match-based backend
-/// compiles under; `treelineage-core` re-exports it, and [`EvalSession`]'s
-/// shared-diagram shards use it to seed their managers.
+/// compiles under; `treelineage-core` re-exports it.
 pub fn variable_order_from_decomposition(
     instance: &Instance,
     td: &TreeDecomposition,

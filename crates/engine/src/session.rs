@@ -11,22 +11,18 @@
 //! engine's work-stealing pool:
 //!
 //! * **per-instance state** — the instance, its (validated) tree
-//!   decomposition, the lazily built [`TreeEncoding`], and — for the
-//!   shared-diagram backend — a lazily seeded [`Manager`] *shard*;
+//!   decomposition and the lazily built [`TreeEncoding`];
 //! * **per-(query, width) state** — the persistent
 //!   [`CompiledQuery`] machine, whose deterministic-state memo keeps
 //!   growing across instances (its own kind of cache);
 //! * **per-(query, instance) state** — the compiled [`ParallelDnnf`]
 //!   lineage, shared by every request and every batch that names the pair.
 //!
-//! **Why shards instead of one lock.** The dd [`Manager`] is a mutable
-//! hash-consed store: compilation needs `&mut`, and even evaluation takes
-//! the shard lock. One global manager would serialize the whole batch; one
-//! manager *per registered instance* (the natural unit, since a manager is
-//! pinned to its variable order) lets requests for different instances
-//! proceed in parallel and contend only with requests for the same
-//! instance. The automaton backend needs no locking at all after compile —
-//! [`ParallelDnnf`] evaluation is read-only.
+//! Every batch method runs the same request pipeline: validate each
+//! request on the caller's thread, compile each distinct (query, instance)
+//! pair once, then answer each request on the pool with its own trace,
+//! latency record and panic containment. Evaluation needs no locking after
+//! compile — [`ParallelDnnf`] evaluation is read-only.
 //!
 //! Results are deterministic: caches only memoize deterministic
 //! computations, so a cache hit returns byte-for-byte what a cold compile
@@ -36,12 +32,11 @@
 use crate::approx::karp_luby_probability;
 use crate::parallel::{compile_with_pool_cached, FragmentLibrary, ParallelDnnf};
 use crate::pool::{lock_recovering, run_tasks, run_tasks_catching};
-use crate::{variable_order_from_decomposition, EngineConfig};
+use crate::EngineConfig;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 use std::time::Instant;
-use treelineage_dd::Manager;
 use treelineage_encoding::{
     compile_ucq, CompileError, CompileOptions, CompiledQuery, EncodingError, EncodingPlan,
     TreeEncoding,
@@ -49,16 +44,16 @@ use treelineage_encoding::{
 use treelineage_graph::TreeDecomposition;
 use treelineage_instance::{Element, Fact, FactId, Instance, ProbabilityValuation};
 use treelineage_num::{BigUint, ErrorInterval, Rational};
-use treelineage_query::{matching, UnionOfConjunctiveQueries};
-use treelineage_telemetry::{MetricsSnapshot, Span, SpanEvent};
+use treelineage_query::UnionOfConjunctiveQueries;
+use treelineage_telemetry::{write_string, MetricsSnapshot, Span, SpanEvent};
 
 /// Handle to an instance registered with an [`EvalSession`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub struct InstanceId(usize);
 
 impl InstanceId {
-    /// The session-local index of the instance — the value the telemetry
-    /// layer uses as the `shard` label of the per-shard dd series.
+    /// The session-local index of the instance — the value of the
+    /// `instance` label on the session's update and compile spans.
     pub fn index(self) -> usize {
         self.0
     }
@@ -83,10 +78,6 @@ pub enum SessionBackend {
     /// provenance d-SDNNF (never materializing query matches). The default.
     #[default]
     Automaton,
-    /// The shared decision-diagram engine: one [`Manager`] shard per
-    /// registered instance, query lineages compiled from their matches into
-    /// the shard and looked up by root node on later requests.
-    SharedDd,
     /// The automaton pipeline with the certified-f64 serving policy:
     /// [`EvalSession::batch_threshold`] answers from the interval fast-path
     /// (falling back to exact rationals only when the threshold lands
@@ -104,7 +95,6 @@ impl SessionBackend {
     pub fn as_str(self) -> &'static str {
         match self {
             SessionBackend::Automaton => "automaton",
-            SessionBackend::SharedDd => "shared_dd",
             SessionBackend::FloatFirst => "float_first",
         }
     }
@@ -385,15 +375,18 @@ pub struct ThresholdRequest {
     pub threshold: Rational,
 }
 
-/// Which evaluation tier produced a [`ThresholdDecision`].
+/// Which evaluation tier answered a request: the tier of a
+/// [`ThresholdDecision`], an [`ExplainReport`] and a [`SlowRequest`], and
+/// the `tier` label of the request telemetry.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum DecisionTier {
-    /// The certified f64 interval pass alone decided (the threshold lay
-    /// strictly outside the interval).
+    /// The certified f64 interval pass answered (for a threshold: the
+    /// threshold lay strictly outside the interval).
     Float,
-    /// Exact rational evaluation (the only tier on exact backends; the
-    /// fallback on [`SessionBackend::FloatFirst`] when the threshold lands
-    /// inside the interval).
+    /// Exact rational evaluation (every exact batch method, and threshold
+    /// and explain requests on [`SessionBackend::Automaton`]; the fallback
+    /// on [`SessionBackend::FloatFirst`] when the threshold lands inside
+    /// the interval).
     Exact,
     /// The Karp–Luby estimator (compile budget exceeded under
     /// [`SessionBackend::FloatFirst`]); the decision is probabilistic.
@@ -484,23 +477,19 @@ pub struct ExplainReport {
     pub encoding_cached: bool,
     /// Whether the compiled query machine was already cached.
     pub machine_cached: bool,
-    /// Whether the lineage artifact (d-SDNNF, or dd root on
-    /// [`SessionBackend::SharedDd`]) was already cached.
+    /// Whether the lineage d-SDNNF was already cached.
     pub lineage_cached: bool,
-    /// Deterministic states of the compiled query machine (automaton
-    /// backends only).
+    /// Deterministic states of the compiled query machine (`None` when the
+    /// lineage did not compile and Karp–Luby answered).
     pub automaton_states: Option<usize>,
-    /// Gate count of the compiled d-SDNNF (automaton backends only).
+    /// Gate count of the compiled d-SDNNF (`None` under Karp–Luby).
     pub gates: Option<usize>,
-    /// Node count of the vtree structuring the d-SDNNF (automaton backends
-    /// only).
+    /// Node count of the vtree structuring the d-SDNNF (`None` under
+    /// Karp–Luby).
     pub vtree_nodes: Option<usize>,
     /// Fragments of the circuit partition available to fragment-parallel
-    /// evaluation (automaton backends only).
+    /// evaluation (`None` under Karp–Luby).
     pub fragments: Option<usize>,
-    /// Node count of the instance's dd shard
-    /// ([`SessionBackend::SharedDd`] only).
-    pub dd_nodes: Option<usize>,
     /// The request's trace id, `None` when telemetry is disabled.
     pub trace: Option<u64>,
     /// End-to-end duration of the request span (0 when telemetry is
@@ -515,27 +504,10 @@ impl ExplainReport {
     /// Renders the report as one stable JSON object (fixed key order,
     /// `None` artifact fields omitted), suitable for structured logs.
     pub fn to_json(&self) -> String {
-        fn push_escaped(out: &mut String, text: &str) {
-            out.push('"');
-            for c in text.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\r' => out.push_str("\\r"),
-                    '\t' => out.push_str("\\t"),
-                    c if (c as u32) < 0x20 => {
-                        out.push_str(&format!("\\u{:04x}", c as u32));
-                    }
-                    c => out.push(c),
-                }
-            }
-            out.push('"');
-        }
         let mut out = String::from("{\"backend\":");
-        push_escaped(&mut out, self.backend);
+        write_string(self.backend, &mut out);
         out.push_str(",\"tier\":");
-        push_escaped(&mut out, self.tier.as_str());
+        write_string(self.tier.as_str(), &mut out);
         // `{:?}` on finite f64 is shortest-roundtrip and valid JSON.
         out.push_str(&format!(",\"estimate\":{:?}", self.estimate));
         out.push_str(&format!(",\"interval_width\":{:?}", self.interval_width));
@@ -550,7 +522,6 @@ impl ExplainReport {
             ("gates", self.gates),
             ("vtree_nodes", self.vtree_nodes),
             ("fragments", self.fragments),
-            ("dd_nodes", self.dd_nodes),
         ] {
             if let Some(value) = value {
                 if !first {
@@ -571,7 +542,7 @@ impl ExplainReport {
                 out.push(',');
             }
             out.push_str("{\"name\":");
-            push_escaped(&mut out, stage.name);
+            write_string(stage.name, &mut out);
             out.push_str(&format!(
                 ",\"count\":{},\"total_ns\":{}}}",
                 stage.count, stage.total_ns
@@ -596,8 +567,6 @@ pub struct SessionStats {
     pub machines_built: usize,
     /// Tree encodings built (per-instance misses).
     pub encodings_built: usize,
-    /// dd-shard lineage roots compiled (SharedDd backend misses).
-    pub dd_roots_built: usize,
     /// Threshold requests decided by the float interval pass alone.
     pub float_decisions: usize,
     /// Threshold requests that fell back to exact rational evaluation.
@@ -630,17 +599,6 @@ pub struct SessionStats {
     pub lineages_invalidated: usize,
 }
 
-/// Artifact sizes collected while serving an [`EvalSession::explain`]
-/// request; which fields are populated depends on the backend.
-#[derive(Default)]
-struct ArtifactStats {
-    automaton_states: Option<usize>,
-    gates: Option<usize>,
-    vtree_nodes: Option<usize>,
-    fragments: Option<usize>,
-    dd_nodes: Option<usize>,
-}
-
 #[derive(Default)]
 struct Counters {
     requests: AtomicUsize,
@@ -648,7 +606,6 @@ struct Counters {
     lineage_misses: AtomicUsize,
     machines_built: AtomicUsize,
     encodings_built: AtomicUsize,
-    dd_roots_built: AtomicUsize,
     float_decisions: AtomicUsize,
     exact_fallbacks: AtomicUsize,
     monte_carlo_fallbacks: AtomicUsize,
@@ -740,9 +697,9 @@ impl<K: Ord + Clone, V: Clone> CacheMap<K, V> {
 
 /// Point-in-time occupancy of an [`EvalSession`]'s cache layers, from
 /// [`EvalSession::cache_occupancy`]. Entry counts never exceed the matching
-/// capacity (the caches evict on insert past the cap); the encoding and dd
-/// layers are per registered instance and uncapped, so they report how many
-/// instances have materialized that state so far.
+/// capacity (the caches evict on insert past the cap); the encoding layer
+/// is per registered instance and uncapped, so it reports how many
+/// instances have materialized their encoding so far.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheOccupancy {
     /// Compiled lineages resident in the (query, instance) cache.
@@ -755,23 +712,12 @@ pub struct CacheOccupancy {
     pub machine_capacity: usize,
     /// Registered instances whose tree encoding has been built.
     pub encodings: usize,
-    /// Registered instances whose dd shard has been seeded
-    /// ([`SessionBackend::SharedDd`] only).
-    pub dd_shards: usize,
-}
-
-/// A dd-engine shard: one manager (pinned to the instance's fact order)
-/// plus the root nodes of the query lineages compiled into it so far.
-struct DdShard {
-    manager: Manager,
-    roots: BTreeMap<usize, treelineage_dd::NodeId>,
 }
 
 struct InstanceEntry {
     instance: Instance,
     decomposition: TreeDecomposition,
     encoding: Mutex<Option<Arc<TreeEncoding>>>,
-    dd: Mutex<Option<DdShard>>,
     /// The session-resident valuation (1/2 per fact at registration),
     /// mutated by [`EvalSession::set_probability`] and kept aligned with the
     /// fact set by insert/retract. Requests still carry their own
@@ -831,17 +777,56 @@ pub struct EvalSession {
 /// Query-machine cache: (query, width) → shared, lockable [`CompiledQuery`].
 type MachineCache = CacheMap<(usize, usize), Arc<Mutex<CompiledQuery>>>;
 
+/// A (query, instance) pair's compiled lineage, or why it did not compile.
+type Artifact = Result<Arc<ParallelDnnf>, EngineError>;
+
+/// One request's result with the tier that served it.
+type Answer<T> = Result<(T, DecisionTier), EngineError>;
+
+/// One answer of the tier policy ([`EvalSession::tiered`]).
+enum Tiered {
+    /// The certified f64 interval pass.
+    Float(ErrorInterval),
+    /// The exact rational pass.
+    Exact(Rational),
+    /// The Karp–Luby point estimate and its probabilistic `(ε, δ)` interval.
+    MonteCarlo(f64, ErrorInterval),
+}
+
+impl Tiered {
+    fn tier(&self) -> DecisionTier {
+        match self {
+            Tiered::Float(_) => DecisionTier::Float,
+            Tiered::Exact(_) => DecisionTier::Exact,
+            Tiered::MonteCarlo(..) => DecisionTier::MonteCarlo,
+        }
+    }
+
+    /// The point estimate: the interval midpoint, the exact value, or the
+    /// Karp–Luby estimate.
+    fn estimate(&self) -> f64 {
+        match self {
+            Tiered::Float(interval) => interval.midpoint(),
+            Tiered::Exact(p) => p.to_f64(),
+            Tiered::MonteCarlo(estimate, _) => *estimate,
+        }
+    }
+
+    /// The enclosure of the answer (for the exact tier the optimal f64
+    /// bracket of the exact value).
+    fn interval(&self) -> ErrorInterval {
+        match self {
+            Tiered::Float(interval) | Tiered::MonteCarlo(_, interval) => *interval,
+            Tiered::Exact(p) => ErrorInterval::from_rational(p),
+        }
+    }
+}
+
 impl EvalSession {
-    /// Creates a session over the default [`SessionBackend::Automaton`],
-    /// or [`SessionBackend::FloatFirst`] when the config sets
-    /// [`EngineConfig::float_first`].
+    /// Creates a session over the default [`SessionBackend::Automaton`];
+    /// [`EvalSession::with_backend`] selects float-first serving.
     pub fn new(config: EngineConfig) -> Self {
-        let backend = if config.float_first {
-            SessionBackend::FloatFirst
-        } else {
-            SessionBackend::default()
-        };
-        EvalSession::with_backend(config, backend)
+        EvalSession::with_backend(config, SessionBackend::default())
     }
 
     /// Creates a session serving requests from the given backend.
@@ -901,7 +886,6 @@ impl EvalSession {
             instance,
             decomposition,
             encoding: Mutex::new(None),
-            dd: Mutex::new(None),
             valuation,
             epoch: 0,
             plan: None,
@@ -940,7 +924,7 @@ impl EvalSession {
     }
 
     /// Inserts a fact with the given probability. Structural: the
-    /// instance's tree encoding, dd shard and resident lineages are
+    /// instance's tree encoding and resident lineages are
     /// invalidated, but each invalidated lineage's fragment library is
     /// retained — the next compile of the pair re-encodes, replays every
     /// fragment whose subtree is untouched byte-identically, and recompiles
@@ -1026,8 +1010,8 @@ impl EvalSession {
 
     /// Overrides one fact's probability in the session's resident
     /// valuation. The cheap tier: the compiled gate stream is
-    /// probability-independent, so no encoding, machine, lineage or dd
-    /// state is invalidated — later evaluations simply read the new weight.
+    /// probability-independent, so no encoding, machine or lineage state
+    /// is invalidated — later evaluations simply read the new weight.
     /// Overriding with the current value is an accepted zero-dirty no-op
     /// (`no_op: true`, epoch untouched, nothing counted).
     pub fn set_probability(
@@ -1119,13 +1103,11 @@ impl EvalSession {
     }
 
     /// Invalidates every structural cache layer of one instance: the tree
-    /// encoding and dd shard are dropped, and the instance's resident
-    /// lineages move to the stale set, keeping their fragment libraries for
-    /// incremental recompilation. Returns how many lineages were evicted.
+    /// encoding is dropped, and the instance's resident lineages move to
+    /// the stale set, keeping their fragment libraries for incremental
+    /// recompilation. Returns how many lineages were evicted.
     fn invalidate_structural(&self, i: usize) -> usize {
-        let entry = &self.instances[i];
-        *lock_recovering(&entry.encoding) = None;
-        *lock_recovering(&entry.dd) = None;
+        *lock_recovering(&self.instances[i].encoding) = None;
         let harvested = lock_recovering(&self.lineages).take_matching(|&(_, inst)| inst == i);
         let count = harvested.len();
         if count > 0 {
@@ -1148,7 +1130,6 @@ impl EvalSession {
             lineage_misses: self.counters.lineage_misses.load(Ordering::Relaxed),
             machines_built: self.counters.machines_built.load(Ordering::Relaxed),
             encodings_built: self.counters.encodings_built.load(Ordering::Relaxed),
-            dd_roots_built: self.counters.dd_roots_built.load(Ordering::Relaxed),
             float_decisions: self.counters.float_decisions.load(Ordering::Relaxed),
             exact_fallbacks: self.counters.exact_fallbacks.load(Ordering::Relaxed),
             monte_carlo_fallbacks: self.counters.monte_carlo_fallbacks.load(Ordering::Relaxed),
@@ -1190,36 +1171,16 @@ impl EvalSession {
                 .iter()
                 .filter(|e| lock_recovering(&e.encoding).is_some())
                 .count(),
-            dd_shards: self
-                .instances
-                .iter()
-                .filter(|e| lock_recovering(&e.dd).is_some())
-                .count(),
         }
-    }
-
-    /// Store and cache statistics of every seeded dd shard, keyed by the
-    /// instance the shard serves. Empty until a [`SessionBackend::SharedDd`]
-    /// request first touches an instance.
-    pub fn dd_shard_stats(&self) -> Vec<(InstanceId, treelineage_dd::Stats)> {
-        self.instances
-            .iter()
-            .enumerate()
-            .filter_map(|(i, entry)| {
-                lock_recovering(&entry.dd)
-                    .as_ref()
-                    .map(|shard| (InstanceId(i), shard.manager.stats()))
-            })
-            .collect()
     }
 
     /// The session's full observability surface as one stable
     /// [`MetricsSnapshot`]: the telemetry registry's counters, gauges,
     /// histograms and span aggregates (empty when [`EngineConfig::telemetry`]
     /// is disabled), merged with the always-on session layers — the
-    /// [`SessionStats`] counters (as `session_*` counter series), cache
-    /// occupancy/capacity gauges, and per-shard dd statistics (labelled by
-    /// shard instance id). Export with [`MetricsSnapshot::to_json_lines`] or
+    /// [`SessionStats`] counters (as `session_*` counter series) and the
+    /// cache occupancy/capacity gauges. Export with
+    /// [`MetricsSnapshot::to_json_lines`] or
     /// [`MetricsSnapshot::to_prometheus`].
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snap = self.config.telemetry.snapshot();
@@ -1230,7 +1191,6 @@ impl EvalSession {
             ("session_lineage_misses_total", stats.lineage_misses),
             ("session_machines_built_total", stats.machines_built),
             ("session_encodings_built_total", stats.encodings_built),
-            ("session_dd_roots_built_total", stats.dd_roots_built),
             ("session_float_decisions_total", stats.float_decisions),
             ("session_exact_fallbacks_total", stats.exact_fallbacks),
             (
@@ -1265,26 +1225,8 @@ impl EvalSession {
             ("query_cache_entries", occupancy.machine_entries),
             ("query_cache_capacity", occupancy.machine_capacity),
             ("instance_encodings", occupancy.encodings),
-            ("dd_shards", occupancy.dd_shards),
         ] {
             snap.push_gauge(name, &[], value as i64);
-        }
-        for (instance, dd_stats) in self.dd_shard_stats() {
-            let shard = instance.0.to_string();
-            let labels = [("shard", shard.as_str())];
-            snap.push_gauge("dd_nodes", &labels, dd_stats.node_count as i64);
-            snap.push_gauge(
-                "dd_unique_table_len",
-                &labels,
-                dd_stats.unique_table_len as i64,
-            );
-            snap.push_gauge("dd_op_cache_len", &labels, dd_stats.op_cache_len as i64);
-            snap.push_counter("dd_op_cache_hits_total", &labels, dd_stats.op_cache_hits);
-            snap.push_counter(
-                "dd_op_cache_misses_total",
-                &labels,
-                dd_stats.op_cache_misses,
-            );
         }
         snap
     }
@@ -1308,51 +1250,55 @@ impl EvalSession {
         &self,
         requests: &[ProbabilityRequest],
     ) -> Vec<Result<Rational, EngineError>> {
+        self.serve(
+            "probability",
+            requests,
+            |r| self.check_valuation(r.query, r.instance, &r.valuation),
+            |r, _, lineage, threads| {
+                let p = lineage
+                    .clone()?
+                    .probability(&|v| r.valuation.probability(FactId(v)).clone(), threads);
+                Ok((p, DecisionTier::Exact))
+            },
+        )
+    }
+
+    /// The one request pipeline behind every batch method. It counts the
+    /// batch, validates each request with `check` on the caller's thread
+    /// ([`EvalSession::check_request`]), and compiles or fetches each
+    /// distinct (query, instance) pair once
+    /// ([`EvalSession::compile_pairs`]). Then it answers each valid request
+    /// on the pool under its own latency timer and root span, with panics
+    /// contained to the request. `answer` gets the request, its pair, the
+    /// pair's lineage and the inner thread count, and returns the result
+    /// with the tier that served it.
+    fn serve<R: Sync, T: Send>(
+        &self,
+        kind: &'static str,
+        requests: &[R],
+        check: impl Fn(&R) -> Result<(usize, usize), EngineError>,
+        answer: impl Fn(&R, (usize, usize), &Artifact, usize) -> Answer<T> + Sync,
+    ) -> Vec<Result<T, EngineError>> {
         self.counters
             .requests
             .fetch_add(requests.len(), Ordering::Relaxed);
-        let checked =
-            self.check_valuations(requests.iter().map(|r| (r.query, r.instance, &r.valuation)));
-        match self.backend {
-            SessionBackend::Automaton | SessionBackend::FloatFirst => {
-                let artifacts = self.compile_pairs(checked.iter().flatten().copied());
-                let eval_threads = self.eval_threads(requests.len());
-                self.flatten_caught(run_tasks_catching(
-                    self.config.threads,
-                    requests.len(),
-                    &self.config.telemetry,
-                    |i| {
-                        let pair = checked[i].clone()?;
-                        let started = self.timer();
-                        let span = self.request_span("probability");
-                        let r = &requests[i];
-                        let lineage = artifacts[&pair].clone()?;
-                        let p = lineage.probability(
-                            &|v| r.valuation.probability(FactId(v)).clone(),
-                            eval_threads,
-                        );
-                        self.record_request("probability", DecisionTier::Exact, started, span);
-                        Ok(p)
-                    },
-                ))
-            }
-            SessionBackend::SharedDd => self.flatten_caught(run_tasks_catching(
-                self.config.threads,
-                requests.len(),
-                &self.config.telemetry,
-                |i| {
-                    let (q, instance) = checked[i].clone()?;
-                    let started = self.timer();
-                    let span = self.request_span("probability");
-                    let r = &requests[i];
-                    let p = self.dd_evaluate(q, instance, |manager, root| {
-                        manager.probability(root, &|v| r.valuation.probability(FactId(v)).clone())
-                    })?;
-                    self.record_request("probability", DecisionTier::Exact, started, span);
-                    Ok(p)
-                },
-            )),
-        }
+        let checked: Vec<_> = requests.iter().map(check).collect();
+        let artifacts = self.compile_pairs(checked.iter().flatten().copied());
+        let eval_threads = self.eval_threads(requests.len());
+        let results = run_tasks_catching(
+            self.config.threads,
+            requests.len(),
+            &self.config.telemetry,
+            |i| {
+                let pair = checked[i].clone()?;
+                let started = self.timer();
+                let span = self.request_span(kind);
+                let (value, tier) = answer(&requests[i], pair, &artifacts[&pair], eval_threads)?;
+                self.record_request(kind, tier, started, span);
+                Ok(value)
+            },
+        );
+        self.flatten_caught(results)
     }
 
     /// Validates one request before any work is scheduled: both handles
@@ -1389,15 +1335,14 @@ impl EvalSession {
         Ok((q, i))
     }
 
-    /// [`EvalSession::check_request`] for each request of a
-    /// valuation-carrying batch.
-    fn check_valuations<'a>(
+    /// [`EvalSession::check_request`] for a request carrying a valuation.
+    fn check_valuation(
         &self,
-        requests: impl Iterator<Item = (QueryId, InstanceId, &'a ProbabilityValuation)>,
-    ) -> Vec<Result<(usize, usize), EngineError>> {
-        requests
-            .map(|(q, i, valuation)| self.check_request(q, i, &[("valuation", valuation.len())]))
-            .collect()
+        query: QueryId,
+        instance: InstanceId,
+        valuation: &ProbabilityValuation,
+    ) -> Result<(usize, usize), EngineError> {
+        self.check_request(query, instance, &[("valuation", valuation.len())])
     }
 
     /// Converts caught worker panics into per-request typed errors, counting
@@ -1417,17 +1362,11 @@ impl EvalSession {
                 }
             })
             .collect();
-        self.count_errors(&out);
-        out
-    }
-
-    /// Counts a finished batch's failed requests into
-    /// [`SessionStats::errors`].
-    fn count_errors<T>(&self, results: &[Result<T, EngineError>]) {
-        let failed = results.iter().filter(|r| r.is_err()).count();
+        let failed = out.iter().filter(|r| r.is_err()).count();
         if failed > 0 {
             self.counters.errors.fetch_add(failed, Ordering::Relaxed);
         }
+        out
     }
 
     /// Starts a per-request latency timer; `None` — and no clock read at
@@ -1526,33 +1465,20 @@ impl EvalSession {
     /// requests and panics fail per request as in
     /// [`EvalSession::batch_probability`].
     pub fn batch_wmc(&self, requests: &[WmcRequest]) -> Vec<Result<Rational, EngineError>> {
-        self.counters
-            .requests
-            .fetch_add(requests.len(), Ordering::Relaxed);
-        let checked: Vec<_> = requests
-            .iter()
-            .map(|r| {
+        self.serve(
+            "wmc",
+            requests,
+            |r| {
                 let per_fact = [("pos weights", r.pos.len()), ("neg weights", r.neg.len())];
                 self.check_request(r.query, r.instance, &per_fact)
-            })
-            .collect();
-        let artifacts = self.compile_pairs(checked.iter().flatten().copied());
-        let eval_threads = self.eval_threads(requests.len());
-        self.flatten_caught(run_tasks_catching(
-            self.config.threads,
-            requests.len(),
-            &self.config.telemetry,
-            |i| {
-                let pair = checked[i].clone()?;
-                let started = self.timer();
-                let span = self.request_span("wmc");
-                let r = &requests[i];
-                let lineage = artifacts[&pair].clone()?;
-                let w = lineage.wmc(&|v| r.pos[v].clone(), &|v| r.neg[v].clone(), eval_threads);
-                self.record_request("wmc", DecisionTier::Exact, started, span);
-                Ok(w)
             },
-        ))
+            |r, _, lineage, threads| {
+                let w = lineage
+                    .clone()?
+                    .wmc(&|v| r.pos[v].clone(), &|v| r.neg[v].clone(), threads);
+                Ok((w, DecisionTier::Exact))
+            },
+        )
     }
 
     /// The float fast-path: evaluates a batch of probability requests with
@@ -1571,46 +1497,15 @@ impl EvalSession {
         &self,
         requests: &[ProbabilityRequest],
     ) -> Vec<Result<(f64, ErrorInterval), EngineError>> {
-        self.counters
-            .requests
-            .fetch_add(requests.len(), Ordering::Relaxed);
-        let checked =
-            self.check_valuations(requests.iter().map(|r| (r.query, r.instance, &r.valuation)));
-        let artifacts = self.compile_pairs(checked.iter().flatten().copied());
-        let eval_threads = self.eval_threads(requests.len());
-        self.flatten_caught(run_tasks_catching(
-            self.config.threads,
-            requests.len(),
-            &self.config.telemetry,
-            |i| {
-                let pair = checked[i].clone()?;
-                let started = self.timer();
-                let span = self.request_span("probability_f64");
-                let r = &requests[i];
-                match &artifacts[&pair] {
-                    Ok(lineage) => {
-                        let interval = lineage.probability_interval(
-                            &|v| ErrorInterval::from_rational(r.valuation.probability(FactId(v))),
-                            eval_threads,
-                        );
-                        self.record_request("probability_f64", DecisionTier::Float, started, span);
-                        Ok((interval.midpoint(), interval))
-                    }
-                    Err(e) => match self.monte_carlo(r, e) {
-                        Some(estimate) => {
-                            self.record_request(
-                                "probability_f64",
-                                DecisionTier::MonteCarlo,
-                                started,
-                                span,
-                            );
-                            Ok(estimate)
-                        }
-                        None => Err(e.clone()),
-                    },
-                }
+        self.serve(
+            "probability_f64",
+            requests,
+            |r| self.check_valuation(r.query, r.instance, &r.valuation),
+            |r, pair, lineage, threads| {
+                let served = self.tiered(pair, &r.valuation, lineage, threads, true, None)?;
+                Ok(((served.estimate(), served.interval()), served.tier()))
             },
-        ))
+        )
     }
 
     /// Decides a batch of threshold requests, picking the cheapest sound
@@ -1625,216 +1520,122 @@ impl EvalSession {
     ///   sound whenever it is used). Pairs whose compilation blows the
     ///   state budget degrade to Karp–Luby ([`DecisionTier::MonteCarlo`]),
     ///   the only probabilistic tier.
-    /// * on the exact backends: every request is decided exactly.
+    /// * on [`SessionBackend::Automaton`]: every request is decided exactly.
     pub fn batch_threshold(
         &self,
         requests: &[ThresholdRequest],
     ) -> Vec<Result<ThresholdDecision, EngineError>> {
-        self.counters
-            .requests
-            .fetch_add(requests.len(), Ordering::Relaxed);
-        let checked =
-            self.check_valuations(requests.iter().map(|r| (r.query, r.instance, &r.valuation)));
-        if self.backend == SessionBackend::SharedDd {
-            return self.flatten_caught(run_tasks_catching(
-                self.config.threads,
-                requests.len(),
-                &self.config.telemetry,
-                |i| {
-                    let (q, instance) = checked[i].clone()?;
-                    let started = self.timer();
-                    let span = self.request_span("threshold");
-                    let r = &requests[i];
-                    let exact = self.dd_evaluate(q, instance, |manager, root| {
-                        manager.probability(root, &|v| r.valuation.probability(FactId(v)).clone())
-                    })?;
-                    self.counters
-                        .exact_fallbacks
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.record_request("threshold", DecisionTier::Exact, started, span);
-                    Ok(Self::exact_decision(&exact, &r.threshold))
-                },
-            ));
-        }
         let float_first = self.backend == SessionBackend::FloatFirst;
-        let artifacts = self.compile_pairs(checked.iter().flatten().copied());
-        let eval_threads = self.eval_threads(requests.len());
-        self.flatten_caught(run_tasks_catching(
-            self.config.threads,
-            requests.len(),
-            &self.config.telemetry,
-            |i| {
-                let pair = checked[i].clone()?;
-                let started = self.timer();
-                let span = self.request_span("threshold");
-                let r = &requests[i];
-                let lineage = match &artifacts[&pair] {
-                    Ok(lineage) => lineage,
-                    Err(e) => {
-                        let as_probability = ProbabilityRequest {
-                            query: r.query,
-                            instance: r.instance,
-                            valuation: r.valuation.clone(),
-                        };
-                        return match self.monte_carlo(&as_probability, e) {
-                            Some((estimate, interval)) => {
-                                self.record_request(
-                                    "threshold",
-                                    DecisionTier::MonteCarlo,
-                                    started,
-                                    span,
-                                );
-                                Ok(ThresholdDecision {
-                                    above: estimate > r.threshold.to_f64(),
-                                    tier: DecisionTier::MonteCarlo,
-                                    interval,
-                                })
-                            }
-                            None => Err(e.clone()),
-                        };
-                    }
-                };
-                if float_first {
-                    let interval = lineage.probability_interval(
-                        &|v| ErrorInterval::from_rational(r.valuation.probability(FactId(v))),
-                        eval_threads,
-                    );
-                    if let Some(order) = interval.compare_threshold(&r.threshold) {
+        self.serve(
+            "threshold",
+            requests,
+            |r| self.check_valuation(r.query, r.instance, &r.valuation),
+            |r, pair, lineage, threads| {
+                let t = &r.threshold;
+                let served =
+                    self.tiered(pair, &r.valuation, lineage, threads, float_first, Some(t))?;
+                let above = match &served {
+                    Tiered::Float(interval) => {
                         self.counters
                             .float_decisions
                             .fetch_add(1, Ordering::Relaxed);
-                        self.record_request("threshold", DecisionTier::Float, started, span);
-                        return Ok(ThresholdDecision {
-                            above: order == std::cmp::Ordering::Greater,
-                            tier: DecisionTier::Float,
-                            interval,
-                        });
+                        interval.compare_threshold(t) == Some(std::cmp::Ordering::Greater)
                     }
-                }
-                let exact = lineage.probability(
-                    &|v| r.valuation.probability(FactId(v)).clone(),
-                    eval_threads,
-                );
-                self.counters
-                    .exact_fallbacks
-                    .fetch_add(1, Ordering::Relaxed);
-                self.record_request("threshold", DecisionTier::Exact, started, span);
-                Ok(Self::exact_decision(&exact, &r.threshold))
+                    Tiered::Exact(p) => {
+                        self.counters
+                            .exact_fallbacks
+                            .fetch_add(1, Ordering::Relaxed);
+                        p > t
+                    }
+                    Tiered::MonteCarlo(estimate, _) => *estimate > t.to_f64(),
+                };
+                let tier = served.tier();
+                let interval = served.interval();
+                Ok((
+                    ThresholdDecision {
+                        above,
+                        tier,
+                        interval,
+                    },
+                    tier,
+                ))
             },
-        ))
+        )
     }
 
-    /// The exact tier's decision for a computed probability.
-    fn exact_decision(exact: &Rational, threshold: &Rational) -> ThresholdDecision {
-        ThresholdDecision {
-            above: exact > threshold,
-            tier: DecisionTier::Exact,
-            interval: ErrorInterval::from_rational(exact),
-        }
-    }
-
-    /// The Karp–Luby degradation path: serves a request whose exact
-    /// compilation failed on the state budget, when the session is
-    /// float-first. Returns `None` when the error is not a budget blowout
-    /// or the session is exact-only (the caller then surfaces the original
-    /// error). Seeded deterministically per (query, instance) pair.
-    fn monte_carlo(
+    /// The tier policy shared by [`EvalSession::batch_probability_f64`],
+    /// [`EvalSession::batch_threshold`] and [`EvalSession::explain`], in
+    /// order:
+    ///
+    /// 1. a pair whose compilation blew the state budget degrades to the
+    ///    Karp–Luby estimator under [`SessionBackend::FloatFirst`], with the
+    ///    session's `(ε, δ)` and a seed fixed per (query, instance) pair;
+    ///    any other compile error is the request's error;
+    /// 2. when `float` is set, the certified interval pass answers, unless
+    ///    a `threshold` is given and lands inside the interval;
+    /// 3. otherwise the exact rational pass answers.
+    fn tiered(
         &self,
-        r: &ProbabilityRequest,
-        error: &EngineError,
-    ) -> Option<(f64, ErrorInterval)> {
-        let budget_exceeded = matches!(
-            error,
-            EngineError::QueryCompile(CompileError::StateBudget { .. })
-        );
-        let float_first = self.backend == SessionBackend::FloatFirst || self.config.float_first;
-        if !budget_exceeded || !float_first {
-            return None;
+        (query, instance): (usize, usize),
+        valuation: &ProbabilityValuation,
+        lineage: &Artifact,
+        threads: usize,
+        float: bool,
+        threshold: Option<&Rational>,
+    ) -> Result<Tiered, EngineError> {
+        let lineage = match lineage {
+            Ok(lineage) => lineage,
+            Err(e) => {
+                let budget_exceeded = matches!(
+                    e,
+                    EngineError::QueryCompile(CompileError::StateBudget { .. })
+                );
+                if !budget_exceeded || self.backend != SessionBackend::FloatFirst {
+                    return Err(e.clone());
+                }
+                self.counters
+                    .monte_carlo_fallbacks
+                    .fetch_add(1, Ordering::Relaxed);
+                let seed = 0x9E37_79B9_7F4A_7C15u64 ^ ((query as u64) << 32) ^ instance as u64;
+                let estimate = karp_luby_probability(
+                    &self.queries[query],
+                    &self.instances[instance].instance,
+                    valuation,
+                    self.config.epsilon,
+                    self.config.delta,
+                    seed,
+                );
+                return Ok(Tiered::MonteCarlo(estimate.estimate, estimate.interval()));
+            }
+        };
+        if float {
+            let interval = lineage.probability_interval(
+                &|v| ErrorInterval::from_rational(valuation.probability(FactId(v))),
+                threads,
+            );
+            if threshold.is_none_or(|t| interval.compare_threshold(t).is_some()) {
+                return Ok(Tiered::Float(interval));
+            }
         }
-        self.counters
-            .monte_carlo_fallbacks
-            .fetch_add(1, Ordering::Relaxed);
-        let seed = 0x9E37_79B9_7F4A_7C15u64 ^ ((r.query.0 as u64) << 32) ^ r.instance.0 as u64;
-        let estimate = karp_luby_probability(
-            &self.queries[r.query.0],
-            &self.instances[r.instance.0].instance,
-            &r.valuation,
-            self.config.epsilon,
-            self.config.delta,
-            seed,
-        );
-        Some((estimate.estimate, estimate.interval()))
+        let exact = lineage.probability(&|v| valuation.probability(FactId(v)).clone(), threads);
+        Ok(Tiered::Exact(exact))
     }
 
     /// Evaluates a batch of model-count requests (number of satisfying
-    /// subinstances over the full fact universe). Duplicated pairs are
-    /// computed once; a request with an unknown handle is that request's
-    /// [`EngineError::InvalidRequest`].
+    /// subinstances over the full fact universe). Malformed requests and
+    /// panics fail per request as in [`EvalSession::batch_probability`].
     pub fn batch_model_count(
         &self,
         requests: &[(QueryId, InstanceId)],
     ) -> Vec<Result<BigUint, EngineError>> {
-        self.counters
-            .requests
-            .fetch_add(requests.len(), Ordering::Relaxed);
-        let checked: Vec<_> = requests
-            .iter()
-            .map(|&(q, i)| self.check_request(q, i, &[]))
-            .collect();
-        let valid = checked.iter().flatten().copied();
-        let by_pair: BTreeMap<(usize, usize), Result<BigUint, EngineError>> = match self.backend {
-            SessionBackend::Automaton | SessionBackend::FloatFirst => {
-                let artifacts = self.compile_pairs(valid);
-                let unique: Vec<(usize, usize)> = artifacts.keys().copied().collect();
-                let eval_threads = self.eval_threads(unique.len());
-                let counts = run_tasks(
-                    self.config.threads,
-                    unique.len(),
-                    &self.config.telemetry,
-                    |k| {
-                        let started = self.timer();
-                        let span = self.request_span("model_count");
-                        let count = artifacts[&unique[k]]
-                            .clone()
-                            .map(|lineage| lineage.model_count(eval_threads));
-                        if count.is_ok() {
-                            self.record_request("model_count", DecisionTier::Exact, started, span);
-                        }
-                        count
-                    },
-                );
-                unique.into_iter().zip(counts).collect()
-            }
-            SessionBackend::SharedDd => {
-                // Dedup here too: identical pairs would otherwise re-run
-                // the count serialized on the same shard lock.
-                let unique: Vec<(usize, usize)> =
-                    valid.collect::<BTreeSet<_>>().into_iter().collect();
-                let counts = run_tasks(
-                    self.config.threads,
-                    unique.len(),
-                    &self.config.telemetry,
-                    |k| {
-                        let started = self.timer();
-                        let span = self.request_span("model_count");
-                        let (q, i) = unique[k];
-                        let count =
-                            self.dd_evaluate(q, i, |manager, root| manager.count_models(root));
-                        if count.is_ok() {
-                            self.record_request("model_count", DecisionTier::Exact, started, span);
-                        }
-                        count
-                    },
-                );
-                unique.into_iter().zip(counts).collect()
-            }
-        };
-        let out: Vec<Result<BigUint, EngineError>> = checked
-            .into_iter()
-            .map(|pair| pair.and_then(|pair| by_pair[&pair].clone()))
-            .collect();
-        self.count_errors(&out);
-        out
+        self.serve(
+            "model_count",
+            requests,
+            |&(q, i)| self.check_request(q, i, &[]),
+            |_, _, lineage, threads| {
+                Ok((lineage.clone()?.model_count(threads), DecisionTier::Exact))
+            },
+        )
     }
 
     /// Serves one probability request on the caller's thread and reports
@@ -1846,38 +1647,35 @@ impl EvalSession {
     ///
     /// The request is a real one — it counts into [`SessionStats`] and the
     /// `requests_total{kind="explain"}` series, warms the same caches, and
-    /// is served through the same tier policy as
-    /// [`EvalSession::batch_probability_f64`] (float-first backends answer
-    /// from the certified interval pass; exact backends exactly). The
+    /// is served through the same tier policy as the approximate batch
+    /// methods ([`SessionBackend::FloatFirst`] answers from the certified
+    /// interval pass; [`SessionBackend::Automaton`] exactly). The
     /// cache-state fields report residency *before* this request ran.
     pub fn explain(&self, request: &ProbabilityRequest) -> Result<ExplainReport, EngineError> {
-        let (q, i) = self.check_request(
-            request.query,
-            request.instance,
-            &[("valuation", request.valuation.len())],
-        )?;
-        let entry = &self.instances[i];
+        let (q, i) = self.check_valuation(request.query, request.instance, &request.valuation)?;
         // Probe cache residency non-mutatingly, before serving warms the
         // layers — the report explains what the request *found*.
-        let encoding_cached = lock_recovering(&entry.encoding).is_some();
-        let width = lock_recovering(&entry.encoding)
-            .as_ref()
-            .map(|e| e.alphabet().width());
+        let width = self.encoding_width(i);
         let machine_cached =
             width.is_some_and(|w| lock_recovering(&self.machines).contains(&(q, w)));
-        let lineage_cached = match self.backend {
-            SessionBackend::SharedDd => lock_recovering(&entry.dd)
-                .as_ref()
-                .is_some_and(|shard| shard.roots.contains_key(&q)),
-            SessionBackend::Automaton | SessionBackend::FloatFirst => {
-                lock_recovering(&self.lineages).contains(&(q, i))
-            }
-        };
+        let lineage_cached = lock_recovering(&self.lineages).contains(&(q, i));
         self.counters.requests.fetch_add(1, Ordering::Relaxed);
         let started = self.timer();
         let span = self.request_span("explain");
         let trace = span.context().map(|c| c.trace);
-        let (tier, estimate, interval_width, artifact) = match self.explain_serve(request) {
+        // Served on the caller's stack with the request span open, so every
+        // compile/eval span parents into the request's trace.
+        let threads = self.config.threads;
+        let lineage = self.lineage(q, i, threads);
+        let float_first = self.backend == SessionBackend::FloatFirst;
+        let served = match self.tiered(
+            (q, i),
+            &request.valuation,
+            &lineage,
+            threads,
+            float_first,
+            None,
+        ) {
             Ok(served) => served,
             Err(e) => {
                 self.counters.errors.fetch_add(1, Ordering::Relaxed);
@@ -1885,6 +1683,7 @@ impl EvalSession {
                 return Err(e);
             }
         };
+        let tier = served.tier();
         self.record_request("explain", tier, started, span);
         let events = match trace {
             Some(t) => self.config.telemetry.events_for_trace(t),
@@ -1913,100 +1712,40 @@ impl EvalSession {
                 total_ns,
             })
             .collect();
+        let artifact = lineage.as_ref().ok();
+        // The machine is resident after the lineage compiled; report its
+        // deterministic-state memo without rematerializing.
+        let automaton_states = artifact
+            .and(self.encoding_width(i))
+            .and_then(|w| lock_recovering(&self.machines).get(&(q, w)))
+            .map(|machine| lock_recovering(&machine).state_count());
         Ok(ExplainReport {
             backend: self.backend.as_str(),
             tier,
-            estimate,
-            interval_width,
-            encoding_cached,
+            estimate: served.estimate(),
+            interval_width: match served {
+                Tiered::Exact(_) => 0.0,
+                _ => served.interval().width(),
+            },
+            encoding_cached: width.is_some(),
             machine_cached,
             lineage_cached,
-            automaton_states: artifact.automaton_states,
-            gates: artifact.gates,
-            vtree_nodes: artifact.vtree_nodes,
-            fragments: artifact.fragments,
-            dd_nodes: artifact.dd_nodes,
+            automaton_states,
+            gates: artifact.map(|l| l.size()),
+            vtree_nodes: artifact.map(|l| l.structured().vtree().node_count()),
+            fragments: artifact.map(|l| l.partition().fragments().len()),
             trace,
             total_ns,
             stages,
         })
     }
 
-    /// The serving half of [`EvalSession::explain`]: answers the request
-    /// through the backend's usual tier policy and collects artifact sizes.
-    /// Runs with the request span open on the caller's stack, so every
-    /// compile/eval span parents into the request's trace.
-    fn explain_serve(
-        &self,
-        r: &ProbabilityRequest,
-    ) -> Result<(DecisionTier, f64, f64, ArtifactStats), EngineError> {
-        let q = r.query.0;
-        let i = r.instance.0;
-        match self.backend {
-            SessionBackend::SharedDd => {
-                let (p, nodes) = self.dd_evaluate(q, i, |manager, root| {
-                    (
-                        manager.probability(root, &|v| r.valuation.probability(FactId(v)).clone()),
-                        manager.stats().node_count,
-                    )
-                })?;
-                let artifact = ArtifactStats {
-                    dd_nodes: Some(nodes),
-                    ..ArtifactStats::default()
-                };
-                Ok((DecisionTier::Exact, p.to_f64(), 0.0, artifact))
-            }
-            SessionBackend::Automaton | SessionBackend::FloatFirst => {
-                let lineage = match self.lineage(q, i, self.config.threads) {
-                    Ok(lineage) => lineage,
-                    Err(e) => {
-                        return match self.monte_carlo(r, &e) {
-                            Some((estimate, interval)) => Ok((
-                                DecisionTier::MonteCarlo,
-                                estimate,
-                                interval.width(),
-                                ArtifactStats::default(),
-                            )),
-                            None => Err(e),
-                        };
-                    }
-                };
-                let mut artifact = ArtifactStats {
-                    gates: Some(lineage.size()),
-                    vtree_nodes: Some(lineage.structured().vtree().node_count()),
-                    fragments: Some(lineage.partition().fragments().len()),
-                    ..ArtifactStats::default()
-                };
-                // The machine is resident after `lineage` succeeded; report
-                // its deterministic-state memo without rematerializing.
-                if let Some(w) = lock_recovering(&self.instances[i].encoding)
-                    .as_ref()
-                    .map(|e| e.alphabet().width())
-                {
-                    if let Some(machine) = lock_recovering(&self.machines).get(&(q, w)) {
-                        artifact.automaton_states = Some(lock_recovering(&machine).state_count());
-                    }
-                }
-                if self.backend == SessionBackend::FloatFirst {
-                    let interval = lineage.probability_interval(
-                        &|v| ErrorInterval::from_rational(r.valuation.probability(FactId(v))),
-                        self.config.threads,
-                    );
-                    Ok((
-                        DecisionTier::Float,
-                        interval.midpoint(),
-                        interval.width(),
-                        artifact,
-                    ))
-                } else {
-                    let p = lineage.probability(
-                        &|v| r.valuation.probability(FactId(v)).clone(),
-                        self.config.threads,
-                    );
-                    Ok((DecisionTier::Exact, p.to_f64(), 0.0, artifact))
-                }
-            }
-        }
+    /// The alphabet width of the instance's tree encoding, `None` while the
+    /// encoding is not resident.
+    fn encoding_width(&self, instance: usize) -> Option<usize> {
+        lock_recovering(&self.instances[instance].encoding)
+            .as_ref()
+            .map(|e| e.alphabet().width())
     }
 
     /// Compiles (or fetches) the lineage of every distinct (query,
@@ -2016,7 +1755,7 @@ impl EvalSession {
     fn compile_pairs(
         &self,
         pairs: impl Iterator<Item = (usize, usize)>,
-    ) -> BTreeMap<(usize, usize), Result<Arc<ParallelDnnf>, EngineError>> {
+    ) -> BTreeMap<(usize, usize), Artifact> {
         let unique: Vec<(usize, usize)> = pairs.collect::<BTreeSet<_>>().into_iter().collect();
         let inner_threads = self.eval_threads(unique.len());
         let compiled = run_tasks(
@@ -2054,12 +1793,7 @@ impl EvalSession {
     /// fragment-parallel evaluations need) while `pool_threads` bounds the
     /// workers this particular compile may spawn — 1 when the batch itself
     /// already saturates the pool.
-    fn lineage(
-        &self,
-        query: usize,
-        instance: usize,
-        pool_threads: usize,
-    ) -> Result<Arc<ParallelDnnf>, EngineError> {
+    fn lineage(&self, query: usize, instance: usize, pool_threads: usize) -> Artifact {
         if let Some(hit) = lock_recovering(&self.lineages).get(&(query, instance)) {
             self.counters.lineage_hits.fetch_add(1, Ordering::Relaxed);
             return Ok(hit.artifact);
@@ -2204,78 +1938,6 @@ impl EvalSession {
         lock_recovering(&self.machines).insert((query, width), arc.clone());
         Ok(arc)
     }
-
-    /// Runs `eval` on the (query, instance) root in the instance's dd
-    /// shard, compiling the lineage into the shard on first use. The shard
-    /// lock is held for the duration — contention is per instance, not per
-    /// session.
-    fn dd_evaluate<T>(
-        &self,
-        query: usize,
-        instance: usize,
-        eval: impl FnOnce(&Manager, treelineage_dd::NodeId) -> T,
-    ) -> Result<T, EngineError> {
-        let entry = &self.instances[instance];
-        let mut slot = lock_recovering(&entry.dd);
-        let shard = slot.get_or_insert_with(|| {
-            let mut order =
-                variable_order_from_decomposition(&entry.instance, &entry.decomposition);
-            let present: BTreeSet<usize> = order.iter().copied().collect();
-            for f in entry.instance.fact_ids() {
-                if !present.contains(&f.0) {
-                    order.push(f.0);
-                }
-            }
-            DdShard {
-                manager: Manager::new(order),
-                roots: BTreeMap::new(),
-            }
-        });
-        let root = match shard.roots.get(&query) {
-            Some(&root) => {
-                self.counters.lineage_hits.fetch_add(1, Ordering::Relaxed);
-                root
-            }
-            None => {
-                self.counters.lineage_misses.fetch_add(1, Ordering::Relaxed);
-                self.counters.dd_roots_built.fetch_add(1, Ordering::Relaxed);
-                let circuit = match_circuit(&self.queries[query], &entry.instance);
-                let root = shard.manager.compile_circuit(&circuit);
-                shard.roots.insert(query, root);
-                root
-            }
-        };
-        Ok(eval(&shard.manager, root))
-    }
-}
-
-/// The monotone lineage circuit of the query on the instance: the
-/// disjunction over matches of the conjunction of their facts (the same
-/// circuit `treelineage-core`'s `LineageBuilder::circuit` builds).
-fn match_circuit(
-    query: &UnionOfConjunctiveQueries,
-    instance: &Instance,
-) -> treelineage_circuit::Circuit {
-    use treelineage_circuit::{Circuit, GateId};
-    let mut circuit = Circuit::new();
-    let matches = matching::all_matches(query, instance);
-    let mut disjuncts: Vec<GateId> = Vec::with_capacity(matches.len());
-    for m in &matches {
-        let conj: Vec<GateId> = m.iter().map(|f| circuit.var(f.0)).collect();
-        let gate = if conj.len() == 1 {
-            conj[0]
-        } else {
-            circuit.and(conj)
-        };
-        disjuncts.push(gate);
-    }
-    let output = match disjuncts.len() {
-        0 => circuit.constant(false),
-        1 => disjuncts[0],
-        _ => circuit.or(disjuncts),
-    };
-    circuit.set_output(output);
-    circuit
 }
 
 #[cfg(test)]
@@ -2312,7 +1974,7 @@ mod tests {
     #[test]
     fn batches_agree_across_backends_and_hit_the_caches() {
         let (auto, q, i) = session_with(SessionBackend::Automaton);
-        let (dd, q2, i2) = session_with(SessionBackend::SharedDd);
+        let (float, q2, i2) = session_with(SessionBackend::FloatFirst);
         let valuation =
             ProbabilityValuation::uniform(auto.instance(i), Rational::from_ratio_u64(1, 3));
         let requests: Vec<ProbabilityRequest> = (0..6)
@@ -2323,7 +1985,7 @@ mod tests {
             })
             .collect();
         let got_auto = auto.batch_probability(&requests);
-        let requests_dd: Vec<ProbabilityRequest> = requests
+        let requests_float: Vec<ProbabilityRequest> = requests
             .iter()
             .map(|r| ProbabilityRequest {
                 query: q2,
@@ -2331,12 +1993,13 @@ mod tests {
                 ..r.clone()
             })
             .collect();
-        let got_dd = dd.batch_probability(&requests_dd);
-        assert_eq!(got_auto, got_dd);
+        // Float-first is a serving policy: exact batches answer exactly.
+        let got_float = float.batch_probability(&requests_float);
+        assert_eq!(got_auto, got_float);
         assert!(got_auto.iter().all(|r| r == &got_auto[0]));
         // Six requests, one distinct pair: exactly one compile each.
         assert_eq!(auto.stats().lineage_misses, 1);
-        assert_eq!(dd.stats().dd_roots_built, 1);
+        assert_eq!(float.stats().lineage_misses, 1);
         // Second batch: pure cache hits.
         let again = auto.batch_probability(&requests);
         assert_eq!(again, got_auto);
@@ -2347,11 +2010,14 @@ mod tests {
     #[test]
     fn model_counts_match_across_backends() {
         let (auto, q, i) = session_with(SessionBackend::Automaton);
-        let (dd, q2, i2) = session_with(SessionBackend::SharedDd);
+        let (float, q2, i2) = session_with(SessionBackend::FloatFirst);
         let a = auto.batch_model_count(&[(q, i), (q, i)]);
-        let d = dd.batch_model_count(&[(q2, i2)]);
+        let f = float.batch_model_count(&[(q2, i2)]);
         assert_eq!(a[0], a[1]);
-        assert_eq!(a[0], d[0]);
+        assert_eq!(a[0], f[0]);
+        // Duplicate pairs compile once; every request is served.
+        assert_eq!(auto.stats().lineage_misses, 1);
+        assert_eq!(auto.stats().requests, 2);
     }
 
     #[test]
@@ -2451,11 +2117,7 @@ mod tests {
                 .collect()
         }
         let expected = ["ok", "invalid", "invalid"];
-        for backend in [
-            SessionBackend::Automaton,
-            SessionBackend::SharedDd,
-            SessionBackend::FloatFirst,
-        ] {
+        for backend in [SessionBackend::Automaton, SessionBackend::FloatFirst] {
             let (session, q, i) = session_with(backend);
             let good = ProbabilityValuation::uniform(session.instance(i), Rational::one_half());
             let short = ProbabilityValuation::uniform(&chain(1), Rational::one_half());
@@ -2677,7 +2339,7 @@ mod tests {
         assert!(cold.gates.unwrap() > 0);
         assert!(cold.vtree_nodes.unwrap() > 0);
         assert!(cold.automaton_states.unwrap() > 0);
-        assert!(cold.fragments.is_some() && cold.dd_nodes.is_none());
+        assert!(cold.fragments.is_some());
         assert_eq!(cold.interval_width, 0.0);
         // The request's own trace saw the cold compile stages.
         assert!(cold.trace.is_some());
@@ -2710,19 +2372,6 @@ mod tests {
         assert_eq!(float_report.tier, DecisionTier::Float);
         assert!(float_report.interval_width > 0.0);
         assert!((float_report.estimate - exact.to_f64()).abs() <= float_report.interval_width);
-        // And SharedDd reports its shard size instead of circuit sizes.
-        let (dd_session, dq, di) = traced_session(SessionBackend::SharedDd);
-        let dd_report = dd_session
-            .explain(&ProbabilityRequest {
-                query: dq,
-                instance: di,
-                valuation: request.valuation.clone(),
-            })
-            .unwrap();
-        assert_eq!(dd_report.tier, DecisionTier::Exact);
-        assert!(dd_report.dd_nodes.unwrap() > 0);
-        assert!(dd_report.gates.is_none());
-        assert_eq!(dd_report.estimate, exact.to_f64());
     }
 
     #[test]
@@ -2765,7 +2414,6 @@ mod tests {
             gates: Some(42),
             vtree_nodes: Some(21),
             fragments: Some(3),
-            dd_nodes: None,
             trace: Some(7),
             total_ns: 1_500,
             stages: vec![StageTiming {
@@ -3077,41 +2725,5 @@ mod tests {
             .unwrap();
         assert_eq!(session.stats().lineage_misses, misses, "must hit the cache");
         assert_ne!(first, second, "the reweighted answer must move");
-    }
-
-    #[test]
-    fn updates_invalidate_dd_shards_too() {
-        let (mut session, q, i) = session_with(SessionBackend::SharedDd);
-        let valuation = session.valuation(i).clone();
-        let first = session.batch_probability(&[ProbabilityRequest {
-            query: q,
-            instance: i,
-            valuation,
-        }])[0]
-            .clone()
-            .unwrap();
-        assert_eq!(session.cache_occupancy().dd_shards, 1);
-        // Retracting R(0) removes a match, so the answer must move.
-        session.retract_fact(i, FactId(0)).unwrap();
-        assert_eq!(session.cache_occupancy().dd_shards, 0, "shard must drop");
-        let second = session.batch_probability(&[ProbabilityRequest {
-            query: q,
-            instance: i,
-            valuation: session.valuation(i).clone(),
-        }])[0]
-            .clone()
-            .unwrap();
-        assert_ne!(first, second);
-        // Cross-check against the automaton backend on the same updates.
-        let (mut auto, q2, i2) = session_with(SessionBackend::Automaton);
-        auto.retract_fact(i2, FactId(0)).unwrap();
-        let expected = auto.batch_probability(&[ProbabilityRequest {
-            query: q2,
-            instance: i2,
-            valuation: auto.valuation(i2).clone(),
-        }])[0]
-            .clone()
-            .unwrap();
-        assert_eq!(second, expected);
     }
 }

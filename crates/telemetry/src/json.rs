@@ -106,10 +106,16 @@ impl Json {
     }
 }
 
-/// Writes a JSON string literal: quotes, backslashes, and control characters
-/// are escaped; all other characters (including non-ASCII) pass through as
-/// UTF-8.
-fn write_string(s: &str, out: &mut String) {
+/// Appends `s` to `out` as a JSON string literal: quotes, backslashes, and
+/// control characters are escaped; all other characters (including
+/// non-ASCII) pass through as UTF-8.
+///
+/// ```
+/// let mut out = String::new();
+/// treelineage_telemetry::write_string("say \"hi\"\n", &mut out);
+/// assert_eq!(out, r#""say \"hi\"\n""#);
+/// ```
+pub fn write_string(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {

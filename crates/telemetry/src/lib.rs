@@ -58,6 +58,7 @@ mod perfetto;
 mod registry;
 mod snapshot;
 
+pub use json::write_string;
 pub use perfetto::to_chrome_trace;
 pub use registry::{
     ContextGuard, Histogram, Registry, Span, SpanContext, SpanEvent, Telemetry,

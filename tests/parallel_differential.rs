@@ -145,7 +145,8 @@ proptest! {
     }
 
     /// `EvalSession` cache correctness: a cold compile and a cache hit
-    /// return exactly the same batch results, for both session backends.
+    /// return exactly the same batch results, for both session backends,
+    /// and both equal the core evaluator's shared-dd answer.
     #[test]
     fn session_cache_hits_equal_cold_results(
         (inst, td) in instance_strategies::treelike_instance_with_decomposition(sig(), 7, 2),
@@ -155,7 +156,14 @@ proptest! {
         let q = queries()[qi].clone();
         let probs: Vec<f64> = (0..inst.fact_count()).map(|i| [0.5, 0.25, 0.75][i % 3]).collect();
         let valuation = ProbabilityValuation::from_f64(&inst, &probs);
-        for backend in [SessionBackend::Automaton, SessionBackend::SharedDd] {
+        // The oracle: match enumeration compiled through the dd engine, an
+        // independent route from the session's automaton lineage.
+        let expected = ProbabilityEvaluator::new(&inst, &valuation)
+            .with_decomposition(td.clone())
+            .with_backend(LineageBackend::SharedDd)
+            .query_probability(&q)
+            .unwrap();
+        for backend in [SessionBackend::Automaton, SessionBackend::FloatFirst] {
             let mut session =
                 EvalSession::with_backend(EngineConfig::with_threads(2), backend);
             let qid = session.register_query(q.clone());
@@ -177,11 +185,7 @@ proptest! {
             // The warm batch compiled nothing new.
             prop_assert_eq!(stats_cold.lineage_misses, stats_warm.lineage_misses);
             prop_assert!(stats_warm.lineage_hits > stats_cold.lineage_hits);
-            // And the answers match the core evaluator exactly.
-            let expected = ProbabilityEvaluator::new(&inst, &valuation)
-                .with_decomposition(td.clone())
-                .query_probability(&q)
-                .unwrap();
+            // And the answers match the dd oracle exactly.
             for result in cold {
                 prop_assert_eq!(result.unwrap(), expected.clone());
             }

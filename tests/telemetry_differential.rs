@@ -5,8 +5,9 @@
 //!
 //! * **byte-identical artifacts** — compiling with an enabled [`Telemetry`]
 //!   sink produces gate-for-gate, vtree-node-for-vtree-node the artifact of
-//!   the disabled (default) sink, at `threads ∈ {1, 8}`; on the shared-dd
-//!   backend the per-shard node counts and all answers are equal too;
+//!   the disabled (default) sink, at `threads ∈ {1, 8}`, and session
+//!   answers are equal on both session backends and to the core
+//!   evaluator's shared-dd answers;
 //! * **counter monotonicity** — request and cache counters only grow across
 //!   repeated batches, and grow by exactly the batch size where the schema
 //!   promises it;
@@ -98,8 +99,8 @@ proptest! {
     }
 
     /// End-to-end session runs: equal batch answers with telemetry on and
-    /// off, on both session backends — and equal dd-shard node counts (the
-    /// shared-dd artifact, observed through the new stats surface).
+    /// off, on both session backends, and equal to the core evaluator's
+    /// shared-dd answers (an independent compile route).
     #[test]
     fn session_answers_ignore_telemetry(
         (inst, td) in instance_strategies::treelike_instance_with_decomposition(sig(), 7, 2),
@@ -108,8 +109,13 @@ proptest! {
         let probs: Vec<f64> =
             (0..inst.fact_count()).map(|i| [0.5, 0.25, 0.75][i % 3]).collect();
         let valuation = ProbabilityValuation::from_f64(&inst, &probs);
+        let oracle = ProbabilityEvaluator::new(&inst, &valuation)
+            .with_decomposition(td.clone())
+            .with_backend(LineageBackend::SharedDd);
+        let probability = oracle.query_probability(&query()).unwrap();
+        let count = oracle.model_count(&query()).unwrap();
         for threads in [1usize, 8] {
-            for backend in [SessionBackend::Automaton, SessionBackend::SharedDd] {
+            for backend in [SessionBackend::Automaton, SessionBackend::FloatFirst] {
                 let run = |telemetry: Telemetry| {
                     let mut session =
                         EvalSession::with_backend(config(threads, telemetry), backend);
@@ -126,16 +132,16 @@ proptest! {
                         .collect();
                     let answers = session.batch_probability(&requests);
                     let counts = session.batch_model_count(&[(qid, iid)]);
-                    let shards: Vec<usize> = session
-                        .dd_shard_stats()
-                        .into_iter()
-                        .map(|(_, s)| s.node_count)
-                        .collect();
-                    (answers, counts, shards)
+                    (answers, counts)
                 };
                 let plain = run(Telemetry::disabled());
                 let traced = run(Telemetry::enabled());
                 prop_assert_eq!(&plain, &traced, "{:?}, threads={}", backend, threads);
+                let (answers, counts) = plain;
+                for answer in answers {
+                    prop_assert_eq!(answer.unwrap(), probability.clone());
+                }
+                prop_assert_eq!(counts[0].clone().unwrap(), count.clone());
             }
         }
     }
@@ -255,7 +261,6 @@ fn metrics_report_stages_tiers_and_caches() {
     let occupancy = session.cache_occupancy();
     assert_eq!(occupancy.lineage_entries, 1);
     assert_eq!(occupancy.encodings, 1);
-    assert_eq!(occupancy.dd_shards, 0);
     // The automaton state gauge was set during query compilation.
     assert!(snap.gauge("query_states", &[]).unwrap() > 0);
 
@@ -268,16 +273,4 @@ fn metrics_report_stages_tiers_and_caches() {
     assert!(prom.contains("session_requests_total 2"));
     assert!(prom.contains("span_count{span=\"encode\"}"));
     assert!(prom.contains("request_latency_ns_bucket"));
-
-    // A shared-dd session additionally reports per-shard stats.
-    let mut dd =
-        EvalSession::with_backend(config(1, Telemetry::enabled()), SessionBackend::SharedDd);
-    let q2 = dd.register_query(query());
-    let i2 = dd.register_instance(inst);
-    let counts = dd.batch_model_count(&[(q2, i2)]);
-    assert!(counts[0].is_ok());
-    let dd_snap = dd.metrics();
-    assert!(dd_snap.gauge("dd_nodes", &[("shard", "0")]).unwrap() > 0);
-    assert_eq!(dd.cache_occupancy().dd_shards, 1);
-    assert_eq!(dd.dd_shard_stats().len(), 1);
 }
