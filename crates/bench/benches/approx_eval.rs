@@ -2,14 +2,16 @@
 //! the float-first serving policy against the exact-rational baseline
 //! (recorded in `BENCH_pr6.json`).
 //!
-//! The workload is the `engine_scaling` bench's **eval-bound** shape — the
-//! one shape where PR 5's session could not help, because the exact
-//! big-rational probability pass is inherently per-request: a chain of
-//! n = 50 links (150 facts) under `R(x), S(x, y), T(y)`, 16 requests with
-//! distinct mixed-dyadic weight vectors. PR 5 recorded 846 ms (naive) /
-//! 802 ms (warm session) for the batch; the float pass runs the same
-//! gate-for-gate recurrence in interval arithmetic, so its speedup here is
-//! the whole point of the PR (target: ≥ 20×).
+//! The workload is the `engine_scaling` bench's **eval-bound** shape: a
+//! chain of n = 50 links (150 facts) under `R(x), S(x, y), T(y)`, 16
+//! requests with distinct mixed-dyadic weight vectors. The exact pass is
+//! inherently per-request, so a session cache cannot help it. When the
+//! exact pass reduced a `Rational` at every gate, the batch took ~800 ms
+//! and the float pass (the same recurrence in interval arithmetic) was 42×
+//! faster (`BENCH_pr6.json`). The exact pass is now fraction-free (one
+//! integer pass, one reduction per answer) and the order flipped: one run
+//! on a 2-vCPU Xeon guest measured 9.4 ms for the exact batch against
+//! 38 ms for the float batch.
 //!
 //! Rows:
 //!

@@ -7,13 +7,15 @@
 //! the sensitivity:
 //!
 //! * `exact_batch_{noop,instrumented}` — `batch_probability`: the exact
-//!   big-rational pass dominates (~tens of ms per request), so even a
-//!   sloppy telemetry layer would vanish here. This row pins the headline
-//!   "≤ 5% instrumented" acceptance on the shape earlier PRs recorded.
+//!   pass dominates. It took ~50 ms per request when `BENCH_pr7.json` was
+//!   recorded, and the fraction-free pass takes ~0.7 ms (one run on a
+//!   2-vCPU Xeon guest), so this row is no longer insensitive to
+//!   per-request telemetry work. It pins the headline "≤ 5% instrumented"
+//!   acceptance on the shape earlier PRs recorded.
 //! * `float_batch_{noop,instrumented}` — `batch_probability_f64` on a
-//!   FloatFirst session: ~1000× cheaper per request, so per-request
-//!   telemetry work (two map updates, one clock pair) is maximally
-//!   visible. This is the adversarial row for the no-op claim.
+//!   FloatFirst session: the certified interval pass (~2.8 ms per request
+//!   in the same run), the adversarial row for the no-op claim when it
+//!   was the cheap tier.
 //! * `cold_compile_{noop,instrumented}` — a cold `LineageBuilder`
 //!   compile per iteration: the stage-span path (encode → query machine →
 //!   d-SDNNF), where spans fire once per stage rather than per request.

@@ -21,10 +21,14 @@
 //!   [`EvalSession::cold_lineage`] compile of the same pair (fresh
 //!   encoding, every fragment recompiled) plus one evaluation pass.
 //!
-//! The exact big-rational evaluation dominates wall-clock on these sizes
-//! (compare `telemetry_overhead`'s rows), so the interesting margin is
-//! `structural_update_reeval ≈ 2 × cold_reeval` minus the fragments the
-//! library replays — see the per-shape notes in `BENCH_pr10.json`.
+//! When `BENCH_pr10.json` was recorded, exact per-gate `Rational`
+//! evaluation dominated wall-clock on these sizes, so the interesting
+//! margin was `structural_update_reeval ≈ 2 × cold_reeval` minus the
+//! fragments the library replays (see its per-shape notes). The exact pass
+//! is fraction-free now, and compile dominates instead: one run on a
+//! 2-vCPU Xeon guest measured the pure-evaluation row
+//! `set_probability_reeval` at 0.2–2.1 ms against 1.3–20 ms for
+//! `structural_update_reeval`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use treelineage::prelude::*;

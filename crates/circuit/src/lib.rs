@@ -41,7 +41,7 @@ pub use formula::{
 };
 pub use obdd::{Obdd, Ref};
 pub use probability::{probability_bruteforce, probability_message_passing, MessagePassingError};
-pub use semiring::{eval_gate, Count, Probability, Semiring, Weight, Wmc};
+pub use semiring::{eval_gate, Count, Probability, Ring, Semiring, Weight, Wmc};
 pub use vtree::{Vtree, VtreeId, VtreeNode};
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 //! runner of the engine crate execute.
 
 use crate::circuit::{Circuit, Gate, GateId, VarId};
-use treelineage_num::{BigUint, ErrorInterval, Rational};
+use treelineage_num::{BigInt, BigUint, ErrorInterval, Rational};
 
 /// One evaluation semantics over d-DNNF gates. `Const(b)` evaluates to
 /// [`Semiring::one`] or [`Semiring::zero`], an AND gate to the product of
@@ -77,11 +77,12 @@ where
     }
 }
 
-/// The number types [`Probability`] and [`Wmc`] evaluate over: exact
-/// [`Rational`]s, or [`ErrorInterval`]s with outward rounding (each
-/// operation's result contains every exact result of its operands, so the
-/// output interval contains the exact answer).
-pub trait Weight: Clone {
+/// The number types [`Wmc`] evaluates over: a commutative ring. Exact
+/// [`Rational`]s, [`ErrorInterval`]s with outward rounding (each operation's
+/// result contains every exact result of its operands, so the output
+/// interval contains the exact answer), or [`BigInt`]s for the
+/// fraction-free pass over integer literal weights (no gcd anywhere).
+pub trait Ring: Clone {
     /// Additive identity.
     fn zero() -> Self;
     /// Multiplicative identity.
@@ -90,11 +91,16 @@ pub trait Weight: Clone {
     fn add_assign(&mut self, x: &Self);
     /// `self ← self · x`.
     fn mul_assign(&mut self, x: &Self);
+}
+
+/// The number types [`Probability`] evaluates over: a [`Ring`] with the
+/// complement `1 - x` that a `Not` gate takes of a probability.
+pub trait Weight: Ring {
     /// `1 - self`.
     fn complement(&self) -> Self;
 }
 
-impl Weight for Rational {
+impl Ring for Rational {
     fn zero() -> Self {
         Rational::zero()
     }
@@ -107,12 +113,15 @@ impl Weight for Rational {
     fn mul_assign(&mut self, x: &Self) {
         *self *= x;
     }
+}
+
+impl Weight for Rational {
     fn complement(&self) -> Self {
         Rational::complement(self)
     }
 }
 
-impl Weight for ErrorInterval {
+impl Ring for ErrorInterval {
     fn zero() -> Self {
         ErrorInterval::zero()
     }
@@ -125,8 +134,26 @@ impl Weight for ErrorInterval {
     fn mul_assign(&mut self, x: &Self) {
         *self = self.mul(x);
     }
+}
+
+impl Weight for ErrorInterval {
     fn complement(&self) -> Self {
         ErrorInterval::complement(self)
+    }
+}
+
+impl Ring for BigInt {
+    fn zero() -> Self {
+        BigInt::zero()
+    }
+    fn one() -> Self {
+        BigInt::one()
+    }
+    fn add_assign(&mut self, x: &Self) {
+        *self = &*self + x;
+    }
+    fn mul_assign(&mut self, x: &Self) {
+        *self = &*self * x;
     }
 }
 
@@ -166,6 +193,14 @@ where
 /// reads `neg(v)`, `Not(Const b)` is `constant(!b)`. Correct on smooth
 /// d-DNNFs only (a variable missing from an OR child's scope would count
 /// with factor 1 instead of `pos(v) + neg(v)`).
+///
+/// Over [`BigInt`] this is the fraction-free exact pass: scale each
+/// variable's weights by a common denominator `c_v` (for a probability
+/// `p_v = a_v/b_v`: `pos = a_v`, `neg = b_v - a_v`, `c_v = b_v`), and on a
+/// smooth circuit whose output mentions every variable of the universe the
+/// integer result `N` gives the rational answer `N / ∏ c_v` — footnote 3's
+/// model-count ↔ probability identity, with one reduction at the end
+/// instead of one per gate.
 pub struct Wmc<P, N> {
     /// Weight of the positive literal.
     pub pos: P,
@@ -177,7 +212,7 @@ impl<P, N, V> Semiring for Wmc<P, N>
 where
     P: Fn(VarId) -> V,
     N: Fn(VarId) -> V,
-    V: Weight,
+    V: Ring,
 {
     type Value = V;
     fn zero(&self) -> V {

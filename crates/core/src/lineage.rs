@@ -564,9 +564,8 @@ impl<'a> LineageBuilder<'a> {
 /// graph: a depth-first layout of the bags (children in increasing subtree
 /// size, mirroring the in-order traversal ΠR of \[35\]) and, within the layout,
 /// facts attached to the first bag covering them. The implementation lives
-/// in [`treelineage_engine::variable_order_from_decomposition`] (shared
-/// with the engine's dd shards); this re-exported delegate keeps the
-/// historical `treelineage` entry point.
+/// in [`treelineage_engine::variable_order_from_decomposition`]; this
+/// re-exported delegate keeps the historical `treelineage` entry point.
 pub fn variable_order_from_decomposition(
     instance: &Instance,
     td: &TreeDecomposition,

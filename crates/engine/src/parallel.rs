@@ -30,7 +30,9 @@
 //! one gate step ([`eval_gate`]) over any [`Semiring`] on the ranges
 //! concurrently and finishes the spine on the caller's thread. Every pass —
 //! probability, WMC and model counting, exact or in certified intervals —
-//! is an instance of that runner ([`Probability`], [`Wmc`], [`Count`]). A
+//! is an instance of that runner ([`Probability`], [`Wmc`], [`Count`]); the
+//! exact probability and WMC passes run [`Wmc`] over [`BigInt`] weights and
+//! reduce once per answer (fraction-free, see [`ParallelDnnf::wmc`]). A
 //! gate's value depends only on its inputs' values and the fixed operand
 //! order, so the result equals the sequential [`Dnnf::evaluate`] bit for
 //! bit at every thread count, floating-point intervals included.
@@ -47,7 +49,7 @@ use treelineage_circuit::{
     eval_gate, Circuit, Count, Dnnf, Gate, GateId, Probability, Semiring, Vtree, VtreeId,
     VtreeNode, Wmc,
 };
-use treelineage_num::{BigUint, ErrorInterval, Rational};
+use treelineage_num::{BigInt, BigUint, ErrorInterval, Rational};
 use treelineage_telemetry::Telemetry;
 
 /// Fragments below this size are not worth a task of their own: the replay
@@ -254,26 +256,84 @@ impl ParallelDnnf {
             .expect("output gate was evaluated")
     }
 
-    /// Acceptance probability under independent event probabilities: the
-    /// [`Probability`] instance of the fragment-parallel kernel runner.
+    /// Acceptance probability under independent event probabilities,
+    /// fraction-free: event `v` with `P(v) = a/b` weighs `a` as a positive
+    /// literal and `b - a` as a negative one, and one [`Wmc`] pass over
+    /// [`BigInt`] divided by `∏ b` gives the answer (see
+    /// [`ParallelDnnf::wmc`]). Equal to the `Rational` [`Dnnf::probability`].
     pub fn probability(
         &self,
         prob: &(dyn Fn(usize) -> Rational + Sync),
         threads: usize,
     ) -> Rational {
-        self.evaluate(&Probability(prob), threads)
+        self.fraction_free(threads, |v| {
+            let p = prob(v);
+            let b = BigInt::from_biguint(p.denominator().clone());
+            (
+                p.numerator().clone(),
+                &b - p.numerator(),
+                p.denominator().clone(),
+            )
+        })
     }
 
-    /// Weighted model count with general per-literal weights (the circuit
-    /// is smooth by construction, so one pass suffices): the [`Wmc`]
-    /// instance of the fragment-parallel kernel runner.
+    /// Weighted model count with general per-literal weights, fraction-free:
+    /// event `v`'s weights are scaled by `c = lcm(den pos(v), den neg(v))`
+    /// into integers, one [`Wmc`] pass over [`BigInt`] runs on the
+    /// fragment-parallel kernel runner, and the integer result divided by
+    /// `∏ c` over the universe is the answer — the only gcd of the call.
+    /// Sound because the circuit is smooth and its output mentions every
+    /// universe event (or is `Const(false)`), which the [`StructuredDnnf`]
+    /// invariant guarantees. Equal to the `Rational` [`Dnnf::wmc`].
     pub fn wmc(
         &self,
         pos: &(dyn Fn(usize) -> Rational + Sync),
         neg: &(dyn Fn(usize) -> Rational + Sync),
         threads: usize,
     ) -> Rational {
-        self.evaluate(&Wmc { pos, neg }, threads)
+        self.fraction_free(threads, |v| {
+            let (pos, neg) = (pos(v), neg(v));
+            let (dp, dn) = (pos.denominator(), neg.denominator());
+            let scale = &dp.div_rem(&dp.gcd(dn)).0 * dn;
+            let scaled = |w: &Rational| {
+                w.numerator() * &BigInt::from_biguint(scale.div_rem(w.denominator()).0)
+            };
+            (scaled(&pos), scaled(&neg), scale)
+        })
+    }
+
+    /// The integer pass behind [`ParallelDnnf::probability`] and
+    /// [`ParallelDnnf::wmc`]: `weights(v)` gives event `v`'s integer
+    /// `(pos, neg)` literal weights and their scale, read once per universe
+    /// event; the answer is `Wmc_ℤ / ∏ scale`.
+    fn fraction_free(
+        &self,
+        threads: usize,
+        weights: impl Fn(usize) -> (BigInt, BigInt, BigUint),
+    ) -> Rational {
+        let universe = self.structured.universe();
+        let mut denominator = BigUint::one();
+        let (pos, neg): (Vec<BigInt>, Vec<BigInt>) = universe
+            .iter()
+            .map(|&v| {
+                let (pos, neg, scale) = weights(v);
+                denominator *= &scale;
+                (pos, neg)
+            })
+            .unzip();
+        let index = |v: usize| {
+            universe
+                .binary_search(&v)
+                .expect("circuit events lie in the universe")
+        };
+        let numerator = self.evaluate(
+            &Wmc {
+                pos: |v| pos[index(v)].clone(),
+                neg: |v| neg[index(v)].clone(),
+            },
+            threads,
+        );
+        Rational::new(numerator, denominator)
     }
 
     /// Number of accepting event valuations (one integer pass thanks to
@@ -1068,23 +1128,8 @@ mod tests {
         // `Not(Const)`: probability instances complement the constant's
         // value (`1 ⊖ [1, 1]` rounds outward, so it is not `zero()`), while
         // the WMC and count instances read `constant(!b)`.
-        let mut c = Circuit::new();
-        let x = c.var(0);
-        let t = c.constant(true);
-        let f = c.constant(false);
-        let nx = c.not(x);
-        let nt = c.not(t);
-        let nf = c.not(f);
-        let left = c.and(vec![x, nf]);
-        let right = c.and(vec![nx, nt]);
-        let out = c.or(vec![left, right]);
-        c.set_output(out);
-        let dnnf = Dnnf::from_trusted_circuit(c).unwrap();
-        let lineage = ParallelDnnf::sequential(StructuredDnnf::from_trusted_parts(
-            dnnf.clone(),
-            Vtree::new(),
-            vec![0],
-        ));
+        let lineage = not_const_lineage();
+        let dnnf = lineage.structured().dnnf();
         let p = Rational::from_ratio_u64(1, 3);
         let q = Rational::from_ratio_u64(3, 5);
         let (pi, qi) = (
@@ -1114,6 +1159,27 @@ mod tests {
             assert_eq!(bits(got_p), bits(want_p), "threads={threads}");
             assert_eq!(bits(got_w), bits(want_w), "threads={threads}");
         }
+    }
+
+    /// `x ∧ ¬false ∨ ¬x ∧ ¬true` over universe {0}: a smooth d-DNNF
+    /// equivalent to `x` with both kinds of `Not(Const)` gate.
+    fn not_const_lineage() -> ParallelDnnf {
+        let mut c = Circuit::new();
+        let x = c.var(0);
+        let t = c.constant(true);
+        let f = c.constant(false);
+        let nx = c.not(x);
+        let nt = c.not(t);
+        let nf = c.not(f);
+        let left = c.and(vec![x, nf]);
+        let right = c.and(vec![nx, nt]);
+        let out = c.or(vec![left, right]);
+        c.set_output(out);
+        ParallelDnnf::sequential(StructuredDnnf::from_trusted_parts(
+            Dnnf::from_trusted_circuit(c).unwrap(),
+            Vtree::new(),
+            vec![0],
+        ))
     }
 
     /// `(lo, hi)` bit patterns of the interval passes on the parity comb of
@@ -1226,6 +1292,125 @@ mod tests {
         );
     }
 
+    /// Probabilities with every corner of the fraction-free weights: `0`
+    /// and `1` (a zero positive or negative integer weight) and mixed
+    /// denominators.
+    const PROBABILITIES: [(i64, u64); 8] = [
+        (0, 1),
+        (1, 1),
+        (1, 2),
+        (1, 3),
+        (2, 5),
+        (3, 4),
+        (7, 12),
+        (9, 10),
+    ];
+    /// WMC literal weights: zero, negative, above one, and denominators
+    /// whose lcm differs from either one.
+    const WEIGHTS: [(i64, u64); 8] = [
+        (0, 1),
+        (-3, 7),
+        (5, 2),
+        (1, 1),
+        (2, 9),
+        (-1, 4),
+        (5, 6),
+        (-7, 1),
+    ];
+
+    /// A seeded pick from `table` for event `e` (SplitMix64 finalizer).
+    fn pick(table: &[(i64, u64)], seed: u64, e: usize) -> Rational {
+        let mut z = seed ^ (e as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        let (n, d) = table[(z ^ (z >> 31)) as usize % table.len()];
+        Rational::from_ratio_i64(n, d)
+    }
+
+    /// The fraction-free `ParallelDnnf::{probability, wmc}` against the
+    /// `Rational` `Probability` / `Wmc` instances of the sequential runner,
+    /// with exact equality, at threads {1, 2, 8}.
+    fn assert_fraction_free_exact(parallel: &ParallelDnnf, seed: u64) {
+        let dnnf = parallel.structured().dnnf();
+        // The precondition of the single final division by the universe's
+        // scales: the output mentions every universe event, or is false.
+        let circuit = dnnf.circuit();
+        let read: Vec<usize> = dnnf.variables().into_iter().collect();
+        assert!(
+            read == parallel.structured().universe()
+                || circuit.gate(circuit.output()) == &Gate::Const(false)
+        );
+        let prob = |e: usize| pick(&PROBABILITIES, seed, e);
+        let pos = |e: usize| pick(&WEIGHTS, seed, e);
+        // `neg` skips the table's zero, so no event's two weights sum to
+        // zero (which would zero every count and hide a wrong scale).
+        let neg = |e: usize| pick(&WEIGHTS[1..], !seed, e);
+        let want_p = dnnf.evaluate(&Probability(&prob));
+        let want_w = dnnf.evaluate(&Wmc {
+            pos: &pos,
+            neg: &neg,
+        });
+        for threads in [1usize, 2, 8] {
+            assert_eq!(
+                parallel.probability(&prob, threads),
+                want_p,
+                "threads={threads}"
+            );
+            assert_eq!(
+                parallel.wmc(&pos, &neg, threads),
+                want_w,
+                "threads={threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn fraction_free_passes_equal_rational_instances_on_edge_cases() {
+        let config = EngineConfig::with_threads(4);
+        // Every other leaf event picks label 0 either way: events in the
+        // universe that the query never reads.
+        let mut u = big_comb(300);
+        let leaves: Vec<NodeId> = (0..u.tree().node_count())
+            .map(NodeId)
+            .filter(|&n| u.tree().is_leaf(n))
+            .collect();
+        for (e, &leaf) in leaves.iter().enumerate().step_by(2) {
+            u.set_event(leaf, e, 0, 0);
+        }
+        for automaton in [
+            treelineage_automata::parity_automaton(2),
+            treelineage_automata::exists_one_automaton(2)
+                .determinize()
+                .0,
+        ] {
+            let parallel = compile_structured_dnnf_parallel(&automaton, &u, &config).unwrap();
+            assert!(!parallel.partition().is_empty());
+            for seed in 0..8 {
+                assert_fraction_free_exact(&parallel, seed);
+            }
+        }
+
+        // An automaton that accepts nothing: the output is `Const(false)`.
+        let mut nothing = TreeAutomaton::new(1, 3);
+        for label in 0..3 {
+            nothing.add_leaf_transition(label, 0);
+            nothing.add_internal_transition(label, 0, 0, 0);
+        }
+        let parallel = compile_structured_dnnf_parallel(&nothing, &u, &config).unwrap();
+        let circuit = parallel.structured().dnnf().circuit();
+        assert_eq!(circuit.gate(circuit.output()), &Gate::Const(false));
+        assert!(parallel
+            .probability(&|e| pick(&PROBABILITIES, 1, e), 2)
+            .is_zero());
+        assert_fraction_free_exact(&parallel, 1);
+
+        // `Not(Const)` gates, under probabilities 0 and 1 and zero /
+        // negative weights.
+        for seed in 0..16 {
+            assert_fraction_free_exact(&not_const_lineage(), seed);
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
         #[test]
@@ -1250,6 +1435,22 @@ mod tests {
                     sequential.probability(&prob)
                 );
                 assert_eq!(parallel.model_count(threads), sequential.model_count());
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+        #[test]
+        fn fraction_free_passes_equal_rational_instances(
+            u in strategies::uncertain_tree(48, 3),
+            automaton in strategies::deterministic_automaton(3, 3),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let mut config = EngineConfig::with_threads(4);
+            config.fragment_grain = 8;
+            if let Ok(parallel) = compile_structured_dnnf_parallel(&automaton, &u, &config) {
+                assert_fraction_free_exact(&parallel, seed);
             }
         }
     }

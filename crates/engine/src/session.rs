@@ -1485,9 +1485,11 @@ impl EvalSession {
     /// one certified-interval f64 pass per request, returning the point
     /// estimate (interval midpoint) together with the [`ErrorInterval`]
     /// guaranteed to contain the exact rational answer. The pass is linear
-    /// in the circuit size with `f64` gate operations — on eval-bound
-    /// workloads this is more than an order of magnitude cheaper than the
-    /// exact rational pass (see `benches/approx_eval.rs`).
+    /// in the circuit size with `f64` gate operations. It is not cheaper
+    /// than the fraction-free exact pass of [`EvalSession::batch_probability`]:
+    /// on perfbench's `serve_exact` shapes one `--trace 1` run (2-vCPU
+    /// Xeon guest) measured 0.55 ms per interval request against 0.21 ms
+    /// per exact one.
     ///
     /// Under [`SessionBackend::FloatFirst`], a (query, instance) pair whose
     /// compilation exceeds the state budget degrades to the Karp–Luby

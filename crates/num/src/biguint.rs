@@ -143,10 +143,12 @@ impl BigUint {
     }
 
     /// Greatest common divisor (Stein's binary algorithm: shifts and
-    /// subtractions only). Every `Rational` operation reduces through this,
-    /// and the numerators of the exact probability pipelines grow to
-    /// thousands of bits, where binary gcd's O(bits) cheap iterations beat
-    /// Euclid's O(bits) *long divisions* by orders of magnitude.
+    /// subtractions only). Every `Rational` operation reduces through this.
+    /// The served exact passes are fraction-free and reduce once per answer,
+    /// but the `Rational` passes (the sequential oracle, non-smooth
+    /// circuits) reduce at every gate, on numerators of thousands of bits,
+    /// where binary gcd's O(bits) cheap iterations beat Euclid's O(bits)
+    /// *long divisions* by orders of magnitude.
     pub fn gcd(&self, other: &BigUint) -> BigUint {
         if self.is_zero() {
             return other.clone();
