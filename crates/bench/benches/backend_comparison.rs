@@ -1,14 +1,17 @@
-//! PR 3 backend comparison: the three lineage backends head to head on the
-//! same instances and queries (recorded in `BENCH_pr3.json`).
+//! Backend comparison: the three lineage backends head to head on the same
+//! instances and queries (`BENCH_pr3.json` snapshots the `legacy_obdd` and
+//! `shared_dd` rows).
 //!
 //! Every variant computes the query probability end to end so the timed work
 //! is comparable: `legacy_obdd` = per-diagram reduced OBDD compile + WMC
 //! pass; `shared_dd` = shared engine compile (fresh manager) + memoized WMC
-//! pass; `dsdnnf_compile_eval` = dd compile + d-DNNF export + smoothing +
-//! one-pass evaluation (the full structured-backend pipeline);
-//! `dsdnnf_eval_only` = the one-pass evaluation alone on a pre-compiled
-//! d-SDNNF — the "linear in circuit size" claim of Theorem 6.11, and the
-//! regime that matters when one lineage is evaluated under many valuations.
+//! pass; `automaton_compile_eval` = tree encoding + query→automaton
+//! compilation + provenance d-SDNNF + one-pass evaluation (the full
+//! automaton-backend pipeline); `automaton_eval_only` = the one-pass
+//! evaluation alone on the pre-compiled d-SDNNF — the "linear in circuit
+//! size" claim of Theorem 6.11, and the regime that matters when one lineage
+//! is evaluated under many valuations; `automaton_count_only` = its integer
+//! model-counting pass.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use treelineage::prelude::*;
@@ -44,15 +47,15 @@ fn bench_backends(
                 manager.probability(root, &prob)
             })
         });
-        group.bench_with_input(BenchmarkId::new("dsdnnf_compile_eval", n), n, |b, _| {
-            b.iter(|| builder.structured_dnnf().probability(&prob))
+        group.bench_with_input(BenchmarkId::new("automaton_compile_eval", n), n, |b, _| {
+            b.iter(|| builder.automaton_lineage().unwrap().probability(&prob))
         });
-        let structured = builder.structured_dnnf();
-        group.bench_with_input(BenchmarkId::new("dsdnnf_eval_only", n), n, |b, _| {
-            b.iter(|| structured.probability(&prob))
+        let lineage = builder.automaton_lineage().unwrap();
+        group.bench_with_input(BenchmarkId::new("automaton_eval_only", n), n, |b, _| {
+            b.iter(|| lineage.probability(&prob))
         });
-        group.bench_with_input(BenchmarkId::new("dsdnnf_count_only", n), n, |b, _| {
-            b.iter(|| structured.model_count())
+        group.bench_with_input(BenchmarkId::new("automaton_count_only", n), n, |b, _| {
+            b.iter(|| lineage.model_count())
         });
     }
     group.finish();

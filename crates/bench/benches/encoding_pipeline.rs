@@ -7,7 +7,7 @@
 //! strategy:
 //!
 //! * `match_enum_compile` — the match-enumeration route shared by the
-//!   `LegacyObdd` / `SharedDd` / `StructuredDnnf` backends: enumerate all
+//!   `LegacyObdd` / `SharedDd` backends: enumerate all
 //!   query matches, build the monotone lineage circuit, compile it into the
 //!   shared dd engine. On the star family the match count grows
 //!   quadratically with the instance, so this path falls off a cliff — it

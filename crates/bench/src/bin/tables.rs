@@ -35,9 +35,10 @@ fn table2_upper() {
     header("Table 2 (upper bounds): lineage representations on treelike instances");
 
     // T2-U1 / T2-U2: bounded pathwidth -> constant-width OBDD, linear circuit.
-    // Compiled through the shared dd engine; the last columns report its
+    // Compiled through the shared dd engine; the middle columns report its
     // store/cache statistics (nodes kept once under complement-edge sharing,
-    // persistent op-cache hit rate).
+    // persistent op-cache hit rate), the last two the size and compile time
+    // of the automaton pipeline's provenance d-SDNNF (Theorem 6.11).
     println!("\n[T2-U1/U2] bounded-pathwidth chains, query R(x),S(x,y),T(y)");
     let sig = Signature::builder()
         .relation("R", 1)
@@ -71,7 +72,7 @@ fn table2_upper() {
         let (manager, root) = builder.dd();
         let stats = manager.stats();
         let t0 = Instant::now();
-        let structured = builder.structured_dnnf();
+        let lineage = builder.automaton_lineage().unwrap();
         let t_dsdnnf = t0.elapsed();
         println!(
             "{:>8} {:>10} {:>12} {:>12} {:>12} {:>10} {:>10} {:>10} {:>7.1}% {:>12} {:>8.2}ms",
@@ -84,14 +85,14 @@ fn table2_upper() {
             stats.op_cache_hits,
             stats.op_cache_misses,
             stats.hit_rate_percent(),
-            structured.size(),
+            lineage.size(),
             t_dsdnnf.as_secs_f64() * 1e3
         );
     }
 
     // T2-U3/U4/U5: bounded treewidth -> polynomial OBDD, linear circuit,
-    // d-DNNF — plus the structured d-SDNNF backend's artifact size and its
-    // compile / one-pass evaluation times.
+    // d-DNNF — plus the automaton pipeline's provenance d-SDNNF size and its
+    // compile / one-pass probability evaluation times.
     println!("\n[T2-U3/U4/U5] random partial 2-trees, query S(x,y),S(y,z) with x != z");
     let sig2 = Signature::builder()
         .relation("S", 2)
@@ -110,7 +111,7 @@ fn table2_upper() {
         "hit%",
         "dsdnnf size",
         "compile",
-        "wmc pass"
+        "eval pass"
     );
     for n in [20usize, 40, 80, 160] {
         let inst = encodings::random_treelike_instance(&sig2, n, 2, 7);
@@ -118,10 +119,10 @@ fn table2_upper() {
         let (manager, root) = builder.dd();
         let stats = manager.stats();
         let t0 = Instant::now();
-        let structured = builder.structured_dnnf();
+        let lineage = builder.automaton_lineage().unwrap();
         let t_compile = t0.elapsed();
         let t1 = Instant::now();
-        let _ = structured.probability(&treelineage_bench::dyadic_prob);
+        let _ = lineage.probability(&treelineage_bench::dyadic_prob);
         let t_eval = t1.elapsed();
         println!(
             "{:>8} {:>10} {:>12} {:>12} {:>12} {:>12} {:>10} {:>7.1}% {:>12} {:>10.2}ms {:>10.2}ms",
@@ -133,7 +134,7 @@ fn table2_upper() {
             builder.ddnnf().size(),
             stats.node_count,
             stats.hit_rate_percent(),
-            structured.size(),
+            lineage.size(),
             t_compile.as_secs_f64() * 1e3,
             t_eval.as_secs_f64() * 1e3
         );

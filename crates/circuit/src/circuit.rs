@@ -180,7 +180,7 @@ impl Circuit {
 
     /// The variables on which each gate depends, as dense bitsets over the
     /// circuit's variables — the cheap representation the d-DNNF
-    /// decomposability check and the smoothing pass run on (one word per 64
+    /// decomposability and smoothness checks run on (one word per 64
     /// variables instead of a `BTreeSet` per gate, so deep circuits whose
     /// top gates mention most variables stay near-linear).
     pub(crate) fn dependency_bitsets(&self) -> GateDeps {
@@ -222,8 +222,8 @@ impl Circuit {
     }
 
     /// The variables on which each gate depends (computed bottom-up for every
-    /// gate; used by OBDD construction — the d-DNNF checks and the smoothing
-    /// pass run on the crate-private `Circuit::dependency_bitsets` instead).
+    /// gate; used by OBDD construction — the d-DNNF checks run on the
+    /// crate-private `Circuit::dependency_bitsets` instead).
     pub fn gate_dependencies(&self) -> Vec<BTreeSet<VarId>> {
         let mut deps: Vec<BTreeSet<VarId>> = Vec::with_capacity(self.gates.len());
         for gate in &self.gates {

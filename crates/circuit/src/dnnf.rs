@@ -4,13 +4,13 @@
 //! A d-DNNF is a circuit where (1) negation is applied to inputs only,
 //! (2) the children of every AND gate depend on disjoint variables
 //! (*decomposability*) and (3) the children of every OR gate are mutually
-//! exclusive (*determinism*). Probability evaluation and (after smoothing)
-//! model counting are linear on d-DNNFs; Theorem 6.11 shows MSO lineages on
+//! exclusive (*determinism*). Probability evaluation and (on smooth
+//! d-DNNFs) model counting are linear; Theorem 6.11 shows MSO lineages on
 //! bounded-treewidth instances have linear-size d-DNNFs.
 
 use crate::circuit::{Circuit, Gate, GateDeps, GateId, VarId};
 use crate::semiring::{eval_gate, Count, Probability, Semiring, Wmc};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use treelineage_num::{BigUint, ErrorInterval, Rational};
 
 /// A circuit together with the verified d-DNNF structural guarantees.
@@ -187,101 +187,10 @@ impl Dnnf {
             })
     }
 
-    /// The *smoothing pass*: returns an equivalent d-DNNF over `universe`
-    /// where every OR gate's children mention the same variables and the
-    /// output mentions all of `universe`. Each OR child missing a variable
-    /// `v` is conjoined with the tautology `v ∨ ¬v` (deterministic and
-    /// smooth itself), so determinism and decomposability are preserved and
-    /// the size grows by at most one gate pair per (gate, missing variable).
-    pub fn smooth(&self, universe: &[VarId]) -> Dnnf {
-        let deps = self.circuit.dependency_bitsets();
-        let universe_set: BTreeSet<VarId> = universe.iter().copied().collect();
-        assert!(
-            self.variables().is_subset(&universe_set),
-            "universe must contain all variables of the d-DNNF"
-        );
-        let mut out = Circuit::new();
-        // Tautology gates v ∨ ¬v, one per padded variable.
-        let mut taut: BTreeMap<VarId, GateId> = BTreeMap::new();
-        let mut tautology = |v: VarId, out: &mut Circuit| -> GateId {
-            if let Some(&g) = taut.get(&v) {
-                return g;
-            }
-            let pos = out.var(v);
-            let neg = out.not(pos);
-            let g = out.or(vec![pos, neg]);
-            taut.insert(v, g);
-            g
-        };
-        let pad = |gate: GateId,
-                   missing: &mut dyn Iterator<Item = VarId>,
-                   out: &mut Circuit,
-                   tautology: &mut dyn FnMut(VarId, &mut Circuit) -> GateId|
-         -> GateId {
-            let mut inputs = vec![gate];
-            for v in missing {
-                inputs.push(tautology(v, out));
-            }
-            if inputs.len() == 1 {
-                return gate;
-            }
-            out.and(inputs)
-        };
-        let mut mapping: Vec<GateId> = Vec::with_capacity(self.circuit.size());
-        for id in self.circuit.gate_ids() {
-            let new_id = match self.circuit.gate(id) {
-                Gate::Var(v) => out.var(*v),
-                Gate::Const(b) => out.constant(*b),
-                Gate::Not(i) => {
-                    let input = mapping[i.0];
-                    out.not(input)
-                }
-                Gate::And(inputs) => {
-                    let mapped: Vec<GateId> = inputs.iter().map(|i| mapping[i.0]).collect();
-                    out.and(mapped)
-                }
-                Gate::Or(inputs) => {
-                    let mut scope = deps.empty_row();
-                    for i in inputs {
-                        for (w, &src) in scope.iter_mut().zip(deps.row(*i)) {
-                            *w |= src;
-                        }
-                    }
-                    let mapped: Vec<GateId> = inputs
-                        .iter()
-                        .map(|i| {
-                            let row = deps.row(*i);
-                            let gap: Vec<u64> =
-                                scope.iter().zip(row).map(|(s, r)| s & !r).collect();
-                            let padded = pad(
-                                mapping[i.0],
-                                &mut deps.vars_of(&gap),
-                                &mut out,
-                                &mut tautology,
-                            );
-                            padded
-                        })
-                        .collect();
-                    out.or(mapped)
-                }
-            };
-            mapping.push(new_id);
-        }
-        let output = self.circuit.output();
-        let present: BTreeSet<VarId> = deps.vars_of(deps.row(output)).collect();
-        let padded = pad(
-            mapping[output.0],
-            &mut universe_set.difference(&present).copied(),
-            &mut out,
-            &mut tautology,
-        );
-        out.set_output(padded);
-        Dnnf::from_trusted_circuit(out).expect("smoothing preserves the d-DNNF conditions")
-    }
-
     /// Model count of a *smooth* d-DNNF whose output mentions its whole
-    /// universe (as produced by [`Dnnf::smooth`]): the [`Count`] instance of
-    /// [`Dnnf::evaluate`], one integer pass with no rational arithmetic.
+    /// universe (such as the automaton provenance d-SDNNF): the [`Count`]
+    /// instance of [`Dnnf::evaluate`], one integer pass with no rational
+    /// arithmetic.
     pub fn count_models_smooth(&self) -> BigUint {
         // A full assert, not a debug_assert: on a non-smooth circuit the
         // pass silently under-counts, and the bitset-based check is cheap
@@ -297,9 +206,9 @@ impl Dnnf {
     /// `Σ_models Π_v (pos(v) if v true else neg(v))`, over the variables the
     /// output mentions (the [`Wmc`] instance of [`Dnnf::evaluate`]). Unlike
     /// [`Dnnf::probability`], the weights need not sum to one per variable,
-    /// so the d-DNNF must be smooth (smooth it over the intended universe
-    /// first — a variable absent from a model's scope would silently
-    /// contribute factor 1 instead of `pos(v) + neg(v)`).
+    /// so the d-DNNF must be smooth over the intended universe (a variable
+    /// absent from a model's scope would silently contribute factor 1
+    /// instead of `pos(v) + neg(v)`).
     pub fn wmc(
         &self,
         pos: &dyn Fn(VarId) -> Rational,
@@ -470,8 +379,8 @@ mod tests {
 
     #[test]
     fn wmc_interval_contains_exact() {
-        let d = Dnnf::verify(exactly_one()).unwrap();
-        let smooth = d.smooth(&[0, 1]);
+        // exactly_one is smooth over {0, 1}.
+        let smooth = Dnnf::verify(exactly_one()).unwrap();
         let pos = |v: VarId| Rational::from_ratio_u64(v as u64 + 2, 7);
         let neg = |v: VarId| Rational::from_ratio_u64(v as u64 + 1, 5);
         let exact = smooth.wmc(&pos, &neg);
@@ -518,45 +427,12 @@ mod tests {
     }
 
     #[test]
-    fn smoothing_pass_produces_smooth_equivalent_ddnnf() {
-        // exactly_one is smooth already over {0, 1}; over a larger universe
-        // the output must be padded.
-        let d = Dnnf::verify(exactly_one()).unwrap();
-        assert!(d.is_smooth());
-        let s = d.smooth(&[0, 1, 5]);
-        assert!(s.is_smooth());
-        assert!(s.circuit().equivalent_to(d.circuit()));
-        assert_eq!(s.variables(), [0, 1, 5].into_iter().collect());
-        assert_eq!(s.count_models_smooth().to_u64(), Some(4));
-        // The OBDD-shaped circuit (x0 AND x1) OR (NOT x0 AND x2) is NOT
-        // smooth ({x0,x1} vs {x0,x2}); smoothing fixes it without changing
-        // the function or the model count.
-        let mut c = Circuit::new();
-        let x0 = c.var(0);
-        let x1 = c.var(1);
-        let x2 = c.var(2);
-        let n0 = c.not(x0);
-        let left = c.and(vec![x0, x1]);
-        let right = c.and(vec![n0, x2]);
-        let o = c.or(vec![left, right]);
-        c.set_output(o);
-        let d = Dnnf::verify(c).unwrap();
-        assert!(!d.is_smooth());
-        let s = d.smooth(&[0, 1, 2]);
-        assert!(s.is_smooth());
-        assert!(s.circuit().equivalent_to(d.circuit()));
-        assert_eq!(
-            s.count_models_smooth().to_u64(),
-            d.count_models(&[0, 1, 2]).to_u64()
-        );
-    }
-
-    #[test]
     fn wmc_with_general_weights_matches_enumeration() {
         // Weights that do NOT sum to 1 per variable: w(x0)=2/1, w(¬x0)=3/1,
         // w(x1)=1/2, w(¬x1)=5/1. exactly_one models: {x0}, {x1}.
         // WMC = 2*5 + 3*(1/2) = 23/2.
-        let d = Dnnf::verify(exactly_one()).unwrap().smooth(&[0, 1]);
+        let d = Dnnf::verify(exactly_one()).unwrap();
+        assert!(d.is_smooth());
         let pos = |v: VarId| {
             if v == 0 {
                 Rational::from_ratio_u64(2, 1)
@@ -591,20 +467,6 @@ mod tests {
         let c0 = d.condition(0, false);
         assert!(c0.circuit().evaluate(&|v| v == 1));
         assert!(!c0.circuit().evaluate(&|_| false));
-    }
-
-    #[test]
-    fn smooth_model_count_of_constant_circuits() {
-        let mut c = Circuit::new();
-        let t = c.constant(true);
-        c.set_output(t);
-        let d = Dnnf::verify(c).unwrap().smooth(&[0, 1, 2]);
-        assert_eq!(d.count_models_smooth().to_u64(), Some(8));
-        let mut c = Circuit::new();
-        let f = c.constant(false);
-        c.set_output(f);
-        let d = Dnnf::verify(c).unwrap().smooth(&[0, 1, 2]);
-        assert_eq!(d.count_models_smooth().to_u64(), Some(0));
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! * [`Obdd`] — reduced ordered binary decision diagrams (Definition 6.4),
 //!   with width/size measurement, probability and model counting;
 //! * [`Dnnf`] — deterministic decomposable circuits (Definition 6.10) with
-//!   linear-time probability evaluation, smoothing, one-pass weighted model
-//!   counting and conditioning, all evaluation running one [`Semiring`]
+//!   linear-time probability evaluation, one-pass weighted model counting on
+//!   smooth circuits and conditioning, all evaluation running one [`Semiring`]
 //!   kernel ([`eval_gate`]);
 //! * [`Vtree`] — variable trees witnessing *structured* decomposability
 //!   (the "structured" in d-SDNNF: OBDDs are the right-linear special case,

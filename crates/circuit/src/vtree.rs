@@ -128,28 +128,6 @@ impl Vtree {
         }
     }
 
-    /// The right-linear vtree over a variable order: variable `order[0]` is
-    /// the leftmost leaf, and every internal node pairs one variable against
-    /// the rest of the order. OBDDs under `order` are structured by exactly
-    /// this vtree (each decision node on `v` splits `{v}` from the variables
-    /// tested below it).
-    pub fn right_linear(order: &[VarId]) -> Self {
-        let mut vt = Vtree::new();
-        // Leaves first, in order, so spans nest right-to-left.
-        let leaves: Vec<VtreeId> = order.iter().map(|&v| vt.leaf(v)).collect();
-        let mut acc: Option<VtreeId> = None;
-        for &leaf in leaves.iter().rev() {
-            acc = Some(match acc {
-                None => leaf,
-                Some(rest) => vt.internal(leaf, rest),
-            });
-        }
-        if let Some(root) = acc {
-            vt.set_root(root);
-        }
-        vt
-    }
-
     /// Checks that `circuit` is *structured* by this vtree: for every AND
     /// gate, the (non-constant) children's variable scopes can be routed into
     /// disjoint subtrees of a single vtree node, recursively. Children with
@@ -299,6 +277,30 @@ impl Default for Vtree {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Vtree {
+        /// The right-linear vtree over a variable order: variable `order[0]` is
+        /// the leftmost leaf, and every internal node pairs one variable against
+        /// the rest of the order. OBDDs under `order` are structured by exactly
+        /// this vtree (each decision node on `v` splits `{v}` from the variables
+        /// tested below it).
+        fn right_linear(order: &[VarId]) -> Self {
+            let mut vt = Vtree::new();
+            // Leaves first, in order, so spans nest right-to-left.
+            let leaves: Vec<VtreeId> = order.iter().map(|&v| vt.leaf(v)).collect();
+            let mut acc: Option<VtreeId> = None;
+            for &leaf in leaves.iter().rev() {
+                acc = Some(match acc {
+                    None => leaf,
+                    Some(rest) => vt.internal(leaf, rest),
+                });
+            }
+            if let Some(root) = acc {
+                vt.set_root(root);
+            }
+            vt
+        }
+    }
 
     #[test]
     fn right_linear_shape_and_scopes() {

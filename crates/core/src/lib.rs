@@ -58,7 +58,7 @@ mod probability;
 pub use counting::MatchCounter;
 pub use lineage::{
     obdd_to_circuit, variable_order_from_decomposition, AutomatonLineage, LineageBackend,
-    LineageBuilder, LineageError, StructuredLineage,
+    LineageBuilder, LineageError,
 };
 pub use probability::{model_check, ProbabilityEvaluator};
 pub use treelineage_engine::{
@@ -74,7 +74,7 @@ pub mod prelude {
     pub use crate::{
         model_check, AutomatonLineage, CacheOccupancy, EngineConfig, EvalSession, LineageBackend,
         LineageBuilder, LineageError, MatchCounter, MetricsSnapshot, ProbabilityEvaluator,
-        SessionBackend, StructuredLineage, Telemetry, UpdateError, UpdateKind, UpdateReport,
+        SessionBackend, Telemetry, UpdateError, UpdateKind, UpdateReport,
     };
     pub use treelineage_circuit::{Circuit, Dnnf, Formula, Obdd, Vtree};
     pub use treelineage_dd::{Manager as DdManager, NodeId as DdNodeId, Stats as DdStats};

@@ -20,7 +20,11 @@
 //!   ([`LineageBuilder::dd`] / [`LineageBuilder::compile_dd`]): the same
 //!   function under the same order, but hash-consed into a store with
 //!   complement edges and a persistent operation cache, which is what the
-//!   probability / counting pipelines and the benches run on.
+//!   probability / counting pipelines and the benches run on,
+//! * the **provenance d-SDNNF** of Theorem 6.11
+//!   ([`LineageBuilder::automaton_lineage`]): smooth and structured by the
+//!   tree encoding's vtree by construction, and compiled without
+//!   enumerating a single query match.
 //!
 //! See DESIGN.md §2 (items 1 and 4) for how this relates to the paper's
 //! automaton-based linear-time construction: the functions represented are
@@ -28,8 +32,8 @@
 //! experiments — are canonical per order, so the upper- and lower-bound
 //! experiments exercise exactly the objects the paper reasons about.
 
-use std::collections::{BTreeMap, BTreeSet};
-use treelineage_circuit::{Circuit, Dnnf, GateId, Obdd, Ref, VarId, Vtree};
+use std::collections::{BTreeSet, HashMap};
+use treelineage_circuit::{Circuit, Dnnf, GateId, Obdd, Ref, VarId};
 use treelineage_engine::{validate_insert, validate_retract, EngineConfig, UpdateError};
 use treelineage_graph::TreeDecomposition;
 use treelineage_instance::{Fact, FactId, Instance};
@@ -41,7 +45,7 @@ use treelineage_query::{matching, UnionOfConjunctiveQueries};
 ///
 /// All backends represent the same Boolean function and give exactly equal
 /// answers (the cross-backend differential suites pin this); they differ in
-/// how the function is compiled — the first three enumerate query matches
+/// how the function is compiled — the first two enumerate query matches
 /// and compile the match circuit under a decomposition-derived variable
 /// order, while [`LineageBackend::Automaton`] goes through the tree
 /// encoding and never touches a match.
@@ -56,12 +60,6 @@ pub enum LineageBackend {
     /// fast path.
     #[default]
     SharedDd,
-    /// The structured d-DNNF (d-SDNNF) lineage of Theorem 6.11: a
-    /// materialized circuit artifact with a vtree structure witness,
-    /// supporting one-pass probability, weighted model counting over
-    /// general weights (after its smoothing pass) and one-pass model
-    /// counting — linear in the circuit size per evaluation.
-    StructuredDnnf,
     /// The paper's Section 6 pipeline end to end (Theorems 6.3 / 6.11 made
     /// constructive by `treelineage_encoding`): tree-encode the instance
     /// along its decomposition, compile the query into a deterministic
@@ -71,96 +69,6 @@ pub enum LineageBackend {
     /// the instance for bounded-width families even where match
     /// enumeration is super-polynomial.
     Automaton,
-}
-
-/// The lineage compiled into a structured d-DNNF (d-SDNNF): the circuit
-/// artifact behind [`LineageBackend::StructuredDnnf`].
-///
-/// Two variants of the circuit are kept: the raw export (structured by
-/// [`StructuredLineage::vtree`], used for probability evaluation) and its
-/// smoothed form over the full fact universe (used for one-pass model
-/// counting and general-weight WMC, where skipped variables must be
-/// materialized). Every evaluation is a single bottom-up pass.
-#[derive(Clone, Debug)]
-pub struct StructuredLineage {
-    dnnf: Dnnf,
-    smoothed: Dnnf,
-    vtree: Vtree,
-    universe: Vec<VarId>,
-}
-
-impl StructuredLineage {
-    /// The raw (unsmoothed) d-SDNNF.
-    pub fn dnnf(&self) -> &Dnnf {
-        &self.dnnf
-    }
-
-    /// The smoothed d-DNNF over the full fact universe.
-    pub fn smoothed(&self) -> &Dnnf {
-        &self.smoothed
-    }
-
-    /// The structure witness: the raw circuit is structured by this
-    /// (right-linear, order-derived) vtree.
-    pub fn vtree(&self) -> &Vtree {
-        &self.vtree
-    }
-
-    /// The declared universe: every fact id of the instance, in the
-    /// decomposition-derived order.
-    pub fn universe(&self) -> &[VarId] {
-        &self.universe
-    }
-
-    /// Number of gates of the raw d-SDNNF.
-    pub fn size(&self) -> usize {
-        self.dnnf.size()
-    }
-
-    /// Number of gates of the smoothed d-DNNF.
-    pub fn smoothed_size(&self) -> usize {
-        self.smoothed.size()
-    }
-
-    /// Query probability under independent per-fact probabilities: one pass
-    /// over the raw circuit (probability weights need no smoothing).
-    pub fn probability(&self, prob: &dyn Fn(VarId) -> Rational) -> Rational {
-        self.dnnf.probability(prob)
-    }
-
-    /// Weighted model count with general per-literal weights: one pass over
-    /// the smoothed circuit.
-    pub fn wmc(
-        &self,
-        pos: &dyn Fn(VarId) -> Rational,
-        neg: &dyn Fn(VarId) -> Rational,
-    ) -> Rational {
-        self.smoothed.wmc(pos, neg)
-    }
-
-    /// Float fast-path of [`StructuredLineage::probability`]: the same pass
-    /// in certified interval arithmetic. The returned interval is guaranteed
-    /// to contain the exact rational answer.
-    pub fn probability_interval(&self, prob: &dyn Fn(VarId) -> ErrorInterval) -> ErrorInterval {
-        self.dnnf.probability_interval(prob)
-    }
-
-    /// Float fast-path of [`StructuredLineage::wmc`] over the smoothed
-    /// circuit, with the same containment guarantee as
-    /// [`StructuredLineage::probability_interval`].
-    pub fn wmc_interval(
-        &self,
-        pos: &dyn Fn(VarId) -> ErrorInterval,
-        neg: &dyn Fn(VarId) -> ErrorInterval,
-    ) -> ErrorInterval {
-        self.smoothed.wmc_interval(pos, neg)
-    }
-
-    /// Number of satisfying subinstances over the full fact universe: one
-    /// integer pass over the smoothed circuit.
-    pub fn model_count(&self) -> BigUint {
-        self.smoothed.count_models_smooth()
-    }
 }
 
 /// Errors reported by lineage construction.
@@ -486,28 +394,6 @@ impl<'a> LineageBuilder<'a> {
         Dnnf::from_trusted_circuit(circuit).expect("OBDD-derived circuits are d-DNNFs")
     }
 
-    /// Compiles the lineage into a structured d-DNNF (the
-    /// [`LineageBackend::StructuredDnnf`] artifact): the shared dd engine
-    /// compiles the lineage under the decomposition-derived order, the
-    /// result is exported as a d-DNNF circuit (deterministic ORs over
-    /// decomposable decision branches), a smoothing pass materializes the
-    /// full fact universe for one-pass counting, and the right-linear vtree
-    /// over the order is attached as the structure witness.
-    pub fn structured_dnnf(&self) -> StructuredLineage {
-        let (manager, root) = self.dd();
-        let order = manager.order().to_vec();
-        let dnnf = Dnnf::from_trusted_circuit(manager.export_dnnf(root))
-            .expect("dd-exported circuits are d-DNNFs");
-        let smoothed = dnnf.smooth(&order);
-        let vtree = Vtree::right_linear(&order);
-        StructuredLineage {
-            dnnf,
-            smoothed,
-            vtree,
-            universe: order,
-        }
-    }
-
     /// Compiles the lineage through the paper's Section 6 automaton
     /// pipeline ([`LineageBackend::Automaton`]): tree-encode the instance
     /// along the decomposition, compile the query into a deterministic
@@ -578,7 +464,7 @@ pub fn variable_order_from_decomposition(
 /// `lo` / `hi` becomes `(v ∧ hi') ∨ (¬v ∧ lo')`.
 pub fn obdd_to_circuit(obdd: &Obdd) -> Circuit {
     let mut circuit = Circuit::new();
-    let mut memo: BTreeMap<String, GateId> = BTreeMap::new();
+    let mut memo: HashMap<Ref, GateId> = HashMap::new();
     let output = obdd_node_to_gate(obdd, obdd.root(), &mut circuit, &mut memo);
     circuit.set_output(output);
     circuit
@@ -588,17 +474,14 @@ fn obdd_node_to_gate(
     obdd: &Obdd,
     node: Ref,
     circuit: &mut Circuit,
-    memo: &mut BTreeMap<String, GateId>,
+    memo: &mut HashMap<Ref, GateId>,
 ) -> GateId {
-    let key = format!("{node:?}");
-    if let Some(&g) = memo.get(&key) {
+    if let Some(&g) = memo.get(&node) {
         return g;
     }
-    let gate = match node {
-        Ref::False => circuit.constant(false),
-        Ref::True => circuit.constant(true),
-        Ref::Node(_) => {
-            let (var, lo, hi) = obdd_node_parts(obdd, node);
+    let gate = match obdd.decision_parts(node) {
+        None => circuit.constant(node == Ref::True),
+        Some((var, lo, hi)) => {
             let lo_gate = obdd_node_to_gate(obdd, lo, circuit, memo);
             let hi_gate = obdd_node_to_gate(obdd, hi, circuit, memo);
             let v = circuit.var(var);
@@ -608,16 +491,8 @@ fn obdd_node_to_gate(
             circuit.or(vec![hi_branch, lo_branch])
         }
     };
-    memo.insert(key, gate);
+    memo.insert(node, gate);
     gate
-}
-
-/// Accesses the (variable, lo, hi) decomposition of an OBDD decision node by
-/// probing evaluation — the `Obdd` type does not expose its node table, so we
-/// reconstruct the Shannon expansion through its public API.
-fn obdd_node_parts(obdd: &Obdd, node: Ref) -> (VarId, Ref, Ref) {
-    obdd.decision_parts(node)
-        .expect("internal node must have decision parts")
 }
 
 #[cfg(test)]
@@ -651,7 +526,6 @@ mod tests {
         let circuit = builder.circuit();
         let obdd = builder.obdd();
         let ddnnf = builder.ddnnf();
-        let structured = builder.structured_dnnf();
         let automaton = builder.automaton_lineage().unwrap();
         let (manager, root) = builder.dd();
         let n = instance.fact_count();
@@ -682,16 +556,6 @@ mod tests {
                 "dd, mask {mask}"
             );
             assert_eq!(
-                structured.dnnf().circuit().evaluate_set(&world_vars),
-                expected,
-                "structured, mask {mask}"
-            );
-            assert_eq!(
-                structured.smoothed().circuit().evaluate_set(&world_vars),
-                expected,
-                "smoothed structured, mask {mask}"
-            );
-            assert_eq!(
                 automaton
                     .structured()
                     .dnnf()
@@ -709,18 +573,6 @@ mod tests {
         );
         assert!(automaton.automaton_states() > 0);
         assert!(automaton.tree_nodes() > 0);
-        // The structured artifact is certified: smooth where claimed,
-        // structured by its vtree, and counting through one integer pass
-        // agrees with the other backends.
-        assert!(structured.smoothed().is_smooth());
-        assert!(structured
-            .vtree()
-            .respects(structured.dnnf().circuit())
-            .is_ok());
-        assert_eq!(
-            structured.model_count().to_u64(),
-            obdd.count_models().to_u64()
-        );
         // The shared engine reports the same canonical width/size/count as
         // the legacy reduced OBDD under the same order.
         assert_eq!(manager.level_sizes(root), obdd.level_sizes());

@@ -7,10 +7,11 @@
 //! lineage (see [`crate::lineage`]) into the shared [`treelineage_dd`]
 //! engine and evaluating the weighted model count of the resulting diagram
 //! in time linear in its (shared) size — the "ra-linear modulo compilation"
-//! pipeline that the paper's upper bounds describe. The legacy per-diagram
-//! OBDD and the d-DNNF pipelines are kept alongside (they answer the same
-//! queries and the benches time the engines against each other), and a
-//! brute-force possible-worlds oracle is provided for testing.
+//! pipeline that the paper's upper bounds describe. The automaton pipeline's
+//! provenance d-SDNNF (Theorem 6.11) and the legacy per-diagram OBDD are
+//! kept alongside (they answer the same queries and the benches time the
+//! engines against each other), and a brute-force possible-worlds oracle is
+//! provided for testing.
 
 use crate::lineage::{LineageBackend, LineageBuilder, LineageError};
 use std::collections::BTreeSet;
@@ -116,7 +117,7 @@ impl<'a> ProbabilityEvaluator<'a> {
     /// [`LineageBackend`] (by default the shared decision-diagram engine:
     /// the Theorem 6.5 / 6.7 pipeline of compiling the lineage under a
     /// decomposition-derived order and running one weighted model-counting
-    /// pass; [`LineageBackend::StructuredDnnf`] instead materializes the
+    /// pass; [`LineageBackend::Automaton`] instead materializes the
     /// Theorem 6.11 d-SDNNF and evaluates it in one linear pass).
     pub fn query_probability(
         &self,
@@ -125,7 +126,6 @@ impl<'a> ProbabilityEvaluator<'a> {
         match self.backend {
             LineageBackend::LegacyObdd => self.query_probability_via_legacy_obdd(query),
             LineageBackend::SharedDd => self.query_probability_via_dd(query),
-            LineageBackend::StructuredDnnf => self.query_probability_via_structured_dnnf(query),
             LineageBackend::Automaton => self.query_probability_via_automaton(query),
         }
     }
@@ -149,7 +149,8 @@ impl<'a> ProbabilityEvaluator<'a> {
     /// Routed per backend: [`LineageBackend::Automaton`] runs the
     /// fragment-parallel interval pass over the provenance d-SDNNF (still
     /// bit-identical at every thread count); every other backend runs the
-    /// sequential interval pass over the structured d-DNNF export.
+    /// sequential interval pass over the OBDD-derived d-DNNF
+    /// ([`LineageBuilder::ddnnf`]; probability needs no smoothing).
     pub fn query_probability_f64(
         &self,
         query: &UnionOfConjunctiveQueries,
@@ -160,10 +161,7 @@ impl<'a> ProbabilityEvaluator<'a> {
                 .builder(query)?
                 .automaton_lineage()?
                 .probability_interval(&weight),
-            _ => self
-                .builder(query)?
-                .structured_dnnf()
-                .probability_interval(&weight),
+            _ => self.builder(query)?.ddnnf().probability_interval(&weight),
         };
         Ok((interval.midpoint(), interval))
     }
@@ -189,17 +187,6 @@ impl<'a> ProbabilityEvaluator<'a> {
         let builder = self.builder(query)?;
         let (manager, root) = builder.dd();
         Ok(manager.probability(root, &|v| self.valuation.probability(FactId(v)).clone()))
-    }
-
-    /// The probability computed through the structured d-DNNF backend
-    /// (compile to a d-SDNNF, then one linear evaluation pass), regardless
-    /// of the selected backend.
-    pub fn query_probability_via_structured_dnnf(
-        &self,
-        query: &UnionOfConjunctiveQueries,
-    ) -> Result<Rational, LineageError> {
-        let structured = self.builder(query)?.structured_dnnf();
-        Ok(structured.probability(&|v| self.valuation.probability(FactId(v)).clone()))
     }
 
     /// The probability computed through the legacy per-diagram OBDD
@@ -249,8 +236,8 @@ impl<'a> ProbabilityEvaluator<'a> {
     /// Number of subinstances (possible worlds under the all-1/2 valuation,
     /// scaled by `2^{|I|}`) satisfying the query — the model counting problem
     /// related to probability evaluation by footnote 3 of the paper.
-    /// Routed through the selected [`LineageBackend`]; the structured
-    /// backend counts in one integer pass over its smoothed circuit.
+    /// Routed through the selected [`LineageBackend`]; the automaton
+    /// backend counts in one integer pass over its smooth d-SDNNF.
     pub fn model_count(&self, query: &UnionOfConjunctiveQueries) -> Result<BigUint, LineageError> {
         let builder = self.builder(query)?;
         match self.backend {
@@ -259,7 +246,6 @@ impl<'a> ProbabilityEvaluator<'a> {
                 let (manager, root) = builder.dd();
                 Ok(manager.count_models(root))
             }
-            LineageBackend::StructuredDnnf => Ok(builder.structured_dnnf().model_count()),
             LineageBackend::Automaton => Ok(builder.automaton_lineage()?.model_count()),
         }
     }
@@ -267,10 +253,12 @@ impl<'a> ProbabilityEvaluator<'a> {
     /// General weighted model count: `Σ_worlds Π_facts (pos if present else
     /// neg)`, with weights that need not sum to one per fact (so this is
     /// strictly more general than [`ProbabilityEvaluator::query_probability`];
-    /// e.g. `pos = neg = 1` counts models). One pass over a smooth circuit:
-    /// the automaton pipeline's provenance d-SDNNF when the
-    /// [`LineageBackend::Automaton`] backend is selected, the structured
-    /// backend's smoothed d-DNNF otherwise.
+    /// e.g. `pos = neg = 1` counts models). One pass over the automaton
+    /// pipeline's smooth provenance d-SDNNF when the
+    /// [`LineageBackend::Automaton`] backend is selected; every other backend
+    /// runs the shared dd engine's general-weight pass
+    /// ([`treelineage_dd::Manager::wmc`]), which stays independent of the
+    /// automaton pipeline.
     pub fn query_wmc(
         &self,
         query: &UnionOfConjunctiveQueries,
@@ -284,8 +272,8 @@ impl<'a> ProbabilityEvaluator<'a> {
                 Ok(lineage.wmc(&|v| pos(FactId(v)), &|v| neg(FactId(v))))
             }
             _ => {
-                let structured = builder.structured_dnnf();
-                Ok(structured.wmc(&|v| pos(FactId(v)), &|v| neg(FactId(v))))
+                let (manager, root) = builder.dd();
+                Ok(manager.wmc(root, &|v| pos(FactId(v)), &|v| neg(FactId(v))))
             }
         }
     }
@@ -438,7 +426,6 @@ mod tests {
         for backend in [
             crate::LineageBackend::LegacyObdd,
             crate::LineageBackend::SharedDd,
-            crate::LineageBackend::StructuredDnnf,
             crate::LineageBackend::Automaton,
         ] {
             let evaluator = ProbabilityEvaluator::new(&inst, &valuation).with_backend(backend);
@@ -467,7 +454,6 @@ mod tests {
         for backend in [
             crate::LineageBackend::LegacyObdd,
             crate::LineageBackend::SharedDd,
-            crate::LineageBackend::StructuredDnnf,
             crate::LineageBackend::Automaton,
         ] {
             let evaluator = ProbabilityEvaluator::new(&inst, &valuation).with_backend(backend);

@@ -12,9 +12,10 @@
 //!   if-then-else cache** that keeps accelerating across calls, generic
 //!   n-ary [`Manager::and_all`] / [`Manager::or_all`],
 //!   [`Manager::restrict`] / [`Manager::compose`] and existential /
-//!   universal quantification, plus memoized [`Manager::count_models`] and
-//!   [`Manager::probability`] (weighted model counting) computed directly on
-//!   the shared nodes with a single cache per query;
+//!   universal quantification, plus memoized [`Manager::count_models`],
+//!   [`Manager::wmc`] (weighted model counting with general literal weights)
+//!   and [`Manager::probability`] computed directly on the shared nodes with
+//!   a single cache per query;
 //! * [`order`] — variable orders derived from `treelineage-graph`'s tree /
 //!   path decompositions (the \[35\]-style layout behind Theorems 6.5 / 6.7,
 //!   nice-decomposition traversal orders, and a min-fill fallback);

@@ -32,6 +32,54 @@ enum CacheKey {
     Compose(NodeId, u32, NodeId),
 }
 
+/// The literal weights of one [`Manager::wmc`] call, indexed by level.
+struct LevelWeights {
+    pos: Vec<Rational>,
+    neg: Vec<Rational>,
+    /// `pos + neg`: the factor of a variable left free.
+    free: Vec<Rational>,
+    /// The levels whose `free` factor is not 1, ascending (none under
+    /// probability weights).
+    non_unit: Vec<usize>,
+    /// `suffix[k]` is the product of `free[k..]`, the total weight of every
+    /// assignment to the levels `>= k`.
+    suffix: Vec<Rational>,
+}
+
+impl LevelWeights {
+    fn new(
+        order: &[VarId],
+        pos: &dyn Fn(VarId) -> Rational,
+        neg: &dyn Fn(VarId) -> Rational,
+    ) -> Self {
+        let pos: Vec<Rational> = order.iter().map(|&v| pos(v)).collect();
+        let neg: Vec<Rational> = order.iter().map(|&v| neg(v)).collect();
+        let free: Vec<Rational> = pos.iter().zip(&neg).map(|(p, n)| p + n).collect();
+        let non_unit = (0..free.len()).filter(|&k| !free[k].is_one()).collect();
+        let mut suffix = vec![Rational::one(); free.len() + 1];
+        for k in (0..free.len()).rev() {
+            suffix[k] = &free[k] * &suffix[k + 1];
+        }
+        LevelWeights {
+            pos,
+            neg,
+            free,
+            non_unit,
+            suffix,
+        }
+    }
+
+    /// `value` times the product of `free[from..to]`, visiting only the
+    /// non-unit factors, so a long skip under probability weights is free.
+    fn scale_free(&self, value: Rational, from: usize, to: usize) -> Rational {
+        let start = self.non_unit.partition_point(|&k| k < from);
+        self.non_unit[start..]
+            .iter()
+            .take_while(|&&k| k < to)
+            .fold(value, |acc, &k| &acc * &self.free[k])
+    }
+}
+
 /// A shared, hash-consed decision-diagram store over a fixed variable order.
 ///
 /// All functions live in one arena; [`NodeId`]s are only meaningful relative
@@ -535,18 +583,38 @@ impl Manager {
     }
 
     /// Probability that `f` holds when each variable `v` is independently
-    /// true with probability `prob(v)` (weighted model counting), computed in
-    /// one pass over the shared nodes with a single memo table per query;
-    /// complemented references cost one subtraction (`1 − p`).
+    /// true with probability `prob(v)`: [`Manager::wmc`] with weights
+    /// `prob(v)` and `1 − prob(v)`, so every free variable contributes
+    /// exactly 1 and a complemented reference costs one subtraction.
     pub fn probability(&self, f: NodeId, prob: &dyn Fn(VarId) -> Rational) -> Rational {
-        let mut memo: HashMap<u32, Rational> = HashMap::new();
-        self.prob_rec(f, prob, &mut memo)
+        self.wmc(f, prob, &|v| prob(v).complement())
     }
 
-    fn prob_rec(
+    /// Weighted model count of `f` over all variables of the order,
+    /// `Σ_models Π_v (pos(v) if v is true else neg(v))`, for weights that
+    /// need not sum to one per variable. Shaped like
+    /// [`Manager::count_models`]: one pass memoized on shared nodes, where a
+    /// free variable contributes `pos + neg` (counting's factor 2) and a
+    /// complemented reference is the total weight of its levels minus the
+    /// stored value.
+    pub fn wmc(
+        &self,
+        f: NodeId,
+        pos: &dyn Fn(VarId) -> Rational,
+        neg: &dyn Fn(VarId) -> Rational,
+    ) -> Rational {
+        let weights = LevelWeights::new(&self.order, pos, neg);
+        let mut memo: HashMap<u32, Rational> = HashMap::new();
+        let below = self.wmc_rec(f, &weights, &mut memo);
+        // Variables above the root's level are free.
+        weights.scale_free(below, 0, self.level_of(f))
+    }
+
+    /// Weighted count over the variables at levels `>= level_of(r)`.
+    fn wmc_rec(
         &self,
         r: NodeId,
-        prob: &dyn Fn(VarId) -> Rational,
+        weights: &LevelWeights,
         memo: &mut HashMap<u32, Rational>,
     ) -> Rational {
         if r == NodeId::TRUE {
@@ -557,19 +625,22 @@ impl Manager {
         }
         let index = r.index();
         let positive = match memo.get(&index) {
-            Some(p) => p.clone(),
+            Some(w) => w.clone(),
             None => {
                 let node = self.nodes[index as usize];
-                let p_var = prob(self.order[node.level as usize]);
-                let p_hi = self.prob_rec(node.hi, prob, memo);
-                let p_lo = self.prob_rec(node.lo, prob, memo);
-                let p = &(&p_var * &p_hi) + &(&p_var.complement() * &p_lo);
-                memo.insert(index, p.clone());
-                p
+                let level = node.level as usize;
+                // Children may skip levels; skipped variables are free.
+                let hi = self.wmc_rec(node.hi, weights, memo);
+                let hi = weights.scale_free(hi, level + 1, self.level_of(node.hi));
+                let lo = self.wmc_rec(node.lo, weights, memo);
+                let lo = weights.scale_free(lo, level + 1, self.level_of(node.lo));
+                let w = &(&weights.pos[level] * &hi) + &(&weights.neg[level] * &lo);
+                memo.insert(index, w.clone());
+                w
             }
         };
         if r.is_complement() {
-            positive.complement()
+            &weights.suffix[self.level_of(r)] - &positive
         } else {
             positive
         }
@@ -633,70 +704,6 @@ impl Manager {
             }
         }
         count
-    }
-
-    /// Exports `f` as a d-DNNF circuit: every decision node `(v, lo, hi)`
-    /// becomes the deterministic OR of the decomposable branches `v ∧ hi'`
-    /// and `¬v ∧ lo'` (constant-false branches elided, constant-true
-    /// children folded into the bare literal). Complement edges are resolved
-    /// by memoizing per *signed* reference — `f` and `¬f` each export their
-    /// own gates — so the circuit has at most two gate groups per stored
-    /// node: linear in [`Manager::size`]. The result is structured by the
-    /// right-linear vtree over the manager's order
-    /// (`Vtree::right_linear(manager.order())`), which is the structure
-    /// witness the d-SDNNF lineage backend hands out.
-    pub fn export_dnnf(&self, f: NodeId) -> Circuit {
-        let mut circuit = Circuit::new();
-        let mut memo: HashMap<NodeId, treelineage_circuit::GateId> = HashMap::new();
-        let output = self.export_gate(f, &mut circuit, &mut memo);
-        circuit.set_output(output);
-        circuit
-    }
-
-    fn export_gate(
-        &self,
-        r: NodeId,
-        circuit: &mut Circuit,
-        memo: &mut HashMap<NodeId, treelineage_circuit::GateId>,
-    ) -> treelineage_circuit::GateId {
-        if let Some(&g) = memo.get(&r) {
-            return g;
-        }
-        let gate = if r == NodeId::TRUE {
-            circuit.constant(true)
-        } else if r == NodeId::FALSE {
-            circuit.constant(false)
-        } else {
-            let (var, lo, hi) = self.decision_parts(r).expect("non-terminal");
-            let v = circuit.var(var);
-            let hi_branch = if hi == NodeId::FALSE {
-                None
-            } else if hi == NodeId::TRUE {
-                Some(v)
-            } else {
-                let hi_gate = self.export_gate(hi, circuit, memo);
-                Some(circuit.and(vec![v, hi_gate]))
-            };
-            let lo_branch = if lo == NodeId::FALSE {
-                None
-            } else {
-                let not_v = circuit.not(v);
-                if lo == NodeId::TRUE {
-                    Some(not_v)
-                } else {
-                    let lo_gate = self.export_gate(lo, circuit, memo);
-                    Some(circuit.and(vec![not_v, lo_gate]))
-                }
-            };
-            match (hi_branch, lo_branch) {
-                (Some(h), Some(l)) => circuit.or(vec![h, l]),
-                (Some(h), None) => h,
-                (None, Some(l)) => l,
-                (None, None) => unreachable!("reduced node with two false children"),
-            }
-        };
-        memo.insert(r, gate);
-        gate
     }
 
     /// Engine statistics: store and cache sizes plus the persistent cache's

@@ -4,7 +4,8 @@
 //!
 //! The legacy OBDD is the literal-to-the-paper object (reduced, canonical
 //! per order), so on every random circuit the two engines must agree on the
-//! represented function, the model count, the weighted model count, and —
+//! represented function, the model count, the weighted model count (and the
+//! general-weight count against brute force), and —
 //! thanks to the complement-edge width equivalence (signed reachable
 //! references per level = plain reduced OBDD nodes per level) — on the exact
 //! per-level width profile under the same order.
@@ -16,6 +17,23 @@ use treelineage_dd::{Manager, NodeId};
 use treelineage_num::Rational;
 
 const VARS: usize = 5;
+
+/// Levels of the general-WMC order: the circuit's variables plus two free
+/// ones.
+const ORDER: usize = VARS + 2;
+
+/// Literal weights `n/d` for the general-WMC property, including zero and
+/// negative weights and pairs that do not sum to one.
+const WEIGHTS: [(i64, u64); 8] = [
+    (-3, 2),
+    (-1, 1),
+    (0, 1),
+    (1, 3),
+    (1, 2),
+    (1, 1),
+    (2, 1),
+    (5, 7),
+];
 
 /// Random circuits over a bounded variable set, composed bottom-up (the same
 /// shape as `treelineage-circuit`'s internal property tests).
@@ -156,32 +174,40 @@ proptest! {
     }
 
     #[test]
-    fn export_dnnf_is_a_certified_structured_ddnnf(c in arbitrary_circuit(VARS, 12)) {
-        let vars: Vec<VarId> = (0..VARS).collect();
-        let (_, manager, root) = compile_both(&c);
-        // The export passes full d-DNNF verification (incl. the exhaustive
-        // determinism check) and is structured by the right-linear vtree
-        // over the manager's order.
-        let exported = treelineage_circuit::Dnnf::verify(manager.export_dnnf(root)).unwrap();
-        let vtree = treelineage_circuit::Vtree::right_linear(manager.order());
-        prop_assert!(vtree.respects(exported.circuit()).is_ok());
-        for mask in 0u64..(1 << VARS) {
-            let w = world(mask, &vars);
-            prop_assert_eq!(exported.circuit().evaluate_set(&w), c.evaluate_set(&w));
-        }
-        // Smoothing the export gives the same model count as the engine,
-        // through the single integer pass.
-        let smooth = exported.smooth(&vars);
-        prop_assert!(smooth.is_smooth());
-        prop_assert_eq!(
-            smooth.count_models_smooth().to_u64(),
-            manager.count_models(root).to_u64()
-        );
-        // Complement edges export correctly: ¬f's circuit computes ¬f.
-        let negated = manager.export_dnnf(root.not());
-        for mask in 0u64..(1 << VARS) {
-            let w = world(mask, &vars);
-            prop_assert_eq!(negated.evaluate_set(&w), !c.evaluate_set(&w));
+    fn general_wmc_matches_bruteforce(
+        c in arbitrary_circuit(VARS, 12),
+        picks in proptest::collection::vec((0..WEIGHTS.len(), 0..WEIGHTS.len()), ORDER..ORDER + 1),
+    ) {
+        // The order brackets the circuit's variables with two it never
+        // mentions, so the root skips level 0 and every edge into a
+        // terminal skips the last level: both must contribute pos + neg.
+        let order: Vec<VarId> = [vec![VARS], (0..VARS).collect(), vec![VARS + 1]].concat();
+        let mut manager = Manager::new(order.clone());
+        let root = manager.compile_circuit(&c);
+        let weight = |(n, d): (i64, u64)| Rational::from_ratio_i64(n, d);
+        let pos = |v: VarId| weight(WEIGHTS[picks[v].0]);
+        let neg = |v: VarId| weight(WEIGHTS[picks[v].1]);
+        for negated in [false, true] {
+            let f = if negated { root.not() } else { root };
+            let mut brute = Rational::zero();
+            for mask in 0u64..(1 << ORDER) {
+                let w = world(mask, &order);
+                if c.evaluate_set(&w) == negated {
+                    continue;
+                }
+                let mut term = Rational::one();
+                for &v in &order {
+                    term *= &if w.contains(&v) { pos(v) } else { neg(v) };
+                }
+                brute += &term;
+            }
+            prop_assert_eq!(manager.wmc(f, &pos, &neg), brute, "negated {}", negated);
+            // Probability is the wmc instance with neg = 1 − pos.
+            let prob = |v: VarId| Rational::from_ratio_u64(1, v as u64 + 2);
+            prop_assert_eq!(
+                manager.probability(f, &prob),
+                manager.wmc(f, &prob, &|v| prob(v).complement())
+            );
         }
     }
 

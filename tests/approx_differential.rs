@@ -43,10 +43,9 @@ fn queries() -> Vec<UnionOfConjunctiveQueries> {
     .collect()
 }
 
-const BACKENDS: [LineageBackend; 4] = [
+const BACKENDS: [LineageBackend; 3] = [
     LineageBackend::LegacyObdd,
     LineageBackend::SharedDd,
-    LineageBackend::StructuredDnnf,
     LineageBackend::Automaton,
 ];
 

@@ -6,13 +6,12 @@
 //! Backends under test:
 //! * brute force (possible-worlds enumeration — the oracle),
 //! * the legacy per-diagram reduced OBDD (`LineageBackend::LegacyObdd`),
-//! * the shared hash-consed dd engine (`LineageBackend::SharedDd`),
-//! * the structured d-DNNF backend (`LineageBackend::StructuredDnnf`),
-//!   both on relational lineages (dd-exported, order-structured) and on
-//!   automaton provenance (tree-structured, from `compile_structured_dnnf`),
+//! * the shared hash-consed dd engine (`LineageBackend::SharedDd`), also
+//!   the general-weight WMC route of every non-automaton backend,
 //! * the automaton pipeline (`LineageBackend::Automaton`: tree encoding +
 //!   query→automaton compilation, exercised in depth by
-//!   `tests/pipeline_differential.rs`).
+//!   `tests/pipeline_differential.rs`), and its provenance d-SDNNF directly
+//!   on random uncertain trees (from `compile_structured_dnnf`).
 //!
 //! Instances come from the shared `treelineage_instance::strategies`
 //! generators; generation is deterministic through the in-tree proptest
@@ -21,7 +20,6 @@
 //! reproducible).
 
 use proptest::prelude::*;
-use std::collections::BTreeSet;
 use treelineage::prelude::*;
 use treelineage_automata::{
     acceptance_probability_bruteforce, compile_structured_dnnf, strategies,
@@ -49,10 +47,9 @@ fn queries() -> Vec<UnionOfConjunctiveQueries> {
     .collect()
 }
 
-const BACKENDS: [LineageBackend; 4] = [
+const BACKENDS: [LineageBackend; 3] = [
     LineageBackend::LegacyObdd,
     LineageBackend::SharedDd,
-    LineageBackend::StructuredDnnf,
     LineageBackend::Automaton,
 ];
 
@@ -90,8 +87,9 @@ proptest! {
         }
     }
 
-    /// General-weight WMC (weights not summing to 1 per fact) through the
-    /// structured backend's smoothed one-pass evaluation, against direct
+    /// General-weight WMC (weights not summing to 1 per fact) on every
+    /// backend — the dd engine's `Manager::wmc` for the match-based ones,
+    /// the smooth provenance d-SDNNF for the automaton one — against direct
     /// enumeration.
     #[test]
     fn structured_wmc_agrees_with_bruteforce(
@@ -101,38 +99,16 @@ proptest! {
         prop_assume!(inst.fact_count() > 0 && inst.fact_count() <= 10);
         let q = &queries()[qi];
         let valuation = ProbabilityValuation::all_one_half(&inst);
-        let evaluator = ProbabilityEvaluator::new(&inst, &valuation);
         let pos = |f: FactId| Rational::from_ratio_u64(f.0 as u64 + 2, 3);
         let neg = |f: FactId| Rational::from_ratio_u64(1, f.0 as u64 + 1);
-        prop_assert_eq!(
-            evaluator.query_wmc(q, &pos, &neg).unwrap(),
-            evaluator.query_wmc_bruteforce(q, &pos, &neg)
-        );
-    }
-
-    /// The structured lineage artifact itself: function equality with the
-    /// monotone lineage circuit on every world, certification (smoothness +
-    /// vtree), and cross-backend size coherence.
-    #[test]
-    fn structured_lineage_is_certified_and_equivalent(
-        inst in instance_strategies::treelike_instance(sig(), 5, 2),
-        qi in 0usize..5,
-    ) {
-        prop_assume!(inst.fact_count() > 0 && inst.fact_count() <= 10);
-        let q = &queries()[qi];
-        let builder = LineageBuilder::new(q, &inst).unwrap();
-        let circuit = builder.circuit();
-        let structured = builder.structured_dnnf();
-        prop_assert!(structured.smoothed().is_smooth());
-        prop_assert!(structured.vtree().respects(structured.dnnf().circuit()).is_ok());
-        prop_assert_eq!(structured.universe().len(), inst.fact_count());
-        for mask in 0u32..(1 << inst.fact_count()) {
-            let world: BTreeSet<usize> = (0..inst.fact_count())
-                .filter(|i| mask >> i & 1 == 1)
-                .collect();
-            let expected = circuit.evaluate_set(&world);
-            prop_assert_eq!(structured.dnnf().circuit().evaluate_set(&world), expected);
-            prop_assert_eq!(structured.smoothed().circuit().evaluate_set(&world), expected);
+        let expected = ProbabilityEvaluator::new(&inst, &valuation).query_wmc_bruteforce(q, &pos, &neg);
+        for backend in BACKENDS {
+            let evaluator = ProbabilityEvaluator::new(&inst, &valuation).with_backend(backend);
+            prop_assert_eq!(
+                evaluator.query_wmc(q, &pos, &neg).unwrap(),
+                expected.clone(),
+                "WMC via {:?}, query {}", backend, q
+            );
         }
     }
 

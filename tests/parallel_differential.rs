@@ -58,10 +58,9 @@ fn thread_counts() -> Vec<usize> {
     counts
 }
 
-const BACKENDS: [LineageBackend; 4] = [
+const BACKENDS: [LineageBackend; 3] = [
     LineageBackend::LegacyObdd,
     LineageBackend::SharedDd,
-    LineageBackend::StructuredDnnf,
     LineageBackend::Automaton,
 ];
 

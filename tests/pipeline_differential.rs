@@ -3,7 +3,7 @@
 //! provenance d-SDNNF): on random treelike instances its probability, model
 //! count and weighted model count must be *bit-identical* to the brute-force
 //! possible-worlds oracle and to every other backend (legacy OBDD, shared
-//! dd, structured d-DNNF) — while never materializing a query match.
+//! dd) — while never materializing a query match.
 //!
 //! Instances come from the shared `treelineage_instance::strategies`
 //! generators (random partial-k-trees with a known decomposition), so the
@@ -38,7 +38,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Probability and model count: automaton backend vs the oracle and the
-    /// three other backends, with and without the known decomposition.
+    /// two other backends, with and without the known decomposition.
     #[test]
     fn automaton_backend_agrees_with_every_other_backend(
         (inst, td) in strategies::treelike_instance_with_decomposition(sig(), 6, 2),
@@ -77,11 +77,7 @@ proptest! {
         );
         // Cross-backend equality (all already pinned against brute force in
         // tests/backend_differential.rs; this closes the loop pairwise).
-        for backend in [
-            LineageBackend::LegacyObdd,
-            LineageBackend::SharedDd,
-            LineageBackend::StructuredDnnf,
-        ] {
+        for backend in [LineageBackend::LegacyObdd, LineageBackend::SharedDd] {
             let other = ProbabilityEvaluator::new(&inst, &valuation).with_backend(backend);
             prop_assert_eq!(
                 other.query_probability(q).unwrap(),
@@ -97,9 +93,9 @@ proptest! {
     }
 
     /// General-weight WMC through the automaton pipeline, against the
-    /// brute-force oracle and the structured backend.
+    /// brute-force oracle and the shared dd engine's `Manager::wmc`.
     #[test]
-    fn automaton_wmc_agrees_with_bruteforce_and_structured(
+    fn automaton_wmc_agrees_with_bruteforce_and_shared_dd(
         inst in strategies::treelike_instance(sig(), 5, 2),
         qi in 0usize..5,
     ) {
@@ -116,9 +112,9 @@ proptest! {
             expected.clone(),
             "automaton WMC, query {}", q
         );
-        let structured = ProbabilityEvaluator::new(&inst, &valuation)
-            .with_backend(LineageBackend::StructuredDnnf);
-        prop_assert_eq!(structured.query_wmc(q, &pos, &neg).unwrap(), expected);
+        let shared_dd = ProbabilityEvaluator::new(&inst, &valuation)
+            .with_backend(LineageBackend::SharedDd);
+        prop_assert_eq!(shared_dd.query_wmc(q, &pos, &neg).unwrap(), expected);
     }
 
     /// The automaton-pipeline artifact itself is certified: a smooth d-DNNF

@@ -5,11 +5,18 @@
 //! `explain` — takes random batches over random treelike instances that mix
 //! valid requests with malformed ones: query or instance handles minted by a
 //! larger session (out of range here), and valuation or `pos`/`neg` vectors
-//! one fact too short or too long. On both session backends, at
-//! `threads ∈ {1, 2}` plus `TREELINEAGE_THREADS`:
+//! one fact too short or too long. Before every batch the session also
+//! takes a few updates — `insert_fact`, `retract_fact` and
+//! `set_probability` with out-of-range instance handles or fact ids, or
+//! probabilities outside [0, 1], plus valid `set_probability` overrides.
+//! On both session backends, at `threads ∈ {1, 2}` plus
+//! `TREELINEAGE_THREADS`:
 //!
 //! * a result is [`EngineError::InvalidRequest`] exactly when its request is
 //!   malformed;
+//! * a malformed update returns its typed [`UpdateError`]
+//!   (`UnknownInstance`, `UnknownFact` or `InvalidProbability`) and changes
+//!   nothing, while a valid override changes only the resident valuation;
 //! * every other result matches the core evaluator's shared-dd backend (an
 //!   independent compile route, through enumerated matches): probability,
 //!   WMC and model count exactly, a threshold decision's `above` as the
@@ -130,6 +137,87 @@ fn probability(k: usize) -> Rational {
 /// first), and a selector for its weights and threshold.
 type Spec = (usize, usize, u8, u8, usize);
 
+/// One generated update: its kind, an instance handle, and a selector for
+/// its fact and probability.
+type UpdateSpec = (u8, usize, usize);
+
+/// The batch calls of one session run; updates are dealt round-robin to
+/// the gaps before them.
+const PHASES: usize = 6;
+
+/// Applies the updates dealt to `phase` and checks each outcome. Kinds 0–3
+/// are malformed: an insert at a probability outside [0, 1], a retraction
+/// or an override of a fact id past the end, and an override outside
+/// [0, 1]. Kind 4 is a valid override. An out-of-range handle turns any
+/// kind into `UnknownInstance`. A rejected update must leave the instance's
+/// epoch alone; an accepted one must land in the resident valuation.
+/// Returns how many accepted updates changed a probability.
+fn apply_updates(
+    session: &mut EvalSession,
+    handles: &[InstanceId],
+    instances: &[Instance],
+    updates: &[UpdateSpec],
+    phase: usize,
+    context: &str,
+) -> usize {
+    let mut changed = 0;
+    for &(kind, h, k) in updates.iter().skip(phase).step_by(PHASES) {
+        let id = handles[h];
+        // An out-of-range handle still needs a well-formed fact to send.
+        let target = &instances[h.min(instances.len() - 1)];
+        let present = FactId(k % target.fact_count());
+        let absent = FactId(target.fact_count() + k % 3);
+        let (n, d) = [(3, 2), (-1, 2), (2, 1), (-1, 1)][k % 4];
+        let invalid = Rational::from_ratio_i64(n, d);
+        let valid = probability(k);
+        let epoch = (h < instances.len()).then(|| session.instance_epoch(id));
+        let (result, error) = match kind {
+            0 => (
+                session.insert_fact(id, target.fact(present).clone(), invalid),
+                Some(UpdateError::InvalidProbability),
+            ),
+            1 => (
+                session.retract_fact(id, absent),
+                Some(UpdateError::UnknownFact(absent)),
+            ),
+            2 => (
+                session.set_probability(id, absent, valid.clone()),
+                Some(UpdateError::UnknownFact(absent)),
+            ),
+            3 => (
+                session.set_probability(id, present, invalid),
+                Some(UpdateError::InvalidProbability),
+            ),
+            _ => (session.set_probability(id, present, valid.clone()), None),
+        };
+        let error = if h < instances.len() {
+            error
+        } else {
+            Some(UpdateError::UnknownInstance(h))
+        };
+        match (result, error) {
+            (Err(got), Some(expected)) => {
+                assert_eq!(got, expected, "update {kind} on handle {h}, {context}");
+                if let Some(epoch) = epoch {
+                    assert_eq!(session.instance_epoch(id), epoch, "{context}");
+                }
+            }
+            (Ok(report), None) => {
+                assert_eq!(
+                    *session.valuation(id).probability(present),
+                    valid,
+                    "{context}"
+                );
+                changed += usize::from(!report.no_op);
+            }
+            (result, expected) => {
+                panic!("update {kind} on handle {h}: {result:?}, expected {expected:?}, {context}")
+            }
+        }
+    }
+    changed
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -141,6 +229,7 @@ proptest! {
             (0usize..2, 0usize..4, 0u8..5, 0u8..5, 0usize..9),
             1..9,
         ),
+        updates in proptest::collection::vec((0u8..5, 0usize..4, 0usize..12), 0..10),
     ) {
         prop_assume!(inst.fact_count() >= 1 && inst.fact_count() <= 10);
         let q = queries()[qi].clone();
@@ -232,7 +321,21 @@ proptest! {
                     .register_instance_with_decomposition(inst.clone(), td.clone())
                     .unwrap();
                 session.register_instance(small_instance());
+                let mut phase = 0;
+                let mut overrides = 0;
+                let mut update = |session: &mut EvalSession| {
+                    overrides += apply_updates(
+                        session,
+                        &instance_handles,
+                        &instances,
+                        &updates,
+                        phase,
+                        &context,
+                    );
+                    phase += 1;
+                };
 
+                update(&mut session);
                 let results = session.batch_probability(&probability_requests);
                 for (expected, result) in exact.iter().zip(&results) {
                     assert_outcome("probability", expected.is_some(), result, &context);
@@ -241,6 +344,7 @@ proptest! {
                     }
                 }
 
+                update(&mut session);
                 let results = session.batch_probability_f64(&probability_requests);
                 for (expected, result) in exact.iter().zip(&results) {
                     assert_outcome("probability_f64", expected.is_some(), result, &context);
@@ -250,6 +354,7 @@ proptest! {
                     }
                 }
 
+                update(&mut session);
                 let results = session.batch_threshold(&threshold_requests);
                 for ((expected, request), result) in
                     exact.iter().zip(&threshold_requests).zip(&results)
@@ -266,6 +371,7 @@ proptest! {
                     }
                 }
 
+                update(&mut session);
                 let results = session.batch_wmc(&wmc_requests);
                 for (expected, result) in wmc.iter().zip(&results) {
                     assert_outcome("wmc", expected.is_some(), result, &context);
@@ -274,6 +380,7 @@ proptest! {
                     }
                 }
 
+                update(&mut session);
                 let results = session.batch_model_count(&count_requests);
                 for (expected, result) in counts.iter().zip(&results) {
                     assert_outcome("model_count", expected.is_some(), result, &context);
@@ -282,6 +389,7 @@ proptest! {
                     }
                 }
 
+                update(&mut session);
                 for (expected, request) in exact.iter().zip(&probability_requests) {
                     let result = session.explain(request);
                     assert_outcome("explain", expected.is_some(), &result, &context);
@@ -301,6 +409,8 @@ proptest! {
 
                 let stats = session.stats();
                 prop_assert_eq!(stats.worker_panics, 0, "{}", context);
+                prop_assert_eq!(stats.updates_insert + stats.updates_retract, 0, "{}", context);
+                prop_assert_eq!(stats.updates_set_probability, overrides, "{}", context);
                 prop_assert_eq!(stats.errors, errors, "{}", context);
                 prop_assert_eq!(stats.requests, 5 * specs.len() + valid_explains, "{}", context);
             }
