@@ -27,9 +27,8 @@
 //! `treelineage-encoding`, the lineage API surfacing both in the core
 //! `treelineage` crate, and `treelineage-engine` compiles the same
 //! provenance over disjoint subtrees on worker threads (bit-identically,
-//! via [`BinaryTree::post_order_from`] subtree segments and
-//! [`StructuredDnnf::from_trusted_parts`]); see DESIGN.md §2 and
-//! §Concurrency.
+//! by splicing [`StructuredBuilder::compile_subtree`] fragments into one
+//! [`StructuredBuilder::compile`]); see DESIGN.md §2 and §Concurrency.
 //!
 //! The provenance route in one example — an uncertain tree whose three
 //! leaves are each controlled by a Boolean event, against the
@@ -70,7 +69,8 @@ pub use automaton::{
 };
 pub use provenance::{acceptance_probability_bruteforce, provenance_circuit};
 pub use structured::{
-    compile_structured_dnnf, compile_structured_dnnf_traced, StructuredDnnf, StructuredDnnfError,
+    compile_structured_dnnf, compile_structured_dnnf_traced, CompiledSubtree, StructuredBuilder,
+    StructuredDnnf, StructuredDnnfError, SubtreeGates,
 };
 pub use tree::{BinaryTree, Label, NodeAnnotation, NodeId, UncertainTree};
 

@@ -21,12 +21,19 @@
 //!   [`StructuredDnnf::vtree`] exposes and the test suite certifies with
 //!   [`Vtree::respects`].
 //!
+//! The construction is written once, as [`StructuredBuilder`]: a post-order
+//! pass whose caller may splice a precompiled subtree in at any node. The
+//! sequential [`compile_structured_dnnf`] splices nothing; the parallel
+//! engine (`treelineage-engine`) compiles fragments with
+//! [`StructuredBuilder::compile_subtree`] on worker threads and splices them
+//! into one whole-tree [`StructuredBuilder::compile`].
+//!
 //! Probability, weighted model counting and model counting on the result are
 //! all linear in its size — the "linear-time probability without OBDD
 //! blowup" extension that motivates the d-SDNNF backend.
 
 use crate::automaton::TreeAutomaton;
-use crate::tree::{NodeAnnotation, UncertainTree};
+use crate::tree::{NodeAnnotation, NodeId, UncertainTree};
 use std::collections::BTreeMap;
 use treelineage_circuit::{Circuit, Dnnf, GateId, Vtree, VtreeId};
 use treelineage_num::{BigUint, Rational};
@@ -73,10 +80,10 @@ impl StructuredDnnf {
     /// Assembles a `StructuredDnnf` from parts the caller attests satisfy
     /// the module invariants: `dnnf` smooth with every gate's scope exactly
     /// its subtree's events, structured by `vtree`, over the sorted event
-    /// `universe`. The parallel compilation engine (`treelineage-engine`)
-    /// uses this to wrap circuits it builds byte-identically to
-    /// [`compile_structured_dnnf`] from fragments compiled on worker
-    /// threads; like [`Dnnf::from_trusted_circuit`], no properties are
+    /// `universe`. Every artifact of the construction comes from
+    /// [`StructuredBuilder::compile`]; this is for circuits built by other
+    /// means (e.g. tests exercising gate shapes the construction never
+    /// emits). Like [`Dnnf::from_trusted_circuit`], no properties are
     /// re-checked here — hand untrusted circuits to [`Dnnf::verify`] and
     /// [`Vtree::respects`] instead.
     pub fn from_trusted_parts(dnnf: Dnnf, vtree: Vtree, universe: Vec<usize>) -> Self {
@@ -150,195 +157,318 @@ pub fn compile_structured_dnnf_traced(
 /// directly into a certified smooth d-SDNNF (see the module docs for the
 /// invariants and why they hold). Rejects nondeterministic automata and
 /// events shared between nodes; determinize / re-event first in those cases.
-#[allow(clippy::needless_range_loop)] // `q` is a state id, not just an index
 pub fn compile_structured_dnnf(
     automaton: &TreeAutomaton,
     tree: &UncertainTree,
 ) -> Result<StructuredDnnf, StructuredDnnfError> {
-    if !automaton.is_deterministic() {
-        return Err(StructuredDnnfError::NondeterministicAutomaton);
-    }
-    let mut seen_events: BTreeMap<usize, usize> = BTreeMap::new();
-    for node in 0..tree.tree().node_count() {
-        if let NodeAnnotation::Event { event, .. } = tree.annotation(crate::tree::NodeId(node)) {
-            *seen_events.entry(event).or_insert(0) += 1;
+    Ok(StructuredBuilder::new(automaton, tree)?.compile(|_, _, _| None))
+}
+
+/// The construction's value at one tree node, in the arenas of the build it
+/// belongs to: per automaton state `q`, the gate for "the run reaches `q`
+/// here" — the false constant, the true constant (event-free subtrees
+/// only), or a gate whose scope is exactly the events of the node's subtree
+/// (the smoothness invariant) — and the vtree node covering those events
+/// (`None` if the subtree is event-free).
+#[derive(Clone, Debug)]
+pub struct SubtreeGates {
+    /// Indexed by automaton state; one entry per state.
+    pub gates: Vec<GateId>,
+    /// The vtree node over the subtree's events, if it has any.
+    pub vnode: Option<VtreeId>,
+}
+
+/// A subtree compiled into arenas of its own by
+/// [`StructuredBuilder::compile_subtree`]: the constants sit at gate ids 0
+/// (false) and 1 (true), and every other gate and vtree node is what the
+/// whole-tree construction allocates for this subtree, in the same order.
+#[derive(Clone, Debug)]
+pub struct CompiledSubtree {
+    /// The constants followed by the subtree's gates.
+    pub circuit: Circuit,
+    /// The subtree's vtree nodes.
+    pub vtree: Vtree,
+    /// The value at the subtree's root.
+    pub root: SubtreeGates,
+}
+
+/// The Theorem 6.11 construction on a validated input: one post-order pass
+/// running the leaf rule and the internal rule, into append-only arenas.
+///
+/// The pass asks a *splice* callback at every node before entering it; a
+/// callback that returns the node's [`SubtreeGates`] (built into the arenas
+/// it is handed) stands in for the node's whole subtree, whose interior is
+/// then skipped. Because a subtree occupies a contiguous post-order segment
+/// and the arenas are append-only, splicing in exactly the gates and vtree
+/// nodes [`StructuredBuilder::compile_subtree`] produced for that subtree
+/// (constants mapped to the global ids 0/1, the rest offset) reproduces the
+/// unspliced build byte for byte. This is the seam the parallel engine
+/// compiles fragments on worker threads through.
+#[derive(Clone, Copy, Debug)]
+pub struct StructuredBuilder<'a> {
+    automaton: &'a TreeAutomaton,
+    tree: &'a UncertainTree,
+}
+
+impl<'a> StructuredBuilder<'a> {
+    /// Validates the input: the automaton must be bottom-up deterministic
+    /// (else the ∨ over runs is not deterministic), and no event may
+    /// control two nodes (else the ∧ over children is not decomposable).
+    pub fn new(
+        automaton: &'a TreeAutomaton,
+        tree: &'a UncertainTree,
+    ) -> Result<Self, StructuredDnnfError> {
+        if !automaton.is_deterministic() {
+            return Err(StructuredDnnfError::NondeterministicAutomaton);
         }
+        let mut seen_events: BTreeMap<usize, usize> = BTreeMap::new();
+        for node in 0..tree.tree().node_count() {
+            if let NodeAnnotation::Event { event, .. } = tree.annotation(NodeId(node)) {
+                *seen_events.entry(event).or_insert(0) += 1;
+            }
+        }
+        if let Some((&event, _)) = seen_events.iter().find(|(_, &count)| count > 1) {
+            return Err(StructuredDnnfError::SharedEvent { event });
+        }
+        Ok(StructuredBuilder { automaton, tree })
     }
-    if let Some((&event, _)) = seen_events.iter().find(|(_, &count)| count > 1) {
-        return Err(StructuredDnnfError::SharedEvent { event });
+
+    /// The automaton the construction runs.
+    pub fn automaton(&self) -> &'a TreeAutomaton {
+        self.automaton
     }
 
-    let mut circuit = Circuit::new();
-    let false_gate = circuit.constant(false);
-    let true_gate = circuit.constant(true);
-    let states = automaton.state_count();
-    let node_count = tree.tree().node_count();
-    // gates[node][q]: either the false constant, the true constant (only for
-    // event-free subtrees), or a gate whose scope is exactly the events of
-    // the node's subtree — the smoothness invariant.
-    let mut gates: Vec<Vec<GateId>> = vec![vec![false_gate; states]; node_count];
-    // Vtree subtree covering each tree node's events (`None` if event-free),
-    // assembled bottom-up alongside the gates.
-    let mut vtree = Vtree::new();
-    let mut vnodes: Vec<Option<VtreeId>> = vec![None; node_count];
+    /// The uncertain tree the construction runs on.
+    pub fn tree(&self) -> &'a UncertainTree {
+        self.tree
+    }
 
-    // Conjunction keeping the smoothness invariant: constants true drop out
-    // (they carry no scope), `None` means the whole conjunct is true.
-    let conjoin =
-        |parts: Vec<GateId>, circuit: &mut Circuit, true_gate: GateId| -> Option<GateId> {
-            let real: Vec<GateId> = parts.into_iter().filter(|&g| g != true_gate).collect();
-            match real.len() {
-                0 => None,
-                1 => Some(real[0]),
-                _ => Some(circuit.and(real)),
-            }
+    /// Builds the whole tree (with `splice`, see the type docs) and
+    /// assembles the output: the disjunction of the root's accepting-state
+    /// gates, structured by the root's vtree node.
+    pub fn compile<F>(&self, splice: F) -> StructuredDnnf
+    where
+        F: FnMut(NodeId, &mut Circuit, &mut Vtree) -> Option<SubtreeGates>,
+    {
+        let CompiledSubtree {
+            mut circuit,
+            mut vtree,
+            root,
+        } = self.compile_subtree(self.tree.tree().root(), splice);
+        let accepting: Vec<GateId> = self
+            .automaton
+            .accepting_states()
+            .iter()
+            .map(|&q| root.gates[q])
+            .filter(|&g| g != FALSE)
+            .collect();
+        let output = match accepting.len() {
+            0 => FALSE,
+            1 => accepting[0],
+            _ => circuit.or(accepting),
         };
-
-    for node in tree.tree().post_order() {
-        let own_event = match tree.annotation(node) {
-            NodeAnnotation::Fixed => None,
-            NodeAnnotation::Event { event, .. } => Some(event),
-        };
-        match tree.tree().children(node) {
-            None => {
-                for q in 0..states {
-                    gates[node.0][q] = match tree.annotation(node) {
-                        NodeAnnotation::Fixed => {
-                            if automaton.leaf_states(tree.tree().label(node)).contains(&q) {
-                                true_gate
-                            } else {
-                                false_gate
-                            }
-                        }
-                        NodeAnnotation::Event {
-                            event,
-                            if_true,
-                            if_false,
-                        } => {
-                            let in_true = automaton.leaf_states(if_true).contains(&q);
-                            let in_false = automaton.leaf_states(if_false).contains(&q);
-                            match (in_true, in_false) {
-                                // Smoothness: the gate must mention the
-                                // event, so a both-labels state compiles to
-                                // the tautology e ∨ ¬e, not to true.
-                                (true, true) => {
-                                    let v = circuit.var(event);
-                                    let nv = circuit.not(v);
-                                    circuit.or(vec![v, nv])
-                                }
-                                (false, false) => false_gate,
-                                (true, false) => circuit.var(event),
-                                (false, true) => {
-                                    let v = circuit.var(event);
-                                    circuit.not(v)
-                                }
-                            }
-                        }
-                    };
-                }
-                vnodes[node.0] = own_event.map(|e| vtree.leaf(e));
-            }
-            Some((left, right)) => {
-                // Guarded label alternatives, as in `provenance_circuit`.
-                let alternatives: Vec<(usize, Option<GateId>)> = match tree.annotation(node) {
-                    NodeAnnotation::Fixed => vec![(tree.tree().label(node), None)],
-                    NodeAnnotation::Event {
-                        event,
-                        if_true,
-                        if_false,
-                    } => {
-                        let v = circuit.var(event);
-                        let not_v = circuit.not(v);
-                        vec![(if_true, Some(v)), (if_false, Some(not_v))]
-                    }
-                };
-                // Iterate only over *live* (non-false) child states and push
-                // each discovered run into its target state's disjunct list:
-                // cost per node is |live_l| · |live_r| · |alternatives|
-                // rather than |states|³, which is what keeps this linear on
-                // the lazily-materialized automata of the encoding pipeline
-                // (whose total state count far exceeds the per-node live
-                // count). Discovery order per target state is (alternative,
-                // left state, right state) lexicographic — identical to the
-                // dense triple loop this replaces.
-                let live_left: Vec<usize> = (0..states)
-                    .filter(|&q| gates[left.0][q] != false_gate)
-                    .collect();
-                let live_right: Vec<usize> = (0..states)
-                    .filter(|&q| gates[right.0][q] != false_gate)
-                    .collect();
-                let mut disjuncts: Vec<Vec<GateId>> = vec![Vec::new(); states];
-                for &(label, guard) in &alternatives {
-                    for &ql in &live_left {
-                        for &qr in &live_right {
-                            for &q in &automaton.internal_states(label, ql, qr) {
-                                let gl = gates[left.0][ql];
-                                let gr = gates[right.0][qr];
-                                // Nested binary shape guard ∧ (gl ∧ gr):
-                                // what the node's vtree split witnesses.
-                                let inner = conjoin(vec![gl, gr], &mut circuit, true_gate);
-                                let conj = match (guard, inner) {
-                                    (None, None) => true_gate,
-                                    (None, Some(g)) => g,
-                                    (Some(gv), None) => gv,
-                                    (Some(gv), Some(g)) => circuit.and(vec![gv, g]),
-                                };
-                                disjuncts[q].push(conj);
-                            }
-                        }
-                    }
-                }
-                for (q, disjuncts) in disjuncts.into_iter().enumerate() {
-                    gates[node.0][q] = match disjuncts.len() {
-                        0 => false_gate,
-                        1 => disjuncts[0],
-                        _ => circuit.or(disjuncts),
-                    };
-                }
-                // Vtree split for this node: own event against the combined
-                // children scopes (skipping event-free parts).
-                let children_v = match (vnodes[left.0], vnodes[right.0]) {
-                    (None, None) => None,
-                    (Some(l), None) => Some(l),
-                    (None, Some(r)) => Some(r),
-                    (Some(l), Some(r)) => Some(vtree.internal(l, r)),
-                };
-                vnodes[node.0] = match (own_event, children_v) {
-                    (None, v) => v,
-                    (Some(e), None) => Some(vtree.leaf(e)),
-                    (Some(e), Some(v)) => {
-                        let leaf = vtree.leaf(e);
-                        Some(vtree.internal(leaf, v))
-                    }
-                };
-            }
+        circuit.set_output(output);
+        if let Some(v) = root.vnode {
+            vtree.set_root(v);
+        }
+        let dnnf = Dnnf::from_trusted_circuit(circuit)
+            .expect("the structured construction is decomposable by construction");
+        StructuredDnnf {
+            dnnf,
+            vtree,
+            universe: self.tree.events(),
         }
     }
 
-    let root = tree.tree().root();
-    let accepting: Vec<GateId> = automaton
-        .accepting_states()
-        .iter()
-        .map(|&q| gates[root.0][q])
-        .filter(|&g| g != false_gate)
-        .collect();
-    let output = match accepting.len() {
-        0 => false_gate,
-        1 => accepting[0],
-        _ => circuit.or(accepting),
-    };
-    circuit.set_output(output);
-    if let Some(v) = vnodes[root.0] {
-        vtree.set_root(v);
+    /// Builds the subtree rooted at `root` into fresh arenas (constants at
+    /// gate ids 0 and 1), asking `splice` at every node before entering it
+    /// (see the type docs).
+    pub fn compile_subtree<F>(&self, root: NodeId, mut splice: F) -> CompiledSubtree
+    where
+        F: FnMut(NodeId, &mut Circuit, &mut Vtree) -> Option<SubtreeGates>,
+    {
+        let tree = self.tree.tree();
+        let mut circuit = Circuit::new();
+        circuit.constant(false);
+        circuit.constant(true);
+        let mut vtree = Vtree::new();
+        // Post-order with the values of finished nodes on a stack: when a
+        // node is exited, its children's values are the top two entries.
+        let mut pending: Vec<SubtreeGates> = Vec::new();
+        let mut todo = vec![(root, false)];
+        while let Some((node, exited)) = todo.pop() {
+            let value = if exited {
+                let right = pending.pop().expect("post-order: children first");
+                let left = pending.pop().expect("post-order: children first");
+                self.internal_rule(node, &left, &right, &mut circuit, &mut vtree)
+            } else if let Some(spliced) = splice(node, &mut circuit, &mut vtree) {
+                debug_assert_eq!(spliced.gates.len(), self.automaton.state_count());
+                spliced
+            } else if let Some((left, right)) = tree.children(node) {
+                todo.push((node, true));
+                todo.push((right, false));
+                todo.push((left, false));
+                continue;
+            } else {
+                self.leaf_rule(node, &mut circuit, &mut vtree)
+            };
+            pending.push(value);
+        }
+        CompiledSubtree {
+            circuit,
+            vtree,
+            root: pending.pop().expect("the root is finished last"),
+        }
     }
 
-    let dnnf = Dnnf::from_trusted_circuit(circuit)
-        .expect("the structured construction is decomposable by construction");
-    Ok(StructuredDnnf {
-        dnnf,
-        vtree,
-        universe: tree.events(),
-    })
+    /// A leaf: per state, true/false for a fixed label; for an event-guarded
+    /// leaf, the event literal selecting the labels that reach the state.
+    fn leaf_rule(&self, node: NodeId, circuit: &mut Circuit, vtree: &mut Vtree) -> SubtreeGates {
+        let states = self.automaton.state_count();
+        let gates = match self.tree.annotation(node) {
+            NodeAnnotation::Fixed => {
+                let reached = self.automaton.leaf_states(self.tree.tree().label(node));
+                (0..states)
+                    .map(|q| if reached.contains(&q) { TRUE } else { FALSE })
+                    .collect()
+            }
+            NodeAnnotation::Event {
+                event,
+                if_true,
+                if_false,
+            } => {
+                let on_true = self.automaton.leaf_states(if_true);
+                let on_false = self.automaton.leaf_states(if_false);
+                (0..states)
+                    .map(|q| match (on_true.contains(&q), on_false.contains(&q)) {
+                        // Smoothness: the gate must mention the event, so a
+                        // both-labels state compiles to the tautology
+                        // e ∨ ¬e, not to true.
+                        (true, true) => {
+                            let v = circuit.var(event);
+                            let nv = circuit.not(v);
+                            circuit.or(vec![v, nv])
+                        }
+                        (false, false) => FALSE,
+                        (true, false) => circuit.var(event),
+                        (false, true) => {
+                            let v = circuit.var(event);
+                            circuit.not(v)
+                        }
+                    })
+                    .collect()
+            }
+        };
+        SubtreeGates {
+            gates,
+            vnode: own_event(self.tree, node).map(|e| vtree.leaf(e)),
+        }
+    }
+
+    /// An internal node: per state `q`, the ∨ over the runs reaching `q` of
+    /// guard ∧ (left ∧ right), and the vtree split of the node's own event
+    /// against its children's scopes.
+    fn internal_rule(
+        &self,
+        node: NodeId,
+        left: &SubtreeGates,
+        right: &SubtreeGates,
+        circuit: &mut Circuit,
+        vtree: &mut Vtree,
+    ) -> SubtreeGates {
+        let states = self.automaton.state_count();
+        // Guarded label alternatives, as in `provenance_circuit`.
+        let alternatives: Vec<(usize, Option<GateId>)> = match self.tree.annotation(node) {
+            NodeAnnotation::Fixed => vec![(self.tree.tree().label(node), None)],
+            NodeAnnotation::Event {
+                event,
+                if_true,
+                if_false,
+            } => {
+                let v = circuit.var(event);
+                let not_v = circuit.not(v);
+                vec![(if_true, Some(v)), (if_false, Some(not_v))]
+            }
+        };
+        // Iterate only over *live* (non-false) child states and push each
+        // discovered run into its target state's disjunct list: cost per
+        // node is |live_l| · |live_r| · |alternatives| rather than
+        // |states|³, which is what keeps this linear on the
+        // lazily-materialized automata of the encoding pipeline (whose total
+        // state count far exceeds the per-node live count). Discovery order
+        // per target state is (alternative, left state, right state)
+        // lexicographic.
+        let live = |side: &SubtreeGates| -> Vec<usize> {
+            (0..states).filter(|&q| side.gates[q] != FALSE).collect()
+        };
+        let (live_left, live_right) = (live(left), live(right));
+        let mut disjuncts: Vec<Vec<GateId>> = vec![Vec::new(); states];
+        for &(label, guard) in &alternatives {
+            for &ql in &live_left {
+                for &qr in &live_right {
+                    for &q in &self.automaton.internal_states(label, ql, qr) {
+                        let (gl, gr) = (left.gates[ql], right.gates[qr]);
+                        // Nested binary shape guard ∧ (gl ∧ gr): what the
+                        // node's vtree split witnesses. Constants true carry
+                        // no scope and drop out.
+                        let inner = match (gl == TRUE, gr == TRUE) {
+                            (true, true) => None,
+                            (true, false) => Some(gr),
+                            (false, true) => Some(gl),
+                            (false, false) => Some(circuit.and(vec![gl, gr])),
+                        };
+                        let conj = match (guard, inner) {
+                            (None, None) => TRUE,
+                            (None, Some(g)) => g,
+                            (Some(gv), None) => gv,
+                            (Some(gv), Some(g)) => circuit.and(vec![gv, g]),
+                        };
+                        disjuncts[q].push(conj);
+                    }
+                }
+            }
+        }
+        // A fresh vector, not `disjuncts.into_iter().map(..).collect()`:
+        // that collect reuses the three-times-larger `Vec<Vec<_>>` buffer,
+        // which fragment roots then keep alive in the fragment library.
+        let mut gates = Vec::with_capacity(states);
+        for disjuncts in disjuncts {
+            gates.push(match disjuncts.len() {
+                0 => FALSE,
+                1 => disjuncts[0],
+                _ => circuit.or(disjuncts),
+            });
+        }
+        // Vtree split for this node: own event against the combined
+        // children scopes (skipping event-free parts).
+        let children_v = match (left.vnode, right.vnode) {
+            (None, None) => None,
+            (Some(l), None) => Some(l),
+            (None, Some(r)) => Some(r),
+            (Some(l), Some(r)) => Some(vtree.internal(l, r)),
+        };
+        let vnode = match (own_event(self.tree, node), children_v) {
+            (None, v) => v,
+            (Some(e), None) => Some(vtree.leaf(e)),
+            (Some(e), Some(v)) => {
+                let leaf = vtree.leaf(e);
+                Some(vtree.internal(leaf, v))
+            }
+        };
+        SubtreeGates { gates, vnode }
+    }
+}
+
+/// The constant gates every build allocates first.
+const FALSE: GateId = GateId(0);
+const TRUE: GateId = GateId(1);
+
+/// The event controlling `node`, if any.
+fn own_event(tree: &UncertainTree, node: NodeId) -> Option<usize> {
+    match tree.annotation(node) {
+        NodeAnnotation::Fixed => None,
+        NodeAnnotation::Event { event, .. } => Some(event),
+    }
 }
 
 #[cfg(test)]
@@ -346,7 +476,7 @@ mod tests {
     use super::*;
     use crate::automaton::{exists_one_automaton, parity_automaton};
     use crate::provenance::acceptance_probability_bruteforce;
-    use crate::tree::{BinaryTree, NodeId};
+    use crate::tree::BinaryTree;
     use std::collections::BTreeSet;
 
     fn uncertain_leaves(n: usize) -> UncertainTree {

@@ -420,23 +420,14 @@ impl<'a> LineageBuilder<'a> {
             },
         )?;
         let automaton = compiled.automaton_for(encoding.tree())?;
-        let lineage = if self.engine_config.threads > 1 {
-            treelineage_engine::compile_structured_dnnf_parallel(
-                &automaton,
-                encoding.tree(),
-                &self.engine_config,
-            )
-            .map_err(|e| LineageError::Provenance(e.to_string()))?
-        } else {
-            treelineage_engine::ParallelDnnf::sequential(
-                treelineage_automata::compile_structured_dnnf_traced(
-                    &automaton,
-                    encoding.tree(),
-                    telemetry,
-                )
-                .map_err(|e| LineageError::Provenance(e.to_string()))?,
-            )
-        };
+        // At one thread (or on a small tree) this is the traced sequential
+        // compile; otherwise fragments on the pool, spliced into one build.
+        let lineage = treelineage_engine::compile_structured_dnnf_parallel(
+            &automaton,
+            encoding.tree(),
+            &self.engine_config,
+        )
+        .map_err(|e| LineageError::Provenance(e.to_string()))?;
         Ok(AutomatonLineage {
             lineage,
             threads: self.engine_config.threads,

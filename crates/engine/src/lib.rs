@@ -1,20 +1,20 @@
 //! Parallel + batched serving layer over the `treelineage` lineage
 //! pipeline.
 //!
-//! The paper's bottom-up constructions (the automaton run and the
-//! Theorem 6.11 d-SDNNF gate construction) are embarrassingly parallel over
+//! The paper's bottom-up construction (the Theorem 6.11 d-SDNNF gate
+//! construction over the automaton run) is embarrassingly parallel over
 //! disjoint subtrees; a serving system additionally sees *many* requests
 //! that share compile work (same query, same instance, different weights).
 //! This crate provides both layers, using only `std::thread` per the
 //! workspace's no-external-deps rule:
 //!
-//! * [`compile_structured_dnnf_parallel`] / [`parallel_reachable_states`] —
-//!   a work-stealing subtree scheduler that compiles fragments on worker
-//!   threads and merges them deterministically, with output **bit-identical**
-//!   to the sequential path at every thread count (see `parallel`'s module
-//!   docs for the contract); [`ParallelDnnf`] carries the fragment
-//!   partition so probability / WMC / model-counting passes parallelize the
-//!   same way.
+//! * [`compile_structured_dnnf_parallel`] — a work-stealing subtree
+//!   scheduler that compiles fragments on worker threads with the automata
+//!   crate's one `StructuredBuilder` and splices them into its whole-tree
+//!   build, with output **bit-identical** to the sequential path at every
+//!   thread count (see `parallel`'s module docs for the contract);
+//!   [`ParallelDnnf`] carries the fragment partition so probability / WMC /
+//!   model-counting passes parallelize the same way.
 //! * [`EvalSession`] — a long-lived session holding the persistent compiled
 //!   query machines, per-instance tree encodings and compiled lineages,
 //!   exposing [`EvalSession::batch_probability`] /
@@ -35,9 +35,7 @@ mod pool;
 mod session;
 
 pub use approx::{karp_luby_probability, karp_luby_sample_bound, KarpLubyEstimate};
-pub use parallel::{
-    compile_structured_dnnf_parallel, parallel_reachable_states, CircuitPartition, ParallelDnnf,
-};
+pub use parallel::{compile_structured_dnnf_parallel, CircuitPartition, ParallelDnnf};
 pub use session::{
     validate_insert, validate_retract, CacheOccupancy, DecisionTier, EngineError, EvalSession,
     ExplainReport, InstanceId, ProbabilityRequest, QueryId, SessionBackend, SessionStats,

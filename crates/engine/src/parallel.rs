@@ -1,29 +1,37 @@
 //! Parallel bottom-up subtree compilation with a **bit-identical** output
 //! contract.
 //!
-//! Every bottom-up pass of the lineage pipeline — the automaton run, the
-//! Theorem 6.11 d-SDNNF gate construction, and the evaluation passes over
-//! the resulting circuit — has the same shape: disjoint subtrees are
-//! independent, and only the "spine" of nodes above the chosen cut points
-//! sequentializes. This module exploits that:
+//! The Theorem 6.11 d-SDNNF construction and the evaluation passes over the
+//! resulting circuit are bottom-up: disjoint subtrees are independent, and
+//! only the "spine" of nodes above the chosen cut points sequentializes.
+//! This module exploits that, without a construction of its own — the
+//! automata crate's [`StructuredBuilder`] is the only code that knows the
+//! leaf rule, the internal rule, the input validation and the output
+//! assembly. What lives here is:
 //!
-//! 1. [`SubtreePlan`] cuts the tree into fragments of comparable size (one
-//!    contiguous post-order segment each) plus the spine above them;
-//! 2. worker threads compile fragments independently (scheduled by the
-//!    work-stealing pool in `pool`);
-//! 3. a deterministic merge replays each fragment into the global arenas
-//!    **in global post-order**, then runs the spine sequentially.
+//! 1. the plan: [`SubtreePlan`] cuts the tree into fragments of comparable
+//!    size (one contiguous post-order segment each) plus the spine above
+//!    them;
+//! 2. the pool fan-out: worker threads (the work-stealing pool in `pool`)
+//!    run [`StructuredBuilder::compile_subtree`] from each cut into a local
+//!    arena, unless the fragment library already holds that subtree;
+//! 3. the replay: one whole-tree [`StructuredBuilder::compile`] on the
+//!    caller's thread splices each fragment in when the post-order reaches
+//!    its cut ([`replay_circuit`] / [`replay_vtree`]) and builds the spine
+//!    itself.
 //!
 //! The determinism contract: because `Circuit` and `Vtree` are append-only
 //! arenas and a subtree's nodes occupy a contiguous post-order segment, the
-//! sequential construction allocates a fragment's gates as one contiguous id
-//! block that references only the block itself plus the two constant gates.
-//! Replaying fragments in post-order therefore reproduces the sequential
+//! whole-tree build allocates a fragment's gates as one contiguous id block
+//! that references only the block itself plus the two constant gates.
+//! Replaying fragments at their cuts therefore reproduces the sequential
 //! gate stream *byte for byte* — same gates, same ids, same operand order,
-//! same output — at every thread count, with no iteration-order leakage
-//! (worker completion order never influences ids; only the tree shape
-//! does). `tests` and the umbrella `tests/parallel_differential.rs` pin
-//! this gate-by-gate against [`treelineage_automata::compile_structured_dnnf`].
+//! same output — at every thread count and for every choice of cuts, with
+//! no iteration-order leakage (worker completion order never influences
+//! ids; only the tree shape does). `tests` (including arbitrary cut sets)
+//! and the umbrella `tests/parallel_differential.rs` pin this gate-by-gate
+//! against [`treelineage_automata::compile_structured_dnnf`]; the umbrella
+//! `tests/dsdnnf_golden.rs` pins both against recorded digests.
 //!
 //! Evaluation reuses the same partition: each fragment's gate range is
 //! self-contained, so [`ParallelDnnf::evaluate`] runs the circuit crate's
@@ -34,20 +42,21 @@
 //! exact probability and WMC passes run [`Wmc`] over [`BigInt`] weights and
 //! reduce once per answer (fraction-free, see [`ParallelDnnf::wmc`]). A
 //! gate's value depends only on its inputs' values and the fixed operand
-//! order, so the result equals the sequential [`Dnnf::evaluate`] bit for
-//! bit at every thread count, floating-point intervals included.
+//! order, so the result equals the sequential
+//! [`Dnnf::evaluate`](treelineage_circuit::Dnnf::evaluate) bit for bit at
+//! every thread count, floating-point intervals included.
 
 use crate::pool::run_tasks;
 use crate::EngineConfig;
-use std::collections::BTreeMap;
 use std::collections::HashMap;
+use std::sync::Arc;
 use treelineage_automata::{
-    compile_structured_dnnf_traced, BinaryTree, NodeAnnotation, NodeId, State, StructuredDnnf,
-    StructuredDnnfError, TreeAutomaton, UncertainTree,
+    compile_structured_dnnf_traced, BinaryTree, CompiledSubtree, NodeAnnotation, NodeId,
+    StructuredBuilder, StructuredDnnf, StructuredDnnfError, SubtreeGates, TreeAutomaton,
+    UncertainTree,
 };
 use treelineage_circuit::{
-    eval_gate, Circuit, Count, Dnnf, Gate, GateId, Probability, Semiring, Vtree, VtreeId,
-    VtreeNode, Wmc,
+    eval_gate, Circuit, Count, Gate, GateId, Probability, Semiring, Vtree, VtreeId, VtreeNode, Wmc,
 };
 use treelineage_num::{BigInt, BigUint, ErrorInterval, Rational};
 use treelineage_telemetry::Telemetry;
@@ -101,15 +110,10 @@ impl SubtreePlan {
             };
         }
         let mut cuts = Vec::new();
-        let mut owner: Vec<Option<u32>> = vec![None; n];
         let mut stack = vec![tree.root()];
         while let Some(node) = stack.pop() {
             if sizes[node.0] <= grain {
-                let index = cuts.len() as u32;
                 cuts.push(node);
-                for member in tree.post_order_from(node) {
-                    owner[member.0] = Some(index);
-                }
             } else {
                 // A node larger than the grain has children (leaves have
                 // size 1 ≤ grain); it stays on the spine.
@@ -121,7 +125,20 @@ impl SubtreePlan {
         if cuts.len() < 2 {
             return None;
         }
-        Some(SubtreePlan { cuts, owner })
+        Some(SubtreePlan::new(tree, cuts))
+    }
+
+    /// The plan with the given cut points, which must form an antichain
+    /// (no cut inside another's subtree); every other node is spine.
+    fn new(tree: &BinaryTree, cuts: Vec<NodeId>) -> SubtreePlan {
+        let mut owner: Vec<Option<u32>> = vec![None; tree.node_count()];
+        for (index, &cut) in cuts.iter().enumerate() {
+            for member in tree.post_order_from(cut) {
+                debug_assert!(owner[member.0].is_none(), "cuts form an antichain");
+                owner[member.0] = Some(index as u32);
+            }
+        }
+        SubtreePlan { cuts, owner }
     }
 }
 
@@ -200,9 +217,10 @@ impl ParallelDnnf {
     /// [`eval_gate`] step: self-contained fragment ranges on up to
     /// `threads` pool workers first, then one sweep on the caller's thread
     /// over the spine gates outside every fragment. With one thread or no
-    /// partition this is [`Dnnf::evaluate`]. Each gate's value depends only
-    /// on its inputs' values and the fixed operand order, so the result is
-    /// the same bit for bit at every thread count.
+    /// partition this is
+    /// [`Dnnf::evaluate`](treelineage_circuit::Dnnf::evaluate). Each gate's
+    /// value depends only on its inputs' values and the fixed operand
+    /// order, so the result is the same bit for bit at every thread count.
     pub(crate) fn evaluate<S>(&self, semiring: &S, threads: usize) -> S::Value
     where
         S: Semiring + Sync,
@@ -260,7 +278,8 @@ impl ParallelDnnf {
     /// fraction-free: event `v` with `P(v) = a/b` weighs `a` as a positive
     /// literal and `b - a` as a negative one, and one [`Wmc`] pass over
     /// [`BigInt`] divided by `∏ b` gives the answer (see
-    /// [`ParallelDnnf::wmc`]). Equal to the `Rational` [`Dnnf::probability`].
+    /// [`ParallelDnnf::wmc`]). Equal to the `Rational`
+    /// [`Dnnf::probability`](treelineage_circuit::Dnnf::probability).
     pub fn probability(
         &self,
         prob: &(dyn Fn(usize) -> Rational + Sync),
@@ -284,7 +303,8 @@ impl ParallelDnnf {
     /// `∏ c` over the universe is the answer — the only gcd of the call.
     /// Sound because the circuit is smooth and its output mentions every
     /// universe event (or is `Const(false)`), which the [`StructuredDnnf`]
-    /// invariant guarantees. Equal to the `Rational` [`Dnnf::wmc`].
+    /// invariant guarantees. Equal to the `Rational`
+    /// [`Dnnf::wmc`](treelineage_circuit::Dnnf::wmc).
     pub fn wmc(
         &self,
         pos: &(dyn Fn(usize) -> Rational + Sync),
@@ -367,24 +387,12 @@ impl ParallelDnnf {
     }
 }
 
-/// A compiled fragment: the gates and vtree nodes the sequential
-/// construction would allocate for this subtree, with local ids (constants
-/// at 0/1, everything else offset by 2 at replay time).
-struct Fragment {
-    circuit: Circuit,
-    vtree: Vtree,
-    /// Per automaton state, the (local) gate of the fragment root.
-    root_gates: Vec<GateId>,
-    /// The (local) vtree node covering the fragment root's events, if any.
-    root_vnode: Option<VtreeId>,
-}
-
 /// The full post-order content of a fragment subtree — `(label, is-leaf,
 /// event annotation)` per node. Two subtrees with equal keys have equal
-/// shape, labels and events, so [`compile_fragment`] produces byte-identical
-/// output for them (its gate stream is a pure function of this content and
-/// the automaton's memoized transitions). Keys are compared in full — no
-/// hash shortcut decides reuse.
+/// shape, labels and events, so [`StructuredBuilder::compile_subtree`]
+/// produces byte-identical output for them (its gate stream is a pure
+/// function of this content and the automaton's memoized transitions). Keys
+/// are compared in full — no hash shortcut decides reuse.
 type FragmentKey = Vec<(usize, bool, Option<(usize, usize, usize)>)>;
 
 fn fragment_key(tree: &UncertainTree, root: NodeId) -> FragmentKey {
@@ -412,15 +420,15 @@ fn fragment_key(tree: &UncertainTree, root: NodeId) -> FragmentKey {
 /// Compiled fragments of one artifact, keyed by subtree content: the unit
 /// of reuse for incremental recompilation. After an update, fragments whose
 /// post-order content (shape, labels, events) is unchanged hit the library
-/// and skip [`compile_fragment`] entirely; only dirty fragments recompile,
-/// and the deterministic merge replays as usual. Validity is the caller's
+/// and skip compilation entirely; only dirty fragments recompile, and the
+/// deterministic merge replays as usual. Validity is the caller's
 /// contract: a library may only be replayed against the *same* compiled
 /// query machine that produced it (state numbering is machine-history
 /// dependent), with an automaton whose state count has only grown — the
 /// session layer guards both.
 #[derive(Clone, Default)]
 pub(crate) struct FragmentLibrary {
-    fragments: HashMap<FragmentKey, std::sync::Arc<Fragment>>,
+    fragments: HashMap<FragmentKey, Arc<CompiledSubtree>>,
 }
 
 impl FragmentLibrary {
@@ -498,45 +506,42 @@ pub(crate) fn compile_with_pool_cached(
     previous: Option<&FragmentLibrary>,
 ) -> Result<CachedCompile, StructuredDnnfError> {
     let telemetry = &config.telemetry;
-    let plan = match SubtreePlan::cut(tree.tree(), config.threads, config.fragment_grain) {
-        Some(plan) => plan,
-        None => {
-            return compile_structured_dnnf_traced(automaton, tree, telemetry).map(|s| {
-                CachedCompile {
-                    artifact: ParallelDnnf::sequential(s).with_telemetry(telemetry.clone()),
-                    library: FragmentLibrary::default(),
-                    stats: RecompileStats::default(),
-                }
-            })
-        }
-    };
-    // Same validation, in the same order, as the sequential compiler: the
-    // parallel path must fail on exactly the inputs (and with exactly the
-    // errors) the sequential path fails on.
-    if !automaton.is_deterministic() {
-        return Err(StructuredDnnfError::NondeterministicAutomaton);
+    match SubtreePlan::cut(tree.tree(), config.threads, config.fragment_grain) {
+        Some(plan) => Ok(compile_planned(
+            &StructuredBuilder::new(automaton, tree)?,
+            &plan,
+            telemetry,
+            pool_threads,
+            previous,
+        )),
+        None => compile_structured_dnnf_traced(automaton, tree, telemetry).map(|s| CachedCompile {
+            artifact: ParallelDnnf::sequential(s).with_telemetry(telemetry.clone()),
+            library: FragmentLibrary::default(),
+            stats: RecompileStats::default(),
+        }),
     }
-    let mut seen_events: BTreeMap<usize, usize> = BTreeMap::new();
-    for node in 0..tree.tree().node_count() {
-        if let NodeAnnotation::Event { event, .. } = tree.annotation(NodeId(node)) {
-            *seen_events.entry(event).or_insert(0) += 1;
-        }
-    }
-    if let Some((&event, _)) = seen_events.iter().find(|(_, &count)| count > 1) {
-        return Err(StructuredDnnfError::SharedEvent { event });
-    }
+}
 
-    let states = automaton.state_count();
-
+/// Compiles along `plan`: each cut's subtree with
+/// [`StructuredBuilder::compile_subtree`] on the pool (or from `previous`),
+/// then one whole-tree [`StructuredBuilder::compile`] on the caller's thread
+/// that splices every fragment in at its cut.
+fn compile_planned(
+    builder: &StructuredBuilder<'_>,
+    plan: &SubtreePlan,
+    telemetry: &Telemetry,
+    pool_threads: usize,
+    previous: Option<&FragmentLibrary>,
+) -> CachedCompile {
     // Phase 1: fragments, in parallel — but first settle, per cut, whether
     // the library already holds this subtree's compile. The key is the full
     // post-order content, so a hit is exactly "this subtree is untouched".
     let keys: Vec<FragmentKey> = plan
         .cuts
         .iter()
-        .map(|&cut| fragment_key(tree, cut))
+        .map(|&cut| fragment_key(builder.tree(), cut))
         .collect();
-    let cached: Vec<Option<std::sync::Arc<Fragment>>> = keys
+    let cached: Vec<Option<Arc<CompiledSubtree>>> = keys
         .iter()
         .map(|key| previous.and_then(|lib| lib.fragments.get(key).cloned()))
         .collect();
@@ -551,7 +556,7 @@ pub(crate) fn compile_with_pool_cached(
 
     // Only dirty fragments hit the pool. Results land in dirty order, so
     // nothing downstream depends on completion order.
-    let compiled: Vec<Fragment> = {
+    let compiled: Vec<CompiledSubtree> = {
         let mut span = telemetry.span("dsdnnf_fragments");
         span.label("fragments", plan.cuts.len());
         span.label("reused", stats.reused);
@@ -561,316 +566,69 @@ pub(crate) fn compile_with_pool_cached(
             // via the caller's span stack. Either way: one connected trace.
             let mut fragment_span = telemetry.span("dsdnnf_fragment");
             fragment_span.label("fragment", dirty[j]);
-            compile_fragment(automaton, tree, plan.cuts[dirty[j]], states)
+            builder.compile_subtree(plan.cuts[dirty[j]], |_, _, _| None)
         })
     };
     let mut compiled = compiled.into_iter();
-    let fragments: Vec<std::sync::Arc<Fragment>> = cached
+    let fragments: Vec<Arc<CompiledSubtree>> = cached
         .into_iter()
-        .map(|slot| match slot {
-            Some(fragment) => fragment,
-            None => std::sync::Arc::new(compiled.next().expect("one compile per dirty cut")),
-        })
+        .map(|slot| slot.unwrap_or_else(|| Arc::new(compiled.next().expect("one per dirty cut"))))
         .collect();
-    let library = FragmentLibrary {
-        fragments: keys.into_iter().zip(fragments.iter().cloned()).collect(),
-    };
 
-    // Phase 2: deterministic merge — walk the global post-order, replay
-    // each fragment at its root's position, run spine nodes inline.
+    // Phase 2: deterministic merge — the whole-tree build, replaying each
+    // fragment when the post-order reaches its cut.
     let _merge_span = telemetry.span("dsdnnf_merge");
-    let mut circuit = Circuit::new();
-    let false_gate = circuit.constant(false);
-    // The true constant must exist at id 1 (the helper and the fragment
-    // replay both rely on the 0/1 constant convention).
-    let _true_gate = circuit.constant(true);
-    let mut vtree = Vtree::new();
     let mut partition = CircuitPartition::default();
-    // Gate vector / vtree node per *pending* node (fragment roots and spine
-    // nodes whose parent has not been processed yet).
-    let mut gates: HashMap<usize, Vec<GateId>> = HashMap::new();
-    let mut vnodes: HashMap<usize, Option<VtreeId>> = HashMap::new();
-
-    for node in tree.tree().post_order() {
-        match plan.owner[node.0] {
-            Some(fragment_index) => {
-                if plan.cuts[fragment_index as usize] != node {
-                    continue; // interior fragment node: already compiled by its worker
-                }
-                let fragment = &fragments[fragment_index as usize];
-                let gate_offset = circuit.size();
-                replay_circuit(&mut circuit, &fragment.circuit);
-                partition.fragments.push((gate_offset, circuit.size()));
-                let vtree_offset = vtree.node_count();
-                replay_vtree(&mut vtree, &fragment.vtree);
-                let map = |g: GateId| {
-                    if g.0 < 2 {
-                        GateId(g.0) // the two constants are global
-                    } else {
-                        GateId(gate_offset + g.0 - 2)
-                    }
-                };
-                // A library fragment may predate states the automaton has
-                // interned since; those are unreachable in its (unchanged)
-                // subtree, so pad its root gates with `false`.
-                debug_assert!(fragment.root_gates.len() <= states);
-                let mut root_gates: Vec<GateId> =
-                    fragment.root_gates.iter().map(|&g| map(g)).collect();
-                root_gates.resize(states, false_gate);
-                gates.insert(node.0, root_gates);
-                vnodes.insert(
-                    node.0,
-                    fragment.root_vnode.map(|v| VtreeId(vtree_offset + v.0)),
-                );
-            }
-            None => {
-                // Spine node: both children are pending (fragment roots or
-                // spine nodes), so take their entries and run the
-                // sequential per-node construction.
-                let (left, right) = tree
-                    .tree()
-                    .children(node)
-                    .expect("spine nodes are larger than any fragment, hence internal");
-                let left_gates = gates.remove(&left.0).expect("post-order: child first");
-                let right_gates = gates.remove(&right.0).expect("post-order: child first");
-                let left_v = vnodes.remove(&left.0).expect("post-order: child first");
-                let right_v = vnodes.remove(&right.0).expect("post-order: child first");
-                let (node_gates, own_v) = internal_node_step(
-                    automaton,
-                    tree,
-                    node,
-                    states,
-                    &left_gates,
-                    &right_gates,
-                    left_v,
-                    right_v,
-                    &mut circuit,
-                    &mut vtree,
-                );
-                gates.insert(node.0, node_gates);
-                vnodes.insert(node.0, own_v);
-            }
-        }
-    }
-
-    let root = tree.tree().root();
-    let root_gates = &gates[&root.0];
-    let accepting: Vec<GateId> = automaton
-        .accepting_states()
-        .iter()
-        .map(|&q| root_gates[q])
-        .filter(|&g| g != false_gate)
-        .collect();
-    let output = match accepting.len() {
-        0 => false_gate,
-        1 => accepting[0],
-        _ => circuit.or(accepting),
-    };
-    circuit.set_output(output);
-    if let Some(v) = vnodes[&root.0] {
-        vtree.set_root(v);
-    }
-    let dnnf = Dnnf::from_trusted_circuit(circuit)
-        .expect("the structured construction is decomposable by construction");
-    Ok(CachedCompile {
+    let states = builder.automaton().state_count();
+    let structured = builder.compile(|node, circuit, vtree| {
+        let index = plan.owner[node.0]? as usize;
+        debug_assert_eq!(
+            plan.cuts[index], node,
+            "a cut is entered before its interior"
+        );
+        let fragment = &fragments[index];
+        let gate_offset = circuit.size();
+        replay_circuit(circuit, &fragment.circuit);
+        partition.fragments.push((gate_offset, circuit.size()));
+        let vtree_offset = vtree.node_count();
+        replay_vtree(vtree, &fragment.vtree);
+        // A library fragment may predate states the automaton has interned
+        // since; those are unreachable in its (unchanged) subtree, so pad
+        // its root gates with `false`.
+        debug_assert!(fragment.root.gates.len() <= states);
+        let mut gates: Vec<GateId> = fragment
+            .root
+            .gates
+            .iter()
+            .map(|&g| relocate(g, gate_offset))
+            .collect();
+        gates.resize(states, GateId(0));
+        Some(SubtreeGates {
+            gates,
+            vnode: fragment.root.vnode.map(|v| VtreeId(vtree_offset + v.0)),
+        })
+    });
+    CachedCompile {
         artifact: ParallelDnnf {
-            structured: StructuredDnnf::from_trusted_parts(dnnf, vtree, tree.events()),
+            structured,
             partition,
             telemetry: telemetry.clone(),
         },
-        library,
+        library: FragmentLibrary {
+            fragments: keys.into_iter().zip(fragments).collect(),
+        },
         stats,
-    })
-}
-
-/// Compiles one subtree exactly as the sequential compiler would: same
-/// per-node logic, same allocation order, over the subtree's post-order.
-/// Constants occupy local gate ids 0 (false) and 1 (true) and are the only
-/// out-of-block references a fragment may make.
-fn compile_fragment(
-    automaton: &TreeAutomaton,
-    tree: &UncertainTree,
-    root: NodeId,
-    states: usize,
-) -> Fragment {
-    let mut circuit = Circuit::new();
-    let false_gate = circuit.constant(false);
-    let true_gate = circuit.constant(true);
-    let mut vtree = Vtree::new();
-    let mut gates: HashMap<usize, Vec<GateId>> = HashMap::new();
-    let mut vnodes: HashMap<usize, Option<VtreeId>> = HashMap::new();
-
-    for node in tree.tree().post_order_from(root) {
-        let own_event = match tree.annotation(node) {
-            NodeAnnotation::Fixed => None,
-            NodeAnnotation::Event { event, .. } => Some(event),
-        };
-        match tree.tree().children(node) {
-            None => {
-                let mut node_gates = vec![false_gate; states];
-                for (q, gate) in node_gates.iter_mut().enumerate() {
-                    *gate = match tree.annotation(node) {
-                        NodeAnnotation::Fixed => {
-                            if automaton.leaf_states(tree.tree().label(node)).contains(&q) {
-                                true_gate
-                            } else {
-                                false_gate
-                            }
-                        }
-                        NodeAnnotation::Event {
-                            event,
-                            if_true,
-                            if_false,
-                        } => {
-                            let in_true = automaton.leaf_states(if_true).contains(&q);
-                            let in_false = automaton.leaf_states(if_false).contains(&q);
-                            match (in_true, in_false) {
-                                (true, true) => {
-                                    let v = circuit.var(event);
-                                    let nv = circuit.not(v);
-                                    circuit.or(vec![v, nv])
-                                }
-                                (false, false) => false_gate,
-                                (true, false) => circuit.var(event),
-                                (false, true) => {
-                                    let v = circuit.var(event);
-                                    circuit.not(v)
-                                }
-                            }
-                        }
-                    };
-                }
-                gates.insert(node.0, node_gates);
-                vnodes.insert(node.0, own_event.map(|e| vtree.leaf(e)));
-            }
-            Some((left, right)) => {
-                let left_gates = gates.remove(&left.0).expect("post-order: child first");
-                let right_gates = gates.remove(&right.0).expect("post-order: child first");
-                let left_v = vnodes.remove(&left.0).expect("post-order: child first");
-                let right_v = vnodes.remove(&right.0).expect("post-order: child first");
-                let (node_gates, own_v) = internal_node_step(
-                    automaton,
-                    tree,
-                    node,
-                    states,
-                    &left_gates,
-                    &right_gates,
-                    left_v,
-                    right_v,
-                    &mut circuit,
-                    &mut vtree,
-                );
-                gates.insert(node.0, node_gates);
-                vnodes.insert(node.0, own_v);
-            }
-        }
-    }
-    Fragment {
-        root_gates: gates.remove(&root.0).expect("root was processed last"),
-        root_vnode: vnodes.remove(&root.0).expect("root was processed last"),
-        circuit,
-        vtree,
     }
 }
 
-/// The sequential compiler's *internal-node* step against the given arenas
-/// (which must hold the constants at ids 0 = false and 1 = true, as both
-/// the merged circuit and every fragment do): builds the per-state gates
-/// of `node` from its children's gate vectors and combines the children's
-/// vtree scopes with the node's own event. One definition shared by the
-/// fragment workers and the merge spine, so the two can never drift apart
-/// — a change here changes both, and the differential suites pin the pair
-/// against [`compile_structured_dnnf`] itself.
-#[allow(clippy::too_many_arguments)] // mirrors the sequential compiler's full per-node state
-fn internal_node_step(
-    automaton: &TreeAutomaton,
-    tree: &UncertainTree,
-    node: NodeId,
-    states: usize,
-    left_gates: &[GateId],
-    right_gates: &[GateId],
-    left_v: Option<VtreeId>,
-    right_v: Option<VtreeId>,
-    circuit: &mut Circuit,
-    vtree: &mut Vtree,
-) -> (Vec<GateId>, Option<VtreeId>) {
-    let false_gate = GateId(0);
-    let true_gate = GateId(1);
-    debug_assert_eq!(circuit.gate(false_gate), &Gate::Const(false));
-    debug_assert_eq!(circuit.gate(true_gate), &Gate::Const(true));
-    let conjoin =
-        |parts: Vec<GateId>, circuit: &mut Circuit, true_gate: GateId| -> Option<GateId> {
-            let real: Vec<GateId> = parts.into_iter().filter(|&g| g != true_gate).collect();
-            match real.len() {
-                0 => None,
-                1 => Some(real[0]),
-                _ => Some(circuit.and(real)),
-            }
-        };
-    let (own_event, alternatives): (Option<usize>, Vec<(usize, Option<GateId>)>) =
-        match tree.annotation(node) {
-            NodeAnnotation::Fixed => (None, vec![(tree.tree().label(node), None)]),
-            NodeAnnotation::Event {
-                event,
-                if_true,
-                if_false,
-            } => {
-                let v = circuit.var(event);
-                let not_v = circuit.not(v);
-                (
-                    Some(event),
-                    vec![(if_true, Some(v)), (if_false, Some(not_v))],
-                )
-            }
-        };
-    let live_left: Vec<usize> = (0..states)
-        .filter(|&q| left_gates[q] != false_gate)
-        .collect();
-    let live_right: Vec<usize> = (0..states)
-        .filter(|&q| right_gates[q] != false_gate)
-        .collect();
-    let mut disjuncts: Vec<Vec<GateId>> = vec![Vec::new(); states];
-    for &(label, guard) in &alternatives {
-        for &ql in &live_left {
-            for &qr in &live_right {
-                for &q in &automaton.internal_states(label, ql, qr) {
-                    let gl = left_gates[ql];
-                    let gr = right_gates[qr];
-                    let inner = conjoin(vec![gl, gr], circuit, true_gate);
-                    let conj = match (guard, inner) {
-                        (None, None) => true_gate,
-                        (None, Some(g)) => g,
-                        (Some(gv), None) => gv,
-                        (Some(gv), Some(g)) => circuit.and(vec![gv, g]),
-                    };
-                    disjuncts[q].push(conj);
-                }
-            }
-        }
+/// Where a fragment's local gate lands in the global circuit once replayed
+/// at `offset`: the two constants are global, every other gate shifts.
+fn relocate(g: GateId, offset: usize) -> GateId {
+    if g.0 < 2 {
+        g
+    } else {
+        GateId(offset + g.0 - 2)
     }
-    let mut node_gates = vec![false_gate; states];
-    for (q, disjuncts) in disjuncts.into_iter().enumerate() {
-        node_gates[q] = match disjuncts.len() {
-            0 => false_gate,
-            1 => disjuncts[0],
-            _ => circuit.or(disjuncts),
-        };
-    }
-    let children_v = match (left_v, right_v) {
-        (None, None) => None,
-        (Some(l), None) => Some(l),
-        (None, Some(r)) => Some(r),
-        (Some(l), Some(r)) => Some(vtree.internal(l, r)),
-    };
-    let own_v = match (own_event, children_v) {
-        (None, v) => v,
-        (Some(e), None) => Some(vtree.leaf(e)),
-        (Some(e), Some(v)) => {
-            let leaf = vtree.leaf(e);
-            Some(vtree.internal(leaf, v))
-        }
-    };
-    (node_gates, own_v)
 }
 
 /// Replays a fragment's gates (skipping its two local constants) into the
@@ -879,13 +637,7 @@ fn internal_node_step(
 /// sequential construction would have put it.
 fn replay_circuit(global: &mut Circuit, fragment: &Circuit) {
     let offset = global.size();
-    let map = |g: GateId| {
-        if g.0 < 2 {
-            GateId(g.0)
-        } else {
-            GateId(offset + g.0 - 2)
-        }
-    };
+    let map = |g: GateId| relocate(g, offset);
     for id in 2..fragment.size() {
         let new_id = match fragment.gate(GateId(id)) {
             // Fragment events are globally unique, so `var` always
@@ -893,14 +645,8 @@ fn replay_circuit(global: &mut Circuit, fragment: &Circuit) {
             Gate::Var(v) => global.var(*v),
             Gate::Const(_) => unreachable!("fragments hold constants only at ids 0 and 1"),
             Gate::Not(i) => global.not(map(*i)),
-            Gate::And(inputs) => {
-                let mapped: Vec<GateId> = inputs.iter().map(|&i| map(i)).collect();
-                global.and(mapped)
-            }
-            Gate::Or(inputs) => {
-                let mapped: Vec<GateId> = inputs.iter().map(|&i| map(i)).collect();
-                global.or(mapped)
-            }
+            Gate::And(inputs) => global.and(inputs.iter().map(|&i| map(i)).collect()),
+            Gate::Or(inputs) => global.or(inputs.iter().map(|&i| map(i)).collect()),
         };
         debug_assert_eq!(new_id, map(GateId(id)));
     }
@@ -921,75 +667,11 @@ fn replay_vtree(global: &mut Vtree, fragment: &Vtree) {
     }
 }
 
-/// The automaton run itself, fragment-parallel: the states reachable at
-/// every node of the tree, equal (as sets) to
-/// [`TreeAutomaton::reachable_states`] at every thread count.
-pub fn parallel_reachable_states(
-    automaton: &TreeAutomaton,
-    tree: &BinaryTree,
-    threads: usize,
-) -> Vec<std::collections::BTreeSet<State>> {
-    use std::collections::BTreeSet;
-    let plan = match SubtreePlan::cut(tree, threads, 0) {
-        Some(plan) => plan,
-        None => return automaton.reachable_states(tree),
-    };
-    let run_subtree = |root: NodeId| -> Vec<(usize, BTreeSet<State>)> {
-        let order = tree.post_order_from(root);
-        let mut local: HashMap<usize, BTreeSet<State>> = HashMap::with_capacity(order.len());
-        for node in order.iter().copied() {
-            let label = tree.label(node);
-            let states = match tree.children(node) {
-                None => automaton.leaf_states(label).clone(),
-                Some((l, r)) => {
-                    let mut out = BTreeSet::new();
-                    for &ls in &local[&l.0] {
-                        for &rs in &local[&r.0] {
-                            out.extend(automaton.internal_states(label, ls, rs));
-                        }
-                    }
-                    out
-                }
-            };
-            local.insert(node.0, states);
-        }
-        order
-            .into_iter()
-            .map(|n| (n.0, local.remove(&n.0).unwrap()))
-            .collect()
-    };
-    let fragments = run_tasks(threads, plan.cuts.len(), &Telemetry::disabled(), |i| {
-        run_subtree(plan.cuts[i])
-    });
-    let mut states: Vec<BTreeSet<State>> = vec![BTreeSet::new(); tree.node_count()];
-    for fragment in fragments {
-        for (node, set) in fragment {
-            states[node] = set;
-        }
-    }
-    for node in tree.post_order() {
-        if plan.owner[node.0].is_some() {
-            continue;
-        }
-        let label = tree.label(node);
-        let (l, r) = tree
-            .children(node)
-            .expect("spine nodes are larger than any fragment, hence internal");
-        let mut out = BTreeSet::new();
-        for &ls in &states[l.0] {
-            for &rs in &states[r.0] {
-                out.extend(automaton.internal_states(label, ls, rs));
-            }
-        }
-        states[node.0] = out;
-    }
-    states
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use treelineage_automata::{compile_structured_dnnf, strategies};
+    use treelineage_circuit::Dnnf;
 
     /// Gate-by-gate equality (ids, kinds, operand order, output) plus vtree
     /// node equality — the byte-identity contract.
@@ -1210,21 +892,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn parallel_reachable_states_matches_sequential() {
-        let automaton = treelineage_automata::exists_one_automaton(2);
-        let u = big_comb(400);
-        let concrete = u.instantiate(&|e| e % 3 == 0);
-        let expected = automaton.reachable_states(&concrete);
-        for threads in [1usize, 2, 8] {
-            assert_eq!(
-                parallel_reachable_states(&automaton, &concrete, threads),
-                expected,
-                "threads={threads}"
-            );
-        }
-    }
-
     /// A leaf owned by some fragment of the plan (not on the spine).
     fn fragment_leaf(u: &UncertainTree, plan: &SubtreePlan) -> NodeId {
         (0..u.tree().node_count())
@@ -1435,6 +1102,115 @@ mod tests {
                     sequential.probability(&prob)
                 );
                 assert_eq!(parallel.model_count(threads), sequential.model_count());
+            }
+        }
+    }
+
+    /// SplitMix64 step.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Cut sets [`SubtreePlan::cut`]'s balanced grain never produces: a
+    /// random antichain (walking down from the root, each node is cut,
+    /// descended into, or — a leaf — left on the spine), every leaf, one
+    /// child of the root, and every maximal event-free subtree.
+    fn unbalanced_cut_sets(u: &UncertainTree, seed: u64) -> Vec<Vec<NodeId>> {
+        let tree = u.tree();
+        let mut rng = seed;
+        let mut random = Vec::new();
+        let mut stack = vec![tree.root()];
+        while let Some(node) = stack.pop() {
+            match (next(&mut rng) % 3, tree.children(node)) {
+                (0, _) => random.push(node),
+                (_, Some((l, r))) => stack.extend([r, l]),
+                (_, None) => {}
+            }
+        }
+        let leaves = tree
+            .post_order()
+            .into_iter()
+            .filter(|&n| tree.is_leaf(n))
+            .collect();
+        let root_child = tree
+            .children(tree.root())
+            .map(|(l, _)| l)
+            .into_iter()
+            .collect();
+        let mut has_event = vec![false; tree.node_count()];
+        for node in tree.post_order() {
+            has_event[node.0] = !matches!(u.annotation(node), NodeAnnotation::Fixed)
+                || tree
+                    .children(node)
+                    .is_some_and(|(l, r)| has_event[l.0] || has_event[r.0]);
+        }
+        let mut event_free = Vec::new();
+        let mut stack = vec![tree.root()];
+        while let Some(node) = stack.pop() {
+            if !has_event[node.0] {
+                event_free.push(node);
+            } else if let Some((l, r)) = tree.children(node) {
+                stack.extend([r, l]);
+            }
+        }
+        vec![random, leaves, root_child, event_free]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+        /// The splice seam at arbitrary cut points: compiling each cut on
+        /// its own (fresh, and again from the fragment library) and
+        /// splicing it into the whole-tree build equals the unspliced
+        /// build byte for byte; invalid inputs fail with the sequential
+        /// compiler's typed error.
+        #[test]
+        fn arbitrary_cuts_splice_byte_identically(
+            u in strategies::uncertain_tree(48, 3),
+            automaton in strategies::deterministic_automaton(3, 3),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let sequential = compile_structured_dnnf(&automaton, &u).unwrap();
+            let builder = StructuredBuilder::new(&automaton, &u).unwrap();
+            let telemetry = Telemetry::disabled();
+            for cuts in unbalanced_cut_sets(&u, seed) {
+                let plan = SubtreePlan::new(u.tree(), cuts);
+                let cold = compile_planned(&builder, &plan, &telemetry, 2, None);
+                assert_identical(&cold.artifact, &sequential);
+                let warm = compile_planned(&builder, &plan, &telemetry, 2, Some(&cold.library));
+                assert_eq!(warm.stats.recompiled, 0);
+                assert_identical(&warm.artifact, &sequential);
+            }
+
+            let mut config = EngineConfig::with_threads(2);
+            config.fragment_grain = 2;
+            let mut nondeterministic = automaton.clone();
+            nondeterministic.add_leaf_transition(0, 0);
+            nondeterministic.add_leaf_transition(0, 1);
+            assert_eq!(
+                compile_structured_dnnf_parallel(&nondeterministic, &u, &config).unwrap_err(),
+                StructuredDnnfError::NondeterministicAutomaton
+            );
+            let n = u.tree().node_count();
+            let evented = (0..n).find(|&i| {
+                !matches!(u.annotation(NodeId(i)), NodeAnnotation::Fixed)
+            });
+            if let (Some(holder), true) = (evented, n > 1) {
+                let NodeAnnotation::Event { event, .. } = u.annotation(NodeId(holder)) else {
+                    unreachable!()
+                };
+                let other = (holder + 1 + next(&mut seed.clone()) as usize % (n - 1)) % n;
+                let mut shared = u.clone();
+                shared.set_event(NodeId(other), event, 0, 0);
+                let want = compile_structured_dnnf(&automaton, &shared).unwrap_err();
+                assert!(matches!(want, StructuredDnnfError::SharedEvent { .. }));
+                assert_eq!(
+                    compile_structured_dnnf_parallel(&automaton, &shared, &config).unwrap_err(),
+                    want
+                );
             }
         }
     }
