@@ -18,9 +18,10 @@ pub type VarId = usize;
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct GateId(pub usize);
 
-/// A gate of a Boolean circuit.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum Gate {
+/// A gate of a Boolean circuit: a borrowed view of one record of the
+/// circuit's flat storage ([`Circuit::gate`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Gate<'a> {
     /// An input gate for a variable.
     Var(VarId),
     /// A constant gate.
@@ -28,15 +29,31 @@ pub enum Gate {
     /// Negation of a single gate.
     Not(GateId),
     /// Conjunction of the inputs (an empty AND is `true`).
-    And(Vec<GateId>),
+    And(&'a [GateId]),
     /// Disjunction of the inputs (an empty OR is `false`).
-    Or(Vec<GateId>),
+    Or(&'a [GateId]),
+}
+
+/// The fixed-size record of one gate (16 bytes). AND/OR gates keep their
+/// inputs as the range `start..start + len` of [`Circuit::inputs`].
+#[derive(Clone, Copy, Debug)]
+enum Record {
+    Var(VarId),
+    Const(bool),
+    Not(GateId),
+    And { start: usize, len: u32 },
+    Or { start: usize, len: u32 },
 }
 
 /// A Boolean circuit: an arena of gates plus an output gate.
+///
+/// Gates are fixed-size records in id order, and the inputs of every
+/// AND/OR gate are one contiguous run of a single shared array, so a
+/// circuit is three allocations however many gates it has.
 #[derive(Clone, Debug)]
 pub struct Circuit {
-    gates: Vec<Gate>,
+    gates: Vec<Record>,
+    inputs: Vec<GateId>,
     output: Option<GateId>,
     /// Cache of the variable gate for each variable, to share input gates.
     var_gates: HashMap<VarId, GateId>,
@@ -47,6 +64,7 @@ impl Circuit {
     pub fn new() -> Self {
         Circuit {
             gates: Vec::new(),
+            inputs: Vec::new(),
             output: None,
             var_gates: HashMap::new(),
         }
@@ -59,19 +77,36 @@ impl Circuit {
 
     /// Number of edges (wires) of the circuit.
     pub fn wire_count(&self) -> usize {
-        self.gates
+        let nots = self
+            .gates
             .iter()
-            .map(|g| match g {
-                Gate::Var(_) | Gate::Const(_) => 0,
-                Gate::Not(_) => 1,
-                Gate::And(inputs) | Gate::Or(inputs) => inputs.len(),
-            })
-            .sum()
+            .filter(|g| matches!(g, Record::Not(_)))
+            .count();
+        nots + self.inputs.len()
     }
 
     /// The gate with the given id.
-    pub fn gate(&self, id: GateId) -> &Gate {
-        &self.gates[id.0]
+    pub fn gate(&self, id: GateId) -> Gate<'_> {
+        match self.gates[id.0] {
+            Record::Var(v) => Gate::Var(v),
+            Record::Const(b) => Gate::Const(b),
+            Record::Not(i) => Gate::Not(i),
+            Record::And { start, len } => Gate::And(&self.inputs[start..start + len as usize]),
+            Record::Or { start, len } => Gate::Or(&self.inputs[start..start + len as usize]),
+        }
+    }
+
+    /// Every gate in id order (inputs before the gates that read them).
+    fn each_gate(&self) -> impl Iterator<Item = Gate<'_>> {
+        self.gate_ids().map(|id| self.gate(id))
+    }
+
+    /// The variable of every variable gate, in id order.
+    fn vars(&self) -> impl Iterator<Item = VarId> + '_ {
+        self.gates.iter().filter_map(|g| match *g {
+            Record::Var(v) => Some(v),
+            _ => None,
+        })
     }
 
     /// All gate ids.
@@ -95,42 +130,55 @@ impl Circuit {
         if let Some(&g) = self.var_gates.get(&v) {
             return g;
         }
-        let id = self.push(Gate::Var(v));
+        let id = self.push(Record::Var(v));
         self.var_gates.insert(v, id);
         id
     }
 
     /// Adds a constant gate.
     pub fn constant(&mut self, value: bool) -> GateId {
-        self.push(Gate::Const(value))
+        self.push(Record::Const(value))
     }
 
     /// Adds a NOT gate.
     pub fn not(&mut self, input: GateId) -> GateId {
-        self.push(Gate::Not(input))
+        assert!(input.0 < self.gates.len(), "input gate out of range");
+        self.push(Record::Not(input))
     }
 
     /// Adds an AND gate.
     pub fn and(&mut self, inputs: Vec<GateId>) -> GateId {
-        self.push(Gate::And(inputs))
+        let (start, len) = self.push_inputs(&inputs);
+        self.push(Record::And { start, len })
     }
 
     /// Adds an OR gate.
     pub fn or(&mut self, inputs: Vec<GateId>) -> GateId {
-        self.push(Gate::Or(inputs))
+        let (start, len) = self.push_inputs(&inputs);
+        self.push(Record::Or { start, len })
     }
 
-    fn push(&mut self, gate: Gate) -> GateId {
-        if let Gate::Not(i) = &gate {
-            assert!(i.0 < self.gates.len(), "input gate out of range");
-        }
-        if let Gate::And(inputs) | Gate::Or(inputs) = &gate {
-            assert!(
-                inputs.iter().all(|i| i.0 < self.gates.len()),
-                "input gate out of range"
-            );
-        }
-        self.gates.push(gate);
+    /// Appends the inputs of a new AND/OR gate to the shared input array.
+    fn push_inputs(&mut self, inputs: &[GateId]) -> (usize, u32) {
+        assert!(
+            inputs.iter().all(|i| i.0 < self.gates.len()),
+            "input gate out of range"
+        );
+        let len = u32::try_from(inputs.len()).expect("gate fan-in fits in u32");
+        let start = self.inputs.len();
+        self.inputs.extend_from_slice(inputs);
+        (start, len)
+    }
+
+    /// Drops the spare capacity of the gate and input arrays, for a
+    /// finished circuit that stays resident (a [`crate::Dnnf`]).
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.gates.shrink_to_fit();
+        self.inputs.shrink_to_fit();
+    }
+
+    fn push(&mut self, record: Record) -> GateId {
+        self.gates.push(record);
         GateId(self.gates.len() - 1)
     }
 
@@ -144,15 +192,15 @@ impl Circuit {
                 let mut stack = vec![out];
                 seen[out.0] = true;
                 while let Some(gate) = stack.pop() {
-                    match &self.gates[gate.0] {
+                    match self.gate(gate) {
                         Gate::Var(v) => {
-                            vars.insert(*v);
+                            vars.insert(v);
                         }
                         Gate::Const(_) => {}
                         Gate::Not(i) => {
                             if !seen[i.0] {
                                 seen[i.0] = true;
-                                stack.push(*i);
+                                stack.push(i);
                             }
                         }
                         Gate::And(inputs) | Gate::Or(inputs) => {
@@ -167,14 +215,7 @@ impl Circuit {
                 }
                 vars
             }
-            None => self
-                .gates
-                .iter()
-                .filter_map(|g| match g {
-                    Gate::Var(v) => Some(*v),
-                    _ => None,
-                })
-                .collect(),
+            None => self.vars().collect(),
         }
     }
 
@@ -185,24 +226,19 @@ impl Circuit {
     /// top gates mention most variables stay near-linear).
     pub(crate) fn dependency_bitsets(&self) -> GateDeps {
         let vars: Vec<VarId> = self
-            .gates
-            .iter()
-            .filter_map(|g| match g {
-                Gate::Var(v) => Some(*v),
-                _ => None,
-            })
+            .vars()
             .collect::<BTreeSet<VarId>>()
             .into_iter()
             .collect();
         let index: HashMap<VarId, usize> = vars.iter().enumerate().map(|(i, &v)| (v, i)).collect();
         let words = vars.len().div_ceil(64);
         let mut bits: Vec<u64> = vec![0; self.gates.len() * words];
-        for (id, gate) in self.gates.iter().enumerate() {
+        for (id, gate) in self.each_gate().enumerate() {
             let (from, to) = bits.split_at_mut(id * words);
             let row = &mut to[..words];
             match gate {
                 Gate::Var(v) => {
-                    let i = index[v];
+                    let i = index[&v];
                     row[i / 64] |= 1 << (i % 64);
                 }
                 Gate::Const(_) => {}
@@ -226,9 +262,9 @@ impl Circuit {
     /// crate-private `Circuit::dependency_bitsets` instead).
     pub fn gate_dependencies(&self) -> Vec<BTreeSet<VarId>> {
         let mut deps: Vec<BTreeSet<VarId>> = Vec::with_capacity(self.gates.len());
-        for gate in &self.gates {
+        for gate in self.each_gate() {
             let d = match gate {
-                Gate::Var(v) => std::iter::once(*v).collect(),
+                Gate::Var(v) => std::iter::once(v).collect(),
                 Gate::Const(_) => BTreeSet::new(),
                 Gate::Not(i) => deps[i.0].clone(),
                 Gate::And(inputs) | Gate::Or(inputs) => {
@@ -259,10 +295,10 @@ impl Circuit {
     /// Evaluates all gates under an assignment and returns the values vector.
     pub fn evaluate_all_gates(&self, assignment: &dyn Fn(VarId) -> bool) -> Vec<bool> {
         let mut values: Vec<bool> = Vec::with_capacity(self.gates.len());
-        for gate in &self.gates {
+        for gate in self.each_gate() {
             let value = match gate {
-                Gate::Var(v) => assignment(*v),
-                Gate::Const(b) => *b,
+                Gate::Var(v) => assignment(v),
+                Gate::Const(b) => b,
                 Gate::Not(i) => !values[i.0],
                 Gate::And(inputs) => inputs.iter().all(|i| values[i.0]),
                 Gate::Or(inputs) => inputs.iter().any(|i| values[i.0]),
@@ -280,14 +316,14 @@ impl Circuit {
     /// Returns `true` if the circuit contains no NOT gate (a *monotone*
     /// lineage circuit in the sense of Definition 6.2).
     pub fn is_monotone_syntactically(&self) -> bool {
-        !self.gates.iter().any(|g| matches!(g, Gate::Not(_)))
+        !self.each_gate().any(|g| matches!(g, Gate::Not(_)))
     }
 
     /// Returns `true` if NOT gates are only applied to input gates (the first
     /// d-DNNF condition, Definition 6.10 (1)).
     pub fn negations_only_on_inputs(&self) -> bool {
-        self.gates.iter().all(|g| match g {
-            Gate::Not(i) => matches!(self.gates[i.0], Gate::Var(_) | Gate::Const(_)),
+        self.each_gate().all(|g| match g {
+            Gate::Not(i) => matches!(self.gate(i), Gate::Var(_) | Gate::Const(_)),
             _ => true,
         })
     }
@@ -297,7 +333,7 @@ impl Circuit {
     /// circuit (Definition 6.2) are those of this graph.
     pub fn gate_graph(&self) -> Graph {
         let mut g = Graph::new(self.gates.len());
-        for (id, gate) in self.gates.iter().enumerate() {
+        for (id, gate) in self.each_gate().enumerate() {
             match gate {
                 Gate::Var(_) | Gate::Const(_) => {}
                 Gate::Not(i) => {
@@ -322,7 +358,7 @@ impl Circuit {
     /// probability algorithm needs (see `probability_message_passing`).
     pub fn moralized_gate_graph(&self) -> Graph {
         let mut g = self.gate_graph();
-        for (id, gate) in self.gates.iter().enumerate() {
+        for gate in self.each_gate() {
             if let Gate::And(inputs) | Gate::Or(inputs) = gate {
                 for a in 0..inputs.len() {
                     for b in a + 1..inputs.len() {
@@ -332,7 +368,6 @@ impl Circuit {
                     }
                 }
             }
-            let _ = id;
         }
         g
     }
@@ -359,67 +394,36 @@ impl Circuit {
     /// Proposition 7.3's proof). Gates are copied; variables in `fixed`
     /// become constant gates.
     pub fn restrict(&self, fixed: &HashMap<VarId, bool>) -> Circuit {
-        let mut out = Circuit::new();
-        let mut mapping: Vec<Option<GateId>> = vec![None; self.gates.len()];
-        for (id, gate) in self.gates.iter().enumerate() {
-            let new_id = match gate {
-                Gate::Var(v) => match fixed.get(v) {
-                    Some(&b) => out.constant(b),
-                    None => out.var(*v),
-                },
-                Gate::Const(b) => out.constant(*b),
-                Gate::Not(i) => {
-                    let input = mapping[i.0].unwrap();
-                    out.not(input)
-                }
-                Gate::And(inputs) => {
-                    let mapped: Vec<GateId> =
-                        inputs.iter().map(|i| mapping[i.0].unwrap()).collect();
-                    out.and(mapped)
-                }
-                Gate::Or(inputs) => {
-                    let mapped: Vec<GateId> =
-                        inputs.iter().map(|i| mapping[i.0].unwrap()).collect();
-                    out.or(mapped)
-                }
-            };
-            mapping[id] = Some(new_id);
-        }
-        if let Some(o) = self.output {
-            out.set_output(mapping[o.0].unwrap());
-        }
-        out
+        self.copy_with(|out, v| match fixed.get(&v) {
+            Some(&b) => out.constant(b),
+            None => out.var(v),
+        })
     }
 
     /// Renames the variables of the circuit according to `rename` (variables
     /// not in the map keep their index). Used by the unfolding machinery of
     /// Section 9, which re-reads a lineage over the facts of another instance.
     pub fn rename_variables(&self, rename: &HashMap<VarId, VarId>) -> Circuit {
+        self.copy_with(|out, v| out.var(*rename.get(&v).unwrap_or(&v)))
+    }
+
+    /// Copies the circuit gate by gate, building each variable gate with
+    /// `leaf` (which may return any gate of the copy built so far).
+    fn copy_with(&self, mut leaf: impl FnMut(&mut Circuit, VarId) -> GateId) -> Circuit {
         let mut out = Circuit::new();
-        let mut mapping: Vec<Option<GateId>> = vec![None; self.gates.len()];
-        for (id, gate) in self.gates.iter().enumerate() {
+        let mut mapping: Vec<GateId> = Vec::with_capacity(self.gates.len());
+        for gate in self.each_gate() {
             let new_id = match gate {
-                Gate::Var(v) => out.var(*rename.get(v).unwrap_or(v)),
-                Gate::Const(b) => out.constant(*b),
-                Gate::Not(i) => {
-                    let input = mapping[i.0].unwrap();
-                    out.not(input)
-                }
-                Gate::And(inputs) => {
-                    let mapped: Vec<GateId> =
-                        inputs.iter().map(|i| mapping[i.0].unwrap()).collect();
-                    out.and(mapped)
-                }
-                Gate::Or(inputs) => {
-                    let mapped: Vec<GateId> =
-                        inputs.iter().map(|i| mapping[i.0].unwrap()).collect();
-                    out.or(mapped)
-                }
+                Gate::Var(v) => leaf(&mut out, v),
+                Gate::Const(b) => out.constant(b),
+                Gate::Not(i) => out.not(mapping[i.0]),
+                Gate::And(inputs) => out.and(inputs.iter().map(|i| mapping[i.0]).collect()),
+                Gate::Or(inputs) => out.or(inputs.iter().map(|i| mapping[i.0]).collect()),
             };
-            mapping[id] = Some(new_id);
+            mapping.push(new_id);
         }
         if let Some(o) = self.output {
-            out.set_output(mapping[o.0].unwrap());
+            out.set_output(mapping[o.0]);
         }
         out
     }
@@ -551,6 +555,14 @@ mod tests {
         assert_eq!(c.wire_count(), 2 + 1 + 2);
         assert!(!c.is_monotone_syntactically());
         assert!(c.negations_only_on_inputs());
+    }
+
+    #[test]
+    fn gate_records_are_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Record>(), 16);
+        let c = sample_circuit();
+        assert_eq!(c.gate(GateId(5)), Gate::Or(&[GateId(3), GateId(4)]));
+        assert_eq!(c.gate(GateId(4)), Gate::Not(GateId(2)));
     }
 
     #[test]

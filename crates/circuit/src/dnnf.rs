@@ -59,9 +59,10 @@ impl Dnnf {
     /// (negations on inputs, decomposability). Determinism — a semantic
     /// condition — is trusted; use [`Dnnf::verify`] to also check it
     /// exhaustively on small circuits.
-    pub fn from_trusted_circuit(circuit: Circuit) -> Result<Self, DnnfError> {
+    pub fn from_trusted_circuit(mut circuit: Circuit) -> Result<Self, DnnfError> {
         let dependencies = circuit.dependency_bitsets();
         check_syntactic(&circuit, &dependencies)?;
+        circuit.shrink_to_fit();
         Ok(Dnnf { circuit })
     }
 
@@ -82,7 +83,7 @@ impl Dnnf {
         let vars: Vec<VarId> = circuit
             .gate_ids()
             .filter_map(|id| match circuit.gate(id) {
-                Gate::Var(v) => Some(*v),
+                Gate::Var(v) => Some(v),
                 _ => None,
             })
             .collect::<BTreeSet<VarId>>()
@@ -260,7 +261,7 @@ fn check_syntactic(circuit: &Circuit, dependencies: &GateDeps) -> Result<(), Dnn
     let mut seen = dependencies.empty_row();
     for id in circuit.gate_ids() {
         match circuit.gate(id) {
-            Gate::Not(i) if !matches!(circuit.gate(*i), Gate::Var(_) | Gate::Const(_)) => {
+            Gate::Not(i) if !matches!(circuit.gate(i), Gate::Var(_) | Gate::Const(_)) => {
                 return Err(DnnfError::NegationOnInternalGate(id));
             }
             Gate::And(inputs) => {

@@ -153,9 +153,9 @@ impl Formula {
         assert!(*budget > 0, "formula expansion exceeded budget");
         *budget -= 1;
         match circuit.gate(gate) {
-            Gate::Var(v) => Formula::Var(*v),
-            Gate::Const(b) => Formula::Const(*b),
-            Gate::Not(i) => Formula::Not(Box::new(Self::expand(circuit, *i, budget))),
+            Gate::Var(v) => Formula::Var(v),
+            Gate::Const(b) => Formula::Const(b),
+            Gate::Not(i) => Formula::Not(Box::new(Self::expand(circuit, i, budget))),
             Gate::And(inputs) => Formula::And(
                 inputs
                     .iter()

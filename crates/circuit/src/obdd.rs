@@ -229,8 +229,8 @@ impl Obdd {
         let mut refs: Vec<Ref> = Vec::with_capacity(circuit.size());
         for id in circuit.gate_ids() {
             let r = match circuit.gate(id) {
-                Gate::Var(v) => self.literal(*v, true),
-                Gate::Const(b) => self.terminal(*b),
+                Gate::Var(v) => self.literal(v, true),
+                Gate::Const(b) => self.terminal(b),
                 Gate::Not(i) => {
                     let inner = refs[i.0];
                     self.not(inner)

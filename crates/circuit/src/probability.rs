@@ -118,7 +118,7 @@ impl Factor {
             Factor::GateConstraint(g) => {
                 let value = assignment[&g.0];
                 let expected = match circuit.gate(*g) {
-                    Gate::Const(b) => *b,
+                    Gate::Const(b) => b,
                     Gate::Not(i) => !assignment[&i.0],
                     Gate::And(inputs) => inputs.iter().all(|i| assignment[&i.0]),
                     Gate::Or(inputs) => inputs.iter().any(|i| assignment[&i.0]),
@@ -173,7 +173,7 @@ pub fn probability_message_passing(
     let mut factors: Vec<Factor> = Vec::new();
     for id in circuit.gate_ids() {
         match circuit.gate(id) {
-            Gate::Var(v) => factors.push(Factor::VarWeight(id, *v)),
+            Gate::Var(v) => factors.push(Factor::VarWeight(id, v)),
             _ => factors.push(Factor::GateConstraint(id)),
         }
     }

@@ -32,7 +32,7 @@ pub trait Semiring {
     fn var(&self, v: VarId) -> Self::Value;
     /// The value of `Not(inner)`, given the inner gate (an input: d-DNNFs
     /// negate inputs only) and the value computed for it.
-    fn not(&self, inner: &Gate, inner_value: &Self::Value) -> Self::Value;
+    fn not(&self, inner: Gate<'_>, inner_value: &Self::Value) -> Self::Value;
 
     /// The value of `Const(value)`.
     fn constant(&self, value: bool) -> Self::Value {
@@ -57,9 +57,9 @@ where
     S::Value: 'v,
 {
     match circuit.gate(id) {
-        Gate::Var(v) => semiring.var(*v),
-        Gate::Const(b) => semiring.constant(*b),
-        Gate::Not(i) => semiring.not(circuit.gate(*i), input(*i)),
+        Gate::Var(v) => semiring.var(v),
+        Gate::Const(b) => semiring.constant(b),
+        Gate::Not(i) => semiring.not(circuit.gate(i), input(i)),
         Gate::And(inputs) => {
             let mut acc = semiring.one();
             for &i in inputs {
@@ -184,7 +184,7 @@ where
     fn var(&self, v: VarId) -> V {
         (self.0)(v)
     }
-    fn not(&self, _inner: &Gate, inner_value: &V) -> V {
+    fn not(&self, _inner: Gate<'_>, inner_value: &V) -> V {
         inner_value.complement()
     }
 }
@@ -230,9 +230,9 @@ where
     fn var(&self, v: VarId) -> V {
         (self.pos)(v)
     }
-    fn not(&self, inner: &Gate, _inner_value: &V) -> V {
+    fn not(&self, inner: Gate<'_>, _inner_value: &V) -> V {
         match inner {
-            Gate::Var(v) => (self.neg)(*v),
+            Gate::Var(v) => (self.neg)(v),
             Gate::Const(b) => self.constant(!b),
             _ => unreachable!("d-DNNFs negate inputs only"),
         }
@@ -260,7 +260,7 @@ impl Semiring for Count {
     fn var(&self, _v: VarId) -> BigUint {
         BigUint::one()
     }
-    fn not(&self, inner: &Gate, _inner_value: &BigUint) -> BigUint {
+    fn not(&self, inner: Gate<'_>, _inner_value: &BigUint) -> BigUint {
         match inner {
             Gate::Var(_) => BigUint::one(),
             Gate::Const(b) => self.constant(!b),

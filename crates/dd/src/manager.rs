@@ -504,8 +504,8 @@ impl Manager {
         let mut refs: Vec<NodeId> = Vec::with_capacity(circuit.size());
         for id in circuit.gate_ids() {
             let r = match circuit.gate(id) {
-                Gate::Var(v) => self.literal(*v, true),
-                Gate::Const(b) => self.terminal(*b),
+                Gate::Var(v) => self.literal(v, true),
+                Gate::Const(b) => self.terminal(b),
                 Gate::Not(i) => refs[i.0].not(),
                 Gate::And(inputs) => {
                     let operands: Vec<NodeId> = inputs.iter().map(|i| refs[i.0]).collect();

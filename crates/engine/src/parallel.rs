@@ -246,7 +246,7 @@ impl ParallelDnnf {
                     if i.0 >= start {
                         &buf[i.0 - start]
                     } else if let Gate::Const(b) = circuit.gate(i) {
-                        &constants[usize::from(*b)]
+                        &constants[usize::from(b)]
                     } else {
                         unreachable!("fragment ranges are self-contained")
                     }
@@ -642,9 +642,9 @@ fn replay_circuit(global: &mut Circuit, fragment: &Circuit) {
         let new_id = match fragment.gate(GateId(id)) {
             // Fragment events are globally unique, so `var` always
             // allocates (the memo can never hit across fragments).
-            Gate::Var(v) => global.var(*v),
+            Gate::Var(v) => global.var(v),
             Gate::Const(_) => unreachable!("fragments hold constants only at ids 0 and 1"),
-            Gate::Not(i) => global.not(map(*i)),
+            Gate::Not(i) => global.not(map(i)),
             Gate::And(inputs) => global.and(inputs.iter().map(|&i| map(i)).collect()),
             Gate::Or(inputs) => global.or(inputs.iter().map(|&i| map(i)).collect()),
         };
@@ -1005,7 +1005,7 @@ mod tests {
         let read: Vec<usize> = dnnf.variables().into_iter().collect();
         assert!(
             read == parallel.structured().universe()
-                || circuit.gate(circuit.output()) == &Gate::Const(false)
+                || circuit.gate(circuit.output()) == Gate::Const(false)
         );
         let prob = |e: usize| pick(&PROBABILITIES, seed, e);
         let pos = |e: usize| pick(&WEIGHTS, seed, e);
@@ -1065,7 +1065,7 @@ mod tests {
         }
         let parallel = compile_structured_dnnf_parallel(&nothing, &u, &config).unwrap();
         let circuit = parallel.structured().dnnf().circuit();
-        assert_eq!(circuit.gate(circuit.output()), &Gate::Const(false));
+        assert_eq!(circuit.gate(circuit.output()), Gate::Const(false));
         assert!(parallel
             .probability(&|e| pick(&PROBABILITIES, 1, e), 2)
             .is_zero());

@@ -52,20 +52,6 @@ fn up(x: f64) -> f64 {
     }
 }
 
-/// Compares a (possibly infinite, non-`NaN`) `f64` against an exact
-/// rational. Finite floats are dyadic rationals, so the comparison is exact.
-fn cmp_f64_rational(f: f64, r: &Rational) -> Ordering {
-    if f == f64::INFINITY {
-        return Ordering::Greater;
-    }
-    if f == f64::NEG_INFINITY {
-        return Ordering::Less;
-    }
-    Rational::from_f64_dyadic(f)
-        .expect("interval endpoints are never NaN")
-        .cmp(r)
-}
-
 impl ErrorInterval {
     /// The interval `[lo, hi]`. Panics if `lo > hi` or either endpoint is
     /// `NaN`.
@@ -127,8 +113,7 @@ impl ErrorInterval {
     /// Returns `true` if the exact rational lies inside the interval
     /// (decided exactly: finite endpoints are dyadic rationals).
     pub fn contains(&self, r: &Rational) -> bool {
-        cmp_f64_rational(self.lo, r) != Ordering::Greater
-            && cmp_f64_rational(self.hi, r) != Ordering::Less
+        r.cmp_f64(self.lo) != Some(Ordering::Less) && r.cmp_f64(self.hi) != Some(Ordering::Greater)
     }
 
     /// Returns `true` if `v` lies inside the interval.
@@ -141,9 +126,9 @@ impl ErrorInterval {
     /// interval is above it, `None` if the threshold lands *inside* — the
     /// case where a `FloatFirst` caller must fall back to exact arithmetic.
     pub fn compare_threshold(&self, threshold: &Rational) -> Option<Ordering> {
-        if cmp_f64_rational(self.hi, threshold) == Ordering::Less {
+        if threshold.cmp_f64(self.hi) == Some(Ordering::Greater) {
             Some(Ordering::Less)
-        } else if cmp_f64_rational(self.lo, threshold) == Ordering::Greater {
+        } else if threshold.cmp_f64(self.lo) == Some(Ordering::Less) {
             Some(Ordering::Greater)
         } else {
             None

@@ -6,7 +6,7 @@
 //! number type threaded through probability evaluation, weighted model
 //! counting, and match counting.
 
-use crate::bigint::BigInt;
+use crate::bigint::{BigInt, Sign};
 use crate::biguint::BigUint;
 use std::cmp::Ordering;
 use std::fmt;
@@ -90,26 +90,14 @@ impl Rational {
         if v == 0.0 {
             return Some(Rational::zero());
         }
-        // Decompose v = mantissa * 2^exp exactly.
-        let bits = v.to_bits();
-        let sign = if bits >> 63 == 1 { -1i64 } else { 1 };
-        let exponent = ((bits >> 52) & 0x7FF) as i64;
-        let fraction = bits & 0xF_FFFF_FFFF_FFFF;
-        let (mantissa, exp) = if exponent == 0 {
-            (fraction, -1074i64)
-        } else {
-            (fraction | (1 << 52), exponent - 1075)
-        };
+        let (mantissa, exp) = dyadic_parts(v);
         let m = BigUint::from_u64(mantissa);
-        let mut out = if exp >= 0 {
+        let out = if exp >= 0 {
             Rational::from_biguint(&m * &BigUint::pow2(exp as usize))
         } else {
             Rational::new(BigInt::from_biguint(m), BigUint::pow2((-exp) as usize))
         };
-        if sign < 0 {
-            out = -out;
-        }
-        Some(out)
+        Some(if v < 0.0 { -out } else { out })
     }
 
     /// The numerator (signed, in lowest terms).
@@ -146,17 +134,25 @@ impl Rational {
     /// Correctly-rounded conversion to `f64` (round to nearest, ties to
     /// even; values past `f64::MAX` round to the infinity of matching sign).
     ///
-    /// Built on [`Rational::to_f64_bounds`]: the two candidate floats come
-    /// from the certified bracket, and the nearest one is selected by exact
-    /// rational comparison against their midpoint — no rounding analysis of
-    /// the fast approximation is trusted. (The previous implementation
-    /// shifted numerator and denominator by a *common* amount past 900 bits,
-    /// which collapsed a small denominator to zero — `2^950 / 2^10` came
-    /// back `inf` despite being comfortably inside `f64` range — and
-    /// double-rounded through per-limb float accumulation below the
-    /// threshold.)
+    /// When `|n|, d < 2^53` both convert to `f64` exactly and the one IEEE
+    /// division `n / d` is already the correctly rounded quotient. Every
+    /// other value goes through [`Rational::to_f64_bounds`]: the two
+    /// candidate floats come from the certified bracket, and the nearest one
+    /// is selected by exact rational comparison against their midpoint — no
+    /// rounding analysis of the fast approximation is trusted.
     pub fn to_f64(&self) -> f64 {
-        use std::cmp::Ordering;
+        match self.small_quotient() {
+            Some(q) => {
+                debug_assert_eq!(q.to_bits(), self.to_f64_via_bounds().to_bits());
+                q
+            }
+            None => self.to_f64_via_bounds(),
+        }
+    }
+
+    /// The general path of [`Rational::to_f64`]: round the certified bracket
+    /// to its nearer endpoint.
+    fn to_f64_via_bounds(&self) -> f64 {
         let (lo, hi) = self.to_f64_bounds();
         if lo == hi {
             return lo;
@@ -171,9 +167,10 @@ impl Rational {
         }
         // `lo` and `hi` are adjacent floats; their midpoint is a dyadic
         // rational, so round-to-nearest is an exact comparison.
-        let mid = &(&Rational::from_f64_dyadic(lo).expect("finite bound")
-            + &Rational::from_f64_dyadic(hi).expect("finite bound"))
-            * &Rational::from_ratio_u64(1, 2);
+        let mid = match (Rational::from_f64_dyadic(lo), Rational::from_f64_dyadic(hi)) {
+            (Some(lo), Some(hi)) => &(&lo + &hi) * &Rational::one_half(),
+            _ => unreachable!("both bracket endpoints are finite here"),
+        };
         match self.cmp(&mid) {
             Ordering::Less => lo,
             Ordering::Greater => hi,
@@ -189,14 +186,94 @@ impl Rational {
         }
     }
 
-    /// Fast uncertified approximation seeding the bounds fix-up: both sides
-    /// are truncated to their top 63 bits with the cut exponents tracked
-    /// explicitly, so the quotient is computed on `u64`-sized operands at
-    /// full `f64` precision and then scaled by an exact power of two. Within
-    /// a few ulps of the exact value on the whole `f64` range.
+    /// `(|n|, d)` as machine words when both fit in a `u64`: the range of
+    /// the `u128` fast path of [`Rational::cmp_f64`].
+    fn small_parts(&self) -> Option<(u64, u64)> {
+        Some((
+            self.numerator.magnitude().to_u64()?,
+            self.denominator.to_u64()?,
+        ))
+    }
+
+    /// `n / d` in one IEEE division when `|n|, d < 2^53`. Both operands then
+    /// convert to `f64` exactly, so the quotient is the correctly rounded
+    /// value of the rational (round to nearest, ties to even).
+    fn small_quotient(&self) -> Option<f64> {
+        const EXACT: u64 = 1 << f64::MANTISSA_DIGITS;
+        let (n, d) = self.small_parts()?;
+        if n >= EXACT || d >= EXACT {
+            return None;
+        }
+        let q = n as f64 / d as f64;
+        Some(if self.numerator.is_negative() { -q } else { q })
+    }
+
+    /// Exact comparison against an `f64`: `Some(self.cmp(f))` with `f` read
+    /// as the real number it denotes (finite floats are dyadic rationals,
+    /// and `±inf` lie beyond every rational), `None` when `f` is NaN.
+    ///
+    /// For `f = ±m·2^e` this compares `|n|·2^-e` against `m·d·2^e` (only the
+    /// non-negative shift applied) without building or reducing a rational.
+    /// Unequal bit lengths decide most pairs; when `|n|` and `d` fit in a
+    /// `u64`, the rest is one `u128` compare (both sides below `2^117`), and
+    /// larger values shift and multiply [`BigUint`]s instead.
+    pub(crate) fn cmp_f64(&self, f: f64) -> Option<Ordering> {
+        if f.is_infinite() {
+            // Every rational lies where zero does against an infinity.
+            return 0.0.partial_cmp(&f);
+        }
+        // Signs first (`None` here for NaN); `Less < Equal < Greater`.
+        let f_sign = f.partial_cmp(&0.0)?;
+        let self_sign = match self.numerator.sign() {
+            Sign::Negative => Ordering::Less,
+            Sign::Zero => Ordering::Equal,
+            Sign::Positive => Ordering::Greater,
+        };
+        if self_sign != f_sign || self_sign == Ordering::Equal {
+            return Some(self_sign.cmp(&f_sign));
+        }
+        let (m, e) = dyadic_parts(f);
+        // `|self|` vs `|f|` is `|n| · 2^lshift` vs `m · d · 2^rshift`.
+        let (lshift, rshift) = if e < 0 {
+            (e.unsigned_abs() as usize, 0)
+        } else {
+            (0, e as usize)
+        };
+        let magnitude = match self.small_parts() {
+            Some((n, d)) => {
+                let (n, md) = (u128::from(n), u128::from(m) * u128::from(d));
+                let lbits = (u128::BITS - n.leading_zeros()) as usize + lshift;
+                let rbits = (u128::BITS - md.leading_zeros()) as usize + rshift;
+                // Equal lengths are at most 117 bits: the unshifted side is
+                // `n < 2^64` or `m · d < 2^117`.
+                lbits
+                    .cmp(&rbits)
+                    .then_with(|| (n << lshift).cmp(&(md << rshift)))
+            }
+            None => {
+                let n = self.numerator.magnitude();
+                let md = &self.denominator * &BigUint::from_u64(m);
+                (n.bits() + lshift)
+                    .cmp(&(md.bits() + rshift))
+                    .then_with(|| (n << lshift).cmp(&(&md << rshift)))
+            }
+        };
+        Some(if self_sign == Ordering::Greater {
+            magnitude
+        } else {
+            magnitude.reverse()
+        })
+    }
+
+    /// Fast uncertified approximation seeding the bounds fix-up. When
+    /// `|n|, d < 2^53` it is the correctly rounded quotient. Otherwise both
+    /// sides are truncated to their top 63 bits with the cut exponents
+    /// tracked explicitly, so the quotient is computed on `u64`-sized
+    /// operands at full `f64` precision and then scaled by an exact power
+    /// of two. Within a few ulps of the exact value on the whole `f64` range.
     fn to_f64_approx(&self) -> f64 {
-        if self.numerator.is_zero() {
-            return 0.0;
+        if let Some(q) = self.small_quotient() {
+            return q;
         }
         let n = self.numerator.magnitude();
         let d = &self.denominator;
@@ -219,42 +296,32 @@ impl Rational {
     /// `f64` range get the saturating bound (`f64::MAX`/`inf` and duals).
     ///
     /// This is the certified conversion the interval fast-path is built on:
-    /// the fast truncation-based candidate is *verified and corrected by
-    /// exact rational comparison* (finite floats are dyadic rationals), so
-    /// no rounding analysis of the approximation is trusted.
+    /// the fast candidate of `to_f64_approx` is *verified and corrected by
+    /// exact comparison* (`cmp_f64`; finite floats are dyadic
+    /// rationals), so no rounding analysis of the approximation is trusted.
+    /// The walk finds `lo` and derives `hi` from it. When `|n|, d < 2^53`
+    /// the candidate is the correctly rounded quotient, so the walk takes
+    /// one to three word-sized comparisons.
     pub fn to_f64_bounds(&self) -> (f64, f64) {
-        use std::cmp::Ordering;
-        let cmp = |f: f64| -> Ordering {
-            if f == f64::INFINITY {
-                return Ordering::Greater;
-            }
-            if f == f64::NEG_INFINITY {
-                return Ordering::Less;
-            }
-            Rational::from_f64_dyadic(f)
-                .expect("candidate bounds are never NaN")
-                .cmp(self)
-        };
-        let approx = self.to_f64_approx();
-        debug_assert!(!approx.is_nan());
-        // Largest f64 <= self: walk down until <=, then back up while still <=.
-        let mut lo = approx;
-        while cmp(lo) == Ordering::Greater {
+        let mut lo = self.to_f64_approx();
+        debug_assert!(!lo.is_nan());
+        // Where the value lies against `lo`; never `None` (no NaN candidate)
+        // and never `Less` at `-inf`, so the walk down ends.
+        let mut side = self.cmp_f64(lo);
+        while side == Some(Ordering::Less) {
             lo = lo.next_down();
+            side = self.cmp_f64(lo);
         }
-        while lo != f64::INFINITY && cmp(lo.next_up()) != Ordering::Greater {
-            lo = lo.next_up();
+        // Largest f64 <= self: step up while the next float still is. The
+        // value is below `+inf`, so the walk up ends too.
+        while side == Some(Ordering::Greater) {
+            let up = lo.next_up();
+            match self.cmp_f64(up) {
+                Some(Ordering::Less) => return (lo, up),
+                next => (lo, side) = (up, next),
+            }
         }
-        // Smallest f64 >= self, dually.
-        let mut hi = approx;
-        while cmp(hi) == Ordering::Less {
-            hi = hi.next_up();
-        }
-        while hi != f64::NEG_INFINITY && cmp(hi.next_down()) != Ordering::Less {
-            hi = hi.next_down();
-        }
-        debug_assert!(lo <= hi);
-        (lo, hi)
+        (lo, lo)
     }
 
     /// Multiplicative inverse. Panics if the value is zero.
@@ -286,6 +353,18 @@ impl Rational {
             self.numerator = BigInt::from_sign_magnitude(self.numerator.sign(), n);
             self.denominator = d;
         }
+    }
+}
+
+/// `|v| = m · 2^e` exactly, for a finite nonzero `v` (subnormals included).
+fn dyadic_parts(v: f64) -> (u64, i64) {
+    let bits = v.to_bits();
+    let exponent = ((bits >> 52) & 0x7FF) as i64;
+    let fraction = bits & 0xF_FFFF_FFFF_FFFF;
+    if exponent == 0 {
+        (fraction, -1074)
+    } else {
+        (fraction | (1 << 52), exponent - 1075)
     }
 }
 
@@ -578,5 +657,105 @@ mod tests {
             total = &total + &w;
         }
         assert!(total.is_one());
+    }
+}
+
+/// The float conversions against exact references: [`Rational::to_f64`]'s
+/// one-division fast path bit for bit against midpoint rounding of the
+/// certified bracket, [`Rational::to_f64_bounds`] against its definition, and
+/// [`Rational::cmp_f64`] against comparison through a reduced
+/// [`Rational::from_f64_dyadic`].
+#[cfg(test)]
+mod conversion_proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    const TWO_53: u64 = 1 << 53;
+
+    /// `(n, d)` for one of the shapes the conversions are checked on; `a`, `b`
+    /// and `k` are the raw random draws.
+    fn shape(kind: u8, a: u64, b: u64, k: u32) -> (BigUint, BigUint) {
+        let big = |v: u64| BigUint::from_u64(v);
+        match kind {
+            // Random a/b inside the fast range, and over full words.
+            0 => (big(a % TWO_53), big(b % TWO_53 + 1)),
+            1 => (big(a), big(b | 1)),
+            // Powers of two over powers of two, and over random d.
+            2 => (
+                BigUint::pow2((k % 1100) as usize),
+                BigUint::pow2((a % 64) as usize),
+            ),
+            3 => (BigUint::pow2((k % 53) as usize), big(b % TWO_53 + 1)),
+            // Near 0 (1/d) and near 1 ((d ± 1)/d).
+            4 => (big(1 + a % 3), big(b % TWO_53 + 1)),
+            5 => {
+                let d = b % TWO_53 + 2;
+                (big(if a.is_multiple_of(2) { d - 1 } else { d + 1 }), big(d))
+            }
+            // Exact ties (an odd 54-bit numerator over a power of two, times
+            // a common factor c) and the numerators one unit either side.
+            6 => {
+                let t = TWO_53 | (a % TWO_53) | 1;
+                let c = 1 + b % 1000;
+                let n = (u128::from(t) * u128::from(c)) as i128 + i128::from(k % 3) - 1;
+                (
+                    BigUint::from_u128(n as u128),
+                    &BigUint::pow2((k % 64) as usize) * &big(c),
+                )
+            }
+            // n or d straddling the 2^53 boundary.
+            7 => (big(TWO_53 - 1 + u64::from(k % 3)), big(b % TWO_53 + 1)),
+            _ => (big(a % TWO_53), big(TWO_53 - 1 + u64::from(k % 3))),
+        }
+    }
+
+    /// The comparator's reference: build the reduced rational of `f`.
+    fn cmp_by_rational(r: &Rational, f: f64) -> Option<Ordering> {
+        if f.is_nan() {
+            None
+        } else if f.is_infinite() {
+            Some(if f > 0.0 {
+                Ordering::Less
+            } else {
+                Ordering::Greater
+            })
+        } else {
+            Rational::from_f64_dyadic(f).map(|x| r.cmp(&x))
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn float_conversions_match_exact_references(
+            kind in 0u8..9, a in any::<u64>(), b in any::<u64>(), k in 0u32..1 << 20,
+            negate in any::<bool>(), probe in any::<u64>(),
+        ) {
+            let (n, d) = shape(kind, a, b, k);
+            let mut r = Rational::new(BigInt::from_biguint(n), d);
+            if negate {
+                r = -r;
+            }
+            // `lo == hi == r`, or adjacent floats strictly around `r`.
+            let (lo, hi) = r.to_f64_bounds();
+            let tight = if lo.to_bits() == hi.to_bits() {
+                (Ordering::Equal, Ordering::Equal)
+            } else {
+                prop_assert_eq!(hi.to_bits(), lo.next_up().to_bits(), "bounds of {}", r);
+                (Ordering::Greater, Ordering::Less)
+            };
+            let sides = (cmp_by_rational(&r, lo), cmp_by_rational(&r, hi));
+            prop_assert_eq!(sides, (Some(tight.0), Some(tight.1)), "bounds of {}", r);
+            prop_assert_eq!(r.to_f64().to_bits(), r.to_f64_via_bounds().to_bits(), "to_f64 of {}", r);
+            let probes = [
+                lo, hi, lo.next_down(), hi.next_up(), r.to_f64(), 0.0, -0.0,
+                f64::from_bits(probe), f64::INFINITY, f64::NEG_INFINITY, f64::NAN,
+                f64::MIN_POSITIVE, 5e-324, f64::MAX,
+            ];
+            for f in probes {
+                prop_assert_eq!(r.cmp_f64(f), cmp_by_rational(&r, f), "{} vs {:e}", r, f);
+            }
+        }
     }
 }

@@ -45,11 +45,11 @@ fn pin(s: &StructuredDnnf) -> Pin {
         match circuit.gate(id) {
             Gate::Var(v) => {
                 h.word(0);
-                h.word(*v as u64);
+                h.word(v as u64);
             }
             Gate::Const(b) => {
                 h.word(1);
-                h.word(u64::from(*b));
+                h.word(u64::from(b));
             }
             Gate::Not(g) => {
                 h.word(2);
