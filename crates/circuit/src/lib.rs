@@ -13,7 +13,8 @@
 //! * [`Dnnf`] — deterministic decomposable circuits (Definition 6.10) with
 //!   linear-time probability evaluation, one-pass weighted model counting on
 //!   smooth circuits and conditioning, all evaluation running one [`Semiring`]
-//!   kernel ([`eval_gate`]);
+//!   kernel ([`eval_gate`]), and the exact integer pass of that kernel in
+//!   one flat limb arena ([`LimbArena`]);
 //! * [`Vtree`] — variable trees witnessing *structured* decomposability
 //!   (the "structured" in d-SDNNF: OBDDs are the right-linear special case,
 //!   and the automaton provenance construction is structured by a vtree read
@@ -25,6 +26,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod arena;
 mod circuit;
 mod dnnf;
 mod formula;
@@ -33,6 +35,7 @@ mod probability;
 mod semiring;
 mod vtree;
 
+pub use arena::{ArenaRange, LimbArena};
 pub use circuit::{Circuit, Gate, GateId, VarId};
 pub use dnnf::{Dnnf, DnnfError};
 pub use formula::{

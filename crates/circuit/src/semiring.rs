@@ -8,10 +8,12 @@
 //! certified `f64` intervals — is this one recurrence over a different
 //! [`Semiring`]; [`eval_gate`] is the single gate step that both the
 //! sequential runner ([`crate::Dnnf::evaluate`]) and the fragment-parallel
-//! runner of the engine crate execute.
+//! runner of the engine crate execute. The exact integer [`Wmc`] pass runs
+//! the same dispatch over fixed limb slots instead of values
+//! ([`crate::LimbArena`]).
 
 use crate::circuit::{Circuit, Gate, GateId, VarId};
-use treelineage_num::{BigInt, BigUint, ErrorInterval, Rational};
+use treelineage_num::{BigUint, ErrorInterval, Rational};
 
 /// One evaluation semantics over d-DNNF gates. `Const(b)` evaluates to
 /// [`Semiring::one`] or [`Semiring::zero`], an AND gate to the product of
@@ -78,10 +80,9 @@ where
 }
 
 /// The number types [`Wmc`] evaluates over: a commutative ring. Exact
-/// [`Rational`]s, [`ErrorInterval`]s with outward rounding (each operation's
-/// result contains every exact result of its operands, so the output
-/// interval contains the exact answer), or [`BigInt`]s for the
-/// fraction-free pass over integer literal weights (no gcd anywhere).
+/// [`Rational`]s, or [`ErrorInterval`]s with outward rounding (each
+/// operation's result contains every exact result of its operands, so the
+/// output interval contains the exact answer).
 pub trait Ring: Clone {
     /// Additive identity.
     fn zero() -> Self;
@@ -142,21 +143,6 @@ impl Weight for ErrorInterval {
     }
 }
 
-impl Ring for BigInt {
-    fn zero() -> Self {
-        BigInt::zero()
-    }
-    fn one() -> Self {
-        BigInt::one()
-    }
-    fn add_assign(&mut self, x: &Self) {
-        *self = &*self + x;
-    }
-    fn mul_assign(&mut self, x: &Self) {
-        *self = &*self * x;
-    }
-}
-
 /// Probability under independent variable probabilities (the wrapped
 /// closure gives `P(v)`). A `Not` gate complements its input's value — also
 /// over constants, where the interval complement of `one()` rounds outward
@@ -194,13 +180,14 @@ where
 /// d-DNNFs only (a variable missing from an OR child's scope would count
 /// with factor 1 instead of `pos(v) + neg(v)`).
 ///
-/// Over [`BigInt`] this is the fraction-free exact pass: scale each
-/// variable's weights by a common denominator `c_v` (for a probability
-/// `p_v = a_v/b_v`: `pos = a_v`, `neg = b_v - a_v`, `c_v = b_v`), and on a
-/// smooth circuit whose output mentions every variable of the universe the
-/// integer result `N` gives the rational answer `N / ∏ c_v` — footnote 3's
-/// model-count ↔ probability identity, with one reduction at the end
-/// instead of one per gate.
+/// Over integers this is the fraction-free exact pass, which runs in a
+/// flat limb arena ([`crate::LimbArena`]): scale each variable's weights by
+/// a common denominator `c_v` (for a probability `p_v = a_v/b_v`:
+/// `pos = a_v`, `neg = b_v - a_v`, `c_v = b_v`), and on a smooth circuit
+/// whose output mentions every variable of the universe the integer result
+/// `N` gives the rational answer `N / ∏ c_v` — footnote 3's model-count ↔
+/// probability identity, with one reduction at the end instead of one per
+/// gate.
 pub struct Wmc<P, N> {
     /// Weight of the positive literal.
     pub pos: P,

@@ -36,10 +36,11 @@
 //! Evaluation reuses the same partition: each fragment's gate range is
 //! self-contained, so [`ParallelDnnf::evaluate`] runs the circuit crate's
 //! one gate step ([`eval_gate`]) over any [`Semiring`] on the ranges
-//! concurrently and finishes the spine on the caller's thread. Every pass —
-//! probability, WMC and model counting, exact or in certified intervals —
-//! is an instance of that runner ([`Probability`], [`Wmc`], [`Count`]); the
-//! exact probability and WMC passes run [`Wmc`] over [`BigInt`] weights and
+//! concurrently and finishes the spine on the caller's thread. The
+//! certified interval passes are instances of that runner
+//! ([`Probability`], [`Wmc`]); the exact passes — probability, WMC and
+//! model count — run the integer [`Wmc`] rule the same way in one flat
+//! [`LimbArena`], whose fragment ranges are contiguous limb ranges, and
 //! reduce once per answer (fraction-free, see [`ParallelDnnf::wmc`]). A
 //! gate's value depends only on its inputs' values and the fixed operand
 //! order, so the result equals the sequential
@@ -49,16 +50,18 @@
 use crate::pool::run_tasks;
 use crate::EngineConfig;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use treelineage_automata::{
     compile_structured_dnnf_traced, BinaryTree, CompiledSubtree, NodeAnnotation, NodeId,
     StructuredBuilder, StructuredDnnf, StructuredDnnfError, SubtreeGates, TreeAutomaton,
     UncertainTree,
 };
 use treelineage_circuit::{
-    eval_gate, Circuit, Count, Gate, GateId, Probability, Semiring, Vtree, VtreeId, VtreeNode, Wmc,
+    eval_gate, ArenaRange, Circuit, Gate, GateId, LimbArena, Probability, Semiring, Vtree, VtreeId,
+    VtreeNode, Wmc,
 };
-use treelineage_num::{BigInt, BigUint, ErrorInterval, Rational};
+use treelineage_num::limbs::{self, IntWeights};
+use treelineage_num::{BigUint, ErrorInterval, Rational};
 use treelineage_telemetry::Telemetry;
 
 /// Fragments below this size are not worth a task of their own: the replay
@@ -276,34 +279,31 @@ impl ParallelDnnf {
 
     /// Acceptance probability under independent event probabilities,
     /// fraction-free: event `v` with `P(v) = a/b` weighs `a` as a positive
-    /// literal and `b - a` as a negative one, and one [`Wmc`] pass over
-    /// [`BigInt`] divided by `∏ b` gives the answer (see
-    /// [`ParallelDnnf::wmc`]). Equal to the `Rational`
+    /// literal and `b - a` as a negative one, and one integer [`Wmc`] pass
+    /// divided by `∏ b` gives the answer (see [`ParallelDnnf::wmc`]). Equal
+    /// to the `Rational`
     /// [`Dnnf::probability`](treelineage_circuit::Dnnf::probability).
     pub fn probability(
         &self,
         prob: &(dyn Fn(usize) -> Rational + Sync),
         threads: usize,
     ) -> Rational {
-        self.fraction_free(threads, |v| {
-            let p = prob(v);
-            let b = BigInt::from_biguint(p.denominator().clone());
-            (
-                p.numerator().clone(),
-                &b - p.numerator(),
-                p.denominator().clone(),
-            )
-        })
+        self.fraction_free(
+            "probability",
+            threads,
+            |weights, v| weights.push_probability(&prob(v)),
+            IntWeights::ratio,
+        )
     }
 
     /// Weighted model count with general per-literal weights, fraction-free:
     /// event `v`'s weights are scaled by `c = lcm(den pos(v), den neg(v))`
-    /// into integers, one [`Wmc`] pass over [`BigInt`] runs on the
-    /// fragment-parallel kernel runner, and the integer result divided by
-    /// `∏ c` over the universe is the answer — the only gcd of the call.
-    /// Sound because the circuit is smooth and its output mentions every
-    /// universe event (or is `Const(false)`), which the [`StructuredDnnf`]
-    /// invariant guarantees. Equal to the `Rational`
+    /// into integers, one integer [`Wmc`] pass runs on the fragment-parallel
+    /// arena runner, and the integer result divided by `∏ c` over the
+    /// universe is the answer — the only gcd of the call. Sound because the
+    /// circuit is smooth and its output mentions every universe event (or
+    /// is `Const(false)`), which the [`StructuredDnnf`] invariant
+    /// guarantees. Equal to the `Rational`
     /// [`Dnnf::wmc`](treelineage_circuit::Dnnf::wmc).
     pub fn wmc(
         &self,
@@ -311,56 +311,88 @@ impl ParallelDnnf {
         neg: &(dyn Fn(usize) -> Rational + Sync),
         threads: usize,
     ) -> Rational {
-        self.fraction_free(threads, |v| {
-            let (pos, neg) = (pos(v), neg(v));
-            let (dp, dn) = (pos.denominator(), neg.denominator());
-            let scale = &dp.div_rem(&dp.gcd(dn)).0 * dn;
-            let scaled = |w: &Rational| {
-                w.numerator() * &BigInt::from_biguint(scale.div_rem(w.denominator()).0)
-            };
-            (scaled(&pos), scaled(&neg), scale)
-        })
+        self.fraction_free(
+            "wmc",
+            threads,
+            |weights, v| weights.push_weights(&pos(v), &neg(v)),
+            IntWeights::ratio,
+        )
     }
 
-    /// The integer pass behind [`ParallelDnnf::probability`] and
-    /// [`ParallelDnnf::wmc`]: `weights(v)` gives event `v`'s integer
-    /// `(pos, neg)` literal weights and their scale, read once per universe
-    /// event; the answer is `Wmc_ℤ / ∏ scale`.
-    fn fraction_free(
+    /// Number of accepting event valuations: the integer [`Wmc`] pass with
+    /// unit weights and scale 1 (one pass thanks to
+    /// smoothness-by-construction).
+    pub fn model_count(&self, threads: usize) -> BigUint {
+        self.fraction_free(
+            "count",
+            threads,
+            |weights, _| weights.push_unit(),
+            |_, count| limbs::to_biguint(count),
+        )
+    }
+
+    /// The integer pass behind [`ParallelDnnf::probability`],
+    /// [`ParallelDnnf::wmc`] and [`ParallelDnnf::model_count`], at every
+    /// thread count: `push` adds each universe event's integer weights, in
+    /// universe order; one [`LimbArena`] is laid out from their a priori
+    /// bit bounds; the self-contained fragment ranges are evaluated in
+    /// their own limb ranges on up to `threads` pool workers, then the
+    /// spine on the caller's thread; `answer` reads the output slot.
+    /// Records the arena's size as `exact_limbs_total{pass}`.
+    fn fraction_free<T>(
         &self,
+        pass: &str,
         threads: usize,
-        weights: impl Fn(usize) -> (BigInt, BigInt, BigUint),
-    ) -> Rational {
+        push: impl Fn(&mut IntWeights, usize),
+        answer: impl FnOnce(&IntWeights, &[u64]) -> T,
+    ) -> T {
         let universe = self.structured.universe();
-        let mut denominator = BigUint::one();
-        let (pos, neg): (Vec<BigInt>, Vec<BigInt>) = universe
-            .iter()
-            .map(|&v| {
-                let (pos, neg, scale) = weights(v);
-                denominator *= &scale;
-                (pos, neg)
-            })
-            .unzip();
+        let mut weights = IntWeights::with_capacity(universe.len());
+        for &v in universe {
+            push(&mut weights, v);
+        }
         let index = |v: usize| {
             universe
                 .binary_search(&v)
                 .expect("circuit events lie in the universe")
         };
-        let numerator = self.evaluate(
-            &Wmc {
-                pos: |v| pos[index(v)].clone(),
-                neg: |v| neg[index(v)].clone(),
-            },
-            threads,
+        let literal = |v: usize, positive: bool| weights.literal(index(v), positive);
+        let circuit = self.structured.dnnf().circuit();
+        let fragments = &self.partition.fragments;
+        let telemetry = &self.telemetry;
+        let mut arena = LimbArena::new(circuit, |v| weights.bits(index(v)));
+        let ranges: Vec<Mutex<ArenaRange<'_>>> =
+            arena.split(fragments).into_iter().map(Mutex::new).collect();
+        // Fragments record a span when they run as pool tasks; run inline
+        // (one thread or one fragment), they are part of the caller's
+        // sweep, as in the interval passes.
+        let inline = Telemetry::disabled();
+        let spans = if threads > 1 && ranges.len() > 1 {
+            telemetry
+        } else {
+            &inline
+        };
+        run_tasks(threads, ranges.len(), telemetry, |fi| {
+            let mut chunk_span = spans.span("eval_fragment");
+            chunk_span.label("fragment", fi);
+            ranges[fi]
+                .lock()
+                .expect("each fragment runs once")
+                .eval(circuit, &literal);
+        });
+        drop(ranges);
+        let mut next = 0;
+        for &(start, end) in fragments {
+            arena.eval(circuit, next..start, &literal);
+            next = end;
+        }
+        arena.eval(circuit, next..circuit.size(), &literal);
+        telemetry.counter_add(
+            "exact_limbs_total",
+            &[("pass", pass)],
+            arena.limb_count() as u64,
         );
-        Rational::new(numerator, denominator)
-    }
-
-    /// Number of accepting event valuations (one integer pass thanks to
-    /// smoothness-by-construction): the [`Count`] instance of the
-    /// fragment-parallel kernel runner.
-    pub fn model_count(&self, threads: usize) -> BigUint {
-        self.evaluate(&Count, threads)
+        answer(&weights, arena.value(circuit.output()))
     }
 
     /// The float fast-path of [`ParallelDnnf::probability`]: the same pass
@@ -671,7 +703,8 @@ fn replay_vtree(global: &mut Vtree, fragment: &Vtree) {
 mod tests {
     use super::*;
     use treelineage_automata::{compile_structured_dnnf, strategies};
-    use treelineage_circuit::Dnnf;
+    use treelineage_circuit::{Count, Dnnf};
+    use treelineage_num::{BigInt, Sign};
 
     /// Gate-by-gate equality (ids, kinds, operand order, output) plus vtree
     /// node equality — the byte-identity contract.
@@ -864,6 +897,28 @@ mod tests {
         ))
     }
 
+    /// `¬true ∨ ((x ∨ ¬x) ∧ y ∧ ¬z)` over universe {0, 1, 2}: smooth but
+    /// for the constant-false input of the output OR, which has no models,
+    /// so its empty scope does not matter to a weighted count. Its bit
+    /// bound (0) is below its sibling's: an OR's slot must take the max.
+    fn false_input_lineage() -> ParallelDnnf {
+        let mut c = Circuit::new();
+        let t = c.constant(true);
+        let nt = c.not(t);
+        let (x, y, z) = (c.var(0), c.var(1), c.var(2));
+        let nx = c.not(x);
+        let nz = c.not(z);
+        let either = c.or(vec![x, nx]);
+        let all = c.and(vec![either, y, nz]);
+        let out = c.or(vec![nt, all]);
+        c.set_output(out);
+        ParallelDnnf::sequential(StructuredDnnf::from_trusted_parts(
+            Dnnf::from_trusted_circuit(c).unwrap(),
+            Vtree::new(),
+            vec![0, 1, 2],
+        ))
+    }
+
     /// `(lo, hi)` bit patterns of the interval passes on the parity comb of
     /// [`interval_pass_contains_exact_and_is_thread_count_invariant`].
     const GOLDEN_PROBABILITY_BITS: (u64, u64) = (4602678819172644415, 4602678819172648856);
@@ -961,8 +1016,12 @@ mod tests {
 
     /// Probabilities with every corner of the fraction-free weights: `0`
     /// and `1` (a zero positive or negative integer weight) and mixed
-    /// denominators.
-    const PROBABILITIES: [(i64, u64); 8] = [
+    /// denominators; then the limb boundaries of the arena: denominators
+    /// of exactly `2^63` and `2^64` (`|pos| + |neg|` a power of two, where
+    /// the slot bound is attained and a slot without its sign bit
+    /// overflows), and numerators and denominators near `2^32`, `2^63` and
+    /// `2^64`.
+    const PROBABILITIES: [(i128, u128); ALL] = [
         (0, 1),
         (1, 1),
         (1, 2),
@@ -971,10 +1030,20 @@ mod tests {
         (3, 4),
         (7, 12),
         (9, 10),
+        (1, 1 << 63),
+        ((1 << 62) + 1, 1 << 63),
+        (3, 1 << 64),
+        ((1 << 32) - 1, (1 << 32) + 1),
+        ((1 << 32) + 3, 1 << 33),
+        ((1 << 63) - 25, (1 << 63) + 1),
+        (u64::MAX as i128 - 58, u64::MAX as u128),
+        (u64::MAX as i128, 1 << 64),
     ];
     /// WMC literal weights: zero, negative, above one, and denominators
-    /// whose lcm differs from either one.
-    const WEIGHTS: [(i64, u64); 8] = [
+    /// whose lcm differs from either one; then the limb boundaries (near
+    /// `2^32`, `2^63`, `2^64`) and weights above `2^64` (multi-limb
+    /// literals), of both signs.
+    const WEIGHTS: [(i128, u128); ALL] = [
         (0, 1),
         (-3, 7),
         (5, 2),
@@ -983,21 +1052,43 @@ mod tests {
         (-1, 4),
         (5, 6),
         (-7, 1),
+        ((1 << 32) + 1, (1 << 32) - 1),
+        (-((1 << 32) - 1), 1 << 32),
+        (i64::MAX as i128, u64::MAX as u128),
+        (-(1 << 63), 3),
+        (-(u64::MAX as i128), (1 << 63) + 1),
+        ((1 << 70) + 3, 5),
+        (-((1 << 65) + 1), 3),
+        (-1, 1 << 64),
     ];
+    /// The rows of [`PROBABILITIES`] and [`WEIGHTS`] before the limb
+    /// boundaries, and all of them.
+    const MIXED: usize = 8;
+    const ALL: usize = 16;
 
     /// A seeded pick from `table` for event `e` (SplitMix64 finalizer).
-    fn pick(table: &[(i64, u64)], seed: u64, e: usize) -> Rational {
+    fn pick(table: &[(i128, u128)], seed: u64, e: usize) -> Rational {
         let mut z = seed ^ (e as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         let (n, d) = table[(z ^ (z >> 31)) as usize % table.len()];
-        Rational::from_ratio_i64(n, d)
+        let sign = if n < 0 {
+            Sign::Negative
+        } else {
+            Sign::Positive
+        };
+        let n = BigInt::from_sign_magnitude(sign, BigUint::from_u128(n.unsigned_abs()));
+        Rational::new(n, BigUint::from_u128(d))
     }
 
-    /// The fraction-free `ParallelDnnf::{probability, wmc}` against the
-    /// `Rational` `Probability` / `Wmc` instances of the sequential runner,
-    /// with exact equality, at threads {1, 2, 8}.
-    fn assert_fraction_free_exact(parallel: &ParallelDnnf, seed: u64) {
+    /// The fraction-free `ParallelDnnf::{probability, wmc, model_count}`
+    /// against the `Rational` `Probability` / `Wmc` instances and the
+    /// `Count` pass of the sequential runner, with exact equality, at
+    /// threads {1, 2, 8}. WMC runs twice: over the weight rows, and over
+    /// their negative ones only. `rows` is how many rows of the tables to
+    /// draw from (the `Rational` reference passes get slow on hundreds of
+    /// events with 64-bit denominators).
+    fn assert_fraction_free_exact(parallel: &ParallelDnnf, seed: u64, rows: usize) {
         let dnnf = parallel.structured().dnnf();
         // The precondition of the single final division by the universe's
         // scales: the output mentions every universe event, or is false.
@@ -1007,16 +1098,25 @@ mod tests {
             read == parallel.structured().universe()
                 || circuit.gate(circuit.output()) == Gate::Const(false)
         );
-        let prob = |e: usize| pick(&PROBABILITIES, seed, e);
-        let pos = |e: usize| pick(&WEIGHTS, seed, e);
+        let weights = &WEIGHTS[..rows];
+        let negative: Vec<(i128, u128)> = weights.iter().copied().filter(|w| w.0 < 0).collect();
+        let prob = |e: usize| pick(&PROBABILITIES[..rows], seed, e);
+        let pos = |e: usize| pick(weights, seed, e);
         // `neg` skips the table's zero, so no event's two weights sum to
         // zero (which would zero every count and hide a wrong scale).
-        let neg = |e: usize| pick(&WEIGHTS[1..], !seed, e);
+        let neg = |e: usize| pick(&weights[1..], !seed, e);
+        let pos_negative = |e: usize| pick(&negative, seed, e);
+        let neg_negative = |e: usize| pick(&negative, !seed, e);
         let want_p = dnnf.evaluate(&Probability(&prob));
         let want_w = dnnf.evaluate(&Wmc {
             pos: &pos,
             neg: &neg,
         });
+        let want_negative = dnnf.evaluate(&Wmc {
+            pos: &pos_negative,
+            neg: &neg_negative,
+        });
+        let want_count = dnnf.evaluate(&Count);
         for threads in [1usize, 2, 8] {
             assert_eq!(
                 parallel.probability(&prob, threads),
@@ -1026,6 +1126,16 @@ mod tests {
             assert_eq!(
                 parallel.wmc(&pos, &neg, threads),
                 want_w,
+                "threads={threads}"
+            );
+            assert_eq!(
+                parallel.wmc(&pos_negative, &neg_negative, threads),
+                want_negative,
+                "threads={threads}"
+            );
+            assert_eq!(
+                parallel.model_count(threads),
+                want_count,
                 "threads={threads}"
             );
         }
@@ -1053,7 +1163,7 @@ mod tests {
             let parallel = compile_structured_dnnf_parallel(&automaton, &u, &config).unwrap();
             assert!(!parallel.partition().is_empty());
             for seed in 0..8 {
-                assert_fraction_free_exact(&parallel, seed);
+                assert_fraction_free_exact(&parallel, seed, MIXED);
             }
         }
 
@@ -1069,12 +1179,13 @@ mod tests {
         assert!(parallel
             .probability(&|e| pick(&PROBABILITIES, 1, e), 2)
             .is_zero());
-        assert_fraction_free_exact(&parallel, 1);
+        assert_fraction_free_exact(&parallel, 1, MIXED);
 
         // `Not(Const)` gates, under probabilities 0 and 1 and zero /
-        // negative weights.
+        // negative weights; an OR whose inputs' bounds differ.
         for seed in 0..16 {
-            assert_fraction_free_exact(&not_const_lineage(), seed);
+            assert_fraction_free_exact(&not_const_lineage(), seed, ALL);
+            assert_fraction_free_exact(&false_input_lineage(), seed, ALL);
         }
     }
 
@@ -1226,7 +1337,7 @@ mod tests {
             let mut config = EngineConfig::with_threads(4);
             config.fragment_grain = 8;
             if let Ok(parallel) = compile_structured_dnnf_parallel(&automaton, &u, &config) {
-                assert_fraction_free_exact(&parallel, seed);
+                assert_fraction_free_exact(&parallel, seed, ALL);
             }
         }
     }

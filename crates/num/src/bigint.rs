@@ -95,6 +95,11 @@ impl BigInt {
         &self.magnitude
     }
 
+    /// The sign and the magnitude, by value.
+    pub(crate) fn into_parts(self) -> (Sign, BigUint) {
+        (self.sign, self.magnitude)
+    }
+
     /// Returns `true` if the value is zero.
     pub fn is_zero(&self) -> bool {
         self.sign == Sign::Zero

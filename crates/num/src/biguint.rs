@@ -5,10 +5,11 @@
 //! Exact rationals require unbounded integers — possible-world counts are
 //! `2^{|I|}` — so we provide a small, dependency-free big-integer
 //! implementation. Limbs are base-`2^32` stored little-endian in a `Vec<u32>`;
-//! multiplication is schoolbook, division is Knuth algorithm D restricted to
-//! the cases we need (it falls back to binary long division for simplicity on
-//! multi-limb divisors), which is more than adequate for the instance sizes
-//! exercised by the experiments.
+//! multiplication is schoolbook; division is short division by a one-limb
+//! divisor and binary (bit-at-a-time) long division by a multi-limb one;
+//! gcd is Stein's binary algorithm in place. The served exact passes do not
+//! run on this type (they evaluate in fixed-width limb slots, see
+//! [`crate::limbs`]) and reduce once per answer.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -143,9 +144,10 @@ impl BigUint {
     }
 
     /// Greatest common divisor (Stein's binary algorithm: shifts and
-    /// subtractions only). Every `Rational` operation reduces through this.
-    /// The served exact passes are fraction-free and reduce once per answer,
-    /// but the `Rational` passes (the sequential oracle, non-smooth
+    /// subtractions only), run in place on two owned limb buffers, so the
+    /// loop allocates nothing. Every `Rational` operation reduces through
+    /// this. The served exact passes are fraction-free and reduce once per
+    /// answer, but the `Rational` passes (the sequential oracle, non-smooth
     /// circuits) reduce at every gate, on numerators of thousands of bits,
     /// where binary gcd's O(bits) cheap iterations beat Euclid's O(bits)
     /// *long divisions* by orders of magnitude.
@@ -158,22 +160,76 @@ impl BigUint {
         }
         let az = self.trailing_zeros();
         let bz = other.trailing_zeros();
-        let shift = az.min(bz);
-        let mut a = self >> az;
-        let mut b = other >> bz;
+        let mut a = self.clone();
+        let mut b = other.clone();
+        a.shr_assign_bits(az);
+        b.shr_assign_bits(bz);
         // Invariant: a and b odd; each round strips at least one bit off b.
         loop {
-            if a > b {
-                std::mem::swap(&mut a, &mut b);
+            match a.cmp(&b) {
+                Ordering::Equal => break,
+                Ordering::Greater => std::mem::swap(&mut a, &mut b),
+                Ordering::Less => {}
             }
-            b -= &a;
-            if b.is_zero() {
+            b.sub_assign_smaller(&a);
+            let tz = b.trailing_zeros();
+            b.shr_assign_bits(tz);
+        }
+        match az.min(bz) {
+            0 => a,
+            shift => &a << shift,
+        }
+    }
+
+    /// `self ← self >> shift`, in place.
+    pub(crate) fn shr_assign_bits(&mut self, shift: usize) {
+        let (limb_shift, bit_shift) = (shift / 32, shift % 32);
+        if limb_shift >= self.limbs.len() {
+            self.limbs.clear();
+            return;
+        }
+        self.limbs.drain(..limb_shift);
+        if bit_shift > 0 {
+            for i in 0..self.limbs.len() {
+                let high = self.limbs.get(i + 1).map_or(0, |&l| l << (32 - bit_shift));
+                self.limbs[i] = (self.limbs[i] >> bit_shift) | high;
+            }
+        }
+        self.normalize();
+    }
+
+    /// `self ← self - rhs` in place, for `rhs <= self`.
+    fn sub_assign_smaller(&mut self, rhs: &BigUint) {
+        let mut borrow = false;
+        for (i, limb) in self.limbs.iter_mut().enumerate() {
+            let r = rhs.limbs.get(i).copied().unwrap_or(0);
+            if i >= rhs.limbs.len() && !borrow {
                 break;
             }
-            let tz = b.trailing_zeros();
-            b = &b >> tz;
+            let (d, b1) = limb.overflowing_sub(r);
+            let (d, b2) = d.overflowing_sub(u32::from(borrow));
+            *limb = d;
+            borrow = b1 | b2;
         }
-        &a << shift
+        debug_assert!(!borrow, "BigUint subtraction underflow");
+        self.normalize();
+    }
+
+    /// The base-`2^32` limbs, little-endian.
+    pub(crate) fn limbs32(&self) -> &[u32] {
+        &self.limbs
+    }
+
+    /// The integer of little-endian `u64` limbs.
+    pub(crate) fn from_u64_limbs(limbs: impl ExactSizeIterator<Item = u64>) -> Self {
+        let mut out = Vec::with_capacity(2 * limbs.len());
+        for limb in limbs {
+            out.push(limb as u32);
+            out.push((limb >> 32) as u32);
+        }
+        let mut out = BigUint { limbs: out };
+        out.normalize();
+        out
     }
 
     /// Quotient and remainder of Euclidean division. Panics on division by zero.
@@ -186,24 +242,34 @@ impl BigUint {
             let (q, r) = self.div_rem_small(divisor.limbs[0]);
             return (q, BigUint::from_u64(r as u64));
         }
-        // Binary long division: simple and correct; divisor has >= 2 limbs so
-        // the loop count is the bit-length of the dividend.
-        let mut quotient = BigUint::zero();
-        let mut remainder = BigUint::zero();
-        let nbits = self.bits();
-        for i in (0..nbits).rev() {
-            remainder = &remainder << 1;
-            if self.bit(i) {
-                remainder.set_bit(0);
-            }
+        // Binary long division, in place: divisor has >= 2 limbs so the
+        // loop count is the bit-length of the dividend.
+        let mut quotient = BigUint {
+            limbs: vec![0; self.limbs.len()],
+        };
+        let mut remainder = BigUint {
+            limbs: Vec::with_capacity(divisor.limbs.len() + 1),
+        };
+        for i in (0..self.bits()).rev() {
+            remainder.shl1_with(self.bit(i));
             if remainder >= *divisor {
-                remainder = &remainder - divisor;
+                remainder.sub_assign_smaller(divisor);
                 quotient.set_bit_at(i);
             }
         }
         quotient.normalize();
-        remainder.normalize();
         (quotient, remainder)
+    }
+
+    /// `self ← 2·self + bit`, in place.
+    fn shl1_with(&mut self, bit: bool) {
+        let mut carry = u32::from(bit);
+        for limb in &mut self.limbs {
+            (*limb, carry) = ((*limb << 1) | carry, *limb >> 31);
+        }
+        if carry != 0 {
+            self.limbs.push(carry);
+        }
     }
 
     fn div_rem_small(&self, d: u32) -> (BigUint, u32) {
@@ -225,10 +291,6 @@ impl BigUint {
             return false;
         }
         (self.limbs[limb] >> (i % 32)) & 1 == 1
-    }
-
-    fn set_bit(&mut self, i: usize) {
-        self.set_bit_at(i);
     }
 
     fn set_bit_at(&mut self, i: usize) {

@@ -11,7 +11,10 @@
 //! * [`Rational`] — exact rationals in lowest terms (probabilities are given
 //!   as numerator/denominator pairs, footnote 1 of the paper),
 //! * [`ErrorInterval`] — certified `f64` enclosures of exact values, the
-//!   arithmetic behind the engine's float fast-path with exact fallback.
+//!   arithmetic behind the engine's float fast-path with exact fallback;
+//! * [`limbs`] — fixed-width two's-complement integers on `u64` limb slots
+//!   and the [`limbs::IntWeights`] literal tables, the arithmetic of the
+//!   allocation-free fraction-free exact pass.
 //!
 //! The implementation is deliberately simple (schoolbook multiplication,
 //! binary long division): the experiments run on instances of a few thousand
@@ -24,6 +27,7 @@
 mod bigint;
 mod biguint;
 mod interval;
+pub mod limbs;
 mod rational;
 
 pub use bigint::{BigInt, Sign};

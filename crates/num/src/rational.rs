@@ -346,13 +346,25 @@ impl Rational {
             self.denominator = BigUint::one();
             return;
         }
-        let g = self.numerator.magnitude().gcd(&self.denominator);
-        if !g.is_one() {
-            let (n, _) = self.numerator.magnitude().div_rem(&g);
-            let (d, _) = self.denominator.div_rem(&g);
-            self.numerator = BigInt::from_sign_magnitude(self.numerator.sign(), n);
-            self.denominator = d;
+        let mut g = self.numerator.magnitude().gcd(&self.denominator);
+        if g.is_one() {
+            return;
         }
+        // Shift out the gcd's power-of-two part first, in place: a
+        // multi-limb divisor takes `div_rem`'s bit-at-a-time loop, and
+        // dyadic gcds (the all-½ valuations) would otherwise all pay it.
+        let (sign, mut n) = std::mem::replace(&mut self.numerator, BigInt::zero()).into_parts();
+        let mut d = std::mem::take(&mut self.denominator);
+        let twos = g.trailing_zeros();
+        for x in [&mut n, &mut d, &mut g] {
+            x.shr_assign_bits(twos);
+        }
+        if !g.is_one() {
+            n = n.div_rem(&g).0;
+            d = d.div_rem(&g).0;
+        }
+        self.numerator = BigInt::from_sign_magnitude(sign, n);
+        self.denominator = d;
     }
 }
 

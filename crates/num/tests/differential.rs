@@ -81,6 +81,41 @@ proptest! {
     }
 
     #[test]
+    fn biguint_gcd_matches_euclid_u128_on_multi_limb_inputs(
+        a in 0u128..u128::MAX,
+        b in 0u128..u128::MAX,
+        twos in 0u32..64,
+    ) {
+        fn gcd(mut a: u128, mut b: u128) -> u128 {
+            while b != 0 {
+                (a, b) = (b, a % b);
+            }
+            a
+        }
+        // Shared powers of two too, so Stein's shift-out runs across limbs.
+        let (a, b) = ((a >> twos) << twos, (b >> twos) << twos);
+        let g = BigUint::from_u128(a).gcd(&BigUint::from_u128(b));
+        prop_assert_eq!(g.to_u128(), Some(gcd(a, b)));
+    }
+
+    #[test]
+    fn rational_new_cancels_large_dyadic_and_multi_limb_odd_factors(
+        n in -(1i64 << 40)..1 << 40,
+        d in 1u64..1 << 40,
+        odd in 0u128..u128::MAX >> 1,
+        twos in 0usize..300,
+    ) {
+        // g = 2^twos · (2·odd + 1): a large power-of-two part (a
+        // multi-limb dyadic gcd) and a multi-limb odd part.
+        let g = &BigUint::pow2(twos) * &BigUint::from_u128(2 * odd + 1);
+        let scaled = Rational::new(
+            &BigInt::from_i64(n) * &BigInt::from_biguint(g.clone()),
+            &BigUint::from_u64(d) * &g,
+        );
+        prop_assert_eq!(scaled, Rational::from_ratio_i64(n, d));
+    }
+
+    #[test]
     fn biguint_trailing_zeros_matches_u128(a in 1u128..u128::MAX, shift in 0usize..200) {
         let v = &BigUint::from_u128(a) * &BigUint::pow2(shift);
         prop_assert_eq!(v.trailing_zeros(), a.trailing_zeros() as usize + shift);

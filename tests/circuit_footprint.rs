@@ -1,14 +1,22 @@
-//! The flat gate layout of `Circuit`, pinned by a count rather than a
-//! timing: cloning a compiled lineage circuit costs a constant number of
-//! heap allocations (gate records, the shared AND/OR input array, the
-//! variable-gate memo) and a fixed number of bytes per gate, whatever its
-//! size. A per-gate `Vec` of inputs would cost one allocation per AND/OR
-//! gate and ~50 bytes per gate on the chain below.
+//! Memory footprints pinned by counts rather than timings.
+//!
+//! * The flat gate layout of `Circuit`: cloning a compiled lineage circuit
+//!   costs a constant number of heap allocations (gate records, the shared
+//!   AND/OR input array, the variable-gate memo) and a fixed number of
+//!   bytes per gate, whatever its size. A per-gate `Vec` of inputs would
+//!   cost one allocation per AND/OR gate and ~50 bytes per gate on the
+//!   chain below.
+//! * The limb arena of the exact passes: a warm
+//!   `ParallelDnnf::{probability, wmc, model_count}` call allocates a
+//!   constant number of buffers plus what the caller's weight closures
+//!   return per event, with no per-gate term. A `BigInt` per gate value
+//!   would cost at least two allocations per gate.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use treelineage::prelude::*;
 use treelineage_automata::{compile_structured_dnnf, StructuredDnnf};
+use treelineage_engine::ParallelDnnf;
 
 /// A pass-through allocator that counts allocation calls and requested
 /// bytes per thread.
@@ -39,6 +47,15 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 /// `(allocations, bytes)` requested so far by the calling thread.
 fn allocated() -> (u64, u64) {
     (ALLOCATIONS.with(Cell::get), BYTES.with(Cell::get))
+}
+
+/// The allocation calls `f` makes on the calling thread.
+fn allocations_of<T>(f: impl FnOnce() -> T) -> u64 {
+    let before = allocated().0;
+    let out = f();
+    let calls = allocated().0 - before;
+    drop(out);
+    calls
 }
 
 /// The lineage of `R(x), S(x, y), T(y)` on the chain with `n` links.
@@ -90,3 +107,40 @@ fn chain16_circuit_clone_is_a_few_flat_arrays() {
         bytes / gates
     );
 }
+
+#[test]
+fn chain16_exact_passes_allocate_per_event_not_per_gate() {
+    let lineage = ParallelDnnf::sequential(chain_lineage(16));
+    let events = lineage.structured().universe().len() as u64;
+    let gates = lineage.size() as u64;
+    assert!(gates > 10 * events, "{gates} gates, {events} events");
+    // Mixed denominators, so the answers need a final reduction.
+    let table: Vec<Rational> = (0..=*lineage.structured().universe().last().unwrap())
+        .map(|v| Rational::from_ratio_u64(1 + v as u64 % 5, 6 + v as u64 % 7))
+        .collect();
+    let prob = |v: usize| table[v].clone();
+    let neg = |v: usize| table[table.len() - 1 - v].clone();
+    // Each closure call returns an owned `Rational`: two allocations
+    // (numerator and denominator limbs) per event and closure.
+    let per_event = 2;
+    let passes: [(&str, u64, &dyn Fn()); 3] = [
+        ("probability", 1, &|| drop(lineage.probability(&prob, 1))),
+        ("wmc", 2, &|| drop(lineage.wmc(&prob, &neg, 1))),
+        ("model_count", 0, &|| drop(lineage.model_count(1))),
+    ];
+    for (name, closures, pass) in passes {
+        pass(); // warm
+        let calls = allocations_of(pass);
+        let bound = closures * per_event * events + FIXED;
+        assert!(
+            calls <= bound,
+            "{name}: {calls} allocations for {gates} gates and {events} events (bound {bound})"
+        );
+    }
+}
+
+/// The allocations of an exact pass beyond the weight closures' per-event
+/// `Rational`s, the tightest the passes meet on this chain: the weight
+/// table (3 buffers), the arena and its slot offsets (2), and the answer's
+/// big integers and its reduction (1 for a model count, 9 for a ratio).
+const FIXED: u64 = 14;

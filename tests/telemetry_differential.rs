@@ -17,7 +17,7 @@
 
 use proptest::prelude::*;
 use treelineage::prelude::*;
-use treelineage::{ProbabilityRequest, ThresholdRequest};
+use treelineage::{ProbabilityRequest, ThresholdRequest, WmcRequest};
 use treelineage_automata::strategies as tree_strategies;
 use treelineage_engine::compile_structured_dnnf_parallel;
 use treelineage_instance::strategies as instance_strategies;
@@ -273,4 +273,89 @@ fn metrics_report_stages_tiers_and_caches() {
     assert!(prom.contains("session_requests_total 2"));
     assert!(prom.contains("span_count{span=\"encode\"}"));
     assert!(prom.contains("request_latency_ns_bucket"));
+}
+
+/// `exact_limbs_total{pass}` is the arena size of every exact pass, pinned
+/// by value: for one lineage and one valuation per pass kind it equals
+/// `Σ_g ⌈(bits_g + 2) / 64⌉`, with `bits_g` the sum of `⌈log2(|pos_v| +
+/// |neg_v|)⌉` over the events gate `g` depends on — computed here from the
+/// circuit's gate scopes, not from the arena's own recurrence.
+#[test]
+fn exact_limbs_total_counts_arena_limbs_by_pass() {
+    let telemetry = Telemetry::enabled();
+    let mut session = EvalSession::new(config(1, telemetry));
+    let qid = session.register_query(query());
+    let mut inst = Instance::new(sig());
+    for i in 0..6u64 {
+        inst.add_fact_by_name("R", &[i, i + 1]);
+        inst.add_fact_by_name("S", &[i + 1, i + 2]);
+    }
+    let facts = inst.fact_count();
+    let iid = session.register_instance(inst.clone());
+    // P(f) = 1 / 2^(20 + f): |pos| + |neg| = 2^(20 + f), so fact f's
+    // literals have 20 + f bits and the sums cross limb boundaries.
+    let probabilities: Vec<Rational> = (0..facts)
+        .map(|f| Rational::new(BigInt::one(), BigUint::pow2(20 + f)))
+        .collect();
+    let valuation = ProbabilityValuation::from_probabilities(&inst, probabilities);
+    // WMC weights (f + 1, 2^40): 41 bits per fact.
+    let pos: Vec<Rational> = (0..facts)
+        .map(|f| Rational::from_ratio_u64(f as u64 + 1, 1))
+        .collect();
+    let neg = vec![Rational::from_biguint(BigUint::pow2(40)); facts];
+    assert!(session
+        .batch_probability(&[ProbabilityRequest {
+            query: qid,
+            instance: iid,
+            valuation,
+        }])
+        .iter()
+        .all(|r| r.is_ok()));
+    assert!(session
+        .batch_wmc(&[WmcRequest {
+            query: qid,
+            instance: iid,
+            pos,
+            neg,
+        }])
+        .iter()
+        .all(|r| r.is_ok()));
+    assert!(session
+        .batch_model_count(&[(qid, iid)])
+        .iter()
+        .all(|r| r.is_ok()));
+
+    let lineage = session.lineage_artifact(qid, iid).unwrap();
+    let scopes = lineage.structured().dnnf().circuit().gate_dependencies();
+    let limbs = |bits: &dyn Fn(usize) -> usize| -> u64 {
+        scopes
+            .iter()
+            .map(|scope| (scope.iter().map(|&v| bits(v)).sum::<usize>() + 2).div_ceil(64) as u64)
+            .sum()
+    };
+    let want_probability = limbs(&|f| 20 + f);
+    let want_wmc = limbs(&|_| 41);
+    let want_count = limbs(&|_| 1);
+    // The pins mean something: some slots are wider than one limb.
+    assert!(want_probability > scopes.len() as u64);
+    assert!(want_wmc > scopes.len() as u64);
+    assert_eq!(want_count, scopes.len() as u64);
+
+    let snap = session.metrics();
+    for (pass, want) in [
+        ("probability", want_probability),
+        ("wmc", want_wmc),
+        ("count", want_count),
+    ] {
+        assert_eq!(
+            snap.counter("exact_limbs_total", &[("pass", pass)]),
+            Some(want),
+            "{pass}"
+        );
+    }
+    let round = MetricsSnapshot::from_json_lines(&snap.to_json_lines()).unwrap();
+    assert_eq!(round, snap);
+    assert!(snap
+        .to_prometheus()
+        .contains(&format!("exact_limbs_total{{pass=\"wmc\"}} {want_wmc}")));
 }
