@@ -1,6 +1,11 @@
-//! The fraction-free exact pass in one flat limb arena: the [`eval_gate`]
-//! recurrence over integers, with every gate's value in a fixed
-//! two's-complement slot of a single `u64` buffer, sized before evaluation.
+//! The slot arena of the served passes: every gate's value lives in a fixed
+//! slot of one flat buffer, laid out before evaluation, and the caller's
+//! gate step fills the slots in place, over the whole circuit or over
+//! disjoint self-contained gate ranges on separate threads
+//! ([`LimbArena::split`]). The exact passes run the [`eval_gate`]
+//! recurrence over integers in `u64` limb slots sized by a priori bit
+//! bounds; the certified interval passes keep one [`ErrorInterval`] slot
+//! per gate, filled by [`eval_gate`] itself.
 //!
 //! **Bound.** On a smooth, deterministic, decomposable circuit with integer
 //! literal weights, `|value_g| ≤ ∏_{v ∈ scope(g)} (|pos_v| + |neg_v|)`: the
@@ -11,35 +16,43 @@
 //! literal, 0 at a constant, the sum over an AND's inputs and the max over
 //! an OR's, and gate `g` gets [`limbs::width`]`(e_g)` limbs. The bound
 //! depends only on the inputs' bounds, so one pass over the gate records
-//! lays the arena out.
+//! lays the arena out. Passes whose values have a fixed size take one slot
+//! per gate instead.
 //!
-//! **Exactness.** The slots wrap modulo `2^(64·w)`; since the true value of
-//! every gate fits its slot, every wrapped sum and truncated product is the
-//! exact one, and negative or zero weights need no special case.
+//! **Exactness.** The limb slots wrap modulo `2^(64·w)`; since the true
+//! value of every gate fits its slot, every wrapped sum and truncated
+//! product is the exact one, and negative or zero weights need no special
+//! case.
 //!
 //! [`eval_gate`]: crate::eval_gate
+//! [`ErrorInterval`]: treelineage_num::ErrorInterval
 
 use crate::circuit::{Circuit, Gate, GateId, VarId};
 use std::ops::Range;
 use treelineage_num::limbs;
 
-/// The limb slots of every gate of a circuit, laid out by the a priori bit
-/// bounds of the module docs: gate `g` owns limbs `slots[g]..slots[g + 1]`,
-/// in gate-id order, so a contiguous gate range owns a contiguous limb
-/// range.
+/// The value slots of every gate of a circuit, laid out by the a priori bit
+/// bounds of the module docs or one per gate: gate `g` owns elements
+/// `slots[g]..slots[g + 1]`, in gate-id order, so a contiguous gate range
+/// owns a contiguous slot range.
 #[derive(Debug)]
-pub struct LimbArena {
+pub struct LimbArena<T> {
     slots: Vec<usize>,
-    limbs: Vec<u64>,
+    limbs: Vec<T>,
 }
 
-/// The value of a constant gate, for fragments that do not own its slot.
-const CONSTANTS: [[u64; 1]; 2] = [[0], [1]];
-
-impl LimbArena {
+impl<T: Copy> LimbArena<T> {
     /// The bound pass: lays out the slots of `circuit`'s gates when the
-    /// literals of variable `v` have bit bound `literal_bits(v)`.
-    pub fn new(circuit: &Circuit, literal_bits: impl Fn(VarId) -> usize) -> Self {
+    /// literals of variable `v` have bit bound `literal_bits(v)`, or one
+    /// slot per gate when `literal_bits` is `None`; every element holds
+    /// `fill`.
+    pub fn new(circuit: &Circuit, literal_bits: Option<&dyn Fn(VarId) -> usize>, fill: T) -> Self {
+        let Some(literal_bits) = literal_bits else {
+            return LimbArena {
+                slots: (0..=circuit.size()).collect(),
+                limbs: vec![fill; circuit.size()],
+            };
+        };
         // First each gate's bit bound, then, in place, its slot offset.
         let mut slots = Vec::with_capacity(circuit.size() + 1);
         for id in circuit.gate_ids() {
@@ -62,39 +75,42 @@ impl LimbArena {
         slots.push(total);
         LimbArena {
             slots,
-            limbs: vec![0; total],
+            limbs: vec![fill; total],
         }
     }
 
-    /// The arena's size in limbs.
+    /// The arena's size in elements.
     pub fn limb_count(&self) -> usize {
         self.limbs.len()
     }
 
-    /// The two's-complement value slot of gate `g`.
-    pub fn value(&self, g: GateId) -> &[u64] {
+    /// The value slot of gate `g`.
+    pub fn value(&self, g: GateId) -> &[T] {
         &self.limbs[self.slots[g.0]..self.slots[g.0 + 1]]
     }
 
     /// Evaluates `gates` in id order, in place. Every input of a gate in
-    /// the range must already hold its value; `literal(v, positive)` gives
-    /// the integer weight of `v`'s positive or negative literal.
-    pub fn eval<'w>(
+    /// the range must already hold its value; `step(g, slot, input)`
+    /// writes gate `g`'s value into its slot, reading each input's slot
+    /// through `input`.
+    pub fn eval(
         &mut self,
-        circuit: &Circuit,
         gates: Range<usize>,
-        literal: &impl Fn(VarId, bool) -> &'w [u64],
+        step: &impl for<'x> Fn(GateId, &mut [T], &'x dyn Fn(GateId) -> &'x [T]),
     ) {
-        eval_slots(circuit, &self.slots, gates, &mut self.limbs, 0, literal);
+        eval_slots(&self.slots, gates, &[], &mut self.limbs, 0, step);
     }
 
     /// Disjoint views of the slots of `ranges` (sorted, disjoint,
     /// self-contained `[start, end)` gate ranges: their gates read only the
-    /// range itself and the constant gates), for evaluation on separate
-    /// threads.
-    pub fn split(&mut self, ranges: &[(usize, usize)]) -> Vec<ArenaRange<'_>> {
-        let mut rest: &mut [u64] = &mut self.limbs;
-        let mut consumed = 0;
+    /// range itself and gates below the first range), for evaluation on
+    /// separate threads once the gates below the first range hold their
+    /// values.
+    pub fn split(&mut self, ranges: &[(usize, usize)]) -> Vec<ArenaRange<'_, T>> {
+        let first = ranges.first().map_or(0, |&(start, _)| self.slots[start]);
+        let (head, mut rest) = self.limbs.split_at_mut(first);
+        let head: &[T] = head;
+        let mut consumed = first;
         let mut out = Vec::with_capacity(ranges.len());
         for &(start, end) in ranges {
             let (lo, hi) = (self.slots[start], self.slots[end]);
@@ -105,6 +121,7 @@ impl LimbArena {
             out.push(ArenaRange {
                 slots: &self.slots,
                 gates: start..end,
+                head,
                 limbs: range,
             });
         }
@@ -115,90 +132,54 @@ impl LimbArena {
 /// The slots of one self-contained gate range of a [`LimbArena`]
 /// ([`LimbArena::split`]).
 #[derive(Debug)]
-pub struct ArenaRange<'a> {
+pub struct ArenaRange<'a, T> {
     slots: &'a [usize],
     gates: Range<usize>,
-    limbs: &'a mut [u64],
+    /// The slots below the first range of the split.
+    head: &'a [T],
+    limbs: &'a mut [T],
 }
 
-impl ArenaRange<'_> {
+impl<T> ArenaRange<'_, T> {
     /// Evaluates the range's gates in place ([`LimbArena::eval`]).
-    pub fn eval<'w>(&mut self, circuit: &Circuit, literal: &impl Fn(VarId, bool) -> &'w [u64]) {
+    pub fn eval(
+        &mut self,
+        step: &impl for<'x> Fn(GateId, &mut [T], &'x dyn Fn(GateId) -> &'x [T]),
+    ) {
         let base = self.slots[self.gates.start];
         eval_slots(
-            circuit,
             self.slots,
             self.gates.clone(),
+            self.head,
             self.limbs,
             base,
-            literal,
+            step,
         );
     }
 }
 
-/// Evaluates `gates` into `limbs`, which holds arena limbs `base..`; an
-/// input whose slot lies below `base` must be a constant gate.
-fn eval_slots<'w>(
-    circuit: &Circuit,
+/// Evaluates `gates` into `limbs`, which holds arena elements `base..`; an
+/// input whose slot lies below `base` is read from `head`, which holds
+/// elements `..head.len()`.
+fn eval_slots<T>(
     slots: &[usize],
     gates: Range<usize>,
-    limbs: &mut [u64],
+    head: &[T],
+    limbs: &mut [T],
     base: usize,
-    literal: &impl Fn(VarId, bool) -> &'w [u64],
+    step: &impl for<'x> Fn(GateId, &mut [T], &'x dyn Fn(GateId) -> &'x [T]),
 ) {
     for g in gates {
         let (done, rest) = limbs.split_at_mut(slots[g] - base);
-        let done: &[u64] = done;
-        let input = |i: GateId| -> &[u64] {
-            if slots[i.0] >= base {
-                &done[slots[i.0] - base..slots[i.0 + 1] - base]
-            } else if let Gate::Const(b) = circuit.gate(i) {
-                &CONSTANTS[usize::from(b)]
+        let done: &[T] = done;
+        let input = |i: GateId| -> &[T] {
+            let (lo, hi) = (slots[i.0], slots[i.0 + 1]);
+            if lo >= base {
+                &done[lo - base..hi - base]
             } else {
-                unreachable!("self-contained ranges read only themselves and constants")
+                &head[lo..hi]
             }
         };
-        eval_gate_limbs(
-            circuit,
-            GateId(g),
-            &mut rest[..slots[g + 1] - slots[g]],
-            input,
-            literal,
-        );
-    }
-}
-
-/// The gate step of the arena pass: [`crate::eval_gate`]'s dispatch, with
-/// the [`crate::Wmc`] literal rule, writing gate `id`'s value into `out`.
-fn eval_gate_limbs<'a, 'w>(
-    circuit: &Circuit,
-    id: GateId,
-    out: &mut [u64],
-    input: impl Fn(GateId) -> &'a [u64],
-    literal: impl Fn(VarId, bool) -> &'w [u64],
-) {
-    match circuit.gate(id) {
-        Gate::Var(v) => limbs::copy(out, literal(v, true)),
-        Gate::Const(b) => limbs::set_bool(out, b),
-        Gate::Not(i) => match circuit.gate(i) {
-            Gate::Var(v) => limbs::copy(out, literal(v, false)),
-            Gate::Const(b) => limbs::set_bool(out, !b),
-            _ => unreachable!("d-DNNFs negate inputs only"),
-        },
-        Gate::And(inputs) => match inputs.split_first() {
-            None => limbs::set_bool(out, true),
-            Some((&first, rest)) => {
-                limbs::copy(out, input(first));
-                for &i in rest {
-                    limbs::mul_assign(out, input(i));
-                }
-            }
-        },
-        Gate::Or(inputs) => {
-            out.fill(0);
-            for &i in inputs {
-                limbs::add_assign(out, input(i));
-            }
-        }
+        step(GateId(g), &mut rest[..slots[g + 1] - slots[g]], &input);
     }
 }

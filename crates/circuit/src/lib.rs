@@ -13,8 +13,10 @@
 //! * [`Dnnf`] — deterministic decomposable circuits (Definition 6.10) with
 //!   linear-time probability evaluation, one-pass weighted model counting on
 //!   smooth circuits and conditioning, all evaluation running one [`Semiring`]
-//!   kernel ([`eval_gate`]), and the exact integer pass of that kernel in
-//!   one flat limb arena ([`LimbArena`]);
+//!   kernel ([`eval_gate`]), and the flat slot arena ([`LimbArena`]) in
+//!   which the served passes fill every gate's value in place: `u64` limbs
+//!   for the exact integer pass, one interval per gate for the certified
+//!   float pass;
 //! * [`Vtree`] — variable trees witnessing *structured* decomposability
 //!   (the "structured" in d-SDNNF: OBDDs are the right-linear special case,
 //!   and the automaton provenance construction is structured by a vtree read

@@ -6,11 +6,12 @@
 //! children are independent, so their values multiply. Every evaluation —
 //! probability, weighted model counting, model counting, exactly or in
 //! certified `f64` intervals — is this one recurrence over a different
-//! [`Semiring`]; [`eval_gate`] is the single gate step that both the
-//! sequential runner ([`crate::Dnnf::evaluate`]) and the fragment-parallel
-//! runner of the engine crate execute. The exact integer [`Wmc`] pass runs
-//! the same dispatch over fixed limb slots instead of values
-//! ([`crate::LimbArena`]).
+//! [`Semiring`]. There are two runners: the sequential reference
+//! ([`crate::Dnnf::evaluate`]), and the slot-arena runner of the engine
+//! crate, which fills one flat [`crate::LimbArena`] fragment-parallel.
+//! [`eval_gate`] is the gate step of the sequential runner and of the
+//! arena's certified interval passes; the arena's exact integer [`Wmc`]
+//! pass runs the same dispatch over fixed limb slots instead of values.
 
 use crate::circuit::{Circuit, Gate, GateId, VarId};
 use treelineage_num::{BigUint, ErrorInterval, Rational};
@@ -48,7 +49,10 @@ pub trait Semiring {
 
 /// The gate step: the value of gate `id` of `circuit`, given the values of
 /// its inputs through `input` (which the caller resolves from wherever it
-/// stores them — one flat vector, or a fragment buffer plus constants).
+/// stores them — one flat vector, or the slots of a [`crate::LimbArena`]).
+// Inlined into each runner, so the arena's `&dyn` slot lookup behind
+// `input` becomes a direct call.
+#[inline]
 pub fn eval_gate<'v, S: Semiring>(
     semiring: &S,
     circuit: &Circuit,

@@ -34,20 +34,21 @@
 //! `tests/dsdnnf_golden.rs` pins both against recorded digests.
 //!
 //! Evaluation reuses the same partition: each fragment's gate range is
-//! self-contained, so [`ParallelDnnf::evaluate`] runs the circuit crate's
-//! one gate step ([`eval_gate`]) over any [`Semiring`] on the ranges
-//! concurrently and finishes the spine on the caller's thread. The
-//! certified interval passes are instances of that runner
-//! ([`Probability`], [`Wmc`]); the exact passes — probability, WMC and
-//! model count — run the integer [`Wmc`] rule the same way in one flat
-//! [`LimbArena`], whose fragment ranges are contiguous limb ranges, and
-//! reduce once per answer (fraction-free, see [`ParallelDnnf::wmc`]). A
-//! gate's value depends only on its inputs' values and the fixed operand
-//! order, so the result equals the sequential
+//! self-contained, so one private runner ([`ParallelDnnf::run`]) serves
+//! every pass. It fills one flat [`LimbArena`] per call: the spine below
+//! the first fragment on the caller's thread, the fragments' contiguous
+//! slot ranges ([`LimbArena::split`]) on the pool, then the spine gaps in
+//! place. The exact passes — probability, WMC and model count — run the
+//! integer [`Wmc`] rule in `u64` limb slots sized by a priori bit bounds and
+//! reduce once per answer (fraction-free, see [`ParallelDnnf::wmc`]); the
+//! certified interval passes keep one [`ErrorInterval`] slot per gate,
+//! filled by the circuit crate's [`eval_gate`] step ([`Probability`],
+//! [`Wmc`]). A gate's value depends only on its inputs' values and the
+//! fixed operand order, so the result equals the sequential
 //! [`Dnnf::evaluate`](treelineage_circuit::Dnnf::evaluate) bit for bit at
 //! every thread count, floating-point intervals included.
 
-use crate::pool::run_tasks;
+use crate::pool::{lock_recovering, run_tasks};
 use crate::EngineConfig;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -216,67 +217,6 @@ impl ParallelDnnf {
         self.structured.size()
     }
 
-    /// Evaluates the circuit bottom-up over `semiring`, running the shared
-    /// [`eval_gate`] step: self-contained fragment ranges on up to
-    /// `threads` pool workers first, then one sweep on the caller's thread
-    /// over the spine gates outside every fragment. With one thread or no
-    /// partition this is
-    /// [`Dnnf::evaluate`](treelineage_circuit::Dnnf::evaluate). Each gate's
-    /// value depends only on its inputs' values and the fixed operand
-    /// order, so the result is the same bit for bit at every thread count.
-    pub(crate) fn evaluate<S>(&self, semiring: &S, threads: usize) -> S::Value
-    where
-        S: Semiring + Sync,
-        S::Value: Send,
-    {
-        let dnnf = self.structured.dnnf();
-        let fragments = &self.partition.fragments;
-        if threads <= 1 || fragments.len() <= 1 {
-            return dnnf.evaluate(semiring);
-        }
-        let circuit = dnnf.circuit();
-        let telemetry = &self.telemetry;
-        let chunks = run_tasks(threads, fragments.len(), telemetry, |fi| {
-            let mut chunk_span = telemetry.span("eval_fragment");
-            chunk_span.label("fragment", fi);
-            let (start, end) = fragments[fi];
-            // A fragment references only its own range plus the two global
-            // constant gates.
-            let constants = [semiring.zero(), semiring.one()];
-            let mut buf: Vec<S::Value> = Vec::with_capacity(end - start);
-            for id in start..end {
-                let value = eval_gate(semiring, circuit, GateId(id), |i| {
-                    if i.0 >= start {
-                        &buf[i.0 - start]
-                    } else if let Gate::Const(b) = circuit.gate(i) {
-                        &constants[usize::from(b)]
-                    } else {
-                        unreachable!("fragment ranges are self-contained")
-                    }
-                });
-                buf.push(value);
-            }
-            buf
-        });
-        let mut values: Vec<Option<S::Value>> = vec![None; circuit.size()];
-        for (&(start, _), chunk) in fragments.iter().zip(chunks) {
-            for (offset, value) in chunk.into_iter().enumerate() {
-                values[start + offset] = Some(value);
-            }
-        }
-        for id in circuit.gate_ids() {
-            if values[id.0].is_none() {
-                let value = eval_gate(semiring, circuit, id, |i| {
-                    values[i.0].as_ref().expect("ids are topological")
-                });
-                values[id.0] = Some(value);
-            }
-        }
-        values[circuit.output().0]
-            .take()
-            .expect("output gate was evaluated")
-    }
-
     /// Acceptance probability under independent event probabilities,
     /// fraction-free: event `v` with `P(v) = a/b` weighs `a` as a positive
     /// literal and `b - a` as a negative one, and one integer [`Wmc`] pass
@@ -332,13 +272,12 @@ impl ParallelDnnf {
     }
 
     /// The integer pass behind [`ParallelDnnf::probability`],
-    /// [`ParallelDnnf::wmc`] and [`ParallelDnnf::model_count`], at every
-    /// thread count: `push` adds each universe event's integer weights, in
-    /// universe order; one [`LimbArena`] is laid out from their a priori
-    /// bit bounds; the self-contained fragment ranges are evaluated in
-    /// their own limb ranges on up to `threads` pool workers, then the
-    /// spine on the caller's thread; `answer` reads the output slot.
-    /// Records the arena's size as `exact_limbs_total{pass}`.
+    /// [`ParallelDnnf::wmc`] and [`ParallelDnnf::model_count`]: `push` adds
+    /// each universe event's integer weights, in universe order; one
+    /// [`LimbArena`] is laid out from their a priori bit bounds and filled
+    /// by [`ParallelDnnf::run`] with the integer [`Wmc`] rule; `answer`
+    /// reads the output slot. Records the arena's size as
+    /// `exact_limbs_total{pass}`.
     fn fraction_free<T>(
         &self,
         pass: &str,
@@ -356,38 +295,14 @@ impl ParallelDnnf {
                 .binary_search(&v)
                 .expect("circuit events lie in the universe")
         };
-        let literal = |v: usize, positive: bool| weights.literal(index(v), positive);
         let circuit = self.structured.dnnf().circuit();
-        let fragments = &self.partition.fragments;
-        let telemetry = &self.telemetry;
-        let mut arena = LimbArena::new(circuit, |v| weights.bits(index(v)));
-        let ranges: Vec<Mutex<ArenaRange<'_>>> =
-            arena.split(fragments).into_iter().map(Mutex::new).collect();
-        // Fragments record a span when they run as pool tasks; run inline
-        // (one thread or one fragment), they are part of the caller's
-        // sweep, as in the interval passes.
-        let inline = Telemetry::disabled();
-        let spans = if threads > 1 && ranges.len() > 1 {
-            telemetry
-        } else {
-            &inline
-        };
-        run_tasks(threads, ranges.len(), telemetry, |fi| {
-            let mut chunk_span = spans.span("eval_fragment");
-            chunk_span.label("fragment", fi);
-            ranges[fi]
-                .lock()
-                .expect("each fragment runs once")
-                .eval(circuit, &literal);
+        let mut arena = LimbArena::new(circuit, Some(&|v| weights.bits(index(v))), 0);
+        self.run(&mut arena, threads, &|id, out, input| {
+            limb_step(circuit, id, out, input, |v, positive| {
+                weights.literal(index(v), positive)
+            })
         });
-        drop(ranges);
-        let mut next = 0;
-        for &(start, end) in fragments {
-            arena.eval(circuit, next..start, &literal);
-            next = end;
-        }
-        arena.eval(circuit, next..circuit.size(), &literal);
-        telemetry.counter_add(
+        self.telemetry.counter_add(
             "exact_limbs_total",
             &[("pass", pass)],
             arena.limb_count() as u64,
@@ -403,7 +318,7 @@ impl ParallelDnnf {
         prob: &(dyn Fn(usize) -> ErrorInterval + Sync),
         threads: usize,
     ) -> ErrorInterval {
-        self.evaluate(&Probability(prob), threads)
+        self.interval(&Probability(prob), threads)
     }
 
     /// The float fast-path of [`ParallelDnnf::wmc`], with the same
@@ -415,7 +330,99 @@ impl ParallelDnnf {
         neg: &(dyn Fn(usize) -> ErrorInterval + Sync),
         threads: usize,
     ) -> ErrorInterval {
-        self.evaluate(&Wmc { pos, neg }, threads)
+        self.interval(&Wmc { pos, neg }, threads)
+    }
+
+    /// The interval passes: one [`ErrorInterval`] slot per gate, filled by
+    /// [`ParallelDnnf::run`] with the circuit crate's [`eval_gate`] step
+    /// over `semiring`, so each gate's interval is the one
+    /// [`Dnnf::evaluate`](treelineage_circuit::Dnnf::evaluate) computes, bit
+    /// for bit.
+    fn interval<S>(&self, semiring: &S, threads: usize) -> ErrorInterval
+    where
+        S: Semiring<Value = ErrorInterval> + Sync,
+    {
+        let circuit = self.structured.dnnf().circuit();
+        let mut arena = LimbArena::new(circuit, None, ErrorInterval::zero());
+        self.run(&mut arena, threads, &|id, out, input| {
+            out[0] = eval_gate(semiring, circuit, id, |i| &input(i)[0]);
+        });
+        arena.value(circuit.output())[0]
+    }
+
+    /// The fragment runner of every pass: fills `arena` bottom-up with
+    /// `step`. With one thread or at most one fragment, one sweep over the
+    /// gate ids on the caller's thread; otherwise the spine below the first
+    /// fragment (the constants every fragment reads), then the
+    /// self-contained fragment ranges on up to `threads` pool workers, each
+    /// in its own slot range, then the spine gaps in place. A gate's value
+    /// depends only on its inputs' values and the fixed operand order, so
+    /// the result is the same at every thread count.
+    fn run<T: Copy + Send + Sync>(
+        &self,
+        arena: &mut LimbArena<T>,
+        threads: usize,
+        step: &(impl for<'x> Fn(GateId, &mut [T], &'x dyn Fn(GateId) -> &'x [T]) + Sync),
+    ) {
+        let size = self.structured.size();
+        let fragments = &self.partition.fragments;
+        if threads <= 1 || fragments.len() <= 1 {
+            arena.eval(0..size, step);
+            return;
+        }
+        let mut next = fragments[0].0;
+        arena.eval(0..next, step);
+        let ranges: Vec<Mutex<ArenaRange<'_, T>>> =
+            arena.split(fragments).into_iter().map(Mutex::new).collect();
+        let telemetry = &self.telemetry;
+        run_tasks(threads, ranges.len(), telemetry, |fi| {
+            let mut chunk_span = telemetry.span("eval_fragment");
+            chunk_span.label("fragment", fi);
+            lock_recovering(&ranges[fi]).eval(step);
+        });
+        drop(ranges);
+        for &(start, end) in fragments {
+            arena.eval(next..start, step);
+            next = end;
+        }
+        arena.eval(next..size, step);
+    }
+}
+
+/// The gate step of the exact passes: [`eval_gate`]'s dispatch with the
+/// integer [`Wmc`] rule, writing gate `id`'s two's-complement value into
+/// its limb slot `out`; `literal(v, positive)` gives the integer weight of
+/// a literal of `v`.
+fn limb_step<'a, 'w>(
+    circuit: &Circuit,
+    id: GateId,
+    out: &mut [u64],
+    input: &dyn Fn(GateId) -> &'a [u64],
+    literal: impl Fn(usize, bool) -> &'w [u64],
+) {
+    match circuit.gate(id) {
+        Gate::Var(v) => limbs::copy(out, literal(v, true)),
+        Gate::Const(b) => limbs::set_bool(out, b),
+        Gate::Not(i) => match circuit.gate(i) {
+            Gate::Var(v) => limbs::copy(out, literal(v, false)),
+            Gate::Const(b) => limbs::set_bool(out, !b),
+            _ => unreachable!("d-DNNFs negate inputs only"),
+        },
+        Gate::And(inputs) => match inputs.split_first() {
+            None => limbs::set_bool(out, true),
+            Some((&first, rest)) => {
+                limbs::copy(out, input(first));
+                for &i in rest {
+                    limbs::mul_assign(out, input(i));
+                }
+            }
+        },
+        Gate::Or(inputs) => {
+            out.fill(0);
+            for &i in inputs {
+                limbs::add_assign(out, input(i));
+            }
+        }
     }
 }
 
@@ -919,6 +926,39 @@ mod tests {
         ))
     }
 
+    /// `(x ∨ ¬x) ∧ (y ∧ ¬false ∨ ¬y ∧ ¬true)` over universe {0, 1}, cut
+    /// into two fragments after the constants: `x ∨ ¬x`, and the `y` part,
+    /// which reads both constants. Probability intervals complement the
+    /// constants' slots, so a fan-out must evaluate the constants first.
+    fn partitioned_const_lineage() -> ParallelDnnf {
+        let mut c = Circuit::new();
+        let f = c.constant(false);
+        let t = c.constant(true);
+        let x = c.var(0);
+        let nx = c.not(x);
+        let either = c.or(vec![x, nx]);
+        let y = c.var(1);
+        let nf = c.not(f);
+        let left = c.and(vec![y, nf]);
+        let ny = c.not(y);
+        let nt = c.not(t);
+        let right = c.and(vec![ny, nt]);
+        let y_part = c.or(vec![left, right]);
+        let out = c.and(vec![either, y_part]);
+        c.set_output(out);
+        ParallelDnnf {
+            structured: StructuredDnnf::from_trusted_parts(
+                Dnnf::from_trusted_circuit(c).unwrap(),
+                Vtree::new(),
+                vec![0, 1],
+            ),
+            partition: CircuitPartition {
+                fragments: vec![(x.0, either.0 + 1), (y.0, y_part.0 + 1)],
+            },
+            telemetry: Telemetry::disabled(),
+        }
+    }
+
     /// `(lo, hi)` bit patterns of the interval passes on the parity comb of
     /// [`interval_pass_contains_exact_and_is_thread_count_invariant`].
     const GOLDEN_PROBABILITY_BITS: (u64, u64) = (4602678819172644415, 4602678819172648856);
@@ -1083,11 +1123,13 @@ mod tests {
 
     /// The fraction-free `ParallelDnnf::{probability, wmc, model_count}`
     /// against the `Rational` `Probability` / `Wmc` instances and the
-    /// `Count` pass of the sequential runner, with exact equality, at
-    /// threads {1, 2, 8}. WMC runs twice: over the weight rows, and over
-    /// their negative ones only. `rows` is how many rows of the tables to
-    /// draw from (the `Rational` reference passes get slow on hundreds of
-    /// events with 64-bit denominators).
+    /// `Count` pass of the sequential runner, with exact equality, and
+    /// `ParallelDnnf::{probability_interval, wmc_interval}` against the
+    /// sequential interval passes, bit for bit and containing the exact
+    /// answers, at threads {1, 2, 8}. WMC runs twice: over the weight rows,
+    /// and over their negative ones only. `rows` is how many rows of the
+    /// tables to draw from (the `Rational` reference passes get slow on
+    /// hundreds of events with 64-bit denominators).
     fn assert_fraction_free_exact(parallel: &ParallelDnnf, seed: u64, rows: usize) {
         let dnnf = parallel.structured().dnnf();
         // The precondition of the single final division by the universe's
@@ -1117,7 +1159,34 @@ mod tests {
             neg: &neg_negative,
         });
         let want_count = dnnf.evaluate(&Count);
+        // The interval passes over the same weights, against the
+        // sequential runner's endpoints (through `evaluate`, which skips
+        // `Dnnf::wmc_interval`'s smoothness assert, as above).
+        let iv = |f: &dyn Fn(usize) -> Rational, e: usize| ErrorInterval::from_rational(&f(e));
+        let bits = |i: ErrorInterval| (i.lo().to_bits(), i.hi().to_bits());
+        let seq_p = dnnf.probability_interval(&|e| iv(&prob, e));
+        let seq_w = dnnf.evaluate(&Wmc {
+            pos: &|e| iv(&pos, e),
+            neg: &|e| iv(&neg, e),
+        });
+        let seq_negative = dnnf.evaluate(&Wmc {
+            pos: &|e| iv(&pos_negative, e),
+            neg: &|e| iv(&neg_negative, e),
+        });
         for threads in [1usize, 2, 8] {
+            let p = parallel.probability_interval(&|e| iv(&prob, e), threads);
+            let w = parallel.wmc_interval(&|e| iv(&pos, e), &|e| iv(&neg, e), threads);
+            let negative = parallel.wmc_interval(
+                &|e| iv(&pos_negative, e),
+                &|e| iv(&neg_negative, e),
+                threads,
+            );
+            assert_eq!(bits(p), bits(seq_p), "threads={threads}");
+            assert_eq!(bits(w), bits(seq_w), "threads={threads}");
+            assert_eq!(bits(negative), bits(seq_negative), "threads={threads}");
+            assert!(p.contains(&want_p), "threads={threads}");
+            assert!(w.contains(&want_w), "threads={threads}");
+            assert!(negative.contains(&want_negative), "threads={threads}");
             assert_eq!(
                 parallel.probability(&prob, threads),
                 want_p,
@@ -1182,10 +1251,12 @@ mod tests {
         assert_fraction_free_exact(&parallel, 1, MIXED);
 
         // `Not(Const)` gates, under probabilities 0 and 1 and zero /
-        // negative weights; an OR whose inputs' bounds differ.
+        // negative weights, also inside fragments; an OR whose inputs'
+        // bounds differ.
         for seed in 0..16 {
             assert_fraction_free_exact(&not_const_lineage(), seed, ALL);
             assert_fraction_free_exact(&false_input_lineage(), seed, ALL);
+            assert_fraction_free_exact(&partitioned_const_lineage(), seed, ALL);
         }
     }
 

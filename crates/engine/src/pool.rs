@@ -17,12 +17,9 @@
 //! ## Panic containment
 //!
 //! Task bodies run under [`std::panic::catch_unwind`], and every internal
-//! lock goes through [`lock_recovering`]. This kills a failure cascade the
-//! previous version had: a panicking task unwound while holding no lock, but
-//! the panic escaped the worker thread and every *other* worker (and the
-//! caller, on the next session call) then hit `PoisonError` panics on the
-//! shared mutexes — one bad request poisoned the whole pool. Now a panic in
-//! task `i` is captured as that task's result: [`run_tasks`] re-raises the
+//! lock goes through [`lock_recovering`], so one bad request cannot poison
+//! the pool's shared mutexes for the other workers or the caller. A panic
+//! in task `i` is captured as that task's result: [`run_tasks`] re-raises the
 //! first captured payload on the caller thread (same observable behaviour as
 //! sequential execution, no poisoning side effects), and
 //! [`run_tasks_catching`] hands the panics back as per-task `Err` values so

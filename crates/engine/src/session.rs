@@ -578,8 +578,7 @@ pub struct SessionStats {
     /// Every panic is also counted in [`SessionStats::errors`].
     pub worker_panics: usize,
     /// Requests that returned an [`EngineError`] (of any kind) instead of a
-    /// result. Previously panicked requests were silently counted as served;
-    /// `requests == errors + successes` now holds per batch.
+    /// result; `requests == errors + successes` holds per batch.
     pub errors: usize,
     /// Fact insertions applied ([`EvalSession::insert_fact`]; rejected
     /// updates don't count).
@@ -621,12 +620,11 @@ struct Counters {
 
 /// A capacity-capped map with true LRU eviction: every hit refreshes the
 /// entry's recency stamp, and inserting past the cap evicts the least
-/// recently *used* entry. (The previous version evicted in pure insertion
-/// order, so a hot (query, instance) pair registered first was evicted
-/// while cold later entries survived — the opposite of what a serving cache
-/// wants.) Recency is a monotone stamp per entry; eviction scans for the
-/// minimum stamp, which is linear but negligible against the compile work a
-/// single eviction implies at the configured cache caps.
+/// recently *used* entry, so a hot (query, instance) pair registered first
+/// outlives cold later entries. Recency is a monotone stamp per entry;
+/// eviction scans for the minimum stamp, which is linear but negligible
+/// against the compile work a single eviction implies at the configured
+/// cache caps.
 struct CacheMap<K: Ord + Clone, V: Clone> {
     map: BTreeMap<K, (V, u64)>,
     stamp: u64,
@@ -1346,8 +1344,7 @@ impl EvalSession {
     }
 
     /// Converts caught worker panics into per-request typed errors, counting
-    /// every panic and every failed request into the session stats (a
-    /// panicked request previously counted as served, invisibly).
+    /// every panic and every failed request into the session stats.
     fn flatten_caught<T>(
         &self,
         results: Vec<Result<Result<T, EngineError>, String>>,
@@ -1485,11 +1482,7 @@ impl EvalSession {
     /// one certified-interval f64 pass per request, returning the point
     /// estimate (interval midpoint) together with the [`ErrorInterval`]
     /// guaranteed to contain the exact rational answer. The pass is linear
-    /// in the circuit size with `f64` gate operations. It is not cheaper
-    /// than the fraction-free exact pass of [`EvalSession::batch_probability`]:
-    /// on perfbench's `serve_exact` shapes one `--trace 1` run (2-vCPU
-    /// Xeon guest) measured 0.55 ms per interval request against 0.21 ms
-    /// per exact one.
+    /// in the circuit size with `f64` gate operations.
     ///
     /// Under [`SessionBackend::FloatFirst`], a (query, instance) pair whose
     /// compilation exceeds the state budget degrades to the Karp–Luby
@@ -1595,6 +1588,15 @@ impl EvalSession {
                 if !budget_exceeded || self.backend != SessionBackend::FloatFirst {
                     return Err(e.clone());
                 }
+                let (epsilon, delta) = (self.config.epsilon, self.config.delta);
+                for (field, value) in [("epsilon", epsilon), ("delta", delta)] {
+                    if !(0.0 < value && value < 1.0) {
+                        return Err(EngineError::InvalidRequest(format!(
+                            "EngineConfig::{field} must lie in (0, 1) for the Karp–Luby \
+                             fallback, got {value}"
+                        )));
+                    }
+                }
                 self.counters
                     .monte_carlo_fallbacks
                     .fetch_add(1, Ordering::Relaxed);
@@ -1603,8 +1605,8 @@ impl EvalSession {
                     &self.queries[query],
                     &self.instances[instance].instance,
                     valuation,
-                    self.config.epsilon,
-                    self.config.delta,
+                    epsilon,
+                    delta,
                     seed,
                 );
                 return Ok(Tiered::MonteCarlo(estimate.estimate, estimate.interval()));
@@ -2311,6 +2313,61 @@ mod tests {
             "Karp–Luby estimate {estimate} vs exact {exact_f}"
         );
         assert_eq!(decision.above, exact_f > 0.5);
+    }
+
+    #[test]
+    fn out_of_range_karp_luby_parameters_are_typed_errors() {
+        // The Karp–Luby fallback sizes its sample count from (ε, δ), which
+        // must lie in (0, 1): outside it, every approximate API answers the
+        // fallback request with a typed error, on a worker or the caller's
+        // thread alike, and no worker panics.
+        for (epsilon, delta, field) in [
+            (0.0, 0.02, "epsilon"),
+            (1.0, 0.02, "epsilon"),
+            (f64::NAN, 0.02, "epsilon"),
+            (0.02, 0.0, "delta"),
+            (0.02, 1.5, "delta"),
+        ] {
+            let config = EngineConfig {
+                state_budget: 1,
+                epsilon,
+                delta,
+                ..EngineConfig::default()
+            };
+            let mut session = EvalSession::with_backend(config, SessionBackend::FloatFirst);
+            let q = session.register_query(parse_query(&rst(), "R(x), S(x, y), T(y)").unwrap());
+            let i = session.register_instance(chain(2));
+            let valuation =
+                ProbabilityValuation::uniform(session.instance(i), Rational::from_ratio_u64(1, 3));
+            let request = ProbabilityRequest {
+                query: q,
+                instance: i,
+                valuation: valuation.clone(),
+            };
+            let names_field =
+                |e: &EngineError| matches!(e, EngineError::InvalidRequest(m) if m.contains(field));
+            let batch = session.batch_probability_f64(std::slice::from_ref(&request));
+            assert!(matches!(&batch[0], Err(e) if names_field(e)), "{batch:?}");
+            let threshold = session.batch_threshold(&[ThresholdRequest {
+                query: q,
+                instance: i,
+                valuation,
+                threshold: Rational::one_half(),
+            }]);
+            assert!(
+                matches!(&threshold[0], Err(e) if names_field(e)),
+                "{threshold:?}"
+            );
+            let explained = session.explain(&request);
+            assert!(
+                matches!(&explained, Err(e) if names_field(e)),
+                "{epsilon} {delta}"
+            );
+            let stats = session.stats();
+            assert_eq!(stats.worker_panics, 0);
+            assert_eq!(stats.errors, 3);
+            assert_eq!(stats.monte_carlo_fallbacks, 0);
+        }
     }
 
     fn traced_session(backend: SessionBackend) -> (EvalSession, QueryId, InstanceId) {

@@ -6,11 +6,12 @@
 //!   bytes per gate, whatever its size. A per-gate `Vec` of inputs would
 //!   cost one allocation per AND/OR gate and ~50 bytes per gate on the
 //!   chain below.
-//! * The limb arena of the exact passes: a warm
-//!   `ParallelDnnf::{probability, wmc, model_count}` call allocates a
-//!   constant number of buffers plus what the caller's weight closures
-//!   return per event, with no per-gate term. A `BigInt` per gate value
-//!   would cost at least two allocations per gate.
+//! * The slot arena of the served passes: a warm
+//!   `ParallelDnnf::{probability, wmc, model_count, probability_interval,
+//!   wmc_interval}` call allocates a constant number of buffers plus what
+//!   the caller's weight closures return per event, with no per-gate term.
+//!   A `BigInt` per gate value would cost at least two allocations per
+//!   gate.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -109,7 +110,7 @@ fn chain16_circuit_clone_is_a_few_flat_arrays() {
 }
 
 #[test]
-fn chain16_exact_passes_allocate_per_event_not_per_gate() {
+fn chain16_served_passes_allocate_per_event_not_per_gate() {
     let lineage = ParallelDnnf::sequential(chain_lineage(16));
     let events = lineage.structured().universe().len() as u64;
     let gates = lineage.size() as u64;
@@ -120,18 +121,30 @@ fn chain16_exact_passes_allocate_per_event_not_per_gate() {
         .collect();
     let prob = |v: usize| table[v].clone();
     let neg = |v: usize| table[table.len() - 1 - v].clone();
-    // Each closure call returns an owned `Rational`: two allocations
-    // (numerator and denominator limbs) per event and closure.
+    let intervals: Vec<ErrorInterval> = table.iter().map(ErrorInterval::from_rational).collect();
+    let prob_interval = |v: usize| intervals[v];
+    let neg_interval = |v: usize| intervals[intervals.len() - 1 - v];
+    // Each `Rational` closure call returns an owned `Rational`: two
+    // allocations (numerator and denominator limbs) per event and closure.
+    // The interval closures return `Copy` values and count as none.
     let per_event = 2;
-    let passes: [(&str, u64, &dyn Fn()); 3] = [
-        ("probability", 1, &|| drop(lineage.probability(&prob, 1))),
-        ("wmc", 2, &|| drop(lineage.wmc(&prob, &neg, 1))),
-        ("model_count", 0, &|| drop(lineage.model_count(1))),
+    let passes: [(&str, u64, u64, &dyn Fn()); 5] = [
+        ("probability", 1, EXACT, &|| {
+            drop(lineage.probability(&prob, 1))
+        }),
+        ("wmc", 2, EXACT, &|| drop(lineage.wmc(&prob, &neg, 1))),
+        ("model_count", 0, EXACT, &|| drop(lineage.model_count(1))),
+        ("probability_interval", 0, INTERVAL, &|| {
+            let _ = lineage.probability_interval(&prob_interval, 1);
+        }),
+        ("wmc_interval", 0, INTERVAL, &|| {
+            let _ = lineage.wmc_interval(&prob_interval, &neg_interval, 1);
+        }),
     ];
-    for (name, closures, pass) in passes {
+    for (name, closures, fixed, pass) in passes {
         pass(); // warm
         let calls = allocations_of(pass);
-        let bound = closures * per_event * events + FIXED;
+        let bound = closures * per_event * events + fixed;
         assert!(
             calls <= bound,
             "{name}: {calls} allocations for {gates} gates and {events} events (bound {bound})"
@@ -143,4 +156,7 @@ fn chain16_exact_passes_allocate_per_event_not_per_gate() {
 /// `Rational`s, the tightest the passes meet on this chain: the weight
 /// table (3 buffers), the arena and its slot offsets (2), and the answer's
 /// big integers and its reduction (1 for a model count, 9 for a ratio).
-const FIXED: u64 = 14;
+const EXACT: u64 = 14;
+
+/// The allocations of an interval pass: the arena and its slot offsets.
+const INTERVAL: u64 = 2;
