@@ -12,6 +12,14 @@
 //! is still a valid (if useless) bound; `NaN` intermediates (only possible
 //! through `0 × ∞`) widen to the infinite endpoint conservatively.
 //!
+//! The product is sign-specialized. Operands of any sign take the hull of
+//! the four endpoint products. Non-negative operands with finite upper
+//! endpoints, the case of every probability, take two: `lo·lo'` and
+//! `hi·hi'`. Round-to-nearest is monotone, so these are the least and
+//! greatest of the four rounded products, and the outward-rounded result
+//! has the hull's bits (`-0` and `+0` widen to the same endpoints). A
+//! proptest pins the two paths to each other bit for bit.
+//!
 //! The containment contract — "the exact value always lies in the interval"
 //! — is what the exact-fallback logic of the engine's `FloatFirst` serving
 //! mode relies on: a decision threshold strictly outside the interval can be
@@ -99,11 +107,21 @@ impl ErrorInterval {
         self.hi - self.lo
     }
 
-    /// The midpoint, the natural point estimate to report. Infinite
-    /// endpoints degrade to the finite one (or `0` when both are infinite).
+    /// The midpoint, the natural point estimate to report; it lies inside
+    /// the interval. Infinite endpoints degrade to the finite one (or `0`
+    /// when both are infinite).
     pub fn midpoint(&self) -> f64 {
         match (self.lo.is_finite(), self.hi.is_finite()) {
-            (true, true) => self.lo + (self.hi - self.lo) / 2.0,
+            (true, true) => {
+                let width = self.hi - self.lo;
+                if width.is_finite() {
+                    self.lo + width / 2.0
+                } else {
+                    // The width overflows only when both endpoints exceed
+                    // 2^969 in magnitude, where halving is exact.
+                    self.lo / 2.0 + self.hi / 2.0
+                }
+            }
             (true, false) => self.lo,
             (false, true) => self.hi,
             (false, false) => 0.0,
@@ -141,8 +159,23 @@ impl ErrorInterval {
     }
 
     /// Certified product: contains `x · y` for every `x ∈ self`, `y ∈ rhs`.
-    /// Sign-general (takes the outward hull of the four endpoint products).
+    ///
+    /// Non-negative operands with finite upper endpoints take the two
+    /// products `lo·lo'` and `hi·hi'`, every other operand the four-product
+    /// hull; both give the same bits (see the module docs; checked in debug
+    /// builds).
     pub fn mul(&self, rhs: &ErrorInterval) -> ErrorInterval {
+        if self.lo >= 0.0 && rhs.lo >= 0.0 && self.hi < f64::INFINITY && rhs.hi < f64::INFINITY {
+            let product = ErrorInterval::new(down(self.lo * rhs.lo), up(self.hi * rhs.hi));
+            debug_assert_eq!(product.bits(), self.mul_hull(rhs).bits());
+            return product;
+        }
+        self.mul_hull(rhs)
+    }
+
+    /// The sign-general product: the outward hull of the four rounded
+    /// endpoint products.
+    fn mul_hull(&self, rhs: &ErrorInterval) -> ErrorInterval {
         let products = [
             self.lo * rhs.lo,
             self.lo * rhs.hi,
@@ -160,6 +193,11 @@ impl ErrorInterval {
             hi = hi.max(p);
         }
         ErrorInterval::new(down(lo), up(hi))
+    }
+
+    /// The endpoint bit patterns, for bit-for-bit comparisons.
+    fn bits(&self) -> (u64, u64) {
+        (self.lo.to_bits(), self.hi.to_bits())
     }
 
     /// Certified complement: contains `1 - x` for every `x ∈ self`.
@@ -188,6 +226,7 @@ impl fmt::Display for ErrorInterval {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn construction_and_accessors() {
@@ -264,11 +303,79 @@ mod tests {
     }
 
     #[test]
+    fn midpoint_of_overflowing_width_stays_inside() {
+        for (lo, hi) in [(-f64::MAX, f64::MAX), (-1e308, 1.5e308)] {
+            let i = ErrorInterval::new(lo, hi);
+            assert!((i.hi() - i.lo()).is_infinite());
+            assert!(i.contains_f64(i.midpoint()), "{} outside {i}", i.midpoint());
+        }
+        assert_eq!(ErrorInterval::new(-f64::MAX, f64::MAX).midpoint(), 0.0);
+        assert_eq!(ErrorInterval::new(-1e308, 1.5e308).midpoint(), 0.25e308);
+    }
+
+    #[test]
     fn hull_unions() {
         let a = ErrorInterval::new(0.0, 0.25);
         let b = ErrorInterval::new(0.5, 1.0);
         let h = a.hull(&b);
         assert_eq!(h.lo(), 0.0);
         assert_eq!(h.hi(), 1.0);
+    }
+
+    /// One interval endpoint: `±0`, a subnormal, a probability-sized value,
+    /// an arbitrary finite float, a value near `f64::MAX` (whose products
+    /// overflow to `inf`) or an infinity. With `nonneg` set only zeros keep
+    /// their drawn sign, so `-0.0` reaches the non-negative path of `mul`.
+    fn endpoint(kind: u8, bits: u64, negative: bool, nonneg: bool) -> f64 {
+        let fraction = (bits >> 11) as f64 / (1u64 << 53) as f64;
+        let magnitude = match kind {
+            0 => 0.0,
+            1 => f64::from_bits(bits & ((1 << 52) - 1)),
+            2 => fraction,
+            3 => f64::from_bits(bits >> 1).min(f64::MAX),
+            4 => f64::MAX * (0.5 + fraction / 2.0),
+            _ => f64::INFINITY,
+        };
+        if negative && (!nonneg || magnitude == 0.0) {
+            -magnitude
+        } else {
+            magnitude
+        }
+    }
+
+    fn interval() -> impl Strategy<Value = ErrorInterval> {
+        let end = (0u8..6, any::<u64>(), any::<bool>());
+        (end.clone(), end, any::<bool>()).prop_map(|((ka, ba, na), (kb, bb, nb), nonneg)| {
+            let a = endpoint(ka, ba, na, nonneg);
+            let b = endpoint(kb, bb, nb, nonneg);
+            ErrorInterval::new(a.min(b), a.max(b))
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// `mul` equals the four-product hull bit for bit on every operand
+        /// (the non-negative path included), and contains every exact
+        /// endpoint product when all endpoints are finite.
+        #[test]
+        fn mul_matches_four_product_hull_bit_for_bit(a in interval(), b in interval()) {
+            let product = a.mul(&b);
+            prop_assert_eq!(product.bits(), a.mul_hull(&b).bits(), "{} * {}", a, b);
+            let ends = [a.lo(), a.hi(), b.lo(), b.hi()].map(Rational::from_f64_dyadic);
+            if let [Some(alo), Some(ahi), Some(blo), Some(bhi)] = ends {
+                for (x, y) in [(&alo, &blo), (&alo, &bhi), (&ahi, &blo), (&ahi, &bhi)] {
+                    prop_assert!(product.contains(&(x * y)), "{} * {} -> {}", a, b, product);
+                }
+            }
+        }
+
+        /// The midpoint lies inside every interval with finite endpoints.
+        #[test]
+        fn midpoint_lies_inside_finite_intervals(i in interval()) {
+            if i.lo().is_finite() && i.hi().is_finite() {
+                prop_assert!(i.contains_f64(i.midpoint()), "{} outside {}", i.midpoint(), i);
+            }
+        }
     }
 }
