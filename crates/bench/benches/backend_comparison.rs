@@ -1,11 +1,9 @@
-//! Backend comparison: the three lineage backends head to head on the same
-//! instances and queries (`BENCH_pr3.json` snapshots the `legacy_obdd` and
-//! `shared_dd` rows).
+//! Backend comparison: the two lineage backends head to head on the same
+//! instances and queries (`BENCH_pr3.json` snapshots the `shared_dd` rows).
 //!
 //! Every variant computes the query probability end to end so the timed work
-//! is comparable: `legacy_obdd` = per-diagram reduced OBDD compile + WMC
-//! pass; `shared_dd` = shared engine compile (fresh manager) + memoized WMC
-//! pass; `automaton_compile_eval` = tree encoding + query→automaton
+//! is comparable: `shared_dd` = shared engine compile (fresh manager) +
+//! memoized WMC pass; `automaton_compile_eval` = tree encoding + query→automaton
 //! compilation + provenance d-SDNNF + one-pass evaluation (the full
 //! automaton-backend pipeline); `automaton_eval_only` = the one-pass
 //! evaluation alone on the pre-compiled d-SDNNF — the "linear in circuit
@@ -38,9 +36,6 @@ fn bench_backends(
     group.sample_size(10);
     for (n, q, inst) in &cases {
         let builder = LineageBuilder::new(q, inst).unwrap();
-        group.bench_with_input(BenchmarkId::new("legacy_obdd", n), n, |b, _| {
-            b.iter(|| builder.obdd().probability(&prob))
-        });
         group.bench_with_input(BenchmarkId::new("shared_dd", n), n, |b, _| {
             b.iter(|| {
                 let (manager, root) = builder.dd();

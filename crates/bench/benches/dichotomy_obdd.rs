@@ -5,9 +5,8 @@
 //! with one manager per family, created *outside* the timing loop: repeated
 //! compilations of the same lineage hit the persistent if-then-else cache,
 //! which is exactly the reuse pattern the engine is built for. The
-//! `d81_engine_comparison` group times the legacy per-diagram
-//! `circuit::obdd` construction against the shared engine on the same
-//! family, head to head.
+//! `d81_engine_comparison` group times a fresh manager per compile against
+//! one reused manager on the same family.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use treelineage::prelude::*;
@@ -60,25 +59,18 @@ fn bench_qp_widths(c: &mut Criterion) {
     group.finish();
 }
 
-/// Legacy per-diagram OBDD vs shared dd engine on the same grid family,
-/// apples to apples: the family and `LineageBuilder` are built once outside
-/// the timing loop for all three variants, and every variant computes the
-/// same `(width, size)` pair — so the timed work is exactly compile +
-/// measure. `dd_fresh_manager` isolates the engine itself (complement
-/// edges, balanced n-ary apply); `dd_shared_manager` adds persistent-cache
-/// reuse across iterations. The recorded ratios go into `BENCH_pr2.json`.
+/// Fresh vs reused dd manager on the same grid family, apples to apples:
+/// the family and `LineageBuilder` are built once outside the timing loop
+/// for both variants, and both compute the same `(width, size)` pair — so
+/// the timed work is exactly compile + measure. `dd_fresh_manager` isolates
+/// the engine itself (complement edges, balanced n-ary apply);
+/// `dd_shared_manager` adds persistent-cache reuse across iterations.
 fn bench_engine_comparison(c: &mut Criterion) {
     let mut group = c.benchmark_group("d81_engine_comparison_grid");
     group.sample_size(10);
     for n in [3usize, 4] {
         let (q, inst) = hardness::qp_grid_family(n);
         let builder = LineageBuilder::new(&q, &inst).unwrap();
-        group.bench_with_input(BenchmarkId::new("legacy_obdd", n), &n, |b, _| {
-            b.iter(|| {
-                let obdd = builder.obdd();
-                (obdd.width(), obdd.size())
-            })
-        });
         group.bench_with_input(BenchmarkId::new("dd_fresh_manager", n), &n, |b, _| {
             b.iter(|| {
                 let (manager, root) = builder.dd();

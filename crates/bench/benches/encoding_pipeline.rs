@@ -6,9 +6,8 @@
 //! setting of the paper), so the timed difference is purely the compilation
 //! strategy:
 //!
-//! * `match_enum_compile` — the match-enumeration route shared by the
-//!   `LegacyObdd` / `SharedDd` backends: enumerate all
-//!   query matches, build the monotone lineage circuit, compile it into the
+//! * `match_enum_compile` — the match-enumeration route of the `SharedDd`
+//!   backend: enumerate all query matches, build the monotone lineage circuit, compile it into the
 //!   shared dd engine. On the star family the match count grows
 //!   quadratically with the instance, so this path falls off a cliff — it
 //!   is benched only below `enumeration_cliff`.

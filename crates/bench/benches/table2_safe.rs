@@ -30,9 +30,9 @@ fn bench_inversion_free(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| {
                 let unfolding = safe::unfold_for_query(&q, &inst).unwrap();
-                let obdd = LineageBuilder::new(&q, &unfolding.instance).unwrap().obdd();
+                let (manager, root) = LineageBuilder::new(&q, &unfolding.instance).unwrap().dd();
                 assert!(unfolding.tree_depth <= 2);
-                obdd.width()
+                manager.width(root)
             })
         });
     }

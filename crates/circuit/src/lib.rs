@@ -8,8 +8,6 @@
 //!   Definition 6.2), with gate-graph treewidth/pathwidth;
 //! * [`Formula`] — tree-shaped formulas and the explicit threshold / parity
 //!   constructions behind the Section 7 lower bounds;
-//! * [`Obdd`] — reduced ordered binary decision diagrams (Definition 6.4),
-//!   with width/size measurement, probability and model counting;
 //! * [`Dnnf`] — deterministic decomposable circuits (Definition 6.10) with
 //!   linear-time probability evaluation, one-pass weighted model counting on
 //!   smooth circuits and conditioning, all evaluation running one [`Semiring`]
@@ -24,6 +22,9 @@
 //! * probability evaluation for circuits: brute force and the ra-linear
 //!   message-passing algorithm over bounded-treewidth circuit decompositions
 //!   (the engine of Theorem 3.2).
+//!
+//! Reduced OBDDs (Definition 6.4) are compiled from these circuits by the
+//! shared decision-diagram engine of `treelineage-dd`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,7 +33,6 @@ mod arena;
 mod circuit;
 mod dnnf;
 mod formula;
-mod obdd;
 mod probability;
 mod semiring;
 mod vtree;
@@ -44,7 +44,6 @@ pub use formula::{
     parity_circuit, parity_formula, threshold2_circuit, threshold2_formula,
     threshold2_formula_naive, Formula,
 };
-pub use obdd::{Obdd, Ref};
 pub use probability::{probability_bruteforce, probability_message_passing, MessagePassingError};
 pub use semiring::{eval_gate, Count, Probability, Ring, Semiring, Weight, Wmc};
 pub use vtree::{Vtree, VtreeId, VtreeNode};
@@ -98,38 +97,6 @@ mod proptests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
-
-        #[test]
-        fn obdd_agrees_with_circuit(c in arbitrary_circuit(5, 12)) {
-            let vars: Vec<VarId> = (0..5).collect();
-            let obdd = Obdd::from_circuit(&c, vars.clone());
-            let from_circuit = truth_table(|s| c.evaluate_set(s), &vars);
-            let from_obdd = truth_table(|s| obdd.evaluate_set(s), &vars);
-            prop_assert_eq!(from_circuit, from_obdd);
-            // Model count agrees with brute force.
-            prop_assert_eq!(
-                obdd.count_models().to_u64(),
-                Some(c.count_models_bruteforce(&vars))
-            );
-        }
-
-        #[test]
-        fn obdd_level_by_level_is_canonical(c in arbitrary_circuit(4, 8)) {
-            let vars: Vec<VarId> = (0..4).collect();
-            let a = Obdd::from_circuit(&c, vars.clone());
-            let b = Obdd::from_circuit_level_by_level(&c, vars.clone());
-            prop_assert!(a.equivalent_to(&b));
-            prop_assert_eq!(a.size(), b.size());
-            prop_assert_eq!(a.width(), b.width());
-        }
-
-        #[test]
-        fn obdd_probability_matches_bruteforce(c in arbitrary_circuit(5, 10)) {
-            let vars: Vec<VarId> = (0..5).collect();
-            let obdd = Obdd::from_circuit(&c, vars);
-            let prob = |v: VarId| Rational::from_ratio_u64(1, v as u64 + 2);
-            prop_assert_eq!(obdd.probability(&prob), probability_bruteforce(&c, &prob));
-        }
 
         #[test]
         fn message_passing_matches_bruteforce(c in arbitrary_circuit(4, 10)) {

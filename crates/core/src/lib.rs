@@ -39,7 +39,8 @@
 //! let q = parse_query(&sig, "R(x), S(x, y), T(y)").unwrap();
 //!
 //! let lineage = LineageBuilder::new(&q, &inst).unwrap();
-//! assert_eq!(lineage.obdd().count_models().to_u64(), Some(1));
+//! let (manager, root) = lineage.dd();
+//! assert_eq!(manager.count_models(root).to_u64(), Some(1));
 //!
 //! let valuation = ProbabilityValuation::all_one_half(&inst);
 //! let p = ProbabilityEvaluator::new(&inst, &valuation)
@@ -76,7 +77,7 @@ pub mod prelude {
         LineageBuilder, LineageError, MatchCounter, MetricsSnapshot, ProbabilityEvaluator,
         SessionBackend, Telemetry, UpdateError, UpdateKind, UpdateReport,
     };
-    pub use treelineage_circuit::{Circuit, Dnnf, Formula, Obdd, Vtree};
+    pub use treelineage_circuit::{Circuit, Dnnf, Formula, Vtree};
     pub use treelineage_dd::{Manager as DdManager, NodeId as DdNodeId, Stats as DdStats};
     pub use treelineage_graph::{Graph, TreeDecomposition};
     pub use treelineage_instance::{
@@ -127,7 +128,7 @@ mod proptests {
             let q = &queries()[qi];
             let builder = LineageBuilder::new(q, &inst).unwrap();
             let circuit = builder.circuit();
-            let obdd = builder.obdd();
+            let (manager, root) = builder.dd();
             let ddnnf = builder.ddnnf();
             for mask in 0u32..(1 << inst.fact_count()) {
                 let world: BTreeSet<FactId> = (0..inst.fact_count())
@@ -137,7 +138,7 @@ mod proptests {
                 let expected = matching::satisfied_in_world(q, &inst, &world);
                 let vars: BTreeSet<usize> = world.iter().map(|f| f.0).collect();
                 prop_assert_eq!(circuit.evaluate_set(&vars), expected);
-                prop_assert_eq!(obdd.evaluate_set(&vars), expected);
+                prop_assert_eq!(manager.evaluate(root, &vars), expected);
                 prop_assert_eq!(ddnnf.circuit().evaluate_set(&vars), expected);
             }
         }

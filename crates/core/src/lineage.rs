@@ -14,13 +14,12 @@
 //!   Theorems 6.5 / 6.7: facts are ordered by the decomposition bag that
 //!   covers them, so on bounded-pathwidth instances the orders of facts
 //!   relevant to distant bags never interleave and the width stays bounded),
+//!   compiled into the shared [`treelineage_dd`] engine
+//!   ([`LineageBuilder::dd`] / [`LineageBuilder::compile_dd`]): hash-consed
+//!   into a store with complement edges and a persistent operation cache,
+//!   whose width and size are those of the plain reduced OBDD,
 //! * a **d-DNNF** obtained from the OBDD (every decision node is a
 //!   deterministic OR of two decomposable ANDs),
-//! * a node in the shared [`treelineage_dd`] engine
-//!   ([`LineageBuilder::dd`] / [`LineageBuilder::compile_dd`]): the same
-//!   function under the same order, but hash-consed into a store with
-//!   complement edges and a persistent operation cache, which is what the
-//!   probability / counting pipelines and the benches run on,
 //! * the **provenance d-SDNNF** of Theorem 6.11
 //!   ([`LineageBuilder::automaton_lineage`]): smooth and structured by the
 //!   tree encoding's vtree by construction, and compiled without
@@ -33,7 +32,8 @@
 //! experiments exercise exactly the objects the paper reasons about.
 
 use std::collections::{BTreeSet, HashMap};
-use treelineage_circuit::{Circuit, Dnnf, GateId, Obdd, Ref, VarId};
+use treelineage_circuit::{Circuit, Dnnf, GateId, VarId};
+use treelineage_dd::{Manager, NodeId};
 use treelineage_engine::{validate_insert, validate_retract, EngineConfig, UpdateError};
 use treelineage_graph::TreeDecomposition;
 use treelineage_instance::{Fact, FactId, Instance};
@@ -43,18 +43,14 @@ use treelineage_query::{matching, UnionOfConjunctiveQueries};
 /// The compilation backend a lineage-consuming pipeline routes through (see
 /// DESIGN.md "Backend selection").
 ///
-/// All backends represent the same Boolean function and give exactly equal
+/// Both backends represent the same Boolean function and give exactly equal
 /// answers (the cross-backend differential suites pin this); they differ in
-/// how the function is compiled — the first two enumerate query matches
-/// and compile the match circuit under a decomposition-derived variable
-/// order, while [`LineageBackend::Automaton`] goes through the tree
-/// encoding and never touches a match.
+/// how the function is compiled — [`LineageBackend::SharedDd`] enumerates
+/// query matches and compiles the match circuit under a
+/// decomposition-derived variable order, while [`LineageBackend::Automaton`]
+/// goes through the tree encoding and never touches a match.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum LineageBackend {
-    /// The per-diagram reduced OBDD of `treelineage_circuit::Obdd` — the
-    /// literal-to-the-paper object (Definition 6.4), kept as the
-    /// differential-testing oracle.
-    LegacyObdd,
     /// The shared hash-consed decision-diagram engine (`treelineage_dd`)
     /// with complement edges and a persistent operation cache — the default
     /// fast path.
@@ -353,44 +349,37 @@ impl<'a> LineageBuilder<'a> {
         order
     }
 
-    /// The reduced OBDD of the lineage under [`LineageBuilder::variable_order`]
-    /// (the legacy per-diagram construction, kept as the literal-to-the-paper
-    /// object and differential-testing oracle; the engine the pipelines run
-    /// on is [`LineageBuilder::dd`]).
-    pub fn obdd(&self) -> Obdd {
-        Obdd::from_circuit(&self.circuit(), self.full_variable_order())
-    }
-
     /// A fresh shared-engine manager over this lineage's variable order
     /// (every fact of the instance is in the order). Compile with
     /// [`LineageBuilder::compile_dd`]; reuse the manager across related
     /// compilations to profit from its persistent operation cache.
-    pub fn dd_manager(&self) -> treelineage_dd::Manager {
-        treelineage_dd::Manager::new(self.full_variable_order())
+    pub fn dd_manager(&self) -> Manager {
+        Manager::new(self.full_variable_order())
     }
 
     /// Compiles the lineage into a shared engine manager (created by
     /// [`LineageBuilder::dd_manager`] on an instance with the same fact
     /// order) and returns the root node. Recompilations hit the manager's
     /// persistent cache.
-    pub fn compile_dd(&self, manager: &mut treelineage_dd::Manager) -> treelineage_dd::NodeId {
+    pub fn compile_dd(&self, manager: &mut Manager) -> NodeId {
         manager.compile_circuit(&self.circuit())
     }
 
     /// One-shot compilation into the shared engine: a fresh manager plus the
     /// root node of the lineage.
-    pub fn dd(&self) -> (treelineage_dd::Manager, treelineage_dd::NodeId) {
+    pub fn dd(&self) -> (Manager, NodeId) {
         let mut manager = self.dd_manager();
         let root = self.compile_dd(&mut manager);
         (manager, root)
     }
 
-    /// A d-DNNF for the lineage, obtained by viewing the (reduced) OBDD as a
-    /// circuit: every decision node `(v, lo, hi)` becomes the deterministic
-    /// OR of the decomposable ANDs `v ∧ hi` and `¬v ∧ lo`.
+    /// A d-DNNF for the lineage, obtained by viewing the reduced OBDD of
+    /// [`LineageBuilder::dd`] as a circuit: every decision node
+    /// `(v, lo, hi)` becomes the deterministic OR of the decomposable ANDs
+    /// `v ∧ hi` and `¬v ∧ lo`.
     pub fn ddnnf(&self) -> Dnnf {
-        let obdd = self.obdd();
-        let circuit = obdd_to_circuit(&obdd);
+        let (manager, root) = self.dd();
+        let circuit = obdd_to_circuit(&manager, root);
         Dnnf::from_trusted_circuit(circuit).expect("OBDD-derived circuits are d-DNNFs")
     }
 
@@ -450,31 +439,36 @@ pub fn variable_order_from_decomposition(
     treelineage_engine::variable_order_from_decomposition(instance, td)
 }
 
-/// Converts a reduced OBDD into an equivalent circuit that satisfies the
-/// d-DNNF conditions: each decision node on variable `v` with children
-/// `lo` / `hi` becomes `(v ∧ hi') ∨ (¬v ∧ lo')`.
-pub fn obdd_to_circuit(obdd: &Obdd) -> Circuit {
+/// Converts the reduced OBDD rooted at `root` into an equivalent circuit
+/// that satisfies the d-DNNF conditions: each decision node on variable `v`
+/// with children `lo` / `hi` becomes `(v ∧ hi') ∨ (¬v ∧ lo')`.
+///
+/// Nodes are memoized on the signed [`NodeId`], so a stored node reached
+/// both plainly and through a complement edge yields two gates: the circuit
+/// has exactly one decision per node of the plain reduced OBDD (the
+/// references [`Manager::level_sizes`] counts).
+pub fn obdd_to_circuit(manager: &Manager, root: NodeId) -> Circuit {
     let mut circuit = Circuit::new();
-    let mut memo: HashMap<Ref, GateId> = HashMap::new();
-    let output = obdd_node_to_gate(obdd, obdd.root(), &mut circuit, &mut memo);
+    let mut memo: HashMap<NodeId, GateId> = HashMap::new();
+    let output = obdd_node_to_gate(manager, root, &mut circuit, &mut memo);
     circuit.set_output(output);
     circuit
 }
 
 fn obdd_node_to_gate(
-    obdd: &Obdd,
-    node: Ref,
+    manager: &Manager,
+    node: NodeId,
     circuit: &mut Circuit,
-    memo: &mut HashMap<Ref, GateId>,
+    memo: &mut HashMap<NodeId, GateId>,
 ) -> GateId {
     if let Some(&g) = memo.get(&node) {
         return g;
     }
-    let gate = match obdd.decision_parts(node) {
-        None => circuit.constant(node == Ref::True),
+    let gate = match manager.decision_parts(node) {
+        None => circuit.constant(node == NodeId::TRUE),
         Some((var, lo, hi)) => {
-            let lo_gate = obdd_node_to_gate(obdd, lo, circuit, memo);
-            let hi_gate = obdd_node_to_gate(obdd, hi, circuit, memo);
+            let lo_gate = obdd_node_to_gate(manager, lo, circuit, memo);
+            let hi_gate = obdd_node_to_gate(manager, hi, circuit, memo);
             let v = circuit.var(var);
             let not_v = circuit.not(v);
             let hi_branch = circuit.and(vec![v, hi_gate]);
@@ -515,26 +509,22 @@ mod tests {
     fn check_lineage_against_bruteforce(query: &UnionOfConjunctiveQueries, instance: &Instance) {
         let builder = LineageBuilder::new(query, instance).unwrap();
         let circuit = builder.circuit();
-        let obdd = builder.obdd();
         let ddnnf = builder.ddnnf();
         let automaton = builder.automaton_lineage().unwrap();
         let (manager, root) = builder.dd();
         let n = instance.fact_count();
         assert!(n <= 16, "oracle check limited to 16 facts");
+        let mut satisfying = 0u64;
         for mask in 0u32..(1 << n) {
             let world: BTreeSet<FactId> =
                 (0..n).filter(|i| mask >> i & 1 == 1).map(FactId).collect();
             let expected = matching::satisfied_in_world(query, instance, &world);
+            satisfying += u64::from(expected);
             let world_vars: BTreeSet<usize> = world.iter().map(|f| f.0).collect();
             assert_eq!(
                 circuit.evaluate_set(&world_vars),
                 expected,
                 "circuit, mask {mask}"
-            );
-            assert_eq!(
-                obdd.evaluate_set(&world_vars),
-                expected,
-                "obdd, mask {mask}"
             );
             assert_eq!(
                 ddnnf.circuit().evaluate_set(&world_vars),
@@ -558,21 +548,10 @@ mod tests {
         }
         // The automaton pipeline's artifact counts the same models without
         // ever having enumerated a query match.
-        assert_eq!(
-            automaton.model_count().to_u64(),
-            obdd.count_models().to_u64()
-        );
+        assert_eq!(automaton.model_count().to_u64(), Some(satisfying));
+        assert_eq!(manager.count_models(root).to_u64(), Some(satisfying));
         assert!(automaton.automaton_states() > 0);
         assert!(automaton.tree_nodes() > 0);
-        // The shared engine reports the same canonical width/size/count as
-        // the legacy reduced OBDD under the same order.
-        assert_eq!(manager.level_sizes(root), obdd.level_sizes());
-        assert_eq!(manager.width(root), obdd.width());
-        assert_eq!(manager.size(root), obdd.size());
-        assert_eq!(
-            manager.count_models(root).to_u64(),
-            obdd.count_models().to_u64()
-        );
     }
 
     #[test]
@@ -597,8 +576,8 @@ mod tests {
         let inst = chain_instance(2);
         let builder = LineageBuilder::new(&q, &inst).unwrap();
         assert!(builder.matches().is_empty());
-        let obdd = builder.obdd();
-        assert_eq!(obdd.count_models().to_u64(), Some(0));
+        let (manager, root) = builder.dd();
+        assert_eq!(manager.count_models(root).to_u64(), Some(0));
     }
 
     #[test]
@@ -611,7 +590,8 @@ mod tests {
         for n in [4usize, 8, 16, 32] {
             let inst = chain_instance(n);
             let builder = LineageBuilder::new(&q, &inst).unwrap();
-            widths.push(builder.obdd().width());
+            let (manager, root) = builder.dd();
+            widths.push(manager.width(root));
         }
         // Constant width: the width must not grow with n.
         assert_eq!(widths[2], widths[3], "widths {widths:?}");
@@ -623,11 +603,11 @@ mod tests {
         let q = parse_query(&rst(), "R(x), S(x, y), T(y)").unwrap();
         let inst = chain_instance(2);
         let builder = LineageBuilder::new(&q, &inst).unwrap();
-        let obdd = builder.obdd();
+        let (manager, root) = builder.dd();
         let valuation = ProbabilityValuation::uniform(&inst, Rational::from_ratio_u64(1, 3));
         let expected =
             valuation.probability_of(|world| matching::satisfied_in_world(&q, &inst, world));
-        let actual = obdd.probability(&|v| valuation.probability(FactId(v)).clone());
+        let actual = manager.probability(root, &|v| valuation.probability(FactId(v)).clone());
         assert_eq!(actual, expected);
     }
 
@@ -741,10 +721,40 @@ mod tests {
         let inst = encodings::grid_instance(&sig, s, 3, 3);
         let q = parse_query(&sig, "S(x, y), S(y, z), x != z").unwrap();
         let builder = LineageBuilder::new(&q, &inst).unwrap();
-        let obdd = builder.obdd();
-        assert_eq!(obdd.order().len(), inst.fact_count());
-        let mut sorted = obdd.order().to_vec();
+        let manager = builder.dd_manager();
+        assert_eq!(manager.order().len(), inst.fact_count());
+        let mut sorted = manager.order().to_vec();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..inst.fact_count()).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn ddnnf_size_is_pinned_on_treelike_and_grid_lineages() {
+        // The OBDD-derived d-DNNF emits one decision (var, not, two ANDs,
+        // an OR) per node of the plain reduced OBDD, lo child first; these
+        // sizes are the T2-U3 "ddnnf size" column (n = 20, 40) and the
+        // q_p grids 2 and 3.
+        let sig = Signature::builder()
+            .relation("S", 2)
+            .relation("R", 2)
+            .build();
+        let q = parse_query(&sig, "S(x, y), S(y, z), x != z").unwrap();
+        for (n, size) in [(20usize, 83usize), (40, 692)] {
+            let inst = encodings::random_treelike_instance(&sig, n, 2, 7);
+            let builder = LineageBuilder::new(&q, &inst).unwrap();
+            assert_eq!(builder.ddnnf().size(), size, "T2-U3 n = {n}");
+        }
+        let sig = Signature::builder().relation("S", 2).build();
+        let s = sig.relation_by_name("S").unwrap();
+        let qp = parse_query(
+            &sig,
+            "S(x, y), S(y, z), x != z | S(x, y), S(z, y), x != z | S(y, x), S(y, z), x != z",
+        )
+        .unwrap();
+        for (n, size) in [(2usize, 30usize), (3, 242)] {
+            let inst = encodings::grid_instance(&sig, s, n, n);
+            let builder = LineageBuilder::new(&qp, &inst).unwrap();
+            assert_eq!(builder.ddnnf().size(), size, "q_p grid {n}");
+        }
     }
 }

@@ -8,10 +8,9 @@
 //! engine and evaluating the weighted model count of the resulting diagram
 //! in time linear in its (shared) size — the "ra-linear modulo compilation"
 //! pipeline that the paper's upper bounds describe. The automaton pipeline's
-//! provenance d-SDNNF (Theorem 6.11) and the legacy per-diagram OBDD are
-//! kept alongside (they answer the same queries and the benches time the
-//! engines against each other), and a brute-force possible-worlds oracle is
-//! provided for testing.
+//! provenance d-SDNNF (Theorem 6.11) is kept alongside (it answers the same
+//! queries and the benches time the two backends against each other), and a
+//! brute-force possible-worlds oracle is provided for testing.
 
 use crate::lineage::{LineageBackend, LineageBuilder, LineageError};
 use std::collections::BTreeSet;
@@ -124,7 +123,6 @@ impl<'a> ProbabilityEvaluator<'a> {
         query: &UnionOfConjunctiveQueries,
     ) -> Result<Rational, LineageError> {
         match self.backend {
-            LineageBackend::LegacyObdd => self.query_probability_via_legacy_obdd(query),
             LineageBackend::SharedDd => self.query_probability_via_dd(query),
             LineageBackend::Automaton => self.query_probability_via_automaton(query),
         }
@@ -148,8 +146,8 @@ impl<'a> ProbabilityEvaluator<'a> {
     ///
     /// Routed per backend: [`LineageBackend::Automaton`] runs the
     /// fragment-parallel interval pass over the provenance d-SDNNF (still
-    /// bit-identical at every thread count); every other backend runs the
-    /// sequential interval pass over the OBDD-derived d-DNNF
+    /// bit-identical at every thread count); [`LineageBackend::SharedDd`]
+    /// runs the sequential interval pass over the OBDD-derived d-DNNF
     /// ([`LineageBuilder::ddnnf`]; probability needs no smoothing).
     pub fn query_probability_f64(
         &self,
@@ -161,7 +159,7 @@ impl<'a> ProbabilityEvaluator<'a> {
                 .builder(query)?
                 .automaton_lineage()?
                 .probability_interval(&weight),
-            _ => self.builder(query)?.ddnnf().probability_interval(&weight),
+            LineageBackend::SharedDd => self.builder(query)?.ddnnf().probability_interval(&weight),
         };
         Ok((interval.midpoint(), interval))
     }
@@ -187,19 +185,6 @@ impl<'a> ProbabilityEvaluator<'a> {
         let builder = self.builder(query)?;
         let (manager, root) = builder.dd();
         Ok(manager.probability(root, &|v| self.valuation.probability(FactId(v)).clone()))
-    }
-
-    /// The probability computed through the legacy per-diagram OBDD
-    /// construction ([`treelineage_circuit::Obdd`]). Always equal to
-    /// [`ProbabilityEvaluator::query_probability`]; kept as the
-    /// paper-literal pipeline and for differential testing / benchmarking
-    /// against the shared engine.
-    pub fn query_probability_via_legacy_obdd(
-        &self,
-        query: &UnionOfConjunctiveQueries,
-    ) -> Result<Rational, LineageError> {
-        let obdd = self.builder(query)?.obdd();
-        Ok(obdd.probability(&|v| self.valuation.probability(FactId(v)).clone()))
     }
 
     fn builder<'q>(
@@ -241,7 +226,6 @@ impl<'a> ProbabilityEvaluator<'a> {
     pub fn model_count(&self, query: &UnionOfConjunctiveQueries) -> Result<BigUint, LineageError> {
         let builder = self.builder(query)?;
         match self.backend {
-            LineageBackend::LegacyObdd => Ok(builder.obdd().count_models()),
             LineageBackend::SharedDd => {
                 let (manager, root) = builder.dd();
                 Ok(manager.count_models(root))
@@ -255,8 +239,8 @@ impl<'a> ProbabilityEvaluator<'a> {
     /// strictly more general than [`ProbabilityEvaluator::query_probability`];
     /// e.g. `pos = neg = 1` counts models). One pass over the automaton
     /// pipeline's smooth provenance d-SDNNF when the
-    /// [`LineageBackend::Automaton`] backend is selected; every other backend
-    /// runs the shared dd engine's general-weight pass
+    /// [`LineageBackend::Automaton`] backend is selected;
+    /// [`LineageBackend::SharedDd`] runs the shared dd engine's general-weight pass
     /// ([`treelineage_dd::Manager::wmc`]), which stays independent of the
     /// automaton pipeline.
     pub fn query_wmc(
@@ -271,7 +255,7 @@ impl<'a> ProbabilityEvaluator<'a> {
                 let lineage = builder.automaton_lineage()?;
                 Ok(lineage.wmc(&|v| pos(FactId(v)), &|v| neg(FactId(v))))
             }
-            _ => {
+            LineageBackend::SharedDd => {
                 let (manager, root) = builder.dd();
                 Ok(manager.wmc(root, &|v| pos(FactId(v)), &|v| neg(FactId(v))))
             }
@@ -374,11 +358,6 @@ mod tests {
                 expected,
                 "n={n}"
             );
-            assert_eq!(
-                evaluator.query_probability_via_legacy_obdd(&q).unwrap(),
-                expected,
-                "n={n}"
-            );
         }
     }
 
@@ -424,7 +403,6 @@ mod tests {
         let reference =
             ProbabilityEvaluator::new(&inst, &valuation).query_probability_bruteforce(&q);
         for backend in [
-            crate::LineageBackend::LegacyObdd,
             crate::LineageBackend::SharedDd,
             crate::LineageBackend::Automaton,
         ] {
@@ -452,7 +430,6 @@ mod tests {
             .collect();
         let valuation = ProbabilityValuation::from_f64(&inst, &probs);
         for backend in [
-            crate::LineageBackend::LegacyObdd,
             crate::LineageBackend::SharedDd,
             crate::LineageBackend::Automaton,
         ] {

@@ -1,10 +1,8 @@
 //! Shared decision-diagram engine for the `treelineage` workspace.
 //!
 //! The paper's upper bounds (Section 6, Lemma 6.6) compile lineage circuits
-//! into OBDDs; `treelineage-circuit`'s [`treelineage_circuit::Obdd`] stays
-//! the small, literal-to-the-paper construction (and the differential-testing
-//! oracle), while this crate provides the *engine* the rest of the workspace
-//! runs on:
+//! into OBDDs (Definition 6.4); this crate is the one OBDD implementation
+//! the workspace runs on:
 //!
 //! * [`Manager`] — a shared, hash-consed node store hosting many functions at
 //!   once, with **complement edges** ([`NodeId`] carries a negation bit, so
@@ -23,8 +21,10 @@
 //!
 //! Width and size of a function ([`Manager::width`], [`Manager::size`])
 //! report the measures of the *equivalent plain reduced OBDD* (Definition
-//! 6.4 of the paper), so the Section 8 experiments read the same numbers off
-//! this engine as off the legacy per-diagram construction, just faster.
+//! 6.4 of the paper), so complement edges never change the numbers the
+//! Section 8 experiments read. `tests/differential.rs` checks them level by
+//! level against Lemma 6.6 itself: the number of distinct restrictions
+//! `f|x₀…x_{i−1}=a` that depend on `xᵢ`, counted off a truth table.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

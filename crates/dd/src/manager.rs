@@ -1,9 +1,8 @@
 //! The shared decision-diagram manager: a hash-consed node store with
 //! complement edges and a persistent operation cache.
 //!
-//! Unlike the per-diagram [`treelineage_circuit::Obdd`] (kept as the
-//! literal-to-the-paper construction and differential-testing oracle), a
-//! [`Manager`] hosts *many* functions at once over a single variable order:
+//! A [`Manager`] hosts *many* reduced OBDDs at once over a single variable
+//! order:
 //! every operation returns a [`NodeId`] into the shared store, structurally
 //! identical subgraphs are stored once, and the if-then-else cache survives
 //! across calls, so repeated compilations of related functions reuse each
@@ -869,6 +868,33 @@ mod tests {
         // Constants have width 0.
         assert_eq!(m.width(NodeId::TRUE), 0);
         assert_eq!(m.width(NodeId::FALSE), 0);
+    }
+
+    #[test]
+    fn variable_order_affects_width() {
+        // (x0 ∧ x1) ∨ (x2 ∧ x3) ∨ (x4 ∧ x5) has constant width under the
+        // interleaved order but a wider diagram under "all left ends
+        // first".
+        let build = |order: Vec<VarId>| {
+            let mut c = Circuit::new();
+            let ands: Vec<_> = (0..3)
+                .map(|i| {
+                    let a = c.var(2 * i);
+                    let b = c.var(2 * i + 1);
+                    c.and(vec![a, b])
+                })
+                .collect();
+            let o = c.or(ands);
+            c.set_output(o);
+            let mut m = Manager::new(order);
+            let f = m.compile_circuit(&c);
+            (m.width(f), m.count_models(f))
+        };
+        let (good, good_models) = build(vec![0, 1, 2, 3, 4, 5]);
+        let (bad, bad_models) = build(vec![0, 2, 4, 1, 3, 5]);
+        assert!(good <= 2);
+        assert!(bad > good);
+        assert_eq!(good_models, bad_models);
     }
 
     #[test]

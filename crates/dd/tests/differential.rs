@@ -1,18 +1,20 @@
-//! Differential suite: the shared `treelineage-dd` engine against the legacy
-//! per-diagram `circuit::obdd` construction and brute-force probability on
-//! random small circuits.
+//! Differential suite: the shared `treelineage-dd` engine against brute
+//! force and against Lemma 6.6 on random small circuits.
 //!
-//! The legacy OBDD is the literal-to-the-paper object (reduced, canonical
-//! per order), so on every random circuit the two engines must agree on the
-//! represented function, the model count, the weighted model count (and the
-//! general-weight count against brute force), and —
+//! On every random circuit the engine must agree with the circuit on the
+//! represented function, the model count, the probability and the
+//! general-weight model count (all by brute force over the worlds), and —
 //! thanks to the complement-edge width equivalence (signed reachable
-//! references per level = plain reduced OBDD nodes per level) — on the exact
-//! per-level width profile under the same order.
+//! references per level = plain reduced OBDD nodes per level) — on the
+//! exact per-level width profile, checked against the restriction-counting
+//! oracle of `restriction/mod.rs`, which shares no code with the engine.
+
+mod restriction;
 
 use proptest::prelude::*;
+use restriction::restriction_level_sizes;
 use std::collections::BTreeSet;
-use treelineage_circuit::{probability_bruteforce, Circuit, Obdd, VarId};
+use treelineage_circuit::{probability_bruteforce, Circuit, VarId};
 use treelineage_dd::{Manager, NodeId};
 use treelineage_num::Rational;
 
@@ -35,10 +37,12 @@ const WEIGHTS: [(i64, u64); 8] = [
     (5, 7),
 ];
 
-/// Random circuits over a bounded variable set, composed bottom-up (the same
-/// shape as `treelineage-circuit`'s internal property tests).
+/// Random circuits over a bounded variable set, composed bottom-up (the
+/// shape of `treelineage-circuit`'s internal property tests, plus an XOR
+/// gadget: XOR makes the engine reach stored nodes through both polarities,
+/// where plain and signed node counts part).
 fn arbitrary_circuit(max_vars: usize, gates: usize) -> impl Strategy<Value = Circuit> {
-    let ops = proptest::collection::vec((0u8..4, any::<u64>(), any::<u64>()), 1..gates);
+    let ops = proptest::collection::vec((0u8..5, any::<u64>(), any::<u64>()), 1..gates);
     ops.prop_map(move |ops| {
         let mut c = Circuit::new();
         let mut ids = Vec::new();
@@ -52,7 +56,12 @@ fn arbitrary_circuit(max_vars: usize, gates: usize) -> impl Strategy<Value = Cir
                 0 => c.and(vec![x, y]),
                 1 => c.or(vec![x, y]),
                 2 => c.not(x),
-                _ => c.or(vec![x]),
+                3 => c.or(vec![x]),
+                _ => {
+                    let (nx, ny) = (c.not(x), c.not(y));
+                    let (l, r) = (c.and(vec![x, ny]), c.and(vec![nx, y]));
+                    c.or(vec![l, r])
+                }
             };
             ids.push(g);
         }
@@ -69,12 +78,10 @@ fn world(mask: u64, vars: &[VarId]) -> BTreeSet<VarId> {
         .collect()
 }
 
-fn compile_both(c: &Circuit) -> (Obdd, Manager, NodeId) {
-    let vars: Vec<VarId> = (0..VARS).collect();
-    let obdd = Obdd::from_circuit(c, vars.clone());
-    let mut manager = Manager::new(vars);
+fn compile(c: &Circuit) -> (Manager, NodeId) {
+    let mut manager = Manager::new((0..VARS).collect());
     let root = manager.compile_circuit(c);
-    (obdd, manager, root)
+    (manager, root)
 }
 
 proptest! {
@@ -83,60 +90,55 @@ proptest! {
     #[test]
     fn engines_agree_on_function_and_counts(c in arbitrary_circuit(VARS, 14)) {
         let vars: Vec<VarId> = (0..VARS).collect();
-        let (obdd, manager, root) = compile_both(&c);
+        let (manager, root) = compile(&c);
         for mask in 0u64..(1 << VARS) {
             let w = world(mask, &vars);
-            let expected = c.evaluate_set(&w);
-            prop_assert_eq!(obdd.evaluate_set(&w), expected, "legacy, mask {}", mask);
-            prop_assert_eq!(manager.evaluate(root, &w), expected, "dd, mask {}", mask);
+            prop_assert_eq!(manager.evaluate(root, &w), c.evaluate_set(&w), "mask {}", mask);
         }
-        // Model counts: engine == legacy == brute force.
         prop_assert_eq!(
             manager.count_models(root).to_u64(),
             Some(c.count_models_bruteforce(&vars))
-        );
-        prop_assert_eq!(
-            manager.count_models(root).to_u64(),
-            obdd.count_models().to_u64()
         );
     }
 
     #[test]
     fn weighted_model_count_matches_bruteforce(c in arbitrary_circuit(VARS, 12)) {
-        let (obdd, manager, root) = compile_both(&c);
+        let (manager, root) = compile(&c);
         let prob = |v: VarId| Rational::from_ratio_u64(1, v as u64 + 2);
         let brute = probability_bruteforce(&c, &prob);
         prop_assert_eq!(manager.probability(root, &prob), brute.clone());
-        prop_assert_eq!(obdd.probability(&prob), brute.clone());
         // Complement edge: P(¬f) = 1 − P(f) with the same shared nodes.
         prop_assert_eq!(manager.probability(root.not(), &prob), brute.complement());
     }
 
     #[test]
-    fn widths_match_legacy_per_level(c in arbitrary_circuit(VARS, 14)) {
-        let (obdd, manager, root) = compile_both(&c);
+    fn widths_match_restriction_oracle_per_level(c in arbitrary_circuit(VARS, 14)) {
+        let vars: Vec<VarId> = (0..VARS).collect();
+        let (manager, root) = compile(&c);
         // Signed reachability reproduces the plain reduced OBDD exactly.
-        prop_assert_eq!(manager.level_sizes(root), obdd.level_sizes());
-        prop_assert_eq!(manager.width(root), obdd.width());
-        prop_assert_eq!(manager.size(root), obdd.size());
+        let expected = restriction_level_sizes(|w| c.evaluate_set(w), &vars);
+        prop_assert_eq!(manager.level_sizes(root), expected.clone());
+        prop_assert_eq!(manager.width(root), expected.iter().copied().max().unwrap_or(0));
+        prop_assert_eq!(manager.size(root), expected.iter().sum::<usize>());
         // Complement-edge sharing never stores more nodes than the plain
         // diagram has.
         prop_assert!(manager.shared_size(root) <= manager.size(root).max(1));
     }
 
     #[test]
-    fn negation_is_canonical_and_matches_legacy(c in arbitrary_circuit(VARS, 12)) {
+    fn negation_is_canonical_and_matches_circuit(c in arbitrary_circuit(VARS, 12)) {
         let vars: Vec<VarId> = (0..VARS).collect();
-        let (mut obdd, manager, root) = compile_both(&c);
+        let (manager, root) = compile(&c);
         let neg = root.not();
         prop_assert_eq!(neg.not(), root);
-        let legacy_root = obdd.root();
-        let legacy_neg = obdd.not(legacy_root);
         for mask in 0u64..(1 << VARS) {
             let w = world(mask, &vars);
-            obdd.set_root(legacy_neg);
-            prop_assert_eq!(manager.evaluate(neg, &w), obdd.evaluate_set(&w));
+            prop_assert_eq!(manager.evaluate(neg, &w), !c.evaluate_set(&w));
         }
+        prop_assert_eq!(
+            manager.level_sizes(neg),
+            restriction_level_sizes(|w| !c.evaluate_set(w), &vars)
+        );
         // ¬f shares every stored node with f.
         prop_assert_eq!(manager.shared_size(neg), manager.shared_size(root));
     }
@@ -144,7 +146,7 @@ proptest! {
     #[test]
     fn restrict_compose_exists_semantics(c in arbitrary_circuit(VARS, 10), var in 0usize..VARS) {
         let vars: Vec<VarId> = (0..VARS).collect();
-        let (_, mut manager, root) = compile_both(&c);
+        let (mut manager, root) = compile(&c);
         let f1 = manager.restrict(root, var, true);
         let f0 = manager.restrict(root, var, false);
         // Shannon: f == ite(x, f|x=1, f|x=0); quantifiers from cofactors.
@@ -213,7 +215,7 @@ proptest! {
 
     #[test]
     fn persistent_cache_makes_recompilation_free(c in arbitrary_circuit(VARS, 12)) {
-        let (_, mut manager, root) = compile_both(&c);
+        let (mut manager, root) = compile(&c);
         let before = manager.stats();
         let root2 = manager.compile_circuit(&c);
         let after = manager.stats();
@@ -223,20 +225,24 @@ proptest! {
     }
 }
 
-/// The engine agrees with the exponential level-by-level construction of
-/// Lemma 6.6 (via the legacy crate) on the canonical shape, not just the
-/// function: one fixed non-random cross-check.
+/// The engine's canonical shape is the one Lemma 6.6 constructs level by
+/// level, on fixed threshold-2 and parity functions: one non-random
+/// cross-check of the whole level profile, size and model count.
 #[test]
 fn canonical_shape_matches_lemma_6_6_construction() {
     let vars: Vec<VarId> = (0..6).collect();
-    let circuit = treelineage_circuit::threshold2_circuit(&vars);
-    let lemma = Obdd::from_circuit_level_by_level(&circuit, vars.clone());
-    let mut manager = Manager::new(vars);
-    let root = manager.compile_circuit(&circuit);
-    assert_eq!(manager.level_sizes(root), lemma.level_sizes());
-    assert_eq!(manager.size(root), lemma.size());
-    assert_eq!(
-        manager.count_models(root).to_u64(),
-        lemma.count_models().to_u64()
-    );
+    for circuit in [
+        treelineage_circuit::threshold2_circuit(&vars),
+        treelineage_circuit::parity_circuit(&vars),
+    ] {
+        let lemma = restriction_level_sizes(|w| circuit.evaluate_set(w), &vars);
+        let mut manager = Manager::new(vars.clone());
+        let root = manager.compile_circuit(&circuit);
+        assert_eq!(manager.level_sizes(root), lemma);
+        assert_eq!(manager.size(root), lemma.iter().sum::<usize>());
+        assert_eq!(
+            manager.count_models(root).to_u64(),
+            Some(circuit.count_models_bruteforce(&vars))
+        );
+    }
 }

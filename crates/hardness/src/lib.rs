@@ -157,17 +157,6 @@ pub fn obdd_width_of_qp_on_grid(n: usize) -> (usize, usize) {
     width_and_size(&query, &instance)
 }
 
-/// [`obdd_width_of_qp_on_grid`] computed through the legacy per-diagram
-/// `treelineage_circuit::Obdd` construction — same numbers, no shared
-/// store; kept so the benches can time the engines head to head.
-pub fn obdd_width_of_qp_on_grid_legacy(n: usize) -> (usize, usize) {
-    let (query, instance) = qp_grid_family(n);
-    let obdd = LineageBuilder::new(&query, &instance)
-        .expect("same signature")
-        .obdd();
-    (obdd.width(), obdd.size())
-}
-
 /// The OBDD width and size of the lineage of q_p on a bounded-treewidth
 /// instance of comparable size (a chain of S-facts), the tractable side of
 /// the same comparison.
@@ -227,8 +216,8 @@ fn lineage_dd(query: &UnionOfConjunctiveQueries, instance: &Instance) -> (Manage
 }
 
 /// Width and size of the lineage's canonical OBDD, measured on the shared
-/// engine (identical numbers to the legacy construction, per the
-/// complement-edge width equivalence — see `treelineage-dd`'s docs).
+/// engine (the plain reduced OBDD's numbers, per the complement-edge width
+/// equivalence — see `treelineage-dd`'s docs).
 fn width_and_size(query: &UnionOfConjunctiveQueries, instance: &Instance) -> (usize, usize) {
     let (manager, root) = lineage_dd(query, instance);
     (manager.width(root), manager.size(root))
@@ -345,14 +334,11 @@ mod tests {
     }
 
     #[test]
-    fn dd_and_legacy_engines_report_identical_grid_widths() {
-        for n in [2usize, 3] {
-            assert_eq!(
-                obdd_width_of_qp_on_grid(n),
-                obdd_width_of_qp_on_grid_legacy(n),
-                "n={n}"
-            );
-        }
+    fn qp_grid_widths_and_sizes_are_pinned() {
+        // The D-8.1 values; `tests/obdd_invariants.rs` checks the same level
+        // profiles against Lemma 6.6's restriction counts.
+        assert_eq!(obdd_width_of_qp_on_grid(2), (2, 6));
+        assert_eq!(obdd_width_of_qp_on_grid(3), (9, 57));
     }
 
     #[test]
@@ -374,12 +360,11 @@ mod tests {
     #[test]
     fn threshold_family_lineage_is_threshold_two() {
         let (query, instance) = threshold_family(5);
-        let builder = LineageBuilder::new(&query, &instance).unwrap();
-        let obdd = builder.obdd();
+        let (manager, root) = lineage_dd(&query, &instance);
         // Threshold-2 over 5 variables has C(5,0) + C(5,1) = 6 falsifying
         // assignments.
-        assert_eq!(obdd.count_models().to_u64(), Some(32 - 6));
-        assert!(obdd.width() <= 3);
+        assert_eq!(manager.count_models(root).to_u64(), Some(32 - 6));
+        assert!(manager.width(root) <= 3);
     }
 
     #[test]

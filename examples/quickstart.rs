@@ -27,16 +27,16 @@ fn main() {
     // Lineage representations (Definition 6.1, Theorems 6.3 / 6.5 / 6.11).
     let builder = LineageBuilder::new(&q, &inst).unwrap();
     let circuit = builder.circuit();
-    let obdd = builder.obdd();
+    let (manager, root) = builder.dd();
     let ddnnf = builder.ddnnf();
     println!("lineage circuit size : {}", circuit.size());
     println!(
         "lineage OBDD         : width {}, size {}",
-        obdd.width(),
-        obdd.size()
+        manager.width(root),
+        manager.size(root)
     );
     println!("lineage d-DNNF size  : {}", ddnnf.size());
-    println!("satisfying worlds    : {}", obdd.count_models());
+    println!("satisfying worlds    : {}", manager.count_models(root));
 
     // Probability evaluation on a tuple-independent database (Theorem 3.2).
     let probabilities: Vec<f64> = (0..inst.fact_count())

@@ -88,8 +88,8 @@ fn main() {
 
     // … and on the unfolded, bounded-pathwidth instance the OBDD has constant
     // width (Theorems 6.7 / 9.6).
-    let obdd = LineageBuilder::new(&q, &unfolding.instance).unwrap().obdd();
-    println!("OBDD width (unfolded)  : {}", obdd.width());
+    let (manager, root) = LineageBuilder::new(&q, &unfolding.instance).unwrap().dd();
+    println!("OBDD width (unfolded)  : {}", manager.width(root));
 
     // Contrast with the classic unsafe query, which is not inversion-free.
     let rst = Signature::builder()

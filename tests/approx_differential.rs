@@ -43,11 +43,7 @@ fn queries() -> Vec<UnionOfConjunctiveQueries> {
     .collect()
 }
 
-const BACKENDS: [LineageBackend; 3] = [
-    LineageBackend::LegacyObdd,
-    LineageBackend::SharedDd,
-    LineageBackend::Automaton,
-];
+const BACKENDS: [LineageBackend; 2] = [LineageBackend::SharedDd, LineageBackend::Automaton];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]

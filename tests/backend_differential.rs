@@ -5,7 +5,6 @@
 //!
 //! Backends under test:
 //! * brute force (possible-worlds enumeration — the oracle),
-//! * the legacy per-diagram reduced OBDD (`LineageBackend::LegacyObdd`),
 //! * the shared hash-consed dd engine (`LineageBackend::SharedDd`), also
 //!   the general-weight WMC route of every non-automaton backend,
 //! * the automaton pipeline (`LineageBackend::Automaton`: tree encoding +
@@ -47,11 +46,7 @@ fn queries() -> Vec<UnionOfConjunctiveQueries> {
     .collect()
 }
 
-const BACKENDS: [LineageBackend; 3] = [
-    LineageBackend::LegacyObdd,
-    LineageBackend::SharedDd,
-    LineageBackend::Automaton,
-];
+const BACKENDS: [LineageBackend; 2] = [LineageBackend::SharedDd, LineageBackend::Automaton];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
@@ -113,7 +108,7 @@ proptest! {
     }
 
     /// The automaton-provenance d-SDNNF against the uncertain-tree oracle
-    /// and against the other two engines compiling the same provenance
+    /// and against the shared dd engine compiling the same provenance
     /// function over the event universe.
     #[test]
     fn automaton_dsdnnf_agrees_with_all_engines(
@@ -129,18 +124,17 @@ proptest! {
         let expected = acceptance_probability_bruteforce(&automaton, &tree, &prob);
         prop_assert_eq!(structured.probability(&prob), expected.clone());
 
-        // Legacy OBDD and shared dd over the same provenance function.
+        // The shared dd engine over the same provenance function.
         let raw = treelineage_automata::provenance_circuit(&automaton, &tree);
-        let obdd = Obdd::from_circuit(&raw, events.clone());
-        prop_assert_eq!(obdd.probability(&prob), expected.clone());
         let mut manager = DdManager::new(events.clone());
         let root = manager.compile_circuit(&raw);
         prop_assert_eq!(manager.probability(root, &prob), expected);
 
-        // Model counts over the event universe agree across all three.
+        // Model counts over the event universe agree with each other and
+        // with brute force over the provenance circuit.
         prop_assert_eq!(
             structured.model_count().to_u64(),
-            obdd.count_models().to_u64()
+            Some(raw.count_models_bruteforce(&events))
         );
         prop_assert_eq!(
             structured.model_count().to_u64(),

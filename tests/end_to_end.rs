@@ -124,14 +124,14 @@ fn obdd_and_ddnnf_lineages_agree_with_direct_evaluation_on_grids() {
     let inst = encodings::grid_instance(&sig, s, 2, 3);
     let q = hardness::qp(&sig);
     let builder = LineageBuilder::new(&q, &inst).unwrap();
-    let obdd = builder.obdd();
+    let (manager, root) = builder.dd();
     let ddnnf = builder.ddnnf();
     let n = inst.fact_count();
     for mask in 0u32..(1 << n) {
         let world: BTreeSet<FactId> = (0..n).filter(|i| mask >> i & 1 == 1).map(FactId).collect();
         let expected = matching::satisfied_in_world(&q, &inst, &world);
         let vars: BTreeSet<usize> = world.iter().map(|f| f.0).collect();
-        assert_eq!(obdd.evaluate_set(&vars), expected);
+        assert_eq!(manager.evaluate(root, &vars), expected);
         assert_eq!(ddnnf.circuit().evaluate_set(&vars), expected);
     }
 }

@@ -58,11 +58,7 @@ fn thread_counts() -> Vec<usize> {
     counts
 }
 
-const BACKENDS: [LineageBackend; 3] = [
-    LineageBackend::LegacyObdd,
-    LineageBackend::SharedDd,
-    LineageBackend::Automaton,
-];
+const BACKENDS: [LineageBackend; 2] = [LineageBackend::SharedDd, LineageBackend::Automaton];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]

@@ -2,8 +2,8 @@
 //! the Section 6 route: tree encoding + query→automaton compilation +
 //! provenance d-SDNNF): on random treelike instances its probability, model
 //! count and weighted model count must be *bit-identical* to the brute-force
-//! possible-worlds oracle and to every other backend (legacy OBDD, shared
-//! dd) — while never materializing a query match.
+//! possible-worlds oracle and to the shared dd backend — while never
+//! materializing a query match.
 //!
 //! Instances come from the shared `treelineage_instance::strategies`
 //! generators (random partial-k-trees with a known decomposition), so the
@@ -75,21 +75,20 @@ proptest! {
             expected_probability.clone(),
             "automaton probability with decomposition, query {}", q
         );
-        // Cross-backend equality (all already pinned against brute force in
-        // tests/backend_differential.rs; this closes the loop pairwise).
-        for backend in [LineageBackend::LegacyObdd, LineageBackend::SharedDd] {
-            let other = ProbabilityEvaluator::new(&inst, &valuation).with_backend(backend);
-            prop_assert_eq!(
-                other.query_probability(q).unwrap(),
-                expected_probability.clone(),
-                "{:?} probability, query {}", backend, q
-            );
-            prop_assert_eq!(
-                other.model_count(q).unwrap().to_u64(),
-                expected_count.to_u64(),
-                "{:?} model count, query {}", backend, q
-            );
-        }
+        // Cross-backend equality (both already pinned against brute force
+        // in tests/backend_differential.rs; this closes the loop pairwise).
+        let shared = ProbabilityEvaluator::new(&inst, &valuation)
+            .with_backend(LineageBackend::SharedDd);
+        prop_assert_eq!(
+            shared.query_probability(q).unwrap(),
+            expected_probability.clone(),
+            "shared dd probability, query {}", q
+        );
+        prop_assert_eq!(
+            shared.model_count(q).unwrap().to_u64(),
+            expected_count.to_u64(),
+            "shared dd model count, query {}", q
+        );
     }
 
     /// General-weight WMC through the automaton pipeline, against the
