@@ -1,9 +1,8 @@
-//! PR 5 engine-scaling bench: the parallel subtree engine and the batched
-//! `EvalSession` against the sequential / per-request baselines (recorded
-//! in `BENCH_pr5.json`).
-//!
-//! Three question groups, on the star and grid families of the encoding
-//! pipeline bench (known decompositions, so the timed work is the engine):
+//! Engine-scaling bench: the parallel subtree engine at thread counts
+//! {1, 2, 4, 8}, on the star and grid families of the encoding pipeline
+//! bench (known decompositions, so the timed work is the engine).
+//! perfbench's workloads run at fixed thread counts, so this is the one
+//! target that sweeps them (EXPERIMENTS.md §E-7).
 //!
 //! * `compile/t{N}` — end-to-end automaton-backend lineage compile
 //!   (encode → query automaton → provenance d-SDNNF) through
@@ -11,41 +10,22 @@
 //!   bit-identity contract is pinned against.
 //! * `eval/t{N}` — the integer model-counting pass over the pre-compiled
 //!   artifact, fragment-parallel at N threads.
-//! * `session_throughput/*` — serving throughput through one warm
-//!   `EvalSession` vs the naive pipeline that re-encodes and recompiles
-//!   per request, in two workload shapes (compile-bound model counts,
-//!   eval-bound probabilities — see `bench_session`). The compile-bound
-//!   speedup comes from deduplication, not cores, so it holds on any
-//!   machine.
+//!
+//! Serving through a warm `EvalSession` is timed end to end by perfbench:
+//! `serve_exact` for warm batches, `cold_p50_ms` for a registration and its
+//! first answer.
 //!
 //! Thread-scaling results are hardware-dependent: on a single-core
 //! container the `t{N}` variants measure scheduler overhead (expect ≈1×),
 //! while on a multi-core host the disjoint-subtree fan-out applies.
 //! `TREELINEAGE_THREADS` (default 8) caps the largest thread count benched.
 
+mod common;
+
+use common::{star_decomposition, star_instance};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use std::collections::BTreeSet;
 use treelineage::prelude::*;
 use treelineage_instance::encodings;
-
-fn star_instance(sig: &Signature, n: usize) -> Instance {
-    let mut inst = Instance::new(sig.clone());
-    for leaf in 1..=n as u64 {
-        if leaf % 2 == 0 {
-            inst.add_fact_by_name("S", &[0, leaf]);
-        } else {
-            inst.add_fact_by_name("S", &[leaf, 0]);
-        }
-    }
-    inst
-}
-
-fn star_decomposition(n: usize) -> TreeDecomposition {
-    let bags: Vec<BTreeSet<usize>> = (1..=n)
-        .map(|leaf| [0usize, leaf].into_iter().collect())
-        .collect();
-    TreeDecomposition::path_from_bags(bags)
-}
 
 fn thread_counts() -> Vec<usize> {
     let cap: usize = std::env::var("TREELINEAGE_THREADS")
@@ -97,115 +77,6 @@ fn bench_family(
     group.finish();
 }
 
-/// Serving throughput: one warm session vs the naive per-request pipeline,
-/// in the two workload shapes that bracket real serving traffic.
-///
-/// * **Compile-bound** (`counts_*`): repeated model-count requests for the
-///   same (query, instance). The naive pipeline re-runs
-///   encode → query-machine → d-SDNNF per request; the warm session
-///   answers from its lineage cache and deduplicates the batch down to one
-///   cheap integer pass. This is the "millions of users asking the same
-///   thing" shape, and the speedup is the whole per-request compile —
-///   hardware-independent.
-/// * **Eval-bound** (`probability_*`): probability requests with distinct
-///   per-request weight vectors. Exact rational arithmetic makes the
-///   evaluation pass itself the dominant cost at this size, and that pass
-///   is inherently per-request — the session can only amortize the
-///   compile, so the gap here is honest and small. (Kept deliberately: a
-///   serving layer that only looks good on cache-hit workloads would be
-///   overselling itself.)
-fn bench_session(c: &mut Criterion) {
-    const BATCH: usize = 16;
-    let mut group = c.benchmark_group("session_throughput");
-    group.sample_size(3);
-
-    // Compile-bound: the star family, where compile ≈ 10× the count pass.
-    let star_sig = Signature::builder().relation("S", 2).build();
-    let star_q = parse_query(&star_sig, "S(x, y), S(y, z), x != z").unwrap();
-    let star = star_instance(&star_sig, 1000);
-    let star_td = star_decomposition(1000);
-    group.bench_function(BenchmarkId::new("counts_naive_per_request", BATCH), |b| {
-        b.iter(|| {
-            for _ in 0..BATCH {
-                let lineage = LineageBuilder::new(&star_q, &star)
-                    .unwrap()
-                    .with_decomposition(star_td.clone())
-                    .unwrap()
-                    .automaton_lineage()
-                    .unwrap();
-                let _ = lineage.model_count();
-            }
-        })
-    });
-    group.bench_function(BenchmarkId::new("counts_eval_session_batch", BATCH), |b| {
-        let mut session = EvalSession::new(EngineConfig::default());
-        let qid = session.register_query(star_q.clone());
-        let iid = session
-            .register_instance_with_decomposition(star.clone(), star_td.clone())
-            .unwrap();
-        let requests: Vec<_> = (0..BATCH).map(|_| (qid, iid)).collect();
-        // Warm the caches once: steady-state serving is the question.
-        let _ = session.batch_model_count(&requests);
-        b.iter(|| session.batch_model_count(&requests))
-    });
-
-    // Eval-bound: a chain with per-request weight vectors (numerator-1
-    // dyadics keep the rational arithmetic as cheap as exactness allows).
-    let sig = Signature::builder()
-        .relation("R", 1)
-        .relation("S", 2)
-        .relation("T", 1)
-        .build();
-    let q = parse_query(&sig, "R(x), S(x, y), T(y)").unwrap();
-    let mut inst = Instance::new(sig.clone());
-    for i in 0..50u64 {
-        inst.add_fact_by_name("R", &[i]);
-        inst.add_fact_by_name("S", &[i, i + 1]);
-        inst.add_fact_by_name("T", &[i + 1]);
-    }
-    let valuation_of = |k: usize| {
-        ProbabilityValuation::from_probabilities(
-            &inst,
-            (0..inst.fact_count())
-                .map(|v| Rational::from_ratio_u64(1, 1 << ((v + k) % 3 + 1)))
-                .collect(),
-        )
-    };
-    group.bench_function(
-        BenchmarkId::new("probability_naive_per_request", BATCH),
-        |b| {
-            b.iter(|| {
-                for k in 0..BATCH {
-                    let valuation = valuation_of(k);
-                    let lineage = LineageBuilder::new(&q, &inst)
-                        .unwrap()
-                        .automaton_lineage()
-                        .unwrap();
-                    let _ = lineage.probability(&|v| valuation.probability(FactId(v)).clone());
-                }
-            })
-        },
-    );
-    group.bench_function(
-        BenchmarkId::new("probability_eval_session_batch", BATCH),
-        |b| {
-            let mut session = EvalSession::new(EngineConfig::default());
-            let qid = session.register_query(q.clone());
-            let iid = session.register_instance(inst.clone());
-            let requests: Vec<treelineage::ProbabilityRequest> = (0..BATCH)
-                .map(|k| treelineage::ProbabilityRequest {
-                    query: qid,
-                    instance: iid,
-                    valuation: valuation_of(k),
-                })
-                .collect();
-            let _ = session.batch_probability(&requests);
-            b.iter(|| session.batch_probability(&requests))
-        },
-    );
-    group.finish();
-}
-
 fn benches(c: &mut Criterion) {
     let star_sig = Signature::builder().relation("S", 2).build();
     let star_q = parse_query(&star_sig, "S(x, y), S(y, z), x != z").unwrap();
@@ -231,8 +102,6 @@ fn benches(c: &mut Criterion) {
         ..EngineConfig::default()
     };
     bench_family(c, "engine_grid_3x60", &grid_q, &grid, None, grid_config);
-
-    bench_session(c);
 }
 
 criterion_group!(engine_scaling, benches);

@@ -2,8 +2,14 @@
 //!
 //! Run with `cargo run -p treelineage-bench --bin tables --release`. Each
 //! section corresponds to an experiment id of DESIGN.md §3 and a row of
-//! EXPERIMENTS.md; timings are the job of the Criterion benches, this binary
-//! reports the *sizes and widths* that the paper's statements are about.
+//! EXPERIMENTS.md. The binary reports the *sizes and widths* that the
+//! paper's statements are about; its wall-clock columns are single runs,
+//! for orientation only. Repeatable timings come from the Criterion targets
+//! under `benches/` (the paper's tables, the dichotomies, thread scaling)
+//! and from `perfbench` (serving, the workloads of `BENCHMARK.json`).
+
+#[path = "../../benches/common.rs"]
+mod common;
 
 use std::time::Instant;
 use treelineage::prelude::*;
@@ -31,6 +37,29 @@ fn header(title: &str) {
     println!("\n=== {title} ===");
 }
 
+/// The worker count of the engine sections: `TREELINEAGE_THREADS`, default 1.
+fn threads() -> usize {
+    std::env::var("TREELINEAGE_THREADS")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(1)
+}
+
+/// The chain query `R(x), S(x, y), T(y)` and the chain instance
+/// `R(i), S(i, i+1), T(i+1)` for `i < n` (pathwidth 1).
+fn chain(n: usize) -> (UnionOfConjunctiveQueries, Instance) {
+    let (sig, inst) = common::chain_instance(n);
+    (parse_query(&sig, "R(x), S(x, y), T(y)").unwrap(), inst)
+}
+
+/// Dyadic per-fact probabilities for the d-SDNNF evaluation column.
+/// Power-of-two denominators keep exact arithmetic cheap at hundreds of
+/// facts: common denominators never need large gcds.
+fn dyadic_prob(v: usize) -> Rational {
+    let (num, den) = [(1u64, 2u64), (1, 4), (3, 4), (1, 8), (5, 8)][v % 5];
+    Rational::from_ratio_u64(num, den)
+}
+
 fn table2_upper() {
     header("Table 2 (upper bounds): lineage representations on treelike instances");
 
@@ -40,12 +69,6 @@ fn table2_upper() {
     // persistent op-cache hit rate), the last two the size and compile time
     // of the automaton pipeline's provenance d-SDNNF (Theorem 6.11).
     println!("\n[T2-U1/U2] bounded-pathwidth chains, query R(x),S(x,y),T(y)");
-    let sig = Signature::builder()
-        .relation("R", 1)
-        .relation("S", 2)
-        .relation("T", 1)
-        .build();
-    let q = parse_query(&sig, "R(x), S(x, y), T(y)").unwrap();
     println!(
         "{:>8} {:>10} {:>12} {:>12} {:>12} {:>10} {:>10} {:>10} {:>8} {:>12} {:>10}",
         "n",
@@ -60,13 +83,8 @@ fn table2_upper() {
         "dsdnnf size",
         "dsdnnf"
     );
-    for n in [25usize, 50, 100, 200, 400] {
-        let mut inst = Instance::new(sig.clone());
-        for i in 0..n as u64 {
-            inst.add_fact_by_name("R", &[i]);
-            inst.add_fact_by_name("S", &[i, i + 1]);
-            inst.add_fact_by_name("T", &[i + 1]);
-        }
+    for n in [25, 50, 100, 200, 400] {
+        let (q, inst) = chain(n);
         let builder = LineageBuilder::new(&q, &inst).unwrap();
         let circuit = builder.circuit();
         let (manager, root) = builder.dd();
@@ -122,7 +140,7 @@ fn table2_upper() {
         let lineage = builder.automaton_lineage().unwrap();
         let t_compile = t0.elapsed();
         let t1 = Instant::now();
-        let _ = lineage.probability(&treelineage_bench::dyadic_prob);
+        let _ = lineage.probability(&dyadic_prob);
         let t_eval = t1.elapsed();
         println!(
             "{:>8} {:>10} {:>12} {:>12} {:>12} {:>12} {:>10} {:>7.1}% {:>12} {:>10.2}ms {:>10.2}ms",
@@ -432,10 +450,7 @@ fn dichotomies() {
 /// parallel path end to end, while the scaling numbers proper live in the
 /// `engine_scaling` Criterion bench (EXPERIMENTS.md §E-7).
 fn engine_section() {
-    let threads: usize = std::env::var("TREELINEAGE_THREADS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1);
+    let threads = threads();
     header(&format!("E-7: parallel engine (threads = {threads})"));
     let config = EngineConfig::with_threads(threads);
 
@@ -446,18 +461,8 @@ fn engine_section() {
         "star n", "facts", "dsdnnf size", "fragments", "compile", "eval"
     );
     for n in [500usize, 2000, 4000] {
-        let mut inst = Instance::new(sig.clone());
-        for leaf in 1..=n as u64 {
-            if leaf % 2 == 0 {
-                inst.add_fact_by_name("S", &[0, leaf]);
-            } else {
-                inst.add_fact_by_name("S", &[leaf, 0]);
-            }
-        }
-        let bags: Vec<std::collections::BTreeSet<usize>> = (1..=n)
-            .map(|leaf| [0usize, leaf].into_iter().collect())
-            .collect();
-        let td = TreeDecomposition::path_from_bags(bags);
+        let inst = common::star_instance(&sig, n);
+        let td = common::star_decomposition(n);
         let t0 = Instant::now();
         let lineage = LineageBuilder::new(&q, &inst)
             .unwrap()
@@ -485,18 +490,7 @@ fn engine_section() {
     // compile happens once and every further request is a cache hit plus
     // one linear pass.
     let mut session = EvalSession::with_backend(config, SessionBackend::Automaton);
-    let rst = Signature::builder()
-        .relation("R", 1)
-        .relation("S", 2)
-        .relation("T", 1)
-        .build();
-    let q = parse_query(&rst, "R(x), S(x, y), T(y)").unwrap();
-    let mut inst = Instance::new(rst.clone());
-    for i in 0..200u64 {
-        inst.add_fact_by_name("R", &[i]);
-        inst.add_fact_by_name("S", &[i, i + 1]);
-        inst.add_fact_by_name("T", &[i + 1]);
-    }
+    let (q, inst) = chain(200);
     let qid = session.register_query(q);
     let iid = session.register_instance(inst);
     let requests: Vec<_> = (0..32).map(|_| (qid, iid)).collect();
@@ -531,28 +525,14 @@ fn engine_section() {
 fn telemetry_section() {
     use treelineage::{ProbabilityRequest, ThresholdRequest};
 
-    let threads: usize = std::env::var("TREELINEAGE_THREADS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1);
+    let threads = threads();
     header(&format!("E-9: unified telemetry (threads = {threads})"));
     let config = EngineConfig {
         telemetry: Telemetry::enabled(),
         ..EngineConfig::with_threads(threads)
     };
 
-    let sig = Signature::builder()
-        .relation("R", 1)
-        .relation("S", 2)
-        .relation("T", 1)
-        .build();
-    let q = parse_query(&sig, "R(x), S(x, y), T(y)").unwrap();
-    let mut inst = Instance::new(sig.clone());
-    for i in 0..100u64 {
-        inst.add_fact_by_name("R", &[i]);
-        inst.add_fact_by_name("S", &[i, i + 1]);
-        inst.add_fact_by_name("T", &[i + 1]);
-    }
+    let (q, inst) = chain(100);
 
     let mut session = EvalSession::with_backend(config, SessionBackend::FloatFirst);
     let qid = session.register_query(q);
@@ -698,10 +678,7 @@ fn tracing_section() {
     use treelineage::ProbabilityRequest;
     use treelineage_engine::to_chrome_trace;
 
-    let threads: usize = std::env::var("TREELINEAGE_THREADS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1);
+    let threads = threads();
     header(&format!(
         "E-10: request-scoped tracing (threads = {threads})"
     ));
@@ -714,18 +691,7 @@ fn tracing_section() {
         ..EngineConfig::with_threads(threads)
     };
 
-    let sig = Signature::builder()
-        .relation("R", 1)
-        .relation("S", 2)
-        .relation("T", 1)
-        .build();
-    let q = parse_query(&sig, "R(x), S(x, y), T(y)").unwrap();
-    let mut inst = Instance::new(sig);
-    for i in 0..60u64 {
-        inst.add_fact_by_name("R", &[i]);
-        inst.add_fact_by_name("S", &[i, i + 1]);
-        inst.add_fact_by_name("T", &[i + 1]);
-    }
+    let (q, inst) = chain(60);
     let mut session = EvalSession::with_backend(config, SessionBackend::FloatFirst);
     let qid = session.register_query(q);
     let iid = session.register_instance(inst.clone());

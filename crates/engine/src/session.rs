@@ -1861,7 +1861,7 @@ impl EvalSession {
     }
 
     /// The byte-identity oracle behind the update differential suite (and
-    /// the cold comparator of the `update_throughput` bench): compiles the
+    /// perfbench's answer check after writes): compiles the
     /// pair's lineage from scratch — fresh tree encoding, every fragment
     /// recompiled, no lineage-cache read or write — through the *same*
     /// cached query machine the incremental path uses. Gate numbering
