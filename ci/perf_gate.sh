@@ -33,10 +33,13 @@ mkdir -p "$work"
 : > "$work/parent.txt"
 : > "$work/change.txt"
 
+# Each side's checkout path is remapped to /src, so the two binaries do not
+# embed different paths (panic locations, debug info) that shift code
+# layout between builds of the same source.
 for side in parent change; do
   dir=${!side}
   echo "perf_gate: building perfbench ($side: $dir)"
-  CARGO_TARGET_DIR="$work/$side-target" \
+  RUSTFLAGS="--remap-path-prefix=$dir=/src" CARGO_TARGET_DIR="$work/$side-target" \
     cargo build --release --offline --quiet --manifest-path "$dir/perfbench/Cargo.toml"
 done
 

@@ -135,12 +135,27 @@ impl TreeAutomaton {
     }
 
     /// The states an internal node with the given label and child states may
-    /// evaluate to.
-    pub fn internal_states(&self, label: Label, left: State, right: State) -> BTreeSet<State> {
+    /// evaluate to (borrowed: empty when no transition applies).
+    pub fn internal_states(&self, label: Label, left: State, right: State) -> &BTreeSet<State> {
+        static NONE: BTreeSet<State> = BTreeSet::new();
         self.internal_transitions[label]
             .get(&(left, right))
-            .cloned()
-            .unwrap_or_default()
+            .unwrap_or(&NONE)
+    }
+
+    /// Every internal transition `(label, left, right, target)`, ordered by
+    /// label, then child states, then target.
+    pub fn internal_transitions(&self) -> impl Iterator<Item = (Label, State, State, State)> + '_ {
+        self.internal_transitions
+            .iter()
+            .enumerate()
+            .flat_map(|(label, map)| {
+                map.iter().flat_map(move |(&(left, right), targets)| {
+                    targets
+                        .iter()
+                        .map(move |&target| (label, left, right, target))
+                })
+            })
     }
 
     /// Returns `true` if the automaton is (bottom-up) deterministic: every

@@ -99,7 +99,7 @@ pub fn provenance_circuit(automaton: &TreeAutomaton, tree: &UncertainTree) -> Ci
                 for &(label, guard) in &alternatives {
                     for &ql in &live_left {
                         for &qr in &live_right {
-                            for &q in &automaton.internal_states(label, ql, qr) {
+                            for &q in automaton.internal_states(label, ql, qr) {
                                 let mut conj = vec![gates[left.0][ql], gates[right.0][qr]];
                                 if let Some(g) = guard {
                                     conj.push(g);

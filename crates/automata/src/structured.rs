@@ -32,10 +32,10 @@
 //! all linear in its size — the "linear-time probability without OBDD
 //! blowup" extension that motivates the d-SDNNF backend.
 
-use crate::automaton::TreeAutomaton;
+use crate::automaton::{State, TreeAutomaton};
 use crate::tree::{NodeAnnotation, NodeId, UncertainTree};
 use std::collections::BTreeMap;
-use treelineage_circuit::{Circuit, Dnnf, GateId, Vtree, VtreeId};
+use treelineage_circuit::{Circuit, Dnnf, DnnfError, GateId, Vtree, VtreeId};
 use treelineage_num::{BigUint, Rational};
 
 /// Errors reported by the structured compiler.
@@ -50,6 +50,9 @@ pub enum StructuredDnnfError {
         /// The offending event (Boolean variable).
         event: usize,
     },
+    /// A spliced subtree broke the syntactic d-DNNF conditions of the
+    /// assembled circuit (the unspliced construction never does).
+    NotDecomposable(DnnfError),
 }
 
 impl std::fmt::Display for StructuredDnnfError {
@@ -60,6 +63,9 @@ impl std::fmt::Display for StructuredDnnfError {
             }
             StructuredDnnfError::SharedEvent { event } => {
                 write!(f, "event {event} controls more than one node")
+            }
+            StructuredDnnfError::NotDecomposable(e) => {
+                write!(f, "assembled circuit is not a d-DNNF: {e}")
             }
         }
     }
@@ -161,19 +167,21 @@ pub fn compile_structured_dnnf(
     automaton: &TreeAutomaton,
     tree: &UncertainTree,
 ) -> Result<StructuredDnnf, StructuredDnnfError> {
-    Ok(StructuredBuilder::new(automaton, tree)?.compile(|_, _, _| None))
+    StructuredBuilder::new(automaton, tree)?.compile(|_, _, _| None)
 }
 
 /// The construction's value at one tree node, in the arenas of the build it
-/// belongs to: per automaton state `q`, the gate for "the run reaches `q`
-/// here" — the false constant, the true constant (event-free subtrees
-/// only), or a gate whose scope is exactly the events of the node's subtree
-/// (the smoothness invariant) — and the vtree node covering those events
-/// (`None` if the subtree is event-free).
+/// belongs to: per *live* automaton state `q` (one some run reaches here),
+/// the gate for "the run reaches `q` here" — the true constant (event-free
+/// subtrees only) or a gate whose scope is exactly the events of the node's
+/// subtree (the smoothness invariant) — and the vtree node covering those
+/// events (`None` if the subtree is event-free). Every other state's gate is
+/// the false constant and is not stored, so the value's size follows the
+/// states live at the node, not the automaton's state count.
 #[derive(Clone, Debug)]
 pub struct SubtreeGates {
-    /// Indexed by automaton state; one entry per state.
-    pub gates: Vec<GateId>,
+    /// `(state, gate)` for the live states, in ascending state order.
+    pub gates: Vec<(State, GateId)>,
     /// The vtree node over the subtree's events, if it has any.
     pub vnode: Option<VtreeId>,
 }
@@ -245,8 +253,9 @@ impl<'a> StructuredBuilder<'a> {
 
     /// Builds the whole tree (with `splice`, see the type docs) and
     /// assembles the output: the disjunction of the root's accepting-state
-    /// gates, structured by the root's vtree node.
-    pub fn compile<F>(&self, splice: F) -> StructuredDnnf
+    /// gates, structured by the root's vtree node. Fails only when a
+    /// spliced subtree makes the circuit non-decomposable.
+    pub fn compile<F>(&self, splice: F) -> Result<StructuredDnnf, StructuredDnnfError>
     where
         F: FnMut(NodeId, &mut Circuit, &mut Vtree) -> Option<SubtreeGates>,
     {
@@ -255,12 +264,12 @@ impl<'a> StructuredBuilder<'a> {
             mut vtree,
             root,
         } = self.compile_subtree(self.tree.tree().root(), splice);
-        let accepting: Vec<GateId> = self
-            .automaton
-            .accepting_states()
+        let accepting_states = self.automaton.accepting_states();
+        let accepting: Vec<GateId> = root
+            .gates
             .iter()
-            .map(|&q| root.gates[q])
-            .filter(|&g| g != FALSE)
+            .filter(|(q, _)| accepting_states.contains(q))
+            .map(|&(_, g)| g)
             .collect();
         let output = match accepting.len() {
             0 => FALSE,
@@ -271,13 +280,13 @@ impl<'a> StructuredBuilder<'a> {
         if let Some(v) = root.vnode {
             vtree.set_root(v);
         }
-        let dnnf = Dnnf::from_trusted_circuit(circuit)
-            .expect("the structured construction is decomposable by construction");
-        StructuredDnnf {
+        let dnnf =
+            Dnnf::from_trusted_circuit(circuit).map_err(StructuredDnnfError::NotDecomposable)?;
+        Ok(StructuredDnnf {
             dnnf,
             vtree,
             universe: self.tree.events(),
-        }
+        })
     }
 
     /// Builds the subtree rooted at `root` into fresh arenas (constants at
@@ -296,13 +305,17 @@ impl<'a> StructuredBuilder<'a> {
         // node is exited, its children's values are the top two entries.
         let mut pending: Vec<SubtreeGates> = Vec::new();
         let mut todo = vec![(root, false)];
+        // The three `expect`s below are internal invariants of the stack
+        // discipline, not reachable from input: an exited node's two
+        // children were pushed (left, then right) since it was entered,
+        // and the root is exited last.
         while let Some((node, exited)) = todo.pop() {
             let value = if exited {
                 let right = pending.pop().expect("post-order: children first");
                 let left = pending.pop().expect("post-order: children first");
                 self.internal_rule(node, &left, &right, &mut circuit, &mut vtree)
             } else if let Some(spliced) = splice(node, &mut circuit, &mut vtree) {
-                debug_assert_eq!(spliced.gates.len(), self.automaton.state_count());
+                debug_assert!(spliced.gates.windows(2).all(|w| w[0].0 < w[1].0));
                 spliced
             } else if let Some((left, right)) = tree.children(node) {
                 todo.push((node, true));
@@ -321,17 +334,17 @@ impl<'a> StructuredBuilder<'a> {
         }
     }
 
-    /// A leaf: per state, true/false for a fixed label; for an event-guarded
-    /// leaf, the event literal selecting the labels that reach the state.
+    /// A leaf: true for the states a fixed label reaches; for an
+    /// event-guarded leaf, the event literal selecting the labels that reach
+    /// the state.
     fn leaf_rule(&self, node: NodeId, circuit: &mut Circuit, vtree: &mut Vtree) -> SubtreeGates {
-        let states = self.automaton.state_count();
         let gates = match self.tree.annotation(node) {
-            NodeAnnotation::Fixed => {
-                let reached = self.automaton.leaf_states(self.tree.tree().label(node));
-                (0..states)
-                    .map(|q| if reached.contains(&q) { TRUE } else { FALSE })
-                    .collect()
-            }
+            NodeAnnotation::Fixed => self
+                .automaton
+                .leaf_states(self.tree.tree().label(node))
+                .iter()
+                .map(|&q| (q, TRUE))
+                .collect(),
             NodeAnnotation::Event {
                 event,
                 if_true,
@@ -339,22 +352,27 @@ impl<'a> StructuredBuilder<'a> {
             } => {
                 let on_true = self.automaton.leaf_states(if_true);
                 let on_false = self.automaton.leaf_states(if_false);
-                (0..states)
-                    .map(|q| match (on_true.contains(&q), on_false.contains(&q)) {
-                        // Smoothness: the gate must mention the event, so a
-                        // both-labels state compiles to the tautology
-                        // e ∨ ¬e, not to true.
-                        (true, true) => {
-                            let v = circuit.var(event);
-                            let nv = circuit.not(v);
-                            circuit.or(vec![v, nv])
-                        }
-                        (false, false) => FALSE,
-                        (true, false) => circuit.var(event),
-                        (false, true) => {
-                            let v = circuit.var(event);
-                            circuit.not(v)
-                        }
+                // `union` runs in ascending state order, the order the
+                // gates are allocated in.
+                on_true
+                    .union(on_false)
+                    .map(|&q| {
+                        let gate = match (on_true.contains(&q), on_false.contains(&q)) {
+                            // Smoothness: the gate must mention the event, so
+                            // a both-labels state compiles to the tautology
+                            // e ∨ ¬e, not to true.
+                            (true, true) => {
+                                let v = circuit.var(event);
+                                let nv = circuit.not(v);
+                                circuit.or(vec![v, nv])
+                            }
+                            (true, false) => circuit.var(event),
+                            _ => {
+                                let v = circuit.var(event);
+                                circuit.not(v)
+                            }
+                        };
+                        (q, gate)
                     })
                     .collect()
             }
@@ -376,7 +394,6 @@ impl<'a> StructuredBuilder<'a> {
         circuit: &mut Circuit,
         vtree: &mut Vtree,
     ) -> SubtreeGates {
-        let states = self.automaton.state_count();
         // Guarded label alternatives, as in `provenance_circuit`.
         let alternatives: Vec<(usize, Option<GateId>)> = match self.tree.annotation(node) {
             NodeAnnotation::Fixed => vec![(self.tree.tree().label(node), None)],
@@ -390,24 +407,18 @@ impl<'a> StructuredBuilder<'a> {
                 vec![(if_true, Some(v)), (if_false, Some(not_v))]
             }
         };
-        // Iterate only over *live* (non-false) child states and push each
-        // discovered run into its target state's disjunct list: cost per
-        // node is |live_l| · |live_r| · |alternatives| rather than
-        // |states|³, which is what keeps this linear on the
-        // lazily-materialized automata of the encoding pipeline (whose total
-        // state count far exceeds the per-node live count). Discovery order
-        // per target state is (alternative, left state, right state)
-        // lexicographic.
-        let live = |side: &SubtreeGates| -> Vec<usize> {
-            (0..states).filter(|&q| side.gates[q] != FALSE).collect()
-        };
-        let (live_left, live_right) = (live(left), live(right));
-        let mut disjuncts: Vec<Vec<GateId>> = vec![Vec::new(); states];
+        // Iterate over the children's live states only and record each
+        // discovered run with its target state: cost per node is
+        // |live_l| · |live_r| · |alternatives|, never the automaton's state
+        // count, which is what keeps this linear on the lazily-materialized
+        // automata of the encoding pipeline (whose total state count far
+        // exceeds the per-node live count). Discovery order is (alternative,
+        // left state, right state) lexicographic.
+        let mut runs: Vec<(State, GateId)> = Vec::new();
         for &(label, guard) in &alternatives {
-            for &ql in &live_left {
-                for &qr in &live_right {
-                    for &q in &self.automaton.internal_states(label, ql, qr) {
-                        let (gl, gr) = (left.gates[ql], right.gates[qr]);
+            for &(ql, gl) in &left.gates {
+                for &(qr, gr) in &right.gates {
+                    for &q in self.automaton.internal_states(label, ql, qr) {
                         // Nested binary shape guard ∧ (gl ∧ gr): what the
                         // node's vtree split witnesses. Constants true carry
                         // no scope and drop out.
@@ -423,22 +434,24 @@ impl<'a> StructuredBuilder<'a> {
                             (Some(gv), None) => gv,
                             (Some(gv), Some(g)) => circuit.and(vec![gv, g]),
                         };
-                        disjuncts[q].push(conj);
+                        runs.push((q, conj));
                     }
                 }
             }
         }
-        // A fresh vector, not `disjuncts.into_iter().map(..).collect()`:
-        // that collect reuses the three-times-larger `Vec<Vec<_>>` buffer,
-        // which fragment roots then keep alive in the fragment library.
-        let mut gates = Vec::with_capacity(states);
-        for disjuncts in disjuncts {
-            gates.push(match disjuncts.len() {
-                0 => FALSE,
-                1 => disjuncts[0],
-                _ => circuit.or(disjuncts),
-            });
-        }
+        // One ∨ per reached state, in ascending state order; the stable
+        // sort keeps each state's disjuncts in discovery order.
+        runs.sort_by_key(|&(q, _)| q);
+        let gates: Vec<(State, GateId)> = runs
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|disjuncts| {
+                let gate = match disjuncts {
+                    [(_, only)] => *only,
+                    _ => circuit.or(disjuncts.iter().map(|&(_, g)| g).collect()),
+                };
+                (disjuncts[0].0, gate)
+            })
+            .collect();
         // Vtree split for this node: own event against the combined
         // children scopes (skipping event-free parts).
         let children_v = match (left.vnode, right.vnode) {
@@ -571,6 +584,26 @@ mod tests {
             compile_structured_dnnf(&automaton, &tree).unwrap_err(),
             StructuredDnnfError::SharedEvent { event: 0 }
         );
+    }
+
+    #[test]
+    fn non_decomposable_splice_is_an_error() {
+        // Splice event 1 — the right leaf's own event — in at the left
+        // leaf: the root's AND then shares a variable between its inputs.
+        let automaton = parity_automaton(2);
+        let tree = uncertain_leaves(2);
+        let builder = StructuredBuilder::new(&automaton, &tree).unwrap();
+        let (left, _) = tree.tree().children(tree.tree().root()).unwrap();
+        let result = builder.compile(|node, circuit, _| {
+            (node == left).then(|| SubtreeGates {
+                gates: vec![(1, circuit.var(1))],
+                vnode: None,
+            })
+        });
+        assert!(matches!(
+            result.unwrap_err(),
+            StructuredDnnfError::NotDecomposable(_)
+        ));
     }
 
     #[test]

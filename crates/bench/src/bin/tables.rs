@@ -486,6 +486,8 @@ fn engine_section() {
         );
     }
 
+    memo_rows();
+
     // Batched serving: one EvalSession, many repeated requests — the
     // compile happens once and every further request is a cache hit plus
     // one linear pass.
@@ -512,6 +514,87 @@ fn engine_section() {
     );
     assert!(cold.iter().all(|c| c.is_ok()));
     assert_eq!(cold, warm);
+}
+
+/// E-7 memo rows: per-instance compile against the query machine's memo
+/// size. 200 seeded labelled grids (3×3 and 3×4, query `S(x, y), L(y)`)
+/// run once through one shared machine, whose memo grows with every
+/// instance, and once through a fresh machine per instance. Both rows
+/// materialize only the transitions each tree reaches, so their per-instance
+/// materialize and compile times should be close; the memo column is the
+/// shared machine's final size, or the largest fresh one.
+fn memo_rows() {
+    use treelineage_automata::compile_structured_dnnf;
+    use treelineage_encoding::{compile_ucq, encode, CompileOptions};
+
+    const INSTANCES: u64 = 200;
+    println!(
+        "\n[E-7 memo] {INSTANCES} seeded labelled grids 3x3/3x4, query S(x,y),L(y); \
+         ms per instance over the second half"
+    );
+    println!(
+        "{:>8} {:>12} {:>10} {:>12} {:>12} {:>12}",
+        "machine", "memo states", "live max", "transitions", "materialize", "compile"
+    );
+    let sig = Signature::builder()
+        .relation("S", 2)
+        .relation("L", 1)
+        .build();
+    let (s, l) = (
+        sig.relation_by_name("S").unwrap(),
+        sig.relation_by_name("L").unwrap(),
+    );
+    let query = parse_query(&sig, "S(x, y), L(y)").unwrap();
+    let encodings: Vec<_> = (0..INSTANCES)
+        .map(|seed| {
+            let inst =
+                encodings::labelled_grid_instance(&sig, s, l, 3, 3 + seed as usize % 2, seed);
+            let (graph, _) = inst.gaifman_graph();
+            encode(
+                &inst,
+                &treelineage_graph::treewidth::treewidth_upper_bound(&graph).1,
+            )
+            .unwrap()
+        })
+        .collect();
+    for shared in [true, false] {
+        let mut machines = std::collections::BTreeMap::new();
+        let (mut memo, mut live_max, mut transitions) = (0, 0, 0);
+        let (mut t_materialize, mut t_compile) = (0.0, 0.0);
+        for (k, encoding) in encodings.iter().enumerate() {
+            if !shared {
+                machines.clear();
+            }
+            let machine = machines
+                .entry(encoding.alphabet().width())
+                .or_insert_with(|| {
+                    compile_ucq(&query, encoding.alphabet(), CompileOptions::default()).unwrap()
+                });
+            let t0 = Instant::now();
+            let (automaton, live) = machine.materialize(encoding.tree()).unwrap();
+            let t1 = Instant::now();
+            let lineage = compile_structured_dnnf(&automaton, encoding.tree()).unwrap();
+            let t2 = Instant::now();
+            assert!(lineage.size() > 0);
+            memo = memo.max(machine.state_count());
+            live_max = live_max.max(live.max);
+            transitions += automaton.internal_transitions().count();
+            if k >= encodings.len() / 2 {
+                t_materialize += (t1 - t0).as_secs_f64();
+                t_compile += (t2 - t1).as_secs_f64();
+            }
+        }
+        let timed = (encodings.len() - encodings.len() / 2) as f64;
+        println!(
+            "{:>8} {:>12} {:>10} {:>12} {:>10.3}ms {:>10.3}ms",
+            if shared { "shared" } else { "fresh" },
+            memo,
+            live_max,
+            transitions / encodings.len(),
+            t_materialize / timed * 1e3,
+            t_compile / timed * 1e3
+        );
+    }
 }
 
 /// E-9: the unified telemetry layer. One instrumented FloatFirst session

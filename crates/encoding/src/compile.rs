@@ -68,8 +68,8 @@ pub struct CompileOptions {
     pub state_budget: usize,
     /// Telemetry sink: [`compile_ucq`] / [`compile_mso`] record a
     /// `query_compile` span, and [`CompiledQuery::automaton_for`] records an
-    /// `automaton_materialize` span plus the `query_states` gauge. Defaults
-    /// to the no-op handle.
+    /// `automaton_materialize` span plus the `query_states` and
+    /// `live_states_max` gauges. Defaults to the no-op handle.
     pub telemetry: Telemetry,
 }
 
@@ -506,6 +506,7 @@ impl CompiledQuery {
                             left // an absent fact asserts nothing
                         }
                     }
+                    // Internal invariant: the outer match took these two.
                     LabelKind::Empty | LabelKind::Join => unreachable!(),
                 };
                 self.unary.insert((label, left), target);
@@ -516,19 +517,37 @@ impl CompiledQuery {
 
     /// Materializes the deterministic automaton for `tree` (an uncertain
     /// tree over this query's alphabet, e.g. a
-    /// [`TreeEncoding`](crate::TreeEncoding)'s tree): one bottom-up pass
-    /// enumerating, per node, the states reachable under any valuation of
-    /// the events, then a [`TreeAutomaton`] over every state and transition
-    /// interned so far. The result accepts an instantiation of `tree` iff
-    /// the decoded subinstance satisfies the query.
+    /// [`TreeEncoding`](crate::TreeEncoding)'s tree); see
+    /// [`CompiledQuery::materialize`]. The result accepts an instantiation
+    /// of `tree` iff the decoded subinstance satisfies the query.
     pub fn automaton_for(
         &mut self,
         tree: &treelineage_automata::UncertainTree,
     ) -> Result<TreeAutomaton, CompileError> {
+        self.materialize(tree).map(|(automaton, _)| automaton)
+    }
+
+    /// [`CompiledQuery::automaton_for`] with the per-node live-state
+    /// statistics of its reach pass. One bottom-up pass enumerates, per
+    /// node, the states reachable under any valuation of the events,
+    /// computing missing transitions into the memo. The automaton holds
+    /// exactly the transitions that pass used (so the d-SDNNF compile
+    /// never looks past them) and accepts only root-reachable accepting
+    /// states; its states keep their global memo ids, and
+    /// [`TreeAutomaton::state_count`] is the memo size. Neither the
+    /// materialization nor the automaton grows with the memo: the work is
+    /// proportional to the transitions the tree can use.
+    pub fn materialize(
+        &mut self,
+        tree: &treelineage_automata::UncertainTree,
+    ) -> Result<(TreeAutomaton, LiveStates), CompileError> {
         use treelineage_automata::NodeAnnotation;
         let _span = self.telemetry.span("automaton_materialize");
         let structure = tree.tree();
         let mut reach: Vec<Vec<usize>> = vec![Vec::new(); structure.node_count()];
+        let mut leaf_reached = false;
+        let mut used: Vec<(Label, usize, usize, usize)> = Vec::new();
+        let (mut live_total, mut live_max) = (0usize, 0usize);
         for node in structure.post_order() {
             let alternatives: Vec<Label> = match tree.annotation(node) {
                 NodeAnnotation::Fixed => vec![structure.label(node)],
@@ -550,6 +569,7 @@ impl CompiledQuery {
                     for label in alternatives {
                         if matches!(self.alphabet.kind(label), LabelKind::Empty) {
                             states.insert(0);
+                            leaf_reached = true;
                         }
                     }
                 }
@@ -561,34 +581,57 @@ impl CompiledQuery {
                             for &b in &rights {
                                 if let Some(t) = self.delta(label, a, b)? {
                                     states.insert(t);
+                                    used.push((label, a, b, t));
                                 }
                             }
                         }
                     }
                 }
             }
+            live_total += states.len();
+            live_max = live_max.max(states.len());
             reach[node.0] = states.into_iter().collect();
         }
 
+        // Built after the pass: the state count is the memo size, which
+        // the pass may have grown.
         let mut automaton = TreeAutomaton::new(self.compiler.states.len(), self.alphabet.size());
-        automaton.add_leaf_transition(self.alphabet.empty(), 0);
-        for (&(label, a), &target) in &self.unary {
-            automaton.add_internal_transition(label, a, 0, target);
+        if leaf_reached {
+            automaton.add_leaf_transition(self.alphabet.empty(), 0);
         }
-        let join_label = self.alphabet.join();
-        for (&(a, b), &target) in &self.join {
-            automaton.add_internal_transition(join_label, a, b, target);
+        used.sort_unstable();
+        used.dedup();
+        for (label, a, b, target) in used {
+            automaton.add_internal_transition(label, a, b, target);
         }
-        for state in 0..self.compiler.states.len() {
+        for &state in &reach[structure.root().0] {
             if self.compiler.is_accepting(state) {
                 automaton.add_accepting(state);
             }
         }
         debug_assert!(automaton.is_deterministic());
+        let live = LiveStates {
+            mean: live_total as f64 / structure.node_count() as f64,
+            max: live_max,
+        };
         self.telemetry
             .gauge_set("query_states", &[], self.compiler.states.len() as i64);
-        Ok(automaton)
+        self.telemetry
+            .gauge_set("live_states_max", &[], live_max as i64);
+        Ok((automaton, live))
     }
+}
+
+/// How many deterministic states one materialization found live per tree
+/// node (the reach set sizes of [`CompiledQuery::materialize`]). The
+/// d-SDNNF compile's work at a node follows these counts, not the memo
+/// size.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct LiveStates {
+    /// Mean live states over the tree's nodes.
+    pub mean: f64,
+    /// Most live states at one node.
+    pub max: usize,
 }
 
 /// Compiles a UCQ≠ into the deterministic subset-transition machine over
@@ -1006,6 +1049,80 @@ mod tests {
         }
         assert_eq!(counts[1], counts[2], "counts {counts:?}");
         assert_eq!(counts[2], counts[3], "counts {counts:?}");
+    }
+
+    /// The automaton over every state and transition in the memo: the
+    /// reference a per-tree automaton must agree with on its tree.
+    fn full_memo_automaton(compiled: &CompiledQuery) -> TreeAutomaton {
+        let states = compiled.state_count();
+        let mut automaton = TreeAutomaton::new(states, compiled.alphabet.size());
+        automaton.add_leaf_transition(compiled.alphabet.empty(), 0);
+        for (&(label, a), &target) in &compiled.unary {
+            automaton.add_internal_transition(label, a, 0, target);
+        }
+        for (&(a, b), &target) in &compiled.join {
+            automaton.add_internal_transition(compiled.alphabet.join(), a, b, target);
+        }
+        for state in (0..states).filter(|&q| compiled.compiler.is_accepting(q)) {
+            automaton.add_accepting(state);
+        }
+        automaton
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// On random small trees, after the memo has grown on other
+        /// instances of the same width, the per-tree automaton accepts
+        /// exactly the instantiations the whole-memo automaton accepts,
+        /// with a subset of its transitions.
+        #[test]
+        fn restricted_automaton_accepts_like_the_full_memo(
+            (inst, td) in treelineage_instance::strategies::treelike_instance_with_decomposition(
+                sig_rsl(), 5, 2,
+            ),
+            qi in 0usize..3,
+            warm_seed in 0u64..1_000,
+        ) {
+            proptest::prop_assume!(inst.fact_count() > 0 && inst.fact_count() <= 10);
+            let query = parse_query(
+                &sig_rsl(),
+                ["S(x, y), L(y)", "S(x, y), S(y, z), x != z", "L(x), R(x, y) | L(y), S(x, y)"][qi],
+            )
+            .unwrap();
+            let encoding = encode(&inst, &td).unwrap();
+            let mut compiled =
+                compile_ucq(&query, encoding.alphabet(), CompileOptions::default()).unwrap();
+            for seed in warm_seed..warm_seed + 8 {
+                let other = encodings::random_treelike_instance(&sig_rsl(), 6, 2, seed);
+                let other = encode(&other, &heuristic_td(&other)).unwrap();
+                if other.alphabet().width() == encoding.alphabet().width() {
+                    compiled.automaton_for(other.tree()).unwrap();
+                }
+            }
+            let restricted = compiled.automaton_for(encoding.tree()).unwrap();
+            let full = full_memo_automaton(&compiled);
+            proptest::prop_assert_eq!(restricted.state_count(), full.state_count());
+            for (label, l, r, q) in restricted.internal_transitions() {
+                proptest::prop_assert!(full.internal_states(label, l, r).contains(&q));
+            }
+            for mask in 0u32..(1 << inst.fact_count()) {
+                let concrete = encoding.tree().instantiate(&|e| mask >> e & 1 == 1);
+                proptest::prop_assert_eq!(
+                    restricted.accepts(&concrete),
+                    full.accepts(&concrete),
+                    "query {}, mask {}", query, mask
+                );
+            }
+        }
+    }
+
+    fn sig_rsl() -> Signature {
+        Signature::builder()
+            .relation("R", 2)
+            .relation("S", 2)
+            .relation("L", 1)
+            .build()
     }
 
     #[test]

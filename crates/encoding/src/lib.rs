@@ -73,7 +73,7 @@ mod encode;
 
 pub use alphabet::{AlphabetError, EncodingAlphabet, LabelKind, MAX_ALPHABET_SIZE};
 pub use compile::{
-    compile_mso, compile_ucq, mso_to_ucq, CompileError, CompileOptions, CompiledQuery,
+    compile_mso, compile_ucq, mso_to_ucq, CompileError, CompileOptions, CompiledQuery, LiveStates,
     DEFAULT_STATE_BUDGET,
 };
 pub use encode::{

@@ -546,13 +546,13 @@ pub(crate) fn compile_with_pool_cached(
 ) -> Result<CachedCompile, StructuredDnnfError> {
     let telemetry = &config.telemetry;
     match SubtreePlan::cut(tree.tree(), config.threads, config.fragment_grain) {
-        Some(plan) => Ok(compile_planned(
+        Some(plan) => compile_planned(
             &StructuredBuilder::new(automaton, tree)?,
             &plan,
             telemetry,
             pool_threads,
             previous,
-        )),
+        ),
         None => compile_structured_dnnf_traced(automaton, tree, telemetry).map(|s| CachedCompile {
             artifact: ParallelDnnf::sequential(s).with_telemetry(telemetry.clone()),
             library: FragmentLibrary::default(),
@@ -571,7 +571,7 @@ fn compile_planned(
     telemetry: &Telemetry,
     pool_threads: usize,
     previous: Option<&FragmentLibrary>,
-) -> CachedCompile {
+) -> Result<CachedCompile, StructuredDnnfError> {
     // Phase 1: fragments, in parallel — but first settle, per cut, whether
     // the library already holds this subtree's compile. The key is the full
     // post-order content, so a hit is exactly "this subtree is untouched".
@@ -609,6 +609,8 @@ fn compile_planned(
         })
     };
     let mut compiled = compiled.into_iter();
+    // Internal invariant: `run_tasks` returns one result per dirty cut, and
+    // the dirty cuts are exactly the empty slots.
     let fragments: Vec<Arc<CompiledSubtree>> = cached
         .into_iter()
         .map(|slot| slot.unwrap_or_else(|| Arc::new(compiled.next().expect("one per dirty cut"))))
@@ -618,7 +620,6 @@ fn compile_planned(
     // fragment when the post-order reaches its cut.
     let _merge_span = telemetry.span("dsdnnf_merge");
     let mut partition = CircuitPartition::default();
-    let states = builder.automaton().state_count();
     let structured = builder.compile(|node, circuit, vtree| {
         let index = plan.owner[node.0]? as usize;
         debug_assert_eq!(
@@ -631,23 +632,19 @@ fn compile_planned(
         partition.fragments.push((gate_offset, circuit.size()));
         let vtree_offset = vtree.node_count();
         replay_vtree(vtree, &fragment.vtree);
-        // A library fragment may predate states the automaton has interned
-        // since; those are unreachable in its (unchanged) subtree, so pad
-        // its root gates with `false`.
-        debug_assert!(fragment.root.gates.len() <= states);
-        let mut gates: Vec<GateId> = fragment
-            .root
-            .gates
-            .iter()
-            .map(|&g| relocate(g, gate_offset))
-            .collect();
-        gates.resize(states, GateId(0));
+        // Root gates list live states only, so a library fragment needs no
+        // padding for states the automaton has interned since.
         Some(SubtreeGates {
-            gates,
+            gates: fragment
+                .root
+                .gates
+                .iter()
+                .map(|&(q, g)| (q, relocate(g, gate_offset)))
+                .collect(),
             vnode: fragment.root.vnode.map(|v| VtreeId(vtree_offset + v.0)),
         })
-    });
-    CachedCompile {
+    })?;
+    Ok(CachedCompile {
         artifact: ParallelDnnf {
             structured,
             partition,
@@ -657,7 +654,7 @@ fn compile_planned(
             fragments: keys.into_iter().zip(fragments).collect(),
         },
         stats,
-    }
+    })
 }
 
 /// Where a fragment's local gate lands in the global circuit once replayed
@@ -1360,9 +1357,10 @@ mod tests {
             let telemetry = Telemetry::disabled();
             for cuts in unbalanced_cut_sets(&u, seed) {
                 let plan = SubtreePlan::new(u.tree(), cuts);
-                let cold = compile_planned(&builder, &plan, &telemetry, 2, None);
+                let cold = compile_planned(&builder, &plan, &telemetry, 2, None).unwrap();
                 assert_identical(&cold.artifact, &sequential);
-                let warm = compile_planned(&builder, &plan, &telemetry, 2, Some(&cold.library));
+                let warm =
+                    compile_planned(&builder, &plan, &telemetry, 2, Some(&cold.library)).unwrap();
                 assert_eq!(warm.stats.recompiled, 0);
                 assert_identical(&warm.artifact, &sequential);
             }

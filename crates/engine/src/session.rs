@@ -39,7 +39,7 @@ use std::sync::{Arc, Mutex, Weak};
 use std::time::Instant;
 use treelineage_encoding::{
     compile_ucq, CompileError, CompileOptions, CompiledQuery, EncodingError, EncodingPlan,
-    TreeEncoding,
+    LiveStates, TreeEncoding,
 };
 use treelineage_graph::TreeDecomposition;
 use treelineage_instance::{Element, Fact, FactId, Instance, ProbabilityValuation};
@@ -482,6 +482,14 @@ pub struct ExplainReport {
     /// Deterministic states of the compiled query machine (`None` when the
     /// lineage did not compile and Karp–Luby answered).
     pub automaton_states: Option<usize>,
+    /// Mean, over the encoding's tree nodes, of the machine states live at
+    /// a node when the lineage was materialized — what the d-SDNNF
+    /// compile's per-node work follows (`None` under Karp–Luby, or when
+    /// the lineage left the cache before the report was assembled).
+    pub live_states_mean: Option<f64>,
+    /// Most machine states live at one tree node (`None` as for
+    /// [`ExplainReport::live_states_mean`]).
+    pub live_states_max: Option<usize>,
     /// Gate count of the compiled d-SDNNF (`None` under Karp–Luby).
     pub gates: Option<usize>,
     /// Node count of the vtree structuring the d-SDNNF (`None` under
@@ -516,21 +524,22 @@ impl ExplainReport {
             self.encoding_cached, self.machine_cached, self.lineage_cached
         ));
         out.push_str(",\"artifact\":{");
-        let mut first = true;
-        for (key, value) in [
-            ("automaton_states", self.automaton_states),
-            ("gates", self.gates),
-            ("vtree_nodes", self.vtree_nodes),
-            ("fragments", self.fragments),
-        ] {
-            if let Some(value) = value {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                out.push_str(&format!("\"{key}\":{value}"));
-            }
-        }
+        let int = |v: Option<usize>| v.map(|v| v.to_string());
+        let artifact: Vec<String> = [
+            ("automaton_states", int(self.automaton_states)),
+            (
+                "live_states_mean",
+                self.live_states_mean.map(|v| format!("{v:?}")),
+            ),
+            ("live_states_max", int(self.live_states_max)),
+            ("gates", int(self.gates)),
+            ("vtree_nodes", int(self.vtree_nodes)),
+            ("fragments", int(self.fragments)),
+        ]
+        .into_iter()
+        .filter_map(|(key, value)| value.map(|value| format!("\"{key}\":{value}")))
+        .collect();
+        out.push_str(&artifact.join(","));
         out.push('}');
         if let Some(trace) = self.trace {
             out.push_str(&format!(",\"trace\":{trace}"));
@@ -649,11 +658,11 @@ impl<K: Ord + Clone, V: Clone> CacheMap<K, V> {
         })
     }
 
-    /// Whether `key` is resident, *without* refreshing its recency stamp —
-    /// for observability probes ([`EvalSession::explain`]) that must not
+    /// The entry for `key`, *without* refreshing its recency stamp — for
+    /// observability probes ([`EvalSession::explain`]) that must not
     /// perturb the eviction order they are reporting on.
-    fn contains(&self, key: &K) -> bool {
-        self.map.contains_key(key)
+    fn peek(&self, key: &K) -> Option<&V> {
+        self.map.get(key).map(|(value, _)| value)
     }
 
     fn insert(&mut self, key: K, value: V) {
@@ -740,6 +749,8 @@ struct InstanceEntry {
 #[derive(Clone)]
 struct CachedLineage {
     artifact: Arc<ParallelDnnf>,
+    /// Per-node live states of the materialization it was compiled from.
+    live: LiveStates,
     machine: Weak<Mutex<CompiledQuery>>,
     library: Arc<FragmentLibrary>,
 }
@@ -1661,8 +1672,8 @@ impl EvalSession {
         // layers — the report explains what the request *found*.
         let width = self.encoding_width(i);
         let machine_cached =
-            width.is_some_and(|w| lock_recovering(&self.machines).contains(&(q, w)));
-        let lineage_cached = lock_recovering(&self.lineages).contains(&(q, i));
+            width.is_some_and(|w| lock_recovering(&self.machines).peek(&(q, w)).is_some());
+        let lineage_cached = lock_recovering(&self.lineages).peek(&(q, i)).is_some();
         self.counters.requests.fetch_add(1, Ordering::Relaxed);
         let started = self.timer();
         let span = self.request_span("explain");
@@ -1723,6 +1734,11 @@ impl EvalSession {
             .and(self.encoding_width(i))
             .and_then(|w| lock_recovering(&self.machines).get(&(q, w)))
             .map(|machine| lock_recovering(&machine).state_count());
+        let live = artifact.and_then(|_| {
+            lock_recovering(&self.lineages)
+                .peek(&(q, i))
+                .map(|c| c.live)
+        });
         Ok(ExplainReport {
             backend: self.backend.as_str(),
             tier,
@@ -1735,6 +1751,8 @@ impl EvalSession {
             machine_cached,
             lineage_cached,
             automaton_states,
+            live_states_mean: live.map(|l| l.mean),
+            live_states_max: live.map(|l| l.max),
             gates: artifact.map(|l| l.size()),
             vtree_nodes: artifact.map(|l| l.structured().vtree().node_count()),
             fragments: artifact.map(|l| l.partition().fragments().len()),
@@ -1805,8 +1823,8 @@ impl EvalSession {
         self.counters.lineage_misses.fetch_add(1, Ordering::Relaxed);
         let encoding = self.encoding(instance)?;
         let machine = self.machine(query, encoding.alphabet().width())?;
-        let automaton = lock_recovering(&machine)
-            .automaton_for(encoding.tree())
+        let (automaton, live) = lock_recovering(&machine)
+            .materialize(encoding.tree())
             .map_err(EngineError::QueryCompile)?;
         // A structural update may have parked this pair's fragment library.
         // Gate numbering depends on the machine's memo history, so the
@@ -1840,6 +1858,7 @@ impl EvalSession {
             (query, instance),
             CachedLineage {
                 artifact: arc.clone(),
+                live,
                 machine: Arc::downgrade(&machine),
                 library: Arc::new(compiled.library),
             },
@@ -2433,6 +2452,88 @@ mod tests {
         assert!((float_report.estimate - exact.to_f64()).abs() <= float_report.interval_width);
     }
 
+    /// Per-node live-state counts read off
+    /// [`TreeAutomaton::reachable_states`]: every event-controlled node gets
+    /// a fresh label that may do whatever either of its two labels does, so
+    /// the nondeterministic run's state sets are the states some valuation
+    /// reaches.
+    fn reachable_state_counts(
+        automaton: &treelineage_automata::TreeAutomaton,
+        tree: &treelineage_automata::UncertainTree,
+    ) -> Vec<usize> {
+        use treelineage_automata::{NodeAnnotation, NodeId, TreeAutomaton};
+        let base = automaton.alphabet_size();
+        let mut relabeled = tree.tree().clone();
+        let mut choices = Vec::new();
+        for node in (0..relabeled.node_count()).map(NodeId) {
+            if let NodeAnnotation::Event {
+                if_true, if_false, ..
+            } = tree.annotation(node)
+            {
+                relabeled.set_label(node, base + choices.len());
+                choices.push([if_true, if_false]);
+            }
+        }
+        let mut either = TreeAutomaton::new(automaton.state_count(), base + choices.len());
+        for label in 0..base {
+            for &q in automaton.leaf_states(label) {
+                either.add_leaf_transition(label, q);
+                for (j, _) in choices
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, c)| c.contains(&label))
+                {
+                    either.add_leaf_transition(base + j, q);
+                }
+            }
+        }
+        for (label, l, r, q) in automaton.internal_transitions() {
+            either.add_internal_transition(label, l, r, q);
+            for (j, _) in choices
+                .iter()
+                .enumerate()
+                .filter(|(_, c)| c.contains(&label))
+            {
+                either.add_internal_transition(base + j, l, r, q);
+            }
+        }
+        either
+            .reachable_states(&relabeled)
+            .iter()
+            .map(BTreeSet::len)
+            .collect()
+    }
+
+    #[test]
+    fn explain_live_states_match_reachable_state_sets() {
+        let (session, q, i) = traced_session(SessionBackend::Automaton);
+        let request = ProbabilityRequest {
+            query: q,
+            instance: i,
+            valuation: ProbabilityValuation::uniform(session.instance(i), Rational::one_half()),
+        };
+        let cold = session.explain(&request).unwrap();
+        let warm = session.explain(&request).unwrap();
+        // The reference: a fresh machine on the same encoding (state ids
+        // differ from the session's machine, per-node counts do not).
+        let encoding = session.encoding(i.0).unwrap();
+        let query = parse_query(&rst(), "R(x), S(x, y), T(y)").unwrap();
+        let mut machine =
+            compile_ucq(&query, encoding.alphabet(), CompileOptions::default()).unwrap();
+        let automaton = machine.automaton_for(encoding.tree()).unwrap();
+        let counts = reachable_state_counts(&automaton, encoding.tree());
+        assert_eq!(counts.len(), encoding.tree().tree().node_count());
+        let max = *counts.iter().max().unwrap();
+        let mean = counts.iter().sum::<usize>() as f64 / counts.len() as f64;
+        assert!(max > 1, "the pin needs a node with several live states");
+        for report in [&cold, &warm] {
+            assert_eq!(report.live_states_max, Some(max));
+            assert_eq!(report.live_states_mean, Some(mean));
+        }
+        let gauge = session.metrics().gauge("live_states_max", &[]);
+        assert_eq!(gauge, Some(max as i64));
+    }
+
     #[test]
     fn explain_rejects_malformed_requests_without_panicking() {
         let (session, q, i) = session_with(SessionBackend::Automaton);
@@ -2470,6 +2571,8 @@ mod tests {
             machine_cached: false,
             lineage_cached: true,
             automaton_states: Some(5),
+            live_states_mean: Some(2.5),
+            live_states_max: Some(4),
             gates: Some(42),
             vtree_nodes: Some(21),
             fragments: Some(3),
@@ -2486,7 +2589,7 @@ mod tests {
             "{\"backend\":\"automaton\",\"tier\":\"exact\",\"estimate\":0.25,\
              \"interval_width\":0.0,\
              \"cache\":{\"encoding\":true,\"machine\":false,\"lineage\":true},\
-             \"artifact\":{\"automaton_states\":5,\"gates\":42,\"vtree_nodes\":21,\"fragments\":3},\
+             \"artifact\":{\"automaton_states\":5,\"live_states_mean\":2.5,\"live_states_max\":4,\"gates\":42,\"vtree_nodes\":21,\"fragments\":3},\
              \"trace\":7,\"total_ns\":1500,\
              \"stages\":[{\"name\":\"eval\\\"stage\\\"\",\"count\":2,\"total_ns\":900}]}"
         );

@@ -152,6 +152,29 @@ pub fn grid_instance(
     inst
 }
 
+/// [`grid_instance`] plus the unary fact `label(a)` on each grid element
+/// with probability 1/2, drawn from `seed`: the seeded family on which the
+/// `tables` binary measures per-instance compile against the query
+/// machine's memo size.
+pub fn labelled_grid_instance(
+    signature: &Signature,
+    relation: RelationId,
+    label: RelationId,
+    rows: usize,
+    cols: usize,
+    seed: u64,
+) -> Instance {
+    assert_eq!(signature.arity(label), 1);
+    let mut inst = grid_instance(signature, relation, rows, cols);
+    let mut rng = StdRng::seed_from_u64(seed);
+    for element in 0..(rows * cols) as u64 {
+        if rng.gen_bool(0.5) {
+            inst.add_fact(label, vec![Element(element)]);
+        }
+    }
+    inst
+}
+
 /// The complete bipartite directed instance on `n + n` elements over
 /// `relation`: all facts `R(a_i, b_j)`. The easy unbounded-treewidth family
 /// for homomorphism-closed queries (Proposition 8.9): every minimal match
