@@ -53,6 +53,15 @@ pub enum StructuredDnnfError {
     /// A spliced subtree broke the syntactic d-DNNF conditions of the
     /// assembled circuit (the unspliced construction never does).
     NotDecomposable(DnnfError),
+    /// A splice callback returned a value that does not fit the arenas it
+    /// was handed: a gate id past the circuit, a vtree node past the
+    /// vtree, or states not in strictly ascending order.
+    InvalidSplice {
+        /// The tree node the splice stood in for.
+        node: NodeId,
+        /// What is wrong with the returned value.
+        reason: String,
+    },
 }
 
 impl std::fmt::Display for StructuredDnnfError {
@@ -66,6 +75,9 @@ impl std::fmt::Display for StructuredDnnfError {
             }
             StructuredDnnfError::NotDecomposable(e) => {
                 write!(f, "assembled circuit is not a d-DNNF: {e}")
+            }
+            StructuredDnnfError::InvalidSplice { node, reason } => {
+                write!(f, "splice at node {}: {reason}", node.0)
             }
         }
     }
@@ -253,8 +265,10 @@ impl<'a> StructuredBuilder<'a> {
 
     /// Builds the whole tree (with `splice`, see the type docs) and
     /// assembles the output: the disjunction of the root's accepting-state
-    /// gates, structured by the root's vtree node. Fails only when a
-    /// spliced subtree makes the circuit non-decomposable.
+    /// gates, structured by the root's vtree node. Fails only on a bad
+    /// splice: one that does not fit its arenas
+    /// ([`StructuredDnnfError::InvalidSplice`]) or that makes the circuit
+    /// non-decomposable.
     pub fn compile<F>(&self, splice: F) -> Result<StructuredDnnf, StructuredDnnfError>
     where
         F: FnMut(NodeId, &mut Circuit, &mut Vtree) -> Option<SubtreeGates>,
@@ -263,7 +277,7 @@ impl<'a> StructuredBuilder<'a> {
             mut circuit,
             mut vtree,
             root,
-        } = self.compile_subtree(self.tree.tree().root(), splice);
+        } = self.compile_subtree(self.tree.tree().root(), splice)?;
         let accepting_states = self.automaton.accepting_states();
         let accepting: Vec<GateId> = root
             .gates
@@ -291,8 +305,14 @@ impl<'a> StructuredBuilder<'a> {
 
     /// Builds the subtree rooted at `root` into fresh arenas (constants at
     /// gate ids 0 and 1), asking `splice` at every node before entering it
-    /// (see the type docs).
-    pub fn compile_subtree<F>(&self, root: NodeId, mut splice: F) -> CompiledSubtree
+    /// (see the type docs). Fails with [`StructuredDnnfError::InvalidSplice`]
+    /// when a spliced value does not fit the arenas; with no splice it
+    /// always succeeds.
+    pub fn compile_subtree<F>(
+        &self,
+        root: NodeId,
+        mut splice: F,
+    ) -> Result<CompiledSubtree, StructuredDnnfError>
     where
         F: FnMut(NodeId, &mut Circuit, &mut Vtree) -> Option<SubtreeGates>,
     {
@@ -315,7 +335,7 @@ impl<'a> StructuredBuilder<'a> {
                 let left = pending.pop().expect("post-order: children first");
                 self.internal_rule(node, &left, &right, &mut circuit, &mut vtree)
             } else if let Some(spliced) = splice(node, &mut circuit, &mut vtree) {
-                debug_assert!(spliced.gates.windows(2).all(|w| w[0].0 < w[1].0));
+                check_splice(node, &spliced, &circuit, &vtree)?;
                 spliced
             } else if let Some((left, right)) = tree.children(node) {
                 todo.push((node, true));
@@ -327,11 +347,11 @@ impl<'a> StructuredBuilder<'a> {
             };
             pending.push(value);
         }
-        CompiledSubtree {
+        Ok(CompiledSubtree {
             circuit,
             vtree,
             root: pending.pop().expect("the root is finished last"),
-        }
+        })
     }
 
     /// A leaf: true for the states a fixed label reaches; for an
@@ -476,6 +496,41 @@ impl<'a> StructuredBuilder<'a> {
 const FALSE: GateId = GateId(0);
 const TRUE: GateId = GateId(1);
 
+/// Checks a splice callback's value against the arenas it was built into:
+/// every gate id and the vtree node must exist, and the states must be
+/// strictly ascending (the order the internal rule's runs and the output
+/// assembly rely on). The rules would otherwise panic on a bad id deep in
+/// the circuit, or build a wrong circuit from unsorted states.
+fn check_splice(
+    node: NodeId,
+    spliced: &SubtreeGates,
+    circuit: &Circuit,
+    vtree: &Vtree,
+) -> Result<(), StructuredDnnfError> {
+    let invalid = |reason: String| Err(StructuredDnnfError::InvalidSplice { node, reason });
+    if let Some(&(q, g)) = spliced.gates.iter().find(|(_, g)| g.0 >= circuit.size()) {
+        return invalid(format!(
+            "state {q} maps to gate {} of a {}-gate circuit",
+            g.0,
+            circuit.size()
+        ));
+    }
+    if let Some(v) = spliced.vnode.filter(|v| v.0 >= vtree.node_count()) {
+        return invalid(format!(
+            "vtree node {} of a {}-node vtree",
+            v.0,
+            vtree.node_count()
+        ));
+    }
+    if let Some(w) = spliced.gates.windows(2).find(|w| w[0].0 >= w[1].0) {
+        return invalid(format!(
+            "states not strictly ascending: {} then {}",
+            w[0].0, w[1].0
+        ));
+    }
+    Ok(())
+}
+
 /// The event controlling `node`, if any.
 fn own_event(tree: &UncertainTree, node: NodeId) -> Option<usize> {
     match tree.annotation(node) {
@@ -604,6 +659,51 @@ mod tests {
             result.unwrap_err(),
             StructuredDnnfError::NotDecomposable(_)
         ));
+    }
+
+    #[test]
+    fn out_of_range_splice_is_an_error() {
+        // Each splice at the left leaf is wrong in one way; each must come
+        // back as a typed error instead of a panic in the root's rule.
+        let automaton = parity_automaton(2);
+        let tree = uncertain_leaves(2);
+        let builder = StructuredBuilder::new(&automaton, &tree).unwrap();
+        let (left, _) = tree.tree().children(tree.tree().root()).unwrap();
+        let bad: [fn(&mut Circuit) -> SubtreeGates; 4] = [
+            |_| SubtreeGates {
+                gates: vec![(1, GateId(999))],
+                vnode: None,
+            },
+            |_| SubtreeGates {
+                gates: vec![(1, TRUE)],
+                vnode: Some(VtreeId(7)),
+            },
+            |_| SubtreeGates {
+                gates: vec![(1, TRUE), (0, FALSE)],
+                vnode: None,
+            },
+            |_| SubtreeGates {
+                gates: vec![(1, TRUE), (1, TRUE)],
+                vnode: None,
+            },
+        ];
+        for make in bad {
+            let result = builder.compile(|node, circuit, _| (node == left).then(|| make(circuit)));
+            assert!(
+                matches!(
+                    result,
+                    Err(StructuredDnnfError::InvalidSplice { node, .. }) if node == left
+                ),
+                "{result:?}"
+            );
+            let result = builder.compile_subtree(tree.tree().root(), |node, circuit, _| {
+                (node == left).then(|| make(circuit))
+            });
+            assert!(matches!(
+                result,
+                Err(StructuredDnnfError::InvalidSplice { .. })
+            ));
+        }
     }
 
     #[test]

@@ -48,7 +48,7 @@
 //! [`Dnnf::evaluate`](treelineage_circuit::Dnnf::evaluate) bit for bit at
 //! every thread count, floating-point intervals included.
 
-use crate::pool::{lock_recovering, run_tasks};
+use crate::pool::{lock_recovering, run_tasks, workers_for};
 use crate::EngineConfig;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -68,6 +68,20 @@ use treelineage_telemetry::Telemetry;
 /// Fragments below this size are not worth a task of their own: the replay
 /// and scheduling overhead would exceed the construction work.
 const MIN_FRAGMENT_NODES: usize = 64;
+
+/// Gates of fragment ranges per pool worker in [`ParallelDnnf::run`]: a
+/// pass whose fragments hold fewer gates runs them on the caller's thread,
+/// and each further multiple buys one more worker ([`workers_for`]). A
+/// spawned scoped thread costs ~50 µs of CPU; 4,096 gates cost 0.2–1.9 ms
+/// in an exact pass and 0.1–0.5 ms in an interval pass (EXPERIMENTS.md
+/// §E-15). It stays below the 7,995 fragment gates of the 3×60 grid, the
+/// smallest fragment-parallel pass `engine_scaling` times.
+const EVAL_GATES_PER_WORKER: usize = 4096;
+
+/// Tree nodes of dirty fragments per pool worker in [`compile_planned`],
+/// on the same rule: 1,024 nodes cost 0.3–1.5 ms of fragment compile, 6–30
+/// spawns' worth (EXPERIMENTS.md §E-15).
+const COMPILE_NODES_PER_WORKER: usize = 1024;
 
 /// A partition of the tree into disjoint subtrees ("fragments") plus the
 /// spine of nodes above all cut points. Fragment roots are the cut points;
@@ -354,10 +368,12 @@ impl ParallelDnnf {
     /// `step`. With one thread or at most one fragment, one sweep over the
     /// gate ids on the caller's thread; otherwise the spine below the first
     /// fragment (the constants every fragment reads), then the
-    /// self-contained fragment ranges on up to `threads` pool workers, each
-    /// in its own slot range, then the spine gaps in place. A gate's value
-    /// depends only on its inputs' values and the fixed operand order, so
-    /// the result is the same at every thread count.
+    /// self-contained fragment ranges on up to `threads` pool workers (one
+    /// per [`EVAL_GATES_PER_WORKER`] gates in the ranges; below that, in
+    /// order on the caller's thread), each in its own slot range, then the
+    /// spine gaps in place. A gate's value depends only on its inputs'
+    /// values and the fixed operand order, so the result is the same at
+    /// every thread count.
     fn run<T: Copy + Send + Sync>(
         &self,
         arena: &mut LimbArena<T>,
@@ -375,7 +391,9 @@ impl ParallelDnnf {
         let ranges: Vec<Mutex<ArenaRange<'_, T>>> =
             arena.split(fragments).into_iter().map(Mutex::new).collect();
         let telemetry = &self.telemetry;
-        run_tasks(threads, ranges.len(), telemetry, |fi| {
+        let gates = fragments.iter().map(|&(start, end)| end - start).sum();
+        let workers = workers_for(threads, ranges.len(), gates, EVAL_GATES_PER_WORKER);
+        run_tasks(workers, ranges.len(), telemetry, |fi| {
             let mut chunk_span = telemetry.span("eval_fragment");
             chunk_span.label("fragment", fi);
             lock_recovering(&ranges[fi]).eval(step);
@@ -562,9 +580,11 @@ pub(crate) fn compile_with_pool_cached(
 }
 
 /// Compiles along `plan`: each cut's subtree with
-/// [`StructuredBuilder::compile_subtree`] on the pool (or from `previous`),
-/// then one whole-tree [`StructuredBuilder::compile`] on the caller's thread
-/// that splices every fragment in at its cut.
+/// [`StructuredBuilder::compile_subtree`] on the pool (one worker per
+/// [`COMPILE_NODES_PER_WORKER`] dirty nodes; below that, in order on the
+/// caller's thread) or from `previous`, then one whole-tree
+/// [`StructuredBuilder::compile`] on the caller's thread that splices every
+/// fragment in at its cut.
 fn compile_planned(
     builder: &StructuredBuilder<'_>,
     plan: &SubtreePlan,
@@ -599,7 +619,10 @@ fn compile_planned(
         let mut span = telemetry.span("dsdnnf_fragments");
         span.label("fragments", plan.cuts.len());
         span.label("reused", stats.reused);
-        run_tasks(pool_threads, dirty.len(), telemetry, |j| {
+        // A key lists its subtree's nodes, so its length is the size.
+        let nodes = dirty.iter().map(|&i| keys[i].len()).sum();
+        let workers = workers_for(pool_threads, dirty.len(), nodes, COMPILE_NODES_PER_WORKER);
+        run_tasks(workers, dirty.len(), telemetry, |j| {
             // On a pool worker this parents to the `dsdnnf_fragments` span
             // through the context captured at spawn time; inline it nests
             // via the caller's span stack. Either way: one connected trace.
@@ -607,6 +630,8 @@ fn compile_planned(
             fragment_span.label("fragment", dirty[j]);
             builder.compile_subtree(plan.cuts[dirty[j]], |_, _, _| None)
         })
+        .into_iter()
+        .collect::<Result<_, _>>()?
     };
     let mut compiled = compiled.into_iter();
     // Internal invariant: `run_tasks` returns one result per dirty cut, and

@@ -8,7 +8,10 @@
 //! cache-warm) and, when empty, *steals from the front* of the other
 //! workers' deques (FIFO, so it grabs the task the owner would reach last).
 //! No blocking is needed: the task set never grows, so a worker that finds
-//! every deque empty is done.
+//! every deque empty is done. The calling thread is worker 0 — it works
+//! its own deque instead of idling in the join — and workers are scoped
+//! threads started per call, so a fan-out pays for a spawn only where
+//! [`workers_for`] finds enough work to cover it.
 //!
 //! The no-external-deps rule rules out `rayon`/`crossbeam`; mutex-guarded
 //! deques are entirely sufficient here because tasks are coarse (hundreds of
@@ -59,9 +62,11 @@ type TaskResult<T> = Result<T, Box<dyn Any + Send>>;
 
 /// Runs `count` independent tasks on up to `threads` workers and returns
 /// their results in task order. `job(i)` computes task `i`; tasks must not
-/// depend on each other. With `threads <= 1` (or a single task) everything
-/// runs inline on the caller's thread — the scheduler adds zero overhead to
-/// the sequential path.
+/// depend on each other. The caller's thread is worker 0, so `w` workers
+/// spawn `w - 1` scoped threads. With `threads <= 1` (or a single task)
+/// everything runs inline on the caller's thread — the scheduler adds zero
+/// overhead to the sequential path; [`workers_for`] sizes `threads` from a
+/// work estimate, so small fan-outs take that path too.
 ///
 /// If a task panics, the remaining tasks still run to completion and the
 /// first panic (in task order) is re-raised on the caller's thread with its
@@ -69,7 +74,8 @@ type TaskResult<T> = Result<T, Box<dyn Any + Send>>;
 ///
 /// When `telemetry` is enabled, each worker records its executed-task and
 /// successful-steal counts (`pool_tasks_total` / `pool_steals_total`,
-/// labelled by worker index) once, at worker exit — the task loop itself
+/// labelled by worker index, the caller being `"0"`, or `"inline"` when
+/// nothing is spawned) once, at worker exit — the task loop itself
 /// touches only thread-local integers, so instrumentation never contends.
 pub(crate) fn run_tasks<T, F>(threads: usize, count: usize, telemetry: &Telemetry, job: F) -> Vec<T>
 where
@@ -106,6 +112,25 @@ where
         .collect()
 }
 
+/// How many workers a fan-out of `count` tasks gets when the tasks hold
+/// `work` units in all (tree nodes, gates — whatever `work_per_worker` is
+/// measured in): `min(threads, count, 1 + work / work_per_worker)`. Below
+/// `work_per_worker` units this is one worker, so [`run_tasks`] runs the
+/// same tasks in the same order on the caller's thread; each further
+/// `work_per_worker` units buy one more spawned worker. A spawned worker
+/// costs a thread start and join per call (the pool is per call: the
+/// engine forbids `unsafe`, so no worker outlives a borrow of the tasks),
+/// and the call sites size `work_per_worker` from that cost (DESIGN.md
+/// §Concurrency).
+pub(crate) fn workers_for(
+    threads: usize,
+    count: usize,
+    work: usize,
+    work_per_worker: usize,
+) -> usize {
+    threads.min(count).min(1 + work / work_per_worker)
+}
+
 fn run_tasks_impl<T, F>(
     threads: usize,
     count: usize,
@@ -117,74 +142,83 @@ where
     F: Fn(usize) -> T + Sync,
 {
     let guarded = |i: usize| catch_unwind(AssertUnwindSafe(|| job(i)));
-    if threads <= 1 || count <= 1 {
+    let workers = threads.min(count);
+    if workers <= 1 {
         let results: Vec<TaskResult<T>> = (0..count).map(guarded).collect();
         if telemetry.is_enabled() && count > 0 {
             telemetry.counter_add("pool_tasks_total", &[("worker", "inline")], count as u64);
         }
         return results;
     }
-    let workers = threads.min(count);
-    // Capture the caller's span context at spawn time: workers install it
-    // as their ambient context, so any span a task opens parents back to
-    // the span that enqueued the work instead of starting an orphan trace.
-    // (The inline path above needs nothing — the caller's own span stack
-    // is already in place.)
-    let span_context = telemetry.current_context();
     // Deal tasks round-robin so every worker starts with a share.
     let deques: Vec<Mutex<VecDeque<usize>>> = (0..workers)
         .map(|w| Mutex::new((w..count).step_by(workers).collect()))
         .collect();
     let slots: Vec<Mutex<Option<TaskResult<T>>>> = (0..count).map(|_| Mutex::new(None)).collect();
+    // Worker `w`'s deque loop; it returns when every deque is empty.
+    let work = |w: usize| {
+        let mut ran: u64 = 0;
+        let mut stolen: u64 = 0;
+        loop {
+            // Own work first (LIFO keeps the most recently dealt — and
+            // most likely cache-resident — indices hot)...
+            let mut task = lock_recovering(&deques[w]).pop_back();
+            if task.is_none() {
+                // ...then steal the *oldest* task of the most loaded
+                // victim, the one its owner would reach last.
+                let victim = (0..workers)
+                    .filter(|&v| v != w)
+                    .max_by_key(|&v| lock_recovering(&deques[v]).len());
+                if let Some(v) = victim {
+                    task = lock_recovering(&deques[v]).pop_front();
+                    if task.is_some() {
+                        stolen += 1;
+                    }
+                }
+            }
+            match task {
+                Some(i) => {
+                    ran += 1;
+                    let result = guarded(i);
+                    *lock_recovering(&slots[i]) = Some(result);
+                }
+                None => break,
+            }
+        }
+        if telemetry.is_enabled() && ran > 0 {
+            let worker = w.to_string();
+            let labels = [("worker", worker.as_str())];
+            telemetry.counter_add("pool_tasks_total", &labels, ran);
+            if stolen > 0 {
+                telemetry.counter_add("pool_steals_total", &labels, stolen);
+            }
+        }
+    };
+    // Capture the caller's span context at spawn time: spawned workers
+    // install it as their ambient context, so any span a task opens
+    // parents back to the span that enqueued the work instead of starting
+    // an orphan trace. (Worker 0 needs nothing — it is the caller, whose
+    // own span stack is already in place.)
+    let span_context = telemetry.current_context();
     std::thread::scope(|scope| {
-        for w in 0..workers {
-            let deques = &deques;
-            let slots = &slots;
-            let guarded = &guarded;
+        let work = &work;
+        for w in 1..workers {
             scope.spawn(move || {
                 let _context_guard = telemetry.install_context(span_context);
-                let mut ran: u64 = 0;
-                let mut stolen: u64 = 0;
-                loop {
-                    // Own work first (LIFO keeps the most recently dealt — and
-                    // most likely cache-resident — indices hot)...
-                    let mut task = lock_recovering(&deques[w]).pop_back();
-                    if task.is_none() {
-                        // ...then steal the *oldest* task of the most loaded
-                        // victim, the one its owner would reach last.
-                        let victim = (0..workers)
-                            .filter(|&v| v != w)
-                            .max_by_key(|&v| lock_recovering(&deques[v]).len());
-                        if let Some(v) = victim {
-                            task = lock_recovering(&deques[v]).pop_front();
-                            if task.is_some() {
-                                stolen += 1;
-                            }
-                        }
-                    }
-                    match task {
-                        Some(i) => {
-                            ran += 1;
-                            let result = guarded(i);
-                            *lock_recovering(&slots[i]) = Some(result);
-                        }
-                        None => break,
-                    }
-                }
-                if telemetry.is_enabled() && ran > 0 {
-                    let worker = w.to_string();
-                    let labels = [("worker", worker.as_str())];
-                    telemetry.counter_add("pool_tasks_total", &labels, ran);
-                    if stolen > 0 {
-                        telemetry.counter_add("pool_steals_total", &labels, stolen);
-                    }
-                }
+                work(w);
             });
         }
+        // The caller is worker 0: it works its own deque (and steals)
+        // instead of idling until the spawned workers join.
+        work(0);
     });
     slots
         .into_iter()
         .map(|slot| {
+            // Internal invariant, not reachable from input: every index
+            // was dealt to exactly one deque, and a worker exits only once
+            // every deque is empty, so each slot was filled before the
+            // scope joined.
             lock_recovering(&slot)
                 .take()
                 .expect("every task index was dealt to exactly one deque")
@@ -228,6 +262,45 @@ mod tests {
         });
         assert_eq!(out.len(), 16);
         assert_eq!(out[1], 1);
+    }
+
+    #[test]
+    fn the_caller_is_one_of_the_workers() {
+        // Every task sleeps a little, so no single thread drains all the
+        // deques before the others start: the caller must run tasks of its
+        // own, and at most `workers - 1` other threads may appear.
+        let caller = std::thread::current().id();
+        for threads in [2usize, 3, 8] {
+            let ids = run_tasks(threads, 32, &Telemetry::disabled(), |_| {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+                std::thread::current().id()
+            });
+            assert!(ids.contains(&caller), "threads={threads}");
+            let others: std::collections::HashSet<_> =
+                ids.iter().filter(|&&id| id != caller).collect();
+            assert!(others.len() < threads, "threads={threads}: {others:?}");
+        }
+    }
+
+    #[test]
+    fn workers_for_runs_small_fan_outs_inline() {
+        assert_eq!(workers_for(8, 10, 0, 100), 1);
+        assert_eq!(workers_for(8, 10, 99, 100), 1);
+        assert_eq!(workers_for(8, 10, 100, 100), 2);
+        assert_eq!(workers_for(8, 10, 10_000, 100), 8);
+        assert_eq!(workers_for(8, 3, 10_000, 100), 3);
+        assert_eq!(workers_for(2, 10, 10_000, 100), 2);
+        assert_eq!(workers_for(1, 10, 10_000, 100), 1);
+        // Inline: one worker records under the "inline" label.
+        let telemetry = Telemetry::enabled();
+        let out = run_tasks(workers_for(8, 4, 10, 100), 4, &telemetry, |i| i);
+        assert_eq!(out, vec![0, 1, 2, 3]);
+        let snap = telemetry.snapshot();
+        assert_eq!(
+            snap.counter("pool_tasks_total", &[("worker", "inline")]),
+            Some(4)
+        );
+        assert_eq!(snap.counter_total("pool_tasks_total"), 4);
     }
 
     #[test]
