@@ -16,14 +16,11 @@
 //! workload or metric is missing on either side, when the change's share of
 //! failed operations (`failed / attempted` over its runs) exceeds the
 //! parent's, and when a change run gave a wrong answer. Exit status: 0
-//! pass, 1 fail, 2 unreadable input.
-//!
-//! `BENCHMARK.json` carries floats (`"bound": 0.25`), which the telemetry
-//! crate's integer-only JSON parser deliberately rejects, so this binary
-//! brings its own minimal float-tolerant reader (std-only, like everything
-//! else in the workspace).
+//! pass, 1 fail, 2 unreadable input. Both files are read with the
+//! telemetry crate's JSON parser.
 
 use std::process::ExitCode;
+use treelineage_telemetry::json::{parse, Json};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -38,7 +35,7 @@ fn main() -> ExitCode {
             .map_err(|e| format!("{path}: {e}"))
     };
     let inputs = read(spec)
-        .and_then(|text| Spec::from_json(&parse(&text)?))
+        .and_then(|text| Spec::from_json(&parse(&text).map_err(|e| e.to_string())?))
         .map_err(|e| format!("{spec}: {e}"))
         .and_then(|spec| Ok((spec, load(parent)?, load(change)?)));
     let (spec, parent, change) = match inputs {
@@ -78,14 +75,14 @@ struct Bound {
 }
 
 impl Spec {
-    fn from_json(doc: &Value) -> Result<Spec, String> {
-        let entries = |key: &str| match field(doc, key) {
-            Some(Value::Array(items)) => Ok(items),
+    fn from_json(doc: &Json) -> Result<Spec, String> {
+        let entries = |key: &str| match doc.get(key) {
+            Some(Json::Array(items)) => Ok(items),
             _ => Err(format!("no {key:?} array")),
         };
-        let text = |entry: &Value, key: &str| match field(entry, key) {
-            Some(Value::String(s)) => Ok(s.clone()),
-            _ => Err(format!("an entry has no {key:?} string")),
+        let text = |entry: &Json, key: &str| match entry.get(key).and_then(Json::as_str) {
+            Some(s) => Ok(s.to_string()),
+            None => Err(format!("an entry has no {key:?} string")),
         };
         let workloads = entries("workloads")?;
         let workloads = workloads.iter().map(|w| text(w, "name"));
@@ -96,8 +93,8 @@ impl Spec {
                 "higher" => false,
                 _ => return Err(format!("{name}: better is neither lower nor higher")),
             };
-            match field(m, "bound") {
-                Some(&Value::Number(bound)) if bound >= 0.0 => Ok(Bound {
+            match m.get("bound").and_then(Json::as_f64) {
+                Some(bound) if bound >= 0.0 => Ok(Bound {
                     name,
                     lower_is_better,
                     bound,
@@ -146,12 +143,12 @@ fn runs(text: &str) -> Result<Vec<Run>, String> {
             }
             (_, Some(run)) if first.starts_with('{') => {
                 let result = parse(line).map_err(|e| format!("line {n}: {e}"))?;
-                let count = |key| match field(&result, key) {
-                    Some(&Value::Number(v)) => Ok(v),
-                    _ => Err(format!("line {n}: no {key:?} count")),
+                let count = |key| {
+                    let count = result.get(key).and_then(Json::as_f64);
+                    count.ok_or_else(|| format!("line {n}: no {key:?} count"))
                 };
                 (run.attempted, run.failed) = (count("attempted")?, count("failed")?);
-                run.correct = field(&result, "correct") == Some(&Value::Bool(true));
+                run.correct = result.get("correct") == Some(&Json::Bool(true));
                 run.closed = true;
             }
             _ if first == "workload" || first == "metric" || first.starts_with('{') => {
@@ -259,165 +256,6 @@ fn gate(spec: &Spec, parent: &[Run], change: &[Run]) -> Result<String, String> {
     }
 }
 
-/// The value of `key` in a JSON object.
-fn field<'a>(value: &'a Value, key: &str) -> Option<&'a Value> {
-    match value {
-        Value::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-        _ => None,
-    }
-}
-
-/// Minimal JSON value: what `BENCHMARK.json` and perfbench's result lines
-/// need.
-#[derive(Debug, Clone, PartialEq)]
-enum Value {
-    Null,
-    Bool(bool),
-    Number(f64),
-    String(String),
-    Array(Vec<Value>),
-    Object(Vec<(String, Value)>),
-}
-
-/// Parses one JSON document (float-tolerant, surrounding whitespace
-/// allowed; string escapes limited to `\" \\ / n t r`).
-fn parse(text: &str) -> Result<Value, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let value = p.value()?;
-    p.ws();
-    if p.pos != p.bytes.len() {
-        return p.error("trailing content");
-    }
-    Ok(value)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn error<T>(&self, what: &str) -> Result<T, String> {
-        Err(format!("{what} at byte {}", self.pos))
-    }
-
-    fn ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    /// Skips whitespace, then consumes `byte` if it comes next.
-    fn eat(&mut self, byte: u8) -> bool {
-        self.ws();
-        let next = self.peek() == Some(byte);
-        self.pos += usize::from(next);
-        next
-    }
-
-    fn value(&mut self) -> Result<Value, String> {
-        self.ws();
-        let literals = [
-            ("true", Value::Bool(true)),
-            ("false", Value::Bool(false)),
-            ("null", Value::Null),
-        ];
-        for (literal, value) in literals {
-            if self.bytes[self.pos..].starts_with(literal.as_bytes()) {
-                self.pos += literal.len();
-                return Ok(value);
-            }
-        }
-        match self.peek() {
-            Some(b'{') => self.items(b'}', Self::member).map(Value::Object),
-            Some(b'[') => self.items(b']', Self::value).map(Value::Array),
-            Some(b'"') => self.string().map(Value::String),
-            Some(_) => self.number(),
-            None => self.error("unexpected end of input"),
-        }
-    }
-
-    /// The items of the array or object that opens at the current byte, up
-    /// to its `close` byte.
-    fn items<T>(
-        &mut self,
-        close: u8,
-        item: fn(&mut Self) -> Result<T, String>,
-    ) -> Result<Vec<T>, String> {
-        self.pos += 1;
-        let mut items = Vec::new();
-        if self.eat(close) {
-            return Ok(items);
-        }
-        loop {
-            items.push(item(self)?);
-            if self.eat(close) {
-                return Ok(items);
-            }
-            if !self.eat(b',') {
-                return self.error("expected ',' or a closing bracket");
-            }
-        }
-    }
-
-    fn member(&mut self) -> Result<(String, Value), String> {
-        let key = self.string()?;
-        if !self.eat(b':') {
-            return self.error("expected ':'");
-        }
-        Ok((key, self.value()?))
-    }
-
-    fn number(&mut self) -> Result<Value, String> {
-        let start = self.pos;
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        ) {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .map(Value::Number)
-            .ok_or_else(|| format!("invalid number at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        if !self.eat(b'"') {
-            return self.error("expected a string");
-        }
-        // Bytes are copied as they are, so multi-byte characters of the
-        // (valid UTF-8) input stay whole.
-        let mut out = Vec::new();
-        loop {
-            let byte = self.peek().ok_or("unterminated string")?;
-            self.pos += 1;
-            match byte {
-                b'"' => return String::from_utf8(out).map_err(|e| e.to_string()),
-                b'\\' => {
-                    out.push(match self.peek() {
-                        Some(b'n') => b'\n',
-                        Some(b't') => b'\t',
-                        Some(b'r') => b'\r',
-                        Some(c @ (b'"' | b'\\' | b'/')) => c,
-                        _ => return self.error("unsupported escape"),
-                    });
-                    self.pos += 1;
-                }
-                _ => out.push(byte),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -426,13 +264,13 @@ mod tests {
     fn parses_floats_strings_and_nesting() {
         let doc =
             parse(r#"{"a": {"b": [1, 2.5, -3e-2]}, "s": "x\"y\n", "t": true, "n": null}"#).unwrap();
-        assert_eq!(field(&doc, "t"), Some(&Value::Bool(true)));
-        assert_eq!(field(&doc, "n"), Some(&Value::Null));
-        assert_eq!(field(&doc, "s"), Some(&Value::String("x\"y\n".to_string())));
-        let b = field(&doc, "a").and_then(|a| field(a, "b")).unwrap();
-        let numbers = [1.0, 2.5, -0.03].map(Value::Number).to_vec();
-        assert_eq!(b, &Value::Array(numbers));
-        assert_eq!(field(b, "0"), None, "arrays have no fields");
+        assert_eq!(doc.get("t"), Some(&Json::Bool(true)));
+        assert_eq!(doc.get("n"), Some(&Json::Null));
+        assert_eq!(doc.get("s"), Some(&Json::Str("x\"y\n".to_string())));
+        let b = doc.get("a").and_then(|a| a.get("b")).unwrap();
+        let numbers = vec![Json::UInt(1), Json::Float(2.5), Json::Float(-0.03)];
+        assert_eq!(b, &Json::Array(numbers));
+        assert_eq!(b.get("0"), None, "arrays have no fields");
         assert!(parse(r#"{"a": 1} x"#).is_err() && parse(r#"{"a" 1}"#).is_err());
     }
 

@@ -3,15 +3,16 @@
 //! Run with `cargo run -p treelineage-bench --bin tables --release`. Each
 //! section corresponds to an experiment id of DESIGN.md §3 and a row of
 //! EXPERIMENTS.md. The binary reports the *sizes and widths* that the
-//! paper's statements are about; its wall-clock columns are single runs,
-//! for orientation only. Repeatable timings come from the Criterion targets
-//! under `benches/` (the paper's tables, the dichotomies, thread scaling)
-//! and from `perfbench` (serving, the workloads of `BENCHMARK.json`).
+//! paper's statements are about. Columns of rows marked "median of 3" are
+//! timed by [`median_ms`] (one warm-up, then the median of three runs): the
+//! two compile routes (`[E-6.3]`), compile and model count per thread count
+//! (`[E-7 scaling]`) and the Karp–Luby fallback (`[E-8]`). The other
+//! wall-clock columns are single runs, for orientation only. Serving is
+//! timed end to end by `perfbench` (the workloads of `BENCHMARK.json`).
 
-#[path = "../../benches/common.rs"]
-mod common;
-
+use std::collections::BTreeSet;
 use std::time::Instant;
+use treelineage::karp_luby_probability;
 use treelineage::prelude::*;
 use treelineage_circuit::{parity_circuit, parity_formula, threshold2_circuit, threshold2_formula};
 use treelineage_datalog::{
@@ -28,7 +29,9 @@ fn main() {
     table2_lower();
     table1_and_counting();
     dichotomies();
+    pipeline_section();
     engine_section();
+    approx_section();
     telemetry_section();
     tracing_section();
 }
@@ -45,11 +48,76 @@ fn threads() -> usize {
         .unwrap_or(1)
 }
 
+/// `f`'s value and wall time in ms: one warm-up call, whose value is
+/// returned, then the median of three timed calls (dropping each value
+/// outside the timer).
+fn median_ms<T>(mut f: impl FnMut() -> T) -> (T, f64) {
+    let value = f();
+    let mut runs: Vec<f64> = (0..3)
+        .map(|_| {
+            let t0 = Instant::now();
+            let run = f();
+            let ms = t0.elapsed().as_secs_f64() * 1e3;
+            drop(run);
+            ms
+        })
+        .collect();
+    runs.sort_by(f64::total_cmp);
+    (value, runs[1])
+}
+
 /// The chain query `R(x), S(x, y), T(y)` and the chain instance
 /// `R(i), S(i, i+1), T(i+1)` for `i < n` (pathwidth 1).
 fn chain(n: usize) -> (UnionOfConjunctiveQueries, Instance) {
-    let (sig, inst) = common::chain_instance(n);
+    let sig = Signature::builder()
+        .relation("R", 1)
+        .relation("S", 2)
+        .relation("T", 1)
+        .build();
+    let mut inst = Instance::new(sig.clone());
+    for i in 0..n as u64 {
+        inst.add_fact_by_name("R", &[i]);
+        inst.add_fact_by_name("S", &[i, i + 1]);
+        inst.add_fact_by_name("T", &[i + 1]);
+    }
     (parse_query(&sig, "R(x), S(x, y), T(y)").unwrap(), inst)
+}
+
+/// The chain's known width-1 path decomposition: bags `{i, i+1}`.
+fn chain_decomposition(n: usize) -> TreeDecomposition {
+    let bags: Vec<BTreeSet<usize>> = (0..n).map(|i| [i, i + 1].into_iter().collect()).collect();
+    TreeDecomposition::path_from_bags(bags)
+}
+
+/// The star join's signature (`S/2`) and query `S(x, y), S(y, z), x != z`.
+fn star_query() -> (Signature, UnionOfConjunctiveQueries) {
+    let sig = Signature::builder().relation("S", 2).build();
+    let query = parse_query(&sig, "S(x, y), S(y, z), x != z").unwrap();
+    (sig, query)
+}
+
+/// A star of treewidth 1 over relation `S` of `sig`: `n/2` edges into the
+/// center and `n/2` out of it, so the star join has ~`n²/4` matches
+/// through the center.
+fn star_instance(sig: &Signature, n: usize) -> Instance {
+    let mut inst = Instance::new(sig.clone());
+    for leaf in 1..=n as u64 {
+        if leaf % 2 == 0 {
+            inst.add_fact_by_name("S", &[0, leaf]);
+        } else {
+            inst.add_fact_by_name("S", &[leaf, 0]);
+        }
+    }
+    inst
+}
+
+/// The star's known width-1 path decomposition: one `{center, leaf}` bag
+/// per leaf. (Vertex ids equal element values: the domain is `0..=n`.)
+fn star_decomposition(n: usize) -> TreeDecomposition {
+    let bags: Vec<BTreeSet<usize>> = (1..=n)
+        .map(|leaf| [0usize, leaf].into_iter().collect())
+        .collect();
+    TreeDecomposition::path_from_bags(bags)
 }
 
 /// Dyadic per-fact probabilities for the d-SDNNF evaluation column.
@@ -443,26 +511,73 @@ fn dichotomies() {
     );
 }
 
+/// E-6.3: the two compile routes head to head, on each family's known
+/// width-1 decomposition. Match enumeration compiles every query match into
+/// the shared dd engine and runs only up to the family's cliff (past it the
+/// star's ~n²/4 matches make it minutes-slow); the automaton pipeline
+/// (`LineageBackend::Automaton`) never materializes a match. The shape to
+/// read: automaton compile at star n = 4,000 is faster than enumeration at
+/// n = 400.
+fn pipeline_section() {
+    header("E-6.3: match enumeration vs the automaton pipeline");
+    println!("\n[E-6.3] compile routes on known decompositions (ms, median of 3 after a warm-up)");
+    println!(
+        "{:>8} {:>6} {:>8} {:>10} {:>12} {:>12} {:>12}",
+        "family", "n", "facts", "obdd size", "match enum", "dsdnnf size", "automaton"
+    );
+    let (star_sig, star_q) = star_query();
+    let mut cases = Vec::new();
+    for n in [400, 4000] {
+        let inst = star_instance(&star_sig, n);
+        cases.push(("star", n, 400, star_q.clone(), inst, star_decomposition(n)));
+    }
+    for n in [100, 1000] {
+        let (q, inst) = chain(n);
+        cases.push(("chain", n, 1000, q, inst, chain_decomposition(n)));
+    }
+    for (family, n, cliff, q, inst, td) in &cases {
+        let builder = || {
+            LineageBuilder::new(q, inst)
+                .unwrap()
+                .with_decomposition(td.clone())
+                .unwrap()
+        };
+        let (obdd_size, t_enum) = match (n <= cliff).then(|| median_ms(|| builder().dd())) {
+            Some(((manager, root), ms)) => (manager.size(root).to_string(), format!("{ms:.2}ms")),
+            None => ("-".to_string(), "-".to_string()),
+        };
+        let (lineage, t_automaton) = median_ms(|| builder().automaton_lineage().unwrap());
+        println!(
+            "{:>8} {:>6} {:>8} {:>10} {:>12} {:>12} {:>10.2}ms",
+            family,
+            n,
+            inst.fact_count(),
+            obdd_size,
+            t_enum,
+            lineage.size(),
+            t_automaton
+        );
+    }
+}
+
 /// E-7: the parallel engine, routed through the same `with_engine_config`
 /// knob every entry point shares. `TREELINEAGE_THREADS` (default 1) sets
-/// the worker count; results are bit-identical at every setting — this
-/// section prints the artifact sizes and a wall-clock so CI exercises the
-/// parallel path end to end, while the scaling numbers proper live in the
-/// `engine_scaling` Criterion bench (EXPERIMENTS.md §E-7).
+/// the worker count of the star rows and the session; results are
+/// bit-identical at every setting. The `[E-7 scaling]` rows sweep a fixed
+/// set of thread counts instead (EXPERIMENTS.md §E-7).
 fn engine_section() {
     let threads = threads();
     header(&format!("E-7: parallel engine (threads = {threads})"));
     let config = EngineConfig::with_threads(threads);
 
-    let sig = Signature::builder().relation("S", 2).build();
-    let q = parse_query(&sig, "S(x, y), S(y, z), x != z").unwrap();
+    let (sig, q) = star_query();
     println!(
         "{:>8} {:>10} {:>12} {:>10} {:>12} {:>12}",
         "star n", "facts", "dsdnnf size", "fragments", "compile", "eval"
     );
     for n in [500usize, 2000, 4000] {
-        let inst = common::star_instance(&sig, n);
-        let td = common::star_decomposition(n);
+        let inst = star_instance(&sig, n);
+        let td = star_decomposition(n);
         let t0 = Instant::now();
         let lineage = LineageBuilder::new(&q, &inst)
             .unwrap()
@@ -486,6 +601,7 @@ fn engine_section() {
         );
     }
 
+    scaling_rows();
     memo_rows();
 
     // Batched serving: one EvalSession, many repeated requests — the
@@ -514,6 +630,82 @@ fn engine_section() {
     );
     assert!(cold.iter().all(|c| c.is_ok()));
     assert_eq!(cold, warm);
+}
+
+/// E-7 scaling rows: automaton-backend compile (encode → query automaton →
+/// provenance d-SDNNF) and the integer model-count pass at a fixed sweep of
+/// thread counts, which does not read `TREELINEAGE_THREADS`, so every
+/// column but the timings is the same on every host. Gates and the count's
+/// bit length do not move with `t`; the fragment count does (the plan's
+/// grain follows the thread count). The grid's query saturates at 4,187
+/// deterministic states, past the default budget, so its rows raise
+/// `EngineConfig::state_budget`. A fan-out spawns workers only for work
+/// that pays (`pool::workers_for`): at t = 2 the compiles of all three
+/// shapes and the star 4,000 and grid passes spawn a second worker, while
+/// the star 1,000 pass (1,484 gates in its fragments) runs inline.
+fn scaling_rows() {
+    println!(
+        "\n[E-7 scaling] compile and model-count pass per thread count \
+         (ms, median of 3 after a warm-up)"
+    );
+    println!(
+        "{:>10} {:>3} {:>8} {:>10} {:>11} {:>12} {:>12}",
+        "shape", "t", "gates", "fragments", "count bits", "compile", "count pass"
+    );
+    let (sig, q) = star_query();
+    let s = sig.relation_by_name("S").unwrap();
+    let grid_config = EngineConfig {
+        state_budget: 16_384,
+        ..EngineConfig::default()
+    };
+    let shapes = [
+        (
+            "star 1000",
+            star_instance(&sig, 1000),
+            Some(star_decomposition(1000)),
+            EngineConfig::default(),
+        ),
+        (
+            "star 4000",
+            star_instance(&sig, 4000),
+            Some(star_decomposition(4000)),
+            EngineConfig::default(),
+        ),
+        (
+            "grid 3x60",
+            encodings::grid_instance(&sig, s, 3, 60),
+            None,
+            grid_config,
+        ),
+    ];
+    for (shape, inst, td, base) in &shapes {
+        for threads in [1, 2, 4, 8] {
+            let config = EngineConfig {
+                threads,
+                ..base.clone()
+            };
+            let (lineage, t_compile) = median_ms(|| {
+                let mut builder = LineageBuilder::new(&q, inst)
+                    .unwrap()
+                    .with_engine_config(config.clone());
+                if let Some(td) = td {
+                    builder = builder.with_decomposition(td.clone()).unwrap();
+                }
+                builder.automaton_lineage().unwrap()
+            });
+            let (count, t_count) = median_ms(|| lineage.model_count());
+            println!(
+                "{:>10} {:>3} {:>8} {:>10} {:>11} {:>10.2}ms {:>10.2}ms",
+                shape,
+                threads,
+                lineage.size(),
+                lineage.parallel().partition().fragments().len(),
+                count.bits(),
+                t_compile,
+                t_count
+            );
+        }
+    }
 }
 
 /// E-7 memo rows: per-instance compile against the query machine's memo
@@ -595,6 +787,39 @@ fn memo_rows() {
             t_compile / timed * 1e3
         );
     }
+}
+
+/// E-8: the Monte-Carlo fallback's price per answer when the compile budget
+/// is blown: one `karp_luby_probability` call at `(ε, δ) = (0.01, 0.01)` on
+/// the 3-clause chain, drawing the Karp–Luby–Madras `⌈4m·ln(2/δ)/ε²⌉`
+/// worlds. The estimate is deterministic for its seed. perfbench leaves
+/// Karp–Luby out, so this is its one timed row.
+fn approx_section() {
+    header("E-8: the Karp-Luby fallback");
+    let (q, inst) = chain(3);
+    let valuation = ProbabilityValuation::uniform(&inst, Rational::from_ratio_u64(1, 3));
+    let exact = ProbabilityEvaluator::new(&inst, &valuation)
+        .query_probability(&q)
+        .unwrap()
+        .to_f64();
+    let (kl, ms) = median_ms(|| karp_luby_probability(&q, &inst, &valuation, 0.01, 0.01, 42));
+    println!(
+        "\n[E-8] karp_luby_probability, 3-clause chain, all facts 1/3, \
+         (eps, delta) = (0.01, 0.01), seed 42 (ms, median of 3 after a warm-up)"
+    );
+    println!(
+        "{:>8} {:>10} {:>10} {:>10} {:>10} {:>12}",
+        "clauses", "samples", "estimate", "exact", "rel. error", "time"
+    );
+    println!(
+        "{:>8} {:>10} {:>10.6} {:>10.6} {:>10.6} {:>10.2}ms",
+        kl.clauses,
+        kl.samples,
+        kl.estimate,
+        exact,
+        (kl.estimate - exact).abs() / exact,
+        ms
+    );
 }
 
 /// E-9: the unified telemetry layer. One instrumented FloatFirst session

@@ -76,9 +76,6 @@ pub struct EngineConfig {
     /// scheduling overhead negligible; tests use small explicit grains to
     /// exercise the merge on small trees.
     pub fragment_grain: usize,
-    /// Maximum number of compiled query machines an [`EvalSession`] keeps
-    /// (per (query, alphabet width); least recently used evicted first).
-    pub query_cache_cap: usize,
     /// Maximum number of compiled lineages an [`EvalSession`] keeps (per
     /// (query, instance); least recently used evicted first).
     pub lineage_cache_cap: usize,
@@ -112,7 +109,6 @@ impl Default for EngineConfig {
             threads: 1,
             state_budget: treelineage_encoding::DEFAULT_STATE_BUDGET,
             fragment_grain: 0,
-            query_cache_cap: 64,
             lineage_cache_cap: 256,
             epsilon: 0.01,
             delta: 0.01,

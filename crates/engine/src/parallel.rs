@@ -74,8 +74,9 @@ const MIN_FRAGMENT_NODES: usize = 64;
 /// and each further multiple buys one more worker ([`workers_for`]). A
 /// spawned scoped thread costs ~50 µs of CPU; 4,096 gates cost 0.2–1.9 ms
 /// in an exact pass and 0.1–0.5 ms in an interval pass (EXPERIMENTS.md
-/// §E-15). It stays below the 7,995 fragment gates of the 3×60 grid, the
-/// smallest fragment-parallel pass `engine_scaling` times.
+/// §E-15). It stays below the 7,995 fragment gates of the 3×60 grid at two
+/// threads, the smallest fragment-parallel pass of the `tables` binary's
+/// `[E-7 scaling]` rows.
 const EVAL_GATES_PER_WORKER: usize = 4096;
 
 /// Tree nodes of dirty fragments per pool worker in [`compile_planned`],

@@ -45,7 +45,8 @@ use treelineage_graph::TreeDecomposition;
 use treelineage_instance::{Element, Fact, FactId, Instance, ProbabilityValuation};
 use treelineage_num::{BigUint, ErrorInterval, Rational};
 use treelineage_query::UnionOfConjunctiveQueries;
-use treelineage_telemetry::{write_string, MetricsSnapshot, Span, SpanEvent};
+use treelineage_telemetry::json::Json;
+use treelineage_telemetry::{MetricsSnapshot, Span, SpanEvent};
 
 /// Handle to an instance registered with an [`EvalSession`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
@@ -510,54 +511,49 @@ pub struct ExplainReport {
 
 impl ExplainReport {
     /// Renders the report as one stable JSON object (fixed key order,
-    /// `None` artifact fields omitted), suitable for structured logs.
+    /// `None` artifact fields omitted, a non-finite float as `null`),
+    /// suitable for structured logs.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"backend\":");
-        write_string(self.backend, &mut out);
-        out.push_str(",\"tier\":");
-        write_string(self.tier.as_str(), &mut out);
-        // `{:?}` on finite f64 is shortest-roundtrip and valid JSON.
-        out.push_str(&format!(",\"estimate\":{:?}", self.estimate));
-        out.push_str(&format!(",\"interval_width\":{:?}", self.interval_width));
-        out.push_str(&format!(
-            ",\"cache\":{{\"encoding\":{},\"machine\":{},\"lineage\":{}}}",
-            self.encoding_cached, self.machine_cached, self.lineage_cached
-        ));
-        out.push_str(",\"artifact\":{");
-        let int = |v: Option<usize>| v.map(|v| v.to_string());
-        let artifact: Vec<String> = [
-            ("automaton_states", int(self.automaton_states)),
+        let object = |fields: Vec<(&str, Json)>| {
+            Json::Object(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+        };
+        let count = |v: usize| Json::UInt(v as u64);
+        let artifact = [
+            ("automaton_states", self.automaton_states.map(count)),
+            ("live_states_mean", self.live_states_mean.map(Json::Float)),
+            ("live_states_max", self.live_states_max.map(count)),
+            ("gates", self.gates.map(count)),
+            ("vtree_nodes", self.vtree_nodes.map(count)),
+            ("fragments", self.fragments.map(count)),
+        ];
+        let artifact = artifact.into_iter().filter_map(|(k, v)| Some((k, v?)));
+        let stages = self.stages.iter().map(|stage| {
+            object(vec![
+                ("name", Json::Str(stage.name.into())),
+                ("count", Json::UInt(stage.count)),
+                ("total_ns", Json::UInt(stage.total_ns)),
+            ])
+        });
+        let mut fields = vec![
+            ("backend", Json::Str(self.backend.into())),
+            ("tier", Json::Str(self.tier.as_str().into())),
+            ("estimate", Json::Float(self.estimate)),
+            ("interval_width", Json::Float(self.interval_width)),
             (
-                "live_states_mean",
-                self.live_states_mean.map(|v| format!("{v:?}")),
+                "cache",
+                object(vec![
+                    ("encoding", Json::Bool(self.encoding_cached)),
+                    ("machine", Json::Bool(self.machine_cached)),
+                    ("lineage", Json::Bool(self.lineage_cached)),
+                ]),
             ),
-            ("live_states_max", int(self.live_states_max)),
-            ("gates", int(self.gates)),
-            ("vtree_nodes", int(self.vtree_nodes)),
-            ("fragments", int(self.fragments)),
-        ]
-        .into_iter()
-        .filter_map(|(key, value)| value.map(|value| format!("\"{key}\":{value}")))
-        .collect();
-        out.push_str(&artifact.join(","));
-        out.push('}');
-        if let Some(trace) = self.trace {
-            out.push_str(&format!(",\"trace\":{trace}"));
-        }
-        out.push_str(&format!(",\"total_ns\":{}", self.total_ns));
-        out.push_str(",\"stages\":[");
-        for (i, stage) in self.stages.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"name\":");
-            write_string(stage.name, &mut out);
-            out.push_str(&format!(
-                ",\"count\":{},\"total_ns\":{}}}",
-                stage.count, stage.total_ns
-            ));
-        }
-        out.push_str("]}");
+            ("artifact", object(artifact.collect())),
+        ];
+        fields.extend(self.trace.map(|trace| ("trace", Json::UInt(trace))));
+        fields.push(("total_ns", Json::UInt(self.total_ns)));
+        fields.push(("stages", Json::Array(stages.collect())));
+        let mut out = String::new();
+        object(fields).write(&mut out);
         out
     }
 }
@@ -627,6 +623,10 @@ struct Counters {
     lineages_invalidated: AtomicUsize,
 }
 
+/// Maximum number of compiled query machines an [`EvalSession`] keeps (per
+/// (query, alphabet width); least recently used evicted first).
+const QUERY_CACHE_CAP: usize = 64;
+
 /// A capacity-capped map with true LRU eviction: every hit refreshes the
 /// entry's recency stamp, and inserting past the cap evicts the least
 /// recently *used* entry, so a hot (query, instance) pair registered first
@@ -665,17 +665,16 @@ impl<K: Ord + Clone, V: Clone> CacheMap<K, V> {
         self.map.get(key).map(|(value, _)| value)
     }
 
+    /// Inserts `key`, evicting the least recently used entry when that
+    /// takes the map past its cap (one insert adds at most one entry).
     fn insert(&mut self, key: K, value: V) {
         self.stamp += 1;
         self.map.insert(key, (value, self.stamp));
-        while self.map.len() > self.cap {
-            let coldest = self
-                .map
-                .iter()
-                .min_by_key(|(_, (_, last_used))| *last_used)
-                .map(|(k, _)| k.clone())
-                .expect("map is non-empty past the cap");
-            self.map.remove(&coldest);
+        if self.map.len() > self.cap {
+            let coldest = self.map.iter().min_by_key(|(_, (_, last_used))| *last_used);
+            if let Some(coldest) = coldest.map(|(k, _)| k.clone()) {
+                self.map.remove(&coldest);
+            }
         }
     }
 
@@ -684,13 +683,8 @@ impl<K: Ord + Clone, V: Clone> CacheMap<K, V> {
     /// handing their fragment libraries to the stale set for incremental
     /// recompilation).
     fn take_matching(&mut self, pred: impl Fn(&K) -> bool) -> Vec<(K, V)> {
-        let keys: Vec<K> = self.map.keys().filter(|k| pred(k)).cloned().collect();
-        keys.into_iter()
-            .map(|k| {
-                let (value, _) = self.map.remove(&k).expect("key just enumerated");
-                (k, value)
-            })
-            .collect()
+        let taken = self.map.extract_if(.., |k, _| pred(k));
+        taken.map(|(k, (value, _))| (k, value)).collect()
     }
 
     fn len(&self) -> usize {
@@ -715,7 +709,7 @@ pub struct CacheOccupancy {
     pub lineage_capacity: usize,
     /// Compiled query machines resident in the (query, width) cache.
     pub machine_entries: usize,
-    /// Capacity of the machine cache ([`EngineConfig::query_cache_cap`]).
+    /// Capacity of the machine cache (64 compiled query machines).
     pub machine_capacity: usize,
     /// Registered instances whose tree encoding has been built.
     pub encodings: usize,
@@ -841,7 +835,7 @@ impl EvalSession {
     /// Creates a session serving requests from the given backend.
     pub fn with_backend(config: EngineConfig, backend: SessionBackend) -> Self {
         EvalSession {
-            machines: Mutex::new(CacheMap::new(config.query_cache_cap)),
+            machines: Mutex::new(CacheMap::new(QUERY_CACHE_CAP)),
             lineages: Mutex::new(CacheMap::new(config.lineage_cache_cap)),
             stale: Mutex::new(BTreeMap::new()),
             config,
@@ -2593,6 +2587,87 @@ mod tests {
              \"trace\":7,\"total_ns\":1500,\
              \"stages\":[{\"name\":\"eval\\\"stage\\\"\",\"count\":2,\"total_ns\":900}]}"
         );
+    }
+
+    #[test]
+    fn explain_json_parses_back_field_for_field() {
+        for backend in [SessionBackend::Automaton, SessionBackend::FloatFirst] {
+            let (session, query, instance) = traced_session(backend);
+            let valuation = ProbabilityValuation::uniform(
+                session.instance(instance),
+                Rational::from_ratio_u64(1, 3),
+            );
+            let report = session
+                .explain(&ProbabilityRequest {
+                    query,
+                    instance,
+                    valuation,
+                })
+                .unwrap();
+            let doc = treelineage_telemetry::json::parse(&report.to_json()).unwrap();
+            let get = |path: &[&str]| path.iter().try_fold(&doc, |v, key| v.get(key));
+            let str = |path: &[&str]| get(path).and_then(Json::as_str);
+            let uint = |path: &[&str]| get(path).and_then(Json::as_u64);
+            let bits = |path: &[&str]| get(path).and_then(Json::as_f64).map(f64::to_bits);
+            let count = |key: &str| uint(&["artifact", key]).map(|v| v as usize);
+            assert_eq!(str(&["backend"]), Some(report.backend));
+            assert_eq!(str(&["tier"]), Some(report.tier.as_str()));
+            assert_eq!(bits(&["estimate"]), Some(report.estimate.to_bits()));
+            assert_eq!(
+                bits(&["interval_width"]),
+                Some(report.interval_width.to_bits())
+            );
+            for (key, cached) in [
+                ("encoding", report.encoding_cached),
+                ("machine", report.machine_cached),
+                ("lineage", report.lineage_cached),
+            ] {
+                assert_eq!(get(&["cache", key]), Some(&Json::Bool(cached)));
+            }
+            assert_eq!(count("automaton_states"), report.automaton_states);
+            assert_eq!(
+                bits(&["artifact", "live_states_mean"]),
+                report.live_states_mean.map(f64::to_bits)
+            );
+            assert_eq!(count("live_states_max"), report.live_states_max);
+            assert_eq!(count("gates"), report.gates);
+            assert_eq!(count("vtree_nodes"), report.vtree_nodes);
+            assert_eq!(count("fragments"), report.fragments);
+            assert!(matches!(get(&["artifact"]), Some(Json::Object(a)) if a.len() == 6));
+            assert_eq!(uint(&["trace"]), report.trace);
+            assert_eq!(uint(&["total_ns"]), Some(report.total_ns));
+            let Some(Json::Array(stages)) = get(&["stages"]) else {
+                panic!("stages is an array");
+            };
+            assert!(!stages.is_empty());
+            assert_eq!(stages.len(), report.stages.len());
+            for (json, stage) in stages.iter().zip(&report.stages) {
+                assert_eq!(json.get("name").and_then(Json::as_str), Some(stage.name));
+                assert_eq!(json.get("count").and_then(Json::as_u64), Some(stage.count));
+                assert_eq!(
+                    json.get("total_ns").and_then(Json::as_u64),
+                    Some(stage.total_ns)
+                );
+            }
+            let Json::Object(fields) = &doc else {
+                panic!("the report is an object");
+            };
+            let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(
+                keys,
+                [
+                    "backend",
+                    "tier",
+                    "estimate",
+                    "interval_width",
+                    "cache",
+                    "artifact",
+                    "trace",
+                    "total_ns",
+                    "stages"
+                ]
+            );
+        }
     }
 
     #[test]

@@ -1,19 +1,23 @@
-//! Minimal in-tree JSON support: just enough to serialize and parse the
-//! [`MetricsSnapshot`](crate::MetricsSnapshot) JSON-lines format without
-//! external dependencies.
+//! Minimal in-tree JSON support: the one reader and writer of the
+//! workspace, for the [`MetricsSnapshot`](crate::MetricsSnapshot)
+//! JSON-lines format, the Chrome-trace export, `explain()` reports and the
+//! benchmark gate's inputs, without external dependencies.
 //!
-//! Numbers are restricted to integers (optionally signed). Snapshot values
-//! are all integral (nanoseconds, counts, capacities), so the round trip is
-//! exact — no float formatting or parsing ambiguity can creep in. Object key
-//! order is preserved (keys are stored as a vector of pairs, not a map), so
-//! a parse/serialize cycle reproduces the original byte stream for the
+//! Numbers written without a fraction or an exponent parse as integers
+//! ([`Json::UInt`] / [`Json::Int`]). Snapshot values are all integral
+//! (nanoseconds, counts, capacities), so their round trip is exact. Numbers
+//! with a fraction or an exponent parse as [`Json::Float`], and a finite
+//! float is written in Rust's shortest round-trip form, which always has a
+//! `.` or an `e`, so it parses back bit for bit. Object key order is
+//! preserved (keys are stored as a vector of pairs, not a map), so a
+//! parse/serialize cycle reproduces the original byte stream for the
 //! subset this module emits.
 
 use std::fmt::Write as _;
 
-/// A JSON value over the integer-only subset this crate emits.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) enum Json {
+/// A JSON value.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Json {
     /// An object; key order is preserved.
     Object(Vec<(String, Json)>),
     /// An array.
@@ -24,6 +28,13 @@ pub(crate) enum Json {
     UInt(u64),
     /// A negative integer (always < 0; non-negative values use `UInt`).
     Int(i64),
+    /// A number written with a fraction or an exponent. Written as `null`
+    /// when not finite.
+    Float(f64),
+    /// `true` or `false`.
+    Bool(bool),
+    /// `null`.
+    Null,
 }
 
 impl Json {
@@ -38,7 +49,7 @@ impl Json {
     }
 
     /// The value as an `u64`, if it is a non-negative integer.
-    pub(crate) fn as_u64(&self) -> Option<u64> {
+    pub fn as_u64(&self) -> Option<u64> {
         match self {
             Json::UInt(v) => Some(*v),
             _ => None,
@@ -54,8 +65,19 @@ impl Json {
         }
     }
 
+    /// The value as an `f64`, if it is a number (integers are converted,
+    /// rounding to nearest past 2^53).
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Json::UInt(v) => Some(*v as f64),
+            Json::Int(v) => Some(*v as f64),
+            Json::Float(v) => Some(*v),
+            _ => None,
+        }
+    }
+
     /// The value as a string slice, if it is a string.
-    pub(crate) fn as_str(&self) -> Option<&str> {
+    pub fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s),
             _ => None,
@@ -63,7 +85,7 @@ impl Json {
     }
 
     /// Looks up `key` in an object.
-    pub(crate) fn get(&self, key: &str) -> Option<&Json> {
+    pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
@@ -71,7 +93,7 @@ impl Json {
     }
 
     /// Serializes the value into `out` (compact form, no whitespace).
-    pub(crate) fn write(&self, out: &mut String) {
+    pub fn write(&self, out: &mut String) {
         match self {
             Json::Object(fields) => {
                 out.push('{');
@@ -102,6 +124,13 @@ impl Json {
             Json::Int(v) => {
                 let _ = write!(out, "{v}");
             }
+            Json::Float(v) if v.is_finite() => {
+                let _ = write!(out, "{v:?}");
+            }
+            Json::Float(_) | Json::Null => out.push_str("null"),
+            Json::Bool(b) => {
+                let _ = write!(out, "{b}");
+            }
         }
     }
 }
@@ -109,13 +138,7 @@ impl Json {
 /// Appends `s` to `out` as a JSON string literal: quotes, backslashes, and
 /// control characters are escaped; all other characters (including
 /// non-ASCII) pass through as UTF-8.
-///
-/// ```
-/// let mut out = String::new();
-/// treelineage_telemetry::write_string("say \"hi\"\n", &mut out);
-/// assert_eq!(out, r#""say \"hi\"\n""#);
-/// ```
-pub fn write_string(s: &str, out: &mut String) {
+pub(crate) fn write_string(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -135,31 +158,37 @@ pub fn write_string(s: &str, out: &mut String) {
 
 /// A parse error with a byte offset into the input.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) struct JsonError {
+pub struct JsonError {
     /// Byte offset at which parsing failed.
-    pub(crate) offset: usize,
+    pub offset: usize,
     /// Human-readable description of the failure.
-    pub(crate) message: &'static str,
+    pub message: &'static str,
+}
+
+impl std::fmt::Display for JsonError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} (at byte {})", self.message, self.offset)
+    }
 }
 
 /// Parses a complete JSON document (one value, surrounding whitespace
 /// allowed, trailing garbage rejected).
-pub(crate) fn parse(input: &str) -> Result<Json, JsonError> {
+pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
-        bytes: input.as_bytes(),
+        text: input,
         pos: 0,
     };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.text.len() {
         return Err(p.error("trailing characters after value"));
     }
     Ok(value)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
@@ -172,7 +201,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -196,8 +225,19 @@ impl<'a> Parser<'a> {
             Some(b'[') => self.array(),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
+            Some(b't') => self.literal("true", Json::Bool(true)),
+            Some(b'f') => self.literal("false", Json::Bool(false)),
+            Some(b'n') => self.literal("null", Json::Null),
             _ => Err(self.error("expected a JSON value")),
         }
+    }
+
+    fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
+        if !self.text[self.pos..].starts_with(word) {
+            return Err(self.error("expected a JSON value"));
+        }
+        self.pos += word.len();
+        Ok(value)
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
@@ -257,17 +297,15 @@ impl<'a> Parser<'a> {
         loop {
             let start = self.pos;
             // Consume a run of plain (unescaped, non-terminator) bytes at
-            // once; the input is valid UTF-8 so the run is too.
+            // once; it starts and ends at ASCII bytes, so it is whole
+            // characters.
             while let Some(b) = self.peek() {
                 if b == b'"' || b == b'\\' || b < 0x20 {
                     break;
                 }
                 self.pos += 1;
             }
-            if self.pos > start {
-                let run = &self.bytes[start..self.pos];
-                out.push_str(std::str::from_utf8(run).expect("input slices stay UTF-8"));
-            }
+            out.push_str(&self.text[start..self.pos]);
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
@@ -320,13 +358,42 @@ impl<'a> Parser<'a> {
         Ok(code)
     }
 
+    /// A number: an integer ([`Json::UInt`] / [`Json::Int`]) unless it
+    /// has a fraction or an exponent, then a finite [`Json::Float`].
     fn number(&mut self) -> Result<Json, JsonError> {
-        let negative = if self.peek() == Some(b'-') {
+        let start = self.pos;
+        self.pos += usize::from(self.peek() == Some(b'-'));
+        self.digits()?;
+        let mut float = false;
+        if self.peek() == Some(b'.') {
             self.pos += 1;
-            true
+            self.digits()?;
+            float = true;
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            self.pos += usize::from(matches!(self.peek(), Some(b'+' | b'-')));
+            self.digits()?;
+            float = true;
+        }
+        let text = &self.text[start..self.pos];
+        let value = if float {
+            text.parse()
+                .ok()
+                .filter(|v: &f64| v.is_finite())
+                .map(Json::Float)
+        } else if text.starts_with('-') {
+            text.parse().ok().map(Json::int)
         } else {
-            false
+            text.parse().ok().map(Json::UInt)
         };
+        value.ok_or(JsonError {
+            offset: start,
+            message: "number out of range",
+        })
+    }
+
+    fn digits(&mut self) -> Result<(), JsonError> {
         let start = self.pos;
         while matches!(self.peek(), Some(b'0'..=b'9')) {
             self.pos += 1;
@@ -334,21 +401,7 @@ impl<'a> Parser<'a> {
         if self.pos == start {
             return Err(self.error("expected digits"));
         }
-        if matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
-            return Err(self.error("non-integer numbers are not supported"));
-        }
-        let digits = std::str::from_utf8(&self.bytes[start..self.pos]).expect("digits are ASCII");
-        if negative {
-            let value: i64 = format!("-{digits}")
-                .parse()
-                .map_err(|_| self.error("integer out of range"))?;
-            Ok(Json::Int(value))
-        } else {
-            let value: u64 = digits
-                .parse()
-                .map_err(|_| self.error("integer out of range"))?;
-            Ok(Json::UInt(value))
-        }
+        Ok(())
     }
 }
 
@@ -372,6 +425,11 @@ mod tests {
             Json::Str(String::new()),
             Json::Str("plain".into()),
             Json::Str("quote \" backslash \\ newline \n tab \t nul \u{0} é".into()),
+            Json::Float(0.25),
+            Json::Float(-1e-300),
+            Json::Bool(true),
+            Json::Bool(false),
+            Json::Null,
         ] {
             assert_eq!(round_trip(&v), v);
         }
@@ -395,12 +453,32 @@ mod tests {
     }
 
     #[test]
-    fn rejects_floats_and_garbage() {
-        assert!(parse("1.5").is_err());
-        assert!(parse("1e3").is_err());
+    fn numbers_with_a_fraction_or_exponent_are_floats() {
+        assert_eq!(parse("1.5"), Ok(Json::Float(1.5)));
+        assert_eq!(parse("-3e-2"), Ok(Json::Float(-0.03)));
+        assert_eq!(parse("1E+3"), Ok(Json::Float(1000.0)));
+        assert_eq!(parse("1000"), Ok(Json::UInt(1000)));
+        assert_eq!(parse("-0"), Ok(Json::UInt(0)));
+        let mut out = String::new();
+        Json::Array(vec![Json::Float(1.0), Json::Float(f64::NAN)]).write(&mut out);
+        assert_eq!(out, "[1.0,null]");
+    }
+
+    #[test]
+    fn rejects_garbage() {
         assert!(parse("{\"a\":1} junk").is_err());
         assert!(parse("\"unterminated").is_err());
         assert!(parse("[1,]").is_err());
+        for bad in ["1.", ".5", "1e", "-", "1e400", "nul", "tru", "True"] {
+            assert!(parse(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn write_string_escapes_quotes_and_control_characters() {
+        let mut out = String::new();
+        write_string("say \"hi\"\n", &mut out);
+        assert_eq!(out, r#""say \"hi\"\n""#);
     }
 
     #[test]

@@ -53,12 +53,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod json;
+pub mod json;
 mod perfetto;
 mod registry;
 mod snapshot;
 
-pub use json::write_string;
 pub use perfetto::to_chrome_trace;
 pub use registry::{
     ContextGuard, Histogram, Registry, Span, SpanContext, SpanEvent, Telemetry,

@@ -264,8 +264,7 @@ impl MetricsSnapshot {
                 line: line_no,
                 message,
             };
-            let value =
-                parse(line).map_err(|e| err(format!("{} (at byte {})", e.message, e.offset)))?;
+            let value = parse(line).map_err(|e| err(e.to_string()))?;
             let kind = value
                 .get("type")
                 .and_then(Json::as_str)

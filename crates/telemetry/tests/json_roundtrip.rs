@@ -1,12 +1,28 @@
-//! Property test: the JSON-lines serialization of a [`MetricsSnapshot`] is
+//! Property tests: the JSON-lines serialization of a [`MetricsSnapshot`] is
 //! lossless. All sample values are integers (counts, nanoseconds), so the
 //! decode of an encode must be `==` to the original — no float rounding, no
-//! label reordering, no escaping loss.
+//! label reordering, no escaping loss. Finite floats written by the same
+//! writer parse back bit for bit.
 
 use proptest::prelude::*;
+use treelineage_telemetry::json::{parse, Json};
 use treelineage_telemetry::{
     CounterSample, GaugeSample, HistogramSample, MetricsSnapshot, SpanAggregate,
 };
+
+/// Finite floats that random bit patterns rarely hit.
+const EDGE_FLOATS: [f64; 10] = [
+    0.0,
+    -0.0,
+    1.0,
+    -1.0,
+    1e300,
+    -1e-300,
+    5e-324, // the smallest subnormal
+    f64::MIN_POSITIVE,
+    f64::MAX,
+    1e16, // the smallest integral float written with an exponent
+];
 
 /// Names exercising the JSON escaper: plain metric names plus strings with
 /// quotes, backslashes, control characters, and non-ASCII.
@@ -100,5 +116,27 @@ proptest! {
         let snap = t.snapshot();
         let decoded = MetricsSnapshot::from_json_lines(&snap.to_json_lines()).unwrap();
         prop_assert_eq!(decoded, snap);
+    }
+
+    #[test]
+    fn finite_floats_round_trip_bit_for_bit(bits in any::<u64>(), edge in 0..EDGE_FLOATS.len()) {
+        let sign = bits & (1 << 63);
+        let random = f64::from_bits(bits);
+        // The same mantissa with the exponent field cleared, and the bits as
+        // an integer (integral, with an exponent past 1e16).
+        let subnormal = f64::from_bits(sign | (bits & ((1 << 52) - 1)));
+        let integral = f64::from_bits(sign | (bits as f64).to_bits());
+        for value in [random, subnormal, integral, EDGE_FLOATS[edge]] {
+            if !value.is_finite() {
+                continue;
+            }
+            let mut text = String::new();
+            Json::Float(value).write(&mut text);
+            let back = match parse(&text) {
+                Ok(Json::Float(back)) => back,
+                other => panic!("{value:?} wrote {text}, read {other:?}"),
+            };
+            prop_assert_eq!(back.to_bits(), value.to_bits(), "{}", text);
+        }
     }
 }

@@ -220,8 +220,9 @@ fn pool_workers(telemetry: &Telemetry) -> Vec<String> {
         .collect()
 }
 
-/// The star of `engine_scaling` (n = 1000: `n/2` edges into the center and
-/// `n/2` out of it), over its one-bag-per-leaf path decomposition.
+/// The star of the `tables` binary's `[E-7 scaling]` rows (n = 1000: `n/2`
+/// edges into the center and `n/2` out of it), over its one-bag-per-leaf
+/// path decomposition.
 fn star(n: u64) -> (UnionOfConjunctiveQueries, Instance, TreeDecomposition) {
     let sig = Signature::builder().relation("S", 2).build();
     let mut inst = Instance::new(sig.clone());
@@ -315,7 +316,7 @@ fn fan_out_workers(
 }
 
 /// Fan-outs large enough to spawn pool workers stay byte-identical to the
-/// sequential build: the `engine_scaling` star's fragment compile, and a
+/// sequential build: the `[E-7 scaling]` star's fragment compile, and a
 /// balanced tree's compile and passes, run on numbered pool workers rather
 /// than inline on the caller — the other side of the fan-out rule from
 /// the small trees of the suites above, which all run inline.
