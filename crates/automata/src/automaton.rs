@@ -201,35 +201,6 @@ impl TreeAutomaton {
             .any(|s| self.accepting.contains(s))
     }
 
-    /// The unique run of a deterministic automaton on the tree (the state of
-    /// every node), or `None` if some node has no applicable transition.
-    /// Panics if the automaton is not deterministic.
-    pub fn deterministic_run(&self, tree: &BinaryTree) -> Option<Vec<State>> {
-        assert!(self.is_deterministic(), "automaton is not deterministic");
-        let mut run = vec![usize::MAX; tree.node_count()];
-        for node in tree.post_order() {
-            let label = tree.label(node);
-            let state = match tree.children(node) {
-                None => self.leaf_transitions[label].iter().next().copied(),
-                Some((l, r)) => {
-                    if run[l.0] == usize::MAX || run[r.0] == usize::MAX {
-                        None
-                    } else {
-                        self.internal_states(label, run[l.0], run[r.0])
-                            .iter()
-                            .next()
-                            .copied()
-                    }
-                }
-            };
-            match state {
-                Some(s) => run[node.0] = s,
-                None => return None,
-            }
-        }
-        Some(run)
-    }
-
     /// Determinizes the automaton by the subset construction (\[12\], as used
     /// in the proof of Theorem 6.11). The resulting automaton is complete and
     /// deterministic and accepts the same trees. States of the result are
@@ -446,14 +417,6 @@ mod tests {
             let ones = bits.iter().filter(|&&b| b == 1).count();
             assert_eq!(a.accepts(&tree), ones % 2 == 1, "bits {bits:?}");
         }
-    }
-
-    #[test]
-    fn deterministic_run_assigns_states() {
-        let a = parity_automaton(2);
-        let tree = leaf_word_tree(&[1, 0, 1]);
-        let run = a.deterministic_run(&tree).unwrap();
-        assert_eq!(run[tree.root().0], 0); // two ones -> even
     }
 
     #[test]

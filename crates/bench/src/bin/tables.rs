@@ -385,6 +385,28 @@ fn table1_and_counting() {
         );
     }
 
+    // Theorem 3.2's direct algorithm: message passing over a decomposition
+    // of the lineage circuit that covers every gate family.
+    let (q, inst) = chain(6);
+    let valuation = ProbabilityValuation::from_probabilities(
+        &inst,
+        (0..inst.fact_count()).map(dyadic_prob).collect(),
+    );
+    let circuit = LineageBuilder::new(&q, &inst).unwrap().circuit();
+    let (width, td) = circuit.covering_decomposition();
+    let p = treelineage_circuit::probability_message_passing(&circuit, &td, &dyadic_prob).unwrap();
+    assert_eq!(
+        p,
+        ProbabilityEvaluator::new(&inst, &valuation)
+            .query_probability(&q)
+            .unwrap()
+    );
+    println!(
+        "\n[T1-A mp] Theorem 3.2 message passing, chain n = 6 ({} facts): covering width {width}, \
+         probability {p}",
+        inst.fact_count()
+    );
+
     println!(
         "\n[T1-B] match counting (selection subsets with an internal edge) vs independent-set DP"
     );
@@ -562,44 +584,13 @@ fn pipeline_section() {
 
 /// E-7: the parallel engine, routed through the same `with_engine_config`
 /// knob every entry point shares. `TREELINEAGE_THREADS` (default 1) sets
-/// the worker count of the star rows and the session; results are
-/// bit-identical at every setting. The `[E-7 scaling]` rows sweep a fixed
-/// set of thread counts instead (EXPERIMENTS.md §E-7).
+/// the worker count of the session; results are bit-identical at every
+/// setting. The `[E-7 scaling]` rows sweep a fixed set of thread counts
+/// instead (EXPERIMENTS.md §E-7).
 fn engine_section() {
     let threads = threads();
     header(&format!("E-7: parallel engine (threads = {threads})"));
     let config = EngineConfig::with_threads(threads);
-
-    let (sig, q) = star_query();
-    println!(
-        "{:>8} {:>10} {:>12} {:>10} {:>12} {:>12}",
-        "star n", "facts", "dsdnnf size", "fragments", "compile", "eval"
-    );
-    for n in [500usize, 2000, 4000] {
-        let inst = star_instance(&sig, n);
-        let td = star_decomposition(n);
-        let t0 = Instant::now();
-        let lineage = LineageBuilder::new(&q, &inst)
-            .unwrap()
-            .with_decomposition(td)
-            .unwrap()
-            .with_engine_config(config.clone())
-            .automaton_lineage()
-            .unwrap();
-        let t_compile = t0.elapsed();
-        let t1 = Instant::now();
-        let _ = lineage.model_count();
-        let t_eval = t1.elapsed();
-        println!(
-            "{:>8} {:>10} {:>12} {:>10} {:>10.2}ms {:>10.2}ms",
-            n,
-            inst.fact_count(),
-            lineage.size(),
-            lineage.parallel().partition().fragments().len(),
-            t_compile.as_secs_f64() * 1e3,
-            t_eval.as_secs_f64() * 1e3
-        );
-    }
 
     scaling_rows();
     memo_rows();

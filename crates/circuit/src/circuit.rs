@@ -75,16 +75,6 @@ impl Circuit {
         self.gates.len()
     }
 
-    /// Number of edges (wires) of the circuit.
-    pub fn wire_count(&self) -> usize {
-        let nots = self
-            .gates
-            .iter()
-            .filter(|g| matches!(g, Record::Not(_)))
-            .count();
-        nots + self.inputs.len()
-    }
-
     /// The gate with the given id.
     pub fn gate(&self, id: GateId) -> Gate<'_> {
         match self.gates[id.0] {
@@ -319,15 +309,6 @@ impl Circuit {
         !self.each_gate().any(|g| matches!(g, Gate::Not(_)))
     }
 
-    /// Returns `true` if NOT gates are only applied to input gates (the first
-    /// d-DNNF condition, Definition 6.10 (1)).
-    pub fn negations_only_on_inputs(&self) -> bool {
-        self.each_gate().all(|g| match g {
-            Gate::Not(i) => matches!(self.gate(i), Gate::Var(_) | Gate::Const(_)),
-            _ => true,
-        })
-    }
-
     /// The gate graph of the circuit: one vertex per gate, an edge between
     /// every gate and each of its inputs. The treewidth / pathwidth of the
     /// circuit (Definition 6.2) are those of this graph.
@@ -356,7 +337,7 @@ impl Circuit {
     /// clique. Any valid tree decomposition of this graph has a bag
     /// containing each full family, which is what the message-passing
     /// probability algorithm needs (see `probability_message_passing`).
-    pub fn moralized_gate_graph(&self) -> Graph {
+    fn moralized_gate_graph(&self) -> Graph {
         let mut g = self.gate_graph();
         for gate in self.each_gate() {
             if let Gate::And(inputs) | Gate::Or(inputs) = gate {
@@ -398,13 +379,6 @@ impl Circuit {
             Some(&b) => out.constant(b),
             None => out.var(v),
         })
-    }
-
-    /// Renames the variables of the circuit according to `rename` (variables
-    /// not in the map keep their index). Used by the unfolding machinery of
-    /// Section 9, which re-reads a lineage over the facts of another instance.
-    pub fn rename_variables(&self, rename: &HashMap<VarId, VarId>) -> Circuit {
-        self.copy_with(|out, v| out.var(*rename.get(&v).unwrap_or(&v)))
     }
 
     /// Copies the circuit gate by gate, building each variable gate with
@@ -552,9 +526,7 @@ mod tests {
         let c = sample_circuit();
         assert_eq!(c.variables(), [0, 1, 2].into_iter().collect());
         assert_eq!(c.size(), 6);
-        assert_eq!(c.wire_count(), 2 + 1 + 2);
         assert!(!c.is_monotone_syntactically());
-        assert!(c.negations_only_on_inputs());
     }
 
     #[test]
@@ -606,18 +578,6 @@ mod tests {
         assert_eq!(r.variables(), [0, 1].into_iter().collect());
         assert!(r.evaluate(&|_| true));
         assert!(!r.evaluate(&|v| v == 0));
-    }
-
-    #[test]
-    fn renaming_variables() {
-        let c = sample_circuit();
-        let mut rename = HashMap::new();
-        rename.insert(0usize, 10usize);
-        rename.insert(1usize, 11usize);
-        rename.insert(2usize, 12usize);
-        let r = c.rename_variables(&rename);
-        assert_eq!(r.variables(), [10, 11, 12].into_iter().collect());
-        assert!(r.evaluate(&|v| v == 10 || v == 11));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! paper's Section 7 shows that lineages that admit linear-size circuits can
 //! require super-linear formulas (threshold and parity functions, via the
 //! classical lower bounds of Wegener's book \[51\]); this module provides the
-//! formula representation, its size measures, conversions to and from
+//! formula representation, its size measures, the conversion from
 //! circuits, and the explicit constructions used by the Table 2 lower-bound
 //! experiments (divide-and-conquer threshold formulas, recursive parity
 //! formulas, monotone threshold formulas).
@@ -82,21 +82,6 @@ impl Formula {
         }
     }
 
-    /// Returns `true` if the formula is *read-once*: every variable occurs at
-    /// most once. Read-once formulas are the simplest tractable lineage class
-    /// of \[36\].
-    pub fn is_read_once(&self) -> bool {
-        fn count(f: &Formula, seen: &mut BTreeSet<VarId>) -> bool {
-            match f {
-                Formula::Var(v) => seen.insert(*v),
-                Formula::Const(_) => true,
-                Formula::Not(g) => count(g, seen),
-                Formula::And(fs) | Formula::Or(fs) => fs.iter().all(|g| count(g, seen)),
-            }
-        }
-        count(self, &mut BTreeSet::new())
-    }
-
     /// Evaluates the formula.
     pub fn evaluate(&self, assignment: &dyn Fn(VarId) -> bool) -> bool {
         match self {
@@ -114,13 +99,15 @@ impl Formula {
     }
 
     /// Converts the formula into a circuit (linear in the formula size).
-    pub fn to_circuit(&self) -> Circuit {
+    #[cfg(test)]
+    fn to_circuit(&self) -> Circuit {
         let mut circuit = Circuit::new();
         let output = self.build_into(&mut circuit);
         circuit.set_output(output);
         circuit
     }
 
+    #[cfg(test)]
     fn build_into(&self, circuit: &mut Circuit) -> GateId {
         match self {
             Formula::Var(v) => circuit.var(*v),
@@ -282,15 +269,6 @@ mod tests {
         assert_eq!(f.node_size(), 6);
         assert_eq!(f.variables(), [0, 1, 2].into_iter().collect());
         assert!(!f.is_monotone());
-        assert!(f.is_read_once());
-    }
-
-    #[test]
-    fn read_once_detection() {
-        let f = Formula::And(vec![Formula::Var(0), Formula::Var(0)]);
-        assert!(!f.is_read_once());
-        let g = Formula::And(vec![Formula::Var(0), Formula::Var(1)]);
-        assert!(g.is_read_once());
     }
 
     #[test]

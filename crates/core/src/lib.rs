@@ -58,8 +58,7 @@ mod probability;
 
 pub use counting::MatchCounter;
 pub use lineage::{
-    obdd_to_circuit, variable_order_from_decomposition, AutomatonLineage, LineageBackend,
-    LineageBuilder, LineageError,
+    obdd_to_circuit, AutomatonLineage, LineageBackend, LineageBuilder, LineageError,
 };
 pub use probability::{model_check, ProbabilityEvaluator};
 pub use treelineage_engine::{

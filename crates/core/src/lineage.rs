@@ -34,7 +34,9 @@
 use std::collections::{BTreeSet, HashMap};
 use treelineage_circuit::{Circuit, Dnnf, GateId, VarId};
 use treelineage_dd::{Manager, NodeId};
-use treelineage_engine::{validate_insert, validate_retract, EngineConfig, UpdateError};
+use treelineage_engine::{
+    validate_insert, validate_retract, variable_order_from_decomposition, EngineConfig, UpdateError,
+};
 use treelineage_graph::TreeDecomposition;
 use treelineage_instance::{Fact, FactId, Instance};
 use treelineage_num::{BigUint, ErrorInterval, Rational};
@@ -353,13 +355,13 @@ impl<'a> LineageBuilder<'a> {
     /// (every fact of the instance is in the order). Compile with
     /// [`LineageBuilder::compile_dd`]; reuse the manager across related
     /// compilations to profit from its persistent operation cache.
-    pub fn dd_manager(&self) -> Manager {
+    fn dd_manager(&self) -> Manager {
         Manager::new(self.full_variable_order())
     }
 
-    /// Compiles the lineage into a shared engine manager (created by
-    /// [`LineageBuilder::dd_manager`] on an instance with the same fact
-    /// order) and returns the root node. Recompilations hit the manager's
+    /// Compiles the lineage into a shared engine manager whose order covers
+    /// every fact of the instance (such as the one [`LineageBuilder::dd`]
+    /// returns) and returns the root node. Recompilations hit the manager's
     /// persistent cache.
     pub fn compile_dd(&self, manager: &mut Manager) -> NodeId {
         manager.compile_circuit(&self.circuit())
@@ -424,19 +426,6 @@ impl<'a> LineageBuilder<'a> {
             tree_nodes: encoding.node_count(),
         })
     }
-}
-
-/// Derives a fact order from a tree decomposition of the instance's Gaifman
-/// graph: a depth-first layout of the bags (children in increasing subtree
-/// size, mirroring the in-order traversal ΠR of \[35\]) and, within the layout,
-/// facts attached to the first bag covering them. The implementation lives
-/// in [`treelineage_engine::variable_order_from_decomposition`]; this
-/// re-exported delegate keeps the historical `treelineage` entry point.
-pub fn variable_order_from_decomposition(
-    instance: &Instance,
-    td: &TreeDecomposition,
-) -> Vec<VarId> {
-    treelineage_engine::variable_order_from_decomposition(instance, td)
 }
 
 /// Converts the reduced OBDD rooted at `root` into an equivalent circuit

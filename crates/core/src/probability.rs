@@ -168,7 +168,7 @@ impl<'a> ProbabilityEvaluator<'a> {
     /// encoding + query→automaton compilation + provenance d-SDNNF; the
     /// Section 6 route that never materializes query matches), regardless
     /// of the selected backend.
-    pub fn query_probability_via_automaton(
+    fn query_probability_via_automaton(
         &self,
         query: &UnionOfConjunctiveQueries,
     ) -> Result<Rational, LineageError> {
@@ -178,7 +178,7 @@ impl<'a> ProbabilityEvaluator<'a> {
 
     /// The probability computed through the shared dd engine, regardless of
     /// the selected backend.
-    pub fn query_probability_via_dd(
+    fn query_probability_via_dd(
         &self,
         query: &UnionOfConjunctiveQueries,
     ) -> Result<Rational, LineageError> {

@@ -85,7 +85,7 @@ impl LevelWeights {
 /// to the manager that created them. The operation cache is *persistent*: it
 /// is keyed on canonical node ids (which never change), so it is never
 /// invalidated and keeps accelerating later calls — see [`Manager::stats`]
-/// for its hit counters and [`Manager::clear_op_cache`] to bound memory.
+/// for its hit counters.
 #[derive(Clone, Debug)]
 pub struct Manager {
     order: Vec<VarId>,
@@ -128,27 +128,18 @@ impl Manager {
     }
 
     /// Number of levels (variables in the order).
-    pub fn level_count(&self) -> usize {
+    fn level_count(&self) -> usize {
         self.order.len()
     }
 
     /// The level of a reference's top variable; terminals sit below every
     /// variable, at level `level_count()`.
-    pub fn level_of(&self, r: NodeId) -> usize {
+    fn level_of(&self, r: NodeId) -> usize {
         let level = self.nodes[r.index() as usize].level;
         if level == TERMINAL_LEVEL {
             self.order.len()
         } else {
             level as usize
-        }
-    }
-
-    /// The variable tested by a decision node (`None` for terminals).
-    pub fn var_of(&self, r: NodeId) -> Option<VarId> {
-        if r.is_terminal() {
-            None
-        } else {
-            Some(self.order[self.level_of(r)])
         }
     }
 
@@ -349,7 +340,8 @@ impl Manager {
     }
 
     /// Exclusive or.
-    pub fn xor(&mut self, a: NodeId, b: NodeId) -> NodeId {
+    #[cfg(test)]
+    fn xor(&mut self, a: NodeId, b: NodeId) -> NodeId {
         self.ite(a, b.not(), b)
     }
 
@@ -395,7 +387,7 @@ impl Manager {
 
     /// The conjunction of the positive literals of `vars` (a *cube*), the
     /// canonical set representation used by the quantifiers.
-    pub fn cube(&mut self, vars: &[VarId]) -> NodeId {
+    fn cube(&mut self, vars: &[VarId]) -> NodeId {
         let literals: Vec<NodeId> = vars.iter().map(|&v| self.literal(v, true)).collect();
         self.and_all(literals)
     }
@@ -462,13 +454,6 @@ impl Manager {
     pub fn restrict(&mut self, f: NodeId, var: VarId, value: bool) -> NodeId {
         let constant = self.terminal(value);
         self.compose(f, var, constant)
-    }
-
-    /// Restriction by a partial assignment, applied variable by variable.
-    pub fn restrict_all(&mut self, f: NodeId, assignment: &[(VarId, bool)]) -> NodeId {
-        assignment
-            .iter()
-            .fold(f, |acc, &(var, value)| self.restrict(acc, var, value))
     }
 
     fn compose_rec(&mut self, f: NodeId, var_level: u32, g: NodeId) -> NodeId {
@@ -716,12 +701,6 @@ impl Manager {
             op_cache_misses: self.cache_misses,
         }
     }
-
-    /// Drops the operation cache (node store and unique table are kept, so
-    /// existing [`NodeId`]s stay valid). Hit counters are preserved.
-    pub fn clear_op_cache(&mut self) {
-        self.cache.clear();
-    }
 }
 
 #[cfg(test)]
@@ -846,8 +825,6 @@ mod tests {
         // Shannon expansion: f == ite(y, f|y=1, f|y=0).
         let rebuilt = m.ite(y, f_y1, f_y0);
         assert_eq!(rebuilt, f);
-        let restricted = m.restrict_all(f, &[(0, true), (2, false)]);
-        assert_eq!(restricted, y);
     }
 
     #[test]

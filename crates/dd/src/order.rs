@@ -3,29 +3,20 @@
 //! The OBDD upper bounds of the paper (Theorems 6.5 / 6.7) rely on variable
 //! orders that follow a decomposition of the instance: facts covered by
 //! nearby bags are tested together, so the diagram's cross-sections only
-//! ever see a bounded window of the instance. This module centralizes those
-//! orders so callers (the lineage pipeline, the benches, user code) never
-//! hand-roll them:
-//!
-//! * [`bag_layout`] — the depth-first layout ΠR of \[35\]: bags laid out by a
-//!   pre-order traversal with children visited in increasing subtree size;
-//! * [`order_by_first_covering_bag`] — place arbitrary items (facts, edges,
-//!   …) at the first bag of the layout covering their vertex set;
-//! * [`vertex_order_from_decomposition`] / [`vertex_order_from_nice`] — the
-//!   induced vertex orders (for nice decompositions this is the traversal /
-//!   introduce order);
-//! * [`min_fill_vertex_order`] — the min-fill fallback when no decomposition
-//!   is supplied: build one heuristically, then lay it out the same way.
+//! ever see a bounded window of the instance. This module centralizes that
+//! order so the lineage pipeline never hand-rolls it:
+//! [`order_by_first_covering_bag`] places arbitrary items (facts, edges, …)
+//! at the first bag covering their vertex set in the depth-first layout ΠR
+//! of \[35\] (bags laid out by a pre-order traversal with children visited
+//! in increasing subtree size).
 
 use std::collections::BTreeSet;
-use treelineage_graph::{
-    treewidth, BagId, Graph, NiceNode, NiceTreeDecomposition, TreeDecomposition, Vertex,
-};
+use treelineage_graph::{BagId, TreeDecomposition, Vertex};
 
 /// Depth-first layout of the decomposition's bags rooted at bag 0, visiting
 /// children in increasing subtree size (the in-order traversal ΠR of \[35\]).
 /// Empty for a decomposition without bags.
-pub fn bag_layout(td: &TreeDecomposition) -> Vec<BagId> {
+fn bag_layout(td: &TreeDecomposition) -> Vec<BagId> {
     if td.bag_count() == 0 {
         return Vec::new();
     }
@@ -76,10 +67,11 @@ pub fn bag_layout(td: &TreeDecomposition) -> Vec<BagId> {
 }
 
 /// Orders items (each given by its set of decomposition vertices) by the
-/// first bag of [`bag_layout`] containing all of the item's vertices; items
-/// covered by no bag go last, ties are broken by item index. Returns the
-/// permutation of item indices — for the lineage pipeline the items are
-/// facts and the result is directly the OBDD variable order.
+/// first bag of the depth-first layout ΠR containing all of the item's
+/// vertices; items covered by no bag go last, ties are broken by item
+/// index. Returns the permutation of item indices — for the lineage
+/// pipeline the items are facts and the result is directly the OBDD
+/// variable order.
 pub fn order_by_first_covering_bag(
     td: &TreeDecomposition,
     items: &[BTreeSet<Vertex>],
@@ -97,63 +89,10 @@ pub fn order_by_first_covering_bag(
     keyed.into_iter().map(|(_, index)| index).collect()
 }
 
-/// The vertex order induced by [`bag_layout`]: each vertex appears at the
-/// first bag containing it, vertices within one bag in ascending order.
-pub fn vertex_order_from_decomposition(td: &TreeDecomposition) -> Vec<Vertex> {
-    let mut seen: BTreeSet<Vertex> = BTreeSet::new();
-    let mut order = Vec::new();
-    for bag in bag_layout(td) {
-        for &v in td.bag(bag) {
-            if seen.insert(v) {
-                order.push(v);
-            }
-        }
-    }
-    order
-}
-
-/// The traversal order of a *nice* decomposition: a pre-order walk from the
-/// root appending each vertex when its bag is first entered (equivalently,
-/// by outermost introduce node). This is the order the dynamic programs of
-/// Section 6 process vertices in.
-pub fn vertex_order_from_nice(nice: &NiceTreeDecomposition) -> Vec<Vertex> {
-    let mut seen: BTreeSet<Vertex> = BTreeSet::new();
-    let mut order = Vec::new();
-    let mut stack = vec![nice.root()];
-    while let Some(id) = stack.pop() {
-        for &v in nice.bag(id) {
-            if seen.insert(v) {
-                order.push(v);
-            }
-        }
-        match *nice.node(id) {
-            NiceNode::Leaf => {}
-            NiceNode::Introduce { child, .. } | NiceNode::Forget { child, .. } => {
-                stack.push(child);
-            }
-            NiceNode::Join { left, right } => {
-                stack.push(right);
-                stack.push(left);
-            }
-        }
-    }
-    order
-}
-
-/// Fallback vertex order when no decomposition is supplied: run the min-fill
-/// elimination heuristic, turn it into a tree decomposition and lay that out
-/// with [`vertex_order_from_decomposition`]. Returns the order together with
-/// the width of the heuristic decomposition.
-pub fn min_fill_vertex_order(g: &Graph) -> (Vec<Vertex>, usize) {
-    let elimination = treewidth::min_fill_order(g);
-    let td = treewidth::decomposition_from_elimination_order(g, &elimination);
-    (vertex_order_from_decomposition(&td), td.width())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use treelineage_graph::generators;
+    use treelineage_graph::{generators, treewidth};
 
     #[test]
     fn layout_visits_every_bag_once() {
@@ -165,25 +104,6 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), td.bag_count());
-    }
-
-    #[test]
-    fn vertex_orders_cover_all_vertices() {
-        for g in [
-            generators::path_graph(7),
-            generators::cycle_graph(6),
-            generators::grid_graph(3, 3),
-        ] {
-            let (_, td) = treewidth::treewidth_upper_bound(&g);
-            let order = vertex_order_from_decomposition(&td);
-            assert_eq!(order.len(), g.vertex_count());
-            let nice = NiceTreeDecomposition::from_tree_decomposition(&td);
-            let nice_order = vertex_order_from_nice(&nice);
-            assert_eq!(nice_order.len(), g.vertex_count());
-            let (fallback, width) = min_fill_vertex_order(&g);
-            assert_eq!(fallback.len(), g.vertex_count());
-            assert!(width >= 1);
-        }
     }
 
     #[test]
@@ -220,7 +140,6 @@ mod tests {
     fn empty_decomposition_yields_empty_layout() {
         let td = TreeDecomposition::new();
         assert!(bag_layout(&td).is_empty());
-        assert!(vertex_order_from_decomposition(&td).is_empty());
         let items: Vec<BTreeSet<Vertex>> = vec![BTreeSet::new()];
         assert_eq!(order_by_first_covering_bag(&td, &items), vec![0]);
     }

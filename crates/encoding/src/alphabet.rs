@@ -24,7 +24,6 @@
 //!   present/absent pair of labels is what an uncertain tree's Boolean event
 //!   switches between — one event per fact occurrence.
 
-use std::collections::BTreeMap;
 use treelineage_automata::Label;
 use treelineage_instance::{RelationId, Signature};
 
@@ -226,16 +225,6 @@ impl EncodingAlphabet {
     /// alphabet size.
     pub fn labels(&self) -> impl Iterator<Item = (Label, LabelKind)> + '_ {
         (0..self.size).map(|l| (l, self.kind(l)))
-    }
-
-    /// Lookup table from relation id to the relation's fact-label block
-    /// start; exposed for diagnostics.
-    pub fn fact_label_blocks(&self) -> BTreeMap<RelationId, usize> {
-        self.fact_base
-            .iter()
-            .enumerate()
-            .map(|(i, &b)| (RelationId(i), b))
-            .collect()
     }
 }
 

@@ -91,8 +91,6 @@ pub struct TreeEncoding {
     /// alive), the element it binds — the encoder's element table, used by
     /// [`TreeEncoding::decode`] for exact reconstruction.
     forget_elements: BTreeMap<usize, Element>,
-    /// The tree node asserting each fact.
-    fact_nodes: BTreeMap<FactId, NodeId>,
 }
 
 impl TreeEncoding {
@@ -115,11 +113,6 @@ impl TreeEncoding {
     /// a fixed width).
     pub fn node_count(&self) -> usize {
         self.tree.tree().node_count()
-    }
-
-    /// The node asserting the given fact.
-    pub fn fact_node(&self, fact: FactId) -> Option<NodeId> {
-        self.fact_nodes.get(&fact).copied()
     }
 
     /// Decodes the tree under a world (set of present facts) back into the
@@ -465,13 +458,11 @@ impl EncodingPlan {
         let mut tree = BinaryTree::new();
         let mut forget_elements: BTreeMap<usize, Element> = BTreeMap::new();
         let mut fact_events: Vec<(NodeId, FactId, usize, usize)> = Vec::new();
-        let mut fact_nodes: BTreeMap<FactId, NodeId> = BTreeMap::new();
         let mut encoded: Vec<Option<NodeId>> = vec![None; n];
         let empty = alphabet.empty();
 
         let push_fact_chain = |tree: &mut BinaryTree,
                                fact_events: &mut Vec<(NodeId, FactId, usize, usize)>,
-                               fact_nodes: &mut BTreeMap<FactId, NodeId>,
                                mut acc: NodeId,
                                facts: &[FactId],
                                sigma: &BTreeMap<Vertex, usize>| {
@@ -487,7 +478,6 @@ impl EncodingPlan {
                 let pad = tree.leaf(empty);
                 let node = tree.internal(present, acc, pad);
                 fact_events.push((node, fact_id, present, absent));
-                fact_nodes.insert(fact_id, node);
                 acc = node;
             }
             acc
@@ -518,7 +508,6 @@ impl EncodingPlan {
             encoded[id] = Some(push_fact_chain(
                 &mut tree,
                 &mut fact_events,
-                &mut fact_nodes,
                 base,
                 &facts_at[id],
                 &self.slots[id],
@@ -530,7 +519,6 @@ impl EncodingPlan {
         root = push_fact_chain(
             &mut tree,
             &mut fact_events,
-            &mut fact_nodes,
             root,
             &root_facts,
             &BTreeMap::new(),
@@ -544,14 +532,7 @@ impl EncodingPlan {
                 std::iter::once((vertex_of[&element], 0usize)).collect();
             let mut facts = facts.clone();
             facts.sort_unstable();
-            let chain = push_fact_chain(
-                &mut tree,
-                &mut fact_events,
-                &mut fact_nodes,
-                intro,
-                &facts,
-                &sigma,
-            );
+            let chain = push_fact_chain(&mut tree, &mut fact_events, intro, &facts, &sigma);
             let pad = tree.leaf(empty);
             let forget = tree.internal(alphabet.forget(0), chain, pad);
             forget_elements.insert(forget.0, element);
@@ -571,7 +552,6 @@ impl EncodingPlan {
             signature: self.signature.clone(),
             fact_count: instance.fact_count(),
             forget_elements,
-            fact_nodes,
         })
     }
 }

@@ -140,7 +140,8 @@ impl EngineConfig {
 /// instance's Gaifman graph: the \[35\]-style depth-first bag layout with
 /// every fact placed at its first covering bag (the layout itself lives in
 /// [`treelineage_dd::order`]). This is the order every match-based backend
-/// compiles under; `treelineage-core` re-exports it.
+/// compiles under; `treelineage-core`'s `LineageBuilder::variable_order`
+/// calls it.
 pub fn variable_order_from_decomposition(
     instance: &Instance,
     td: &TreeDecomposition,

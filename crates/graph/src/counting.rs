@@ -51,7 +51,7 @@ pub fn count_matchings(g: &Graph) -> BigUint {
 }
 
 /// Like [`count_matchings`] but with a caller-provided decomposition.
-pub fn count_matchings_with_decomposition(g: &Graph, td: &TreeDecomposition) -> BigUint {
+fn count_matchings_with_decomposition(g: &Graph, td: &TreeDecomposition) -> BigUint {
     let nice = NiceTreeDecomposition::from_tree_decomposition(td);
     // Assign every edge of g to a unique node of the nice decomposition whose
     // bag contains both endpoints (the lowest such node in post-order).

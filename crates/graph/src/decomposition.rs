@@ -127,40 +127,6 @@ impl TreeDecomposition {
         self.tree.iter().all(|n| n.len() <= 2)
     }
 
-    /// If this is a path decomposition, returns the bag ids in path order.
-    pub fn path_order(&self) -> Option<Vec<BagId>> {
-        if !self.is_path() || self.bags.is_empty() {
-            return if self.bags.is_empty() {
-                Some(Vec::new())
-            } else {
-                None
-            };
-        }
-        // Find an endpoint (degree <= 1) and walk.
-        let start = (0..self.bags.len())
-            .find(|&b| self.tree[b].len() <= 1)
-            .unwrap_or(0);
-        let mut order = vec![start];
-        let mut prev = usize::MAX;
-        let mut cur = start;
-        loop {
-            let next = self.tree[cur].iter().copied().find(|&n| n != prev);
-            match next {
-                Some(n) => {
-                    order.push(n);
-                    prev = cur;
-                    cur = n;
-                }
-                None => break,
-            }
-        }
-        if order.len() == self.bags.len() {
-            Some(order)
-        } else {
-            None
-        }
-    }
-
     /// Checks that this is a valid tree decomposition of `g`.
     ///
     /// Every vertex of `g` that occurs in some edge must be covered; isolated
@@ -274,61 +240,6 @@ impl TreeDecomposition {
         }
         td
     }
-
-    /// Builds the canonical width-1 tree decomposition of a tree/forest graph:
-    /// one bag per edge, chained along a DFS. Returns `None` if `g` has a
-    /// cycle.
-    pub fn of_forest(g: &Graph) -> Option<Self> {
-        if g.has_cycle() {
-            return None;
-        }
-        let mut td = TreeDecomposition::new();
-        if g.edge_count() == 0 {
-            if g.vertex_count() > 0 {
-                td.add_bag(std::iter::once(0).collect());
-            }
-            return Some(td);
-        }
-        // One bag per edge; connect bag(e) to bag(parent edge) in a rooted DFS.
-        let mut visited = vec![false; g.vertex_count()];
-        let mut last_component_bag: Option<BagId> = None;
-        for root in g.vertices() {
-            if visited[root] || g.degree(root) == 0 {
-                continue;
-            }
-            visited[root] = true;
-            // Stack of (vertex, bag that introduced it).
-            let mut stack: Vec<(Vertex, Option<BagId>)> = vec![(root, None)];
-            let mut component_first_bag: Option<BagId> = None;
-            while let Some((u, parent_bag)) = stack.pop() {
-                for v in g.neighbors(u) {
-                    if visited[v] {
-                        continue;
-                    }
-                    visited[v] = true;
-                    let bag = td.add_bag([u, v].into_iter().collect());
-                    if let Some(p) = parent_bag {
-                        td.add_tree_edge(p, bag);
-                    } else if let Some(first) = component_first_bag {
-                        td.add_tree_edge(first, bag);
-                    }
-                    if component_first_bag.is_none() {
-                        component_first_bag = Some(bag);
-                    }
-                    stack.push((v, Some(bag)));
-                }
-            }
-            // Connect components into one tree (bags share no vertices, which
-            // is fine: the connectivity condition is per-vertex).
-            if let (Some(prev), Some(cur)) = (last_component_bag, component_first_bag) {
-                td.add_tree_edge(prev, cur);
-            }
-            if component_first_bag.is_some() {
-                last_component_bag = component_first_bag;
-            }
-        }
-        Some(td)
-    }
 }
 
 impl Default for TreeDecomposition {
@@ -349,36 +260,6 @@ mod tests {
         assert_eq!(td.width(), 4);
         assert!(td.validate(&g).is_ok());
         assert!(td.is_path());
-    }
-
-    #[test]
-    fn path_graph_width_one() {
-        let g = generators::path_graph(6);
-        let td = TreeDecomposition::of_forest(&g).unwrap();
-        assert_eq!(td.width(), 1);
-        assert!(td.validate(&g).is_ok());
-    }
-
-    #[test]
-    fn forest_decomposition_of_tree() {
-        let g = generators::star_graph(5);
-        let td = TreeDecomposition::of_forest(&g).unwrap();
-        assert_eq!(td.width(), 1);
-        assert!(td.validate(&g).is_ok());
-    }
-
-    #[test]
-    fn forest_decomposition_rejects_cycles() {
-        let g = generators::cycle_graph(4);
-        assert!(TreeDecomposition::of_forest(&g).is_none());
-    }
-
-    #[test]
-    fn forest_decomposition_of_disconnected_forest() {
-        let g = generators::path_graph(3).disjoint_union(&generators::path_graph(4));
-        let td = TreeDecomposition::of_forest(&g).unwrap();
-        assert_eq!(td.width(), 1);
-        assert!(td.validate(&g).is_ok());
     }
 
     #[test]
@@ -422,20 +303,6 @@ mod tests {
         td.add_tree_edge(b, c);
         td.add_tree_edge(c, a);
         assert_eq!(td.validate(&g), Err(DecompositionError::NotATree));
-    }
-
-    #[test]
-    fn path_order_of_path_decomposition() {
-        let bags: Vec<BTreeSet<Vertex>> = vec![
-            [0, 1].into_iter().collect(),
-            [1, 2].into_iter().collect(),
-            [2, 3].into_iter().collect(),
-        ];
-        let td = TreeDecomposition::path_from_bags(bags);
-        assert!(td.is_path());
-        let order = td.path_order().unwrap();
-        assert_eq!(order.len(), 3);
-        assert!(order == vec![0, 1, 2] || order == vec![2, 1, 0]);
     }
 
     #[test]

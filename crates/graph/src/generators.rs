@@ -2,13 +2,12 @@
 //!
 //! The experiments need bounded-treewidth families (paths, trees, k-trees and
 //! their partial subgraphs), unbounded-treewidth families (grids, cliques,
-//! complete bipartite graphs), planar {1,3}-regular and 3-regular graphs
-//! (Sections 4 and 5 reduce from hard problems on those), and subdivisions
-//! (the hard queries must be invariant under subdivision).
+//! complete bipartite graphs), planar 3-regular graphs (Sections 4 and 5
+//! reduce from hard problems on those), and subdivisions (the hard queries
+//! must be invariant under subdivision).
 
 use crate::graph::{Graph, Vertex};
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 /// Path graph `P_n` on `n` vertices (`n - 1` edges). Treewidth 1 for `n >= 2`.
@@ -163,7 +162,7 @@ pub fn random_partial_k_tree(n: usize, k: usize, keep_probability: f64, seed: u6
 /// The ladder graph `L_n`: two paths of length `n` joined by rungs. Planar,
 /// 2-/3-regular internally, treewidth 2. Vertex `2i` is on the top rail,
 /// `2i + 1` on the bottom rail.
-pub fn ladder_graph(n: usize) -> Graph {
+fn ladder_graph(n: usize) -> Graph {
     assert!(n >= 1);
     let mut g = Graph::new(2 * n);
     for i in 0..n {
@@ -196,24 +195,6 @@ pub fn moebius_ladder_graph(n: usize) -> Graph {
     let mut g = ladder_graph(n);
     g.add_edge(2 * (n - 1), 1);
     g.add_edge(2 * (n - 1) + 1, 0);
-    g
-}
-
-/// A planar {1,3}-regular graph (every vertex has degree 1 or 3), as used by
-/// Lemma 5.3: a circular ladder with a pendant edge attached to a subdivision
-/// of one rung, keeping planarity. `n` is the number of rungs of the base
-/// prism.
-pub fn planar_one_three_regular(n: usize) -> Graph {
-    // Subdivide one rung of the prism with a degree-2 vertex, then attach a
-    // pendant to it: the subdivision vertex becomes degree 3 and the pendant
-    // has degree 1; all other vertices keep degree 3.
-    let mut g = circular_ladder_graph(n);
-    let mid = g.add_vertex();
-    let pendant = g.add_vertex();
-    g.remove_edge(0, 1);
-    g.add_edge(0, mid);
-    g.add_edge(mid, 1);
-    g.add_edge(mid, pendant);
     g
 }
 
@@ -254,56 +235,6 @@ pub fn random_graph(n: usize, p: f64, seed: u64) -> Graph {
     g
 }
 
-/// A random 3-regular (cubic) graph on an even number of vertices via the
-/// pairing model with rejection (retries until simple). Not necessarily
-/// planar; used to stress the matching-counting reduction beyond the planar
-/// families.
-pub fn random_cubic_graph(n: usize, seed: u64) -> Graph {
-    assert!(
-        n >= 4 && n.is_multiple_of(2),
-        "cubic graphs need an even n >= 4"
-    );
-    let mut rng = StdRng::seed_from_u64(seed);
-    loop {
-        let mut points: Vec<usize> = (0..3 * n).collect();
-        points.shuffle(&mut rng);
-        let mut g = Graph::new(n);
-        let mut ok = true;
-        for pair in points.chunks(2) {
-            let (a, b) = (pair[0] / 3, pair[1] / 3);
-            if a == b || g.has_edge(a, b) {
-                ok = false;
-                break;
-            }
-            g.add_edge(a, b);
-        }
-        if ok && g.is_k_regular(3) {
-            return g;
-        }
-    }
-}
-
-/// The "skewed grid" family used in the proof of Lemma 8.2: an `n x n` grid
-/// where each horizontal edge is subdivided once. We expose it for the OBDD
-/// width experiments.
-pub fn skewed_grid(n: usize) -> Graph {
-    let (base, coords) = grid_graph_with_coords(n, n);
-    let mut g = Graph::new(base.vertex_count());
-    for e in base.edges() {
-        let (r1, c1) = coords[e.u];
-        let (r2, c2) = coords[e.v];
-        if r1 == r2 && c1.abs_diff(c2) == 1 {
-            // Horizontal edge: subdivide.
-            let mid = g.add_vertex();
-            g.add_edge(e.u, mid);
-            g.add_edge(mid, e.v);
-        } else {
-            g.add_edge(e.u, e.v);
-        }
-    }
-    g
-}
-
 /// A caterpillar tree: a path of `spine` vertices, each with `legs` pendant
 /// leaves. Pathwidth 1; used for the bounded-pathwidth experiments.
 pub fn caterpillar(spine: usize, legs: usize) -> Graph {
@@ -312,24 +243,6 @@ pub fn caterpillar(spine: usize, legs: usize) -> Graph {
         for _ in 0..legs {
             let leaf = g.add_vertex();
             g.add_edge(s, leaf);
-        }
-    }
-    g
-}
-
-/// A random graph generated to have moderate treewidth but high connectivity:
-/// the union of `layers` random perfect matchings on `n` vertices plus a
-/// Hamiltonian cycle. Used as a treewidth-constructible unbounded family.
-pub fn expander_like(n: usize, layers: usize, seed: u64) -> Graph {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut g = cycle_graph(n.max(3));
-    for _ in 0..layers {
-        let mut perm: Vec<usize> = (0..g.vertex_count()).collect();
-        perm.shuffle(&mut rng);
-        for pair in perm.chunks(2) {
-            if pair.len() == 2 && pair[0] != pair[1] && !g.has_edge(pair[0], pair[1]) {
-                g.add_edge(pair[0], pair[1]);
-            }
         }
     }
     g
@@ -438,15 +351,6 @@ mod tests {
     }
 
     #[test]
-    fn one_three_regular_is_one_three_regular() {
-        let g = planar_one_three_regular(4);
-        assert!(g.is_set_regular(&[1, 3]));
-        // Exactly one degree-1 vertex (the pendant).
-        let pendants = g.vertices().filter(|&v| g.degree(v) == 1).count();
-        assert_eq!(pendants, 1);
-    }
-
-    #[test]
     fn subdivision_preserves_structure() {
         let g = cycle_graph(4);
         let s = subdivide(&g, 2);
@@ -459,25 +363,10 @@ mod tests {
     }
 
     #[test]
-    fn cubic_random_graph_is_cubic() {
-        let g = random_cubic_graph(10, 42);
-        assert!(g.is_k_regular(3));
-        assert_eq!(g.vertex_count(), 10);
-    }
-
-    #[test]
     fn random_graph_seeded_is_deterministic() {
         let a = random_graph(15, 0.3, 9);
         let b = random_graph(15, 0.3, 9);
         assert_eq!(a.edges(), b.edges());
-    }
-
-    #[test]
-    fn skewed_grid_subdivides_horizontals() {
-        let g = skewed_grid(3);
-        // 3x3 grid: 9 original vertices, 6 horizontal edges subdivided.
-        assert_eq!(g.vertex_count(), 9 + 6);
-        assert_eq!(g.edge_count(), 6 * 2 + 6); // subdivided horizontals + verticals
     }
 
     #[test]
@@ -486,12 +375,5 @@ mod tests {
         assert_eq!(g.vertex_count(), 4 + 8);
         assert!(g.is_tree());
         assert_eq!(g.degree(0), 3); // one path neighbor + two legs
-    }
-
-    #[test]
-    fn expander_like_connected() {
-        let g = expander_like(20, 3, 5);
-        assert!(g.is_connected());
-        assert!(g.edge_count() >= 20);
     }
 }

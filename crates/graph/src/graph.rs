@@ -42,11 +42,6 @@ impl Edge {
             panic!("vertex {x} is not an endpoint of {self:?}");
         }
     }
-
-    /// Returns `true` if the two edges share an endpoint.
-    pub fn is_incident_to(&self, other: &Edge) -> bool {
-        self.u == other.u || self.u == other.v || self.v == other.u || self.v == other.v
-    }
 }
 
 /// An undirected simple graph on vertices `0..n`.
@@ -109,16 +104,6 @@ impl Graph {
         inserted
     }
 
-    /// Removes an edge; returns `true` if it was present.
-    pub fn remove_edge(&mut self, a: Vertex, b: Vertex) -> bool {
-        let removed = self.adjacency[a].remove(&b);
-        self.adjacency[b].remove(&a);
-        if removed {
-            self.edge_count -= 1;
-        }
-        removed
-    }
-
     /// Returns `true` if `a` and `b` are adjacent.
     pub fn has_edge(&self, a: Vertex, b: Vertex) -> bool {
         self.adjacency.get(a).is_some_and(|s| s.contains(&b))
@@ -150,12 +135,6 @@ impl Graph {
         self.adjacency.iter().all(|s| s.len() == k)
     }
 
-    /// Returns `true` if every vertex has degree in `degrees`
-    /// (the paper's "K-regular" for a finite set K).
-    pub fn is_set_regular(&self, degrees: &[usize]) -> bool {
-        self.adjacency.iter().all(|s| degrees.contains(&s.len()))
-    }
-
     /// All edges, each reported once with `u < v`, in lexicographic order.
     pub fn edges(&self) -> Vec<Edge> {
         let mut out = Vec::with_capacity(self.edge_count);
@@ -169,14 +148,8 @@ impl Graph {
         out
     }
 
-    /// Vertices with degree at least one (the active domain in the paper's
-    /// graph-as-instance encoding, which disallows isolated vertices).
-    pub fn non_isolated_vertices(&self) -> Vec<Vertex> {
-        self.vertices().filter(|&v| self.degree(v) > 0).collect()
-    }
-
     /// Breadth-first search from `start`; returns the set of reachable vertices.
-    pub fn reachable_from(&self, start: Vertex) -> BTreeSet<Vertex> {
+    fn reachable_from(&self, start: Vertex) -> BTreeSet<Vertex> {
         let mut seen = BTreeSet::new();
         let mut queue = VecDeque::new();
         seen.insert(start);
@@ -193,7 +166,7 @@ impl Graph {
 
     /// Connected components, as sorted vertex lists; isolated vertices form
     /// singleton components.
-    pub fn connected_components(&self) -> Vec<Vec<Vertex>> {
+    fn connected_components(&self) -> Vec<Vec<Vertex>> {
         let mut seen = vec![false; self.vertex_count()];
         let mut components = Vec::new();
         for v in self.vertices() {
@@ -228,60 +201,6 @@ impl Graph {
         self.is_connected() && !self.has_cycle()
     }
 
-    /// Length (in edges) of a shortest path between `a` and `b`, or `None` if
-    /// they are disconnected.
-    pub fn distance(&self, a: Vertex, b: Vertex) -> Option<usize> {
-        if a == b {
-            return Some(0);
-        }
-        let mut dist = vec![usize::MAX; self.vertex_count()];
-        dist[a] = 0;
-        let mut queue = VecDeque::new();
-        queue.push_back(a);
-        while let Some(u) = queue.pop_front() {
-            for &v in &self.adjacency[u] {
-                if dist[v] == usize::MAX {
-                    dist[v] = dist[u] + 1;
-                    if v == b {
-                        return Some(dist[v]);
-                    }
-                    queue.push_back(v);
-                }
-            }
-        }
-        None
-    }
-
-    /// The subgraph induced by `keep`, with vertices renumbered `0..keep.len()`
-    /// in the order given. Returns the subgraph and the mapping from new to
-    /// old vertex indices.
-    pub fn induced_subgraph(&self, keep: &[Vertex]) -> (Graph, Vec<Vertex>) {
-        let mut new_index = vec![usize::MAX; self.vertex_count()];
-        for (i, &v) in keep.iter().enumerate() {
-            new_index[v] = i;
-        }
-        let mut sub = Graph::new(keep.len());
-        for (i, &v) in keep.iter().enumerate() {
-            for &w in &self.adjacency[v] {
-                if new_index[w] != usize::MAX && new_index[w] > i {
-                    sub.add_edge(i, new_index[w]);
-                }
-            }
-        }
-        (sub, keep.to_vec())
-    }
-
-    /// The subgraph keeping all vertices but only the given edges
-    /// (a "subinstance" of the graph seen as an instance).
-    pub fn edge_subgraph(&self, edges: &[Edge]) -> Graph {
-        let mut sub = Graph::new(self.vertex_count());
-        for e in edges {
-            assert!(self.has_edge(e.u, e.v), "edge not in graph");
-            sub.add_edge(e.u, e.v);
-        }
-        sub
-    }
-
     /// Disjoint union of two graphs: vertices of `other` are shifted by
     /// `self.vertex_count()`.
     pub fn disjoint_union(&self, other: &Graph) -> Graph {
@@ -307,25 +226,6 @@ impl Graph {
         }
         true
     }
-
-    /// A simple greedy proper coloring; returns the color of each vertex.
-    /// Used by tests as a quick sanity device, not an optimal coloring.
-    pub fn greedy_coloring(&self) -> Vec<usize> {
-        let mut colors = vec![usize::MAX; self.vertex_count()];
-        for v in self.vertices() {
-            let used: BTreeSet<usize> = self.adjacency[v]
-                .iter()
-                .filter(|&&u| colors[u] != usize::MAX)
-                .map(|&u| colors[u])
-                .collect();
-            let mut c = 0;
-            while used.contains(&c) {
-                c += 1;
-            }
-            colors[v] = c;
-        }
-        colors
-    }
 }
 
 #[cfg(test)]
@@ -346,8 +246,6 @@ mod tests {
         assert_eq!((e.u, e.v), (2, 5));
         assert_eq!(e.other(2), 5);
         assert_eq!(e.other(5), 2);
-        assert!(e.is_incident_to(&Edge::new(5, 9)));
-        assert!(!e.is_incident_to(&Edge::new(3, 9)));
     }
 
     #[test]
@@ -366,8 +264,6 @@ mod tests {
         assert_eq!(g.degree(1), 2);
         assert_eq!(g.max_degree(), 2);
         assert!(g.is_k_regular(2));
-        assert!(g.is_set_regular(&[2, 3]));
-        assert!(!g.is_set_regular(&[3]));
     }
 
     #[test]
@@ -376,15 +272,6 @@ mod tests {
         assert!(g.add_edge(0, 1));
         assert!(!g.add_edge(1, 0));
         assert_eq!(g.edge_count(), 1);
-    }
-
-    #[test]
-    fn remove_edge_works() {
-        let mut g = triangle();
-        assert!(g.remove_edge(0, 1));
-        assert!(!g.remove_edge(0, 1));
-        assert_eq!(g.edge_count(), 2);
-        assert!(!g.has_edge(0, 1));
     }
 
     #[test]
@@ -398,8 +285,6 @@ mod tests {
         assert_eq!(comps.len(), 2);
         assert_eq!(comps[0], vec![0, 1, 2]);
         assert_eq!(comps[1], vec![3, 4]);
-        assert_eq!(g.distance(0, 2), Some(2));
-        assert_eq!(g.distance(0, 4), None);
     }
 
     #[test]
@@ -412,25 +297,6 @@ mod tests {
         assert!(path.is_tree());
         assert!(triangle().has_cycle());
         assert!(!triangle().is_tree());
-    }
-
-    #[test]
-    fn induced_subgraph_renumbers() {
-        let g = triangle();
-        let (sub, map) = g.induced_subgraph(&[2, 0]);
-        assert_eq!(sub.vertex_count(), 2);
-        assert_eq!(sub.edge_count(), 1);
-        assert!(sub.has_edge(0, 1));
-        assert_eq!(map, vec![2, 0]);
-    }
-
-    #[test]
-    fn edge_subgraph_keeps_vertices() {
-        let g = triangle();
-        let sub = g.edge_subgraph(&[Edge::new(0, 1)]);
-        assert_eq!(sub.vertex_count(), 3);
-        assert_eq!(sub.edge_count(), 1);
-        assert_eq!(sub.non_isolated_vertices(), vec![0, 1]);
     }
 
     #[test]
@@ -451,14 +317,5 @@ mod tests {
         assert!(g.is_matching(&[]));
         assert!(g.is_matching(&[Edge::new(0, 1), Edge::new(2, 3)]));
         assert!(!g.is_matching(&[Edge::new(0, 1), Edge::new(1, 2)]));
-    }
-
-    #[test]
-    fn greedy_coloring_is_proper() {
-        let g = triangle();
-        let colors = g.greedy_coloring();
-        for e in g.edges() {
-            assert_ne!(colors[e.u], colors[e.v]);
-        }
     }
 }

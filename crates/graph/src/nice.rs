@@ -166,19 +166,6 @@ impl NiceTreeDecomposition {
         Ok(())
     }
 
-    /// For every vertex, the (unique) topmost forget node for that vertex —
-    /// i.e. the node where DP results about the vertex become final. Vertices
-    /// never appearing in a bag are absent from the result.
-    pub fn forget_node_of(&self) -> std::collections::BTreeMap<Vertex, NiceNodeId> {
-        let mut out = std::collections::BTreeMap::new();
-        for (id, node) in self.nodes.iter().enumerate() {
-            if let NiceNode::Forget { vertex, .. } = node {
-                out.insert(*vertex, id);
-            }
-        }
-        out
-    }
-
     /// Converts an arbitrary (connected, non-empty) tree decomposition into a
     /// nice one of the same width. Isolated graph vertices absent from all
     /// bags stay absent.
@@ -202,71 +189,6 @@ impl NiceTreeDecomposition {
             bags: builder.bags,
             root,
         }
-    }
-
-    /// Builds a nice path decomposition directly from an ordered list of bags
-    /// (a path decomposition), keeping the "path" structure: no join nodes
-    /// are created, so DP over it is a left-to-right scan (this matters for
-    /// the constant-width OBDD results on bounded-pathwidth instances,
-    /// Theorem 6.7).
-    pub fn from_path_bags(bags: &[BTreeSet<Vertex>]) -> Self {
-        let mut builder = Builder::default();
-        let mut current = builder.push(NiceNode::Leaf, BTreeSet::new());
-        let mut current_bag: BTreeSet<Vertex> = BTreeSet::new();
-        for (i, bag) in bags.iter().enumerate() {
-            // Forget vertices that are in current_bag but not needed anymore
-            // (not in this bag).
-            let to_forget: Vec<Vertex> = current_bag.difference(bag).copied().collect();
-            for v in to_forget {
-                current_bag.remove(&v);
-                current = builder.push_with_bag(
-                    NiceNode::Forget {
-                        vertex: v,
-                        child: current,
-                    },
-                    current_bag.clone(),
-                );
-            }
-            // Introduce the new vertices of this bag.
-            let to_introduce: Vec<Vertex> = bag.difference(&current_bag).copied().collect();
-            for v in to_introduce {
-                current_bag.insert(v);
-                current = builder.push_with_bag(
-                    NiceNode::Introduce {
-                        vertex: v,
-                        child: current,
-                    },
-                    current_bag.clone(),
-                );
-            }
-            let _ = i;
-        }
-        // Forget the remaining vertices.
-        let remaining: Vec<Vertex> = current_bag.iter().copied().collect();
-        for v in remaining {
-            current_bag.remove(&v);
-            current = builder.push_with_bag(
-                NiceNode::Forget {
-                    vertex: v,
-                    child: current,
-                },
-                current_bag.clone(),
-            );
-        }
-        NiceTreeDecomposition {
-            nodes: builder.nodes,
-            bags: builder.bags,
-            root: current,
-        }
-    }
-
-    /// Returns `true` if no node is a join node (the decomposition is a
-    /// "nice path decomposition").
-    pub fn is_path_shaped(&self) -> bool {
-        !self
-            .nodes
-            .iter()
-            .any(|n| matches!(n, NiceNode::Join { .. }))
     }
 }
 
@@ -439,28 +361,6 @@ mod tests {
                     assert!(position[*right] < position[id]);
                 }
             }
-        }
-    }
-
-    #[test]
-    fn from_path_bags_has_no_joins() {
-        let g = generators::path_graph(10);
-        let (_, pd) = treewidth::pathwidth_upper_bound(&g);
-        let order = pd.path_order().unwrap();
-        let bags: Vec<_> = order.iter().map(|&b| pd.bag(b).clone()).collect();
-        let nice = NiceTreeDecomposition::from_path_bags(&bags);
-        assert!(nice.is_path_shaped());
-        assert!(nice.validate(&g).is_ok());
-        assert_eq!(nice.width(), 1);
-    }
-
-    #[test]
-    fn forget_nodes_cover_all_vertices() {
-        let g = generators::cycle_graph(6);
-        let nice = nice_of(&g);
-        let forget = nice.forget_node_of();
-        for v in g.vertices() {
-            assert!(forget.contains_key(&v), "vertex {v} never forgotten");
         }
     }
 }

@@ -210,7 +210,8 @@ fn components_in_mask(g: &Graph, mask: u32) -> Vec<u32> {
 /// for an upper bound — the experiments that need an exact value use
 /// [`treedepth_exact`] or a forest given by construction, e.g. the unfolding
 /// of Theorem 9.7 carries its own elimination forest).
-pub fn treedepth_upper_bound(g: &Graph) -> (usize, EliminationForest) {
+#[cfg(test)]
+fn treedepth_upper_bound(g: &Graph) -> (usize, EliminationForest) {
     let n = g.vertex_count();
     let mut parent: Vec<Option<Vertex>> = vec![None; n];
     let all: Vec<Vertex> = (0..n).collect();
@@ -219,6 +220,7 @@ pub fn treedepth_upper_bound(g: &Graph) -> (usize, EliminationForest) {
     (forest.height(), forest)
 }
 
+#[cfg(test)]
 fn build_forest(
     g: &Graph,
     vertices: &[Vertex],

@@ -22,12 +22,12 @@
 
 use crate::decomposition::TreeDecomposition;
 use crate::graph::{Graph, Vertex};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// Builds a tree decomposition from an elimination ordering using the
 /// standard fill-in procedure. The resulting decomposition is always valid;
 /// its width is the maximum elimination degree encountered.
-pub fn decomposition_from_elimination_order(g: &Graph, order: &[Vertex]) -> TreeDecomposition {
+fn decomposition_from_elimination_order(g: &Graph, order: &[Vertex]) -> TreeDecomposition {
     assert_eq!(
         order.len(),
         g.vertex_count(),
@@ -89,7 +89,7 @@ pub fn decomposition_from_elimination_order(g: &Graph, order: &[Vertex]) -> Tree
 
 /// The min-degree heuristic: repeatedly eliminate a vertex of minimum degree
 /// in the current fill graph. Returns the elimination ordering.
-pub fn min_degree_order(g: &Graph) -> Vec<Vertex> {
+fn min_degree_order(g: &Graph) -> Vec<Vertex> {
     elimination_heuristic(g, |adj, remaining| {
         remaining
             .iter()
@@ -101,7 +101,7 @@ pub fn min_degree_order(g: &Graph) -> Vec<Vertex> {
 
 /// The min-fill heuristic: repeatedly eliminate the vertex whose elimination
 /// adds the fewest fill edges. Returns the elimination ordering.
-pub fn min_fill_order(g: &Graph) -> Vec<Vertex> {
+fn min_fill_order(g: &Graph) -> Vec<Vertex> {
     elimination_heuristic(g, |adj, remaining| {
         remaining
             .iter()
@@ -202,60 +202,51 @@ pub fn treewidth_exact(g: &Graph) -> usize {
     }
     // q(v, S) = number of vertices outside S ∪ {v} adjacent to v or reachable
     // from v through S: the elimination degree of v when S was eliminated
-    // before it.
-    let q = |v: usize, s: u32| -> usize {
-        let mut seen: u32 = 1 << v;
-        let mut stack = vec![v];
-        let mut count = 0usize;
-        let mut counted: u32 = 0;
-        while let Some(u) = stack.pop() {
-            for w in g.neighbors(u) {
-                let bit = 1u32 << w;
-                if seen & bit != 0 {
-                    continue;
-                }
-                seen |= bit;
-                if s & bit != 0 {
-                    stack.push(w);
-                } else if counted & bit == 0 {
-                    counted |= bit;
-                    count += 1;
-                }
+    // before it. Flood v's component through S, then count its neighbourhood
+    // outside S ∪ {v}.
+    let adjacency: Vec<u32> = (0..n)
+        .map(|v| g.neighbors(v).fold(0, |mask, u| mask | 1u32 << u))
+        .collect();
+    let q = |v: usize, s: u32| -> u8 {
+        let mut component: u32 = 1 << v;
+        let mut reach = adjacency[v];
+        loop {
+            let mut grow = reach & s & !component;
+            if grow == 0 {
+                break;
+            }
+            component |= grow;
+            while grow != 0 {
+                reach |= adjacency[grow.trailing_zeros() as usize];
+                grow &= grow - 1;
             }
         }
-        count
+        (reach & !s & !(1u32 << v)).count_ones() as u8
     };
     // dp[S] = minimum over elimination orderings of S (eliminated first) of
-    // the maximum elimination degree.
-    let full: u32 = if n == 32 { u32::MAX } else { (1u32 << n) - 1 };
-    let mut dp: HashMap<u32, usize> = HashMap::with_capacity(1 << n.min(22));
-    dp.insert(0, 0);
-    // Process subsets in increasing popcount order.
-    let mut subsets: Vec<u32> = (0..=full).collect();
-    subsets.sort_by_key(|s| s.count_ones());
-    for s in subsets {
-        if s == 0 {
-            continue;
-        }
-        let mut best = usize::MAX;
+    // the maximum elimination degree. Removing a vertex from S gives a
+    // smaller number, so numeric order visits every subset after all of its
+    // predecessors.
+    let full: u32 = (1u32 << n) - 1;
+    let mut dp: Vec<u8> = vec![0; full as usize + 1];
+    for s in 1..=full {
+        let mut best = u8::MAX;
         let mut bits = s;
         while bits != 0 {
             let v = bits.trailing_zeros() as usize;
             bits &= bits - 1;
             let prev = s & !(1u32 << v);
-            let sub = dp[&prev];
-            let cost = sub.max(q(v, prev));
-            best = best.min(cost);
+            best = best.min(dp[prev as usize].max(q(v, prev)));
         }
-        dp.insert(s, best);
+        dp[s as usize] = best;
     }
-    dp[&full]
+    dp[full as usize] as usize
 }
 
 /// Builds a path decomposition from a linear vertex layout: bag `i` contains
 /// `order[i]` together with every earlier vertex that still has a neighbor at
 /// or after position `i`. Its width is the vertex separation of the layout.
-pub fn path_decomposition_from_layout(g: &Graph, order: &[Vertex]) -> TreeDecomposition {
+fn path_decomposition_from_layout(g: &Graph, order: &[Vertex]) -> TreeDecomposition {
     assert_eq!(order.len(), g.vertex_count());
     let n = g.vertex_count();
     let mut position = vec![usize::MAX; n];
@@ -336,12 +327,10 @@ pub fn pathwidth_exact(g: &Graph) -> usize {
     };
     // dp[S] = minimal over layouts placing S first of the maximum boundary
     // size over all prefixes; forward DP extending prefixes one vertex at a
-    // time (in increasing popcount order so predecessors are final).
+    // time. `S | v > S`, so numeric order finalizes every predecessor first.
     let mut dp: Vec<usize> = vec![usize::MAX; (full as usize) + 1];
     dp[0] = 0;
-    let mut order: Vec<u32> = (0..=full).collect();
-    order.sort_by_key(|s| s.count_ones());
-    for s in order {
+    for s in 0..=full {
         if dp[s as usize] == usize::MAX {
             continue;
         }

@@ -14,9 +14,8 @@
 //!   q_p under the all-1/2 valuation;
 //! * [`obdd_width_of_qp_on_grid`] and friends — the OBDD width measurements
 //!   behind the Section 8 dichotomy experiments;
-//! * the treewidth-0 / treewidth-1 lineage families of Section 7 (threshold
-//!   and parity), re-exported from the instance encodings and the circuit
-//!   crate's explicit constructions.
+//! * [`threshold_family`] — the treewidth-0 lineage family of Section 7,
+//!   whose lineage is the threshold-2 function.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,7 +23,7 @@
 use treelineage::LineageBuilder;
 use treelineage_dd::{Manager, NodeId};
 use treelineage_graph::{counting, Graph};
-use treelineage_instance::{encodings, Instance, ProbabilityValuation, RelationId, Signature};
+use treelineage_instance::{encodings, Instance, ProbabilityValuation, Signature};
 use treelineage_num::{BigUint, Rational};
 use treelineage_query::{parse_query, UnionOfConjunctiveQueries};
 
@@ -140,7 +139,7 @@ pub fn qp_grid_family(n: usize) -> (UnionOfConjunctiveQueries, Instance) {
 
 /// The query/instance pair of the chain experiments: q_p on a chain of
 /// S-facts (treewidth 1).
-pub fn qp_chain_family(length: usize) -> (UnionOfConjunctiveQueries, Instance) {
+fn qp_chain_family(length: usize) -> (UnionOfConjunctiveQueries, Instance) {
     let signature = Signature::builder().relation("S", 2).build();
     let s = signature.relation_by_name("S").unwrap();
     let instance = encodings::chain_instance(&signature, &[s], length);
@@ -182,7 +181,7 @@ pub fn obdd_width_of_unsafe_query_on_s_grid(n: usize) -> (usize, usize) {
 
 /// The query/instance pair of Proposition 8.9's experiment: a
 /// homomorphism-closed UCQ on the complete bipartite directed family.
-pub fn ucq_bipartite_family(n: usize) -> (UnionOfConjunctiveQueries, Instance) {
+fn ucq_bipartite_family(n: usize) -> (UnionOfConjunctiveQueries, Instance) {
     let signature = Signature::builder().relation("S", 2).build();
     let s = signature.relation_by_name("S").unwrap();
     let instance = encodings::complete_bipartite_instance(&signature, s, n);
@@ -232,21 +231,6 @@ pub fn threshold_family(n: usize) -> (UnionOfConjunctiveQueries, Instance) {
     let instance = encodings::unary_family_instance(&signature, r, n);
     let query = parse_query(&signature, "R(x), R(y), x != y").unwrap();
     (query, instance)
-}
-
-/// The treewidth-1 family of Proposition 7.3: the labelled path instance on
-/// which the MSO parity query's lineage (over the label facts) is the parity
-/// function. Returns the instance together with the relation ids of the
-/// label and edge relations.
-pub fn parity_family(n: usize) -> (Instance, RelationId, RelationId) {
-    let signature = Signature::builder()
-        .relation("L", 1)
-        .relation("E", 2)
-        .build();
-    let l = signature.relation_by_name("L").unwrap();
-    let e = signature.relation_by_name("E").unwrap();
-    let instance = encodings::labelled_path_instance(&signature, l, e, n);
-    (instance, l, e)
 }
 
 #[cfg(test)]
@@ -365,12 +349,5 @@ mod tests {
         // assignments.
         assert_eq!(manager.count_models(root).to_u64(), Some(32 - 6));
         assert!(manager.width(root) <= 3);
-    }
-
-    #[test]
-    fn parity_family_has_bounded_treewidth() {
-        let (instance, _, _) = parity_family(8);
-        let (w, _, _) = instance.treewidth_upper_bound();
-        assert_eq!(w, 1);
     }
 }

@@ -31,22 +31,6 @@ pub fn graph_instance(graph: &Graph, signature: &Signature, relation: RelationId
     inst
 }
 
-/// Encodes a graph with the paper's symmetric convention: both `E(u, v)` and
-/// `E(v, u)` are present for every edge.
-pub fn symmetric_graph_instance(
-    graph: &Graph,
-    signature: &Signature,
-    relation: RelationId,
-) -> Instance {
-    assert_eq!(signature.arity(relation), 2);
-    let mut inst = Instance::new(signature.clone());
-    for e in graph.edges() {
-        inst.add_fact(relation, vec![Element(e.u as u64), Element(e.v as u64)]);
-        inst.add_fact(relation, vec![Element(e.v as u64), Element(e.u as u64)]);
-    }
-    inst
-}
-
 /// One step of a line instance (Definition 8.4): which binary relation labels
 /// the edge between consecutive elements, and in which direction.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -60,7 +44,7 @@ pub struct LineStep {
 /// Builds the line instance with elements `a_1, ..., a_{n+1}` (`n` = number of
 /// steps) and one binary fact per step as described by `steps`
 /// (Definition 8.4).
-pub fn line_instance(signature: &Signature, steps: &[LineStep]) -> Instance {
+fn line_instance(signature: &Signature, steps: &[LineStep]) -> Instance {
     let mut inst = Instance::new(signature.clone());
     for (i, step) in steps.iter().enumerate() {
         assert_eq!(
@@ -268,21 +252,6 @@ pub fn random_treelike_instance(signature: &Signature, n: usize, k: usize, seed:
     inst
 }
 
-/// A random instance over an arbitrary (non-treelike) Erdős–Rényi graph,
-/// used for the "any instance" rows of Table 2.
-pub fn random_dense_instance(signature: &Signature, n: usize, p: f64, seed: u64) -> Instance {
-    let graph = generators::random_graph(n, p, seed);
-    let binary = signature.binary_relations();
-    assert!(!binary.is_empty());
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xDEADBEEF);
-    let mut inst = Instance::new(signature.clone());
-    for e in graph.edges() {
-        let rel = binary[rng.gen_range(0..binary.len())];
-        inst.add_fact(rel, vec![Element(e.u as u64), Element(e.v as u64)]);
-    }
-    inst
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -301,8 +270,6 @@ mod tests {
         let e = sig.relation_by_name("E").unwrap();
         let inst = graph_instance(&g, &sig, e);
         assert_eq!(inst.fact_count(), 5);
-        let sym = symmetric_graph_instance(&g, &sig, e);
-        assert_eq!(sym.fact_count(), 10);
     }
 
     #[test]
@@ -419,13 +386,5 @@ mod tests {
             assert!(td.validate(&g).is_ok());
             assert!(w <= 3, "width {w} too large for a partial 2-tree");
         }
-    }
-
-    #[test]
-    fn random_dense_instance_is_deterministic() {
-        let sig = two_binary_signature();
-        let a = random_dense_instance(&sig, 10, 0.5, 3);
-        let b = random_dense_instance(&sig, 10, 0.5, 3);
-        assert_eq!(a.fact_count(), b.fact_count());
     }
 }

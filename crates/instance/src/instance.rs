@@ -11,8 +11,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use treelineage_graph::{Graph, TreeDecomposition, Vertex};
 
-/// A domain element. Elements are plain integers; instances may attach
-/// display names to them.
+/// A domain element. Elements are plain integers, displayed as `e<id>`.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct Element(pub u64);
 
@@ -61,7 +60,6 @@ pub struct Instance {
     signature: Signature,
     facts: Vec<Fact>,
     index: HashMap<Fact, FactId>,
-    element_names: BTreeMap<Element, String>,
 }
 
 impl Instance {
@@ -71,7 +69,6 @@ impl Instance {
             signature,
             facts: Vec::new(),
             index: HashMap::new(),
-            element_names: BTreeMap::new(),
         }
     }
 
@@ -132,19 +129,6 @@ impl Instance {
         self.add_fact(rel, arguments.iter().map(|&a| Element(a)).collect())
     }
 
-    /// Names an element for display purposes.
-    pub fn name_element(&mut self, element: Element, name: &str) {
-        self.element_names.insert(element, name.to_string());
-    }
-
-    /// The display name of an element (falls back to its numeric id).
-    pub fn element_name(&self, element: Element) -> String {
-        self.element_names
-            .get(&element)
-            .cloned()
-            .unwrap_or_else(|| format!("e{}", element.0))
-    }
-
     /// The fact with the given id.
     pub fn fact(&self, id: FactId) -> &Fact {
         &self.facts[id.0]
@@ -197,19 +181,12 @@ impl Instance {
     /// right, with fresh fact ids in the order given by `keep`).
     pub fn subinstance(&self, keep: &BTreeSet<FactId>) -> Instance {
         let mut sub = Instance::new(self.signature.clone());
-        sub.element_names = self.element_names.clone();
         for (id, fact) in self.facts() {
             if keep.contains(&id) {
                 sub.add_fact(fact.relation(), fact.arguments().to_vec());
             }
         }
         sub
-    }
-
-    /// The facts of this instance as a boolean presence vector indexed by
-    /// fact id (all `true`); convenience for building possible worlds.
-    pub fn full_world(&self) -> Vec<bool> {
-        vec![true; self.facts.len()]
     }
 
     /// The Gaifman graph of the instance, together with the mapping from
@@ -262,10 +239,7 @@ impl Instance {
 
     /// Like [`Instance::homomorphism_to`] but requires the mapping to be
     /// injective on domain elements.
-    pub fn injective_homomorphism_to(
-        &self,
-        other: &Instance,
-    ) -> Option<BTreeMap<Element, Element>> {
+    fn injective_homomorphism_to(&self, other: &Instance) -> Option<BTreeMap<Element, Element>> {
         self.find_homomorphism(other, true)
     }
 
@@ -363,7 +337,7 @@ impl fmt::Display for Instance {
             let args: Vec<String> = fact
                 .arguments()
                 .iter()
-                .map(|&a| self.element_name(a))
+                .map(|&a| format!("e{}", a.0))
                 .collect();
             parts.push(format!(
                 "{}({})",
@@ -520,14 +494,5 @@ mod tests {
         path2_renamed.add_fact_by_name("S", &[20, 30]);
         assert!(path2.isomorphic_to(&path2_renamed));
         assert!(!path2.isomorphic_to(&loop1));
-    }
-
-    #[test]
-    fn display_uses_names() {
-        let mut inst = Instance::new(rst_signature());
-        inst.add_fact_by_name("S", &[1, 2]);
-        inst.name_element(Element(1), "alice");
-        let shown = inst.to_string();
-        assert!(shown.contains("S(alice, e2)"), "{shown}");
     }
 }

@@ -103,7 +103,7 @@ impl ProbabilityValuation {
     /// The probability of a specific possible world, given as the set of
     /// present facts: the product of `p(F)` for present facts and `1 - p(F)`
     /// for absent ones (Definition 3.1).
-    pub fn world_probability(&self, present: &BTreeSet<FactId>) -> Rational {
+    fn world_probability(&self, present: &BTreeSet<FactId>) -> Rational {
         let mut prob = Rational::one();
         for (i, p) in self.probabilities.iter().enumerate() {
             if present.contains(&FactId(i)) {

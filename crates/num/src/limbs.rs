@@ -183,7 +183,7 @@ fn write_int(out: &mut [u64], n: &BigInt) {
 }
 
 /// The integer a two's-complement slot holds.
-pub fn to_bigint(x: &[u64]) -> BigInt {
+fn to_bigint(x: &[u64]) -> BigInt {
     if sign_fill(x) == 0 {
         return BigInt::from_biguint(to_biguint(x));
     }

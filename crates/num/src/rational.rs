@@ -56,7 +56,7 @@ impl Rational {
     }
 
     /// Builds an integer-valued rational.
-    pub fn from_integer(n: BigInt) -> Self {
+    fn from_integer(n: BigInt) -> Self {
         Rational {
             numerator: n,
             denominator: BigUint::one(),

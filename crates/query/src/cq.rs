@@ -86,14 +86,8 @@ impl ConjunctiveQuery {
     }
 
     /// The display name of a variable.
-    pub fn variable_name(&self, v: Variable) -> &str {
+    fn variable_name(&self, v: Variable) -> &str {
         &self.variable_names[v.0]
-    }
-
-    /// Returns `true` if the query has no disequality atoms (i.e. it is a
-    /// plain CQ, hence closed under homomorphisms).
-    pub fn is_plain_cq(&self) -> bool {
-        self.disequalities.is_empty()
     }
 
     /// Returns `true` if no relation symbol occurs in two different atoms
@@ -360,12 +354,6 @@ impl UnionOfConjunctiveQueries {
         self.disjuncts.iter().map(|d| d.atom_count()).sum()
     }
 
-    /// Returns `true` if every disjunct is a plain CQ (the query is a UCQ,
-    /// hence closed under homomorphisms).
-    pub fn is_ucq(&self) -> bool {
-        self.disjuncts.iter().all(|d| d.is_plain_cq())
-    }
-
     /// Returns `true` if every disjunct is connected (Definition 8.3).
     pub fn is_connected(&self) -> bool {
         self.disjuncts.iter().all(|d| d.is_connected())
@@ -489,7 +477,6 @@ mod tests {
         assert_eq!(q.atom_count(), 3);
         assert_eq!(q.variable_count(), 2);
         assert_eq!(q.to_string(), "R(x), S(x, y), T(y)");
-        assert!(q.is_plain_cq());
         assert!(q.is_self_join_free());
         assert!(q.is_connected());
     }
@@ -499,7 +486,6 @@ mod tests {
         let q = parse_query(&rst(), "R(x), S(x, y), T(y) | S(x, y), S(y, z), x != z").unwrap();
         assert_eq!(q.disjuncts().len(), 2);
         assert_eq!(q.size(), 5);
-        assert!(!q.is_ucq());
         assert!(q.is_connected());
         assert_eq!(q.disjuncts()[1].disequalities().len(), 1);
     }
@@ -566,13 +552,5 @@ mod tests {
                 .build()
         });
         assert!(result.is_err());
-    }
-
-    #[test]
-    fn ucq_classification() {
-        let q = parse_query(&rst(), "R(x) | T(y)").unwrap();
-        assert!(q.is_ucq());
-        let q2 = parse_query(&rst(), "R(x), R(y), x != y").unwrap();
-        assert!(!q2.is_ucq());
     }
 }

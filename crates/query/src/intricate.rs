@@ -15,13 +15,12 @@
 
 use crate::cq::UnionOfConjunctiveQueries;
 use crate::matching;
-use std::collections::BTreeSet;
 use treelineage_instance::{encodings, FactId, Instance};
 
 /// The two facts of a line instance incident to its middle element
 /// (Definition 8.5). For a line instance with `2n + 2` facts these are the
 /// facts at 0-based positions `n` and `n + 1`.
-pub fn middle_facts(line_length: usize) -> (FactId, FactId) {
+fn middle_facts(line_length: usize) -> (FactId, FactId) {
     assert!(
         line_length >= 2 && line_length.is_multiple_of(2),
         "line length must be even and >= 2"
@@ -71,48 +70,14 @@ pub fn is_intricate(query: &UnionOfConjunctiveQueries) -> bool {
     is_n_intricate(query, query.size())
 }
 
-/// A quick positive test for intricacy: returns `true` if `query` is
-/// `n`-intricate for some `n <= limit`, which by monotonicity of intricacy in
-/// `n` implies that it is intricate whenever `limit <= |q|`.
-pub fn is_intricate_with_witness_level(
-    query: &UnionOfConjunctiveQueries,
-    limit: usize,
-) -> Option<usize> {
-    (0..=limit).find(|&n| is_n_intricate(query, n))
-}
-
 /// Checks Proposition 8.8's claim on a concrete query: a connected CQ≠ is
 /// never intricate. This helper verifies both the hypothesis (connected,
-/// single disjunct) and the conclusion via the decision procedure, and is
-/// used by tests and by the `tables` experiment binary.
+/// single disjunct) and the conclusion via the decision procedure.
 pub fn connected_cq_is_not_intricate(query: &UnionOfConjunctiveQueries) -> bool {
     if query.disjuncts().len() != 1 || !query.is_connected() {
         return false;
     }
     !is_intricate(query)
-}
-
-/// Returns the set of fact-id pairs `(F, F')` around the middle of each line
-/// instance of the given length that are *covered* by a minimal match of the
-/// query — diagnostic output used by the experiment binary to show *why* a
-/// query is or is not intricate.
-pub fn middle_coverage_report(
-    query: &UnionOfConjunctiveQueries,
-    n: usize,
-) -> Vec<(Instance, bool)> {
-    let signature = query.signature();
-    let length = 2 * n + 2;
-    let (middle_a, middle_b) = middle_facts(length);
-    encodings::all_line_instances(signature, length)
-        .into_iter()
-        .map(|line| {
-            let minimal = matching::minimal_matches(query, &line);
-            let covered = minimal
-                .iter()
-                .any(|m| m.contains(&middle_a) && m.contains(&middle_b));
-            (line, covered)
-        })
-        .collect()
 }
 
 /// Returns `true` if every minimal match of the query on the given instance
@@ -125,19 +90,6 @@ pub fn all_minimal_matches_are_singletons(
     matching::minimal_matches(query, instance)
         .iter()
         .all(|m| m.len() <= 1)
-}
-
-/// Convenience used by several experiments: the set of minimal matches
-/// restricted to those containing a given fact.
-pub fn minimal_matches_containing(
-    query: &UnionOfConjunctiveQueries,
-    instance: &Instance,
-    fact: FactId,
-) -> BTreeSet<BTreeSet<FactId>> {
-    matching::minimal_matches(query, instance)
-        .into_iter()
-        .filter(|m| m.contains(&fact))
-        .collect()
 }
 
 #[cfg(test)]
@@ -183,7 +135,6 @@ mod tests {
         // element and their outer endpoints differ, so they form a (minimal)
         // match of one of the disjuncts.
         assert!(is_n_intricate(&qp, 0));
-        assert_eq!(is_intricate_with_witness_level(&qp, 2), Some(0));
     }
 
     #[test]
@@ -245,26 +196,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn middle_coverage_report_is_exhaustive() {
-        let qp = qp_single_relation();
-        let report = middle_coverage_report(&qp, 0);
-        // One binary relation, two directions, two facts: 4 line instances.
-        assert_eq!(report.len(), 4);
-        assert!(report.iter().all(|(_, covered)| *covered));
-        let q = parse_query(&rst(), "R(x), S(x, y), T(y)").unwrap();
-        let report2 = middle_coverage_report(&q, 0);
-        assert!(report2.iter().all(|(_, covered)| !*covered));
-    }
-
-    #[test]
-    fn minimal_matches_containing_fact() {
-        let sig = single_binary();
-        let qp = qp_single_relation();
-        let line = encodings::all_line_instances(&sig, 2)[0].clone();
-        let with_first = minimal_matches_containing(&qp, &line, FactId(0));
-        assert_eq!(with_first.len(), 1);
     }
 }

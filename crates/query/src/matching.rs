@@ -19,7 +19,7 @@ pub type Homomorphism = BTreeMap<Variable, Element>;
 /// Enumerates all homomorphisms from `query` to `instance`, restricted to the
 /// facts in `world` (pass all fact ids for the full instance). Backtracking
 /// over atoms in order, with the candidate facts filtered per relation.
-pub fn homomorphisms_in_world(
+fn homomorphisms_in_world(
     query: &ConjunctiveQuery,
     instance: &Instance,
     world: &BTreeSet<FactId>,
@@ -105,7 +105,7 @@ fn extend(
 
 /// The match induced by a homomorphism: the set of facts that are images of
 /// the query's atoms.
-pub fn match_of(
+fn match_of(
     query: &ConjunctiveQuery,
     instance: &Instance,
     homomorphism: &Homomorphism,

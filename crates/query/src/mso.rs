@@ -16,7 +16,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use treelineage_instance::{Element, Instance, RelationId};
-use treelineage_num::BigUint;
 
 /// A first-order variable of an MSO formula.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -63,7 +62,7 @@ pub enum MsoFormula {
 impl MsoFormula {
     /// Returns `true` if the formula is first-order (no set quantifiers or
     /// membership atoms).
-    pub fn is_first_order(&self) -> bool {
+    fn is_first_order(&self) -> bool {
         match self {
             MsoFormula::Atom { .. } | MsoFormula::Equal(_, _) => true,
             MsoFormula::Member(_, _)
@@ -73,45 +72,6 @@ impl MsoFormula {
             MsoFormula::And(fs) | MsoFormula::Or(fs) => fs.iter().all(|f| f.is_first_order()),
             MsoFormula::Implies(a, b) => a.is_first_order() && b.is_first_order(),
             MsoFormula::ExistsFo(_, f) | MsoFormula::ForallFo(_, f) => f.is_first_order(),
-        }
-    }
-
-    /// The free second-order variables of the formula (Definition 5.6's match
-    /// counting counts assignments to these).
-    pub fn free_set_variables(&self) -> BTreeSet<SetVar> {
-        let mut free = BTreeSet::new();
-        self.collect_free_sets(&mut BTreeSet::new(), &mut free);
-        free
-    }
-
-    fn collect_free_sets(&self, bound: &mut BTreeSet<SetVar>, free: &mut BTreeSet<SetVar>) {
-        match self {
-            MsoFormula::Atom { .. } | MsoFormula::Equal(_, _) => {}
-            MsoFormula::Member(_, x) => {
-                if !bound.contains(x) {
-                    free.insert(*x);
-                }
-            }
-            MsoFormula::Not(f) => f.collect_free_sets(bound, free),
-            MsoFormula::And(fs) | MsoFormula::Or(fs) => {
-                for f in fs {
-                    f.collect_free_sets(bound, free);
-                }
-            }
-            MsoFormula::Implies(a, b) => {
-                a.collect_free_sets(bound, free);
-                b.collect_free_sets(bound, free);
-            }
-            MsoFormula::ExistsFo(_, f) | MsoFormula::ForallFo(_, f) => {
-                f.collect_free_sets(bound, free)
-            }
-            MsoFormula::ExistsSet(x, f) | MsoFormula::ForallSet(x, f) => {
-                let newly = bound.insert(*x);
-                f.collect_free_sets(bound, free);
-                if newly {
-                    bound.remove(x);
-                }
-            }
         }
     }
 
@@ -134,20 +94,6 @@ impl MsoFormula {
             &mut BTreeMap::new(),
             &mut BTreeMap::new(),
         )
-    }
-
-    /// Evaluates the formula with explicit assignments to (free) first-order
-    /// and set variables.
-    pub fn holds_with(
-        &self,
-        instance: &Instance,
-        fo_assignment: &BTreeMap<FoVar, Element>,
-        set_assignment: &BTreeMap<SetVar, BTreeSet<Element>>,
-    ) -> bool {
-        let domain: Vec<Element> = instance.domain().into_iter().collect();
-        let mut fo = fo_assignment.clone();
-        let mut sets = set_assignment.clone();
-        self.eval(instance, &domain, &mut fo, &mut sets)
     }
 
     fn eval(
@@ -216,45 +162,6 @@ impl MsoFormula {
                 result
             }
         }
-    }
-
-    /// Counts the assignments of the free set variables under which the
-    /// formula holds (Definition 5.6, the match counting problem), by naive
-    /// enumeration — the oracle for the tractable counting of the core crate.
-    /// Exponential; the instance must have at most 16 domain elements.
-    pub fn count_matches_bruteforce(&self, instance: &Instance) -> BigUint {
-        let domain: Vec<Element> = instance.domain().into_iter().collect();
-        assert!(
-            domain.len() <= 16,
-            "naive match counting limited to 16 domain elements"
-        );
-        let free: Vec<SetVar> = self.free_set_variables().into_iter().collect();
-        let mut count = BigUint::zero();
-        let mut assignment: BTreeMap<SetVar, BTreeSet<Element>> = BTreeMap::new();
-        self.count_rec(instance, &domain, &free, 0, &mut assignment, &mut count);
-        count
-    }
-
-    fn count_rec(
-        &self,
-        instance: &Instance,
-        domain: &[Element],
-        free: &[SetVar],
-        next: usize,
-        assignment: &mut BTreeMap<SetVar, BTreeSet<Element>>,
-        count: &mut BigUint,
-    ) {
-        if next == free.len() {
-            if self.holds_with(instance, &BTreeMap::new(), assignment) {
-                *count += &BigUint::one();
-            }
-            return;
-        }
-        for s in subsets_of(domain) {
-            assignment.insert(free[next], s);
-            self.count_rec(instance, domain, free, next + 1, assignment, count);
-        }
-        assignment.remove(&free[next]);
     }
 }
 
@@ -478,7 +385,6 @@ mod tests {
             sig2.relation_by_name("E").unwrap(),
         );
         assert!(!mso.is_first_order());
-        assert!(mso.free_set_variables().is_empty());
     }
 
     #[test]
@@ -531,29 +437,6 @@ mod tests {
             .collect();
         let world = full.subinstance(&keep);
         assert!(formula.holds_on(&world));
-    }
-
-    #[test]
-    fn free_set_variables_and_match_counting() {
-        // Formula with one free set variable X: "X contains only R-elements".
-        let sig = Signature::builder().relation("R", 1).build();
-        let r = sig.relation_by_name("R").unwrap();
-        let x = FoVar(0);
-        let set = SetVar(0);
-        let formula = MsoFormula::ForallFo(
-            x,
-            Box::new(MsoFormula::Implies(
-                Box::new(MsoFormula::Member(x, set)),
-                Box::new(MsoFormula::Atom {
-                    relation: r,
-                    arguments: vec![x],
-                }),
-            )),
-        );
-        assert_eq!(formula.free_set_variables().len(), 1);
-        let inst = encodings::unary_family_instance(&sig, r, 3);
-        // All 8 subsets of a 3-element all-R domain qualify.
-        assert_eq!(formula.count_matches_bruteforce(&inst).to_u64(), Some(8));
     }
 
     #[test]

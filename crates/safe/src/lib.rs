@@ -42,7 +42,7 @@ pub type AttributeOrders = BTreeMap<RelationId, Vec<usize>>;
 /// occur in at least the atoms of the variable at any later position — the
 /// "root variables come first" shape of an inversion-free expression
 /// (Definition C.1). Returns the orders if they exist.
-pub fn inversion_free_orders(query: &UnionOfConjunctiveQueries) -> Option<AttributeOrders> {
+fn inversion_free_orders(query: &UnionOfConjunctiveQueries) -> Option<AttributeOrders> {
     if !query
         .disjuncts()
         .iter()
@@ -136,7 +136,7 @@ pub fn is_inversion_free(query: &UnionOfConjunctiveQueries) -> bool {
 /// ids, the arguments of every fact are strictly increasing (Section 9). The
 /// ranking transformation of \[16, 18\] that establishes this property is
 /// assumed to have been applied upstream.
-pub fn is_ranked_instance(instance: &Instance) -> bool {
+fn is_ranked_instance(instance: &Instance) -> bool {
     instance
         .facts()
         .all(|(_, fact)| fact.arguments().windows(2).all(|w| w[0].0 < w[1].0))

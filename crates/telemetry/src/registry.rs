@@ -212,7 +212,7 @@ impl Registry {
     }
 
     /// Nanoseconds elapsed since the registry was created.
-    pub fn uptime_ns(&self) -> u64 {
+    fn uptime_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
     }
 
@@ -264,7 +264,7 @@ impl Registry {
     }
 
     /// Number of span events dropped because the bounded ring was full.
-    pub fn dropped_events(&self) -> u64 {
+    fn dropped_events(&self) -> u64 {
         self.dropped_events.load(Ordering::Relaxed)
     }
 
@@ -434,7 +434,8 @@ impl Telemetry {
     }
 
     /// A handle sharing an existing registry.
-    pub fn from_registry(registry: Arc<Registry>) -> Self {
+    #[cfg(test)]
+    fn from_registry(registry: Arc<Registry>) -> Self {
         Telemetry {
             inner: Some(registry),
         }
