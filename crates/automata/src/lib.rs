@@ -69,8 +69,8 @@ pub use automaton::{
 };
 pub use provenance::{acceptance_probability_bruteforce, provenance_circuit};
 pub use structured::{
-    compile_structured_dnnf, compile_structured_dnnf_traced, CompiledSubtree, StructuredBuilder,
-    StructuredDnnf, StructuredDnnfError, SubtreeGates,
+    compile_structured_dnnf, CompiledSubtree, StructuredBuilder, StructuredDnnf,
+    StructuredDnnfError, SubtreeGates,
 };
 pub use tree::{BinaryTree, Label, NodeAnnotation, NodeId, UncertainTree};
 

@@ -156,21 +156,6 @@ impl StructuredDnnf {
     }
 }
 
-/// [`compile_structured_dnnf`] under a `dsdnnf_compile` telemetry span:
-/// the instrumented single-threaded pipelines route through this so the
-/// sequential d-SDNNF construction shows up in span aggregates (the
-/// fragment-parallel engine path records `dsdnnf_fragments` /
-/// `dsdnnf_merge` spans of its own instead). Records nothing when
-/// `telemetry` is disabled, and never changes the compiled artifact.
-pub fn compile_structured_dnnf_traced(
-    automaton: &TreeAutomaton,
-    tree: &UncertainTree,
-    telemetry: &treelineage_telemetry::Telemetry,
-) -> Result<StructuredDnnf, StructuredDnnfError> {
-    let _span = telemetry.span("dsdnnf_compile");
-    compile_structured_dnnf(automaton, tree)
-}
-
 /// Compiles the provenance of a deterministic automaton on an uncertain tree
 /// directly into a certified smooth d-SDNNF (see the module docs for the
 /// invariants and why they hold). Rejects nondeterministic automata and

@@ -15,9 +15,9 @@
 //!   covers them, so on bounded-pathwidth instances the orders of facts
 //!   relevant to distant bags never interleave and the width stays bounded),
 //!   compiled into the shared [`treelineage_dd`] engine
-//!   ([`LineageBuilder::dd`] / [`LineageBuilder::compile_dd`]): hash-consed
-//!   into a store with complement edges and a persistent operation cache,
-//!   whose width and size are those of the plain reduced OBDD,
+//!   ([`LineageBuilder::dd`]): hash-consed into a store with complement
+//!   edges and a persistent operation cache, whose width and size are those
+//!   of the plain reduced OBDD,
 //! * a **d-DNNF** obtained from the OBDD (every decision node is a
 //!   deterministic OR of two decomposable ANDs),
 //! * the **provenance d-SDNNF** of Theorem 6.11
@@ -352,26 +352,16 @@ impl<'a> LineageBuilder<'a> {
     }
 
     /// A fresh shared-engine manager over this lineage's variable order
-    /// (every fact of the instance is in the order). Compile with
-    /// [`LineageBuilder::compile_dd`]; reuse the manager across related
-    /// compilations to profit from its persistent operation cache.
+    /// (every fact of the instance is in the order).
     fn dd_manager(&self) -> Manager {
         Manager::new(self.full_variable_order())
     }
 
-    /// Compiles the lineage into a shared engine manager whose order covers
-    /// every fact of the instance (such as the one [`LineageBuilder::dd`]
-    /// returns) and returns the root node. Recompilations hit the manager's
-    /// persistent cache.
-    pub fn compile_dd(&self, manager: &mut Manager) -> NodeId {
-        manager.compile_circuit(&self.circuit())
-    }
-
-    /// One-shot compilation into the shared engine: a fresh manager plus the
-    /// root node of the lineage.
+    /// One-shot compilation into the shared engine: a fresh manager over
+    /// every fact of the instance, plus the root node of the lineage.
     pub fn dd(&self) -> (Manager, NodeId) {
         let mut manager = self.dd_manager();
-        let root = self.compile_dd(&mut manager);
+        let root = manager.compile_circuit(&self.circuit());
         (manager, root)
     }
 

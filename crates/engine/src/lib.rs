@@ -21,10 +21,11 @@
 //!   [`EvalSession::batch_wmc`] / [`EvalSession::batch_model_count`] that
 //!   evaluate many (query, instance, weights) requests concurrently and
 //!   deduplicate shared compile work.
-//! * [`EngineConfig`] — the knob set (`threads`, `state_budget`, cache
-//!   caps) that `treelineage-core`'s `ProbabilityEvaluator` and the bench
-//!   harness route through, so every existing entry point can opt into
-//!   parallelism without API changes.
+//! * [`EngineConfig`] — the knob set (`threads`, `state_budget`,
+//!   `fragment_grain`, `lineage_cache_cap`, the Karp–Luby `(ε, δ)`,
+//!   telemetry and the flight recorder) that `treelineage-core`'s
+//!   `ProbabilityEvaluator` and the bench harness route through, so every
+//!   existing entry point can opt into parallelism without API changes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,7 +53,8 @@ use treelineage_graph::TreeDecomposition;
 use treelineage_instance::Instance;
 
 /// Configuration of the parallel engine: thread count, the query compiler's
-/// state budget, the [`EvalSession`] cache caps, and the Karp–Luby knobs.
+/// state budget, the fragment grain, the [`EvalSession`] lineage cache cap,
+/// the Karp–Luby knobs, telemetry and the flight recorder.
 /// The default is fully sequential with the compiler's default budget —
 /// existing entry points behave exactly as before until they opt in.
 /// Float-first serving is a session backend, not a config knob: select it
@@ -126,13 +128,6 @@ impl EngineConfig {
             threads,
             ..EngineConfig::default()
         }
-    }
-
-    /// The default configuration with one thread per available core
-    /// (`std::thread::available_parallelism`, 1 if unknown).
-    pub fn parallel() -> Self {
-        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-        EngineConfig::with_threads(threads)
     }
 }
 

@@ -53,9 +53,8 @@ use crate::EngineConfig;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use treelineage_automata::{
-    compile_structured_dnnf_traced, BinaryTree, CompiledSubtree, NodeAnnotation, NodeId,
-    StructuredBuilder, StructuredDnnf, StructuredDnnfError, SubtreeGates, TreeAutomaton,
-    UncertainTree,
+    BinaryTree, CompiledSubtree, NodeAnnotation, NodeId, StructuredBuilder, StructuredDnnf,
+    StructuredDnnfError, SubtreeGates, TreeAutomaton, UncertainTree,
 };
 use treelineage_circuit::{
     eval_gate, ArenaRange, Circuit, Gate, GateId, LimbArena, Probability, Semiring, Vtree, VtreeId,
@@ -536,33 +535,24 @@ pub fn compile_structured_dnnf_parallel(
     tree: &UncertainTree,
     config: &EngineConfig,
 ) -> Result<ParallelDnnf, StructuredDnnfError> {
-    compile_with_pool(automaton, tree, config, config.threads)
+    compile_with_pool_cached(automaton, tree, config, config.threads, None).map(|c| c.artifact)
 }
 
 /// [`compile_structured_dnnf_parallel`] with the fragment *plan*
 /// (`config.threads`) decoupled from the worker pool actually used
-/// (`pool_threads`). The session layer compiles with `pool_threads = 1`
-/// when a batch already saturates the pool with one task per (query,
-/// instance) pair — the cached artifact still carries the partition its
-/// session-level thread count plans for, so later lone-request batches get
-/// fragment-parallel evaluation. The output is identical either way: the
-/// plan, not the pool, determines every id.
-pub(crate) fn compile_with_pool(
-    automaton: &TreeAutomaton,
-    tree: &UncertainTree,
-    config: &EngineConfig,
-    pool_threads: usize,
-) -> Result<ParallelDnnf, StructuredDnnfError> {
-    compile_with_pool_cached(automaton, tree, config, pool_threads, None).map(|c| c.artifact)
-}
-
-/// [`compile_with_pool`] with fragment reuse: fragments of `previous` whose
-/// subtree content is unchanged are replayed instead of recompiled, and the
-/// output is **byte-identical** to a compile without the library (same
-/// gates, ids, operand order, vtree) — reuse changes which thread produces
-/// a block of gates, never the gates. Preconditions on `previous` (enforced
-/// by the session layer): it was produced by this function against the same
+/// (`pool_threads`), and with fragment reuse. The session layer compiles
+/// with `pool_threads = 1` when a batch already saturates the pool with one
+/// task per (query, instance) pair — the cached artifact still carries the
+/// partition its session-level thread count plans for, so later
+/// lone-request batches get fragment-parallel evaluation. Fragments of
+/// `previous` whose subtree content is unchanged are replayed instead of
+/// recompiled. The output is **byte-identical** either way (same gates,
+/// ids, operand order, vtree): the plan, not the pool or the library,
+/// determines every id. Preconditions on `previous` (enforced by the
+/// session layer): it was produced by this function against the same
 /// compiled query machine, whose state count can only have grown since.
+/// Without a plan the whole tree compiles on the caller's thread under a
+/// `dsdnnf_compile` span.
 pub(crate) fn compile_with_pool_cached(
     automaton: &TreeAutomaton,
     tree: &UncertainTree,
@@ -571,19 +561,17 @@ pub(crate) fn compile_with_pool_cached(
     previous: Option<&FragmentLibrary>,
 ) -> Result<CachedCompile, StructuredDnnfError> {
     let telemetry = &config.telemetry;
+    let builder = StructuredBuilder::new(automaton, tree)?;
     match SubtreePlan::cut(tree.tree(), config.threads, config.fragment_grain) {
-        Some(plan) => compile_planned(
-            &StructuredBuilder::new(automaton, tree)?,
-            &plan,
-            telemetry,
-            pool_threads,
-            previous,
-        ),
-        None => compile_structured_dnnf_traced(automaton, tree, telemetry).map(|s| CachedCompile {
-            artifact: ParallelDnnf::sequential(s).with_telemetry(telemetry.clone()),
-            library: FragmentLibrary::default(),
-            stats: RecompileStats::default(),
-        }),
+        Some(plan) => compile_planned(&builder, &plan, telemetry, pool_threads, previous),
+        None => {
+            let _span = telemetry.span("dsdnnf_compile");
+            builder.compile(|_, _, _| None).map(|s| CachedCompile {
+                artifact: ParallelDnnf::sequential(s).with_telemetry(telemetry.clone()),
+                library: FragmentLibrary::default(),
+                stats: RecompileStats::default(),
+            })
+        }
     }
 }
 

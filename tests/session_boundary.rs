@@ -1,8 +1,9 @@
 //! API-boundary fuzz suite: malformed requests fail alone, valid ones
 //! answer exactly.
 //!
-//! Every [`EvalSession`] entry point — the five `batch_*` methods and
-//! `explain` — takes random batches over random treelike instances that mix
+//! Every [`EvalSession`] entry point — the five `batch_*` methods,
+//! `explain`, `lineage_artifact` and `cold_lineage` — takes random batches
+//! over random treelike instances that mix
 //! valid requests with malformed ones: query or instance handles minted by a
 //! larger session (out of range here), and valuation or `pos`/`neg` vectors
 //! one fact too short or too long. Before every batch the session also
@@ -20,7 +21,8 @@
 //! * every other result matches the core evaluator's shared-dd backend (an
 //!   independent compile route, through enumerated matches): probability,
 //!   WMC and model count exactly, a threshold decision's `above` as the
-//!   exact comparison, an f64 interval by containing the exact value;
+//!   exact comparison, an f64 interval by containing the exact value, and
+//!   the cached and the cold lineage artifact by their model counts;
 //! * the session counts no worker panic, and one error per malformed batch
 //!   request (a malformed `explain` is rejected before it counts as a
 //!   request, so it counts as neither).
@@ -404,6 +406,20 @@ proptest! {
                             exact,
                             context
                         );
+                    }
+                }
+
+                // The artifact entry points share the request check and the
+                // lineage compile body, and count as neither requests nor
+                // errors.
+                for (expected, &(query, instance)) in counts.iter().zip(&count_requests) {
+                    let cached = session.lineage_artifact(query, instance);
+                    assert_outcome("lineage_artifact", expected.is_some(), &cached, &context);
+                    let cold = session.cold_lineage(query, instance);
+                    assert_outcome("cold_lineage", expected.is_some(), &cold, &context);
+                    if let (Some(expected), Ok(cached), Ok(cold)) = (expected, cached, cold) {
+                        prop_assert_eq!(&cached.model_count(1), expected, "cached, {}", context);
+                        prop_assert_eq!(&cold.model_count(1), expected, "cold, {}", context);
                     }
                 }
 
