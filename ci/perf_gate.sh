@@ -5,8 +5,10 @@
 #
 # Usage: ci/perf_gate.sh PARENT_DIR CHANGE_DIR
 #
-# Each tree's perfbench is built --offline into its own target directory
-# under CHANGE_DIR/target/perf_gate, next to the two run logs (parent.txt,
+# Each tree (without its target/ and .git) is copied in turn to one fixed
+# path, CHANGE_DIR/target/perf_gate/src, and its perfbench is built
+# --offline from there into its own target directory under
+# CHANGE_DIR/target/perf_gate, next to the two run logs (parent.txt,
 # change.txt). Every workload runs PAIRS pairs of one parent and one change
 # run; who goes first flips each pair, so a drift in host speed falls on
 # both sides. perfbench checks every answer and exits 1 on a wrong one,
@@ -33,14 +35,21 @@ mkdir -p "$work"
 : > "$work/parent.txt"
 : > "$work/change.txt"
 
-# Each side's checkout path is remapped to /src, so the two binaries do not
-# embed different paths (panic locations, debug info) that shift code
-# layout between builds of the same source.
+# Both sides build from one fixed path, so their binaries differ only where
+# their sources do: cargo hashes a path dependency's location into symbol
+# names, and two checkout paths alone shift code layout (EXPERIMENTS.md
+# §E-16). The copy gets fresh mtimes (--touch), so a cached target
+# directory always rebuilds from the sources just copied.
+src="$work/src"
 for side in parent change; do
   dir=${!side}
-  echo "perf_gate: building perfbench ($side: $dir)"
-  RUSTFLAGS="--remap-path-prefix=$dir=/src" CARGO_TARGET_DIR="$work/$side-target" \
-    cargo build --release --offline --quiet --manifest-path "$dir/perfbench/Cargo.toml"
+  echo "perf_gate: building perfbench ($side: $dir, copied to $src)"
+  rm -rf "$src"
+  mkdir -p "$src"
+  tar -C "$dir" --exclude=./target --exclude=./perfbench/target --exclude=./.git \
+    --exclude=./.bench_build -cf - . | tar -C "$src" --touch -xf -
+  CARGO_TARGET_DIR="$work/$side-target" \
+    cargo build --release --offline --quiet --manifest-path "$src/perfbench/Cargo.toml"
 done
 
 run() {

@@ -208,7 +208,7 @@ fn table2_upper() {
         let lineage = builder.automaton_lineage().unwrap();
         let t_compile = t0.elapsed();
         let t1 = Instant::now();
-        let _ = lineage.probability(&dyadic_prob);
+        let _ = lineage.probability(&dyadic_prob, 1);
         let t_eval = t1.elapsed();
         println!(
             "{:>8} {:>10} {:>12} {:>12} {:>12} {:>12} {:>10} {:>7.1}% {:>12} {:>10.2}ms {:>10.2}ms",
@@ -537,7 +537,7 @@ fn dichotomies() {
 /// width-1 decomposition. Match enumeration compiles every query match into
 /// the shared dd engine and runs only up to the family's cliff (past it the
 /// star's ~n²/4 matches make it minutes-slow); the automaton pipeline
-/// (`LineageBackend::Automaton`) never materializes a match. The shape to
+/// (`LineageBuilder::automaton_lineage`) never materializes a match. The shape to
 /// read: automaton compile at star n = 4,000 is faster than enumeration at
 /// n = 400.
 fn pipeline_section() {
@@ -684,13 +684,13 @@ fn scaling_rows() {
                 }
                 builder.automaton_lineage().unwrap()
             });
-            let (count, t_count) = median_ms(|| lineage.model_count());
+            let (count, t_count) = median_ms(|| lineage.model_count(threads));
             println!(
                 "{:>10} {:>3} {:>8} {:>10} {:>11} {:>10.2}ms {:>10.2}ms",
                 shape,
                 threads,
                 lineage.size(),
-                lineage.parallel().partition().fragments().len(),
+                lineage.partition().fragments().len(),
                 count.bits(),
                 t_compile,
                 t_count

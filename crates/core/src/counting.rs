@@ -11,7 +11,8 @@
 //! which is linear on the compiled OBDD / d-DNNF. The brute-force oracle of
 //! `treelineage-query`'s MSO module cross-checks the results in the tests.
 
-use crate::lineage::{LineageBuilder, LineageError};
+use crate::lineage::LineageBuilder;
+use treelineage_engine::EngineError;
 use treelineage_instance::{Element, FactId, Instance, RelationId, Signature};
 use treelineage_num::BigUint;
 use treelineage_query::UnionOfConjunctiveQueries;
@@ -48,17 +49,26 @@ impl<'a> MatchCounter<'a> {
     /// Builds the extended instance: the original facts plus one fact of each
     /// selection relation per domain element. Returns the instance together
     /// with the fact ids of the original (certain) facts and of the selection
-    /// (counted) facts.
-    fn extended_instance(&self) -> Result<(Instance, Vec<FactId>, Vec<FactId>), LineageError> {
+    /// (counted) facts. A selection relation that is missing from the
+    /// query's signature or not unary, or an instance relation the query's
+    /// signature lacks, is an [`EngineError::InvalidRequest`] naming it.
+    fn extended_instance(&self) -> Result<(Instance, Vec<FactId>, Vec<FactId>), EngineError> {
         let signature: &Signature = self.query.signature();
-        // Validate that the selection relations exist and are unary.
+        let relation = |name: &str, role: &str| {
+            signature.relation_by_name(name).ok_or_else(|| {
+                EngineError::InvalidRequest(format!(
+                    "{role} relation {name} is not in the query's signature"
+                ))
+            })
+        };
         let mut selection_ids: Vec<RelationId> = Vec::new();
         for name in &self.selection_relations {
-            let id = signature
-                .relation_by_name(name)
-                .ok_or(LineageError::SignatureMismatch)?;
+            let id = relation(name, "selection")?;
             if signature.arity(id) != 1 {
-                return Err(LineageError::SignatureMismatch);
+                return Err(EngineError::InvalidRequest(format!(
+                    "selection relation {name} has arity {}, not 1",
+                    signature.arity(id)
+                )));
             }
             selection_ids.push(id);
         }
@@ -68,9 +78,7 @@ impl<'a> MatchCounter<'a> {
             // The base instance's relations must exist in the query signature
             // under the same ids; we rebuild facts by relation name.
             let name = self.instance.signature().relation(fact.relation()).name();
-            let id = signature
-                .relation_by_name(name)
-                .ok_or(LineageError::SignatureMismatch)?;
+            let id = relation(name, "instance")?;
             base_facts.push(extended.add_fact(id, fact.arguments().to_vec()));
         }
         let domain: Vec<Element> = self.instance.domain().into_iter().collect();
@@ -85,7 +93,7 @@ impl<'a> MatchCounter<'a> {
 
     /// The number of selection-relation interpretations (subsets of the
     /// active domain) under which the query holds.
-    pub fn count(&self) -> Result<BigUint, LineageError> {
+    pub fn count(&self) -> Result<BigUint, EngineError> {
         let (extended, base_facts, selection_facts) = self.extended_instance()?;
         let builder = LineageBuilder::new(self.query, &extended)?;
         let (manager, root) = builder.dd();
@@ -108,7 +116,7 @@ impl<'a> MatchCounter<'a> {
 
     /// Brute-force count over all selection interpretations (oracle);
     /// exponential, limited to 20 selection facts.
-    pub fn count_bruteforce(&self) -> Result<BigUint, LineageError> {
+    pub fn count_bruteforce(&self) -> Result<BigUint, EngineError> {
         let (extended, base_facts, selection_facts) = self.extended_instance()?;
         assert!(
             selection_facts.len() <= 20,
@@ -206,6 +214,9 @@ mod tests {
         let inst = encodings::graph_instance(&graph, &sig, e);
         let q = parse_query(&sig, "E(x, y), Sel(x), Sel(y)").unwrap();
         let counter = MatchCounter::new(&q, &inst, vec!["NoSuch"]);
-        assert!(counter.count().is_err());
+        assert!(matches!(
+            counter.count(),
+            Err(EngineError::InvalidRequest(m)) if m.contains("NoSuch")
+        ));
     }
 }

@@ -6,12 +6,15 @@
 //! substrates together behind one API:
 //!
 //! * **Lineage construction** ([`LineageBuilder`]): the lineage of a UCQ≠ on
-//!   an instance as a monotone circuit, a reduced OBDD under a
-//!   decomposition-derived variable order (Theorems 6.5 / 6.7) and a d-DNNF
-//!   (Theorem 6.11).
+//!   an instance as a monotone circuit, and the paper's two lineage objects:
+//!   a reduced OBDD under a decomposition-derived variable order
+//!   (Theorems 6.5 / 6.7; [`LineageBuilder::dd`]) and the provenance
+//!   d-SDNNF of the query automaton on the tree encoding (Theorem 6.11;
+//!   [`LineageBuilder::automaton_lineage`], a [`ParallelDnnf`]).
 //! * **Probability evaluation** ([`ProbabilityEvaluator`]): exact query
-//!   probability on tuple-independent databases through the compiled lineage
-//!   (Theorem 3.2 / the tractable side of Theorem 4.2), plus model counting.
+//!   probability on tuple-independent databases through the OBDD
+//!   (Theorem 3.2 / the tractable side of Theorem 4.2), plus model counting
+//!   and brute-force possible-worlds oracles.
 //! * **Match counting** ([`MatchCounter`]): counting interpretations of free
 //!   second-order (selection) variables (Definition 5.6, Theorem 5.7's
 //!   tractable side).
@@ -57,9 +60,7 @@ mod lineage;
 mod probability;
 
 pub use counting::MatchCounter;
-pub use lineage::{
-    obdd_to_circuit, AutomatonLineage, LineageBackend, LineageBuilder, LineageError,
-};
+pub use lineage::{obdd_to_circuit, LineageBuilder};
 pub use probability::{model_check, ProbabilityEvaluator};
 pub use treelineage_engine::{
     karp_luby_probability, karp_luby_sample_bound, validate_insert, validate_retract,
@@ -72,9 +73,9 @@ pub use treelineage_engine::{
 /// Convenience re-exports of the types most users need.
 pub mod prelude {
     pub use crate::{
-        model_check, AutomatonLineage, CacheOccupancy, EngineConfig, EvalSession, LineageBackend,
-        LineageBuilder, LineageError, MatchCounter, MetricsSnapshot, ProbabilityEvaluator,
-        SessionBackend, Telemetry, UpdateError, UpdateKind, UpdateReport,
+        model_check, CacheOccupancy, EngineConfig, EvalSession, LineageBuilder, MatchCounter,
+        MetricsSnapshot, ProbabilityEvaluator, SessionBackend, Telemetry, UpdateError, UpdateKind,
+        UpdateReport,
     };
     pub use treelineage_circuit::{Circuit, Dnnf, Formula, Vtree};
     pub use treelineage_dd::{Manager as DdManager, NodeId as DdNodeId, Stats as DdStats};

@@ -35,179 +35,12 @@ use std::collections::{BTreeSet, HashMap};
 use treelineage_circuit::{Circuit, Dnnf, GateId, VarId};
 use treelineage_dd::{Manager, NodeId};
 use treelineage_engine::{
-    validate_insert, validate_retract, variable_order_from_decomposition, EngineConfig, UpdateError,
+    compile_structured_dnnf_parallel, variable_order_from_decomposition, EngineConfig, EngineError,
+    ParallelDnnf,
 };
 use treelineage_graph::TreeDecomposition;
-use treelineage_instance::{Fact, FactId, Instance};
-use treelineage_num::{BigUint, ErrorInterval, Rational};
+use treelineage_instance::{FactId, Instance};
 use treelineage_query::{matching, UnionOfConjunctiveQueries};
-
-/// The compilation backend a lineage-consuming pipeline routes through (see
-/// DESIGN.md "Backend selection").
-///
-/// Both backends represent the same Boolean function and give exactly equal
-/// answers (the cross-backend differential suites pin this); they differ in
-/// how the function is compiled — [`LineageBackend::SharedDd`] enumerates
-/// query matches and compiles the match circuit under a
-/// decomposition-derived variable order, while [`LineageBackend::Automaton`]
-/// goes through the tree encoding and never touches a match.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum LineageBackend {
-    /// The shared hash-consed decision-diagram engine (`treelineage_dd`)
-    /// with complement edges and a persistent operation cache — the default
-    /// fast path.
-    #[default]
-    SharedDd,
-    /// The paper's Section 6 pipeline end to end (Theorems 6.3 / 6.11 made
-    /// constructive by `treelineage_encoding`): tree-encode the instance
-    /// along its decomposition, compile the query into a deterministic
-    /// bottom-up tree automaton on the encoding alphabet, and read the
-    /// lineage off the automaton's provenance as a smooth d-SDNNF — *never
-    /// materializing query matches*, so the per-instance cost is linear in
-    /// the instance for bounded-width families even where match
-    /// enumeration is super-polynomial.
-    Automaton,
-}
-
-/// Errors reported by lineage construction.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum LineageError {
-    /// The query's signature differs from the instance's.
-    SignatureMismatch,
-    /// The provided decomposition is not a valid decomposition of the
-    /// instance's Gaifman graph.
-    InvalidDecomposition(String),
-    /// The automaton backend failed to tree-encode the instance.
-    Encoding(treelineage_encoding::EncodingError),
-    /// The automaton backend failed to compile the query (state budget,
-    /// representation limits, or an MSO formula outside the fragment).
-    QueryCompile(treelineage_encoding::CompileError),
-    /// The automaton backend's provenance compilation failed (internal: the
-    /// encoder's invariants should rule this out).
-    Provenance(String),
-}
-
-impl std::fmt::Display for LineageError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            LineageError::SignatureMismatch => write!(f, "query and instance signatures differ"),
-            LineageError::InvalidDecomposition(e) => write!(f, "invalid decomposition: {e}"),
-            LineageError::Encoding(e) => write!(f, "tree encoding failed: {e}"),
-            LineageError::QueryCompile(e) => write!(f, "query compilation failed: {e}"),
-            LineageError::Provenance(e) => write!(f, "provenance compilation failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for LineageError {}
-
-impl From<treelineage_encoding::EncodingError> for LineageError {
-    fn from(e: treelineage_encoding::EncodingError) -> Self {
-        LineageError::Encoding(e)
-    }
-}
-
-impl From<treelineage_encoding::CompileError> for LineageError {
-    fn from(e: treelineage_encoding::CompileError) -> Self {
-        LineageError::QueryCompile(e)
-    }
-}
-
-/// The lineage produced by the automaton pipeline
-/// ([`LineageBackend::Automaton`]): the provenance d-SDNNF of the
-/// query-derived deterministic tree automaton on the instance's uncertain
-/// tree encoding, whose events are exactly the instance's fact ids.
-///
-/// The artifact is smooth by construction over the full fact universe, so
-/// probability, general-weight WMC and model counting are all single
-/// bottom-up passes. Unlike every other backend, *no query match is ever
-/// materialized* on the way here: the instance only contributes its linear
-/// tree encoding.
-#[derive(Clone, Debug)]
-pub struct AutomatonLineage {
-    lineage: treelineage_engine::ParallelDnnf,
-    /// Worker threads the evaluation passes fan out over (from the
-    /// builder's [`EngineConfig`]; 1 = sequential).
-    threads: usize,
-    automaton_states: usize,
-    tree_nodes: usize,
-}
-
-impl AutomatonLineage {
-    /// The certified smooth d-SDNNF over the fact ids.
-    pub fn structured(&self) -> &treelineage_automata::StructuredDnnf {
-        self.lineage.structured()
-    }
-
-    /// The fragment partition of the provenance circuit (empty when the
-    /// lineage was compiled sequentially), plus the partition-aware
-    /// evaluation wrapper.
-    pub fn parallel(&self) -> &treelineage_engine::ParallelDnnf {
-        &self.lineage
-    }
-
-    /// Number of states of the materialized tree automaton.
-    pub fn automaton_states(&self) -> usize {
-        self.automaton_states
-    }
-
-    /// Number of nodes of the tree encoding.
-    pub fn tree_nodes(&self) -> usize {
-        self.tree_nodes
-    }
-
-    /// Number of gates of the provenance circuit.
-    pub fn size(&self) -> usize {
-        self.lineage.size()
-    }
-
-    /// Query probability under independent per-fact probabilities: one
-    /// bottom-up pass, fragment-parallel when the lineage was compiled with
-    /// `threads > 1` (exact arithmetic: results are identical to the
-    /// sequential pass at every thread count).
-    pub fn probability(&self, prob: &(dyn Fn(VarId) -> Rational + Sync)) -> Rational {
-        self.lineage.probability(prob, self.threads)
-    }
-
-    /// Weighted model count with general per-literal weights: one pass (the
-    /// circuit is smooth by construction), fragment-parallel like
-    /// [`AutomatonLineage::probability`].
-    pub fn wmc(
-        &self,
-        pos: &(dyn Fn(VarId) -> Rational + Sync),
-        neg: &(dyn Fn(VarId) -> Rational + Sync),
-    ) -> Rational {
-        self.lineage.wmc(pos, neg, self.threads)
-    }
-
-    /// Number of satisfying subinstances over the full fact universe: one
-    /// integer pass, fragment-parallel like
-    /// [`AutomatonLineage::probability`].
-    pub fn model_count(&self) -> BigUint {
-        self.lineage.model_count(self.threads)
-    }
-
-    /// Float fast-path of [`AutomatonLineage::probability`]: the same
-    /// fragment-parallel pass in certified interval arithmetic. The returned
-    /// interval is guaranteed to contain the exact rational answer and is
-    /// bit-identical at every thread count.
-    pub fn probability_interval(
-        &self,
-        prob: &(dyn Fn(VarId) -> ErrorInterval + Sync),
-    ) -> ErrorInterval {
-        self.lineage.probability_interval(prob, self.threads)
-    }
-
-    /// Float fast-path of [`AutomatonLineage::wmc`], with the same
-    /// containment guarantee as [`AutomatonLineage::probability_interval`].
-    pub fn wmc_interval(
-        &self,
-        pos: &(dyn Fn(VarId) -> ErrorInterval + Sync),
-        neg: &(dyn Fn(VarId) -> ErrorInterval + Sync),
-    ) -> ErrorInterval {
-        self.lineage.wmc_interval(pos, neg, self.threads)
-    }
-}
 
 /// Builder for the lineage of a UCQ≠ on an instance, with compilation into
 /// circuits, OBDDs and d-DNNFs.
@@ -219,13 +52,16 @@ pub struct LineageBuilder<'a> {
 }
 
 impl<'a> LineageBuilder<'a> {
-    /// Starts building the lineage of `query` on `instance`.
+    /// Starts building the lineage of `query` on `instance`; a query over
+    /// another signature is an [`EngineError::InvalidRequest`].
     pub fn new(
         query: &'a UnionOfConjunctiveQueries,
         instance: &'a Instance,
-    ) -> Result<Self, LineageError> {
+    ) -> Result<Self, EngineError> {
         if query.signature() != instance.signature() {
-            return Err(LineageError::SignatureMismatch);
+            return Err(EngineError::InvalidRequest(
+                "query and instance signatures differ".into(),
+            ));
         }
         Ok(LineageBuilder {
             query,
@@ -235,8 +71,8 @@ impl<'a> LineageBuilder<'a> {
         })
     }
 
-    /// Routes the automaton pipeline through the parallel engine with the
-    /// given configuration: `threads > 1` compiles and evaluates the
+    /// Routes [`LineageBuilder::automaton_lineage`] through the parallel
+    /// engine with the given configuration: `threads > 1` compiles the
     /// provenance d-SDNNF over disjoint subtrees on worker threads
     /// (bit-identical results), and `state_budget` bounds the query
     /// compiler. The default configuration reproduces the sequential
@@ -251,10 +87,10 @@ impl<'a> LineageBuilder<'a> {
     /// computed). The decomposition's vertices must index the instance's
     /// sorted active domain (as produced by
     /// [`Instance::gaifman_graph`]).
-    pub fn with_decomposition(mut self, td: TreeDecomposition) -> Result<Self, LineageError> {
+    pub fn with_decomposition(mut self, td: TreeDecomposition) -> Result<Self, EngineError> {
         let (graph, _) = self.instance.gaifman_graph();
         td.validate(&graph)
-            .map_err(|e| LineageError::InvalidDecomposition(e.to_string()))?;
+            .map_err(|e| EngineError::InvalidDecomposition(e.to_string()))?;
         self.decomposition = Some(td);
         Ok(self)
     }
@@ -262,36 +98,6 @@ impl<'a> LineageBuilder<'a> {
     /// The matches of the query on the instance (each a set of fact ids).
     pub fn matches(&self) -> BTreeSet<BTreeSet<FactId>> {
         matching::all_matches(self.query, self.instance)
-    }
-
-    /// Checks whether inserting `fact` at `probability` would be accepted
-    /// by an update-capable serving session over this builder's instance
-    /// (see [`treelineage_engine::EvalSession::insert_fact`]). With an
-    /// explicit decomposition the check is domain-pinned: the fact's
-    /// elements must already be in the decomposition's domain and covered
-    /// by one of its bags, because an incremental recompile cannot shift
-    /// the pinned vertex numbering. Without one, only the instance-level
-    /// checks (arity, duplicate, probability range) apply — the heuristic
-    /// decomposition is recomputed per compile and absorbs any fact.
-    pub fn supports_insert(&self, fact: &Fact, probability: &Rational) -> Result<(), UpdateError> {
-        let plan = match &self.decomposition {
-            Some(td) => Some(
-                treelineage_encoding::EncodingPlan::new_trusted(self.instance, td)
-                    .map_err(|e| UpdateError::Encoding(e.to_string()))?,
-            ),
-            None => None,
-        };
-        validate_insert(self.instance, plan.as_ref(), fact, probability)
-    }
-
-    /// Checks whether retracting `fact` would be accepted by an
-    /// update-capable serving session over this builder's instance (see
-    /// [`treelineage_engine::EvalSession::retract_fact`]). With an explicit
-    /// decomposition the retraction must not orphan a domain element
-    /// (domain-pinning, as for [`LineageBuilder::supports_insert`]);
-    /// without one, only the fact-id range is checked.
-    pub fn supports_retract(&self, fact: FactId) -> Result<(), UpdateError> {
-        validate_retract(self.instance, fact, self.decomposition.is_some())
     }
 
     /// The monotone lineage circuit: the disjunction over matches of the
@@ -376,22 +182,24 @@ impl<'a> LineageBuilder<'a> {
     }
 
     /// Compiles the lineage through the paper's Section 6 automaton
-    /// pipeline ([`LineageBackend::Automaton`]): tree-encode the instance
-    /// along the decomposition, compile the query into a deterministic
-    /// bottom-up tree automaton over the encoding alphabet
+    /// pipeline (Theorem 6.11): tree-encode the instance along the
+    /// decomposition, compile the query into a deterministic bottom-up tree
+    /// automaton over the encoding alphabet
     /// (`treelineage_encoding::compile_ucq`), and extract the provenance
-    /// d-SDNNF of the automaton on the uncertain encoding
-    /// (`treelineage_automata::compile_structured_dnnf`). No query match is
+    /// d-SDNNF of the automaton on the uncertain encoding, smooth over the
+    /// fact ids and structured by the encoding's vtree. No query match is
     /// ever materialized; the per-instance work is linear in the instance
-    /// for bounded-width families.
-    pub fn automaton_lineage(&self) -> Result<AutomatonLineage, LineageError> {
+    /// for bounded-width families. The artifact's passes take their thread
+    /// count per call and answer identically at every count.
+    pub fn automaton_lineage(&self) -> Result<ParallelDnnf, EngineError> {
         let td = self.decomposition_or_default();
         // Trusted: a supplied decomposition was validated by
         // `with_decomposition`, and the heuristic fallback is valid by
         // construction — re-validating here would double the exact cost the
         // near-linear validate keeps off this path.
         let telemetry = &self.engine_config.telemetry;
-        let encoding = treelineage_encoding::encode_traced(self.instance, &td, telemetry)?;
+        let encoding = treelineage_encoding::encode_traced(self.instance, &td, telemetry)
+            .map_err(EngineError::Encoding)?;
         let mut compiled = treelineage_encoding::compile_ucq(
             self.query,
             encoding.alphabet(),
@@ -399,22 +207,15 @@ impl<'a> LineageBuilder<'a> {
                 state_budget: self.engine_config.state_budget,
                 telemetry: telemetry.clone(),
             },
-        )?;
-        let automaton = compiled.automaton_for(encoding.tree())?;
+        )
+        .map_err(EngineError::QueryCompile)?;
+        let automaton = compiled
+            .automaton_for(encoding.tree())
+            .map_err(EngineError::QueryCompile)?;
         // At one thread (or on a small tree) this is the traced sequential
         // compile; otherwise fragments on the pool, spliced into one build.
-        let lineage = treelineage_engine::compile_structured_dnnf_parallel(
-            &automaton,
-            encoding.tree(),
-            &self.engine_config,
-        )
-        .map_err(|e| LineageError::Provenance(e.to_string()))?;
-        Ok(AutomatonLineage {
-            lineage,
-            threads: self.engine_config.threads,
-            automaton_states: automaton.state_count(),
-            tree_nodes: encoding.node_count(),
-        })
+        compile_structured_dnnf_parallel(&automaton, encoding.tree(), &self.engine_config)
+            .map_err(|e| EngineError::Provenance(e.to_string()))
     }
 }
 
@@ -527,10 +328,8 @@ mod tests {
         }
         // The automaton pipeline's artifact counts the same models without
         // ever having enumerated a query match.
-        assert_eq!(automaton.model_count().to_u64(), Some(satisfying));
+        assert_eq!(automaton.model_count(1).to_u64(), Some(satisfying));
         assert_eq!(manager.count_models(root).to_u64(), Some(satisfying));
-        assert!(automaton.automaton_states() > 0);
-        assert!(automaton.tree_nodes() > 0);
     }
 
     #[test]
@@ -591,93 +390,14 @@ mod tests {
     }
 
     #[test]
-    fn update_support_checks_mirror_the_session_rules() {
-        let sig = rst();
-        let q = parse_query(&sig, "R(x), S(x, y), T(y)").unwrap();
-        let inst = chain_instance(2);
-        let builder = LineageBuilder::new(&q, &inst).unwrap();
-        let r = sig.relation_by_name("R").unwrap();
-        let s = sig.relation_by_name("S").unwrap();
-        // Without a pinned decomposition, new elements are fine but
-        // duplicates, arity and probability-range violations are not.
-        assert_eq!(
-            builder.supports_insert(
-                &Fact::new(r, vec![treelineage_instance::Element(9)]),
-                &Rational::one_half()
-            ),
-            Ok(())
-        );
-        assert_eq!(
-            builder.supports_insert(
-                &Fact::new(r, vec![treelineage_instance::Element(0)]),
-                &Rational::one_half()
-            ),
-            Err(UpdateError::DuplicateFact(FactId(0)))
-        );
-        assert_eq!(
-            builder.supports_insert(&Fact::new(r, vec![]), &Rational::one_half()),
-            Err(UpdateError::ArityMismatch {
-                expected: 1,
-                got: 0
-            })
-        );
-        assert_eq!(
-            builder.supports_retract(FactId(inst.fact_count())),
-            Err(UpdateError::UnknownFact(FactId(inst.fact_count())))
-        );
-        assert_eq!(builder.supports_retract(FactId(0)), Ok(()));
-        // With the pinned heuristic decomposition, a fact over a new
-        // element is a typed rejection and a retraction may not orphan a
-        // domain element.
-        let (graph, _) = inst.gaifman_graph();
-        let td = treelineage_graph::treewidth::treewidth_upper_bound(&graph).1;
-        let pinned = LineageBuilder::new(&q, &inst)
-            .unwrap()
-            .with_decomposition(td)
-            .unwrap();
-        assert_eq!(
-            pinned.supports_insert(
-                &Fact::new(
-                    s,
-                    vec![
-                        treelineage_instance::Element(0),
-                        treelineage_instance::Element(9)
-                    ]
-                ),
-                &Rational::one_half()
-            ),
-            Err(UpdateError::NewElement(treelineage_instance::Element(9)))
-        );
-        // Element 2 lives only in S(1, 2): retracting it under a pinned
-        // decomposition would orphan the element.
-        let mut tail = Instance::new(sig.clone());
-        tail.add_fact_by_name("R", &[0]);
-        tail.add_fact_by_name("S", &[0, 1]);
-        tail.add_fact_by_name("S", &[1, 2]);
-        let (tail_graph, _) = tail.gaifman_graph();
-        let tail_td = treelineage_graph::treewidth::treewidth_upper_bound(&tail_graph).1;
-        let tail_builder = LineageBuilder::new(&q, &tail)
-            .unwrap()
-            .with_decomposition(tail_td)
-            .unwrap();
-        assert_eq!(
-            tail_builder.supports_retract(FactId(2)),
-            Err(UpdateError::OrphanedElement(treelineage_instance::Element(
-                2
-            )))
-        );
-        assert_eq!(tail_builder.supports_retract(FactId(0)), Ok(()));
-    }
-
-    #[test]
     fn signature_mismatch_is_rejected() {
         let q = parse_query(&rst(), "R(x)").unwrap();
         let other_sig = Signature::builder().relation("R", 1).build();
         let inst = Instance::new(other_sig);
-        assert_eq!(
-            LineageBuilder::new(&q, &inst).err(),
-            Some(LineageError::SignatureMismatch)
-        );
+        assert!(matches!(
+            LineageBuilder::new(&q, &inst),
+            Err(EngineError::InvalidRequest(m)) if m.contains("signatures differ")
+        ));
     }
 
     #[test]
@@ -690,7 +410,7 @@ mod tests {
         let result = LineageBuilder::new(&q, &inst)
             .unwrap()
             .with_decomposition(bad);
-        assert!(matches!(result, Err(LineageError::InvalidDecomposition(_))));
+        assert!(matches!(result, Err(EngineError::InvalidDecomposition(_))));
     }
 
     #[test]

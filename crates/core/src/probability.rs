@@ -7,30 +7,31 @@
 //! lineage (see [`crate::lineage`]) into the shared [`treelineage_dd`]
 //! engine and evaluating the weighted model count of the resulting diagram
 //! in time linear in its (shared) size — the "ra-linear modulo compilation"
-//! pipeline that the paper's upper bounds describe. The automaton pipeline's
-//! provenance d-SDNNF (Theorem 6.11) is kept alongside (it answers the same
-//! queries and the benches time the two backends against each other), and a
-//! brute-force possible-worlds oracle is provided for testing.
+//! pipeline that the paper's upper bounds describe. The automaton
+//! pipeline's provenance d-SDNNF (Theorem 6.11) is the other lineage object:
+//! [`LineageBuilder::automaton_lineage`] returns it, and its passes answer
+//! the same queries. Brute-force possible-worlds oracles are provided for
+//! testing.
 
-use crate::lineage::{LineageBackend, LineageBuilder, LineageError};
+use crate::lineage::LineageBuilder;
 use std::collections::BTreeSet;
+use treelineage_engine::EngineError;
 use treelineage_graph::TreeDecomposition;
 use treelineage_instance::{FactId, Instance, ProbabilityValuation};
 use treelineage_num::{BigUint, ErrorInterval, Rational};
 use treelineage_query::{matching, UnionOfConjunctiveQueries};
 
-/// Exact probability evaluation for UCQ≠ queries on TID instances.
+/// Exact probability evaluation for UCQ≠ queries on TID instances, through
+/// the OBDD of the query lineage (Theorems 6.5 / 6.7).
 pub struct ProbabilityEvaluator<'a> {
     instance: &'a Instance,
     valuation: &'a ProbabilityValuation,
     decomposition: Option<TreeDecomposition>,
-    backend: LineageBackend,
-    engine_config: treelineage_engine::EngineConfig,
 }
 
 impl<'a> ProbabilityEvaluator<'a> {
     /// Creates an evaluator over the given instance and probability
-    /// valuation, using the default [`LineageBackend::SharedDd`] backend.
+    /// valuation.
     pub fn new(instance: &'a Instance, valuation: &'a ProbabilityValuation) -> Self {
         assert_eq!(
             valuation.len(),
@@ -41,8 +42,6 @@ impl<'a> ProbabilityEvaluator<'a> {
             instance,
             valuation,
             decomposition: None,
-            backend: LineageBackend::default(),
-            engine_config: treelineage_engine::EngineConfig::default(),
         }
     }
 
@@ -53,84 +52,22 @@ impl<'a> ProbabilityEvaluator<'a> {
         self
     }
 
-    /// Routes [`ProbabilityEvaluator::query_probability`] and
-    /// [`ProbabilityEvaluator::model_count`] through the given lineage
-    /// backend. All backends return exactly equal answers (pinned by the
-    /// cross-backend differential suite); they differ in cost profile.
-    pub fn with_backend(mut self, backend: LineageBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// The backend the evaluator routes through.
-    pub fn backend(&self) -> LineageBackend {
-        self.backend
-    }
-
-    /// Routes the automaton backend through the parallel engine with the
-    /// given configuration (thread count for subtree-parallel compile and
-    /// evaluation, query-compiler state budget). All answers stay exactly
-    /// equal to the sequential default at every thread count — the engine's
-    /// determinism contract, pinned by `tests/parallel_differential.rs`.
-    pub fn with_engine_config(mut self, config: treelineage_engine::EngineConfig) -> Self {
-        self.engine_config = config;
-        self
-    }
-
-    /// The engine configuration the evaluator routes through.
-    pub fn engine_config(&self) -> treelineage_engine::EngineConfig {
-        self.engine_config.clone()
-    }
-
-    /// Checks whether inserting `fact` at `probability` would be accepted
-    /// by an update-capable serving session over this evaluator's instance
-    /// (see [`treelineage_engine::EvalSession::insert_fact`]). With an
-    /// explicit decomposition the check is domain-pinned — the fact must
-    /// live inside the decomposition's domain and be covered by a bag;
-    /// without one, only the instance-level checks apply.
-    pub fn supports_insert(
-        &self,
-        fact: &treelineage_instance::Fact,
-        probability: &Rational,
-    ) -> Result<(), treelineage_engine::UpdateError> {
-        let plan = match &self.decomposition {
-            Some(td) => Some(
-                treelineage_encoding::EncodingPlan::new_trusted(self.instance, td)
-                    .map_err(|e| treelineage_engine::UpdateError::Encoding(e.to_string()))?,
-            ),
-            None => None,
-        };
-        treelineage_engine::validate_insert(self.instance, plan.as_ref(), fact, probability)
-    }
-
-    /// Checks whether retracting `fact` would be accepted by an
-    /// update-capable serving session over this evaluator's instance (see
-    /// [`treelineage_engine::EvalSession::retract_fact`]): the id must be
-    /// in range, and under an explicit decomposition the retraction must
-    /// not orphan a domain element.
-    pub fn supports_retract(&self, fact: FactId) -> Result<(), treelineage_engine::UpdateError> {
-        treelineage_engine::validate_retract(self.instance, fact, self.decomposition.is_some())
-    }
-
-    /// The probability that the query holds, computed through the selected
-    /// [`LineageBackend`] (by default the shared decision-diagram engine:
-    /// the Theorem 6.5 / 6.7 pipeline of compiling the lineage under a
-    /// decomposition-derived order and running one weighted model-counting
-    /// pass; [`LineageBackend::Automaton`] instead materializes the
-    /// Theorem 6.11 d-SDNNF and evaluates it in one linear pass).
+    /// The probability that the query holds: the Theorem 6.5 / 6.7 pipeline
+    /// of compiling the lineage into the shared decision-diagram engine
+    /// under a decomposition-derived order and running one weighted
+    /// model-counting pass.
     pub fn query_probability(
         &self,
         query: &UnionOfConjunctiveQueries,
-    ) -> Result<Rational, LineageError> {
-        match self.backend {
-            LineageBackend::SharedDd => self.query_probability_via_dd(query),
-            LineageBackend::Automaton => self.query_probability_via_automaton(query),
-        }
+    ) -> Result<Rational, EngineError> {
+        let (manager, root) = self.builder(query)?.dd();
+        Ok(manager.probability(root, &|v| self.valuation.probability(FactId(v)).clone()))
     }
 
-    /// Float fast-path of [`ProbabilityEvaluator::query_probability`]: the
-    /// same linear pass over the compiled lineage, but in certified `f64`
-    /// interval arithmetic instead of exact big-rational arithmetic.
+    /// Float fast-path of [`ProbabilityEvaluator::query_probability`]: one
+    /// pass over the OBDD-derived d-DNNF ([`LineageBuilder::ddnnf`];
+    /// probability needs no smoothing) in certified `f64` interval
+    /// arithmetic instead of exact big-rational arithmetic.
     ///
     /// Returns `(estimate, interval)` where `interval` is **guaranteed to
     /// contain the exact rational probability** (every gate combines its
@@ -143,70 +80,34 @@ impl<'a> ProbabilityEvaluator<'a> {
     /// threshold lands inside the interval — the float-first serving policy
     /// that [`treelineage_engine::EvalSession`] wires up as
     /// [`treelineage_engine::SessionBackend::FloatFirst`].
-    ///
-    /// Routed per backend: [`LineageBackend::Automaton`] runs the
-    /// fragment-parallel interval pass over the provenance d-SDNNF (still
-    /// bit-identical at every thread count); [`LineageBackend::SharedDd`]
-    /// runs the sequential interval pass over the OBDD-derived d-DNNF
-    /// ([`LineageBuilder::ddnnf`]; probability needs no smoothing).
     pub fn query_probability_f64(
         &self,
         query: &UnionOfConjunctiveQueries,
-    ) -> Result<(f64, ErrorInterval), LineageError> {
+    ) -> Result<(f64, ErrorInterval), EngineError> {
         let weight = |v: usize| ErrorInterval::from_rational(self.valuation.probability(FactId(v)));
-        let interval = match self.backend {
-            LineageBackend::Automaton => self
-                .builder(query)?
-                .automaton_lineage()?
-                .probability_interval(&weight),
-            LineageBackend::SharedDd => self.builder(query)?.ddnnf().probability_interval(&weight),
-        };
+        let interval = self.builder(query)?.ddnnf().probability_interval(&weight);
         Ok((interval.midpoint(), interval))
-    }
-
-    /// The probability computed through the automaton pipeline (tree
-    /// encoding + query→automaton compilation + provenance d-SDNNF; the
-    /// Section 6 route that never materializes query matches), regardless
-    /// of the selected backend.
-    fn query_probability_via_automaton(
-        &self,
-        query: &UnionOfConjunctiveQueries,
-    ) -> Result<Rational, LineageError> {
-        let lineage = self.builder(query)?.automaton_lineage()?;
-        Ok(lineage.probability(&|v| self.valuation.probability(FactId(v)).clone()))
-    }
-
-    /// The probability computed through the shared dd engine, regardless of
-    /// the selected backend.
-    fn query_probability_via_dd(
-        &self,
-        query: &UnionOfConjunctiveQueries,
-    ) -> Result<Rational, LineageError> {
-        let builder = self.builder(query)?;
-        let (manager, root) = builder.dd();
-        Ok(manager.probability(root, &|v| self.valuation.probability(FactId(v)).clone()))
     }
 
     fn builder<'q>(
         &'q self,
         query: &'q UnionOfConjunctiveQueries,
-    ) -> Result<LineageBuilder<'q>, LineageError> {
-        let mut builder = LineageBuilder::new(query, self.instance)?
-            .with_engine_config(self.engine_config.clone());
-        if let Some(td) = &self.decomposition {
-            builder = builder.with_decomposition(td.clone())?;
+    ) -> Result<LineageBuilder<'q>, EngineError> {
+        let builder = LineageBuilder::new(query, self.instance)?;
+        match &self.decomposition {
+            Some(td) => builder.with_decomposition(td.clone()),
+            None => Ok(builder),
         }
-        Ok(builder)
     }
 
     /// The probability that the query holds, computed through the d-DNNF
-    /// lineage (Theorem 6.11 pipeline). Always equal to
-    /// [`ProbabilityEvaluator::query_probability`]; exposed separately so the
-    /// benchmarks can time the two pipelines independently.
+    /// read off the OBDD ([`LineageBuilder::ddnnf`]). Always equal to
+    /// [`ProbabilityEvaluator::query_probability`]; exposed separately so
+    /// the benchmarks can time the two pipelines independently.
     pub fn query_probability_via_ddnnf(
         &self,
         query: &UnionOfConjunctiveQueries,
-    ) -> Result<Rational, LineageError> {
+    ) -> Result<Rational, EngineError> {
         let ddnnf = self.builder(query)?.ddnnf();
         Ok(ddnnf.probability(&|v| self.valuation.probability(FactId(v)).clone()))
     }
@@ -220,46 +121,27 @@ impl<'a> ProbabilityEvaluator<'a> {
 
     /// Number of subinstances (possible worlds under the all-1/2 valuation,
     /// scaled by `2^{|I|}`) satisfying the query — the model counting problem
-    /// related to probability evaluation by footnote 3 of the paper.
-    /// Routed through the selected [`LineageBackend`]; the automaton
-    /// backend counts in one integer pass over its smooth d-SDNNF.
-    pub fn model_count(&self, query: &UnionOfConjunctiveQueries) -> Result<BigUint, LineageError> {
-        let builder = self.builder(query)?;
-        match self.backend {
-            LineageBackend::SharedDd => {
-                let (manager, root) = builder.dd();
-                Ok(manager.count_models(root))
-            }
-            LineageBackend::Automaton => Ok(builder.automaton_lineage()?.model_count()),
-        }
+    /// related to probability evaluation by footnote 3 of the paper. One
+    /// counting pass over the OBDD.
+    pub fn model_count(&self, query: &UnionOfConjunctiveQueries) -> Result<BigUint, EngineError> {
+        let (manager, root) = self.builder(query)?.dd();
+        Ok(manager.count_models(root))
     }
 
     /// General weighted model count: `Σ_worlds Π_facts (pos if present else
     /// neg)`, with weights that need not sum to one per fact (so this is
     /// strictly more general than [`ProbabilityEvaluator::query_probability`];
-    /// e.g. `pos = neg = 1` counts models). One pass over the automaton
-    /// pipeline's smooth provenance d-SDNNF when the
-    /// [`LineageBackend::Automaton`] backend is selected;
-    /// [`LineageBackend::SharedDd`] runs the shared dd engine's general-weight pass
-    /// ([`treelineage_dd::Manager::wmc`]), which stays independent of the
-    /// automaton pipeline.
+    /// e.g. `pos = neg = 1` counts models). Runs the shared dd engine's
+    /// general-weight pass ([`treelineage_dd::Manager::wmc`]), which stays
+    /// independent of the automaton pipeline.
     pub fn query_wmc(
         &self,
         query: &UnionOfConjunctiveQueries,
-        pos: &(dyn Fn(FactId) -> Rational + Sync),
-        neg: &(dyn Fn(FactId) -> Rational + Sync),
-    ) -> Result<Rational, LineageError> {
-        let builder = self.builder(query)?;
-        match self.backend {
-            LineageBackend::Automaton => {
-                let lineage = builder.automaton_lineage()?;
-                Ok(lineage.wmc(&|v| pos(FactId(v)), &|v| neg(FactId(v))))
-            }
-            LineageBackend::SharedDd => {
-                let (manager, root) = builder.dd();
-                Ok(manager.wmc(root, &|v| pos(FactId(v)), &|v| neg(FactId(v))))
-            }
-        }
+        pos: &dyn Fn(FactId) -> Rational,
+        neg: &dyn Fn(FactId) -> Rational,
+    ) -> Result<Rational, EngineError> {
+        let (manager, root) = self.builder(query)?.dd();
+        Ok(manager.wmc(root, &|v| pos(FactId(v)), &|v| neg(FactId(v))))
     }
 
     /// Brute-force general weighted model count (oracle); exponential,
@@ -400,25 +282,20 @@ mod tests {
             .map(|i| [0.5, 0.25, 0.75][i % 3])
             .collect();
         let valuation = ProbabilityValuation::from_f64(&inst, &probs);
-        let reference =
-            ProbabilityEvaluator::new(&inst, &valuation).query_probability_bruteforce(&q);
-        for backend in [
-            crate::LineageBackend::SharedDd,
-            crate::LineageBackend::Automaton,
-        ] {
-            let evaluator = ProbabilityEvaluator::new(&inst, &valuation).with_backend(backend);
-            assert_eq!(evaluator.backend(), backend);
-            assert_eq!(
-                evaluator.query_probability(&q).unwrap(),
-                reference,
-                "{backend:?}"
-            );
-            assert_eq!(
-                evaluator.model_count(&q).unwrap().to_u64(),
-                evaluator.model_count_bruteforce(&q).to_u64(),
-                "{backend:?}"
-            );
-        }
+        let evaluator = ProbabilityEvaluator::new(&inst, &valuation);
+        let reference = evaluator.query_probability_bruteforce(&q);
+        let count = evaluator.model_count_bruteforce(&q);
+        // The OBDD route.
+        assert_eq!(evaluator.query_probability(&q).unwrap(), reference);
+        assert_eq!(evaluator.model_count(&q).unwrap(), count);
+        // The automaton route.
+        let lineage = LineageBuilder::new(&q, &inst)
+            .unwrap()
+            .automaton_lineage()
+            .unwrap();
+        let prob = |v: usize| valuation.probability(FactId(v)).clone();
+        assert_eq!(lineage.probability(&prob, 1), reference);
+        assert_eq!(lineage.model_count(1), count);
     }
 
     #[test]
@@ -429,16 +306,19 @@ mod tests {
             .map(|i| [0.5, 0.25, 0.75, 0.125][i % 4])
             .collect();
         let valuation = ProbabilityValuation::from_f64(&inst, &probs);
-        for backend in [
-            crate::LineageBackend::SharedDd,
-            crate::LineageBackend::Automaton,
-        ] {
-            let evaluator = ProbabilityEvaluator::new(&inst, &valuation).with_backend(backend);
-            let exact = evaluator.query_probability(&q).unwrap();
-            let (estimate, interval) = evaluator.query_probability_f64(&q).unwrap();
-            assert!(interval.contains(&exact), "{backend:?}");
-            assert!(interval.contains_f64(estimate), "{backend:?}");
-            assert!(interval.width() < 1e-12, "{backend:?}: {interval:?}");
+        let evaluator = ProbabilityEvaluator::new(&inst, &valuation);
+        let exact = evaluator.query_probability(&q).unwrap();
+        let (estimate, obdd) = evaluator.query_probability_f64(&q).unwrap();
+        assert!(obdd.contains_f64(estimate));
+        let weight = |v: usize| ErrorInterval::from_rational(valuation.probability(FactId(v)));
+        let automaton = LineageBuilder::new(&q, &inst)
+            .unwrap()
+            .automaton_lineage()
+            .unwrap()
+            .probability_interval(&weight, 1);
+        for (route, interval) in [("obdd", obdd), ("automaton", automaton)] {
+            assert!(interval.contains(&exact), "{route}");
+            assert!(interval.width() < 1e-12, "{route}: {interval:?}");
         }
     }
 

@@ -21,7 +21,7 @@
 //!   bottom-up subset construction over partial-match configurations, with
 //!   a state budget and typed [`CompileError`]s.
 //!
-//! Downstream, `treelineage_core`'s `LineageBackend::Automaton` chains
+//! Downstream, `treelineage_core`'s `LineageBuilder::automaton_lineage` chains
 //! these with [`treelineage_automata::compile_structured_dnnf`] into the
 //! full pipeline: probability / model counting / weighted model counting
 //! without ever materializing query matches (and `treelineage-engine`

@@ -22,10 +22,10 @@
 //!   evaluate many (query, instance, weights) requests concurrently and
 //!   deduplicate shared compile work.
 //! * [`EngineConfig`] — the knob set (`threads`, `state_budget`,
-//!   `fragment_grain`, `lineage_cache_cap`, the Karp–Luby `(ε, δ)`,
-//!   telemetry and the flight recorder) that `treelineage-core`'s
-//!   `ProbabilityEvaluator` and the bench harness route through, so every
-//!   existing entry point can opt into parallelism without API changes.
+//!   `fragment_grain`, `lineage_cache_cap`, telemetry and the flight
+//!   recorder) that `treelineage-core`'s `LineageBuilder::automaton_lineage`
+//!   and the bench harness route through, so every existing entry point can
+//!   opt into parallelism without API changes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -54,16 +54,16 @@ use treelineage_instance::Instance;
 
 /// Configuration of the parallel engine: thread count, the query compiler's
 /// state budget, the fragment grain, the [`EvalSession`] lineage cache cap,
-/// the Karp–Luby knobs, telemetry and the flight recorder.
+/// telemetry and the flight recorder.
 /// The default is fully sequential with the compiler's default budget —
 /// existing entry points behave exactly as before until they opt in.
 /// Float-first serving is a session backend, not a config knob: select it
-/// with [`EvalSession::with_backend`] and [`SessionBackend::FloatFirst`].
+/// with [`EvalSession::with_backend`] and [`SessionBackend::FloatFirst`];
+/// its Karp–Luby fallback runs at the fixed `(ε, δ) = (0.01, 0.01)`.
 ///
-/// (No `Eq`: the `(ε, δ)` knobs are `f64`. `PartialEq` is still derived and
-/// the engine never stores `NaN` in them; [`Telemetry`] compares by
-/// identity. No `Copy` since the telemetry handle holds an `Arc` — clone
-/// configs explicitly where they are reused.)
+/// (`PartialEq` compares [`Telemetry`] by identity. No `Copy` since the
+/// telemetry handle holds an `Arc` — clone configs explicitly where they
+/// are reused.)
 #[derive(Clone, Debug, PartialEq)]
 pub struct EngineConfig {
     /// Worker threads for subtree compilation and batched evaluation.
@@ -81,13 +81,6 @@ pub struct EngineConfig {
     /// Maximum number of compiled lineages an [`EvalSession`] keeps (per
     /// (query, instance); least recently used evicted first).
     pub lineage_cache_cap: usize,
-    /// Relative error bound ε of the Karp–Luby fallback estimator
-    /// (`|estimate − exact| ≤ ε·exact` with probability `1 − δ`). Default
-    /// `0.01`.
-    pub epsilon: f64,
-    /// Failure probability δ of the Karp–Luby fallback estimator. Default
-    /// `0.01`.
-    pub delta: f64,
     /// Telemetry sink for pipeline-stage spans, pool activity, and
     /// per-request tier/latency records. Defaults to
     /// [`Telemetry::disabled`] — a no-op handle whose recording calls are
@@ -112,8 +105,6 @@ impl Default for EngineConfig {
             state_budget: treelineage_encoding::DEFAULT_STATE_BUDGET,
             fragment_grain: 0,
             lineage_cache_cap: 256,
-            epsilon: 0.01,
-            delta: 0.01,
             telemetry: Telemetry::disabled(),
             flight_recorder_capacity: 8,
             flight_recorder_threshold_ns: 10_000_000,

@@ -10,7 +10,7 @@ use crate::pool::{lock_recovering, run_tasks};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, Weak};
 use treelineage_encoding::{
-    compile_ucq, CompileOptions, CompiledQuery, EncodingError, LiveStates, TreeEncoding,
+    compile_ucq, CompileOptions, CompiledQuery, EncodingAlphabet, LiveStates, TreeEncoding,
 };
 
 /// Maximum number of compiled query machines an [`EvalSession`] keeps (per
@@ -283,7 +283,7 @@ impl EvalSession {
         pool_threads: usize,
         parked: Option<Parked>,
     ) -> Result<(ParallelDnnf, LiveStates, Parked), EngineError> {
-        let machine = self.machine(query, encoding.alphabet().width())?;
+        let machine = self.machine(query, encoding.alphabet())?;
         let (automaton, live) = lock_recovering(&machine)
             .materialize(encoding.tree())
             .map_err(EngineError::QueryCompile)?;
@@ -342,26 +342,26 @@ impl EvalSession {
         .map_err(EngineError::Encoding)
     }
 
-    /// The compiled query machine for (query, width), built on first use.
-    /// The machine's own deterministic-state memo persists across every
-    /// instance of that width.
-    pub(super) fn machine(
+    /// The compiled query machine for (query, the alphabet's width), built
+    /// on first use over the encoding's alphabet (the query's signature is
+    /// the instance's: [`EvalSession::check_request`]). The machine's own
+    /// deterministic-state memo persists across every instance of that
+    /// width.
+    fn machine(
         &self,
         query: usize,
-        width: usize,
+        alphabet: &EncodingAlphabet,
     ) -> Result<Arc<Mutex<CompiledQuery>>, EngineError> {
+        let width = alphabet.width();
         if let Some(hit) = lock_recovering(&self.machines).get(&(query, width)) {
             return Ok(hit);
         }
         self.count(|s| s.machines_built += 1);
-        let alphabet =
-            treelineage_encoding::EncodingAlphabet::new(self.queries[query].signature(), width)
-                .map_err(|e| EngineError::Encoding(EncodingError::Alphabet(e)))?;
         let options = CompileOptions {
             state_budget: self.config.state_budget,
             telemetry: self.config.telemetry.clone(),
         };
-        let machine = compile_ucq(&self.queries[query], &alphabet, options)
+        let machine = compile_ucq(&self.queries[query], alphabet, options)
             .map_err(EngineError::QueryCompile)?;
         let arc = Arc::new(Mutex::new(machine));
         lock_recovering(&self.machines).insert((query, width), arc.clone());

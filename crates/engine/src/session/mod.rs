@@ -92,10 +92,10 @@ pub enum SessionBackend {
     /// [`EvalSession::batch_threshold`] answers from the interval fast-path
     /// (falling back to exact rationals only when the threshold lands
     /// inside the interval), and (query, instance) pairs whose compilation
-    /// blows the state budget degrade to the Karp–Luby estimator with the
-    /// session's `(ε, δ)` instead of failing. The exact-rational batch
-    /// methods are unchanged under this backend — float-first is a *serving
-    /// policy*, not a different compilation pipeline.
+    /// blows the state budget degrade to the Karp–Luby estimator at the
+    /// fixed `(ε, δ) = (0.01, 0.01)` instead of failing. The exact-rational
+    /// batch methods are unchanged under this backend — float-first is a
+    /// *serving policy*, not a different compilation pipeline.
     FloatFirst,
 }
 
@@ -291,8 +291,9 @@ impl EvalSession {
     }
 
     /// Validates one request before any work is scheduled: both handles
-    /// must name entries registered with this session, and every per-fact
-    /// vector — given as `(name, length)` — must cover the instance.
+    /// must name entries registered with this session, the query must be
+    /// over the instance's signature, and every per-fact vector — given as
+    /// `(name, length)` — must cover the instance.
     /// Returns the `(query, instance)` indices. The one check behind every
     /// batch method, [`EvalSession::explain`],
     /// [`EvalSession::lineage_artifact`] and [`EvalSession::cold_lineage`].
@@ -315,6 +316,11 @@ impl EvalSession {
                 self.instances.len()
             )));
         };
+        if self.queries[q].signature() != entry.instance.signature() {
+            return Err(EngineError::InvalidRequest(format!(
+                "query {q} is over another signature than instance {i}"
+            )));
+        }
         let facts = entry.instance.fact_count();
         if let Some((name, len)) = per_fact.iter().find(|(_, len)| *len != facts) {
             return Err(EngineError::InvalidRequest(format!(

@@ -97,6 +97,13 @@ pub struct ThresholdDecision {
     pub interval: ErrorInterval,
 }
 
+/// Relative error bound ε of the Karp–Luby fallback
+/// (`|estimate − exact| ≤ ε·exact` with probability `1 − δ`).
+pub(super) const KARP_LUBY_EPSILON: f64 = 0.01;
+
+/// Failure probability δ of the Karp–Luby fallback.
+const KARP_LUBY_DELTA: f64 = 0.01;
+
 /// One request's result with the tier that served it.
 type Answer<T> = Result<(T, DecisionTier), EngineError>;
 
@@ -253,7 +260,7 @@ impl EvalSession {
     ///
     /// Under [`SessionBackend::FloatFirst`], a (query, instance) pair whose
     /// compilation exceeds the state budget degrades to the Karp–Luby
-    /// estimator with the session's `(ε, δ)`; its interval is then the
+    /// estimator at `(ε, δ) = (0.01, 0.01)`; its interval is then the
     /// *probabilistic* `(ε, δ)` bound, not a certified enclosure.
     pub fn batch_probability_f64(
         &self,
@@ -326,9 +333,9 @@ impl EvalSession {
     /// order:
     ///
     /// 1. a pair whose compilation blew the state budget degrades to the
-    ///    Karp–Luby estimator under [`SessionBackend::FloatFirst`], with the
-    ///    session's `(ε, δ)` and a seed fixed per (query, instance) pair;
-    ///    any other compile error is the request's error;
+    ///    Karp–Luby estimator under [`SessionBackend::FloatFirst`], at
+    ///    `(ε, δ) = (0.01, 0.01)` with a seed fixed per (query, instance)
+    ///    pair; any other compile error is the request's error;
     /// 2. when `float` is set, the certified interval pass answers, unless
     ///    a `threshold` is given and lands inside the interval;
     /// 3. otherwise the exact rational pass answers.
@@ -351,23 +358,14 @@ impl EvalSession {
                 if !budget_exceeded || self.backend != SessionBackend::FloatFirst {
                     return Err(e.clone());
                 }
-                let (epsilon, delta) = (self.config.epsilon, self.config.delta);
-                for (field, value) in [("epsilon", epsilon), ("delta", delta)] {
-                    if !(0.0 < value && value < 1.0) {
-                        return Err(EngineError::InvalidRequest(format!(
-                            "EngineConfig::{field} must lie in (0, 1) for the Karp–Luby \
-                             fallback, got {value}"
-                        )));
-                    }
-                }
                 self.count(|s| s.monte_carlo_fallbacks += 1);
                 let seed = 0x9E37_79B9_7F4A_7C15u64 ^ ((query as u64) << 32) ^ instance as u64;
                 let estimate = karp_luby_probability(
                     &self.queries[query],
                     &self.instances[instance].instance,
                     valuation,
-                    epsilon,
-                    delta,
+                    KARP_LUBY_EPSILON,
+                    KARP_LUBY_DELTA,
                     seed,
                 );
                 return Ok(Tiered::MonteCarlo(estimate.estimate, estimate.interval()));

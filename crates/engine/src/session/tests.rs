@@ -336,8 +336,6 @@ fn budget_blowout_degrades_to_monte_carlo_under_float_first() {
     // session degrades to Karp–Luby instead of surfacing the error.
     let config = EngineConfig {
         state_budget: 1,
-        epsilon: 0.02,
-        delta: 0.02,
         ..EngineConfig::default()
     };
     let mut session = EvalSession::with_backend(config, SessionBackend::FloatFirst);
@@ -388,65 +386,10 @@ fn budget_blowout_degrades_to_monte_carlo_under_float_first() {
     };
     let exact_f = exact_session.to_f64();
     assert!(
-        (estimate - exact_f).abs() <= 0.02 * exact_f,
+        (estimate - exact_f).abs() <= serve::KARP_LUBY_EPSILON * exact_f,
         "Karp–Luby estimate {estimate} vs exact {exact_f}"
     );
     assert_eq!(decision.above, exact_f > 0.5);
-}
-
-#[test]
-fn out_of_range_karp_luby_parameters_are_typed_errors() {
-    // The Karp–Luby fallback sizes its sample count from (ε, δ), which
-    // must lie in (0, 1): outside it, every approximate API answers the
-    // fallback request with a typed error, on a worker or the caller's
-    // thread alike, and no worker panics.
-    for (epsilon, delta, field) in [
-        (0.0, 0.02, "epsilon"),
-        (1.0, 0.02, "epsilon"),
-        (f64::NAN, 0.02, "epsilon"),
-        (0.02, 0.0, "delta"),
-        (0.02, 1.5, "delta"),
-    ] {
-        let config = EngineConfig {
-            state_budget: 1,
-            epsilon,
-            delta,
-            ..EngineConfig::default()
-        };
-        let mut session = EvalSession::with_backend(config, SessionBackend::FloatFirst);
-        let q = session.register_query(parse_query(&rst(), "R(x), S(x, y), T(y)").unwrap());
-        let i = session.register_instance(chain(2));
-        let valuation =
-            ProbabilityValuation::uniform(session.instance(i), Rational::from_ratio_u64(1, 3));
-        let request = ProbabilityRequest {
-            query: q,
-            instance: i,
-            valuation: valuation.clone(),
-        };
-        let names_field =
-            |e: &EngineError| matches!(e, EngineError::InvalidRequest(m) if m.contains(field));
-        let batch = session.batch_probability_f64(std::slice::from_ref(&request));
-        assert!(matches!(&batch[0], Err(e) if names_field(e)), "{batch:?}");
-        let threshold = session.batch_threshold(&[ThresholdRequest {
-            query: q,
-            instance: i,
-            valuation,
-            threshold: Rational::one_half(),
-        }]);
-        assert!(
-            matches!(&threshold[0], Err(e) if names_field(e)),
-            "{threshold:?}"
-        );
-        let explained = session.explain(&request);
-        assert!(
-            matches!(&explained, Err(e) if names_field(e)),
-            "{epsilon} {delta}"
-        );
-        let stats = session.stats();
-        assert_eq!(stats.worker_panics, 0);
-        assert_eq!(stats.errors, 3);
-        assert_eq!(stats.monte_carlo_fallbacks, 0);
-    }
 }
 
 // Explain, stats and the flight recorder.
@@ -907,6 +850,45 @@ fn updates_validate_with_typed_errors_and_track_epochs() {
         *session.valuation(i).probability(FactId(3)),
         Rational::from_ratio_u64(1, 4)
     );
+}
+
+#[test]
+fn validation_rules_apply_without_a_session() {
+    // The free functions behind the session's checks: retraction with and
+    // without domain pinning, insertion against a plan.
+    let sig = rst();
+    let s = sig.relation_by_name("S").unwrap();
+    let inst = chain(2);
+    let missing = FactId(inst.fact_count());
+    assert_eq!(
+        validate_retract(&inst, missing, false),
+        Err(UpdateError::UnknownFact(missing))
+    );
+    assert_eq!(validate_retract(&inst, FactId(0), false), Ok(()));
+    let (graph, _) = inst.gaifman_graph();
+    let td = treelineage_graph::treewidth::treewidth_upper_bound(&graph).1;
+    let plan = treelineage_encoding::EncodingPlan::new_trusted(&inst, &td).unwrap();
+    assert_eq!(
+        validate_insert(
+            &inst,
+            &plan,
+            &Fact::new(s, vec![Element(0), Element(9)]),
+            &Rational::one_half()
+        ),
+        Err(UpdateError::NewElement(Element(9)))
+    );
+    // Element 2 lives only in S(1, 2): a pinned retraction would orphan it,
+    // an unpinned one may shrink the domain.
+    let mut tail = Instance::new(sig.clone());
+    tail.add_fact_by_name("R", &[0]);
+    tail.add_fact_by_name("S", &[0, 1]);
+    tail.add_fact_by_name("S", &[1, 2]);
+    assert_eq!(
+        validate_retract(&tail, FactId(2), true),
+        Err(UpdateError::OrphanedElement(Element(2)))
+    );
+    assert_eq!(validate_retract(&tail, FactId(2), false), Ok(()));
+    assert_eq!(validate_retract(&tail, FactId(0), true), Ok(()));
 }
 
 #[test]

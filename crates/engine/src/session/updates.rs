@@ -1,7 +1,6 @@
 //! Updates to a registered instance: the update types, the validation
-//! rules shared with the core builders ([`validate_insert`],
-//! [`validate_retract`]), the three mutations and structural
-//! invalidation.
+//! rules ([`validate_insert`], [`validate_retract`]), the three mutations
+//! and structural invalidation.
 
 use super::{EvalSession, InstanceId};
 use crate::pool::lock_recovering;
@@ -140,15 +139,13 @@ pub struct UpdateReport {
     pub invalidated_lineages: usize,
 }
 
-/// Validates a fact insertion against an instance, and — when the instance
-/// is pinned to an [`EncodingPlan`] — against the plan's domain and bag
-/// coverage. With `plan: None` (a caller deriving a fresh heuristic
-/// decomposition per evaluation, like the core builders without an explicit
-/// decomposition) only the instance-level checks apply: any in-signature,
-/// non-duplicate fact is insertable.
+/// Validates a fact insertion against an instance (arity, probability
+/// range, duplicates) and against the [`EncodingPlan`] the instance is
+/// pinned to (the fact's elements must be in the plan's domain and covered
+/// by one of its bags).
 pub fn validate_insert(
     instance: &Instance,
-    plan: Option<&EncodingPlan>,
+    plan: &EncodingPlan,
     fact: &Fact,
     probability: &Rational,
 ) -> Result<(), UpdateError> {
@@ -163,16 +160,12 @@ pub fn validate_insert(
     if let Some(id) = instance.fact_id(fact.relation(), fact.arguments()) {
         return Err(UpdateError::DuplicateFact(id));
     }
-    if let Some(plan) = plan {
-        let elements = fact.elements();
-        for &e in &elements {
-            if !plan.contains_element(e) {
-                return Err(UpdateError::NewElement(e));
-            }
-        }
-        if !plan.covers(&elements) {
-            return Err(UpdateError::UncoveredFact);
-        }
+    let elements = fact.elements();
+    if let Some(&e) = elements.iter().find(|&&e| !plan.contains_element(e)) {
+        return Err(UpdateError::NewElement(e));
+    }
+    if !plan.covers(&elements) {
+        return Err(UpdateError::UncoveredFact);
     }
     Ok(())
 }
@@ -236,12 +229,7 @@ impl EvalSession {
     ) -> Result<UpdateReport, UpdateError> {
         let i = self.check_instance(instance)?;
         let plan = self.plan(i)?;
-        validate_insert(
-            &self.instances[i].instance,
-            Some(plan.as_ref()),
-            &fact,
-            &probability,
-        )?;
+        validate_insert(&self.instances[i].instance, &plan, &fact, &probability)?;
         let span = self.update_span(UpdateKind::Insert, i);
         let entry = &mut self.instances[i];
         let id = entry

@@ -5,7 +5,7 @@
 //!
 //! The lineage-preservation consequence (Lemma 9.5: equal query probability
 //! before and after unfolding) is checked here *constructively* through the
-//! automaton backend (`LineageBackend::Automaton`, the Section 6 pipeline):
+//! automaton pipeline (`LineageBuilder::automaton_lineage`, Section 6):
 //! earlier revisions had to shrink this instance to 16 facts because the
 //! brute-force `lineage_preserved` oracle enumerates all `2^facts` worlds
 //! (capped at 18); the automaton pipeline evaluates the full 24-fact star
@@ -61,10 +61,11 @@ fn main() {
     // unfolding's fact map is a bijection, so a uniform valuation induces
     // the same tuple-independent distribution on both sides.
     let p_fact = Rational::from_ratio_u64(1, 3);
-    let valuation = ProbabilityValuation::uniform(&inst, p_fact.clone());
-    let automaton_eval =
-        ProbabilityEvaluator::new(&inst, &valuation).with_backend(LineageBackend::Automaton);
-    let p_original = automaton_eval.query_probability(&q).unwrap();
+    let lineage = LineageBuilder::new(&q, &inst)
+        .unwrap()
+        .automaton_lineage()
+        .unwrap();
+    let p_original = lineage.probability(&|_| p_fact.clone(), 1);
     let unfolded_valuation = ProbabilityValuation::uniform(&unfolding.instance, p_fact);
     let p_unfolded = ProbabilityEvaluator::new(&unfolding.instance, &unfolded_valuation)
         .query_probability(&q)
@@ -75,14 +76,9 @@ fn main() {
     println!("lineage preserved      : true (equal exact probabilities)");
 
     // The automaton pipeline's artifact, for the curious.
-    let lineage = LineageBuilder::new(&q, &inst)
-        .unwrap()
-        .automaton_lineage()
-        .unwrap();
     println!(
-        "automaton pipeline     : {} states, {} tree nodes, d-SDNNF size {}",
-        lineage.automaton_states(),
-        lineage.tree_nodes(),
+        "automaton pipeline     : {} events, d-SDNNF size {}",
+        lineage.structured().universe().len(),
         lineage.size()
     );
 

@@ -5,8 +5,10 @@
 //! Three guarantees are exercised on random treelike instances
 //! (`treelineage_instance::strategies`):
 //!
-//! * **containment** — `query_probability_f64`'s certified interval always
-//!   contains the exact rational probability, on every lineage backend;
+//! * **containment** — the certified interval pass always contains the
+//!   exact rational probability, on both lineage objects (the OBDD's
+//!   `query_probability_f64` and the automaton d-SDNNF's
+//!   `probability_interval`);
 //! * **decision fidelity** — a [`SessionBackend::FloatFirst`] session's
 //!   threshold decisions are bit-identical to the exact backend's, even
 //!   when the threshold lands inside the interval (the exact-fallback
@@ -43,14 +45,12 @@ fn queries() -> Vec<UnionOfConjunctiveQueries> {
     .collect()
 }
 
-const BACKENDS: [LineageBackend; 2] = [LineageBackend::SharedDd, LineageBackend::Automaton];
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The float pass's interval contains the exact probability on every
-    /// backend, and stays bit-identical across thread counts on the
-    /// fragment-parallel automaton backend.
+    /// The float pass's interval contains the exact probability on both
+    /// routes, and stays bit-identical across thread counts on the
+    /// fragment-parallel automaton route.
     #[test]
     fn float_interval_always_contains_exact(
         (inst, td) in instance_strategies::treelike_instance_with_decomposition(sig(), 7, 2),
@@ -62,35 +62,37 @@ proptest! {
             .map(|i| [0.5, 0.25, 0.75, 0.125, 1.0 / 3.0][i % 5])
             .collect();
         let valuation = ProbabilityValuation::from_f64(&inst, &probs);
-        for backend in BACKENDS {
-            let evaluator = ProbabilityEvaluator::new(&inst, &valuation)
+        let evaluator = ProbabilityEvaluator::new(&inst, &valuation).with_decomposition(td.clone());
+        let exact = evaluator.query_probability(q).unwrap();
+        let weight = |v: usize| ErrorInterval::from_rational(valuation.probability(FactId(v)));
+        let automaton = |config: EngineConfig| {
+            let threads = config.threads;
+            LineageBuilder::new(q, &inst)
+                .unwrap()
+                .with_engine_config(config)
                 .with_decomposition(td.clone())
-                .with_backend(backend);
-            let exact = evaluator.query_probability(q).unwrap();
-            let (estimate, interval) = evaluator.query_probability_f64(q).unwrap();
+                .unwrap()
+                .automaton_lineage()
+                .unwrap()
+                .probability_interval(&weight, threads)
+        };
+        let reference = automaton(EngineConfig::default());
+        for (route, (estimate, interval)) in [
+            ("obdd", evaluator.query_probability_f64(q).unwrap()),
+            ("automaton", (reference.midpoint(), reference)),
+        ] {
             prop_assert!(interval.contains(&exact),
-                "{:?}: exact {} outside [{}, {}]", backend, exact.to_f64(), interval.lo(), interval.hi());
-            prop_assert!(interval.contains_f64(estimate), "{:?}", backend);
+                "{}: exact {} outside [{}, {}]", route, exact.to_f64(), interval.lo(), interval.hi());
+            prop_assert!(interval.contains_f64(estimate), "{}", route);
             // Small circuits: the enclosure is tight enough to decide
             // against any threshold more than a hair away from the answer.
-            prop_assert!(interval.width() < 1e-10, "{:?}: width {}", backend, interval.width());
+            prop_assert!(interval.width() < 1e-10, "{}: width {}", route, interval.width());
         }
         // Thread-count invariance of the interval pass itself.
-        let reference = ProbabilityEvaluator::new(&inst, &valuation)
-            .with_decomposition(td.clone())
-            .with_backend(LineageBackend::Automaton)
-            .query_probability_f64(q)
-            .unwrap();
         for threads in [2usize, 8] {
             let mut config = EngineConfig::with_threads(threads);
             config.fragment_grain = 4;
-            let parallel = ProbabilityEvaluator::new(&inst, &valuation)
-                .with_decomposition(td.clone())
-                .with_backend(LineageBackend::Automaton)
-                .with_engine_config(config)
-                .query_probability_f64(q)
-                .unwrap();
-            prop_assert_eq!(parallel, reference, "threads={}", threads);
+            prop_assert_eq!(automaton(config), reference, "threads={}", threads);
         }
     }
 

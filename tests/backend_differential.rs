@@ -1,14 +1,14 @@
-//! Cross-backend differential suite: on random treelike instances and
-//! random uncertain trees, *every* lineage backend must return exactly the
+//! Cross-route differential suite: on random treelike instances and
+//! random uncertain trees, *both* lineage objects must return exactly the
 //! same probability, model count and weighted model count as the
 //! brute-force possible-worlds oracle.
 //!
-//! Backends under test:
+//! Routes under test:
 //! * brute force (possible-worlds enumeration — the oracle),
-//! * the shared hash-consed dd engine (`LineageBackend::SharedDd`), also
-//!   the general-weight WMC route of every non-automaton backend,
-//! * the automaton pipeline (`LineageBackend::Automaton`: tree encoding +
-//!   query→automaton compilation, exercised in depth by
+//! * the OBDD route: `ProbabilityEvaluator` over the shared hash-consed dd
+//!   engine, also the general-weight WMC route,
+//! * the automaton route (`LineageBuilder::automaton_lineage`: tree
+//!   encoding + query→automaton compilation, exercised in depth by
 //!   `tests/pipeline_differential.rs`), and its provenance d-SDNNF directly
 //!   on random uncertain trees (from `compile_structured_dnnf`).
 //!
@@ -46,13 +46,11 @@ fn queries() -> Vec<UnionOfConjunctiveQueries> {
     .collect()
 }
 
-const BACKENDS: [LineageBackend; 2] = [LineageBackend::SharedDd, LineageBackend::Automaton];
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
-    /// Probability and model count on random treelike instances: every
-    /// backend against the possible-worlds oracle, for every query.
+    /// Probability and model count on random treelike instances: both
+    /// routes against the possible-worlds oracle, for every query.
     #[test]
     fn backends_agree_with_bruteforce_on_treelike_instances(
         inst in instance_strategies::treelike_instance(sig(), 6, 2),
@@ -64,28 +62,31 @@ proptest! {
             .map(|i| [0.5, 0.25, 0.75, 0.125][i % 4])
             .collect();
         let valuation = ProbabilityValuation::from_f64(&inst, &probs);
-        let oracle = ProbabilityEvaluator::new(&inst, &valuation);
-        let expected_probability = oracle.query_probability_bruteforce(q);
-        let expected_count = oracle.model_count_bruteforce(q);
-        for backend in BACKENDS {
-            let evaluator = ProbabilityEvaluator::new(&inst, &valuation).with_backend(backend);
+        let evaluator = ProbabilityEvaluator::new(&inst, &valuation);
+        let expected_probability = evaluator.query_probability_bruteforce(q);
+        let expected_count = evaluator.model_count_bruteforce(q);
+        let automaton = LineageBuilder::new(q, &inst).unwrap().automaton_lineage().unwrap();
+        let prob = |v: usize| valuation.probability(FactId(v)).clone();
+        for (route, probability, count) in [
+            ("obdd", evaluator.query_probability(q).unwrap(), evaluator.model_count(q).unwrap()),
+            ("automaton", automaton.probability(&prob, 1), automaton.model_count(1)),
+        ] {
             prop_assert_eq!(
-                evaluator.query_probability(q).unwrap(),
+                probability,
                 expected_probability.clone(),
-                "probability via {:?}, query {}", backend, q
+                "probability via {}, query {}", route, q
             );
             prop_assert_eq!(
-                evaluator.model_count(q).unwrap().to_u64(),
+                count.to_u64(),
                 expected_count.to_u64(),
-                "model count via {:?}, query {}", backend, q
+                "model count via {}, query {}", route, q
             );
         }
     }
 
-    /// General-weight WMC (weights not summing to 1 per fact) on every
-    /// backend — the dd engine's `Manager::wmc` for the match-based ones,
-    /// the smooth provenance d-SDNNF for the automaton one — against direct
-    /// enumeration.
+    /// General-weight WMC (weights not summing to 1 per fact) on both
+    /// routes — the dd engine's `Manager::wmc` for the OBDD, the smooth
+    /// provenance d-SDNNF for the automaton — against direct enumeration.
     #[test]
     fn structured_wmc_agrees_with_bruteforce(
         inst in instance_strategies::treelike_instance(sig(), 5, 2),
@@ -96,14 +97,14 @@ proptest! {
         let valuation = ProbabilityValuation::all_one_half(&inst);
         let pos = |f: FactId| Rational::from_ratio_u64(f.0 as u64 + 2, 3);
         let neg = |f: FactId| Rational::from_ratio_u64(1, f.0 as u64 + 1);
-        let expected = ProbabilityEvaluator::new(&inst, &valuation).query_wmc_bruteforce(q, &pos, &neg);
-        for backend in BACKENDS {
-            let evaluator = ProbabilityEvaluator::new(&inst, &valuation).with_backend(backend);
-            prop_assert_eq!(
-                evaluator.query_wmc(q, &pos, &neg).unwrap(),
-                expected.clone(),
-                "WMC via {:?}, query {}", backend, q
-            );
+        let evaluator = ProbabilityEvaluator::new(&inst, &valuation);
+        let expected = evaluator.query_wmc_bruteforce(q, &pos, &neg);
+        let automaton = LineageBuilder::new(q, &inst).unwrap().automaton_lineage().unwrap();
+        for (route, wmc) in [
+            ("obdd", evaluator.query_wmc(q, &pos, &neg).unwrap()),
+            ("automaton", automaton.wmc(&|v| pos(FactId(v)), &|v| neg(FactId(v)), 1)),
+        ] {
+            prop_assert_eq!(wmc, expected.clone(), "WMC via {}, query {}", route, q);
         }
     }
 

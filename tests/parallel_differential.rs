@@ -9,11 +9,11 @@
 //!   and vtree equal the sequential `compile_structured_dnnf`'s gate for
 //!   gate and node for node, at every thread count (no iteration-order
 //!   leakage from worker scheduling);
-//! * **exactly equal answers** — every lineage backend returns the same
-//!   probability / model count / WMC at `threads ∈ {1, 2, 8}` (plus the
-//!   count from `TREELINEAGE_THREADS`, which the CI matrix leg sets to 8),
-//!   and an `EvalSession`'s cache hits return exactly what the cold compile
-//!   returned.
+//! * **exactly equal answers** — the automaton lineage returns the same
+//!   probability / model count / WMC as the OBDD at `threads ∈ {1, 2, 8}`
+//!   (plus the count from `TREELINEAGE_THREADS`, which the CI matrix leg
+//!   sets to 8), and an `EvalSession`'s cache hits return exactly what the
+//!   cold compile returned.
 //!
 //! All arithmetic is exact, so "equal" means `==` on `Rational`/`BigUint`,
 //! not approximate agreement.
@@ -58,13 +58,11 @@ fn thread_counts() -> Vec<usize> {
     counts
 }
 
-const BACKENDS: [LineageBackend; 2] = [LineageBackend::SharedDd, LineageBackend::Automaton];
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Every backend, at every thread count, returns exactly the answers of
-    /// the sequential default configuration.
+    /// The automaton route, at every thread count, returns exactly the
+    /// answers of the OBDD route (which has no thread count).
     #[test]
     fn backends_are_thread_count_invariant(
         (inst, td) in instance_strategies::treelike_instance_with_decomposition(sig(), 7, 2),
@@ -76,29 +74,29 @@ proptest! {
         let valuation = ProbabilityValuation::from_f64(&inst, &probs);
         let pos = |f: FactId| Rational::from_ratio_u64(f.0 as u64 + 2, 3);
         let neg = |f: FactId| Rational::from_ratio_u64(1, f.0 as u64 + 1);
-        for backend in BACKENDS {
-            let sequential = ProbabilityEvaluator::new(&inst, &valuation)
+        let obdd = ProbabilityEvaluator::new(&inst, &valuation).with_decomposition(td.clone());
+        let p0 = obdd.query_probability(q).unwrap();
+        let mc0 = obdd.model_count(q).unwrap();
+        let wmc0 = obdd.query_wmc(q, &pos, &neg).unwrap();
+        let prob = |v: usize| valuation.probability(FactId(v)).clone();
+        for threads in thread_counts() {
+            let mut config = EngineConfig::with_threads(threads);
+            // A tiny grain forces the cut/merge path even on these
+            // small instances, so the merge logic is what's tested.
+            config.fragment_grain = 4;
+            let parallel = LineageBuilder::new(q, &inst)
+                .unwrap()
+                .with_engine_config(config)
                 .with_decomposition(td.clone())
-                .with_backend(backend);
-            let p0 = sequential.query_probability(q).unwrap();
-            let mc0 = sequential.model_count(q).unwrap();
-            let wmc0 = sequential.query_wmc(q, &pos, &neg).unwrap();
-            for threads in thread_counts() {
-                let mut config = EngineConfig::with_threads(threads);
-                // A tiny grain forces the cut/merge path even on these
-                // small instances, so the merge logic is what's tested.
-                config.fragment_grain = 4;
-                let parallel = ProbabilityEvaluator::new(&inst, &valuation)
-                    .with_decomposition(td.clone())
-                    .with_backend(backend)
-                    .with_engine_config(config);
-                prop_assert_eq!(parallel.query_probability(q).unwrap(), p0.clone(),
-                    "{:?} probability, threads={}", backend, threads);
-                prop_assert_eq!(parallel.model_count(q).unwrap(), mc0.clone(),
-                    "{:?} model count, threads={}", backend, threads);
-                prop_assert_eq!(parallel.query_wmc(q, &pos, &neg).unwrap(), wmc0.clone(),
-                    "{:?} wmc, threads={}", backend, threads);
-            }
+                .unwrap()
+                .automaton_lineage()
+                .unwrap();
+            prop_assert_eq!(parallel.probability(&prob, threads), p0.clone(),
+                "automaton probability, threads={}", threads);
+            prop_assert_eq!(parallel.model_count(threads), mc0.clone(),
+                "automaton model count, threads={}", threads);
+            let wmc = parallel.wmc(&|v| pos(FactId(v)), &|v| neg(FactId(v)), threads);
+            prop_assert_eq!(wmc, wmc0.clone(), "automaton wmc, threads={}", threads);
         }
     }
 
@@ -155,7 +153,6 @@ proptest! {
         // independent route from the session's automaton lineage.
         let expected = ProbabilityEvaluator::new(&inst, &valuation)
             .with_decomposition(td.clone())
-            .with_backend(LineageBackend::SharedDd)
             .query_probability(&q)
             .unwrap();
         for backend in [SessionBackend::Automaton, SessionBackend::FloatFirst] {

@@ -5,8 +5,9 @@
 //! `explain`, `lineage_artifact` and `cold_lineage` — takes random batches
 //! over random treelike instances that mix
 //! valid requests with malformed ones: query or instance handles minted by a
-//! larger session (out of range here), and valuation or `pos`/`neg` vectors
-//! one fact too short or too long. Before every batch the session also
+//! larger session (out of range here), a query registered over another
+//! signature than the instances', and valuation or `pos`/`neg` vectors one
+//! fact too short or too long. Before every batch the session also
 //! takes a few updates — `insert_fact`, `retract_fact` and
 //! `set_probability` with out-of-range instance handles or fact ids, or
 //! probabilities outside [0, 1], plus valid `set_probability` overrides.
@@ -18,7 +19,7 @@
 //! * a malformed update returns its typed [`UpdateError`]
 //!   (`UnknownInstance`, `UnknownFact` or `InvalidProbability`) and changes
 //!   nothing, while a valid override changes only the resident valuation;
-//! * every other result matches the core evaluator's shared-dd backend (an
+//! * every other result matches the core evaluator's OBDD route (an
 //!   independent compile route, through enumerated matches): probability,
 //!   WMC and model count exactly, a threshold decision's `above` as the
 //!   exact comparison, an f64 interval by containing the exact value, and
@@ -52,6 +53,16 @@ fn queries() -> Vec<UnionOfConjunctiveQueries> {
     .collect()
 }
 
+/// A query over another signature than [`sig`]'s: `T` is in no instance.
+fn foreign_query() -> UnionOfConjunctiveQueries {
+    let other = Signature::builder()
+        .relation("S", 2)
+        .relation("T", 1)
+        .relation("U", 3)
+        .build();
+    parse_query(&other, "S(x, y), T(y)").unwrap()
+}
+
 /// A fixed second instance, so valid handles name instances of two sizes.
 fn small_instance() -> Instance {
     let mut inst = Instance::new(sig());
@@ -75,14 +86,14 @@ fn thread_counts() -> Vec<usize> {
     counts
 }
 
-/// Query handles 0..2 and instance handles 0..4, minted by a session with
-/// more registrations than the one under test (which holds one query and
-/// two instances), so the higher handles are out of range there.
+/// Query handles 0..3 and instance handles 0..4, minted by a session with
+/// more registrations than the one under test (which holds the query under
+/// test, then [`foreign_query`], and two instances), so the higher handles
+/// are out of range there.
 fn donor_handles() -> (Vec<QueryId>, Vec<InstanceId>) {
     let mut donor = EvalSession::new(EngineConfig::default());
     let queries: Vec<QueryId> = queries()
         .into_iter()
-        .take(2)
         .map(|q| donor.register_query(q))
         .collect();
     let instances = (0..4)
@@ -103,14 +114,13 @@ fn assert_outcome<T>(what: &str, valid: bool, result: &Result<T, EngineError>, c
     }
 }
 
-/// The oracle: core's evaluator on its shared-dd backend, which compiles
-/// the enumerated matches into an OBDD — a route independent of the
-/// session's automaton lineage.
+/// The oracle: core's evaluator, which compiles the enumerated matches
+/// into an OBDD — a route independent of the session's automaton lineage.
 fn oracle<'a>(
     instance: &'a Instance,
     valuation: &'a ProbabilityValuation,
 ) -> ProbabilityEvaluator<'a> {
-    ProbabilityEvaluator::new(instance, valuation).with_backend(LineageBackend::SharedDd)
+    ProbabilityEvaluator::new(instance, valuation)
 }
 
 /// How many requests of a batch are malformed (have no expected answer).
@@ -228,7 +238,7 @@ proptest! {
         (inst, td) in instance_strategies::treelike_instance_with_decomposition(sig(), 7, 2),
         qi in 0usize..3,
         specs in proptest::collection::vec(
-            (0usize..2, 0usize..4, 0u8..5, 0u8..5, 0usize..9),
+            (0usize..3, 0usize..4, 0u8..5, 0u8..5, 0usize..9),
             1..9,
         ),
         updates in proptest::collection::vec((0u8..5, 0usize..4, 0usize..12), 0..10),
@@ -319,6 +329,7 @@ proptest! {
                 let mut session =
                     EvalSession::with_backend(EngineConfig::with_threads(threads), backend);
                 session.register_query(q.clone());
+                session.register_query(foreign_query());
                 session
                     .register_instance_with_decomposition(inst.clone(), td.clone())
                     .unwrap();

@@ -100,7 +100,7 @@ proptest! {
 
     /// End-to-end session runs: equal batch answers with telemetry on and
     /// off, on both session backends, and equal to the core evaluator's
-    /// shared-dd answers (an independent compile route).
+    /// OBDD answers (an independent compile route).
     #[test]
     fn session_answers_ignore_telemetry(
         (inst, td) in instance_strategies::treelike_instance_with_decomposition(sig(), 7, 2),
@@ -109,9 +109,7 @@ proptest! {
         let probs: Vec<f64> =
             (0..inst.fact_count()).map(|i| [0.5, 0.25, 0.75][i % 3]).collect();
         let valuation = ProbabilityValuation::from_f64(&inst, &probs);
-        let oracle = ProbabilityEvaluator::new(&inst, &valuation)
-            .with_decomposition(td.clone())
-            .with_backend(LineageBackend::SharedDd);
+        let oracle = ProbabilityEvaluator::new(&inst, &valuation).with_decomposition(td.clone());
         let probability = oracle.query_probability(&query()).unwrap();
         let count = oracle.model_count(&query()).unwrap();
         for threads in [1usize, 8] {
