@@ -49,7 +49,7 @@
 use crate::alphabet::{AlphabetError, EncodingAlphabet, LabelKind};
 use std::collections::BTreeMap;
 use treelineage_automata::{BinaryTree, NodeId, UncertainTree};
-use treelineage_graph::{NiceNode, NiceTreeDecomposition, TreeDecomposition, Vertex};
+use treelineage_graph::{NiceNode, NiceNodeId, NiceTreeDecomposition, TreeDecomposition, Vertex};
 use treelineage_instance::{Element, FactId, Instance, Signature};
 
 /// Errors reported by [`encode`].
@@ -241,8 +241,8 @@ pub fn encode_trusted(
 }
 
 /// The instance-independent skeleton of a tree encoding: the nice
-/// decomposition, alphabet, per-node slot assignment and bag occurrence
-/// index — everything [`encode_trusted`] computes *before* it looks at the
+/// decomposition's nodes, the alphabet and each vertex's slot and topmost
+/// bag — everything [`encode_trusted`] computes *before* it looks at the
 /// fact set. A plan is a pure function of `(signature, active domain,
 /// decomposition)`, so it can be built once and replayed against any
 /// instance with the same signature and domain: [`EncodingPlan::encode`] is
@@ -256,11 +256,26 @@ pub struct EncodingPlan {
     signature: Signature,
     domain: Vec<Element>,
     vertex_of: BTreeMap<Element, Vertex>,
-    nice: NiceTreeDecomposition,
     alphabet: EncodingAlphabet,
-    depth: Vec<usize>,
-    slots: Vec<BTreeMap<Vertex, usize>>,
-    occurrences: BTreeMap<Vertex, Vec<usize>>,
+    /// The nice decomposition's nodes, its root and its post-order.
+    nodes: Vec<NiceNode>,
+    root: NiceNodeId,
+    post_order: Vec<NiceNodeId>,
+    /// Per vertex, its [`Top`]; `None` for a vertex in no bag.
+    tops: Vec<Option<Top>>,
+}
+
+/// Where a vertex lives in the nice decomposition: the nodes whose bags
+/// hold it form a subtree, whose root — the child of the vertex's unique
+/// forget node — is its topmost node.
+#[derive(Clone, Debug)]
+struct Top {
+    /// The vertex's slot, one for its whole subtree.
+    slot: usize,
+    /// The topmost node, its depth below the root and its bag.
+    node: NiceNodeId,
+    depth: usize,
+    bag: Box<[Vertex]>,
 }
 
 impl EncodingPlan {
@@ -279,38 +294,42 @@ impl EncodingPlan {
         let nice = NiceTreeDecomposition::from_tree_decomposition(decomposition);
         let alphabet = EncodingAlphabet::new(instance.signature(), nice.width())?;
 
-        // Top-down pass over the nice decomposition: per-node depth and slot
-        // assignment (element slots are fixed for a vertex's whole occurrence
-        // subtree, chosen smallest-free at the unique node below its forget).
+        // Top-down pass over the nice decomposition: node depths, and each
+        // vertex's top at its unique forget node. Its slot is the smallest
+        // one free in the forget node's bag, whose vertices are all
+        // forgotten higher up (their slots already chosen).
         let n = nice.node_count();
         let mut depth = vec![0usize; n];
-        let mut slots: Vec<BTreeMap<Vertex, usize>> = vec![BTreeMap::new(); n];
+        let mut tops: Vec<Option<Top>> = vec![None; domain.len()];
         let mut down = vec![nice.root()];
         while let Some(id) = down.pop() {
-            let sigma = slots[id].clone();
             let d = depth[id];
             match *nice.node(id) {
                 NiceNode::Leaf => {}
-                NiceNode::Introduce { vertex, child } => {
-                    let mut below = sigma;
-                    below.remove(&vertex);
-                    slots[child] = below;
+                NiceNode::Introduce { child, .. } => {
                     depth[child] = d + 1;
                     down.push(child);
                 }
                 NiceNode::Forget { vertex, child } => {
-                    let mut below = sigma;
-                    let free = (0..alphabet.slot_count())
-                        .find(|s| !below.values().any(|&t| t == *s))
+                    let bag = nice.bag(id);
+                    let taken = |s| {
+                        bag.iter()
+                            .any(|&u| tops[u].as_ref().map(|t| t.slot) == Some(s))
+                    };
+                    let slot = (0..alphabet.slot_count())
+                        .find(|&s| !taken(s))
                         .expect("a width-k bag leaves a free slot");
-                    below.insert(vertex, free);
-                    slots[child] = below;
+                    debug_assert!(tops[vertex].is_none(), "one forget node per vertex");
+                    tops[vertex] = Some(Top {
+                        slot,
+                        node: child,
+                        depth: d + 1,
+                        bag: nice.bag(child).iter().copied().collect(),
+                    });
                     depth[child] = d + 1;
                     down.push(child);
                 }
                 NiceNode::Join { left, right } => {
-                    slots[left] = sigma.clone();
-                    slots[right] = sigma;
                     depth[left] = d + 1;
                     depth[right] = d + 1;
                     down.push(left);
@@ -319,22 +338,15 @@ impl EncodingPlan {
             }
         }
 
-        let mut occurrences: BTreeMap<Vertex, Vec<usize>> = BTreeMap::new();
-        for id in 0..n {
-            for &v in nice.bag(id) {
-                occurrences.entry(v).or_default().push(id);
-            }
-        }
-
         Ok(EncodingPlan {
             signature: instance.signature().clone(),
             domain,
             vertex_of,
-            nice,
             alphabet,
-            depth,
-            slots,
-            occurrences,
+            nodes: (0..n).map(|id| nice.node(id).clone()).collect(),
+            root: nice.root(),
+            post_order: nice.post_order(),
+            tops,
         })
     }
 
@@ -370,18 +382,35 @@ impl EncodingPlan {
             return true;
         }
         let vertices: Vec<Vertex> = elements.iter().map(|e| self.vertex_of[e]).collect();
-        let rarest = vertices
-            .iter()
-            .min_by_key(|v| self.occurrences.get(v).map_or(0, |o| o.len()))
-            .copied()
-            .expect("nonempty vertex list");
-        match self.occurrences.get(&rarest) {
-            None => false,
-            Some(candidates) => candidates.iter().any(|&id| {
-                let bag = self.nice.bag(id);
-                vertices.iter().all(|v| bag.contains(v))
-            }),
+        self.home(&vertices).is_some()
+    }
+
+    /// The topmost node whose bag holds every one of the (nonempty)
+    /// `vertices`, if any bag does. The nodes holding all of them are the
+    /// intersection of their subtrees; when it is nonempty, its root is
+    /// the deepest of their tops, since each subtree holds the path from
+    /// its top down to any common node.
+    fn home(&self, vertices: &[Vertex]) -> Option<NiceNodeId> {
+        let mut deepest: Option<&Top> = None;
+        for &v in vertices {
+            let top = self.tops[v].as_ref()?;
+            if deepest.is_none_or(|d| top.depth > d.depth) {
+                deepest = Some(top);
+            }
         }
+        let deepest = deepest?;
+        vertices
+            .iter()
+            .all(|v| deepest.bag.contains(v))
+            .then_some(deepest.node)
+    }
+
+    /// The slot of a vertex that lies in some bag.
+    fn slot(&self, vertex: Vertex) -> usize {
+        self.tops[vertex]
+            .as_ref()
+            .expect("a bag's vertex has a slot")
+            .slot
     }
 
     /// Replays the plan against an instance, producing the same
@@ -402,15 +431,13 @@ impl EncodingPlan {
         }
         let element_of = &self.domain;
         let vertex_of = &self.vertex_of;
-        let nice = &self.nice;
         let alphabet = &self.alphabet;
-        let n = nice.node_count();
 
         // Attach every fact to the topmost nice node whose bag covers all of
         // its elements. Facts over elements outside every bag (isolated
         // Gaifman vertices) are collected per element and wrapped around the
         // root below.
-        let mut facts_at: Vec<Vec<FactId>> = vec![Vec::new(); n];
+        let mut facts_at: Vec<Vec<FactId>> = vec![Vec::new(); self.nodes.len()];
         let mut root_facts: Vec<FactId> = Vec::new();
         let mut wrapped: BTreeMap<Element, Vec<FactId>> = BTreeMap::new();
         for (fact_id, fact) in instance.facts() {
@@ -419,33 +446,21 @@ impl EncodingPlan {
                 root_facts.push(fact_id);
                 continue;
             }
-            let rarest = vertices
-                .iter()
-                .min_by_key(|v| self.occurrences.get(v).map_or(0, |o| o.len()))
-                .copied()
-                .expect("nonempty vertex list");
-            match self.occurrences.get(&rarest) {
+            match self.home(&vertices) {
+                Some(node) => facts_at[node].push(fact_id),
                 None => {
                     // Uncovered: only possible when the fact touches one
                     // isolated element (multi-element facts induce covered
                     // Gaifman edges).
-                    debug_assert_eq!(vertices.len(), 1);
+                    assert_eq!(
+                        vertices.len(),
+                        1,
+                        "a clique of the Gaifman graph fits in some bag"
+                    );
                     wrapped
                         .entry(element_of[vertices[0]])
                         .or_default()
                         .push(fact_id);
-                }
-                Some(candidates) => {
-                    let node = candidates
-                        .iter()
-                        .copied()
-                        .filter(|&id| {
-                            let bag = nice.bag(id);
-                            vertices.iter().all(|v| bag.contains(v))
-                        })
-                        .min_by_key(|&id| self.depth[id])
-                        .expect("a clique of the Gaifman graph fits in some bag");
-                    facts_at[node].push(fact_id);
                 }
             }
         }
@@ -458,20 +473,20 @@ impl EncodingPlan {
         let mut tree = BinaryTree::new();
         let mut forget_elements: BTreeMap<usize, Element> = BTreeMap::new();
         let mut fact_events: Vec<(NodeId, FactId, usize, usize)> = Vec::new();
-        let mut encoded: Vec<Option<NodeId>> = vec![None; n];
+        let mut encoded: Vec<Option<NodeId>> = vec![None; self.nodes.len()];
         let empty = alphabet.empty();
 
         let push_fact_chain = |tree: &mut BinaryTree,
                                fact_events: &mut Vec<(NodeId, FactId, usize, usize)>,
                                mut acc: NodeId,
                                facts: &[FactId],
-                               sigma: &BTreeMap<Vertex, usize>| {
+                               slot: &dyn Fn(Vertex) -> usize| {
             for &fact_id in facts {
                 let fact = instance.fact(fact_id);
                 let slot_tuple: Vec<usize> = fact
                     .arguments()
                     .iter()
-                    .map(|e| sigma[&vertex_of[e]])
+                    .map(|e| slot(vertex_of[e]))
                     .collect();
                 let present = alphabet.fact(fact.relation(), &slot_tuple, true);
                 let absent = alphabet.fact(fact.relation(), &slot_tuple, false);
@@ -483,19 +498,18 @@ impl EncodingPlan {
             acc
         };
 
-        for id in nice.post_order() {
-            let base = match *nice.node(id) {
+        for &id in &self.post_order {
+            let base = match self.nodes[id] {
                 NiceNode::Leaf => tree.leaf(empty),
                 NiceNode::Introduce { vertex, child } => {
                     let pad = tree.leaf(empty);
                     let below = encoded[child].expect("post-order");
-                    tree.internal(alphabet.introduce(self.slots[id][&vertex]), below, pad)
+                    tree.internal(alphabet.introduce(self.slot(vertex)), below, pad)
                 }
                 NiceNode::Forget { vertex, child } => {
                     let pad = tree.leaf(empty);
                     let below = encoded[child].expect("post-order");
-                    let node =
-                        tree.internal(alphabet.forget(self.slots[child][&vertex]), below, pad);
+                    let node = tree.internal(alphabet.forget(self.slot(vertex)), below, pad);
                     forget_elements.insert(node.0, element_of[vertex]);
                     node
                 }
@@ -510,29 +524,23 @@ impl EncodingPlan {
                 &mut fact_events,
                 base,
                 &facts_at[id],
-                &self.slots[id],
+                &|v| self.slot(v),
             ));
         }
 
-        let mut root = encoded[nice.root()].expect("root encoded");
+        let mut root = encoded[self.root].expect("root encoded");
         // Nullary facts (no elements) sit directly above the nice root.
-        root = push_fact_chain(
-            &mut tree,
-            &mut fact_events,
-            root,
-            &root_facts,
-            &BTreeMap::new(),
-        );
+        root = push_fact_chain(&mut tree, &mut fact_events, root, &root_facts, &|v| {
+            self.slot(v)
+        });
         // Wrap uncovered elements: introduce at slot 0, assert their facts,
         // forget again. The fact slots all reference slot 0.
         for (&element, facts) in &wrapped {
             let pad = tree.leaf(empty);
             let intro = tree.internal(alphabet.introduce(0), root, pad);
-            let sigma: BTreeMap<Vertex, usize> =
-                std::iter::once((vertex_of[&element], 0usize)).collect();
             let mut facts = facts.clone();
             facts.sort_unstable();
-            let chain = push_fact_chain(&mut tree, &mut fact_events, intro, &facts, &sigma);
+            let chain = push_fact_chain(&mut tree, &mut fact_events, intro, &facts, &|_| 0);
             let pad = tree.leaf(empty);
             let forget = tree.internal(alphabet.forget(0), chain, pad);
             forget_elements.insert(forget.0, element);

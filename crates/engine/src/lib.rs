@@ -8,11 +8,12 @@
 //! This crate provides both layers, using only `std::thread` per the
 //! workspace's no-external-deps rule:
 //!
-//! * [`compile_structured_dnnf_parallel`] — a work-stealing subtree
-//!   scheduler that compiles fragments on worker threads with the automata
-//!   crate's one `StructuredBuilder` and splices them into its whole-tree
-//!   build, with output **bit-identical** to the sequential path at every
-//!   thread count (see `parallel`'s module docs for the contract);
+//! * [`compile_structured_dnnf_parallel`] — a subtree scheduler (one
+//!   shared task cursor) that compiles fragments on worker threads with
+//!   the automata crate's one `StructuredBuilder` and splices them into
+//!   its whole-tree build, with output **bit-identical** to the
+//!   sequential path at every thread count (see `parallel`'s module docs
+//!   for the contract);
 //!   [`ParallelDnnf`] carries the fragment partition so probability / WMC /
 //!   model-counting passes parallelize the same way.
 //! * [`EvalSession`] — a long-lived session holding the persistent compiled

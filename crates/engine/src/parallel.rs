@@ -12,9 +12,10 @@
 //! 1. the plan: [`SubtreePlan`] cuts the tree into fragments of comparable
 //!    size (one contiguous post-order segment each) plus the spine above
 //!    them;
-//! 2. the pool fan-out: worker threads (the work-stealing pool in `pool`)
-//!    run [`StructuredBuilder::compile_subtree`] from each cut into a local
-//!    arena, unless the fragment library already holds that subtree;
+//! 2. the pool fan-out: worker threads (the pool in `pool`, one shared
+//!    task cursor) run [`StructuredBuilder::compile_subtree`] from each cut
+//!    into a local arena, unless the fragment library already holds that
+//!    subtree;
 //! 3. the replay: one whole-tree [`StructuredBuilder::compile`] on the
 //!    caller's thread splices each fragment in when the post-order reaches
 //!    its cut ([`replay_circuit`] / [`replay_vtree`]) and builds the spine
@@ -35,11 +36,12 @@
 //!
 //! Evaluation reuses the same partition: each fragment's gate range is
 //! self-contained, so one private runner ([`ParallelDnnf::run`]) serves
-//! every pass. It fills one flat [`LimbArena`] per call: the spine below
-//! the first fragment on the caller's thread, the fragments' contiguous
-//! slot ranges ([`LimbArena::split`]) on the pool, then the spine gaps in
-//! place. The exact passes — probability, WMC and model count — run the
-//! integer [`Wmc`] rule in `u64` limb slots sized by a priori bit bounds and
+//! every pass. It fills one flat [`LimbArena`] per call: in one ascending
+//! sweep when the pass gets one worker, otherwise the spine below the first
+//! fragment on the caller's thread, the fragments' contiguous slot ranges
+//! ([`LimbArena::split`]) on the pool, then the spine gaps in place. The
+//! exact passes — probability, WMC and model count — run the integer
+//! [`Wmc`] rule in `u64` limb slots sized by a priori bit bounds and
 //! reduce once per answer (fraction-free, see [`ParallelDnnf::wmc`]); the
 //! certified interval passes keep one [`ErrorInterval`] slot per gate,
 //! filled by the circuit crate's [`eval_gate`] step ([`Probability`],
@@ -116,7 +118,7 @@ impl SubtreePlan {
         } else if n < 2 * MIN_FRAGMENT_NODES {
             return None;
         } else {
-            // 4 fragments per worker gives the work-stealing pool enough
+            // 4 fragments per worker gives the pool's shared cursor enough
             // slack to balance subtrees of unequal size.
             (n / (threads * 4)).max(MIN_FRAGMENT_NODES)
         };
@@ -193,7 +195,8 @@ impl CircuitPartition {
 pub struct ParallelDnnf {
     structured: StructuredDnnf,
     partition: CircuitPartition,
-    /// Observes the evaluation passes (pool task/steal counters); carried
+    /// Observes the evaluation passes (pool task counters, the
+    /// `eval_fragments` span, `exact_limbs_total`); carried
     /// from the compiling config so cached artifacts keep reporting into
     /// the session's registry. Never influences any computed value.
     telemetry: Telemetry,
@@ -365,15 +368,16 @@ impl ParallelDnnf {
     }
 
     /// The fragment runner of every pass: fills `arena` bottom-up with
-    /// `step`. With one thread or at most one fragment, one sweep over the
-    /// gate ids on the caller's thread; otherwise the spine below the first
-    /// fragment (the constants every fragment reads), then the
-    /// self-contained fragment ranges on up to `threads` pool workers (one
-    /// per [`EVAL_GATES_PER_WORKER`] gates in the ranges; below that, in
-    /// order on the caller's thread), each in its own slot range, then the
-    /// spine gaps in place. A gate's value depends only on its inputs'
-    /// values and the fixed operand order, so the result is the same at
-    /// every thread count.
+    /// `step`. A pass gets one pool worker per [`EVAL_GATES_PER_WORKER`]
+    /// gates in the fragment ranges, up to `threads`; with one worker it is
+    /// one ascending sweep over the gate ids on the caller's thread (each
+    /// gate reads only lower ids). Otherwise the spine below the first
+    /// fragment (the constants every fragment reads) runs first, then the
+    /// self-contained fragment ranges on the workers, each in its own slot
+    /// range, under one `eval_fragments` span, then the spine gaps in
+    /// place. A gate's value depends only on its inputs' values and the
+    /// fixed operand order, so the result is the same at every thread
+    /// count.
     fn run<T: Copy + Send + Sync>(
         &self,
         arena: &mut LimbArena<T>,
@@ -382,7 +386,9 @@ impl ParallelDnnf {
     ) {
         let size = self.structured.size();
         let fragments = &self.partition.fragments;
-        if threads <= 1 || fragments.len() <= 1 {
+        let gates = fragments.iter().map(|&(start, end)| end - start).sum();
+        let workers = workers_for(threads, fragments.len(), gates, EVAL_GATES_PER_WORKER);
+        if workers <= 1 {
             arena.eval(0..size, step);
             return;
         }
@@ -391,13 +397,14 @@ impl ParallelDnnf {
         let ranges: Vec<Mutex<ArenaRange<'_, T>>> =
             arena.split(fragments).into_iter().map(Mutex::new).collect();
         let telemetry = &self.telemetry;
-        let gates = fragments.iter().map(|&(start, end)| end - start).sum();
-        let workers = workers_for(threads, ranges.len(), gates, EVAL_GATES_PER_WORKER);
+        let mut span = telemetry.span("eval_fragments");
+        span.label("fragments", ranges.len());
+        span.label("gates", gates);
+        span.label("workers", workers);
         run_tasks(workers, ranges.len(), telemetry, |fi| {
-            let mut chunk_span = telemetry.span("eval_fragment");
-            chunk_span.label("fragment", fi);
             lock_recovering(&ranges[fi]).eval(step);
         });
+        drop(span);
         drop(ranges);
         for &(start, end) in fragments {
             arena.eval(next..start, step);
@@ -618,12 +625,8 @@ fn compile_planned(
         // A key lists its subtree's nodes, so its length is the size.
         let nodes = dirty.iter().map(|&i| keys[i].len()).sum();
         let workers = workers_for(pool_threads, dirty.len(), nodes, COMPILE_NODES_PER_WORKER);
+        span.label("workers", workers);
         run_tasks(workers, dirty.len(), telemetry, |j| {
-            // On a pool worker this parents to the `dsdnnf_fragments` span
-            // through the context captured at spawn time; inline it nests
-            // via the caller's span stack. Either way: one connected trace.
-            let mut fragment_span = telemetry.span("dsdnnf_fragment");
-            fragment_span.label("fragment", dirty[j]);
             builder.compile_subtree(plan.cuts[dirty[j]], |_, _, _| None)
         })
         .into_iter()

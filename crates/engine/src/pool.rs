@@ -1,43 +1,44 @@
-//! A minimal work-stealing scheduler over `std::thread`.
+//! A minimal scheduler over `std::thread` for static task sets.
 //!
 //! The engine's parallelism is embarrassingly data-parallel (disjoint
-//! subtrees, disjoint gate ranges, independent requests), so the scheduler
-//! only has to balance a *static* set of tasks whose costs vary wildly — a
-//! cut subtree can be three nodes or a third of the tree. Each worker owns a
-//! deque seeded round-robin; it pops from the back of its own deque (LIFO,
-//! cache-warm) and, when empty, *steals from the front* of the other
-//! workers' deques (FIFO, so it grabs the task the owner would reach last).
-//! No blocking is needed: the task set never grows, so a worker that finds
-//! every deque empty is done. The calling thread is worker 0 — it works
-//! its own deque instead of idling in the join — and workers are scoped
+//! subtrees, disjoint gate ranges, independent requests): every fan-out is
+//! a fixed set of tasks, known up front, whose costs vary wildly — a cut
+//! subtree can be three nodes or a third of the tree. One shared cursor
+//! balances that: each worker claims the next unclaimed task index until
+//! the cursor runs past the end, so a worker stuck on a heavy task simply
+//! claims fewer. No blocking is needed: the task set never grows, so a
+//! worker that finds the cursor past the end is done. Each worker keeps
+//! its own `(index, result)` pairs and hands them back when it joins; the
+//! pool then puts them in task order. The calling thread is worker 0 — it
+//! claims tasks instead of idling in the join — and workers are scoped
 //! threads started per call, so a fan-out pays for a spawn only where
 //! [`workers_for`] finds enough work to cover it.
 //!
-//! The no-external-deps rule rules out `rayon`/`crossbeam`; mutex-guarded
-//! deques are entirely sufficient here because tasks are coarse (hundreds of
-//! tree nodes or an entire request) and steals are rare next to task bodies.
+//! The no-external-deps rule rules out `rayon`/`crossbeam`; one atomic
+//! cursor is entirely sufficient here because tasks are coarse (hundreds
+//! of tree nodes or an entire request).
 //!
 //! ## Panic containment
 //!
-//! Task bodies run under [`std::panic::catch_unwind`], and every internal
-//! lock goes through [`lock_recovering`], so one bad request cannot poison
-//! the pool's shared mutexes for the other workers or the caller. A panic
-//! in task `i` is captured as that task's result: [`run_tasks`] re-raises the
-//! first captured payload on the caller thread (same observable behaviour as
-//! sequential execution, no poisoning side effects), and
-//! [`run_tasks_catching`] hands the panics back as per-task `Err` values so
-//! a session can fail one request while serving the rest.
+//! Task bodies run under [`std::panic::catch_unwind`], so a panic in task
+//! `i` is captured as that task's result: [`run_tasks`] re-raises the
+//! first captured payload on the caller thread (same observable behaviour
+//! as sequential execution), and [`run_tasks_catching`] hands the panics
+//! back as per-task `Err` values so a session can fail one request while
+//! serving the rest. The session's own mutexes go through
+//! [`lock_recovering`], so one bad request cannot poison them for the
+//! other workers or the caller.
 
 use std::any::Any;
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use treelineage_telemetry::Telemetry;
 
 /// Locks a mutex, recovering the guard when a previous holder panicked.
 ///
-/// All engine state guarded by mutexes (work deques, result slots, session
+/// All engine state guarded by mutexes (fragment slot ranges, session
 /// caches) is kept consistent across unwinds — writers only replace whole
 /// values, never leave partial updates — so the poison flag carries no
 /// information here and propagating it would only turn one panic into an
@@ -72,11 +73,11 @@ type TaskResult<T> = Result<T, Box<dyn Any + Send>>;
 /// first panic (in task order) is re-raised on the caller's thread with its
 /// original payload; no mutex poisoning escapes.
 ///
-/// When `telemetry` is enabled, each worker records its executed-task and
-/// successful-steal counts (`pool_tasks_total` / `pool_steals_total`,
-/// labelled by worker index, the caller being `"0"`, or `"inline"` when
-/// nothing is spawned) once, at worker exit — the task loop itself
-/// touches only thread-local integers, so instrumentation never contends.
+/// When `telemetry` is enabled, each worker records its executed-task
+/// count (`pool_tasks_total`, labelled by worker index, the caller being
+/// `"0"`, or `"inline"` when nothing is spawned) once, at worker exit — the
+/// task loop itself touches only the cursor and the worker's own results,
+/// so instrumentation never contends.
 pub(crate) fn run_tasks<T, F>(threads: usize, count: usize, telemetry: &Telemetry, job: F) -> Vec<T>
 where
     T: Send,
@@ -150,80 +151,55 @@ where
         }
         return results;
     }
-    // Deal tasks round-robin so every worker starts with a share.
-    let deques: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-        .map(|w| Mutex::new((w..count).step_by(workers).collect()))
-        .collect();
-    let slots: Vec<Mutex<Option<TaskResult<T>>>> = (0..count).map(|_| Mutex::new(None)).collect();
-    // Worker `w`'s deque loop; it returns when every deque is empty.
+    // Worker `w` claims task indices from the one cursor until it runs
+    // past `count`, and returns what it ran as `(index, result)` pairs.
+    let cursor = AtomicUsize::new(0);
     let work = |w: usize| {
-        let mut ran: u64 = 0;
-        let mut stolen: u64 = 0;
+        let mut done = Vec::new();
         loop {
-            // Own work first (LIFO keeps the most recently dealt — and
-            // most likely cache-resident — indices hot)...
-            let mut task = lock_recovering(&deques[w]).pop_back();
-            if task.is_none() {
-                // ...then steal the *oldest* task of the most loaded
-                // victim, the one its owner would reach last.
-                let victim = (0..workers)
-                    .filter(|&v| v != w)
-                    .max_by_key(|&v| lock_recovering(&deques[v]).len());
-                if let Some(v) = victim {
-                    task = lock_recovering(&deques[v]).pop_front();
-                    if task.is_some() {
-                        stolen += 1;
-                    }
-                }
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= count {
+                break;
             }
-            match task {
-                Some(i) => {
-                    ran += 1;
-                    let result = guarded(i);
-                    *lock_recovering(&slots[i]) = Some(result);
-                }
-                None => break,
-            }
+            done.push((i, guarded(i)));
         }
-        if telemetry.is_enabled() && ran > 0 {
+        if telemetry.is_enabled() && !done.is_empty() {
             let worker = w.to_string();
             let labels = [("worker", worker.as_str())];
-            telemetry.counter_add("pool_tasks_total", &labels, ran);
-            if stolen > 0 {
-                telemetry.counter_add("pool_steals_total", &labels, stolen);
-            }
+            telemetry.counter_add("pool_tasks_total", &labels, done.len() as u64);
         }
+        done
     };
     // Capture the caller's span context at spawn time: spawned workers
     // install it as their ambient context, so any span a task opens
-    // parents back to the span that enqueued the work instead of starting
-    // an orphan trace. (Worker 0 needs nothing — it is the caller, whose
-    // own span stack is already in place.)
+    // parents back to the span that started the fan-out instead of
+    // starting an orphan trace. (Worker 0 needs nothing — it is the
+    // caller, whose own span stack is already in place.)
     let span_context = telemetry.current_context();
-    std::thread::scope(|scope| {
+    let mut results: Vec<(usize, TaskResult<T>)> = std::thread::scope(|scope| {
         let work = &work;
-        for w in 1..workers {
-            scope.spawn(move || {
-                let _context_guard = telemetry.install_context(span_context);
-                work(w);
-            });
+        let spawned: Vec<_> = (1..workers)
+            .map(|w| {
+                scope.spawn(move || {
+                    let _context_guard = telemetry.install_context(span_context);
+                    work(w)
+                })
+            })
+            .collect();
+        // The caller is worker 0: it claims tasks instead of idling until
+        // the spawned workers join.
+        let mut results = work(0);
+        for handle in spawned {
+            // Internal invariant: task panics are caught inside `work`, so
+            // a worker thread itself does not unwind.
+            results.extend(handle.join().expect("pool workers catch task panics"));
         }
-        // The caller is worker 0: it works its own deque (and steals)
-        // instead of idling until the spawned workers join.
-        work(0);
+        results
     });
-    slots
-        .into_iter()
-        .map(|slot| {
-            // Internal invariant, not reachable from input: every index
-            // was dealt to exactly one deque, and a worker exits only once
-            // every deque is empty, so each slot was filled before the
-            // scope joined.
-            lock_recovering(&slot)
-                .take()
-                .expect("every task index was dealt to exactly one deque")
-        })
-        .collect()
+    // The cursor handed out each index exactly once, so sorting by index
+    // restores task order.
+    results.sort_unstable_by_key(|&(i, _)| i);
+    results.into_iter().map(|(_, result)| result).collect()
 }
 
 #[cfg(test)]
@@ -423,5 +399,43 @@ mod tests {
         assert!(m.is_poisoned());
         *lock_recovering(&m) += 1;
         assert_eq!(*lock_recovering(&m), 42);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+        /// The merge of per-worker results at any thread and task count:
+        /// each task's value (or panic message) lands at its own index,
+        /// every task runs exactly once, and `pool_tasks_total` sums to
+        /// the task count.
+        #[test]
+        fn the_cursor_returns_every_task_once_at_its_index(
+            threads in 1usize..9,
+            count in 0usize..65,
+            panics in proptest::prelude::any::<u64>(),
+        ) {
+            let panicking = |i: usize| panics >> i & 1 == 1;
+            let runs: Vec<AtomicUsize> = (0..count).map(|_| AtomicUsize::new(0)).collect();
+            let telemetry = Telemetry::enabled();
+            let out = run_tasks_catching(threads, count, &telemetry, |i| {
+                runs[i].fetch_add(1, Ordering::SeqCst);
+                if panicking(i) {
+                    panic!("task {i} panicked");
+                }
+                i * 3
+            });
+            proptest::prop_assert_eq!(out.len(), count);
+            for (i, result) in out.iter().enumerate() {
+                if panicking(i) {
+                    proptest::prop_assert_eq!(result, &Err(format!("task {i} panicked")));
+                } else {
+                    proptest::prop_assert_eq!(result, &Ok(i * 3));
+                }
+            }
+            proptest::prop_assert!(runs.iter().all(|r| r.load(Ordering::SeqCst) == 1));
+            proptest::prop_assert_eq!(
+                telemetry.snapshot().counter_total("pool_tasks_total"),
+                count as u64
+            );
+        }
     }
 }

@@ -10,7 +10,8 @@ use crate::pool::{lock_recovering, run_tasks};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, Weak};
 use treelineage_encoding::{
-    compile_ucq, CompileOptions, CompiledQuery, EncodingAlphabet, LiveStates, TreeEncoding,
+    compile_ucq, CompileOptions, CompiledQuery, EncodingAlphabet, EncodingError, EncodingPlan,
+    LiveStates, TreeEncoding,
 };
 
 /// Maximum number of compiled query machines an [`EvalSession`] keeps (per
@@ -254,10 +255,11 @@ impl EvalSession {
     }
 
     /// The byte-identity oracle behind the update differential suite (and
-    /// perfbench's answer check after writes): compiles the
-    /// pair's lineage from scratch — fresh tree encoding, every fragment
-    /// recompiled, no lineage-cache read or write — through the *same*
-    /// cached query machine the incremental path uses. Gate numbering
+    /// perfbench's answer check after writes): compiles the pair's lineage
+    /// from scratch — fresh tree encoding (with its own [`EncodingPlan`],
+    /// so the suite also pins the cached path's plan replay), every
+    /// fragment recompiled, no lineage-cache read or write — through the
+    /// *same* cached query machine the incremental path uses. Gate numbering
     /// depends on the machine's memo history, so byte-identity of
     /// incremental against cold is meaningful exactly when both run through
     /// one machine; a fresh session would number states differently.
@@ -267,7 +269,13 @@ impl EvalSession {
         instance: InstanceId,
     ) -> Result<ParallelDnnf, EngineError> {
         let (q, i) = self.check_request(query, instance, &[])?;
-        let encoding = self.encode(i)?;
+        let entry = &self.instances[i];
+        let encoding = treelineage_encoding::encode_traced(
+            &entry.instance,
+            &entry.decomposition,
+            &self.config.telemetry,
+        )
+        .map_err(EngineError::Encoding)?;
         let (artifact, ..) = self.compile(q, &encoding, self.config.threads, None)?;
         Ok(artifact)
     }
@@ -325,21 +333,27 @@ impl EvalSession {
             return Ok(encoding.clone());
         }
         self.count(|s| s.encodings_built += 1);
-        let arc = Arc::new(self.encode(instance)?);
+        let encoding = {
+            let _span = self.config.telemetry.span("encode");
+            self.plan(instance)
+                .and_then(|plan| plan.encode(&self.instances[instance].instance))
+                .map_err(EngineError::Encoding)?
+        };
+        let arc = Arc::new(encoding);
         *slot = Some(arc.clone());
         Ok(arc)
     }
 
-    /// Tree-encodes an instance afresh. Trusted: the decomposition was
-    /// validated (or is valid by construction) at registration.
-    fn encode(&self, instance: usize) -> Result<TreeEncoding, EngineError> {
+    /// The instance's one [`EncodingPlan`], built on first use. Trusted:
+    /// the decomposition was validated (or is valid by construction) at
+    /// registration.
+    pub(super) fn plan(&self, instance: usize) -> Result<&EncodingPlan, EncodingError> {
         let entry = &self.instances[instance];
-        treelineage_encoding::encode_traced(
-            &entry.instance,
-            &entry.decomposition,
-            &self.config.telemetry,
-        )
-        .map_err(EngineError::Encoding)
+        if let Some(plan) = entry.plan.get() {
+            return Ok(plan);
+        }
+        let plan = EncodingPlan::new_trusted(&entry.instance, &entry.decomposition)?;
+        Ok(entry.plan.get_or_init(|| plan))
     }
 
     /// The compiled query machine for (query, the alphabet's width), built

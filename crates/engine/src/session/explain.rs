@@ -163,7 +163,9 @@ pub struct SessionStats {
     pub encodings_built: usize,
     /// Threshold requests decided by the float interval pass alone.
     pub float_decisions: usize,
-    /// Threshold requests that fell back to exact rational evaluation.
+    /// Threshold requests that fell back to exact rational evaluation: the
+    /// float pass ran and could not decide (only under
+    /// [`SessionBackend::FloatFirst`]; the exact backend never runs it).
     pub exact_fallbacks: usize,
     /// Requests served by the Karp–Luby estimator (budget-exceeded
     /// degradation under [`SessionBackend::FloatFirst`]).

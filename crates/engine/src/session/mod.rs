@@ -8,7 +8,7 @@
 //! per (query, instance); only the final linear evaluation pass depends on
 //! the weights. [`EvalSession`] keeps all three layers cached across
 //! batches and evaluates the requests of a batch concurrently on the
-//! engine's work-stealing pool:
+//! engine's pool:
 //!
 //! * **per-instance state** — the instance, its (validated) tree
 //!   decomposition and the lazily built [`TreeEncoding`];
@@ -51,7 +51,7 @@ pub use updates::{validate_insert, validate_retract, UpdateError, UpdateKind, Up
 
 use crate::EngineConfig;
 use caches::{CacheMap, CachedLineage, MachineCache, Parked, QUERY_CACHE_CAP};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use treelineage_encoding::{CompileError, EncodingError, EncodingPlan, TreeEncoding};
 use treelineage_graph::TreeDecomposition;
 use treelineage_instance::{Instance, ProbabilityValuation};
@@ -163,11 +163,12 @@ struct InstanceEntry {
     valuation: ProbabilityValuation,
     /// Update epoch: 0 at registration, +1 per applied non-no-op update.
     epoch: u64,
-    /// The encoding plan update validation checks domain/coverage against,
-    /// built lazily at the first structural update. Valid across every
-    /// accepted update, because accepted updates preserve the active domain
-    /// the plan is pinned to.
-    plan: Option<Arc<EncodingPlan>>,
+    /// The one encoding plan of the instance, built at its first encode or
+    /// its first structural update, whichever comes first: every cached
+    /// re-encode replays it, and update validation checks domain and
+    /// coverage against it. Valid across every accepted update, because
+    /// accepted updates preserve the active domain the plan is pinned to.
+    plan: OnceLock<EncodingPlan>,
 }
 
 /// A long-lived, batch-oriented evaluation session. See the module docs
@@ -255,7 +256,7 @@ impl EvalSession {
             encoding: Mutex::new(None),
             valuation,
             epoch: 0,
-            plan: None,
+            plan: OnceLock::new(),
         });
         InstanceId(self.instances.len() - 1)
     }

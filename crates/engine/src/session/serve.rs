@@ -309,7 +309,9 @@ impl EvalSession {
                         interval.compare_threshold(t) == Some(std::cmp::Ordering::Greater)
                     }
                     Tiered::Exact(p) => {
-                        self.count(|s| s.exact_fallbacks += 1);
+                        if float_first {
+                            self.count(|s| s.exact_fallbacks += 1);
+                        }
                         p > t
                     }
                     Tiered::MonteCarlo(estimate, _) => *estimate > t.to_f64(),

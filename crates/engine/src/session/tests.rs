@@ -323,6 +323,8 @@ fn float_first_threshold_decisions_match_exact_backend() {
     assert_eq!(fast[2].as_ref().unwrap().tier, DecisionTier::Exact);
     assert_eq!(float.stats().float_decisions, 2);
     assert_eq!(float.stats().exact_fallbacks, 1);
+    // The exact backend never ran the float pass, so nothing fell back.
+    assert_eq!(exact.stats().exact_fallbacks, 0);
     // The exact backend only has the exact tier.
     assert!(slow
         .iter()

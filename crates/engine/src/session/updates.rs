@@ -4,7 +4,6 @@
 
 use super::{EvalSession, InstanceId};
 use crate::pool::lock_recovering;
-use std::sync::Arc;
 use treelineage_encoding::EncodingPlan;
 use treelineage_instance::{Element, Fact, FactId, Instance};
 use treelineage_num::Rational;
@@ -228,8 +227,10 @@ impl EvalSession {
         probability: Rational,
     ) -> Result<UpdateReport, UpdateError> {
         let i = self.check_instance(instance)?;
-        let plan = self.plan(i)?;
-        validate_insert(&self.instances[i].instance, &plan, &fact, &probability)?;
+        let plan = self
+            .plan(i)
+            .map_err(|e| UpdateError::Encoding(e.to_string()))?;
+        validate_insert(&self.instances[i].instance, plan, &fact, &probability)?;
         let span = self.update_span(UpdateKind::Insert, i);
         let entry = &mut self.instances[i];
         let id = entry
@@ -346,21 +347,6 @@ impl EvalSession {
         } else {
             Err(UpdateError::UnknownInstance(id.0))
         }
-    }
-
-    /// The instance's encoding plan, built at the first structural update
-    /// and shared afterwards (accepted updates preserve the domain it is
-    /// pinned to).
-    fn plan(&mut self, i: usize) -> Result<Arc<EncodingPlan>, UpdateError> {
-        if let Some(plan) = &self.instances[i].plan {
-            return Ok(plan.clone());
-        }
-        let entry = &self.instances[i];
-        let plan = EncodingPlan::new_trusted(&entry.instance, &entry.decomposition)
-            .map_err(|e| UpdateError::Encoding(e.to_string()))?;
-        let arc = Arc::new(plan);
-        self.instances[i].plan = Some(arc.clone());
-        Ok(arc)
     }
 
     /// Opens the span of one applied update.

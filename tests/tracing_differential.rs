@@ -143,7 +143,7 @@ fn warm_span_topology_is_identical_across_thread_counts() {
 /// The connectivity contract at 8 threads, including the cold compile: no
 /// span is orphaned. Every event's parent is a recorded event of the same
 /// trace, every trace root is a `request` or `compile_pair` span, and
-/// every fragment span the pool workers opened reaches its trace root —
+/// the compile's `dsdnnf_fragments` fan-out span reaches its trace root —
 /// this fails on thread-local-only parenting, where worker spans started
 /// fresh traces.
 #[test]
@@ -165,7 +165,7 @@ fn all_spans_connect_to_request_or_compile_roots_at_eight_threads() {
     }
     let events = telemetry.drain_events();
     let by_id: BTreeMap<u64, &SpanEvent> = events.iter().map(|e| (e.id, e)).collect();
-    let mut fragment_spans = 0usize;
+    let mut fan_out_spans = 0usize;
     for event in &events {
         match event.parent {
             None => assert!(
@@ -195,17 +195,17 @@ fn all_spans_connect_to_request_or_compile_roots_at_eight_threads() {
                 }
             }
         }
-        if event.name == "dsdnnf_fragment" {
-            fragment_spans += 1;
+        if event.name == "dsdnnf_fragments" {
+            fan_out_spans += 1;
             assert!(
                 event.parent.is_some(),
-                "pool-worker fragment span detached from the compile trace"
+                "fragment fan-out span detached from the compile trace"
             );
         }
     }
     assert!(
-        fragment_spans > 1,
-        "the 8-thread compile should have fanned out fragments (got {fragment_spans})"
+        fan_out_spans > 0,
+        "the 8-thread compile should have fanned out fragments"
     );
 }
 
