@@ -14,10 +14,13 @@
 //!   automaton on an uncertain tree (Proposition 3.1 of \[2\]), which is a
 //!   d-DNNF when the automaton is deterministic (the key step of
 //!   Theorem 6.11);
-//! * [`compile_structured_dnnf`] — the constructive form of that theorem: a
-//!   *certified*, smooth d-SDNNF with a vtree witness read off the tree,
-//!   supporting one-pass probability, weighted model counting and model
-//!   counting;
+//! * [`Run`] — a deterministic automaton's run on an uncertain tree as
+//!   per-node tables (steps and reach lists), from a [`TreeAutomaton`] or
+//!   from transitions computed on demand;
+//! * [`compile_structured_dnnf`] — the constructive form of that theorem
+//!   ([`StructuredBuilder`] over a [`Run`]): a *certified*, smooth d-SDNNF
+//!   with a vtree witness read off the tree, supporting one-pass
+//!   probability, weighted model counting and model counting;
 //! * [`strategies`] — reusable property-testing generators for random
 //!   uncertain trees and deterministic automata, shared with the
 //!   workspace-level cross-backend differential suite.
@@ -60,6 +63,7 @@
 
 mod automaton;
 mod provenance;
+mod run;
 pub mod strategies;
 mod structured;
 mod tree;
@@ -68,6 +72,7 @@ pub use automaton::{
     exists_one_automaton, parity_automaton, DeterminizeError, State, TreeAutomaton,
 };
 pub use provenance::{acceptance_probability_bruteforce, provenance_circuit};
+pub use run::{Run, Step};
 pub use structured::{
     compile_structured_dnnf, CompiledSubtree, StructuredBuilder, StructuredDnnf,
     StructuredDnnfError, SubtreeGates,

@@ -22,7 +22,8 @@
 //!   [`Vtree::respects`].
 //!
 //! The construction is written once, as [`StructuredBuilder`]: a post-order
-//! pass whose caller may splice a precompiled subtree in at any node. The
+//! pass over a [`Run`] (the automaton's steps per node, found by one reach
+//! pass) whose caller may splice a precompiled subtree in at any node. The
 //! sequential [`compile_structured_dnnf`] splices nothing; the parallel
 //! engine (`treelineage-engine`) compiles fragments with
 //! [`StructuredBuilder::compile_subtree`] on worker threads and splices them
@@ -33,8 +34,8 @@
 //! blowup" extension that motivates the d-SDNNF backend.
 
 use crate::automaton::{State, TreeAutomaton};
+use crate::run::Run;
 use crate::tree::{NodeAnnotation, NodeId, UncertainTree};
-use std::collections::BTreeMap;
 use treelineage_circuit::{Circuit, Dnnf, DnnfError, GateId, Vtree, VtreeId};
 use treelineage_num::{BigUint, Rational};
 
@@ -54,12 +55,21 @@ pub enum StructuredDnnfError {
     /// assembled circuit (the unspliced construction never does).
     NotDecomposable(DnnfError),
     /// A splice callback returned a value that does not fit the arenas it
-    /// was handed: a gate id past the circuit, a vtree node past the
-    /// vtree, or states not in strictly ascending order.
+    /// was handed (a gate id past the circuit, a vtree node past the vtree)
+    /// or the run (states other than the node's reach list).
     InvalidSplice {
         /// The tree node the splice stood in for.
         node: NodeId,
         /// What is wrong with the returned value.
+        reason: String,
+    },
+    /// The run does not fit the tree: a node without an entry, a step
+    /// outside its node's alternatives or its children's reach lists, or
+    /// steps out of order or repeated.
+    InvalidRun {
+        /// The first offending node.
+        node: NodeId,
+        /// What is wrong with the run there.
         reason: String,
     },
 }
@@ -78,6 +88,9 @@ impl std::fmt::Display for StructuredDnnfError {
             }
             StructuredDnnfError::InvalidSplice { node, reason } => {
                 write!(f, "splice at node {}: {reason}", node.0)
+            }
+            StructuredDnnfError::InvalidRun { node, reason } => {
+                write!(f, "run at node {}: {reason}", node.0)
             }
         }
     }
@@ -164,12 +177,13 @@ pub fn compile_structured_dnnf(
     automaton: &TreeAutomaton,
     tree: &UncertainTree,
 ) -> Result<StructuredDnnf, StructuredDnnfError> {
-    StructuredBuilder::new(automaton, tree)?.compile(|_, _, _| None)
+    let run = Run::from_automaton(automaton, tree)?;
+    StructuredBuilder::new(&run, tree)?.compile(|_, _, _| None)
 }
 
 /// The construction's value at one tree node, in the arenas of the build it
-/// belongs to: per *live* automaton state `q` (one some run reaches here),
-/// the gate for "the run reaches `q` here" — the true constant (event-free
+/// belongs to: per *live* automaton state `q` (one some run reaches here:
+/// the node's [`Run::reach`] list), the gate for "the run reaches `q` here" — the true constant (event-free
 /// subtrees only) or a gate whose scope is exactly the events of the node's
 /// subtree (the smoothness invariant) — and the vtree node covering those
 /// events (`None` if the subtree is event-free). Every other state's gate is
@@ -198,7 +212,8 @@ pub struct CompiledSubtree {
 }
 
 /// The Theorem 6.11 construction on a validated input: one post-order pass
-/// running the leaf rule and the internal rule, into append-only arenas.
+/// running the leaf rule and the internal rule over the steps of a [`Run`],
+/// into append-only arenas.
 ///
 /// The pass asks a *splice* callback at every node before entering it; a
 /// callback that returns the node's [`SubtreeGates`] (built into the arenas
@@ -211,36 +226,26 @@ pub struct CompiledSubtree {
 /// compiles fragments on worker threads through.
 #[derive(Clone, Copy, Debug)]
 pub struct StructuredBuilder<'a> {
-    automaton: &'a TreeAutomaton,
+    run: &'a Run,
     tree: &'a UncertainTree,
 }
 
 impl<'a> StructuredBuilder<'a> {
-    /// Validates the input: the automaton must be bottom-up deterministic
-    /// (else the ∨ over runs is not deterministic), and no event may
-    /// control two nodes (else the ∧ over children is not decomposable).
-    pub fn new(
-        automaton: &'a TreeAutomaton,
-        tree: &'a UncertainTree,
-    ) -> Result<Self, StructuredDnnfError> {
-        if !automaton.is_deterministic() {
-            return Err(StructuredDnnfError::NondeterministicAutomaton);
+    /// Validates the input: the run must fit the tree, with each node's
+    /// steps strictly ascending (determinism: else the ∨ over runs is not
+    /// deterministic) and inside its children's reach lists, and no event
+    /// may control two nodes (else the ∧ over children is not
+    /// decomposable).
+    pub fn new(run: &'a Run, tree: &'a UncertainTree) -> Result<Self, StructuredDnnfError> {
+        run.validate(tree)?;
+        let mut events: Vec<usize> = (0..tree.tree().node_count())
+            .filter_map(|node| own_event(tree, NodeId(node)))
+            .collect();
+        events.sort_unstable();
+        if let Some(w) = events.windows(2).find(|w| w[0] == w[1]) {
+            return Err(StructuredDnnfError::SharedEvent { event: w[0] });
         }
-        let mut seen_events: BTreeMap<usize, usize> = BTreeMap::new();
-        for node in 0..tree.tree().node_count() {
-            if let NodeAnnotation::Event { event, .. } = tree.annotation(NodeId(node)) {
-                *seen_events.entry(event).or_insert(0) += 1;
-            }
-        }
-        if let Some((&event, _)) = seen_events.iter().find(|(_, &count)| count > 1) {
-            return Err(StructuredDnnfError::SharedEvent { event });
-        }
-        Ok(StructuredBuilder { automaton, tree })
-    }
-
-    /// The automaton the construction runs.
-    pub fn automaton(&self) -> &'a TreeAutomaton {
-        self.automaton
+        Ok(StructuredBuilder { run, tree })
     }
 
     /// The uncertain tree the construction runs on.
@@ -263,11 +268,10 @@ impl<'a> StructuredBuilder<'a> {
             mut vtree,
             root,
         } = self.compile_subtree(self.tree.tree().root(), splice)?;
-        let accepting_states = self.automaton.accepting_states();
         let accepting: Vec<GateId> = root
             .gates
             .iter()
-            .filter(|(q, _)| accepting_states.contains(q))
+            .filter(|(q, _)| self.run.accepting().binary_search(q).is_ok())
             .map(|&(_, g)| g)
             .collect();
         let output = match accepting.len() {
@@ -310,6 +314,8 @@ impl<'a> StructuredBuilder<'a> {
         // node is exited, its children's values are the top two entries.
         let mut pending: Vec<SubtreeGates> = Vec::new();
         let mut todo = vec![(root, false)];
+        // The internal rule's per-node run list, reused across nodes.
+        let mut runs: Vec<(State, GateId)> = Vec::new();
         // The three `expect`s below are internal invariants of the stack
         // discipline, not reachable from input: an exited node's two
         // children were pushed (left, then right) since it was entered,
@@ -318,9 +324,9 @@ impl<'a> StructuredBuilder<'a> {
             let value = if exited {
                 let right = pending.pop().expect("post-order: children first");
                 let left = pending.pop().expect("post-order: children first");
-                self.internal_rule(node, &left, &right, &mut circuit, &mut vtree)
+                self.internal_rule(node, &left, &right, &mut runs, &mut circuit, &mut vtree)
             } else if let Some(spliced) = splice(node, &mut circuit, &mut vtree) {
-                check_splice(node, &spliced, &circuit, &vtree)?;
+                check_splice(node, &spliced, self.run.reach(node), &circuit, &vtree)?;
                 spliced
             } else if let Some((left, right)) = tree.children(node) {
                 todo.push((node, true));
@@ -339,37 +345,30 @@ impl<'a> StructuredBuilder<'a> {
         })
     }
 
-    /// A leaf: true for the states a fixed label reaches; for an
+    /// A leaf: true for the state a fixed label reaches; for an
     /// event-guarded leaf, the event literal selecting the labels that reach
     /// the state.
     fn leaf_rule(&self, node: NodeId, circuit: &mut Circuit, vtree: &mut Vtree) -> SubtreeGates {
+        let steps = self.run.steps(node);
         let gates = match self.tree.annotation(node) {
-            NodeAnnotation::Fixed => self
-                .automaton
-                .leaf_states(self.tree.tree().label(node))
-                .iter()
-                .map(|&q| (q, TRUE))
-                .collect(),
-            NodeAnnotation::Event {
-                event,
-                if_true,
-                if_false,
-            } => {
-                let on_true = self.automaton.leaf_states(if_true);
-                let on_false = self.automaton.leaf_states(if_false);
-                // `union` runs in ascending state order, the order the
-                // gates are allocated in.
-                on_true
-                    .union(on_false)
+            NodeAnnotation::Fixed => steps.iter().map(|s| (s.target, TRUE)).collect(),
+            NodeAnnotation::Event { event, .. } => {
+                let reaches =
+                    |alt: usize, q: State| steps.iter().any(|s| (s.alt, s.target) == (alt, q));
+                // The reach list is ascending, the order the gates are
+                // allocated in.
+                self.run
+                    .reach(node)
+                    .iter()
                     .map(|&q| {
-                        let gate = match (on_true.contains(&q), on_false.contains(&q)) {
+                        let gate = match (reaches(0, q), reaches(1, q)) {
                             // Smoothness: the gate must mention the event, so
                             // a both-labels state compiles to the tautology
                             // e ∨ ¬e, not to true.
                             (true, true) => {
                                 let v = circuit.var(event);
                                 let nv = circuit.not(v);
-                                circuit.or(vec![v, nv])
+                                circuit.or([v, nv])
                             }
                             (true, false) => circuit.var(event),
                             _ => {
@@ -388,71 +387,59 @@ impl<'a> StructuredBuilder<'a> {
         }
     }
 
-    /// An internal node: per state `q`, the ∨ over the runs reaching `q` of
-    /// guard ∧ (left ∧ right), and the vtree split of the node's own event
-    /// against its children's scopes.
+    /// An internal node: per state `q`, the ∨ over the run's steps reaching
+    /// `q` of guard ∧ (left ∧ right), and the vtree split of the node's own
+    /// event against its children's scopes. `runs` is scratch space.
     fn internal_rule(
         &self,
         node: NodeId,
         left: &SubtreeGates,
         right: &SubtreeGates,
+        runs: &mut Vec<(State, GateId)>,
         circuit: &mut Circuit,
         vtree: &mut Vtree,
     ) -> SubtreeGates {
-        // Guarded label alternatives, as in `provenance_circuit`.
-        let alternatives: Vec<(usize, Option<GateId>)> = match self.tree.annotation(node) {
-            NodeAnnotation::Fixed => vec![(self.tree.tree().label(node), None)],
-            NodeAnnotation::Event {
-                event,
-                if_true,
-                if_false,
-            } => {
+        // The guard of each label alternative, as in `provenance_circuit`.
+        let guards = match self.tree.annotation(node) {
+            NodeAnnotation::Fixed => [None, None],
+            NodeAnnotation::Event { event, .. } => {
                 let v = circuit.var(event);
                 let not_v = circuit.not(v);
-                vec![(if_true, Some(v)), (if_false, Some(not_v))]
+                [Some(v), Some(not_v)]
             }
         };
-        // Iterate over the children's live states only and record each
-        // discovered run with its target state: cost per node is
-        // |live_l| · |live_r| · |alternatives|, never the automaton's state
-        // count, which is what keeps this linear on the lazily-materialized
-        // automata of the encoding pipeline (whose total state count far
-        // exceeds the per-node live count). Discovery order is (alternative,
-        // left state, right state) lexicographic.
-        let mut runs: Vec<(State, GateId)> = Vec::new();
-        for &(label, guard) in &alternatives {
-            for &(ql, gl) in &left.gates {
-                for &(qr, gr) in &right.gates {
-                    for &q in self.automaton.internal_states(label, ql, qr) {
-                        // Nested binary shape guard ∧ (gl ∧ gr): what the
-                        // node's vtree split witnesses. Constants true carry
-                        // no scope and drop out.
-                        let inner = match (gl == TRUE, gr == TRUE) {
-                            (true, true) => None,
-                            (true, false) => Some(gr),
-                            (false, true) => Some(gl),
-                            (false, false) => Some(circuit.and(vec![gl, gr])),
-                        };
-                        let conj = match (guard, inner) {
-                            (None, None) => TRUE,
-                            (None, Some(g)) => g,
-                            (Some(gv), None) => gv,
-                            (Some(gv), Some(g)) => circuit.and(vec![gv, g]),
-                        };
-                        runs.push((q, conj));
-                    }
-                }
-            }
+        // One run per step, in step order: (alternative, left state, right
+        // state) lexicographic. The children's gates list exactly their
+        // reach states, so a step's indices address them directly; the cost
+        // per node is its step count, never the automaton's state count.
+        runs.clear();
+        for step in self.run.steps(node) {
+            let (gl, gr) = (left.gates[step.left].1, right.gates[step.right].1);
+            // Nested binary shape guard ∧ (gl ∧ gr): what the node's vtree
+            // split witnesses. Constants true carry no scope and drop out.
+            let inner = match (gl == TRUE, gr == TRUE) {
+                (true, true) => None,
+                (true, false) => Some(gr),
+                (false, true) => Some(gl),
+                (false, false) => Some(circuit.and([gl, gr])),
+            };
+            let conj = match (guards[step.alt], inner) {
+                (None, None) => TRUE,
+                (None, Some(g)) => g,
+                (Some(gv), None) => gv,
+                (Some(gv), Some(g)) => circuit.and([gv, g]),
+            };
+            runs.push((step.target, conj));
         }
         // One ∨ per reached state, in ascending state order; the stable
-        // sort keeps each state's disjuncts in discovery order.
+        // sort keeps each state's disjuncts in step order.
         runs.sort_by_key(|&(q, _)| q);
         let gates: Vec<(State, GateId)> = runs
             .chunk_by(|a, b| a.0 == b.0)
             .map(|disjuncts| {
                 let gate = match disjuncts {
                     [(_, only)] => *only,
-                    _ => circuit.or(disjuncts.iter().map(|&(_, g)| g).collect()),
+                    _ => circuit.or(disjuncts.iter().map(|&(_, g)| g).collect::<Vec<_>>()),
                 };
                 (disjuncts[0].0, gate)
             })
@@ -481,14 +468,15 @@ impl<'a> StructuredBuilder<'a> {
 const FALSE: GateId = GateId(0);
 const TRUE: GateId = GateId(1);
 
-/// Checks a splice callback's value against the arenas it was built into:
-/// every gate id and the vtree node must exist, and the states must be
-/// strictly ascending (the order the internal rule's runs and the output
-/// assembly rely on). The rules would otherwise panic on a bad id deep in
-/// the circuit, or build a wrong circuit from unsorted states.
+/// Checks a splice callback's value against the arenas it was built into
+/// and the run: every gate id and the vtree node must exist, and the states
+/// must be the node's reach list (the parent's steps index the value by
+/// it). The rules would otherwise panic on a bad id or index deep in the
+/// build, or build a wrong circuit.
 fn check_splice(
     node: NodeId,
     spliced: &SubtreeGates,
+    reach: &[State],
     circuit: &Circuit,
     vtree: &Vtree,
 ) -> Result<(), StructuredDnnfError> {
@@ -507,10 +495,15 @@ fn check_splice(
             vtree.node_count()
         ));
     }
-    if let Some(w) = spliced.gates.windows(2).find(|w| w[0].0 >= w[1].0) {
+    if !spliced
+        .gates
+        .iter()
+        .map(|&(q, _)| q)
+        .eq(reach.iter().copied())
+    {
+        let states: Vec<State> = spliced.gates.iter().map(|&(q, _)| q).collect();
         return invalid(format!(
-            "states not strictly ascending: {} then {}",
-            w[0].0, w[1].0
+            "states {states:?} differ from the run's reach list {reach:?}"
         ));
     }
     Ok(())
@@ -629,15 +622,22 @@ mod tests {
     #[test]
     fn non_decomposable_splice_is_an_error() {
         // Splice event 1 — the right leaf's own event — in at the left
-        // leaf: the root's AND then shares a variable between its inputs.
+        // leaf, over the left leaf's reach list [0, 1]: the root's AND then
+        // shares a variable between its inputs.
         let automaton = parity_automaton(2);
         let tree = uncertain_leaves(2);
-        let builder = StructuredBuilder::new(&automaton, &tree).unwrap();
+        let run = Run::from_automaton(&automaton, &tree).unwrap();
+        let builder = StructuredBuilder::new(&run, &tree).unwrap();
         let (left, _) = tree.tree().children(tree.tree().root()).unwrap();
+        assert_eq!(run.reach(left), &[0, 1]);
         let result = builder.compile(|node, circuit, _| {
-            (node == left).then(|| SubtreeGates {
-                gates: vec![(1, circuit.var(1))],
-                vnode: None,
+            (node == left).then(|| {
+                let v = circuit.var(1);
+                let not_v = circuit.not(v);
+                SubtreeGates {
+                    gates: vec![(0, not_v), (1, v)],
+                    vnode: None,
+                }
             })
         });
         assert!(matches!(
@@ -652,7 +652,8 @@ mod tests {
         // back as a typed error instead of a panic in the root's rule.
         let automaton = parity_automaton(2);
         let tree = uncertain_leaves(2);
-        let builder = StructuredBuilder::new(&automaton, &tree).unwrap();
+        let run = Run::from_automaton(&automaton, &tree).unwrap();
+        let builder = StructuredBuilder::new(&run, &tree).unwrap();
         let (left, _) = tree.tree().children(tree.tree().root()).unwrap();
         let bad: [fn(&mut Circuit) -> SubtreeGates; 4] = [
             |_| SubtreeGates {
@@ -688,6 +689,33 @@ mod tests {
                 result,
                 Err(StructuredDnnfError::InvalidSplice { .. })
             ));
+        }
+    }
+
+    #[test]
+    fn splice_off_the_reach_list_is_an_error() {
+        // In range and ascending, but not the left leaf's reach list [0, 1]:
+        // the root's steps index both states, so a shorter or different list
+        // would send them out of range or to the wrong gate.
+        let automaton = parity_automaton(2);
+        let tree = uncertain_leaves(2);
+        let run = Run::from_automaton(&automaton, &tree).unwrap();
+        let builder = StructuredBuilder::new(&run, &tree).unwrap();
+        let (left, _) = tree.tree().children(tree.tree().root()).unwrap();
+        for states in [vec![1], vec![0], vec![0, 2], vec![0, 1, 2], vec![]] {
+            let result = builder.compile(|node, _, _| {
+                (node == left).then(|| SubtreeGates {
+                    gates: states.iter().map(|&q| (q, TRUE)).collect(),
+                    vnode: None,
+                })
+            });
+            assert!(
+                matches!(
+                    result,
+                    Err(StructuredDnnfError::InvalidSplice { node, .. }) if node == left
+                ),
+                "{states:?}: {result:?}"
+            );
         }
     }
 

@@ -276,6 +276,20 @@ impl UncertainTree {
         tree
     }
 
+    /// The labels a node may carry, in alternative order: the structural
+    /// label of a fixed node; `if_true`, then `if_false` of an event node
+    /// (both, even when equal: the event literal guards each).
+    pub fn alternatives(&self, node: NodeId) -> impl Iterator<Item = Label> {
+        match self.annotations[node.0] {
+            NodeAnnotation::Fixed => [Some(self.tree.label(node)), None],
+            NodeAnnotation::Event {
+                if_true, if_false, ..
+            } => [Some(if_true), Some(if_false)],
+        }
+        .into_iter()
+        .flatten()
+    }
+
     /// The effective label of a node under a valuation.
     pub fn label_under(&self, node: NodeId, valuation: &dyn Fn(usize) -> bool) -> Label {
         match self.annotations[node.0] {

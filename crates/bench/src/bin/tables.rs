@@ -700,15 +700,16 @@ fn scaling_rows() {
 }
 
 /// E-7 memo rows: per-instance compile against the query machine's memo
-/// size. 200 seeded labelled grids (3×3 and 3×4, query `S(x, y), L(y)`)
+/// size, on the serving route (the machine's run, then the d-SDNNF builder
+/// on it). 200 seeded labelled grids (3×3 and 3×4, query `S(x, y), L(y)`)
 /// run once through one shared machine, whose memo grows with every
-/// instance, and once through a fresh machine per instance. Both rows
-/// materialize only the transitions each tree reaches, so their per-instance
-/// materialize and compile times should be close; the memo column is the
-/// shared machine's final size, or the largest fresh one.
+/// instance, and once through a fresh machine per instance. Both rows run
+/// only the steps each tree can take, so their per-instance run and
+/// compile times should be close; the memo column is the shared machine's
+/// final size, or the largest fresh one.
 fn memo_rows() {
-    use treelineage_automata::compile_structured_dnnf;
-    use treelineage_encoding::{compile_ucq, encode, CompileOptions};
+    use treelineage_automata::{NodeId, StructuredBuilder};
+    use treelineage_encoding::{compile_ucq, encode, CompileOptions, LiveStates};
 
     const INSTANCES: u64 = 200;
     println!(
@@ -717,7 +718,7 @@ fn memo_rows() {
     );
     println!(
         "{:>8} {:>12} {:>10} {:>12} {:>12} {:>12}",
-        "machine", "memo states", "live max", "transitions", "materialize", "compile"
+        "machine", "memo states", "live max", "run steps", "run", "compile"
     );
     let sig = Signature::builder()
         .relation("S", 2)
@@ -742,8 +743,8 @@ fn memo_rows() {
         .collect();
     for shared in [true, false] {
         let mut machines = std::collections::BTreeMap::new();
-        let (mut memo, mut live_max, mut transitions) = (0, 0, 0);
-        let (mut t_materialize, mut t_compile) = (0.0, 0.0);
+        let (mut memo, mut live_max, mut steps) = (0, 0, 0);
+        let (mut t_run, mut t_compile) = (0.0, 0.0);
         for (k, encoding) in encodings.iter().enumerate() {
             if !shared {
                 machines.clear();
@@ -754,16 +755,20 @@ fn memo_rows() {
                     compile_ucq(&query, encoding.alphabet(), CompileOptions::default()).unwrap()
                 });
             let t0 = Instant::now();
-            let (automaton, live) = machine.materialize(encoding.tree()).unwrap();
+            let run = machine.run(encoding.tree()).unwrap();
             let t1 = Instant::now();
-            let lineage = compile_structured_dnnf(&automaton, encoding.tree()).unwrap();
+            let lineage = StructuredBuilder::new(&run, encoding.tree())
+                .and_then(|builder| builder.compile(|_, _, _| None))
+                .unwrap();
             let t2 = Instant::now();
             assert!(lineage.size() > 0);
             memo = memo.max(machine.state_count());
-            live_max = live_max.max(live.max);
-            transitions += automaton.internal_transitions().count();
+            live_max = live_max.max(LiveStates::of(&run).max);
+            steps += (0..run.node_count())
+                .map(|node| run.steps(NodeId(node)).len())
+                .sum::<usize>();
             if k >= encodings.len() / 2 {
-                t_materialize += (t1 - t0).as_secs_f64();
+                t_run += (t1 - t0).as_secs_f64();
                 t_compile += (t2 - t1).as_secs_f64();
             }
         }
@@ -773,8 +778,8 @@ fn memo_rows() {
             if shared { "shared" } else { "fresh" },
             memo,
             live_max,
-            transitions / encodings.len(),
-            t_materialize / timed * 1e3,
+            steps / encodings.len(),
+            t_run / timed * 1e3,
             t_compile / timed * 1e3
         );
     }

@@ -136,15 +136,15 @@ impl Circuit {
         self.push(Record::Not(input))
     }
 
-    /// Adds an AND gate.
-    pub fn and(&mut self, inputs: Vec<GateId>) -> GateId {
-        let (start, len) = self.push_inputs(&inputs);
+    /// Adds an AND gate (inputs copied into the shared input array).
+    pub fn and(&mut self, inputs: impl AsRef<[GateId]>) -> GateId {
+        let (start, len) = self.push_inputs(inputs.as_ref());
         self.push(Record::And { start, len })
     }
 
-    /// Adds an OR gate.
-    pub fn or(&mut self, inputs: Vec<GateId>) -> GateId {
-        let (start, len) = self.push_inputs(&inputs);
+    /// Adds an OR gate (inputs copied into the shared input array).
+    pub fn or(&mut self, inputs: impl AsRef<[GateId]>) -> GateId {
+        let (start, len) = self.push_inputs(inputs.as_ref());
         self.push(Record::Or { start, len })
     }
 
@@ -391,8 +391,10 @@ impl Circuit {
                 Gate::Var(v) => leaf(&mut out, v),
                 Gate::Const(b) => out.constant(b),
                 Gate::Not(i) => out.not(mapping[i.0]),
-                Gate::And(inputs) => out.and(inputs.iter().map(|i| mapping[i.0]).collect()),
-                Gate::Or(inputs) => out.or(inputs.iter().map(|i| mapping[i.0]).collect()),
+                Gate::And(inputs) => {
+                    out.and(inputs.iter().map(|i| mapping[i.0]).collect::<Vec<_>>())
+                }
+                Gate::Or(inputs) => out.or(inputs.iter().map(|i| mapping[i.0]).collect::<Vec<_>>()),
             };
             mapping.push(new_id);
         }

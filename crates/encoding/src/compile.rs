@@ -17,12 +17,13 @@
 //! query (the union semilattice of configuration sets — the nonelementary
 //! constant behind Courcelle's theorem), so [`compile_ucq`] returns a
 //! [`CompiledQuery`] — the transition machine with a persistent state /
-//! transition memo — and [`CompiledQuery::automaton_for`] materializes the
-//! fragment of the subset automaton reachable on a concrete uncertain tree
-//! (under every event valuation at once), in one bottom-up pass that is
-//! linear in the tree for bounded-width families. The memo survives across
-//! trees, so related materializations share their work, mirroring the
-//! shared `dd` engine's persistent caches.
+//! transition memo — and [`CompiledQuery::run`] runs it on a concrete
+//! uncertain tree (under every event valuation at once), in one bottom-up
+//! reach pass that is linear in the tree for bounded-width families and
+//! emits the [`Run`] the d-SDNNF construction reads
+//! ([`CompiledQuery::automaton_for`] is the same pass viewed as an
+//! automaton). The memo survives across trees, so related runs share their
+//! work, mirroring the shared `dd` engine's persistent caches.
 //!
 //! Key facts the construction leans on (see `encode`'s invariants):
 //!
@@ -44,8 +45,9 @@
 //! [`CompileError::StateBudget`] instead of diverging.
 
 use crate::alphabet::{EncodingAlphabet, LabelKind};
-use std::collections::{BTreeMap, BTreeSet};
-use treelineage_automata::{Label, TreeAutomaton};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
+use treelineage_automata::{Label, NodeId, Run, TreeAutomaton, UncertainTree};
 use treelineage_instance::{RelationId, Signature};
 use treelineage_query::{ConjunctiveQuery, MsoFormula, UnionOfConjunctiveQueries};
 use treelineage_telemetry::Telemetry;
@@ -67,9 +69,10 @@ pub struct CompileOptions {
     /// with [`CompileError::StateBudget`].
     pub state_budget: usize,
     /// Telemetry sink: [`compile_ucq`] / [`compile_mso`] record a
-    /// `query_compile` span, and [`CompiledQuery::automaton_for`] records an
-    /// `automaton_materialize` span plus the `query_states` and
-    /// `live_states_max` gauges. Defaults to the no-op handle.
+    /// `query_compile` span, and [`CompiledQuery::run`] (so also
+    /// [`CompiledQuery::automaton_for`]) records an `automaton_materialize`
+    /// span plus the `query_states` and `live_states_max` gauges. Defaults
+    /// to the no-op handle.
     pub telemetry: Telemetry,
 }
 
@@ -420,33 +423,65 @@ impl Compiler {
     }
 }
 
+/// A multiplicative hasher for the memo's word keys: each word is folded in
+/// with a rotate, an xor and one multiply by an odd constant (the Fx
+/// scheme). The keys are small dense integers chosen by this crate, so no
+/// resistance to adversarial keys is needed; SipHash would cost more than
+/// the lookup it serves.
+#[derive(Clone, Copy, Default)]
+struct WordHasher(u64);
+
+impl WordHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.add(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A transition memo keyed on a pair of words.
+type Memo<K> = HashMap<K, usize, BuildHasherDefault<WordHasher>>;
+
 /// A query compiled into the deterministic subset-transition machine over
 /// an [`EncodingAlphabet`], with a persistent state / transition memo.
 ///
-/// [`CompiledQuery::automaton_for`] materializes, for a concrete uncertain
-/// tree, the fragment of the (abstract, doubly-exponential) subset
-/// automaton that the tree can reach under *any* valuation of its events —
-/// a deterministic [`TreeAutomaton`] on the alphabet that is complete for
-/// that tree. States and transitions are interned once and shared across
-/// materializations, so compiling one query against many encodings (or the
-/// same encoding repeatedly) amortizes like the shared `dd` engine's
-/// persistent caches.
+/// [`CompiledQuery::run`] runs, on a concrete uncertain tree, the fragment
+/// of the (abstract, doubly-exponential) subset automaton that the tree can
+/// reach under *any* valuation of its events; [`CompiledQuery::automaton_for`]
+/// views that run as a deterministic [`TreeAutomaton`] on the alphabet.
+/// States and transitions are interned once and shared across runs, so
+/// compiling one query against many encodings (or the same encoding
+/// repeatedly) amortizes like the shared `dd` engine's persistent caches.
 #[derive(Debug)]
 pub struct CompiledQuery {
     alphabet: EncodingAlphabet,
     compiler: Compiler,
     /// Memoized transitions of non-join labels applied to a state (the
     /// right child is always the padding state 0).
-    unary: BTreeMap<(Label, usize), usize>,
+    unary: Memo<(Label, usize)>,
     /// Memoized join transitions.
-    join: BTreeMap<(usize, usize), usize>,
-    /// Carried over from [`CompileOptions`]; observes materializations.
+    join: Memo<(usize, usize)>,
+    /// Carried over from [`CompileOptions`]; observes runs.
     telemetry: Telemetry,
 }
 
 impl CompiledQuery {
-    /// Number of deterministic states enumerated so far (grows as trees are
-    /// materialized, bounded by the state budget).
+    /// Number of deterministic states enumerated so far (grows as the
+    /// machine runs on trees, bounded by the state budget).
     pub fn state_count(&self) -> usize {
         self.compiler.states.len()
     }
@@ -459,173 +494,112 @@ impl CompiledQuery {
     /// The transition for `label` on child states `(left, right)`, computed
     /// and memoized on demand. `None` when the combination cannot occur on a
     /// well-formed encoding (e.g. a structural label over a non-padding
-    /// right child): the materialized automaton simply has no transition
-    /// there.
+    /// right child): the run simply has no step there. A memo hit decodes
+    /// no label.
     fn delta(
         &mut self,
         label: Label,
         left: usize,
         right: usize,
     ) -> Result<Option<usize>, CompileError> {
-        match self.alphabet.kind(label) {
-            LabelKind::Empty => Ok(None),
-            LabelKind::Join => {
-                if let Some(&t) = self.join.get(&(left, right)) {
-                    return Ok(Some(t));
-                }
-                let target = self.compiler.apply_join(left, right);
-                let target = self.compiler.intern(target)?;
-                self.join.insert((left, right), target);
-                Ok(Some(target))
+        if label == self.alphabet.join() {
+            if let Some(&t) = self.join.get(&(left, right)) {
+                return Ok(Some(t));
             }
-            kind => {
-                // Structural / fact nodes carry their real subtree on the
-                // left and an `Empty` padding leaf (state 0) on the right.
-                if right != 0 {
-                    return Ok(None);
-                }
-                if let Some(&t) = self.unary.get(&(label, left)) {
-                    return Ok(Some(t));
-                }
-                let target = match kind {
-                    // Introducing a fresh element changes no configuration.
-                    LabelKind::Introduce(_) => left,
-                    LabelKind::Forget(slot) => {
-                        let target = self.compiler.apply_forget(left, slot);
-                        self.compiler.intern(target)?
-                    }
-                    LabelKind::Fact {
-                        relation,
-                        slots,
-                        present,
-                    } => {
-                        if present {
-                            let target = self.compiler.apply_fact(left, relation, &slots);
-                            self.compiler.intern(target)?
-                        } else {
-                            left // an absent fact asserts nothing
-                        }
-                    }
-                    // Internal invariant: the outer match took these two.
-                    LabelKind::Empty | LabelKind::Join => unreachable!(),
-                };
-                self.unary.insert((label, left), target);
-                Ok(Some(target))
-            }
+            let target = self.compiler.apply_join(left, right);
+            let target = self.compiler.intern(target)?;
+            self.join.insert((left, right), target);
+            return Ok(Some(target));
         }
-    }
-
-    /// Materializes the deterministic automaton for `tree` (an uncertain
-    /// tree over this query's alphabet, e.g. a
-    /// [`TreeEncoding`](crate::TreeEncoding)'s tree); see
-    /// [`CompiledQuery::materialize`]. The result accepts an instantiation
-    /// of `tree` iff the decoded subinstance satisfies the query.
-    pub fn automaton_for(
-        &mut self,
-        tree: &treelineage_automata::UncertainTree,
-    ) -> Result<TreeAutomaton, CompileError> {
-        self.materialize(tree).map(|(automaton, _)| automaton)
-    }
-
-    /// [`CompiledQuery::automaton_for`] with the per-node live-state
-    /// statistics of its reach pass. One bottom-up pass enumerates, per
-    /// node, the states reachable under any valuation of the events,
-    /// computing missing transitions into the memo. The automaton holds
-    /// exactly the transitions that pass used (so the d-SDNNF compile
-    /// never looks past them) and accepts only root-reachable accepting
-    /// states; its states keep their global memo ids, and
-    /// [`TreeAutomaton::state_count`] is the memo size. Neither the
-    /// materialization nor the automaton grows with the memo: the work is
-    /// proportional to the transitions the tree can use.
-    pub fn materialize(
-        &mut self,
-        tree: &treelineage_automata::UncertainTree,
-    ) -> Result<(TreeAutomaton, LiveStates), CompileError> {
-        use treelineage_automata::NodeAnnotation;
-        let _span = self.telemetry.span("automaton_materialize");
-        let structure = tree.tree();
-        let mut reach: Vec<Vec<usize>> = vec![Vec::new(); structure.node_count()];
-        let mut leaf_reached = false;
-        let mut used: Vec<(Label, usize, usize, usize)> = Vec::new();
-        let (mut live_total, mut live_max) = (0usize, 0usize);
-        for node in structure.post_order() {
-            let alternatives: Vec<Label> = match tree.annotation(node) {
-                NodeAnnotation::Fixed => vec![structure.label(node)],
-                NodeAnnotation::Event {
-                    if_true, if_false, ..
-                } => {
-                    if if_true == if_false {
-                        vec![if_true]
-                    } else {
-                        vec![if_true, if_false]
-                    }
-                }
-            };
-            let mut states = BTreeSet::new();
-            match structure.children(node) {
-                None => {
-                    // Leaves of well-formed encodings are `Empty` padding,
-                    // evaluating to the unit state 0.
-                    for label in alternatives {
-                        if matches!(self.alphabet.kind(label), LabelKind::Empty) {
-                            states.insert(0);
-                            leaf_reached = true;
-                        }
-                    }
-                }
-                Some((l, r)) => {
-                    let lefts = std::mem::take(&mut reach[l.0]);
-                    let rights = std::mem::take(&mut reach[r.0]);
-                    for &label in &alternatives {
-                        for &a in &lefts {
-                            for &b in &rights {
-                                if let Some(t) = self.delta(label, a, b)? {
-                                    states.insert(t);
-                                    used.push((label, a, b, t));
-                                }
-                            }
-                        }
-                    }
+        // Structural / fact nodes carry their real subtree on the left and
+        // an `Empty` padding leaf (state 0) on the right.
+        if label == self.alphabet.empty() || right != 0 {
+            return Ok(None);
+        }
+        if let Some(&t) = self.unary.get(&(label, left)) {
+            return Ok(Some(t));
+        }
+        let target = match self.alphabet.kind(label) {
+            // Introducing a fresh element changes no configuration.
+            LabelKind::Introduce(_) => left,
+            LabelKind::Forget(slot) => {
+                let target = self.compiler.apply_forget(left, slot);
+                self.compiler.intern(target)?
+            }
+            LabelKind::Fact {
+                relation,
+                slots,
+                present,
+            } => {
+                if present {
+                    let target = self.compiler.apply_fact(left, relation, &slots);
+                    self.compiler.intern(target)?
+                } else {
+                    left // an absent fact asserts nothing
                 }
             }
-            live_total += states.len();
-            live_max = live_max.max(states.len());
-            reach[node.0] = states.into_iter().collect();
-        }
-
-        // Built after the pass: the state count is the memo size, which
-        // the pass may have grown.
-        let mut automaton = TreeAutomaton::new(self.compiler.states.len(), self.alphabet.size());
-        if leaf_reached {
-            automaton.add_leaf_transition(self.alphabet.empty(), 0);
-        }
-        used.sort_unstable();
-        used.dedup();
-        for (label, a, b, target) in used {
-            automaton.add_internal_transition(label, a, b, target);
-        }
-        for &state in &reach[structure.root().0] {
-            if self.compiler.is_accepting(state) {
-                automaton.add_accepting(state);
-            }
-        }
-        debug_assert!(automaton.is_deterministic());
-        let live = LiveStates {
-            mean: live_total as f64 / structure.node_count() as f64,
-            max: live_max,
+            // Internal invariant: the two labels returned above.
+            LabelKind::Empty | LabelKind::Join => unreachable!(),
         };
+        self.unary.insert((label, left), target);
+        Ok(Some(target))
+    }
+
+    /// Runs the machine on `tree` (an uncertain tree over this query's
+    /// alphabet, e.g. a [`TreeEncoding`](crate::TreeEncoding)'s tree): one
+    /// bottom-up reach pass finds, per node, the states reachable under any
+    /// valuation of the events and the steps reaching them, computing
+    /// missing transitions into the memo, and keeps the root's accepting
+    /// states. States keep their global memo ids. The work is proportional
+    /// to the steps the tree can take, never to the memo size; the result is
+    /// what [`StructuredBuilder`](treelineage_automata::StructuredBuilder)
+    /// compiles, with no automaton in between.
+    pub fn run(&mut self, tree: &UncertainTree) -> Result<Run, CompileError> {
+        let _span = self.telemetry.span("automaton_materialize");
+        // Leaves of well-formed encodings are `Empty` padding, evaluating
+        // to the unit state 0.
+        let empty = self.alphabet.empty();
+        let mut run = Run::from_transitions(
+            tree,
+            |label| (label == empty).then_some(0),
+            |label, left, right| self.delta(label, left, right),
+        )?;
+        run.accept(|q| self.compiler.is_accepting(q));
         self.telemetry
             .gauge_set("query_states", &[], self.compiler.states.len() as i64);
         self.telemetry
-            .gauge_set("live_states_max", &[], live_max as i64);
-        Ok((automaton, live))
+            .gauge_set("live_states_max", &[], LiveStates::of(&run).max as i64);
+        Ok(run)
+    }
+
+    /// The deterministic automaton of [`CompiledQuery::run`] on `tree`;
+    /// see [`CompiledQuery::materialize`]. The result accepts an
+    /// instantiation of `tree` iff the decoded subinstance satisfies the
+    /// query.
+    pub fn automaton_for(&mut self, tree: &UncertainTree) -> Result<TreeAutomaton, CompileError> {
+        self.materialize(tree).map(|(automaton, _)| automaton)
+    }
+
+    /// [`CompiledQuery::run`] viewed as an automaton
+    /// ([`Run::to_automaton`]), with the run's per-node live-state
+    /// statistics. The automaton holds exactly the transitions the run
+    /// took and accepts only root-reachable accepting states; its states
+    /// keep their global memo ids, and [`TreeAutomaton::state_count`] is
+    /// the memo size. Do not use it on another tree.
+    pub fn materialize(
+        &mut self,
+        tree: &UncertainTree,
+    ) -> Result<(TreeAutomaton, LiveStates), CompileError> {
+        let run = self.run(tree)?;
+        let automaton = run.to_automaton(tree, self.state_count(), self.alphabet.size());
+        debug_assert!(automaton.is_deterministic());
+        Ok((automaton, LiveStates::of(&run)))
     }
 }
 
-/// How many deterministic states one materialization found live per tree
-/// node (the reach set sizes of [`CompiledQuery::materialize`]). The
-/// d-SDNNF compile's work at a node follows these counts, not the memo
-/// size.
+/// How many deterministic states one run found live per tree node (the
+/// sizes of its [`Run::reach`] lists). The d-SDNNF compile's work at a
+/// node follows these counts, not the memo size.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LiveStates {
     /// Mean live states over the tree's nodes.
@@ -634,10 +608,24 @@ pub struct LiveStates {
     pub max: usize,
 }
 
+impl LiveStates {
+    /// The live-state statistics of `run`.
+    pub fn of(run: &Run) -> LiveStates {
+        let nodes = run.node_count();
+        let (total, max) = (0..nodes)
+            .map(|node| run.reach(NodeId(node)).len())
+            .fold((0, 0), |(total, max), n| (total + n, max.max(n)));
+        LiveStates {
+            mean: total as f64 / nodes as f64,
+            max,
+        }
+    }
+}
+
 /// Compiles a UCQ≠ into the deterministic subset-transition machine over
 /// the alphabet (see the module docs and [`CompiledQuery`]). The machine
 /// depends only on the query and the alphabet (signature + width);
-/// materialize concrete automata with [`CompiledQuery::automaton_for`].
+/// run it on concrete trees with [`CompiledQuery::run`].
 pub fn compile_ucq(
     query: &UnionOfConjunctiveQueries,
     alphabet: &EncodingAlphabet,
@@ -676,8 +664,8 @@ fn compile_disjuncts(
     Ok(CompiledQuery {
         alphabet: alphabet.clone(),
         compiler,
-        unary: BTreeMap::new(),
-        join: BTreeMap::new(),
+        unary: Memo::default(),
+        join: Memo::default(),
         telemetry,
     })
 }
@@ -1114,6 +1102,46 @@ mod tests {
                     "query {}, mask {}", query, mask
                 );
             }
+        }
+
+        /// The two producers of a run agree: after the memo has grown on
+        /// other instances, the machine's own run on a tree equals the run
+        /// of its automaton view on that tree, step for step, in reach
+        /// lists and in accepting states.
+        #[test]
+        fn machine_run_equals_the_run_of_its_automaton(
+            (inst, td) in treelineage_instance::strategies::treelike_instance_with_decomposition(
+                sig_rsl(), 5, 2,
+            ),
+            qi in 0usize..3,
+            warm_seed in 0u64..1_000,
+        ) {
+            proptest::prop_assume!(inst.fact_count() > 0);
+            let query = parse_query(
+                &sig_rsl(),
+                ["S(x, y), L(y)", "S(x, y), S(y, z), x != z", "L(x), R(x, y) | L(y), S(x, y)"][qi],
+            )
+            .unwrap();
+            let encoding = encode(&inst, &td).unwrap();
+            let tree = encoding.tree();
+            let mut compiled =
+                compile_ucq(&query, encoding.alphabet(), CompileOptions::default()).unwrap();
+            for seed in warm_seed..warm_seed + 8 {
+                let other = encodings::random_treelike_instance(&sig_rsl(), 6, 2, seed);
+                let other = encode(&other, &heuristic_td(&other)).unwrap();
+                if other.alphabet().width() == encoding.alphabet().width() {
+                    compiled.run(other.tree()).unwrap();
+                }
+            }
+            let run = compiled.run(tree).unwrap();
+            let automaton = compiled.automaton_for(tree).unwrap();
+            let from_automaton = Run::from_automaton(&automaton, tree).unwrap();
+            proptest::prop_assert_eq!(run.node_count(), from_automaton.node_count());
+            for node in (0..run.node_count()).map(NodeId) {
+                proptest::prop_assert_eq!(run.steps(node), from_automaton.steps(node));
+                proptest::prop_assert_eq!(run.reach(node), from_automaton.reach(node));
+            }
+            proptest::prop_assert_eq!(run.accepting(), from_automaton.accepting());
         }
     }
 

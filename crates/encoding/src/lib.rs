@@ -19,10 +19,13 @@
 //!   the existential-positive fragment of [`MsoFormula`]) into
 //!   *deterministic* bottom-up tree automata on that alphabet by a
 //!   bottom-up subset construction over partial-match configurations, with
-//!   a state budget and typed [`CompileError`]s.
+//!   a state budget and typed [`CompileError`]s; [`CompiledQuery::run`]
+//!   runs one on a tree encoding and emits the
+//!   [`Run`](treelineage_automata::Run) the d-SDNNF builder reads.
 //!
 //! Downstream, `treelineage_core`'s `LineageBuilder::automaton_lineage` chains
-//! these with [`treelineage_automata::compile_structured_dnnf`] into the
+//! these with the d-SDNNF construction
+//! ([`treelineage_automata::StructuredBuilder`]) into the
 //! full pipeline: probability / model counting / weighted model counting
 //! without ever materializing query matches (and `treelineage-engine`
 //! compiles the same d-SDNNF over disjoint subtrees on worker threads,
@@ -30,7 +33,7 @@
 //! compile the query, read the lineage off the provenance:
 //!
 //! ```
-//! use treelineage_automata::compile_structured_dnnf;
+//! use treelineage_automata::StructuredBuilder;
 //! use treelineage_encoding::{compile_ucq, encode, CompileOptions};
 //! use treelineage_graph::treewidth::treewidth_upper_bound;
 //! use treelineage_instance::{Instance, Signature};
@@ -48,12 +51,13 @@
 //! let (graph, _) = inst.gaifman_graph();
 //! let encoding = encode(&inst, &treewidth_upper_bound(&graph).1).unwrap();
 //!
-//! // Compile the query over the alphabet, materialize the automaton for
-//! // this tree, and read the lineage off its provenance d-SDNNF.
+//! // Compile the query over the alphabet, run it on this tree, and read
+//! // the lineage off the run's provenance d-SDNNF.
 //! let query = parse_query(&sig, "R(x), S(x, y), T(y)").unwrap();
 //! let mut compiled = compile_ucq(&query, encoding.alphabet(), CompileOptions::default()).unwrap();
-//! let automaton = compiled.automaton_for(encoding.tree()).unwrap();
-//! let lineage = compile_structured_dnnf(&automaton, encoding.tree()).unwrap();
+//! let run = compiled.run(encoding.tree()).unwrap();
+//! let builder = StructuredBuilder::new(&run, encoding.tree()).unwrap();
+//! let lineage = builder.compile(|_, _, _| None).unwrap();
 //!
 //! // All three facts must be present: probability 1/8 under all-1/2.
 //! assert_eq!(

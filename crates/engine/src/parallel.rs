@@ -55,7 +55,7 @@ use crate::EngineConfig;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use treelineage_automata::{
-    BinaryTree, CompiledSubtree, NodeAnnotation, NodeId, StructuredBuilder, StructuredDnnf,
+    BinaryTree, CompiledSubtree, NodeAnnotation, NodeId, Run, StructuredBuilder, StructuredDnnf,
     StructuredDnnfError, SubtreeGates, TreeAutomaton, UncertainTree,
 };
 use treelineage_circuit::{
@@ -462,8 +462,9 @@ fn limb_step<'a, 'w>(
 /// event annotation)` per node. Two subtrees with equal keys have equal
 /// shape, labels and events, so [`StructuredBuilder::compile_subtree`]
 /// produces byte-identical output for them (its gate stream is a pure
-/// function of this content and the automaton's memoized transitions). Keys
-/// are compared in full — no hash shortcut decides reuse.
+/// function of this content and the run's steps there, which the query
+/// machine's memoized transitions fix). Keys are compared in full — no hash
+/// shortcut decides reuse.
 type FragmentKey = Vec<(usize, bool, Option<(usize, usize, usize)>)>;
 
 fn fragment_key(tree: &UncertainTree, root: NodeId) -> FragmentKey {
@@ -495,8 +496,8 @@ fn fragment_key(tree: &UncertainTree, root: NodeId) -> FragmentKey {
 /// deterministic merge replays as usual. Validity is the caller's
 /// contract: a library may only be replayed against the *same* compiled
 /// query machine that produced it (state numbering is machine-history
-/// dependent), with an automaton whose state count has only grown — the
-/// session layer guards both.
+/// dependent) — the session layer guards it, and the builder rejects a
+/// fragment whose root states are not the run's reach list there.
 #[derive(Clone, Default)]
 pub(crate) struct FragmentLibrary {
     fragments: HashMap<FragmentKey, Arc<CompiledSubtree>>,
@@ -542,11 +543,12 @@ pub fn compile_structured_dnnf_parallel(
     tree: &UncertainTree,
     config: &EngineConfig,
 ) -> Result<ParallelDnnf, StructuredDnnfError> {
-    compile_with_pool_cached(automaton, tree, config, config.threads, None).map(|c| c.artifact)
+    let run = Run::from_automaton(automaton, tree)?;
+    compile_with_pool_cached(&run, tree, config, config.threads, None).map(|c| c.artifact)
 }
 
-/// [`compile_structured_dnnf_parallel`] with the fragment *plan*
-/// (`config.threads`) decoupled from the worker pool actually used
+/// [`compile_structured_dnnf_parallel`] from a [`Run`], with the fragment
+/// *plan* (`config.threads`) decoupled from the worker pool actually used
 /// (`pool_threads`), and with fragment reuse. The session layer compiles
 /// with `pool_threads = 1` when a batch already saturates the pool with one
 /// task per (query, instance) pair — the cached artifact still carries the
@@ -557,18 +559,18 @@ pub fn compile_structured_dnnf_parallel(
 /// ids, operand order, vtree): the plan, not the pool or the library,
 /// determines every id. Preconditions on `previous` (enforced by the
 /// session layer): it was produced by this function against the same
-/// compiled query machine, whose state count can only have grown since.
+/// compiled query machine.
 /// Without a plan the whole tree compiles on the caller's thread under a
 /// `dsdnnf_compile` span.
 pub(crate) fn compile_with_pool_cached(
-    automaton: &TreeAutomaton,
+    run: &Run,
     tree: &UncertainTree,
     config: &EngineConfig,
     pool_threads: usize,
     previous: Option<&FragmentLibrary>,
 ) -> Result<CachedCompile, StructuredDnnfError> {
     let telemetry = &config.telemetry;
-    let builder = StructuredBuilder::new(automaton, tree)?;
+    let builder = StructuredBuilder::new(run, tree)?;
     match SubtreePlan::cut(tree.tree(), config.threads, config.fragment_grain) {
         Some(plan) => compile_planned(&builder, &plan, telemetry, pool_threads, previous),
         None => {
@@ -698,15 +700,22 @@ fn relocate(g: GateId, offset: usize) -> GateId {
 fn replay_circuit(global: &mut Circuit, fragment: &Circuit) {
     let offset = global.size();
     let map = |g: GateId| relocate(g, offset);
+    // One relocated input list, reused for every AND/OR gate.
+    let mut mapped: Vec<GateId> = Vec::new();
     for id in 2..fragment.size() {
-        let new_id = match fragment.gate(GateId(id)) {
+        let gate = fragment.gate(GateId(id));
+        if let Gate::And(inputs) | Gate::Or(inputs) = gate {
+            mapped.clear();
+            mapped.extend(inputs.iter().map(|&i| map(i)));
+        }
+        let new_id = match gate {
             // Fragment events are globally unique, so `var` always
             // allocates (the memo can never hit across fragments).
             Gate::Var(v) => global.var(v),
             Gate::Const(_) => unreachable!("fragments hold constants only at ids 0 and 1"),
             Gate::Not(i) => global.not(map(i)),
-            Gate::And(inputs) => global.and(inputs.iter().map(|&i| map(i)).collect()),
-            Gate::Or(inputs) => global.or(inputs.iter().map(|&i| map(i)).collect()),
+            Gate::And(_) => global.and(&mapped),
+            Gate::Or(_) => global.or(&mapped),
         };
         debug_assert_eq!(new_id, map(GateId(id)));
     }
@@ -1040,7 +1049,8 @@ mod tests {
         let automaton = treelineage_automata::parity_automaton(2);
         let u = big_comb(400);
         let config = EngineConfig::with_threads(4);
-        let first = compile_with_pool_cached(&automaton, &u, &config, 4, None).unwrap();
+        let run = Run::from_automaton(&automaton, &u).unwrap();
+        let first = compile_with_pool_cached(&run, &u, &config, 4, None).unwrap();
         let total = first.stats.total;
         assert!(total >= 2);
         assert_eq!(first.stats.reused, 0);
@@ -1049,8 +1059,7 @@ mod tests {
 
         // Replaying the library against the unchanged tree is zero-dirty and
         // still byte-identical.
-        let replay =
-            compile_with_pool_cached(&automaton, &u, &config, 4, Some(&first.library)).unwrap();
+        let replay = compile_with_pool_cached(&run, &u, &config, 4, Some(&first.library)).unwrap();
         assert_eq!(replay.stats.recompiled, 0);
         assert_eq!(replay.stats.reused, total);
         assert_identical(
@@ -1064,8 +1073,9 @@ mod tests {
         let leaf = fragment_leaf(&u, &plan);
         let mut mutated = u.clone();
         mutated.set_event(leaf, 9999, 1, 0);
+        let mutated_run = Run::from_automaton(&automaton, &mutated).unwrap();
         let second =
-            compile_with_pool_cached(&automaton, &mutated, &config, 4, Some(&first.library))
+            compile_with_pool_cached(&mutated_run, &mutated, &config, 4, Some(&first.library))
                 .unwrap();
         assert_eq!(second.stats.recompiled, 1);
         assert_eq!(second.stats.reused, total - 1);
@@ -1377,7 +1387,8 @@ mod tests {
             seed in proptest::prelude::any::<u64>(),
         ) {
             let sequential = compile_structured_dnnf(&automaton, &u).unwrap();
-            let builder = StructuredBuilder::new(&automaton, &u).unwrap();
+            let run = Run::from_automaton(&automaton, &u).unwrap();
+            let builder = StructuredBuilder::new(&run, &u).unwrap();
             let telemetry = Telemetry::disabled();
             for cuts in unbalanced_cut_sets(&u, seed) {
                 let plan = SubtreePlan::new(u.tree(), cuts);

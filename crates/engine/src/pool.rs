@@ -226,9 +226,10 @@ mod tests {
 
     #[test]
     fn uneven_task_costs_are_balanced() {
-        // A few heavy tasks among many light ones: stealing must still
-        // produce the right results (timing is not asserted — the point is
-        // that the scheduler terminates and stays correct under imbalance).
+        // A few heavy tasks among many light ones: workers pulling from the
+        // shared cursor must still put every result at its index (timing is
+        // not asserted — the point is that the pool terminates and stays
+        // correct under imbalance).
         let out = run_tasks(4, 16, &Telemetry::disabled(), |i| {
             if i % 5 == 0 {
                 (0..20_000u64).map(|x| x.wrapping_mul(i as u64 + 1)).sum()
@@ -338,8 +339,9 @@ mod tests {
     fn telemetry_counts_tasks_across_workers() {
         let telemetry = Telemetry::enabled();
         let out = run_tasks(4, 64, &telemetry, |i| {
-            // Uneven costs so at least one steal is plausible; only the
-            // task total is asserted (steals depend on timing).
+            // Uneven costs so several workers likely take tasks; only the
+            // task total is asserted (which worker runs a task depends on
+            // timing).
             if i % 7 == 0 {
                 (0..10_000u64).map(|x| x.wrapping_add(i as u64)).sum()
             } else {

@@ -125,7 +125,7 @@ pub(super) struct Parked {
 }
 
 /// One resident lineage-cache entry: the artifact, the per-node live
-/// states of the materialization it was compiled from, and what an update
+/// states of the run it was compiled from, and what an update
 /// parks for incremental recompilation.
 #[derive(Clone)]
 pub(super) struct CachedLineage {
@@ -281,9 +281,10 @@ impl EvalSession {
     }
 
     /// The one lineage compile body, behind the cached path and the cold
-    /// oracle: the query machine for the encoding's width, materialize,
-    /// then the d-SDNNF compile. Returns the artifact, the live states of
-    /// the materialization and what a later structural update parks.
+    /// oracle: the query machine for the encoding's width, its run on the
+    /// encoding, then the d-SDNNF compile from that run. Returns the
+    /// artifact, the live states of the run and what a later structural
+    /// update parks.
     fn compile(
         &self,
         query: usize,
@@ -292,8 +293,8 @@ impl EvalSession {
         parked: Option<Parked>,
     ) -> Result<(ParallelDnnf, LiveStates, Parked), EngineError> {
         let machine = self.machine(query, encoding.alphabet())?;
-        let (automaton, live) = lock_recovering(&machine)
-            .materialize(encoding.tree())
+        let run = lock_recovering(&machine)
+            .run(encoding.tree())
             .map_err(EngineError::QueryCompile)?;
         // Gate numbering depends on the machine's memo history, so a parked
         // library replays only against the machine object that built it —
@@ -302,7 +303,7 @@ impl EvalSession {
             .filter(|parked| Weak::as_ptr(&parked.machine) == Arc::as_ptr(&machine))
             .map(|parked| parked.library);
         let compiled = compile_with_pool_cached(
-            &automaton,
+            &run,
             encoding.tree(),
             &self.config,
             pool_threads,
@@ -323,7 +324,7 @@ impl EvalSession {
             machine: Arc::downgrade(&machine),
             library: Arc::new(compiled.library),
         };
-        Ok((compiled.artifact, live, parked))
+        Ok((compiled.artifact, LiveStates::of(&run), parked))
     }
 
     /// The instance's tree encoding, built on first use.

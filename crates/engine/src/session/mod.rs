@@ -183,8 +183,8 @@ pub struct EvalSession {
     instances: Vec<InstanceEntry>,
     queries: Vec<UnionOfConjunctiveQueries>,
     /// Compiled query machines, keyed by (query, alphabet width). The
-    /// machine itself is behind a `Mutex` because materializing an
-    /// automaton grows its state memo (`&mut`).
+    /// machine itself is behind a `Mutex` because running it on a tree
+    /// grows its state memo (`&mut`).
     machines: Mutex<MachineCache>,
     /// Compiled lineages, keyed by (query, instance).
     lineages: Mutex<CacheMap<(usize, usize), CachedLineage>>,
