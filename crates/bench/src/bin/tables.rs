@@ -6,9 +6,10 @@
 //! paper's statements are about. Columns of rows marked "median of 3" are
 //! timed by [`median_ms`] (one warm-up, then the median of three runs): the
 //! two compile routes (`[E-6.3]`), compile and model count per thread count
-//! (`[E-7 scaling]`) and the Karp–Luby fallback (`[E-8]`). The other
-//! wall-clock columns are single runs, for orientation only. Serving is
-//! timed end to end by `perfbench` (the workloads of `BENCHMARK.json`).
+//! (`[E-7 scaling]`) and the Karp–Luby fallback (`[E-8]`); the stages of
+//! one warm exact pass (`[E-12 layout]`) take the median of 501 calls. The
+//! other wall-clock columns are single runs, for orientation only. Serving
+//! is timed end to end by `perfbench` (the workloads of `BENCHMARK.json`).
 
 use std::collections::BTreeSet;
 use std::time::Instant;
@@ -594,6 +595,7 @@ fn engine_section() {
 
     scaling_rows();
     memo_rows();
+    layout_rows();
 
     // Batched serving: one EvalSession, many repeated requests — the
     // compile happens once and every further request is a cache hit plus
@@ -781,6 +783,130 @@ fn memo_rows() {
             steps / encodings.len(),
             t_run / timed * 1e3,
             t_compile / timed * 1e3
+        );
+    }
+}
+
+/// E-12 layout rows: the exact passes' arena laid out from the scope hull,
+/// on the four shapes perfbench's `serve_exact` serves (compiled by a
+/// session, as served). `limbs` is the hull layout's arena size under
+/// mixed-denominator probabilities and `scope sum` the test oracle
+/// `Σ_g width(Σ_{v ∈ scope(g)} e_v)` over `Circuit::gate_dependencies`:
+/// equal, because the construction's gate scopes are runs of consecutive
+/// ranks. The stages are timed apart, median of 501 warm calls each:
+/// the hull (built once per lineage, on its first exact pass), the weight
+/// table in rank order, the layout, and a whole warm
+/// `ParallelDnnf::probability` call, whose sweep and final reduction are
+/// the rest.
+fn layout_rows() {
+    use std::sync::Arc;
+    use treelineage_circuit::{LimbArena, ScopeHull};
+    use treelineage_engine::ParallelDnnf;
+    use treelineage_num::limbs::{self, IntWeights};
+
+    fn median_us<T>(mut f: impl FnMut() -> T) -> f64 {
+        let mut runs: Vec<f64> = (0..501)
+            .map(|_| {
+                let t0 = Instant::now();
+                let out = f();
+                let us = t0.elapsed().as_secs_f64() * 1e6;
+                drop(out);
+                us
+            })
+            .collect();
+        runs.sort_by(f64::total_cmp);
+        runs[runs.len() / 2]
+    }
+
+    println!(
+        "\n[E-12 layout] exact-pass arena from the scope hull on the serve_exact shapes \
+         (µs, median of 501 warm calls)"
+    );
+    println!(
+        "{:>8} {:>6} {:>6} {:>6} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
+        "shape",
+        "gates",
+        "events",
+        "limbs",
+        "scope sum",
+        "hull",
+        "weights",
+        "layout",
+        "pass",
+        "rest"
+    );
+    let sig = Signature::builder()
+        .relation("S", 2)
+        .relation("L", 1)
+        .build();
+    let star = |n: u64| {
+        let mut inst = Instance::new(sig.clone());
+        for i in 1..=n {
+            inst.add_fact_by_name("S", &[0, i]);
+            inst.add_fact_by_name("L", &[i]);
+        }
+        (parse_query(&sig, "S(x, y), L(y)").unwrap(), inst)
+    };
+    let grid_sig = Signature::builder().relation("S", 2).build();
+    let grid = encodings::grid_instance(&grid_sig, grid_sig.relation_by_name("S").unwrap(), 4, 4);
+    let shapes = [
+        ("chain16", chain(16)),
+        ("chain32", chain(32)),
+        ("star32", star(32)),
+        (
+            "grid4x4",
+            (parse_query(&grid_sig, "S(x, y)").unwrap(), grid),
+        ),
+    ];
+    for (name, (query, inst)) in shapes {
+        let facts = inst.facts().count();
+        let mut session =
+            EvalSession::with_backend(EngineConfig::with_threads(1), SessionBackend::Automaton);
+        let (q, i) = (
+            session.register_query(query),
+            session.register_instance(inst),
+        );
+        let lineage: Arc<ParallelDnnf> = session.lineage_artifact(q, i).unwrap();
+        let circuit = lineage.structured().dnnf().circuit();
+        let probs: Vec<Rational> = (0..facts)
+            .map(|v| Rational::from_ratio_u64(1 + v as u64 % 5, 6 + v as u64 % 7))
+            .collect();
+        let hull = ScopeHull::new(circuit);
+        let table = || {
+            let mut weights = IntWeights::with_capacity(hull.vars().len());
+            for &v in hull.vars() {
+                weights.push_probability(&probs[v]);
+            }
+            weights
+        };
+        let weights = table();
+        let limbs = LimbArena::exact(&hull, &weights).limb_count();
+        let bits = |v: usize| {
+            let mut one = IntWeights::with_capacity(1);
+            one.push_probability(&probs[v]);
+            one.prefix_bits(1)
+        };
+        let scope_sum: usize = circuit
+            .gate_dependencies()
+            .iter()
+            .map(|scope| limbs::width(scope.iter().map(|&v| bits(v)).sum()))
+            .sum();
+        let t_hull = median_us(|| ScopeHull::new(circuit));
+        let t_weights = median_us(table);
+        let t_layout = median_us(|| LimbArena::exact(&hull, &weights));
+        let t_pass = median_us(|| lineage.probability(&|v| &probs[v], 1));
+        println!(
+            "{:>8} {:>6} {:>6} {:>6} {:>9} {:>7.1}µs {:>7.1}µs {:>7.1}µs {:>7.1}µs {:>7.1}µs",
+            name,
+            circuit.size(),
+            lineage.structured().universe().len(),
+            limbs,
+            scope_sum,
+            t_hull,
+            t_weights,
+            t_layout,
+            t_pass,
+            t_pass - t_weights - t_layout
         );
     }
 }

@@ -12,12 +12,22 @@
 //! value is a sum over the models of `g`, each a product of one weight per
 //! scope variable (decomposability), the models of an OR's inputs are
 //! disjoint (determinism) and range over the same scope (smoothness). So
-//! with `e_v = ⌈log2(|pos_v| + |neg_v|)⌉`, the bit bound `e_g` is `e_v` at a
-//! literal, 0 at a constant, the sum over an AND's inputs and the max over
-//! an OR's, and gate `g` gets [`limbs::width`]`(e_g)` limbs. The bound
-//! depends only on the inputs' bounds, so one pass over the gate records
-//! lays the arena out. Passes whose values have a fixed size take one slot
-//! per gate instead.
+//! with `e_v = ⌈log2(|pos_v| + |neg_v|)⌉`, gate `g` fits
+//! [`limbs::width`]`(Σ_{v ∈ scope(g)} e_v)` limbs.
+//!
+//! **Layout.** The arena does not walk the gates per pass to sum that
+//! bound. A [`ScopeHull`], built once per circuit, ranks the events by
+//! their `Var` gates in id order and gives every gate the rank interval
+//! `[lo_g, hi_g)` spanned by its scope. The weight table lists the events
+//! in rank order and keeps the prefix sums `P` of their `e_v`
+//! ([`IntWeights::prefix_bits`]), so gate `g` gets
+//! `width(P[hi_g] − P[lo_g])` limbs: one flat scan over the hull
+//! ([`LimbArena::exact`]). The hull contains the scope and every
+//! `e_v ≥ 0`, so this is never below the bound. In the circuits of the
+//! Theorem 6.11 construction it is the bound itself: the builder emits the
+//! gates of each subtree of the encoding as one post-order block, so every
+//! gate's scope is one run of consecutive ranks. Passes whose values have a
+//! fixed size take one slot per gate instead ([`LimbArena::per_gate`]).
 //!
 //! **Exactness.** The limb slots wrap modulo `2^(64·w)`; since the true
 //! value of every gate fits its slot, every wrapped sum and truncated
@@ -29,10 +39,65 @@
 
 use crate::circuit::{Circuit, Gate, GateId, VarId};
 use std::ops::Range;
-use treelineage_num::limbs;
+use treelineage_num::limbs::{self, IntWeights};
 
-/// The value slots of every gate of a circuit, laid out by the a priori bit
-/// bounds of the module docs or one per gate: gate `g` owns elements
+/// The scope hull of every gate of a circuit: the events ranked by the
+/// order of their `Var` gates (each event has one, [`Circuit::var`]), and
+/// per gate the interval of ranks `[lo, hi)` spanned by its scope (module
+/// docs, "Layout"). A literal gate's `lo` is its event's rank.
+#[derive(Clone, Debug)]
+pub struct ScopeHull {
+    /// Per gate, `(lo, hi)`; `(0, 0)` for an empty scope.
+    scopes: Vec<(u32, u32)>,
+    /// Rank → event.
+    vars: Vec<VarId>,
+}
+
+impl ScopeHull {
+    /// The hull of `circuit`'s gates, in one pass over the gate records: a
+    /// `Var` gate opens the next rank, a `Not` copies its input's interval,
+    /// and an AND or OR spans its inputs' non-empty intervals.
+    pub fn new(circuit: &Circuit) -> Self {
+        let mut scopes: Vec<(u32, u32)> = Vec::with_capacity(circuit.size());
+        let mut vars = Vec::new();
+        for id in circuit.gate_ids() {
+            let scope = match circuit.gate(id) {
+                Gate::Var(v) => {
+                    // Ranks are below the gate count, which a circuit of
+                    // fewer than 2^32 gates bounds.
+                    let rank = u32::try_from(vars.len()).expect("fewer than 2^32 events");
+                    vars.push(v);
+                    (rank, rank + 1)
+                }
+                Gate::Const(_) => (0, 0),
+                Gate::Not(i) => scopes[i.0],
+                Gate::And(inputs) | Gate::Or(inputs) => inputs
+                    .iter()
+                    .map(|i| scopes[i.0])
+                    .filter(|&(lo, hi)| lo < hi)
+                    .reduce(|(lo, hi), (l, h)| (lo.min(l), hi.max(h)))
+                    .unwrap_or((0, 0)),
+            };
+            scopes.push(scope);
+        }
+        ScopeHull { scopes, vars }
+    }
+
+    /// The events in rank order.
+    pub fn vars(&self) -> &[VarId] {
+        &self.vars
+    }
+
+    /// The rank interval of gate `g`'s scope (empty for a gate that reads
+    /// no event).
+    pub fn scope(&self, g: GateId) -> Range<usize> {
+        let (lo, hi) = self.scopes[g.0];
+        lo as usize..hi as usize
+    }
+}
+
+/// The value slots of every gate of a circuit, laid out from its scope hull
+/// or one per gate (module docs): gate `g` owns elements
 /// `slots[g]..slots[g + 1]`, in gate-id order, so a contiguous gate range
 /// owns a contiguous slot range.
 #[derive(Debug)]
@@ -41,41 +106,33 @@ pub struct LimbArena<T> {
     limbs: Vec<T>,
 }
 
-impl<T: Copy> LimbArena<T> {
-    /// The bound pass: lays out the slots of `circuit`'s gates when the
-    /// literals of variable `v` have bit bound `literal_bits(v)`, or one
-    /// slot per gate when `literal_bits` is `None`; every element holds
-    /// `fill`.
-    pub fn new(circuit: &Circuit, literal_bits: Option<&dyn Fn(VarId) -> usize>, fill: T) -> Self {
-        let Some(literal_bits) = literal_bits else {
-            return LimbArena {
-                slots: (0..=circuit.size()).collect(),
-                limbs: vec![fill; circuit.size()],
-            };
-        };
-        // First each gate's bit bound, then, in place, its slot offset.
-        let mut slots = Vec::with_capacity(circuit.size() + 1);
-        for id in circuit.gate_ids() {
-            let bits = match circuit.gate(id) {
-                Gate::Var(v) => literal_bits(v),
-                Gate::Const(_) => 0,
-                // The inner gate is a literal or a constant: same bound.
-                Gate::Not(i) => slots[i.0],
-                Gate::And(inputs) => inputs.iter().map(|i| slots[i.0]).sum(),
-                Gate::Or(inputs) => inputs.iter().map(|i| slots[i.0]).max().unwrap_or(0),
-            };
-            slots.push(bits);
-        }
+impl LimbArena<u64> {
+    /// The layout of the exact passes: gate `g` gets
+    /// [`limbs::width`]`(P[hi] − P[lo])` zeroed limbs, where `[lo, hi)` is
+    /// its scope hull and `P` the prefix bit sums of `weights`, which list
+    /// `hull`'s events in rank order.
+    pub fn exact(hull: &ScopeHull, weights: &IntWeights) -> Self {
+        let mut slots = Vec::with_capacity(hull.scopes.len() + 1);
         let mut total = 0;
-        for slot in &mut slots {
-            let width = limbs::width(*slot);
-            *slot = total;
-            total += width;
+        for &(lo, hi) in &hull.scopes {
+            slots.push(total);
+            total +=
+                limbs::width(weights.prefix_bits(hi as usize) - weights.prefix_bits(lo as usize));
         }
         slots.push(total);
         LimbArena {
             slots,
-            limbs: vec![fill; total],
+            limbs: vec![0; total],
+        }
+    }
+}
+
+impl<T: Copy> LimbArena<T> {
+    /// One slot per gate of a `gates`-gate circuit, each holding `fill`.
+    pub fn per_gate(gates: usize, fill: T) -> Self {
+        LimbArena {
+            slots: (0..=gates).collect(),
+            limbs: vec![fill; gates],
         }
     }
 

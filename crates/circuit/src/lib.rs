@@ -37,7 +37,7 @@ mod probability;
 mod semiring;
 mod vtree;
 
-pub use arena::{ArenaRange, LimbArena};
+pub use arena::{ArenaRange, LimbArena, ScopeHull};
 pub use circuit::{Circuit, Gate, GateId, VarId};
 pub use dnnf::{Dnnf, DnnfError};
 pub use formula::{

@@ -41,8 +41,8 @@
 //! fragment on the caller's thread, the fragments' contiguous slot ranges
 //! ([`LimbArena::split`]) on the pool, then the spine gaps in place. The
 //! exact passes — probability, WMC and model count — run the integer
-//! [`Wmc`] rule in `u64` limb slots sized by a priori bit bounds and
-//! reduce once per answer (fraction-free, see [`ParallelDnnf::wmc`]); the
+//! [`Wmc`] rule in `u64` limb slots sized by a priori bit bounds, read off
+//! the circuit's [`ScopeHull`], and reduce once per answer (fraction-free, see [`ParallelDnnf::wmc`]); the
 //! certified interval passes keep one [`ErrorInterval`] slot per gate,
 //! filled by the circuit crate's [`eval_gate`] step ([`Probability`],
 //! [`Wmc`]). A gate's value depends only on its inputs' values and the
@@ -52,15 +52,16 @@
 
 use crate::pool::{lock_recovering, run_tasks, workers_for};
 use crate::EngineConfig;
+use std::borrow::Borrow;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use treelineage_automata::{
     BinaryTree, CompiledSubtree, NodeAnnotation, NodeId, Run, StructuredBuilder, StructuredDnnf,
     StructuredDnnfError, SubtreeGates, TreeAutomaton, UncertainTree,
 };
 use treelineage_circuit::{
-    eval_gate, ArenaRange, Circuit, Gate, GateId, LimbArena, Probability, Semiring, Vtree, VtreeId,
-    VtreeNode, Wmc,
+    eval_gate, ArenaRange, Circuit, Gate, GateId, LimbArena, Probability, ScopeHull, Semiring,
+    Vtree, VtreeId, VtreeNode, Wmc,
 };
 use treelineage_num::limbs::{self, IntWeights};
 use treelineage_num::{BigUint, ErrorInterval, Rational};
@@ -135,8 +136,9 @@ impl SubtreePlan {
             if sizes[node.0] <= grain {
                 cuts.push(node);
             } else {
-                // A node larger than the grain has children (leaves have
-                // size 1 ≤ grain); it stays on the spine.
+                // Internal invariant: a node larger than the grain has
+                // children (leaves have size 1 ≤ grain, as `grain ≥ 1`
+                // on every branch above); it stays on the spine.
                 let (l, r) = tree.children(node).expect("grain ≥ 1 keeps leaves cut");
                 stack.push(r);
                 stack.push(l);
@@ -200,6 +202,10 @@ pub struct ParallelDnnf {
     /// from the compiling config so cached artifacts keep reporting into
     /// the session's registry. Never influences any computed value.
     telemetry: Telemetry,
+    /// The circuit's scope hull, which lays out the exact passes' arena;
+    /// built by the first exact pass, so artifacts that only serve
+    /// interval passes never pay for it.
+    hull: OnceLock<ScopeHull>,
 }
 
 impl ParallelDnnf {
@@ -210,6 +216,7 @@ impl ParallelDnnf {
             structured,
             partition: CircuitPartition::default(),
             telemetry: Telemetry::disabled(),
+            hull: OnceLock::new(),
         }
     }
 
@@ -240,15 +247,17 @@ impl ParallelDnnf {
     /// divided by `∏ b` gives the answer (see [`ParallelDnnf::wmc`]). Equal
     /// to the `Rational`
     /// [`Dnnf::probability`](treelineage_circuit::Dnnf::probability).
-    pub fn probability(
+    /// `prob` may return the probability owned or borrowed (`&Rational`,
+    /// which spares a clone per event).
+    pub fn probability<R: Borrow<Rational>>(
         &self,
-        prob: &(dyn Fn(usize) -> Rational + Sync),
+        prob: &(dyn Fn(usize) -> R + Sync),
         threads: usize,
     ) -> Rational {
         self.fraction_free(
             "probability",
             threads,
-            |weights, v| weights.push_probability(&prob(v)),
+            &|weights, v| weights.push_probability(prob(v).borrow()),
             IntWeights::ratio,
         )
     }
@@ -261,17 +270,18 @@ impl ParallelDnnf {
     /// circuit is smooth and its output mentions every universe event (or
     /// is `Const(false)`), which the [`StructuredDnnf`] invariant
     /// guarantees. Equal to the `Rational`
-    /// [`Dnnf::wmc`](treelineage_circuit::Dnnf::wmc).
-    pub fn wmc(
+    /// [`Dnnf::wmc`](treelineage_circuit::Dnnf::wmc). The weights may be
+    /// owned or borrowed, as in [`ParallelDnnf::probability`].
+    pub fn wmc<R: Borrow<Rational>>(
         &self,
-        pos: &(dyn Fn(usize) -> Rational + Sync),
-        neg: &(dyn Fn(usize) -> Rational + Sync),
+        pos: &(dyn Fn(usize) -> R + Sync),
+        neg: &(dyn Fn(usize) -> R + Sync),
         threads: usize,
     ) -> Rational {
         self.fraction_free(
             "wmc",
             threads,
-            |weights, v| weights.push_weights(&pos(v), &neg(v)),
+            &|weights, v| weights.push_weights(pos(v).borrow(), neg(v).borrow()),
             IntWeights::ratio,
         )
     }
@@ -283,40 +293,49 @@ impl ParallelDnnf {
         self.fraction_free(
             "count",
             threads,
-            |weights, _| weights.push_unit(),
+            &|weights, _| weights.push_unit(),
             |_, count| limbs::to_biguint(count),
         )
     }
 
     /// The integer pass behind [`ParallelDnnf::probability`],
     /// [`ParallelDnnf::wmc`] and [`ParallelDnnf::model_count`]: `push` adds
-    /// each universe event's integer weights, in universe order; one
-    /// [`LimbArena`] is laid out from their a priori bit bounds and filled
-    /// by [`ParallelDnnf::run`] with the integer [`Wmc`] rule; `answer`
-    /// reads the output slot. Records the arena's size as
-    /// `exact_limbs_total{pass}`.
+    /// each event's integer weights in the rank order of the circuit's
+    /// [`ScopeHull`] (built on the first call); one [`LimbArena`] is laid
+    /// out from the hull and the weights' prefix bit sums and filled by
+    /// [`ParallelDnnf::run`] with the integer [`Wmc`] rule, each literal
+    /// reading the weights at its rank; `answer` reads the output slot.
+    /// Records the arena's size as `exact_limbs_total{pass}`.
     fn fraction_free<T>(
         &self,
         pass: &str,
         threads: usize,
-        push: impl Fn(&mut IntWeights, usize),
+        push: &dyn Fn(&mut IntWeights, usize),
         answer: impl FnOnce(&IntWeights, &[u64]) -> T,
     ) -> T {
-        let universe = self.structured.universe();
-        let mut weights = IntWeights::with_capacity(universe.len());
-        for &v in universe {
+        let circuit = self.structured.dnnf().circuit();
+        let hull = self.hull.get_or_init(|| {
+            let hull = ScopeHull::new(circuit);
+            // The one division by the events' scales is exact when the
+            // output mentions every universe event (smoothness), so the
+            // hull's events are the universe, or the output is false.
+            debug_assert!(
+                circuit.gate(circuit.output()) == Gate::Const(false) || {
+                    let mut vars = hull.vars().to_vec();
+                    vars.sort_unstable();
+                    vars == self.structured.universe()
+                }
+            );
+            hull
+        });
+        let mut weights = IntWeights::with_capacity(hull.vars().len());
+        for &v in hull.vars() {
             push(&mut weights, v);
         }
-        let index = |v: usize| {
-            universe
-                .binary_search(&v)
-                .expect("circuit events lie in the universe")
-        };
-        let circuit = self.structured.dnnf().circuit();
-        let mut arena = LimbArena::new(circuit, Some(&|v| weights.bits(index(v))), 0);
+        let mut arena = LimbArena::exact(hull, &weights);
         self.run(&mut arena, threads, &|id, out, input| {
-            limb_step(circuit, id, out, input, |v, positive| {
-                weights.literal(index(v), positive)
+            limb_step(circuit, id, out, input, |positive| {
+                weights.literal(hull.scope(id).start, positive)
             })
         });
         self.telemetry.counter_add(
@@ -360,7 +379,7 @@ impl ParallelDnnf {
         S: Semiring<Value = ErrorInterval> + Sync,
     {
         let circuit = self.structured.dnnf().circuit();
-        let mut arena = LimbArena::new(circuit, None, ErrorInterval::zero());
+        let mut arena = LimbArena::per_gate(circuit.size(), ErrorInterval::zero());
         self.run(&mut arena, threads, &|id, out, input| {
             out[0] = eval_gate(semiring, circuit, id, |i| &input(i)[0]);
         });
@@ -416,8 +435,8 @@ impl ParallelDnnf {
 
 /// The gate step of the exact passes: [`eval_gate`]'s dispatch with the
 /// integer [`Wmc`] rule, writing gate `id`'s two's-complement value into
-/// its limb slot `out`; `literal(v, positive)` gives the integer weight of
-/// a literal of `v`.
+/// its limb slot `out`; `literal(positive)` gives the integer weight of
+/// the positive or negative literal gate `id` is.
 ///
 /// `#[inline]` lets every codegen unit inline it into the pass's step
 /// closure, and with it the `input` lookups of `eval_slots`. Without it,
@@ -430,14 +449,17 @@ fn limb_step<'a, 'w>(
     id: GateId,
     out: &mut [u64],
     input: &dyn Fn(GateId) -> &'a [u64],
-    literal: impl Fn(usize, bool) -> &'w [u64],
+    literal: impl Fn(bool) -> &'w [u64],
 ) {
     match circuit.gate(id) {
-        Gate::Var(v) => limbs::copy(out, literal(v, true)),
+        Gate::Var(_) => limbs::copy(out, literal(true)),
         Gate::Const(b) => limbs::set_bool(out, b),
         Gate::Not(i) => match circuit.gate(i) {
-            Gate::Var(v) => limbs::copy(out, literal(v, false)),
+            Gate::Var(_) => limbs::copy(out, literal(false)),
             Gate::Const(b) => limbs::set_bool(out, !b),
+            // Internal invariant: every `Dnnf` constructor rejects a
+            // negation of an internal gate, so a `Not` reads a literal or
+            // a constant.
             _ => unreachable!("d-DNNFs negate inputs only"),
         },
         Gate::And(inputs) => match inputs.split_first() {
@@ -675,6 +697,7 @@ fn compile_planned(
             structured,
             partition,
             telemetry: telemetry.clone(),
+            hull: OnceLock::new(),
         },
         library: FragmentLibrary {
             fragments: keys.into_iter().zip(fragments).collect(),
@@ -712,6 +735,8 @@ fn replay_circuit(global: &mut Circuit, fragment: &Circuit) {
             // Fragment events are globally unique, so `var` always
             // allocates (the memo can never hit across fragments).
             Gate::Var(v) => global.var(v),
+            // Internal invariant: `compile_subtree` allocates a
+            // fragment's two constants first, and the loop skips them.
             Gate::Const(_) => unreachable!("fragments hold constants only at ids 0 and 1"),
             Gate::Not(i) => global.not(map(i)),
             Gate::And(_) => global.and(&mapped),
@@ -986,6 +1011,7 @@ mod tests {
                 fragments: vec![(x.0, either.0 + 1), (y.0, y_part.0 + 1)],
             },
             telemetry: Telemetry::disabled(),
+            hull: OnceLock::new(),
         }
     }
 
@@ -1442,6 +1468,112 @@ mod tests {
             config.fragment_grain = 8;
             if let Ok(parallel) = compile_structured_dnnf_parallel(&automaton, &u, &config) {
                 assert_fraction_free_exact(&parallel, seed, ALL);
+            }
+        }
+    }
+
+    /// `(hull layout, oracle)` arena sizes of `circuit` under the seeded
+    /// WMC weights of [`assert_fraction_free_exact`]: the limbs
+    /// [`LimbArena::exact`] lays out from the circuit's [`ScopeHull`], and
+    /// the test oracle `Σ_g width(Σ_{v ∈ scope(g)} e_v)` over the scopes of
+    /// `Circuit::gate_dependencies`, with each event's bit bound `e_v`
+    /// read from a one-event weight table.
+    fn hull_and_scope_sum_limbs(circuit: &Circuit, seed: u64) -> (usize, usize) {
+        let weights_of = |v| (pick(&WEIGHTS, seed, v), pick(&WEIGHTS[1..], !seed, v));
+        let hull = ScopeHull::new(circuit);
+        let mut weights = IntWeights::with_capacity(hull.vars().len());
+        for &v in hull.vars() {
+            let (pos, neg) = weights_of(v);
+            weights.push_weights(&pos, &neg);
+        }
+        let layout = LimbArena::exact(&hull, &weights).limb_count();
+        let bits = |v| {
+            let (pos, neg) = weights_of(v);
+            let mut one = IntWeights::with_capacity(1);
+            one.push_weights(&pos, &neg);
+            one.prefix_bits(1)
+        };
+        let oracle = circuit
+            .gate_dependencies()
+            .iter()
+            .map(|scope| limbs::width(scope.iter().map(|&v| bits(v)).sum()))
+            .sum();
+        (layout, oracle)
+    }
+
+    /// Circuits of up to 24 gates over up to 6 events, in any gate order:
+    /// `Var` gates (new or shared) interleave with constants, negations
+    /// and ANDs / ORs of any earlier gates, so scopes need not be
+    /// intervals, nor ANDs decomposable, nor ORs smooth.
+    fn arbitrary_circuit() -> impl proptest::strategy::Strategy<Value = Circuit> {
+        use proptest::prelude::*;
+        let op = (0u8..6, any::<u64>(), any::<u64>(), any::<u64>());
+        proptest::collection::vec(op, 1..24).prop_map(|ops| {
+            let mut c = Circuit::new();
+            let mut ids = Vec::new();
+            for (op, a, b, d) in ops {
+                let earlier = |x: u64| ids[x as usize % ids.len()];
+                let g = match op {
+                    0 | 1 => c.var(a as usize % 6),
+                    2 => c.constant(a % 2 == 0),
+                    _ if ids.is_empty() => c.var(a as usize % 6),
+                    3 => c.not(earlier(a)),
+                    4 => c.and(vec![earlier(a), earlier(b), earlier(d)]),
+                    _ => c.or(vec![earlier(a), earlier(b)]),
+                };
+                ids.push(g);
+            }
+            c.set_output(*ids.last().unwrap());
+            c
+        })
+    }
+
+    #[test]
+    fn hull_layout_bounds_fixtures_and_equals_the_golden_artifact() {
+        for seed in 0..16 {
+            for lineage in [
+                not_const_lineage(),
+                false_input_lineage(),
+                partitioned_const_lineage(),
+            ] {
+                let (layout, oracle) =
+                    hull_and_scope_sum_limbs(lineage.structured().dnnf().circuit(), seed);
+                assert!(layout >= oracle, "{layout} < {oracle}");
+            }
+        }
+        // `tests/dsdnnf_golden.rs`'s seeded random tree and automaton.
+        let mut rng = proptest::strategy::TestRng::new(36);
+        let tree =
+            proptest::strategy::Strategy::generate(&strategies::uncertain_tree(64, 3), &mut rng);
+        let automaton = proptest::strategy::Strategy::generate(
+            &strategies::deterministic_automaton(4, 3),
+            &mut rng,
+        );
+        let s = compile_structured_dnnf(&automaton, &tree).unwrap();
+        assert_eq!(s.size(), 309, "the golden artifact");
+        for seed in 0..16 {
+            let (layout, oracle) = hull_and_scope_sum_limbs(s.dnnf().circuit(), seed);
+            assert_eq!(layout, oracle);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+        /// The hull layout never undercuts the scope-sum bound, on any
+        /// circuit, and equals it on the construction's circuits, whose
+        /// gate scopes are runs of consecutive ranks.
+        #[test]
+        fn hull_layout_bounds_the_scope_sum(
+            c in arbitrary_circuit(),
+            u in strategies::uncertain_tree(48, 3),
+            automaton in strategies::deterministic_automaton(3, 3),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let (layout, oracle) = hull_and_scope_sum_limbs(&c, seed);
+            assert!(layout >= oracle, "{layout} < {oracle}");
+            if let Ok(s) = compile_structured_dnnf(&automaton, &u) {
+                let (layout, oracle) = hull_and_scope_sum_limbs(s.dnnf().circuit(), seed);
+                assert_eq!(layout, oracle);
             }
         }
     }

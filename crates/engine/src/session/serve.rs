@@ -173,7 +173,7 @@ impl EvalSession {
             |r, _, lineage, threads| {
                 let p = lineage
                     .clone()?
-                    .probability(&|v| r.valuation.probability(FactId(v)).clone(), threads);
+                    .probability(&|v| r.valuation.probability(FactId(v)), threads);
                 Ok((p, DecisionTier::Exact))
             },
         )
@@ -246,7 +246,7 @@ impl EvalSession {
             |r, _, lineage, threads| {
                 let w = lineage
                     .clone()?
-                    .wmc(&|v| r.pos[v].clone(), &|v| r.neg[v].clone(), threads);
+                    .wmc(&|v| &r.pos[v], &|v| &r.neg[v], threads);
                 Ok((w, DecisionTier::Exact))
             },
         )
@@ -382,7 +382,7 @@ impl EvalSession {
                 return Ok(Tiered::Float(interval));
             }
         }
-        let exact = lineage.probability(&|v| valuation.probability(FactId(v)).clone(), threads);
+        let exact = lineage.probability(&|v| valuation.probability(FactId(v)), threads);
         Ok(Tiered::Exact(exact))
     }
 

@@ -251,12 +251,16 @@ fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
 /// positive literal and `neg_i / c_i` as a negative one, the integers
 /// `pos_i`, `neg_i` sit side by side in one limb slot pair of
 /// [`width`]`(bits_i)` limbs each, where `bits_i = ⌈log2(|pos_i| +
-/// |neg_i|)⌉`, and `∏ c_i` accumulates in limbs. A weight whose numerator
-/// and denominator fit a `u64` is scaled in machine words; larger ones go
-/// through [`BigInt`].
+/// |neg_i|)⌉`, and `∏ c_i` accumulates in limbs. The table keeps the
+/// running sums of the `bits_i` ([`IntWeights::prefix_bits`]), so the bit
+/// bound of any run of consecutive events is one subtraction. A weight
+/// whose numerator and denominator fit a `u64` is scaled in machine words;
+/// larger ones go through [`BigInt`].
 #[derive(Debug)]
 pub struct IntWeights {
-    /// Per event: `(offset of pos in limbs, limbs per weight, bits)`.
+    /// Entry `i + 1` for event `i`: `(offset of pos in limbs, limbs per
+    /// weight, bits of the events up to and including this one)`; entry 0
+    /// is `(0, 0, 0)`, so every prefix sum is one load.
     events: Vec<(usize, usize, usize)>,
     limbs: Vec<u64>,
     /// `∏ c_i`, unsigned little-endian.
@@ -269,21 +273,25 @@ impl IntWeights {
     pub fn with_capacity(events: usize) -> Self {
         let mut scale = Vec::with_capacity(events / 4 + 4);
         scale.push(1);
+        let mut entries = Vec::with_capacity(events + 1);
+        entries.push((0, 0, 0));
         IntWeights {
-            events: Vec::with_capacity(events),
+            events: entries,
             limbs: Vec::with_capacity(4 * events),
             scale,
         }
     }
 
-    /// `⌈log2(|pos_i| + |neg_i|)⌉`: the bit bound of event `i`'s literals.
-    pub fn bits(&self, i: usize) -> usize {
-        self.events[i].2
+    /// `Σ_{i < k} bits_i`, where `bits_i = ⌈log2(|pos_i| + |neg_i|)⌉` is
+    /// the bit bound of event `i`'s literals: the bit bound of events
+    /// `lo..hi` together is `prefix_bits(hi) - prefix_bits(lo)`.
+    pub fn prefix_bits(&self, k: usize) -> usize {
+        self.events[k].2
     }
 
     /// Event `i`'s positive (`true`) or negative integer weight.
     pub fn literal(&self, i: usize, positive: bool) -> &[u64] {
-        let (offset, width, _) = self.events[i];
+        let (offset, width, _) = self.events[i + 1];
         let start = if positive { offset } else { offset + width };
         &self.limbs[start..start + width]
     }
@@ -371,7 +379,8 @@ impl IntWeights {
     /// Appends a zeroed slot pair for a new event with bit bound `bits`.
     fn open(&mut self, bits: usize) -> &mut [u64] {
         let (offset, w) = (self.limbs.len(), width(bits));
-        self.events.push((offset, w, bits));
+        let prefix = self.prefix_bits(self.events.len() - 1) + bits;
+        self.events.push((offset, w, prefix));
         self.limbs.resize(offset + 2 * w, 0);
         &mut self.limbs[offset..]
     }
@@ -459,12 +468,13 @@ mod tests {
         w.push_unit();
         assert_eq!(value(w.literal(0, true)), 3);
         assert_eq!(value(w.literal(0, false)), 5);
-        assert_eq!(w.bits(0), 3);
         // lcm(6, 4) = 12: -1/6 = -2/12, 3/4 = 9/12.
         assert_eq!(value(w.literal(1, true)), -2);
         assert_eq!(value(w.literal(1, false)), 9);
-        assert_eq!(w.bits(1), 4);
-        assert_eq!((value(w.literal(2, true)), w.bits(2)), (1, 1));
+        assert_eq!(value(w.literal(2, true)), 1);
+        // Bit bounds 3, 4 and 1, summed.
+        let prefix: Vec<usize> = (0..=3).map(|k| w.prefix_bits(k)).collect();
+        assert_eq!(prefix, [0, 3, 7, 8]);
         assert_eq!(w.ratio(&[96]), Rational::one());
     }
 
@@ -477,7 +487,7 @@ mod tests {
         w.push_probability(&p);
         w.push_weights(&q, &Rational::from_ratio_i64(-2, 3));
         assert_eq!(to_bigint(w.literal(0, true)), BigInt::from_u64(5));
-        assert_eq!(w.bits(0), 66);
+        assert_eq!(w.prefix_bits(1), 66);
         assert_eq!(to_bigint(w.literal(1, true)), &huge * &BigInt::from_u64(3));
         assert_eq!(to_bigint(w.literal(1, false)), BigInt::from_i64(-14));
         let one = [1u64];

@@ -9,7 +9,8 @@
 //! * The slot arena of the served passes: a warm
 //!   `ParallelDnnf::{probability, wmc, model_count, probability_interval,
 //!   wmc_interval}` call allocates a constant number of buffers plus what
-//!   the caller's weight closures return per event, with no per-gate term.
+//!   the caller's weight closures return per event, with no per-gate term;
+//!   closures that lend their weights (`&Rational`) add nothing per event.
 //!   A `BigInt` per gate value would cost at least two allocations per
 //!   gate.
 
@@ -121,18 +122,27 @@ fn chain16_served_passes_allocate_per_event_not_per_gate() {
         .collect();
     let prob = |v: usize| table[v].clone();
     let neg = |v: usize| table[table.len() - 1 - v].clone();
+    let prob_borrowed = |v: usize| &table[v];
+    let neg_borrowed = |v: usize| &table[table.len() - 1 - v];
     let intervals: Vec<ErrorInterval> = table.iter().map(ErrorInterval::from_rational).collect();
     let prob_interval = |v: usize| intervals[v];
     let neg_interval = |v: usize| intervals[intervals.len() - 1 - v];
-    // Each `Rational` closure call returns an owned `Rational`: two
-    // allocations (numerator and denominator limbs) per event and closure.
-    // The interval closures return `Copy` values and count as none.
+    // Each owned `Rational` closure call returns a clone: two allocations
+    // (numerator and denominator limbs) per event and closure. The
+    // borrowing closures and the interval closures (which return `Copy`
+    // values) count as none.
     let per_event = 2;
-    let passes: [(&str, u64, u64, &dyn Fn()); 5] = [
+    let passes: [(&str, u64, u64, &dyn Fn()); 7] = [
         ("probability", 1, EXACT, &|| {
             drop(lineage.probability(&prob, 1))
         }),
         ("wmc", 2, EXACT, &|| drop(lineage.wmc(&prob, &neg, 1))),
+        ("probability (borrowed weights)", 0, EXACT, &|| {
+            drop(lineage.probability(&prob_borrowed, 1))
+        }),
+        ("wmc (borrowed weights)", 0, EXACT, &|| {
+            drop(lineage.wmc(&prob_borrowed, &neg_borrowed, 1))
+        }),
         ("model_count", 0, EXACT, &|| drop(lineage.model_count(1))),
         ("probability_interval", 0, INTERVAL, &|| {
             let _ = lineage.probability_interval(&prob_interval, 1);
