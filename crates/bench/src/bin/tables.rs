@@ -12,9 +12,10 @@
 //! is timed end to end by `perfbench` (the workloads of `BENCHMARK.json`).
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 use std::time::Instant;
-use treelineage::karp_luby_probability;
 use treelineage::prelude::*;
+use treelineage::{karp_luby_probability, ParallelDnnf};
 use treelineage_circuit::{parity_circuit, parity_formula, threshold2_circuit, threshold2_formula};
 use treelineage_datalog::{
     evaluate_datalog, evaluate_ra, ra_result_formula_size, DatalogProgram, RaExpression,
@@ -596,6 +597,7 @@ fn engine_section() {
     scaling_rows();
     memo_rows();
     layout_rows();
+    interval_rows();
 
     // Batched serving: one EvalSession, many repeated requests — the
     // compile happens once and every further request is a cache hit plus
@@ -787,36 +789,85 @@ fn memo_rows() {
     }
 }
 
-/// E-12 layout rows: the exact passes' arena laid out from the scope hull,
-/// on the four shapes perfbench's `serve_exact` serves (compiled by a
-/// session, as served). `limbs` is the hull layout's arena size under
-/// mixed-denominator probabilities and `scope sum` the test oracle
-/// `Σ_g width(Σ_{v ∈ scope(g)} e_v)` over `Circuit::gate_dependencies`:
-/// equal, because the construction's gate scopes are runs of consecutive
-/// ranks. The stages are timed apart, median of 501 warm calls each:
-/// the hull (built once per lineage, on its first exact pass), the weight
-/// table in rank order, the layout, and a whole warm
-/// `ParallelDnnf::probability` call, whose sweep and final reduction are
-/// the rest.
-fn layout_rows() {
-    use std::sync::Arc;
-    use treelineage_circuit::{LimbArena, ScopeHull};
-    use treelineage_engine::ParallelDnnf;
-    use treelineage_num::limbs::{self, IntWeights};
+/// `f`'s wall time in µs: the median of 501 warm calls (dropping each
+/// value outside the timer).
+fn median_us<T>(mut f: impl FnMut() -> T) -> f64 {
+    let mut runs: Vec<f64> = (0..501)
+        .map(|_| {
+            let t0 = Instant::now();
+            let out = f();
+            let us = t0.elapsed().as_secs_f64() * 1e6;
+            drop(out);
+            us
+        })
+        .collect();
+    runs.sort_by(f64::total_cmp);
+    runs[runs.len() / 2]
+}
 
-    fn median_us<T>(mut f: impl FnMut() -> T) -> f64 {
-        let mut runs: Vec<f64> = (0..501)
-            .map(|_| {
-                let t0 = Instant::now();
-                let out = f();
-                let us = t0.elapsed().as_secs_f64() * 1e6;
-                drop(out);
-                us
-            })
-            .collect();
-        runs.sort_by(f64::total_cmp);
-        runs[runs.len() / 2]
-    }
+/// The shapes perfbench's serve workloads serve: `chain16`, `chain32`,
+/// `star32` and `grid4x4` (both workloads), then `chain100` and `star400`
+/// (`serve_float` only).
+fn serve_shapes() -> Vec<(&'static str, (UnionOfConjunctiveQueries, Instance))> {
+    let sig = Signature::builder()
+        .relation("S", 2)
+        .relation("L", 1)
+        .build();
+    let star = |n: u64| {
+        let mut inst = Instance::new(sig.clone());
+        for i in 1..=n {
+            inst.add_fact_by_name("S", &[0, i]);
+            inst.add_fact_by_name("L", &[i]);
+        }
+        (parse_query(&sig, "S(x, y), L(y)").unwrap(), inst)
+    };
+    let grid_sig = Signature::builder().relation("S", 2).build();
+    let grid = encodings::grid_instance(&grid_sig, grid_sig.relation_by_name("S").unwrap(), 4, 4);
+    vec![
+        ("chain16", chain(16)),
+        ("chain32", chain(32)),
+        ("star32", star(32)),
+        (
+            "grid4x4",
+            (parse_query(&grid_sig, "S(x, y)").unwrap(), grid),
+        ),
+        ("chain100", chain(100)),
+        ("star400", star(400)),
+    ]
+}
+
+/// The lineage of `query` on `inst` as a one-thread automaton session
+/// compiles and serves it, with mixed-denominator probabilities for its
+/// facts.
+fn served_lineage(
+    query: UnionOfConjunctiveQueries,
+    inst: Instance,
+) -> (Arc<ParallelDnnf>, Vec<Rational>) {
+    let probs: Vec<Rational> = (0..inst.facts().count())
+        .map(|v| Rational::from_ratio_u64(1 + v as u64 % 5, 6 + v as u64 % 7))
+        .collect();
+    let mut session =
+        EvalSession::with_backend(EngineConfig::with_threads(1), SessionBackend::Automaton);
+    let (q, i) = (
+        session.register_query(query),
+        session.register_instance(inst),
+    );
+    (session.lineage_artifact(q, i).unwrap(), probs)
+}
+
+/// E-12 layout rows: the exact passes' arena laid out from the scope hull,
+/// on the four shapes perfbench's `serve_exact` serves. `limbs` is the
+/// hull layout's arena size under mixed-denominator probabilities and
+/// `scope sum` the test oracle `Σ_g width(Σ_{v ∈ scope(g)} e_v)` over
+/// `Circuit::gate_dependencies`: equal, because the construction's gate
+/// scopes are runs of consecutive ranks. The stages are timed apart,
+/// median of 501 warm calls each: the hull (built once per lineage, on its
+/// first exact pass), the weight table in rank order, the layout, and a
+/// whole warm `ParallelDnnf::probability` call, whose sweep and final
+/// reduction are the rest.
+fn layout_rows() {
+    use treelineage_circuit::{LimbArena, ScopeHull};
+    use treelineage_num::limbs::{self, IntWeights};
 
     println!(
         "\n[E-12 layout] exact-pass arena from the scope hull on the serve_exact shapes \
@@ -835,42 +886,9 @@ fn layout_rows() {
         "pass",
         "rest"
     );
-    let sig = Signature::builder()
-        .relation("S", 2)
-        .relation("L", 1)
-        .build();
-    let star = |n: u64| {
-        let mut inst = Instance::new(sig.clone());
-        for i in 1..=n {
-            inst.add_fact_by_name("S", &[0, i]);
-            inst.add_fact_by_name("L", &[i]);
-        }
-        (parse_query(&sig, "S(x, y), L(y)").unwrap(), inst)
-    };
-    let grid_sig = Signature::builder().relation("S", 2).build();
-    let grid = encodings::grid_instance(&grid_sig, grid_sig.relation_by_name("S").unwrap(), 4, 4);
-    let shapes = [
-        ("chain16", chain(16)),
-        ("chain32", chain(32)),
-        ("star32", star(32)),
-        (
-            "grid4x4",
-            (parse_query(&grid_sig, "S(x, y)").unwrap(), grid),
-        ),
-    ];
-    for (name, (query, inst)) in shapes {
-        let facts = inst.facts().count();
-        let mut session =
-            EvalSession::with_backend(EngineConfig::with_threads(1), SessionBackend::Automaton);
-        let (q, i) = (
-            session.register_query(query),
-            session.register_instance(inst),
-        );
-        let lineage: Arc<ParallelDnnf> = session.lineage_artifact(q, i).unwrap();
+    for (name, (query, inst)) in serve_shapes().into_iter().take(4) {
+        let (lineage, probs) = served_lineage(query, inst);
         let circuit = lineage.structured().dnnf().circuit();
-        let probs: Vec<Rational> = (0..facts)
-            .map(|v| Rational::from_ratio_u64(1 + v as u64 % 5, 6 + v as u64 % 7))
-            .collect();
         let hull = ScopeHull::new(circuit);
         let table = || {
             let mut weights = IntWeights::with_capacity(hull.vars().len());
@@ -907,6 +925,49 @@ fn layout_rows() {
             t_layout,
             t_pass,
             t_pass - t_weights - t_layout
+        );
+    }
+}
+
+/// E-19 interval rows: the certified interval pass on the six shapes
+/// perfbench's `serve_float` serves, under the mixed-denominator
+/// probabilities of the layout rows. Each AND and OR gate folds from its
+/// first input, so a gate of `k` inputs rounds outward `k − 1` times. The
+/// median of 501 warm `ParallelDnnf::probability_interval` calls at one
+/// thread, per call and per gate, and the width of the answer in ulps
+/// (the count of `f64`s above its lower endpoint up to its upper one).
+fn interval_rows() {
+    println!(
+        "\n[E-19 interval] certified interval pass on the serve_float shapes \
+         (µs, median of 501 warm calls)"
+    );
+    println!(
+        "{:>8} {:>6} {:>9} {:>8} {:>6}",
+        "shape", "gates", "pass", "ns/gate", "ulps"
+    );
+    for (name, (query, inst)) in serve_shapes() {
+        let (lineage, probs) = served_lineage(query, inst);
+        let probs: Vec<ErrorInterval> = probs.iter().map(ErrorInterval::from_rational).collect();
+        let gates = lineage.structured().size();
+        let answer = lineage.probability_interval(&|v| probs[v], 1);
+        // The `f64`s in sign-magnitude order (`±0` as one), as integers.
+        let rank = |x: f64| {
+            let bits = x.to_bits() as i64;
+            if bits < 0 {
+                i64::MIN - bits
+            } else {
+                bits
+            }
+        };
+        let ulps = rank(answer.hi()) - rank(answer.lo());
+        let us = median_us(|| lineage.probability_interval(&|v| probs[v], 1));
+        println!(
+            "{:>8} {:>6} {:>7.1}µs {:>8.2} {:>6}",
+            name,
+            gates,
+            us,
+            us * 1e3 / gates as f64,
+            ulps
         );
     }
 }

@@ -889,6 +889,18 @@ mod tests {
             (bits(base_p), bits(base_w)),
             (GOLDEN_PROBABILITY_BITS, GOLDEN_WMC_BITS)
         );
+        // Folding each gate from its first input only drops outward
+        // roundings, so the result lies inside the identity fold's.
+        for (got, outer) in [
+            (base_p, IDENTITY_FOLD_PROBABILITY_BITS),
+            (base_w, IDENTITY_FOLD_WMC_BITS),
+        ] {
+            let outer = ErrorInterval::new(f64::from_bits(outer.0), f64::from_bits(outer.1));
+            assert!(
+                outer.lo() < got.lo() && got.hi() < outer.hi(),
+                "{got} vs {outer}"
+            );
+        }
         let dnnf = parallel.structured().dnnf();
         let seq_p = dnnf.probability_interval(&|e| iv(&prob, e));
         let seq_w = dnnf.wmc_interval(&|e| iv(&prob, e), &|e| iv(&neg, e));
@@ -915,12 +927,10 @@ mod tests {
         );
         let one = ErrorInterval::one;
         let zero = ErrorInterval::zero;
-        let want_p = zero()
-            .add(&one().mul(&pi).mul(&zero().complement()))
-            .add(&one().mul(&pi.complement()).mul(&one().complement()));
-        let want_w = zero()
-            .add(&one().mul(&pi).mul(&one()))
-            .add(&one().mul(&qi).mul(&zero()));
+        let want_p = pi
+            .mul(&zero().complement())
+            .add(&pi.complement().mul(&one().complement()));
+        let want_w = pi.mul(&one()).add(&qi.mul(&zero()));
         assert_ne!(bits(want_p), bits(want_w));
         assert_eq!(dnnf.probability(&|_| p.clone()), p);
         assert_eq!(dnnf.wmc(&|_| p.clone(), &|_| q.clone()), p);
@@ -1016,9 +1026,15 @@ mod tests {
     }
 
     /// `(lo, hi)` bit patterns of the interval passes on the parity comb of
-    /// [`interval_pass_contains_exact_and_is_thread_count_invariant`].
-    const GOLDEN_PROBABILITY_BITS: (u64, u64) = (4602678819172644415, 4602678819172648856);
-    const GOLDEN_WMC_BITS: (u64, u64) = (3156044929159401120, 3156044929159405897);
+    /// [`interval_pass_contains_exact_and_is_thread_count_invariant`]
+    /// (2,863 and 2,822 ulps wide).
+    const GOLDEN_PROBABILITY_BITS: (u64, u64) = (4602678819172645247, 4602678819172648110);
+    const GOLDEN_WMC_BITS: (u64, u64) = (3156044929159402105, 3156044929159404927);
+    /// The same passes when every AND folds from `one` and every OR from
+    /// `zero` (4,441 and 4,777 ulps wide): the golden intervals lie
+    /// strictly inside these.
+    const IDENTITY_FOLD_PROBABILITY_BITS: (u64, u64) = (4602678819172644415, 4602678819172648856);
+    const IDENTITY_FOLD_WMC_BITS: (u64, u64) = (3156044929159401120, 3156044929159405897);
 
     #[test]
     fn validation_errors_match_sequential() {

@@ -20,6 +20,14 @@
 //! has the hull's bits (`-0` and `+0` widen to the same endpoints). A
 //! proptest pins the two paths to each other bit for bit.
 //!
+//! The public constructors ([`ErrorInterval::new`] and the ones built on
+//! it) are the boundary: they `assert!` that no endpoint is `NaN` and that
+//! `lo <= hi`. The arithmetic does not re-check its own results. It builds
+//! them through a private constructor whose checks are `debug_assert!`s
+//! only, since the invariant holds by construction: round-to-nearest is
+//! monotone, so a sum, product or complement of ordered endpoints rounds to
+//! ordered endpoints, and [`down`] / [`up`] map a `NaN` to `∓∞`.
+//!
 //! The containment contract — "the exact value always lies in the interval"
 //! — is what the exact-fallback logic of the engine's `FloatFirst` serving
 //! mode relies on: a decision threshold strictly outside the interval can be
@@ -43,6 +51,7 @@ pub struct ErrorInterval {
 
 /// Outward-rounded lower endpoint: one ulp below the round-to-nearest
 /// result (identity on `-inf`; `NaN` conservatively becomes `-inf`).
+#[inline]
 fn down(x: f64) -> f64 {
     if x.is_nan() {
         f64::NEG_INFINITY
@@ -52,6 +61,7 @@ fn down(x: f64) -> f64 {
 }
 
 /// Outward-rounded upper endpoint (dual of [`down`]).
+#[inline]
 fn up(x: f64) -> f64 {
     if x.is_nan() {
         f64::INFINITY
@@ -66,6 +76,16 @@ impl ErrorInterval {
     pub fn new(lo: f64, hi: f64) -> Self {
         assert!(!lo.is_nan() && !hi.is_nan(), "NaN interval endpoint");
         assert!(lo <= hi, "inverted interval [{lo}, {hi}]");
+        ErrorInterval { lo, hi }
+    }
+
+    /// The interval `[lo, hi]` of an arithmetic result, whose endpoints are
+    /// ordered and not `NaN` by construction (module docs); checked in
+    /// debug builds only.
+    #[inline]
+    fn ordered(lo: f64, hi: f64) -> Self {
+        debug_assert!(!lo.is_nan() && !hi.is_nan(), "NaN interval endpoint");
+        debug_assert!(lo <= hi, "inverted interval [{lo}, {hi}]");
         ErrorInterval { lo, hi }
     }
 
@@ -154,8 +174,9 @@ impl ErrorInterval {
     }
 
     /// Certified sum: contains `x + y` for every `x ∈ self`, `y ∈ rhs`.
+    #[inline]
     pub fn add(&self, rhs: &ErrorInterval) -> ErrorInterval {
-        ErrorInterval::new(down(self.lo + rhs.lo), up(self.hi + rhs.hi))
+        ErrorInterval::ordered(down(self.lo + rhs.lo), up(self.hi + rhs.hi))
     }
 
     /// Certified product: contains `x · y` for every `x ∈ self`, `y ∈ rhs`.
@@ -164,9 +185,10 @@ impl ErrorInterval {
     /// products `lo·lo'` and `hi·hi'`, every other operand the four-product
     /// hull; both give the same bits (see the module docs; checked in debug
     /// builds).
+    #[inline]
     pub fn mul(&self, rhs: &ErrorInterval) -> ErrorInterval {
         if self.lo >= 0.0 && rhs.lo >= 0.0 && self.hi < f64::INFINITY && rhs.hi < f64::INFINITY {
-            let product = ErrorInterval::new(down(self.lo * rhs.lo), up(self.hi * rhs.hi));
+            let product = ErrorInterval::ordered(down(self.lo * rhs.lo), up(self.hi * rhs.hi));
             debug_assert_eq!(product.bits(), self.mul_hull(rhs).bits());
             return product;
         }
@@ -175,6 +197,7 @@ impl ErrorInterval {
 
     /// The sign-general product: the outward hull of the four rounded
     /// endpoint products.
+    #[inline]
     fn mul_hull(&self, rhs: &ErrorInterval) -> ErrorInterval {
         let products = [
             self.lo * rhs.lo,
@@ -184,7 +207,7 @@ impl ErrorInterval {
         ];
         if products.iter().any(|p| p.is_nan()) {
             // 0 × ∞ after an overflow: no information either way.
-            return ErrorInterval::new(f64::NEG_INFINITY, f64::INFINITY);
+            return ErrorInterval::ordered(f64::NEG_INFINITY, f64::INFINITY);
         }
         let mut lo = products[0];
         let mut hi = products[0];
@@ -192,7 +215,7 @@ impl ErrorInterval {
             lo = lo.min(p);
             hi = hi.max(p);
         }
-        ErrorInterval::new(down(lo), up(hi))
+        ErrorInterval::ordered(down(lo), up(hi))
     }
 
     /// The endpoint bit patterns, for bit-for-bit comparisons.
@@ -201,13 +224,9 @@ impl ErrorInterval {
     }
 
     /// Certified complement: contains `1 - x` for every `x ∈ self`.
+    #[inline]
     pub fn complement(&self) -> ErrorInterval {
-        ErrorInterval::new(down(1.0 - self.hi), up(1.0 - self.lo))
-    }
-
-    /// The smallest interval containing both operands (set union hull).
-    pub fn hull(&self, rhs: &ErrorInterval) -> ErrorInterval {
-        ErrorInterval::new(self.lo.min(rhs.lo), self.hi.max(rhs.hi))
+        ErrorInterval::ordered(down(1.0 - self.hi), up(1.0 - self.lo))
     }
 }
 
@@ -311,15 +330,6 @@ mod tests {
         }
         assert_eq!(ErrorInterval::new(-f64::MAX, f64::MAX).midpoint(), 0.0);
         assert_eq!(ErrorInterval::new(-1e308, 1.5e308).midpoint(), 0.25e308);
-    }
-
-    #[test]
-    fn hull_unions() {
-        let a = ErrorInterval::new(0.0, 0.25);
-        let b = ErrorInterval::new(0.5, 1.0);
-        let h = a.hull(&b);
-        assert_eq!(h.lo(), 0.0);
-        assert_eq!(h.hi(), 1.0);
     }
 
     /// One interval endpoint: `±0`, a subnormal, a probability-sized value,
