@@ -29,9 +29,9 @@
 //! relational instances and query→automaton compilation) lives in
 //! `treelineage-encoding`, the lineage API surfacing both in the core
 //! `treelineage` crate, and `treelineage-engine` compiles the same
-//! provenance over disjoint subtrees on worker threads (bit-identically,
-//! by splicing [`StructuredBuilder::compile_subtree`] fragments into one
-//! [`StructuredBuilder::compile`]); see DESIGN.md §2 and §Concurrency.
+//! provenance with [`StructuredBuilder::compile_partitioned`], which also
+//! records the subtree gate ranges its evaluation passes fan out over; see
+//! DESIGN.md §2 and §Concurrency.
 //!
 //! The provenance route in one example — an uncertain tree whose three
 //! leaves are each controlled by a Boolean event, against the
@@ -74,8 +74,7 @@ pub use automaton::{
 pub use provenance::{acceptance_probability_bruteforce, provenance_circuit};
 pub use run::{Run, Step};
 pub use structured::{
-    compile_structured_dnnf, CompiledSubtree, StructuredBuilder, StructuredDnnf,
-    StructuredDnnfError, SubtreeGates,
+    compile_structured_dnnf, StructuredBuilder, StructuredDnnf, StructuredDnnfError,
 };
 pub use tree::{BinaryTree, Label, NodeAnnotation, NodeId, UncertainTree};
 

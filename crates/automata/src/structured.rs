@@ -21,13 +21,11 @@
 //!   [`StructuredDnnf::vtree`] exposes and the test suite certifies with
 //!   [`Vtree::respects`].
 //!
-//! The construction is written once, as [`StructuredBuilder`]: a post-order
-//! pass over a [`Run`] (the automaton's steps per node, found by one reach
-//! pass) whose caller may splice a precompiled subtree in at any node. The
-//! sequential [`compile_structured_dnnf`] splices nothing; the parallel
-//! engine (`treelineage-engine`) compiles fragments with
-//! [`StructuredBuilder::compile_subtree`] on worker threads and splices them
-//! into one whole-tree [`StructuredBuilder::compile`].
+//! The construction is written once, as [`StructuredBuilder`]: one
+//! post-order pass over a [`Run`] (the automaton's steps per node, found by
+//! one reach pass). [`StructuredBuilder::compile_partitioned`] also records
+//! the gate range of each subtree the caller cuts at, the partition the
+//! parallel engine (`treelineage-engine`) evaluates fragment-parallel.
 //!
 //! Probability, weighted model counting and model counting on the result are
 //! all linear in its size — the "linear-time probability without OBDD
@@ -51,18 +49,10 @@ pub enum StructuredDnnfError {
         /// The offending event (Boolean variable).
         event: usize,
     },
-    /// A spliced subtree broke the syntactic d-DNNF conditions of the
-    /// assembled circuit (the unspliced construction never does).
+    /// The assembled circuit failed the syntactic d-DNNF check that
+    /// [`Dnnf::from_trusted_circuit`] runs (the construction never builds
+    /// such a circuit).
     NotDecomposable(DnnfError),
-    /// A splice callback returned a value that does not fit the arenas it
-    /// was handed (a gate id past the circuit, a vtree node past the vtree)
-    /// or the run (states other than the node's reach list).
-    InvalidSplice {
-        /// The tree node the splice stood in for.
-        node: NodeId,
-        /// What is wrong with the returned value.
-        reason: String,
-    },
     /// The run does not fit the tree: a node without an entry, a step
     /// outside its node's alternatives or its children's reach lists, or
     /// steps out of order or repeated.
@@ -85,9 +75,6 @@ impl std::fmt::Display for StructuredDnnfError {
             }
             StructuredDnnfError::NotDecomposable(e) => {
                 write!(f, "assembled circuit is not a d-DNNF: {e}")
-            }
-            StructuredDnnfError::InvalidSplice { node, reason } => {
-                write!(f, "splice at node {}: {reason}", node.0)
             }
             StructuredDnnfError::InvalidRun { node, reason } => {
                 write!(f, "run at node {}: {reason}", node.0)
@@ -178,52 +165,27 @@ pub fn compile_structured_dnnf(
     tree: &UncertainTree,
 ) -> Result<StructuredDnnf, StructuredDnnfError> {
     let run = Run::from_automaton(automaton, tree)?;
-    StructuredBuilder::new(&run, tree)?.compile(|_, _, _| None)
+    StructuredBuilder::new(&run, tree)?.compile()
 }
 
-/// The construction's value at one tree node, in the arenas of the build it
-/// belongs to: per *live* automaton state `q` (one some run reaches here:
-/// the node's [`Run::reach`] list), the gate for "the run reaches `q` here" — the true constant (event-free
-/// subtrees only) or a gate whose scope is exactly the events of the node's
-/// subtree (the smoothness invariant) — and the vtree node covering those
-/// events (`None` if the subtree is event-free). Every other state's gate is
-/// the false constant and is not stored, so the value's size follows the
-/// states live at the node, not the automaton's state count.
-#[derive(Clone, Debug)]
-pub struct SubtreeGates {
+/// The construction's value at one tree node: per *live* automaton state
+/// `q` (one some run reaches here: the node's [`Run::reach`] list), the gate
+/// for "the run reaches `q` here" — the true constant (event-free subtrees
+/// only) or a gate whose scope is exactly the events of the node's subtree
+/// (the smoothness invariant) — and the vtree node covering those events
+/// (`None` if the subtree is event-free). Every other state's gate is the
+/// false constant and is not stored, so the value's size follows the states
+/// live at the node, not the automaton's state count.
+struct SubtreeGates {
     /// `(state, gate)` for the live states, in ascending state order.
-    pub gates: Vec<(State, GateId)>,
+    gates: Vec<(State, GateId)>,
     /// The vtree node over the subtree's events, if it has any.
-    pub vnode: Option<VtreeId>,
-}
-
-/// A subtree compiled into arenas of its own by
-/// [`StructuredBuilder::compile_subtree`]: the constants sit at gate ids 0
-/// (false) and 1 (true), and every other gate and vtree node is what the
-/// whole-tree construction allocates for this subtree, in the same order.
-#[derive(Clone, Debug)]
-pub struct CompiledSubtree {
-    /// The constants followed by the subtree's gates.
-    pub circuit: Circuit,
-    /// The subtree's vtree nodes.
-    pub vtree: Vtree,
-    /// The value at the subtree's root.
-    pub root: SubtreeGates,
+    vnode: Option<VtreeId>,
 }
 
 /// The Theorem 6.11 construction on a validated input: one post-order pass
 /// running the leaf rule and the internal rule over the steps of a [`Run`],
 /// into append-only arenas.
-///
-/// The pass asks a *splice* callback at every node before entering it; a
-/// callback that returns the node's [`SubtreeGates`] (built into the arenas
-/// it is handed) stands in for the node's whole subtree, whose interior is
-/// then skipped. Because a subtree occupies a contiguous post-order segment
-/// and the arenas are append-only, splicing in exactly the gates and vtree
-/// nodes [`StructuredBuilder::compile_subtree`] produced for that subtree
-/// (constants mapped to the global ids 0/1, the rest offset) reproduces the
-/// unspliced build byte for byte. This is the seam the parallel engine
-/// compiles fragments on worker threads through.
 #[derive(Clone, Copy, Debug)]
 pub struct StructuredBuilder<'a> {
     run: &'a Run,
@@ -248,26 +210,70 @@ impl<'a> StructuredBuilder<'a> {
         Ok(StructuredBuilder { run, tree })
     }
 
-    /// The uncertain tree the construction runs on.
-    pub fn tree(&self) -> &'a UncertainTree {
-        self.tree
+    /// Builds the whole tree and assembles the output: the disjunction of
+    /// the root's accepting-state gates, structured by the root's vtree
+    /// node.
+    pub fn compile(&self) -> Result<StructuredDnnf, StructuredDnnfError> {
+        self.compile_partitioned(&[])
+            .map(|(structured, _)| structured)
     }
 
-    /// Builds the whole tree (with `splice`, see the type docs) and
-    /// assembles the output: the disjunction of the root's accepting-state
-    /// gates, structured by the root's vtree node. Fails only on a bad
-    /// splice: one that does not fit its arenas
-    /// ([`StructuredDnnfError::InvalidSplice`]) or that makes the circuit
-    /// non-decomposable.
-    pub fn compile<F>(&self, splice: F) -> Result<StructuredDnnf, StructuredDnnfError>
-    where
-        F: FnMut(NodeId, &mut Circuit, &mut Vtree) -> Option<SubtreeGates>,
-    {
-        let CompiledSubtree {
-            mut circuit,
-            mut vtree,
-            root,
-        } = self.compile_subtree(self.tree.tree().root(), splice)?;
+    /// [`StructuredBuilder::compile`], also returning per cut the
+    /// `[start, end)` gate-id range of its subtree: the circuit's size when
+    /// the pass enters the cut and when it finishes it. The arenas are
+    /// append-only and a subtree is a contiguous post-order segment, so each
+    /// range is one block whose gates read only the block itself and the
+    /// two constants. `cuts` must be an antichain (no cut inside another's
+    /// subtree) listed in post-order; a cut out of that order is not
+    /// recorded.
+    pub fn compile_partitioned(
+        &self,
+        cuts: &[NodeId],
+    ) -> Result<(StructuredDnnf, Vec<(usize, usize)>), StructuredDnnfError> {
+        let tree = self.tree.tree();
+        let mut circuit = Circuit::new();
+        circuit.constant(false);
+        circuit.constant(true);
+        let mut vtree = Vtree::new();
+        let mut fragments = Vec::with_capacity(cuts.len());
+        // The cut being built and the circuit size when it was entered; at
+        // most one is open, since cuts do not nest.
+        let mut open: Option<(NodeId, usize)> = None;
+        let mut next_cut = 0;
+        // Post-order with the values of finished nodes on a stack: when a
+        // node is exited, its children's values are the top two entries.
+        let mut pending: Vec<SubtreeGates> = Vec::new();
+        let mut todo = vec![(tree.root(), false)];
+        // The internal rule's per-node run list, reused across nodes.
+        let mut runs: Vec<(State, GateId)> = Vec::new();
+        // The three `expect`s below are internal invariants of the stack
+        // discipline, not reachable from input: an exited node's two
+        // children were pushed (left, then right) since it was entered,
+        // and the root is exited last.
+        while let Some((node, exited)) = todo.pop() {
+            if !exited && open.is_none() && cuts.get(next_cut) == Some(&node) {
+                open = Some((node, circuit.size()));
+                next_cut += 1;
+            }
+            let value = if exited {
+                let right = pending.pop().expect("post-order: children first");
+                let left = pending.pop().expect("post-order: children first");
+                self.internal_rule(node, &left, &right, &mut runs, &mut circuit, &mut vtree)
+            } else if let Some((left, right)) = tree.children(node) {
+                todo.push((node, true));
+                todo.push((right, false));
+                todo.push((left, false));
+                continue;
+            } else {
+                self.leaf_rule(node, &mut circuit, &mut vtree)
+            };
+            if let Some((_, start)) = open.filter(|&(cut, _)| cut == node) {
+                fragments.push((start, circuit.size()));
+                open = None;
+            }
+            pending.push(value);
+        }
+        let root = pending.pop().expect("the root is finished last");
         let accepting: Vec<GateId> = root
             .gates
             .iter()
@@ -285,64 +291,12 @@ impl<'a> StructuredBuilder<'a> {
         }
         let dnnf =
             Dnnf::from_trusted_circuit(circuit).map_err(StructuredDnnfError::NotDecomposable)?;
-        Ok(StructuredDnnf {
+        let structured = StructuredDnnf {
             dnnf,
             vtree,
             universe: self.tree.events(),
-        })
-    }
-
-    /// Builds the subtree rooted at `root` into fresh arenas (constants at
-    /// gate ids 0 and 1), asking `splice` at every node before entering it
-    /// (see the type docs). Fails with [`StructuredDnnfError::InvalidSplice`]
-    /// when a spliced value does not fit the arenas; with no splice it
-    /// always succeeds.
-    pub fn compile_subtree<F>(
-        &self,
-        root: NodeId,
-        mut splice: F,
-    ) -> Result<CompiledSubtree, StructuredDnnfError>
-    where
-        F: FnMut(NodeId, &mut Circuit, &mut Vtree) -> Option<SubtreeGates>,
-    {
-        let tree = self.tree.tree();
-        let mut circuit = Circuit::new();
-        circuit.constant(false);
-        circuit.constant(true);
-        let mut vtree = Vtree::new();
-        // Post-order with the values of finished nodes on a stack: when a
-        // node is exited, its children's values are the top two entries.
-        let mut pending: Vec<SubtreeGates> = Vec::new();
-        let mut todo = vec![(root, false)];
-        // The internal rule's per-node run list, reused across nodes.
-        let mut runs: Vec<(State, GateId)> = Vec::new();
-        // The three `expect`s below are internal invariants of the stack
-        // discipline, not reachable from input: an exited node's two
-        // children were pushed (left, then right) since it was entered,
-        // and the root is exited last.
-        while let Some((node, exited)) = todo.pop() {
-            let value = if exited {
-                let right = pending.pop().expect("post-order: children first");
-                let left = pending.pop().expect("post-order: children first");
-                self.internal_rule(node, &left, &right, &mut runs, &mut circuit, &mut vtree)
-            } else if let Some(spliced) = splice(node, &mut circuit, &mut vtree) {
-                check_splice(node, &spliced, self.run.reach(node), &circuit, &vtree)?;
-                spliced
-            } else if let Some((left, right)) = tree.children(node) {
-                todo.push((node, true));
-                todo.push((right, false));
-                todo.push((left, false));
-                continue;
-            } else {
-                self.leaf_rule(node, &mut circuit, &mut vtree)
-            };
-            pending.push(value);
-        }
-        Ok(CompiledSubtree {
-            circuit,
-            vtree,
-            root: pending.pop().expect("the root is finished last"),
-        })
+        };
+        Ok((structured, fragments))
     }
 
     /// A leaf: true for the state a fixed label reaches; for an
@@ -468,47 +422,6 @@ impl<'a> StructuredBuilder<'a> {
 const FALSE: GateId = GateId(0);
 const TRUE: GateId = GateId(1);
 
-/// Checks a splice callback's value against the arenas it was built into
-/// and the run: every gate id and the vtree node must exist, and the states
-/// must be the node's reach list (the parent's steps index the value by
-/// it). The rules would otherwise panic on a bad id or index deep in the
-/// build, or build a wrong circuit.
-fn check_splice(
-    node: NodeId,
-    spliced: &SubtreeGates,
-    reach: &[State],
-    circuit: &Circuit,
-    vtree: &Vtree,
-) -> Result<(), StructuredDnnfError> {
-    let invalid = |reason: String| Err(StructuredDnnfError::InvalidSplice { node, reason });
-    if let Some(&(q, g)) = spliced.gates.iter().find(|(_, g)| g.0 >= circuit.size()) {
-        return invalid(format!(
-            "state {q} maps to gate {} of a {}-gate circuit",
-            g.0,
-            circuit.size()
-        ));
-    }
-    if let Some(v) = spliced.vnode.filter(|v| v.0 >= vtree.node_count()) {
-        return invalid(format!(
-            "vtree node {} of a {}-node vtree",
-            v.0,
-            vtree.node_count()
-        ));
-    }
-    if !spliced
-        .gates
-        .iter()
-        .map(|&(q, _)| q)
-        .eq(reach.iter().copied())
-    {
-        let states: Vec<State> = spliced.gates.iter().map(|&(q, _)| q).collect();
-        return invalid(format!(
-            "states {states:?} differ from the run's reach list {reach:?}"
-        ));
-    }
-    Ok(())
-}
-
 /// The event controlling `node`, if any.
 fn own_event(tree: &UncertainTree, node: NodeId) -> Option<usize> {
     match tree.annotation(node) {
@@ -617,106 +530,6 @@ mod tests {
             compile_structured_dnnf(&automaton, &tree).unwrap_err(),
             StructuredDnnfError::SharedEvent { event: 0 }
         );
-    }
-
-    #[test]
-    fn non_decomposable_splice_is_an_error() {
-        // Splice event 1 — the right leaf's own event — in at the left
-        // leaf, over the left leaf's reach list [0, 1]: the root's AND then
-        // shares a variable between its inputs.
-        let automaton = parity_automaton(2);
-        let tree = uncertain_leaves(2);
-        let run = Run::from_automaton(&automaton, &tree).unwrap();
-        let builder = StructuredBuilder::new(&run, &tree).unwrap();
-        let (left, _) = tree.tree().children(tree.tree().root()).unwrap();
-        assert_eq!(run.reach(left), &[0, 1]);
-        let result = builder.compile(|node, circuit, _| {
-            (node == left).then(|| {
-                let v = circuit.var(1);
-                let not_v = circuit.not(v);
-                SubtreeGates {
-                    gates: vec![(0, not_v), (1, v)],
-                    vnode: None,
-                }
-            })
-        });
-        assert!(matches!(
-            result.unwrap_err(),
-            StructuredDnnfError::NotDecomposable(_)
-        ));
-    }
-
-    #[test]
-    fn out_of_range_splice_is_an_error() {
-        // Each splice at the left leaf is wrong in one way; each must come
-        // back as a typed error instead of a panic in the root's rule.
-        let automaton = parity_automaton(2);
-        let tree = uncertain_leaves(2);
-        let run = Run::from_automaton(&automaton, &tree).unwrap();
-        let builder = StructuredBuilder::new(&run, &tree).unwrap();
-        let (left, _) = tree.tree().children(tree.tree().root()).unwrap();
-        let bad: [fn(&mut Circuit) -> SubtreeGates; 4] = [
-            |_| SubtreeGates {
-                gates: vec![(1, GateId(999))],
-                vnode: None,
-            },
-            |_| SubtreeGates {
-                gates: vec![(1, TRUE)],
-                vnode: Some(VtreeId(7)),
-            },
-            |_| SubtreeGates {
-                gates: vec![(1, TRUE), (0, FALSE)],
-                vnode: None,
-            },
-            |_| SubtreeGates {
-                gates: vec![(1, TRUE), (1, TRUE)],
-                vnode: None,
-            },
-        ];
-        for make in bad {
-            let result = builder.compile(|node, circuit, _| (node == left).then(|| make(circuit)));
-            assert!(
-                matches!(
-                    result,
-                    Err(StructuredDnnfError::InvalidSplice { node, .. }) if node == left
-                ),
-                "{result:?}"
-            );
-            let result = builder.compile_subtree(tree.tree().root(), |node, circuit, _| {
-                (node == left).then(|| make(circuit))
-            });
-            assert!(matches!(
-                result,
-                Err(StructuredDnnfError::InvalidSplice { .. })
-            ));
-        }
-    }
-
-    #[test]
-    fn splice_off_the_reach_list_is_an_error() {
-        // In range and ascending, but not the left leaf's reach list [0, 1]:
-        // the root's steps index both states, so a shorter or different list
-        // would send them out of range or to the wrong gate.
-        let automaton = parity_automaton(2);
-        let tree = uncertain_leaves(2);
-        let run = Run::from_automaton(&automaton, &tree).unwrap();
-        let builder = StructuredBuilder::new(&run, &tree).unwrap();
-        let (left, _) = tree.tree().children(tree.tree().root()).unwrap();
-        for states in [vec![1], vec![0], vec![0, 2], vec![0, 1, 2], vec![]] {
-            let result = builder.compile(|node, _, _| {
-                (node == left).then(|| SubtreeGates {
-                    gates: states.iter().map(|&q| (q, TRUE)).collect(),
-                    vnode: None,
-                })
-            });
-            assert!(
-                matches!(
-                    result,
-                    Err(StructuredDnnfError::InvalidSplice { node, .. }) if node == left
-                ),
-                "{states:?}: {result:?}"
-            );
-        }
     }
 
     #[test]

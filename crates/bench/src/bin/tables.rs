@@ -634,10 +634,11 @@ fn engine_section() {
 /// bit length do not move with `t`; the fragment count does (the plan's
 /// grain follows the thread count). The grid's query saturates at 4,187
 /// deterministic states, past the default budget, so its rows raise
-/// `EngineConfig::state_budget`. A fan-out spawns workers only for work
-/// that pays (`pool::workers_for`): at t = 2 the compiles of all three
-/// shapes and the star 4,000 and grid passes spawn a second worker, while
-/// the star 1,000 pass (1,484 gates in its fragments) runs inline.
+/// `EngineConfig::state_budget`. Every compile runs on the caller's thread
+/// and records the fragment partition; a pass spawns workers only for work
+/// that pays (`pool::workers_for`): at t = 2 the star 4,000 and grid passes
+/// spawn a second worker, while the star 1,000 pass (1,484 gates in its
+/// fragments) runs inline.
 fn scaling_rows() {
     println!(
         "\n[E-7 scaling] compile and model-count pass per thread count \
@@ -762,7 +763,7 @@ fn memo_rows() {
             let run = machine.run(encoding.tree()).unwrap();
             let t1 = Instant::now();
             let lineage = StructuredBuilder::new(&run, encoding.tree())
-                .and_then(|builder| builder.compile(|_, _, _| None))
+                .and_then(|builder| builder.compile())
                 .unwrap();
             let t2 = Instant::now();
             assert!(lineage.size() > 0);

@@ -35,8 +35,7 @@ use std::collections::{BTreeSet, HashMap};
 use treelineage_circuit::{Circuit, Dnnf, GateId, VarId};
 use treelineage_dd::{Manager, NodeId};
 use treelineage_engine::{
-    compile_structured_dnnf_parallel, variable_order_from_decomposition, EngineConfig, EngineError,
-    ParallelDnnf,
+    compile_run, variable_order_from_decomposition, EngineConfig, EngineError, ParallelDnnf,
 };
 use treelineage_graph::TreeDecomposition;
 use treelineage_instance::{FactId, Instance};
@@ -72,10 +71,10 @@ impl<'a> LineageBuilder<'a> {
     }
 
     /// Routes [`LineageBuilder::automaton_lineage`] through the parallel
-    /// engine with the given configuration: `threads > 1` compiles the
-    /// provenance d-SDNNF over disjoint subtrees on worker threads
-    /// (bit-identical results), and `state_budget` bounds the query
-    /// compiler. The default configuration reproduces the sequential
+    /// engine with the given configuration: `threads > 1` plans the
+    /// fragment partition the artifact's passes fan out over (the circuit
+    /// is the same at every thread count), and `state_budget` bounds the
+    /// query compiler. The default configuration reproduces the sequential
     /// behaviour exactly.
     pub fn with_engine_config(mut self, config: EngineConfig) -> Self {
         self.engine_config = config;
@@ -200,7 +199,7 @@ impl<'a> LineageBuilder<'a> {
         let telemetry = &self.engine_config.telemetry;
         let encoding = treelineage_encoding::encode_traced(self.instance, &td, telemetry)
             .map_err(EngineError::Encoding)?;
-        let mut compiled = treelineage_encoding::compile_ucq(
+        let mut machine = treelineage_encoding::compile_ucq(
             self.query,
             encoding.alphabet(),
             treelineage_encoding::CompileOptions {
@@ -209,12 +208,10 @@ impl<'a> LineageBuilder<'a> {
             },
         )
         .map_err(EngineError::QueryCompile)?;
-        let automaton = compiled
-            .automaton_for(encoding.tree())
+        let run = machine
+            .run(encoding.tree())
             .map_err(EngineError::QueryCompile)?;
-        // At one thread (or on a small tree) this is the traced sequential
-        // compile; otherwise fragments on the pool, spliced into one build.
-        compile_structured_dnnf_parallel(&automaton, encoding.tree(), &self.engine_config)
+        compile_run(&run, encoding.tree(), &self.engine_config)
             .map_err(|e| EngineError::Provenance(e.to_string()))
     }
 }

@@ -572,28 +572,18 @@ impl CompiledQuery {
         Ok(run)
     }
 
-    /// The deterministic automaton of [`CompiledQuery::run`] on `tree`;
-    /// see [`CompiledQuery::materialize`]. The result accepts an
-    /// instantiation of `tree` iff the decoded subinstance satisfies the
-    /// query.
+    /// [`CompiledQuery::run`] on `tree` viewed as a deterministic automaton
+    /// ([`Run::to_automaton`]): it holds exactly the transitions the run
+    /// took and accepts only root-reachable accepting states, so it accepts
+    /// an instantiation of `tree` iff the decoded subinstance satisfies the
+    /// query. Its states keep their global memo ids, and
+    /// [`TreeAutomaton::state_count`] is the memo size. Do not use it on
+    /// another tree.
     pub fn automaton_for(&mut self, tree: &UncertainTree) -> Result<TreeAutomaton, CompileError> {
-        self.materialize(tree).map(|(automaton, _)| automaton)
-    }
-
-    /// [`CompiledQuery::run`] viewed as an automaton
-    /// ([`Run::to_automaton`]), with the run's per-node live-state
-    /// statistics. The automaton holds exactly the transitions the run
-    /// took and accepts only root-reachable accepting states; its states
-    /// keep their global memo ids, and [`TreeAutomaton::state_count`] is
-    /// the memo size. Do not use it on another tree.
-    pub fn materialize(
-        &mut self,
-        tree: &UncertainTree,
-    ) -> Result<(TreeAutomaton, LiveStates), CompileError> {
         let run = self.run(tree)?;
         let automaton = run.to_automaton(tree, self.state_count(), self.alphabet.size());
         debug_assert!(automaton.is_deterministic());
-        Ok((automaton, LiveStates::of(&run)))
+        Ok(automaton)
     }
 }
 

@@ -27,9 +27,9 @@
 //! these with the d-SDNNF construction
 //! ([`treelineage_automata::StructuredBuilder`]) into the
 //! full pipeline: probability / model counting / weighted model counting
-//! without ever materializing query matches (and `treelineage-engine`
-//! compiles the same d-SDNNF over disjoint subtrees on worker threads,
-//! bit-identically). The whole route, end to end — encode the instance,
+//! without ever materializing query matches (`treelineage-engine`
+//! compiles the same d-SDNNF and evaluates it over disjoint subtrees on
+//! worker threads, bit-identically). The whole route, end to end — encode the instance,
 //! compile the query, read the lineage off the provenance:
 //!
 //! ```
@@ -57,7 +57,7 @@
 //! let mut compiled = compile_ucq(&query, encoding.alphabet(), CompileOptions::default()).unwrap();
 //! let run = compiled.run(encoding.tree()).unwrap();
 //! let builder = StructuredBuilder::new(&run, encoding.tree()).unwrap();
-//! let lineage = builder.compile(|_, _, _| None).unwrap();
+//! let lineage = builder.compile().unwrap();
 //!
 //! // All three facts must be present: probability 1/8 under all-1/2.
 //! assert_eq!(

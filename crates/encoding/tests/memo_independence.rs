@@ -2,11 +2,12 @@
 //! memo: materializing a tree again after the shared machine has seen 50
 //! other instances gives the same transitions, the same accepting states
 //! and the same d-SDNNF (by digest) as materializing it first, although
-//! the memo has grown in between.
+//! the memo has grown in between; the run's per-node live states
+//! ([`LiveStates`]) do not move either.
 
 use treelineage_automata::{compile_structured_dnnf, StructuredDnnf, TreeAutomaton};
 use treelineage_circuit::VtreeId;
-use treelineage_encoding::{compile_ucq, encode, CompileOptions, TreeEncoding};
+use treelineage_encoding::{compile_ucq, encode, CompileOptions, LiveStates, TreeEncoding};
 use treelineage_graph::treewidth::treewidth_upper_bound;
 use treelineage_instance::{encodings, Instance, Signature};
 use treelineage_query::parse_query;
@@ -73,7 +74,8 @@ fn automaton_and_artifact_do_not_depend_on_the_memo() {
     let target = encoded(&labelled_grid(3, 0));
     let mut machine = compile_ucq(&query, target.alphabet(), CompileOptions::default()).unwrap();
 
-    let (first, first_live) = machine.materialize(target.tree()).unwrap();
+    let first = machine.automaton_for(target.tree()).unwrap();
+    let first_live = LiveStates::of(&machine.run(target.tree()).unwrap());
     let first_states = machine.state_count();
     let first_artifact = compile_structured_dnnf(&first, target.tree()).unwrap();
 
@@ -87,7 +89,8 @@ fn automaton_and_artifact_do_not_depend_on_the_memo() {
         "the other instances must grow the memo ({first_states} states)"
     );
 
-    let (second, second_live) = machine.materialize(target.tree()).unwrap();
+    let second = machine.automaton_for(target.tree()).unwrap();
+    let second_live = LiveStates::of(&machine.run(target.tree()).unwrap());
     assert_eq!(second.state_count(), machine.state_count());
     assert_eq!(shape(&second), shape(&first));
     assert_eq!(second_live, first_live);

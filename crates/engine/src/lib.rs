@@ -8,14 +8,14 @@
 //! This crate provides both layers, using only `std::thread` per the
 //! workspace's no-external-deps rule:
 //!
-//! * [`compile_structured_dnnf_parallel`] — a subtree scheduler (one
-//!   shared task cursor) that compiles fragments on worker threads with
-//!   the automata crate's one `StructuredBuilder` and splices them into
-//!   its whole-tree build, with output **bit-identical** to the
-//!   sequential path at every thread count (see `parallel`'s module docs
-//!   for the contract);
-//!   [`ParallelDnnf`] carries the fragment partition so probability / WMC /
-//!   model-counting passes parallelize the same way.
+//! * [`compile_run`] — the d-SDNNF compile: one pass of the automata
+//!   crate's `StructuredBuilder` on the caller's thread that also records
+//!   the gate ranges of disjoint subtrees, so the [`ParallelDnnf`]
+//!   probability / WMC / model-counting passes run those ranges on worker
+//!   threads, **bit-identically** to the sequential pass at every thread
+//!   count (see `parallel`'s module docs for the contract);
+//!   [`compile_structured_dnnf_parallel`] is the same compile from a
+//!   general deterministic automaton.
 //! * [`EvalSession`] — a long-lived session holding the persistent compiled
 //!   query machines, per-instance tree encodings and compiled lineages,
 //!   exposing [`EvalSession::batch_probability`] /
@@ -37,7 +37,7 @@ mod pool;
 mod session;
 
 pub use approx::{karp_luby_probability, karp_luby_sample_bound, KarpLubyEstimate};
-pub use parallel::{compile_structured_dnnf_parallel, CircuitPartition, ParallelDnnf};
+pub use parallel::{compile_run, compile_structured_dnnf_parallel, CircuitPartition, ParallelDnnf};
 pub use session::{
     validate_insert, validate_retract, CacheOccupancy, DecisionTier, EngineError, EvalSession,
     ExplainReport, InstanceId, ProbabilityRequest, QueryId, SessionBackend, SessionStats,
@@ -67,17 +67,19 @@ use treelineage_instance::Instance;
 /// are reused.)
 #[derive(Clone, Debug, PartialEq)]
 pub struct EngineConfig {
-    /// Worker threads for subtree compilation and batched evaluation.
-    /// `1` (the default) means everything runs on the caller's thread.
+    /// Worker threads for fragment-parallel evaluation and batched
+    /// requests; the compile plans its fragment partition for this count
+    /// but always runs on the caller's thread. `1` (the default) means
+    /// everything runs on the caller's thread.
     pub threads: usize,
     /// State budget handed to the query→automaton compiler
     /// ([`treelineage_encoding::CompileOptions::state_budget`]).
     pub state_budget: usize,
-    /// Fragment grain for the subtree scheduler: subtrees of at most this
-    /// many nodes become one task. `0` (the default) picks
+    /// Fragment grain of the partition plan: subtrees of at most this many
+    /// nodes become one fragment range. `0` (the default) picks
     /// `node_count / (threads * 4)` with a lower bound that keeps
     /// scheduling overhead negligible; tests use small explicit grains to
-    /// exercise the merge on small trees.
+    /// exercise the fragment fan-out on small trees.
     pub fragment_grain: usize,
     /// Maximum number of compiled lineages an [`EvalSession`] keeps (per
     /// (query, instance); least recently used evicted first).

@@ -1,40 +1,35 @@
-//! Parallel bottom-up subtree compilation with a **bit-identical** output
-//! contract.
+//! The Theorem 6.11 d-SDNNF compile and fragment-parallel evaluation, with
+//! a **bit-identical** output contract.
 //!
-//! The Theorem 6.11 d-SDNNF construction and the evaluation passes over the
-//! resulting circuit are bottom-up: disjoint subtrees are independent, and
-//! only the "spine" of nodes above the chosen cut points sequentializes.
-//! This module exploits that, without a construction of its own — the
-//! automata crate's [`StructuredBuilder`] is the only code that knows the
-//! leaf rule, the internal rule, the input validation and the output
-//! assembly. What lives here is:
+//! The construction and the evaluation passes over its circuit are
+//! bottom-up: disjoint subtrees are independent, and only the "spine" of
+//! nodes above the chosen cut points sequentializes. The compile has no
+//! construction of its own — the automata crate's [`StructuredBuilder`] is
+//! the only code that knows the leaf rule, the internal rule, the input
+//! validation and the output assembly. What lives here is:
 //!
-//! 1. the plan: [`SubtreePlan`] cuts the tree into fragments of comparable
+//! 1. the plan: [`plan_cuts`] cuts the tree into fragments of comparable
 //!    size (one contiguous post-order segment each) plus the spine above
 //!    them;
-//! 2. the pool fan-out: worker threads (the pool in `pool`, one shared
-//!    task cursor) run [`StructuredBuilder::compile_subtree`] from each cut
-//!    into a local arena, unless the fragment library already holds that
-//!    subtree;
-//! 3. the replay: one whole-tree [`StructuredBuilder::compile`] on the
-//!    caller's thread splices each fragment in when the post-order reaches
-//!    its cut ([`replay_circuit`] / [`replay_vtree`]) and builds the spine
-//!    itself.
+//! 2. the compile: [`compile_run`] runs one whole-tree
+//!    [`StructuredBuilder::compile_partitioned`] on the caller's thread,
+//!    which records each cut's gate range as it builds it;
+//! 3. the evaluation: [`ParallelDnnf`]'s passes fan the recorded ranges out
+//!    to the pool.
 //!
 //! The determinism contract: because `Circuit` and `Vtree` are append-only
 //! arenas and a subtree's nodes occupy a contiguous post-order segment, the
 //! whole-tree build allocates a fragment's gates as one contiguous id block
-//! that references only the block itself plus the two constant gates.
-//! Replaying fragments at their cuts therefore reproduces the sequential
-//! gate stream *byte for byte* — same gates, same ids, same operand order,
-//! same output — at every thread count and for every choice of cuts, with
-//! no iteration-order leakage (worker completion order never influences
-//! ids; only the tree shape does). `tests` (including arbitrary cut sets)
-//! and the umbrella `tests/parallel_differential.rs` pin this gate-by-gate
-//! against [`treelineage_automata::compile_structured_dnnf`]; the umbrella
+//! that references only the block itself plus the two constant gates. The
+//! plan only decides which blocks are recorded, so the artifact is the
+//! sequential one *byte for byte* — same gates, same ids, same operand
+//! order, same output — at every thread count and for every choice of cuts.
+//! `tests` (including arbitrary cut sets) and the umbrella
+//! `tests/parallel_differential.rs` pin this gate-by-gate against
+//! [`treelineage_automata::compile_structured_dnnf`]; the umbrella
 //! `tests/dsdnnf_golden.rs` pins both against recorded digests.
 //!
-//! Evaluation reuses the same partition: each fragment's gate range is
+//! Evaluation reads the partition: each fragment's gate range is
 //! self-contained, so one private runner ([`ParallelDnnf::run`]) serves
 //! every pass. It fills one flat [`LimbArena`] per call: in one ascending
 //! sweep when the pass gets one worker, otherwise the spine below the first
@@ -53,22 +48,20 @@
 use crate::pool::{lock_recovering, run_tasks, workers_for};
 use crate::EngineConfig;
 use std::borrow::Borrow;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 use treelineage_automata::{
-    BinaryTree, CompiledSubtree, NodeAnnotation, NodeId, Run, StructuredBuilder, StructuredDnnf,
-    StructuredDnnfError, SubtreeGates, TreeAutomaton, UncertainTree,
+    BinaryTree, NodeId, Run, StructuredBuilder, StructuredDnnf, StructuredDnnfError, TreeAutomaton,
+    UncertainTree,
 };
 use treelineage_circuit::{
-    eval_gate, ArenaRange, Circuit, Gate, GateId, LimbArena, Probability, ScopeHull, Semiring,
-    Vtree, VtreeId, VtreeNode, Wmc,
+    eval_gate, ArenaRange, Circuit, Gate, GateId, LimbArena, Probability, ScopeHull, Semiring, Wmc,
 };
 use treelineage_num::limbs::{self, IntWeights};
 use treelineage_num::{BigUint, ErrorInterval, Rational};
 use treelineage_telemetry::Telemetry;
 
-/// Fragments below this size are not worth a task of their own: the replay
-/// and scheduling overhead would exceed the construction work.
+/// Fragments below this size are not worth a range of their own: the
+/// fan-out overhead would exceed the evaluation work.
 const MIN_FRAGMENT_NODES: usize = 64;
 
 /// Gates of fragment ranges per pool worker in [`ParallelDnnf::run`]: a
@@ -81,90 +74,54 @@ const MIN_FRAGMENT_NODES: usize = 64;
 /// `[E-7 scaling]` rows.
 const EVAL_GATES_PER_WORKER: usize = 4096;
 
-/// Tree nodes of dirty fragments per pool worker in [`compile_planned`],
-/// on the same rule: 1,024 nodes cost 0.3–1.5 ms of fragment compile, 6–30
-/// spawns' worth (EXPERIMENTS.md §E-15).
-const COMPILE_NODES_PER_WORKER: usize = 1024;
-
-/// A partition of the tree into disjoint subtrees ("fragments") plus the
-/// spine of nodes above all cut points. Fragment roots are the cut points;
-/// every node belongs to exactly one fragment or to the spine.
-#[derive(Clone, Debug)]
-pub(crate) struct SubtreePlan {
-    /// Cut points (fragment roots), each owning its whole subtree.
-    pub(crate) cuts: Vec<NodeId>,
-    /// `owner[node] = Some(i)` if the node lies in fragment `i` (including
-    /// its root), `None` for spine nodes.
-    pub(crate) owner: Vec<Option<u32>>,
-}
-
-impl SubtreePlan {
-    /// Cuts `tree` into at least two fragments of roughly
-    /// `node_count / (threads * 4)` nodes each (never below
-    /// [`MIN_FRAGMENT_NODES`]; `grain_override > 0` fixes the grain
-    /// explicitly), or returns `None` when the tree is too small to be
-    /// worth splitting. The plan depends only on the tree shape and the
-    /// grain — never on scheduling — so the merge order is deterministic.
-    pub(crate) fn cut(
-        tree: &BinaryTree,
-        threads: usize,
-        grain_override: usize,
-    ) -> Option<SubtreePlan> {
-        let n = tree.node_count();
-        if threads <= 1 {
-            return None;
-        }
-        let grain = if grain_override > 0 {
-            grain_override
-        } else if n < 2 * MIN_FRAGMENT_NODES {
-            return None;
-        } else {
-            // 4 fragments per worker gives the pool's shared cursor enough
-            // slack to balance subtrees of unequal size.
-            (n / (threads * 4)).max(MIN_FRAGMENT_NODES)
+/// The fragment plan: cut points (fragment roots) that partition `tree`
+/// into disjoint subtrees ("fragments") of at most a grain of nodes each,
+/// plus the spine of nodes above them, listed in post-order (left to
+/// right). The grain is roughly `node_count / (threads * 4)` (never below
+/// [`MIN_FRAGMENT_NODES`]; `grain_override > 0` fixes it explicitly). Empty
+/// when the tree is too small to be worth splitting or the plan would have
+/// fewer than two fragments. The plan depends only on the tree shape and
+/// the grain — never on scheduling.
+fn plan_cuts(tree: &BinaryTree, threads: usize, grain_override: usize) -> Vec<NodeId> {
+    let n = tree.node_count();
+    if threads <= 1 {
+        return Vec::new();
+    }
+    let grain = if grain_override > 0 {
+        grain_override
+    } else if n < 2 * MIN_FRAGMENT_NODES {
+        return Vec::new();
+    } else {
+        // 4 fragments per worker gives the pool's shared cursor enough
+        // slack to balance subtrees of unequal size.
+        (n / (threads * 4)).max(MIN_FRAGMENT_NODES)
+    };
+    let mut sizes = vec![0usize; n];
+    for node in tree.post_order() {
+        sizes[node.0] = match tree.children(node) {
+            None => 1,
+            Some((l, r)) => 1 + sizes[l.0] + sizes[r.0],
         };
-        let mut sizes = vec![0usize; n];
-        for node in tree.post_order() {
-            sizes[node.0] = match tree.children(node) {
-                None => 1,
-                Some((l, r)) => 1 + sizes[l.0] + sizes[r.0],
-            };
-        }
-        let mut cuts = Vec::new();
-        let mut stack = vec![tree.root()];
-        while let Some(node) = stack.pop() {
-            if sizes[node.0] <= grain {
-                cuts.push(node);
-            } else {
-                // Internal invariant: a node larger than the grain has
-                // children (leaves have size 1 ≤ grain, as `grain ≥ 1`
-                // on every branch above); it stays on the spine.
-                let (l, r) = tree.children(node).expect("grain ≥ 1 keeps leaves cut");
-                stack.push(r);
-                stack.push(l);
-            }
-        }
-        if cuts.len() < 2 {
-            return None;
-        }
-        Some(SubtreePlan::new(tree, cuts))
     }
-
-    /// The plan with the given cut points, which must form an antichain
-    /// (no cut inside another's subtree); every other node is spine.
-    fn new(tree: &BinaryTree, cuts: Vec<NodeId>) -> SubtreePlan {
-        let mut owner: Vec<Option<u32>> = vec![None; tree.node_count()];
-        for (index, &cut) in cuts.iter().enumerate() {
-            for member in tree.post_order_from(cut) {
-                debug_assert!(owner[member.0].is_none(), "cuts form an antichain");
-                owner[member.0] = Some(index as u32);
-            }
+    let mut cuts = Vec::new();
+    let mut stack = vec![tree.root()];
+    while let Some(node) = stack.pop() {
+        if sizes[node.0] <= grain {
+            cuts.push(node);
+        } else if let Some((l, r)) = tree.children(node) {
+            // A node larger than the grain stays on the spine (leaves have
+            // size 1 ≤ grain, as `grain ≥ 1` on every branch above).
+            stack.push(r);
+            stack.push(l);
         }
-        SubtreePlan { cuts, owner }
     }
+    if cuts.len() < 2 {
+        cuts.clear();
+    }
+    cuts
 }
 
-/// The fragment ranges of a circuit produced by the parallel compiler: each
+/// The fragment ranges of a circuit compiled by [`compile_run`]: each
 /// `[start, end)` gate-id range is *self-contained* — gates in the range
 /// reference only the range itself plus the two global constant gates — so
 /// evaluation passes can process ranges on independent threads.
@@ -180,17 +137,17 @@ impl CircuitPartition {
     }
 
     /// `true` when the partition carries no parallelizable range (the
-    /// circuit was compiled sequentially); evaluation then runs in one
-    /// pass on the caller's thread.
+    /// compile planned no fragments); evaluation then runs in one pass on
+    /// the caller's thread.
     pub fn is_empty(&self) -> bool {
         self.fragments.is_empty()
     }
 }
 
 /// A certified smooth d-SDNNF plus the fragment partition of its circuit:
-/// the artifact of [`compile_structured_dnnf_parallel`]. Dereference to the
-/// wrapped [`StructuredDnnf`] for the circuit/vtree accessors; the
-/// evaluation methods here take a thread count and run the bottom-up pass
+/// the artifact of [`compile_run`]. Dereference to the wrapped
+/// [`StructuredDnnf`] for the circuit/vtree accessors; the evaluation
+/// methods here take a thread count and run the bottom-up pass
 /// fragment-parallel (results equal the sequential pass bit for bit at
 /// every thread count).
 #[derive(Clone, Debug)]
@@ -480,292 +437,47 @@ fn limb_step<'a, 'w>(
     }
 }
 
-/// The full post-order content of a fragment subtree — `(label, is-leaf,
-/// event annotation)` per node. Two subtrees with equal keys have equal
-/// shape, labels and events, so [`StructuredBuilder::compile_subtree`]
-/// produces byte-identical output for them (its gate stream is a pure
-/// function of this content and the run's steps there, which the query
-/// machine's memoized transitions fix). Keys are compared in full — no hash
-/// shortcut decides reuse.
-type FragmentKey = Vec<(usize, bool, Option<(usize, usize, usize)>)>;
-
-fn fragment_key(tree: &UncertainTree, root: NodeId) -> FragmentKey {
-    tree.tree()
-        .post_order_from(root)
-        .into_iter()
-        .map(|node| {
-            let annotation = match tree.annotation(node) {
-                NodeAnnotation::Fixed => None,
-                NodeAnnotation::Event {
-                    event,
-                    if_true,
-                    if_false,
-                } => Some((event, if_true, if_false)),
-            };
-            (
-                tree.tree().label(node),
-                tree.tree().is_leaf(node),
-                annotation,
-            )
-        })
-        .collect()
-}
-
-/// Compiled fragments of one artifact, keyed by subtree content: the unit
-/// of reuse for incremental recompilation. After an update, fragments whose
-/// post-order content (shape, labels, events) is unchanged hit the library
-/// and skip compilation entirely; only dirty fragments recompile, and the
-/// deterministic merge replays as usual. Validity is the caller's
-/// contract: a library may only be replayed against the *same* compiled
-/// query machine that produced it (state numbering is machine-history
-/// dependent) — the session layer guards it, and the builder rejects a
-/// fragment whose root states are not the run's reach list there.
-#[derive(Clone, Default)]
-pub(crate) struct FragmentLibrary {
-    fragments: HashMap<FragmentKey, Arc<CompiledSubtree>>,
-}
-
-impl FragmentLibrary {
-    /// Number of fragments held.
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.fragments.len()
-    }
-}
-
-/// How much of a cached compile was reused vs recompiled — the dirty-set
-/// accounting behind the session's `fragments_recompiled` counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) struct RecompileStats {
-    /// Fragments in the plan (0 for a sequential compile).
-    pub(crate) total: usize,
-    /// Fragments served from the library.
-    pub(crate) reused: usize,
-    /// Fragments compiled fresh (dirty, or no library offered).
-    pub(crate) recompiled: usize,
-}
-
-/// The artifact of [`compile_with_pool_cached`]: the compiled d-SDNNF, the
-/// fragment library to seed the *next* incremental compile with, and the
-/// reuse accounting.
-pub(crate) struct CachedCompile {
-    pub(crate) artifact: ParallelDnnf,
-    pub(crate) library: FragmentLibrary,
-    pub(crate) stats: RecompileStats,
-}
-
 /// Compiles the provenance of a deterministic automaton on an uncertain
-/// tree into a certified smooth d-SDNNF, splitting the tree into disjoint
-/// subtrees compiled on `config.threads` worker threads. The output is
-/// byte-identical to [`treelineage_automata::compile_structured_dnnf`] at
-/// every thread count (see the module docs for why); with `threads <= 1` or
-/// a small tree it simply delegates to the sequential compiler.
+/// tree into a certified smooth d-SDNNF: [`Run::from_automaton`], then
+/// [`compile_run`]. The output is byte-identical to
+/// [`treelineage_automata::compile_structured_dnnf`] at every thread count;
+/// only the recorded partition depends on `config`.
 pub fn compile_structured_dnnf_parallel(
     automaton: &TreeAutomaton,
     tree: &UncertainTree,
     config: &EngineConfig,
 ) -> Result<ParallelDnnf, StructuredDnnfError> {
-    let run = Run::from_automaton(automaton, tree)?;
-    compile_with_pool_cached(&run, tree, config, config.threads, None).map(|c| c.artifact)
+    compile_run(&Run::from_automaton(automaton, tree)?, tree, config)
 }
 
-/// [`compile_structured_dnnf_parallel`] from a [`Run`], with the fragment
-/// *plan* (`config.threads`) decoupled from the worker pool actually used
-/// (`pool_threads`), and with fragment reuse. The session layer compiles
-/// with `pool_threads = 1` when a batch already saturates the pool with one
-/// task per (query, instance) pair — the cached artifact still carries the
-/// partition its session-level thread count plans for, so later
-/// lone-request batches get fragment-parallel evaluation. Fragments of
-/// `previous` whose subtree content is unchanged are replayed instead of
-/// recompiled. The output is **byte-identical** either way (same gates,
-/// ids, operand order, vtree): the plan, not the pool or the library,
-/// determines every id. Preconditions on `previous` (enforced by the
-/// session layer): it was produced by this function against the same
-/// compiled query machine.
-/// Without a plan the whole tree compiles on the caller's thread under a
-/// `dsdnnf_compile` span.
-pub(crate) fn compile_with_pool_cached(
+/// Compiles a [`Run`] on its tree into a certified smooth d-SDNNF: one
+/// [`StructuredBuilder::compile_partitioned`] pass on the caller's thread,
+/// under one `dsdnnf_compile` span, recording the gate range of every
+/// fragment the plan cuts for `config.threads` and
+/// `config.fragment_grain`. The circuit does not depend on the plan; the
+/// partition is what the artifact's passes fan out over.
+pub fn compile_run(
     run: &Run,
     tree: &UncertainTree,
     config: &EngineConfig,
-    pool_threads: usize,
-    previous: Option<&FragmentLibrary>,
-) -> Result<CachedCompile, StructuredDnnfError> {
-    let telemetry = &config.telemetry;
+) -> Result<ParallelDnnf, StructuredDnnfError> {
     let builder = StructuredBuilder::new(run, tree)?;
-    match SubtreePlan::cut(tree.tree(), config.threads, config.fragment_grain) {
-        Some(plan) => compile_planned(&builder, &plan, telemetry, pool_threads, previous),
-        None => {
-            let _span = telemetry.span("dsdnnf_compile");
-            builder.compile(|_, _, _| None).map(|s| CachedCompile {
-                artifact: ParallelDnnf::sequential(s).with_telemetry(telemetry.clone()),
-                library: FragmentLibrary::default(),
-                stats: RecompileStats::default(),
-            })
-        }
-    }
-}
-
-/// Compiles along `plan`: each cut's subtree with
-/// [`StructuredBuilder::compile_subtree`] on the pool (one worker per
-/// [`COMPILE_NODES_PER_WORKER`] dirty nodes; below that, in order on the
-/// caller's thread) or from `previous`, then one whole-tree
-/// [`StructuredBuilder::compile`] on the caller's thread that splices every
-/// fragment in at its cut.
-fn compile_planned(
-    builder: &StructuredBuilder<'_>,
-    plan: &SubtreePlan,
-    telemetry: &Telemetry,
-    pool_threads: usize,
-    previous: Option<&FragmentLibrary>,
-) -> Result<CachedCompile, StructuredDnnfError> {
-    // Phase 1: fragments, in parallel — but first settle, per cut, whether
-    // the library already holds this subtree's compile. The key is the full
-    // post-order content, so a hit is exactly "this subtree is untouched".
-    let keys: Vec<FragmentKey> = plan
-        .cuts
-        .iter()
-        .map(|&cut| fragment_key(builder.tree(), cut))
-        .collect();
-    let cached: Vec<Option<Arc<CompiledSubtree>>> = keys
-        .iter()
-        .map(|key| previous.and_then(|lib| lib.fragments.get(key).cloned()))
-        .collect();
-    let dirty: Vec<usize> = (0..plan.cuts.len())
-        .filter(|&i| cached[i].is_none())
-        .collect();
-    let stats = RecompileStats {
-        total: plan.cuts.len(),
-        reused: plan.cuts.len() - dirty.len(),
-        recompiled: dirty.len(),
-    };
-
-    // Only dirty fragments hit the pool. Results land in dirty order, so
-    // nothing downstream depends on completion order.
-    let compiled: Vec<CompiledSubtree> = {
-        let mut span = telemetry.span("dsdnnf_fragments");
-        span.label("fragments", plan.cuts.len());
-        span.label("reused", stats.reused);
-        // A key lists its subtree's nodes, so its length is the size.
-        let nodes = dirty.iter().map(|&i| keys[i].len()).sum();
-        let workers = workers_for(pool_threads, dirty.len(), nodes, COMPILE_NODES_PER_WORKER);
-        span.label("workers", workers);
-        run_tasks(workers, dirty.len(), telemetry, |j| {
-            builder.compile_subtree(plan.cuts[dirty[j]], |_, _, _| None)
-        })
-        .into_iter()
-        .collect::<Result<_, _>>()?
-    };
-    let mut compiled = compiled.into_iter();
-    // Internal invariant: `run_tasks` returns one result per dirty cut, and
-    // the dirty cuts are exactly the empty slots.
-    let fragments: Vec<Arc<CompiledSubtree>> = cached
-        .into_iter()
-        .map(|slot| slot.unwrap_or_else(|| Arc::new(compiled.next().expect("one per dirty cut"))))
-        .collect();
-
-    // Phase 2: deterministic merge — the whole-tree build, replaying each
-    // fragment when the post-order reaches its cut.
-    let _merge_span = telemetry.span("dsdnnf_merge");
-    let mut partition = CircuitPartition::default();
-    let structured = builder.compile(|node, circuit, vtree| {
-        let index = plan.owner[node.0]? as usize;
-        debug_assert_eq!(
-            plan.cuts[index], node,
-            "a cut is entered before its interior"
-        );
-        let fragment = &fragments[index];
-        let gate_offset = circuit.size();
-        replay_circuit(circuit, &fragment.circuit);
-        partition.fragments.push((gate_offset, circuit.size()));
-        let vtree_offset = vtree.node_count();
-        replay_vtree(vtree, &fragment.vtree);
-        // Root gates list live states only, so a library fragment needs no
-        // padding for states the automaton has interned since.
-        Some(SubtreeGates {
-            gates: fragment
-                .root
-                .gates
-                .iter()
-                .map(|&(q, g)| (q, relocate(g, gate_offset)))
-                .collect(),
-            vnode: fragment.root.vnode.map(|v| VtreeId(vtree_offset + v.0)),
-        })
-    })?;
-    Ok(CachedCompile {
-        artifact: ParallelDnnf {
-            structured,
-            partition,
-            telemetry: telemetry.clone(),
-            hull: OnceLock::new(),
-        },
-        library: FragmentLibrary {
-            fragments: keys.into_iter().zip(fragments).collect(),
-        },
-        stats,
+    let cuts = plan_cuts(tree.tree(), config.threads, config.fragment_grain);
+    let _span = config.telemetry.span("dsdnnf_compile");
+    let (structured, fragments) = builder.compile_partitioned(&cuts)?;
+    Ok(ParallelDnnf {
+        structured,
+        partition: CircuitPartition { fragments },
+        telemetry: config.telemetry.clone(),
+        hull: OnceLock::new(),
     })
-}
-
-/// Where a fragment's local gate lands in the global circuit once replayed
-/// at `offset`: the two constants are global, every other gate shifts.
-fn relocate(g: GateId, offset: usize) -> GateId {
-    if g.0 < 2 {
-        g
-    } else {
-        GateId(offset + g.0 - 2)
-    }
-}
-
-/// Replays a fragment's gates (skipping its two local constants) into the
-/// global circuit. Allocation order is preserved, so the fragment's gate
-/// `i ≥ 2` lands at global id `offset + i - 2` — exactly where the
-/// sequential construction would have put it.
-fn replay_circuit(global: &mut Circuit, fragment: &Circuit) {
-    let offset = global.size();
-    let map = |g: GateId| relocate(g, offset);
-    // One relocated input list, reused for every AND/OR gate.
-    let mut mapped: Vec<GateId> = Vec::new();
-    for id in 2..fragment.size() {
-        let gate = fragment.gate(GateId(id));
-        if let Gate::And(inputs) | Gate::Or(inputs) = gate {
-            mapped.clear();
-            mapped.extend(inputs.iter().map(|&i| map(i)));
-        }
-        let new_id = match gate {
-            // Fragment events are globally unique, so `var` always
-            // allocates (the memo can never hit across fragments).
-            Gate::Var(v) => global.var(v),
-            // Internal invariant: `compile_subtree` allocates a
-            // fragment's two constants first, and the loop skips them.
-            Gate::Const(_) => unreachable!("fragments hold constants only at ids 0 and 1"),
-            Gate::Not(i) => global.not(map(i)),
-            Gate::And(_) => global.and(&mapped),
-            Gate::Or(_) => global.or(&mapped),
-        };
-        debug_assert_eq!(new_id, map(GateId(id)));
-    }
-}
-
-/// Replays a fragment's vtree nodes into the global vtree (append-only, so
-/// local node `i` lands at global id `offset + i`; leaf spans stay adjacent
-/// because leaves are appended in the same order).
-fn replay_vtree(global: &mut Vtree, fragment: &Vtree) {
-    let offset = global.node_count();
-    for i in 0..fragment.node_count() {
-        match fragment.node(VtreeId(i)) {
-            VtreeNode::Leaf(v) => global.leaf(v),
-            VtreeNode::Internal(l, r) => {
-                global.internal(VtreeId(offset + l.0), VtreeId(offset + r.0))
-            }
-        };
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use treelineage_automata::{compile_structured_dnnf, strategies};
-    use treelineage_circuit::{Count, Dnnf};
+    use treelineage_automata::{compile_structured_dnnf, strategies, NodeAnnotation};
+    use treelineage_circuit::{Count, Dnnf, Vtree, VtreeId};
     use treelineage_num::{BigInt, Sign};
 
     /// Gate-by-gate equality (ids, kinds, operand order, output) plus vtree
@@ -806,23 +518,25 @@ mod tests {
     #[test]
     fn plan_covers_every_node_exactly_once() {
         let tree = BinaryTree::comb(&vec![0; 400], 2);
-        let plan = SubtreePlan::cut(&tree, 4, 0).expect("big tree must split");
-        assert!(plan.cuts.len() >= 2);
-        let mut covered = 0usize;
-        for cut in &plan.cuts {
-            covered += tree.post_order_from(*cut).len();
+        let cuts = plan_cuts(&tree, 4, 0);
+        assert!(cuts.len() >= 2);
+        // No node lies in two fragments, and the cuts come in post-order
+        // (the order the builder reaches them in).
+        let mut owners = vec![0usize; tree.node_count()];
+        for cut in &cuts {
+            for member in tree.post_order_from(*cut) {
+                owners[member.0] += 1;
+            }
         }
-        let spine = plan.owner.iter().filter(|o| o.is_none()).count();
-        assert_eq!(covered + spine, tree.node_count());
-        // Cut roots own themselves; spine nodes own nothing.
-        for (i, cut) in plan.cuts.iter().enumerate() {
-            assert_eq!(plan.owner[cut.0], Some(i as u32));
-        }
+        assert!(owners.iter().all(|&o| o <= 1));
+        let order: Vec<NodeId> = tree.post_order();
+        let position = |n: NodeId| order.iter().position(|&m| m == n).unwrap();
+        assert!(cuts.windows(2).all(|w| position(w[0]) < position(w[1])));
     }
 
     #[test]
     fn small_trees_fall_back_to_sequential() {
-        assert!(SubtreePlan::cut(&BinaryTree::comb(&[0, 1, 0], 2), 8, 0).is_none());
+        assert!(plan_cuts(&BinaryTree::comb(&[0, 1, 0], 2), 8, 0).is_empty());
         let u = big_comb(3);
         let automaton = treelineage_automata::parity_automaton(2);
         let p = compile_structured_dnnf_parallel(&automaton, &u, &EngineConfig::with_threads(8))
@@ -1056,74 +770,6 @@ mod tests {
         assert_eq!(
             compile_structured_dnnf_parallel(&automaton, &shared, &config).unwrap_err(),
             compile_structured_dnnf(&automaton, &shared).unwrap_err()
-        );
-    }
-
-    /// A leaf owned by some fragment of the plan (not on the spine).
-    fn fragment_leaf(u: &UncertainTree, plan: &SubtreePlan) -> NodeId {
-        (0..u.tree().node_count())
-            .map(NodeId)
-            .find(|&n| u.tree().is_leaf(n) && plan.owner[n.0].is_some())
-            .expect("a multi-fragment plan owns some leaf")
-    }
-
-    #[test]
-    fn a_touched_node_dirties_exactly_its_owning_fragment() {
-        let u = big_comb(400);
-        let plan = SubtreePlan::cut(u.tree(), 4, 0).expect("big tree must split");
-        let leaf = fragment_leaf(&u, &plan);
-        let owner = plan.owner[leaf.0].unwrap() as usize;
-        let before: Vec<FragmentKey> = plan.cuts.iter().map(|&c| fragment_key(&u, c)).collect();
-        let mut mutated = u.clone();
-        mutated.set_event(leaf, 9999, 1, 0);
-        let after: Vec<FragmentKey> = plan
-            .cuts
-            .iter()
-            .map(|&c| fragment_key(&mutated, c))
-            .collect();
-        for (i, (b, a)) in before.iter().zip(&after).enumerate() {
-            assert_eq!(b == a, i != owner, "fragment {i}");
-        }
-    }
-
-    #[test]
-    fn cached_recompile_is_byte_identical_and_reuses_untouched_fragments() {
-        let automaton = treelineage_automata::parity_automaton(2);
-        let u = big_comb(400);
-        let config = EngineConfig::with_threads(4);
-        let run = Run::from_automaton(&automaton, &u).unwrap();
-        let first = compile_with_pool_cached(&run, &u, &config, 4, None).unwrap();
-        let total = first.stats.total;
-        assert!(total >= 2);
-        assert_eq!(first.stats.reused, 0);
-        assert_eq!(first.stats.recompiled, total);
-        assert_eq!(first.library.len(), total);
-
-        // Replaying the library against the unchanged tree is zero-dirty and
-        // still byte-identical.
-        let replay = compile_with_pool_cached(&run, &u, &config, 4, Some(&first.library)).unwrap();
-        assert_eq!(replay.stats.recompiled, 0);
-        assert_eq!(replay.stats.reused, total);
-        assert_identical(
-            &replay.artifact,
-            &compile_structured_dnnf(&automaton, &u).unwrap(),
-        );
-
-        // Touch one fragment-owned leaf: exactly one fragment recompiles,
-        // and the result equals a cold compile of the mutated tree.
-        let plan = SubtreePlan::cut(u.tree(), 4, 0).unwrap();
-        let leaf = fragment_leaf(&u, &plan);
-        let mut mutated = u.clone();
-        mutated.set_event(leaf, 9999, 1, 0);
-        let mutated_run = Run::from_automaton(&automaton, &mutated).unwrap();
-        let second =
-            compile_with_pool_cached(&mutated_run, &mutated, &config, 4, Some(&first.library))
-                .unwrap();
-        assert_eq!(second.stats.recompiled, 1);
-        assert_eq!(second.stats.reused, total - 1);
-        assert_identical(
-            &second.artifact,
-            &compile_structured_dnnf(&automaton, &mutated).unwrap(),
         );
     }
 
@@ -1370,7 +1016,7 @@ mod tests {
         z ^ (z >> 31)
     }
 
-    /// Cut sets [`SubtreePlan::cut`]'s balanced grain never produces: a
+    /// Cut sets [`plan_cuts`]'s balanced grain never produces: a
     /// random antichain (walking down from the root, each node is cut,
     /// descended into, or — a leaf — left on the spine), every leaf, one
     /// child of the root, and every maximal event-free subtree.
@@ -1415,15 +1061,87 @@ mod tests {
         vec![random, leaves, root_child, event_free]
     }
 
+    /// The subtree of `u` rooted at `root`, as a tree of its own (same
+    /// labels and events).
+    fn subtree(u: &UncertainTree, root: NodeId) -> UncertainTree {
+        let tree = u.tree();
+        let mut copy = BinaryTree::new();
+        let mut ids = vec![NodeId(0); tree.node_count()];
+        let mut events = Vec::new();
+        for node in tree.post_order_from(root) {
+            ids[node.0] = match tree.children(node) {
+                None => copy.leaf(tree.label(node)),
+                Some((l, r)) => copy.internal(tree.label(node), ids[l.0], ids[r.0]),
+            };
+            if let NodeAnnotation::Event {
+                event,
+                if_true,
+                if_false,
+            } = u.annotation(node)
+            {
+                events.push((ids[node.0], event, if_true, if_false));
+            }
+        }
+        copy.set_root(ids[root.0]);
+        let mut sub = UncertainTree::certain(copy);
+        for (node, event, if_true, if_false) in events {
+            sub.set_event(node, event, if_true, if_false);
+        }
+        sub
+    }
+
+    /// Asserts that `fragments` are the gate blocks of `cuts` in
+    /// `circuit`: one ascending, disjoint range per cut, each reading only
+    /// itself and the two constants, and each holding exactly the gates
+    /// the construction allocates for its cut's subtree built as a tree of
+    /// its own (its gates `2..`, shifted to the range's start; that build
+    /// may add one output ∨ after them).
+    fn assert_cut_blocks(
+        automaton: &TreeAutomaton,
+        u: &UncertainTree,
+        cuts: &[NodeId],
+        circuit: &Circuit,
+        fragments: &[(usize, usize)],
+    ) {
+        assert_eq!(fragments.len(), cuts.len());
+        assert!(fragments.windows(2).all(|w| w[0].1 <= w[1].0));
+        for (&cut, &(start, end)) in cuts.iter().zip(fragments) {
+            assert!(2 <= start && start <= end && end <= circuit.size());
+            let inside = |g: GateId| g.0 < 2 || (start..end).contains(&g.0);
+            for id in start..end {
+                match circuit.gate(GateId(id)) {
+                    Gate::And(inputs) | Gate::Or(inputs) => {
+                        assert!(inputs.iter().all(|&i| inside(i)), "gate {id}")
+                    }
+                    Gate::Not(i) => assert!(inside(i), "gate {id}"),
+                    Gate::Var(_) | Gate::Const(_) => {}
+                }
+            }
+            let alone = compile_structured_dnnf(automaton, &subtree(u, cut)).unwrap();
+            let alone = alone.dnnf().circuit();
+            assert!((0..=1).contains(&(alone.size() - 2 - (end - start))));
+            let shift = |g: GateId| if g.0 < 2 { g } else { GateId(g.0 - 2 + start) };
+            for id in start..end {
+                match (alone.gate(GateId(id + 2 - start)), circuit.gate(GateId(id))) {
+                    (Gate::And(a), Gate::And(b)) | (Gate::Or(a), Gate::Or(b)) => {
+                        assert!(a.iter().map(|&g| shift(g)).eq(b.iter().copied()))
+                    }
+                    (Gate::Not(a), Gate::Not(b)) => assert_eq!(shift(a), b),
+                    (a, b) => assert_eq!(a, b, "gate {id}"),
+                }
+            }
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
-        /// The splice seam at arbitrary cut points: compiling each cut on
-        /// its own (fresh, and again from the fragment library) and
-        /// splicing it into the whole-tree build equals the unspliced
-        /// build byte for byte; invalid inputs fail with the sequential
-        /// compiler's typed error.
+        /// The recorded partition at arbitrary cut points: the circuit is
+        /// the uncut build byte for byte, each range is its cut subtree's
+        /// self-contained gate block, and every pass over the partition
+        /// equals the sequential runner at threads {1, 2, 8}; invalid
+        /// inputs fail with the sequential compiler's typed error.
         #[test]
-        fn arbitrary_cuts_splice_byte_identically(
+        fn arbitrary_cuts_record_their_subtrees_gate_blocks(
             u in strategies::uncertain_tree(48, 3),
             automaton in strategies::deterministic_automaton(3, 3),
             seed in proptest::prelude::any::<u64>(),
@@ -1431,15 +1149,18 @@ mod tests {
             let sequential = compile_structured_dnnf(&automaton, &u).unwrap();
             let run = Run::from_automaton(&automaton, &u).unwrap();
             let builder = StructuredBuilder::new(&run, &u).unwrap();
-            let telemetry = Telemetry::disabled();
             for cuts in unbalanced_cut_sets(&u, seed) {
-                let plan = SubtreePlan::new(u.tree(), cuts);
-                let cold = compile_planned(&builder, &plan, &telemetry, 2, None).unwrap();
-                assert_identical(&cold.artifact, &sequential);
-                let warm =
-                    compile_planned(&builder, &plan, &telemetry, 2, Some(&cold.library)).unwrap();
-                assert_eq!(warm.stats.recompiled, 0);
-                assert_identical(&warm.artifact, &sequential);
+                let (structured, fragments) = builder.compile_partitioned(&cuts).unwrap();
+                let circuit = structured.dnnf().circuit();
+                assert_cut_blocks(&automaton, &u, &cuts, circuit, &fragments);
+                let artifact = ParallelDnnf {
+                    structured,
+                    partition: CircuitPartition { fragments },
+                    telemetry: Telemetry::disabled(),
+                    hull: OnceLock::new(),
+                };
+                assert_identical(&artifact, &sequential);
+                assert_fraction_free_exact(&artifact, seed, ALL);
             }
 
             let mut config = EngineConfig::with_threads(2);

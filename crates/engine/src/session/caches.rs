@@ -5,10 +5,10 @@
 //! ([`EvalSession::cold_lineage`]).
 
 use super::{EngineError, EvalSession, InstanceId, QueryId};
-use crate::parallel::{compile_with_pool_cached, FragmentLibrary, ParallelDnnf};
+use crate::parallel::{compile_run, ParallelDnnf};
 use crate::pool::{lock_recovering, run_tasks};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex};
 use treelineage_encoding::{
     compile_ucq, CompileOptions, CompiledQuery, EncodingAlphabet, EncodingError, EncodingPlan,
     LiveStates, TreeEncoding,
@@ -69,17 +69,13 @@ impl<K: Ord + Clone, V: Clone> CacheMap<K, V> {
         }
     }
 
-    /// Removes and returns the entry for `key`.
-    pub(super) fn remove(&mut self, key: &K) -> Option<V> {
-        self.map.remove(key).map(|(value, _)| value)
-    }
-
-    /// Removes and returns every entry whose key matches `pred` (the
-    /// structural-invalidation path: evict all lineages of one instance,
-    /// parking their fragment libraries for incremental recompilation).
-    pub(super) fn take_matching(&mut self, pred: impl Fn(&K) -> bool) -> Vec<(K, V)> {
-        let taken = self.map.extract_if(.., |k, _| pred(k));
-        taken.map(|(k, (value, _))| (k, value)).collect()
+    /// Removes every entry whose key matches `pred` and returns how many
+    /// (the structural-invalidation path: evict all lineages of one
+    /// instance).
+    pub(super) fn remove_matching(&mut self, pred: impl Fn(&K) -> bool) -> usize {
+        let before = self.map.len();
+        self.map.retain(|k, _| !pred(k));
+        before - self.map.len()
     }
 
     fn len(&self) -> usize {
@@ -111,27 +107,12 @@ pub struct CacheOccupancy {
     pub encodings: usize,
 }
 
-/// What incremental recompilation needs of a compiled lineage: its
-/// per-fragment compile library, and the identity of the machine that
-/// numbered its gates. Gate ids depend on the machine's memo discovery
-/// order, so a library may only be replayed against the *same* machine
-/// object; the `Weak` keeps the allocation alive so the pointer comparison
-/// cannot be fooled by an ABA reuse. Structural invalidation parks only
-/// this, never the circuit.
-#[derive(Clone)]
-pub(super) struct Parked {
-    machine: Weak<Mutex<CompiledQuery>>,
-    library: Arc<FragmentLibrary>,
-}
-
-/// One resident lineage-cache entry: the artifact, the per-node live
-/// states of the run it was compiled from, and what an update
-/// parks for incremental recompilation.
+/// One resident lineage-cache entry: the artifact and the per-node live
+/// states of the run it was compiled from.
 #[derive(Clone)]
 pub(super) struct CachedLineage {
     pub(super) artifact: Arc<ParallelDnnf>,
     pub(super) live: LiveStates,
-    pub(super) parked: Parked,
 }
 
 /// Query-machine cache: (query, width) → shared, lockable [`CompiledQuery`].
@@ -177,15 +158,13 @@ impl EvalSession {
     }
 
     /// Compiles (or fetches) the lineage of every distinct (query,
-    /// instance) pair of a batch, in parallel across pairs. Inner subtree
-    /// parallelism is enabled only when the batch has a single pair —
-    /// otherwise the pair-level parallelism already saturates the pool.
+    /// instance) pair of a batch, in parallel across pairs; each compile
+    /// runs on the thread that picked its pair.
     pub(super) fn compile_pairs(
         &self,
         pairs: impl Iterator<Item = (usize, usize)>,
     ) -> BTreeMap<(usize, usize), Artifact> {
         let unique: Vec<(usize, usize)> = pairs.collect::<BTreeSet<_>>().into_iter().collect();
-        let inner_threads = self.eval_threads(unique.len());
         let compiled = run_tasks(
             self.config.threads,
             unique.len(),
@@ -197,7 +176,7 @@ impl EvalSession {
                 let mut span = self.config.telemetry.span("compile_pair");
                 span.label("query", unique[k].0);
                 span.label("instance", unique[k].1);
-                self.lineage(unique[k].0, unique[k].1, inner_threads)
+                self.lineage(unique[k].0, unique[k].1)
             },
         );
         unique.into_iter().zip(compiled).collect()
@@ -216,53 +195,48 @@ impl EvalSession {
     /// The lineage d-SDNNF of (query, instance), through the session
     /// caches. Concurrent misses on the same pair may compile twice; the
     /// construction is deterministic, so both results are identical and
-    /// either may be cached. The fragment *plan* always uses the session's
-    /// full thread count (so cached artifacts carry the partition later
-    /// fragment-parallel evaluations need) while `pool_threads` bounds the
-    /// workers this particular compile may spawn — 1 when the batch itself
-    /// already saturates the pool.
-    pub(super) fn lineage(&self, query: usize, instance: usize, pool_threads: usize) -> Artifact {
+    /// either may be cached. The fragment plan uses the session's thread
+    /// count, so cached artifacts carry the partition fragment-parallel
+    /// evaluations need.
+    pub(super) fn lineage(&self, query: usize, instance: usize) -> Artifact {
         if let Some(hit) = lock_recovering(&self.lineages).get(&(query, instance)) {
             self.count(|s| s.lineage_hits += 1);
             return Ok(hit.artifact);
         }
         self.count(|s| s.lineage_misses += 1);
         let encoding = self.encoding(instance)?;
-        // A structural update may have parked this pair's fragment library.
-        let parked = lock_recovering(&self.stale).remove(&(query, instance));
-        let (artifact, live, parked) = self.compile(query, &encoding, pool_threads, parked)?;
+        let (artifact, live) = self.compile(query, &encoding)?;
         let artifact = Arc::new(artifact);
         let entry = CachedLineage {
             artifact: artifact.clone(),
             live,
-            parked,
         };
         lock_recovering(&self.lineages).insert((query, instance), entry);
         Ok(artifact)
     }
 
     /// The cached lineage d-SDNNF of a (query, instance) pair through the
-    /// session caches — the incremental path's artifact, for callers that
-    /// want the circuit itself (the update differential suite, benches)
-    /// rather than an answer. Compiles on miss like any request would.
+    /// session caches, for callers that want the circuit itself (the
+    /// update differential suite, benches) rather than an answer. Compiles
+    /// on miss like any request would.
     pub fn lineage_artifact(
         &self,
         query: QueryId,
         instance: InstanceId,
     ) -> Result<Arc<ParallelDnnf>, EngineError> {
         let (q, i) = self.check_request(query, instance, &[])?;
-        self.lineage(q, i, self.config.threads)
+        self.lineage(q, i)
     }
 
     /// The byte-identity oracle behind the update differential suite (and
     /// perfbench's answer check after writes): compiles the pair's lineage
     /// from scratch — fresh tree encoding (with its own [`EncodingPlan`],
-    /// so the suite also pins the cached path's plan replay), every
-    /// fragment recompiled, no lineage-cache read or write — through the
-    /// *same* cached query machine the incremental path uses. Gate numbering
-    /// depends on the machine's memo history, so byte-identity of
-    /// incremental against cold is meaningful exactly when both run through
-    /// one machine; a fresh session would number states differently.
+    /// so the suite also pins the cached path's plan replay), no
+    /// lineage-cache read or write — through the *same* cached query
+    /// machine the cached path uses. Gate numbering depends on the
+    /// machine's memo history, so byte-identity of cached against cold is
+    /// meaningful exactly when both run through one machine; a fresh
+    /// session would number states differently.
     pub fn cold_lineage(
         &self,
         query: QueryId,
@@ -276,55 +250,26 @@ impl EvalSession {
             &self.config.telemetry,
         )
         .map_err(EngineError::Encoding)?;
-        let (artifact, ..) = self.compile(q, &encoding, self.config.threads, None)?;
+        let (artifact, _) = self.compile(q, &encoding)?;
         Ok(artifact)
     }
 
     /// The one lineage compile body, behind the cached path and the cold
     /// oracle: the query machine for the encoding's width, its run on the
     /// encoding, then the d-SDNNF compile from that run. Returns the
-    /// artifact, the live states of the run and what a later structural
-    /// update parks.
+    /// artifact and the live states of the run.
     fn compile(
         &self,
         query: usize,
         encoding: &TreeEncoding,
-        pool_threads: usize,
-        parked: Option<Parked>,
-    ) -> Result<(ParallelDnnf, LiveStates, Parked), EngineError> {
+    ) -> Result<(ParallelDnnf, LiveStates), EngineError> {
         let machine = self.machine(query, encoding.alphabet())?;
         let run = lock_recovering(&machine)
             .run(encoding.tree())
             .map_err(EngineError::QueryCompile)?;
-        // Gate numbering depends on the machine's memo history, so a parked
-        // library replays only against the machine object that built it —
-        // anything else (an evicted-and-rebuilt machine) compiles cold.
-        let library = parked
-            .filter(|parked| Weak::as_ptr(&parked.machine) == Arc::as_ptr(&machine))
-            .map(|parked| parked.library);
-        let compiled = compile_with_pool_cached(
-            &run,
-            encoding.tree(),
-            &self.config,
-            pool_threads,
-            library.as_deref(),
-        )
-        .map_err(|e| EngineError::Provenance(e.to_string()))?;
-        if library.is_some() {
-            let stats = compiled.stats;
-            self.count(|s| {
-                s.fragments_recompiled += stats.recompiled;
-                s.fragments_reused += stats.reused;
-            });
-            let telemetry = &self.config.telemetry;
-            telemetry.gauge_set("dirty_fragments", &[], stats.recompiled as i64);
-            telemetry.counter_add("fragments_recompiled_total", &[], stats.recompiled as u64);
-        }
-        let parked = Parked {
-            machine: Arc::downgrade(&machine),
-            library: Arc::new(compiled.library),
-        };
-        Ok((compiled.artifact, LiveStates::of(&run), parked))
+        let artifact = compile_run(&run, encoding.tree(), &self.config)
+            .map_err(|e| EngineError::Provenance(e.to_string()))?;
+        Ok((artifact, LiveStates::of(&run)))
     }
 
     /// The instance's tree encoding, built on first use.

@@ -184,11 +184,11 @@ pub struct SessionStats {
     /// Probability overrides applied ([`EvalSession::set_probability`];
     /// zero-dirty no-ops don't count).
     pub updates_set_probability: usize,
-    /// Fragments recompiled by lineage compiles that consulted a retained
-    /// fragment library — the update path's dirty set, summed.
+    /// Always 0: every lineage compiles in one pass, with no fragment
+    /// library to reuse. Kept so existing readers of the field still
+    /// build.
     pub fragments_recompiled: usize,
-    /// Fragments replayed byte-identically from a retained library instead
-    /// of being recompiled.
+    /// Always 0, like [`SessionStats::fragments_recompiled`].
     pub fragments_reused: usize,
     /// Resident lineage artifacts invalidated by structural updates.
     pub lineages_invalidated: usize,
@@ -232,11 +232,6 @@ impl EvalSession {
             ),
             ("session_worker_panics_total", stats.worker_panics),
             ("session_errors_total", stats.errors),
-            (
-                "session_fragments_recompiled_total",
-                stats.fragments_recompiled,
-            ),
-            ("session_fragments_reused_total", stats.fragments_reused),
             (
                 "session_lineages_invalidated_total",
                 stats.lineages_invalidated,
@@ -381,15 +376,14 @@ impl EvalSession {
         let trace = span.context().map(|c| c.trace);
         // Served on the caller's stack with the request span open, so every
         // compile/eval span parents into the request's trace.
-        let threads = self.config.threads;
-        let lineage = self.lineage(q, i, threads);
+        let lineage = self.lineage(q, i);
         let float_first = self.backend == SessionBackend::FloatFirst;
         let served = self
             .tiered(
                 (q, i),
                 &request.valuation,
                 &lineage,
-                threads,
+                self.config.threads,
                 float_first,
                 None,
             )

@@ -50,7 +50,7 @@ pub use serve::{
 pub use updates::{validate_insert, validate_retract, UpdateError, UpdateKind, UpdateReport};
 
 use crate::EngineConfig;
-use caches::{CacheMap, CachedLineage, MachineCache, Parked, QUERY_CACHE_CAP};
+use caches::{CacheMap, CachedLineage, MachineCache, QUERY_CACHE_CAP};
 use std::sync::{Arc, Mutex, OnceLock};
 use treelineage_encoding::{CompileError, EncodingError, EncodingPlan, TreeEncoding};
 use treelineage_graph::TreeDecomposition;
@@ -188,12 +188,6 @@ pub struct EvalSession {
     machines: Mutex<MachineCache>,
     /// Compiled lineages, keyed by (query, instance).
     lineages: Mutex<CacheMap<(usize, usize), CachedLineage>>,
-    /// Fragment libraries parked by structural invalidation, keyed by the
-    /// (query, instance) pair they served and capped like the lineage
-    /// cache. The next lineage miss on the pair consumes its entry:
-    /// untouched fragments replay byte-identically and only the dirty ones
-    /// recompile. An evicted library only means a cold compile.
-    stale: Mutex<CacheMap<(usize, usize), Parked>>,
     counters: Mutex<SessionStats>,
     /// Flight recorder: the N slowest requests past the latency threshold,
     /// sorted slowest-first (see [`EngineConfig::flight_recorder_capacity`]).
@@ -212,7 +206,6 @@ impl EvalSession {
         EvalSession {
             machines: Mutex::new(CacheMap::new(QUERY_CACHE_CAP)),
             lineages: Mutex::new(CacheMap::new(config.lineage_cache_cap)),
-            stale: Mutex::new(CacheMap::new(config.lineage_cache_cap)),
             config,
             backend,
             instances: Vec::new(),

@@ -942,27 +942,12 @@ fn structural_updates_flip_residency_and_recompile_incrementally() {
     assert!(!cold.encoding_cached && !cold.lineage_cached);
     assert_ne!(cold.estimate, before.to_f64(), "the answer must move");
 
-    // The explain above recompiled through the parked fragment library:
-    // strictly fewer fragments than a cold compile (which recompiles
-    // all of them), with real reuse.
-    let stats = session.stats();
-    assert_eq!(stats.lineages_invalidated, 1);
+    // The explain above recompiled the pair: the artifact is byte-identical
+    // to a cold compile of the mutated instance through the same machine,
+    // and still carries a planned partition.
+    assert_eq!(session.stats().lineages_invalidated, 1);
     let incremental = session.lineage_artifact(q, i).unwrap();
-    let new_total = incremental.partition().fragments().len();
-    assert!(stats.fragments_reused > 0, "no fragments reused");
-    assert_eq!(
-        stats.fragments_recompiled + stats.fragments_reused,
-        new_total
-    );
-    assert!(
-        stats.fragments_recompiled < new_total,
-        "update recompiled {} of {} fragments — not incremental",
-        stats.fragments_recompiled,
-        new_total
-    );
-
-    // And the incremental artifact is byte-identical to a cold compile
-    // of the mutated instance through the same machine.
+    assert!(incremental.partition().fragments().len() >= 2);
     let cold_artifact = session.cold_lineage(q, i).unwrap();
     assert_byte_identical(&incremental, &cold_artifact);
 
@@ -970,11 +955,10 @@ fn structural_updates_flip_residency_and_recompile_incrementally() {
     let rendered = session.metrics().to_prometheus();
     assert!(rendered.contains("session_updates_total"), "{rendered}");
     assert!(
-        rendered.contains("session_fragments_recompiled_total"),
+        rendered.contains("session_lineages_invalidated_total"),
         "{rendered}"
     );
     assert!(rendered.contains("updates_total"), "{rendered}");
-    assert!(rendered.contains("dirty_fragments"), "{rendered}");
 }
 
 #[test]
@@ -1006,6 +990,8 @@ fn set_probability_keeps_every_cache_layer_resident() {
     assert_ne!(first, second, "the reweighted answer must move");
 }
 
+/// A structural update drops the session's hold on the invalidated
+/// circuit (nothing is parked for it any more).
 #[test]
 fn invalidation_parks_libraries_not_circuits() {
     let (mut session, q, i) = session_with(SessionBackend::Automaton);
@@ -1022,45 +1008,6 @@ fn invalidation_parks_libraries_not_circuits() {
     assert_eq!(
         Arc::strong_count(&artifact),
         1,
-        "a parked fragment library must not pin the invalidated circuit"
+        "nothing in the session may pin the invalidated circuit"
     );
-}
-
-#[test]
-fn parked_libraries_are_capped_like_the_lineage_cache() {
-    let config = EngineConfig {
-        lineage_cache_cap: 2,
-        fragment_grain: 4,
-        ..EngineConfig::with_threads(2)
-    };
-    let mut session = EvalSession::new(config);
-    let queries: Vec<QueryId> = ["R(x), S(x, y), T(y)", "R(x)", "T(x)", "S(x, y)"]
-        .iter()
-        .map(|text| session.register_query(parse_query(&rst(), text).unwrap()))
-        .collect();
-    let i = session.register_instance(chain(6));
-    let t = rst().relation_by_name("T").unwrap();
-    // Park the first two pairs with an insert and the last two with the
-    // retraction that undoes it: four parked pairs, two slots.
-    for &q in &queries[..2] {
-        session.lineage_artifact(q, i).unwrap();
-    }
-    let insert = session
-        .insert_fact(i, Fact::new(t, vec![Element(0)]), Rational::one_half())
-        .unwrap();
-    for &q in &queries[2..] {
-        session.lineage_artifact(q, i).unwrap();
-    }
-    session.retract_fact(i, insert.fact).unwrap();
-    let before = session.stats();
-    assert_eq!(before.lineages_invalidated, 4);
-    // The oldest pair's library was evicted: it compiles cold.
-    session.lineage_artifact(queries[0], i).unwrap();
-    let after = session.stats();
-    assert_eq!(after.lineage_misses, before.lineage_misses + 1);
-    assert_eq!(after.fragments_reused, before.fragments_reused);
-    assert_eq!(after.fragments_recompiled, before.fragments_recompiled);
-    // The newest pair's library is still parked and replays.
-    session.lineage_artifact(queries[3], i).unwrap();
-    assert!(session.stats().fragments_reused > after.fragments_reused);
 }

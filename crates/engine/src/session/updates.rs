@@ -41,7 +41,8 @@ impl UpdateKind {
 /// encoding's event numbering — is pinned to the Gaifman graph of the
 /// *registered* active domain: an update that grows or shrinks the domain,
 /// or introduces a fact no decomposition bag covers, would shift every
-/// vertex index and silently invalidate the incremental-recompile contract.
+/// vertex index and silently break the update path's byte-identity with a
+/// cold compile.
 /// Such updates need a re-registration, not an in-place mutation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum UpdateError {
@@ -133,8 +134,7 @@ pub struct UpdateReport {
     /// The instance's update epoch after this update (0 at registration,
     /// +1 per applied non-no-op update).
     pub epoch: u64,
-    /// How many resident lineage artifacts the update invalidated (their
-    /// fragment libraries are retained for incremental recompilation).
+    /// How many resident lineage artifacts the update invalidated.
     pub invalidated_lineages: usize,
 }
 
@@ -209,11 +209,10 @@ fn check_probability(probability: &Rational) -> Result<(), UpdateError> {
 
 impl EvalSession {
     /// Inserts a fact with the given probability. Structural: the
-    /// instance's tree encoding and resident lineages are
-    /// invalidated, but each invalidated lineage's fragment library is
-    /// retained — the next compile of the pair re-encodes, replays every
-    /// fragment whose subtree is untouched byte-identically, and recompiles
-    /// only the dirty ones (pinned against a cold compile by
+    /// instance's tree encoding and resident lineages are invalidated — the
+    /// next compile of a pair re-encodes from the instance's cached
+    /// encoding plan and recompiles through the cached query machine,
+    /// byte-identically to a cold compile (pinned by
     /// `tests/update_differential.rs`).
     ///
     /// The fact must stay inside the pinned active domain and be covered by
@@ -242,8 +241,8 @@ impl EvalSession {
 
     /// Retracts a fact by id, with swap-remove semantics: the last fact
     /// (and only it) moves into the vacated id, reported as
-    /// [`UpdateReport::moved`]. Structural — same invalidation and
-    /// fragment-retention behaviour as [`EvalSession::insert_fact`].
+    /// [`UpdateReport::moved`]. Structural — same invalidation as
+    /// [`EvalSession::insert_fact`].
     ///
     /// Retracting an absent fact is [`UpdateError::UnknownFact`]; a
     /// retraction that would orphan an element (shrinking the pinned
@@ -358,19 +357,12 @@ impl EvalSession {
     }
 
     /// Invalidates every structural cache layer of one instance: the tree
-    /// encoding and the instance's resident lineages are dropped, and each
-    /// lineage's fragment library (with its machine's identity, not the
-    /// circuit) is parked for incremental recompilation. Returns how many
-    /// lineages were evicted.
+    /// encoding and the instance's resident lineages are dropped. Returns
+    /// how many lineages were evicted.
     fn invalidate_structural(&self, i: usize) -> usize {
         *lock_recovering(&self.instances[i].encoding) = None;
-        let harvested = lock_recovering(&self.lineages).take_matching(|&(_, inst)| inst == i);
-        let count = harvested.len();
+        let count = lock_recovering(&self.lineages).remove_matching(|&(_, inst)| inst == i);
         if count > 0 {
-            let mut stale = lock_recovering(&self.stale);
-            for (key, lineage) in harvested {
-                stale.insert(key, lineage.parked);
-            }
             self.count(|s| s.lineages_invalidated += count);
         }
         count

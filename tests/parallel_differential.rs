@@ -260,13 +260,14 @@ fn balanced_parity_tree(depth: u32) -> treelineage_automata::UncertainTree {
 
 /// Compiles `tree` at `threads` and checks the artifact gate for gate and
 /// node for node, and the probability, model count and interval passes bit
-/// for bit, against the sequential compile; returns the `pool_tasks_total`
-/// worker labels of the compile and of the passes.
+/// for bit, against the sequential compile; checks that the compile
+/// planned fragments and ran no pool task, and returns the
+/// `pool_tasks_total` worker labels of the passes.
 fn fan_out_workers(
     automaton: &treelineage_automata::TreeAutomaton,
     tree: &treelineage_automata::UncertainTree,
     threads: usize,
-) -> (Vec<String>, Vec<String>) {
+) -> Vec<String> {
     let sequential = compile_structured_dnnf(automaton, tree).unwrap();
     let compile_telemetry = Telemetry::enabled();
     let config = EngineConfig {
@@ -290,6 +291,9 @@ fn fan_out_workers(
         assert_eq!(pv.node(v), sv.node(v));
     }
     assert_eq!(pv.root(), sv.root());
+    assert!(!parallel.partition().is_empty(), "threads={threads}");
+    let compile = pool_workers(&compile_telemetry);
+    assert!(compile.is_empty(), "threads={threads}: {compile:?}");
 
     let eval_telemetry = Telemetry::enabled();
     let parallel = parallel.with_telemetry(eval_telemetry.clone());
@@ -306,17 +310,15 @@ fn fan_out_workers(
         bits(sequential.dnnf().probability_interval(&iv)),
         "threads={threads}"
     );
-    (
-        pool_workers(&compile_telemetry),
-        pool_workers(&eval_telemetry),
-    )
+    pool_workers(&eval_telemetry)
 }
 
 /// Fan-outs large enough to spawn pool workers stay byte-identical to the
-/// sequential build: the `[E-7 scaling]` star's fragment compile, and a
-/// balanced tree's compile and passes, run on numbered pool workers rather
-/// than inline on the caller — the other side of the fan-out rule from
-/// the small trees of the suites above, which all run inline.
+/// sequential build: a balanced tree's passes run on numbered pool workers
+/// rather than inline on the caller — the other side of the fan-out rule
+/// from the small trees of the suites above, which all run inline. The
+/// compiles of that tree and of the `[E-7 scaling]` star run on the
+/// caller's thread and record their fragments.
 #[test]
 fn above_threshold_fan_outs_spawn_workers_and_stay_byte_identical() {
     let spawned = |workers: &[String]| workers.iter().any(|w| w != "inline");
@@ -325,16 +327,8 @@ fn above_threshold_fan_outs_spawn_workers_and_stay_byte_identical() {
     let parity = treelineage_automata::parity_automaton(2);
     let balanced = balanced_parity_tree(11);
     for threads in [2usize, 8] {
-        let (compile, _) = fan_out_workers(&star_automaton, &star_tree, threads);
-        assert!(
-            spawned(&compile),
-            "star compile at threads={threads}: {compile:?}"
-        );
-        let (compile, eval) = fan_out_workers(&parity, &balanced, threads);
-        assert!(
-            spawned(&compile),
-            "balanced compile at threads={threads}: {compile:?}"
-        );
+        fan_out_workers(&star_automaton, &star_tree, threads);
+        let eval = fan_out_workers(&parity, &balanced, threads);
         assert!(
             spawned(&eval),
             "balanced passes at threads={threads}: {eval:?}"
@@ -344,7 +338,8 @@ fn above_threshold_fan_outs_spawn_workers_and_stay_byte_identical() {
 
 /// An `ingest_update`-sized request — a ~200-node tree, registered and
 /// answered by a two-thread session — plans fragments but never spawns:
-/// every pool task of its compile and answer runs inline on the caller.
+/// its compile runs on the caller's thread, and every pool task of its
+/// request runs inline there too.
 #[test]
 fn ingest_sized_compile_and_answer_run_inline() {
     let sig = Signature::builder()
@@ -386,12 +381,18 @@ fn ingest_sized_compile_and_answer_run_inline() {
         let got = session.batch_probability(std::slice::from_ref(&request));
         assert_eq!(got[0].as_ref().unwrap(), &expected, "{backend:?}");
         let snapshot = telemetry.snapshot();
-        // The fragment path ran (this is not a sequential compile)...
+        // The compile ran once and planned fragments...
         assert!(
-            snapshot.spans.iter().any(|s| s.name == "dsdnnf_fragments"),
-            "{backend:?}: no fragment fan-out"
+            snapshot.spans.iter().any(|s| s.name == "dsdnnf_compile"),
+            "{backend:?}: no compile span"
         );
-        // ...and every one of its tasks stayed on the caller's thread.
+        let artifact = session.lineage_artifact(qid, iid).unwrap();
+        assert!(
+            artifact.partition().fragments().len() >= 2,
+            "{backend:?}: no fragments planned"
+        );
+        // ...and every pool task of the request stayed on the caller's
+        // thread.
         let workers = pool_workers(&telemetry);
         assert!(
             !workers.is_empty() && workers.iter().all(|w| w == "inline"),

@@ -143,9 +143,9 @@ fn warm_span_topology_is_identical_across_thread_counts() {
 /// The connectivity contract at 8 threads, including the cold compile: no
 /// span is orphaned. Every event's parent is a recorded event of the same
 /// trace, every trace root is a `request` or `compile_pair` span, and
-/// the compile's `dsdnnf_fragments` fan-out span reaches its trace root —
-/// this fails on thread-local-only parenting, where worker spans started
-/// fresh traces.
+/// the compile's `dsdnnf_compile` span reaches its trace root — this fails
+/// on thread-local-only parenting, where worker spans started fresh
+/// traces.
 #[test]
 fn all_spans_connect_to_request_or_compile_roots_at_eight_threads() {
     let telemetry = Telemetry::enabled();
@@ -158,14 +158,14 @@ fn all_spans_connect_to_request_or_compile_roots_at_eight_threads() {
         instance: iid,
         valuation,
     };
-    // A lone-request batch: the compile fans subtree fragments out to pool
-    // workers (threads = 8, single pair → inner parallelism enabled).
+    // A lone-request batch: the pair compiles under `compile_pair`, on
+    // whichever thread the batch's pool hands it to.
     for r in session.batch_probability(std::slice::from_ref(&request)) {
         r.unwrap();
     }
     let events = telemetry.drain_events();
     let by_id: BTreeMap<u64, &SpanEvent> = events.iter().map(|e| (e.id, e)).collect();
-    let mut fan_out_spans = 0usize;
+    let mut compile_spans = 0usize;
     for event in &events {
         match event.parent {
             None => assert!(
@@ -195,18 +195,15 @@ fn all_spans_connect_to_request_or_compile_roots_at_eight_threads() {
                 }
             }
         }
-        if event.name == "dsdnnf_fragments" {
-            fan_out_spans += 1;
+        if event.name == "dsdnnf_compile" {
+            compile_spans += 1;
             assert!(
                 event.parent.is_some(),
-                "fragment fan-out span detached from the compile trace"
+                "compile span detached from the compile trace"
             );
         }
     }
-    assert!(
-        fan_out_spans > 0,
-        "the 8-thread compile should have fanned out fragments"
-    );
+    assert_eq!(compile_spans, 1, "the cold request compiles once");
 }
 
 /// `explain()` agrees with the session counters and the batch answers at

@@ -283,10 +283,11 @@ fn chain_instance(n: usize) -> Instance {
     inst
 }
 
-/// The cost claim behind the update path, pinned via the session counters:
-/// on a multi-fragment instance, a single-fact update recompiles strictly
-/// fewer fragments than a cold compile (which recompiles all of them),
-/// while staying byte-identical to it.
+/// On a multi-fragment instance, the lineage the session recompiles after a
+/// single-fact update is byte-identical to a cold compile, partition
+/// included. (The name predates the one-pass compile: no fragment is
+/// reused any more, so only the byte-identity half of the old claim is
+/// left to pin.)
 #[test]
 fn incremental_update_recompiles_strictly_fewer_fragments_than_cold() {
     for threads in [2usize, 8] {
@@ -303,18 +304,6 @@ fn incremental_update_recompiles_strictly_fewer_fragments_than_cold() {
         );
         session.retract_fact(iid, FactId(0)).unwrap();
         let incremental = session.lineage_artifact(qid, iid).unwrap();
-        let stats = session.stats();
-        let new_total = incremental.partition().fragments().len();
-        assert!(stats.fragments_reused > 0, "threads={threads}");
-        assert_eq!(
-            stats.fragments_recompiled + stats.fragments_reused,
-            new_total,
-            "threads={threads}"
-        );
-        assert!(
-            stats.fragments_recompiled < new_total,
-            "update must touch strictly fewer fragments than cold, threads={threads}"
-        );
         let cold = session.cold_lineage(qid, iid).unwrap();
         assert_byte_identical(&incremental, &cold, &format!("chain, threads={threads}"));
     }
